@@ -1084,9 +1084,10 @@ def o1_attribution(
             100.0 * job.buckets["compute"] / lat,
         )
 
-    # Fusion sweep: the same solo serves with launch-plan fusion on.  This
-    # is the payoff measurement for ROADMAP item 4 — how much of the
-    # launch-overhead share the plan lowering actually recovers per size.
+    # Fusion sweep: the same solo serves with launch-plan fusion off (the
+    # op-by-op baseline) and on (the default, as in the tables above) —
+    # how much of the launch-overhead share the plan lowering recovers per
+    # size.
     tf = report.add_table(
         Table(["size", "kernels", "kernels fused", "launch % unfused",
                "launch % fused", "latency ms", "latency ms fused"])

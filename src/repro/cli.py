@@ -61,8 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["float32", "float64"])
     p_solve.add_argument("--scale", action="store_true",
                          help="apply geometric-mean scaling")
-    p_solve.add_argument("--fusion", action="store_true",
-                         help="lower gpu-* launch plans with kernel fusion")
+    p_solve.add_argument("--fusion", action=argparse.BooleanOptionalAction,
+                         default=True,
+                         help="lower gpu-* launch plans with kernel fusion "
+                              "(default on; --no-fusion is the op-by-op "
+                              "baseline)")
     p_solve.add_argument("--precision", default=None,
                          choices=["fp32", "fp64", "mixed"],
                          help="device precision policy (mixed = fp32 compute "
@@ -182,6 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="warm-start cache capacity")
     p_serve.add_argument("--mean-gap", type=float, default=0.002,
                          help="mean interarrival gap in modeled seconds")
+    p_serve.add_argument("--fusion", action=argparse.BooleanOptionalAction,
+                         default=True,
+                         help="kernel-fusion lowering of every job's solve "
+                              "(default on)")
     p_serve.add_argument("--jobs-table", action="store_true",
                          help="also print the per-job table")
     p_serve.add_argument("--metrics", action="store_true",
@@ -478,6 +485,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         method=args.method,
         max_queue_depth=args.queue_depth,
         cache_capacity=args.cache,
+        fusion=args.fusion,
     )
     registry = enable() if args.metrics else None
     try:

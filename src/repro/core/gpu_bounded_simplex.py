@@ -9,8 +9,9 @@ kernel — no basis update, no GER, no eta.
 Compared to ``gpu-revised`` on a fully boxed problem, this solver keeps the
 basis at m instead of m + #bounds; A5 measures the effect.
 
-Per iteration the host reads two results back — the pricing reduction and
-the ratio test's struct (p, θ, α_p, to_upper[p]) — and writes nothing: the
+Per iteration the host reads one struct back — (q, σ·d_q, p, θ, α_p,
+to_upper[p]), after pricing, the column load and the ratio map (which
+reads σ_q on the device) all ran without it — and writes nothing: the
 basis swap (mask bits, σ signs, c_B, basis key, u_B entry) and a flip's σ
 sign are stores of the update launch.  The flip-or-pivot choice needs θ on
 the host, so a bound flip runs the tie-break pass too.
@@ -157,44 +158,44 @@ class GpuBoundedRevisedSimplex(SolverBackend):
                 blas.gemv(st.binv, st.c_b, st.pi, trans=True)
                 blas.copy(st.c_real, st.d)
                 if st.a_sparse is not None:
-                    spmv_csc_t(st.a_sparse, st.pi, st.tmp_n)
-                    blas.axpy(-1.0, st.tmp_n, st.d)
+                    spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
                 else:
                     blas.gemv(st.a_dense, st.pi, st.d, alpha=-1.0, beta=1.0,
                               trans=True)
                 K.masked_signed_for_min(dev, st.d, st.mask, st.sigma, st.tmp_n)
                 if use_bland:
-                    q, signed_dq = sec.first_index_below(st.tmp_n, -tol_rc)
-                    optimal = q == NO_INDEX
+                    sec.first_below_to_device(st.tmp_n, -tol_rc, st.choice)
                 else:
-                    q, signed_dq = sec.argmin(st.tmp_n)
-                    optimal = signed_dq >= -tol_rc
-            if optimal:
-                if tr is not None:
-                    tr.record(phase=phase, iteration=iters, event="optimal",
-                              pricing_rule=rule_name(), objective=float(z))
-                return SolveStatus.OPTIMAL, iters
-            sigma = -1.0 if st.at_upper[q] else 1.0
-            d_q = sigma * signed_dq  # un-sign: actual reduced cost
+                    sec.argmin_to_device(st.tmp_n, st.choice, below=-tol_rc)
 
             with dev.timed_section("ftran"), self.plan.section("ftran"):
-                st.load_column(q)
+                st.load_entering()
                 blas.gemv(st.binv, st.a_q, st.alpha)
 
             with dev.timed_section("ratio"):
                 with self.plan.section("ratio.map") as sec:
                     K.bounded_ratio_kernel(
-                        dev, st.x_b, st.alpha, st.u_basis, sigma, tol_piv,
-                        st.ratios, st.to_upper,
+                        dev, st.x_b, st.alpha, st.u_basis, st.sigma,
+                        st.choice, tol_piv, st.ratios, st.to_upper,
                     )
                     sec.argmin_to_device(st.ratios, st.ratio_min)
                 # Bland-compatible tie-break among blocking rows
                 with self.plan.section("ratio.tie") as sec:
                     K.tie_break_key_kernel(dev, st.ratios, st.ratio_min,
                                            st.basis_keys, st.tmp_m)
-                    p, theta, (pivot, to_upper_p) = sec.ratio_readback(
-                        st.tmp_m, st.ratio_min, (st.alpha, st.to_upper)
+                    q, signed_dq, p, theta, (pivot, to_upper_p) = (
+                        sec.ratio_readback(
+                            st.choice, st.tmp_m, st.ratio_min,
+                            (st.alpha, st.to_upper),
+                        )
                     )
+            if q == NO_INDEX:
+                if tr is not None:
+                    tr.record(phase=phase, iteration=iters, event="optimal",
+                              pricing_rule=rule_name(), objective=float(z))
+                return SolveStatus.OPTIMAL, iters
+            sigma = -1.0 if st.at_upper[q] else 1.0
+            d_q = sigma * signed_dq  # un-sign: actual reduced cost
             pivot_kind = "basic"
             u_q = float(st.u_host[q])
             if np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12):
@@ -382,6 +383,9 @@ class _BState:
             self.a_q = dev.zeros(m, dtype)
             self.alpha = dev.zeros(m, dtype)
             self.ratios = dev.zeros(m, dtype)
+            #: (q, σ_q·d_q) of the pricing reduction, read by the column
+            #: load and the ratio map
+            self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
             self.to_upper = dev.zeros(m, dtype)
@@ -414,6 +418,13 @@ class _BState:
         with self.dev.timed_section("transfer"):
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
+
+    def load_entering(self) -> None:
+        """a_q := the column pricing chose, q read on the device."""
+        K.load_entering_column(
+            self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
+            dense=self.a_dense, csc=self.a_sparse,
+        )
 
     def load_column(self, j: int) -> None:
         n = self.prep.n_total
@@ -455,7 +466,7 @@ class _BState:
         for name in (
             "b", "binv", "x_b", "c_real", "c_b", "mask", "sigma", "u_basis",
             "pi", "d", "tmp_n", "tmp_m", "basis_keys", "a_q", "alpha",
-            "ratios", "ratio_min", "to_upper", "eta", "row_p",
+            "ratios", "choice", "ratio_min", "to_upper", "eta", "row_p",
         ):
             arr = getattr(self, name, None)
             if arr is not None and not arr.is_freed:

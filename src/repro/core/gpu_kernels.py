@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import DeviceArrayError
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
+from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix
 from repro.perfmodel.ops import OpCost
 
 #: Value standing in for +inf in the ratio vector (a float32-safe infinity).
@@ -178,6 +179,73 @@ def unit_vector(dev: Device, out: DeviceArray, i: int) -> None:
         OpCost(bytes_written=out.nbytes + w, threads=max(1, out.size)),
         dtype=out.dtype,
         fusable=True,
+        writes=(out,),
+    )
+
+
+def load_entering_column(
+    dev: Device,
+    choice: DeviceArray,
+    out: DeviceArray,
+    *,
+    n_real: int,
+    dense: "DeviceArray | None" = None,
+    csc: "DeviceCscMatrix | None" = None,
+) -> None:
+    """out := column q of the constraint data, with q read on the device.
+
+    ``choice[0]`` holds the pricing reduction's entering index, so the
+    host launches this before it knows q.  One kernel covers every case:
+    a column of the column-major ``dense`` matrix, a scatter of column q of
+    the device CSC matrix ``csc``, or the artificial e_{q − n_real} for
+    q ≥ ``n_real``.  When pricing found no entering column (``NO_INDEX``)
+    it writes zeros, so FTRAN and the ratio test of an optimal iteration
+    run on a null column.  The cost is sized for the widest column.
+    """
+    m = out.size
+    w = out.itemsize
+    if csc is not None:
+        indices, values = csc.indices, csc.data
+        indptr = csc.host_indptr
+        widest = csc.max_col_nnz
+        # the fill of the CSC path's two-kernel getcol, plus its scatter
+        # (scattered row-index writes) sized for the widest column
+        cost = OpCost.fuse(
+            OpCost(bytes_read=w, bytes_written=m * w, threads=max(1, m)),
+            OpCost(
+                bytes_read=widest * (w + INDEX_BYTES) + 2 * INDEX_BYTES,
+                bytes_written=widest * w,
+                threads=max(1, widest),
+                coalesced_fraction=0.25,
+            ),
+        )
+    else:
+        cost = OpCost(
+            bytes_read=w + m * w, bytes_written=m * w, threads=max(1, m)
+        )
+
+    def body() -> None:
+        j = int(choice.data[0])
+        col = out.data
+        if 0 <= j < n_real and csc is None:
+            col[:] = dense.data[:, j]
+            return
+        col.fill(0)
+        if j >= n_real:
+            col[j - n_real] = 1
+        elif j >= 0:
+            lo, hi = indptr[j], indptr[j + 1]
+            col[indices.data[lo:hi]] = values.data[lo:hi]
+
+    dev.launch(
+        "kernel.load_col",
+        body,
+        cost,
+        dtype=out.dtype,
+        fusable=True,
+        # the matrix is *partially* read (one column), so it is not a
+        # fusion-resident operand — only the choice and the output are
+        reads=(choice,),
         writes=(out,),
     )
 
@@ -457,15 +525,17 @@ def bounded_ratio_kernel(
     x_b: DeviceArray,
     alpha: DeviceArray,
     u_basis: DeviceArray,
-    sigma: float,
+    sigma: DeviceArray,
+    choice: DeviceArray,
     tol_pivot: float,
     ratios: DeviceArray,
     to_upper: DeviceArray,
 ) -> None:
     """The three-way bounded ratio-test map.
 
-    With the entering variable moving by σ·t (t >= 0), each basic moves at
-    rate δ_i = −σ·α_i.  Per row:
+    With the entering variable q moving by σ·t (t >= 0), each basic moves
+    at rate δ_i = −σ·α_i; q comes from the device-resident pricing
+    ``choice`` and σ = ``sigma[q]`` (+1 when pricing found none).  Per row:
 
     - δ < −tol: blocks at its lower bound after t = x_i / (−δ),
     - δ > +tol and u_i finite: blocks at its upper after t = (u_i − x_i)/δ,
@@ -478,10 +548,12 @@ def bounded_ratio_kernel(
     if alpha.size != m or u_basis.size != m or ratios.size != m or to_upper.size != m:
         raise DeviceArrayError("bounded ratio kernel operand size mismatch")
     w = x_b.itemsize
-    s = x_b.dtype.type(sigma)
     tol = x_b.dtype.type(tol_pivot)
+    one = x_b.dtype.type(1.0)
 
     def body() -> None:
+        q = int(choice.data[0])
+        s = sigma.data[q] if q >= 0 else one
         delta = (-s * alpha.data).astype(np.float64)
         x = x_b.data.astype(np.float64)
         u = u_basis.data.astype(np.float64)
@@ -500,13 +572,14 @@ def bounded_ratio_kernel(
         body,
         OpCost(
             flops=6 * m,
-            bytes_read=3 * m * w,
+            bytes_read=3 * m * w + 2 * w,
             bytes_written=2 * m * w,
             threads=max(1, m),
             divergent_fraction=0.2,
         ),
         dtype=x_b.dtype,
         fusable=True,
+        # σ and the choice are read one element each: not resident operands
         reads=(x_b, alpha, u_basis),
         writes=(ratios, to_upper),
     )

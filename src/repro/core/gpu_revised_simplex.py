@@ -11,18 +11,23 @@ Per-iteration kernel schedule (names match the breakdown figure F3):
 ======== =========================================================
 section  kernels
 ======== =========================================================
-pricing  GEMVᵀ (π = B⁻ᵀc_B), GEMVᵀ/SpMVᵀ (d = c − Aᵀπ),
-         mask map, arg-min tree reduction
-ftran    column extract (or e_i synthesis), GEMV (α = B⁻¹a_q)
+pricing  GEMVᵀ (π = B⁻ᵀc_B), copy of c then GEMVᵀ/SpMVᵀ with β = 1
+         (d = c − Aᵀπ), mask map, device-resident arg-min (q, d_q)
+ftran    column load reading q on the device (dense extract, CSC
+         scatter or e_i synthesis), GEMV (α = B⁻¹a_q)
 ratio    ratio map kernel, device-resident arg-min; tie-break map,
-         arg-min whose one readback brings (p, θ, α_p)
+         arg-min whose one readback brings (q, d_q, p, θ, α_p)
 update   β update kernel (also stores the basis swap: mask bits, c_B
          entry, basis key), η kernel, row extract, GER rank-1 B⁻¹ update
 ======== =========================================================
 
-Per pivot the host reads two results back — the pricing arg-min and the
-ratio test's struct — and writes nothing: the swap's device bookkeeping
-travels as kernel parameters of the β update.
+Per iteration the host reads one struct back and writes nothing: pricing
+leaves its choice on the device (``NO_INDEX`` when no column prices in),
+the column load, FTRAN and the ratio test run without waiting for the
+host, and the swap's device bookkeeping travels as kernel parameters of
+the β update.  The host tests optimality (``q == NO_INDEX``) before
+unboundedness (θ = ∞), so each phase's last iteration also pays for its
+column load, FTRAN and ratio test.
 
 Phase 1 uses implicit artificial columns (e_i synthesised on demand);
 phase 2 reuses the phase-1 basis inverse, exactly as in the paper.  The
@@ -87,16 +92,16 @@ class _GpuPricing:
         d: DeviceArray,
         mask: DeviceArray,
         work: DeviceArray,
+        choice: DeviceArray,
         tol: float,
-    ) -> tuple[int, float] | None:
+    ) -> None:
+        """Leave (q, d_q) in ``choice`` on the device, or ``NO_INDEX`` when
+        no column prices in."""
         K.masked_for_min(d.device, d, mask, work)
         if self.using_bland:
-            q, dq = sec.first_index_below(work, -tol)
-            optimal = q == NO_INDEX
+            sec.first_below_to_device(work, -tol, choice)
         else:
-            q, dq = sec.argmin(work)
-            optimal = dq >= -tol
-        return None if optimal else (q, dq)
+            sec.argmin_to_device(work, choice, below=-tol)
 
     def notify(self, improved: bool) -> None:
         if self.mode != "hybrid":
@@ -254,36 +259,26 @@ class GpuRevisedSimplex(SolverBackend):
         while iters < cap:
             iters += 1
 
-            # -- pricing: π = B⁻ᵀ c_B;  d = c − Aᵀπ;  masked arg-min
+            # -- pricing: π = B⁻ᵀ c_B;  d = c − Aᵀπ;  masked selection,
+            #    left on the device
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
                 blas.gemv(st.binv, st.c_b, st.pi, trans=True)
                 blas.copy(st.c_real, st.d)
                 if st.a_sparse is not None:
-                    spmv_csc_t(st.a_sparse, st.pi, st.tmp_n)
-                    blas.axpy(-1.0, st.tmp_n, st.d)
+                    spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
                 else:
                     blas.gemv(st.a_dense, st.pi, st.d, alpha=-1.0, beta=1.0, trans=True)
-                choice = pricing.select(sec, st.d, st.mask, st.tmp_n, tol_rc)
-            if choice is None:
-                stats.bland_activations += pricing.activations
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_label(pricing),
-                        eta_count=self._eta_updates, objective=float(z),
-                    )
-                return SolveStatus.OPTIMAL, iters
-            q, d_q = choice
+                pricing.select(sec, st.d, st.mask, st.tmp_n, st.choice, tol_rc)
 
-            # -- ftran: α = B⁻¹ a_q
+            # -- ftran: α = B⁻¹ a_q, q read on the device
             with dev.timed_section("ftran"), self.plan.section("ftran"):
-                st.load_column(q)
+                st.load_entering()
                 blas.gemv(st.binv, st.a_q, st.alpha)
 
             # -- ratio test (Bland-compatible: ties break to the lowest
             #    basic-variable index via a second keyed reduction).  The
             #    map's arg-min stays on the device, the tie pass reads θ
-            #    from it, and one readback returns (p, θ, α_p).
+            #    from it, and one readback returns (q, d_q, p, θ, α_p).
             with dev.timed_section("ratio"):
                 with self.plan.section("ratio.map") as sec:
                     K.ratio_kernel(dev, st.beta, st.alpha, st.ratios, tol_piv)
@@ -292,9 +287,18 @@ class GpuRevisedSimplex(SolverBackend):
                     K.tie_break_key_kernel(
                         dev, st.ratios, st.ratio_min, st.basis_keys, st.tmp_m
                     )
-                    p, theta, (pivot,) = sec.ratio_readback(
-                        st.tmp_m, st.ratio_min, (st.alpha,)
+                    q, d_q, p, theta, (pivot,) = sec.ratio_readback(
+                        st.choice, st.tmp_m, st.ratio_min, (st.alpha,)
                     )
+            if q == NO_INDEX:
+                stats.bland_activations += pricing.activations
+                if tr is not None:
+                    tr.record(
+                        phase=phase, iteration=iters, event="optimal",
+                        pricing_rule=rule_label(pricing),
+                        eta_count=self._eta_updates, objective=float(z),
+                    )
+                return SolveStatus.OPTIMAL, iters
             if not np.isfinite(theta):
                 stats.bland_activations += pricing.activations
                 if tr is not None:
@@ -505,6 +509,8 @@ class _State:
             self.a_q = dev.zeros(m, dtype)
             self.alpha = dev.zeros(m, dtype)
             self.ratios = dev.zeros(m, dtype)
+            #: (q, d_q) of the pricing reduction, read by the column load
+            self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
             self.eta = dev.zeros(m, dtype)
@@ -538,6 +544,13 @@ class _State:
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
 
+    def load_entering(self) -> None:
+        """a_q := the column pricing chose, q read on the device."""
+        K.load_entering_column(
+            self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
+            dense=self.a_dense, csc=self.a_sparse,
+        )
+
     def load_column(self, j: int) -> None:
         """a_q := column j (real column or synthesised artificial e_i)."""
         n = self.prep.n_total
@@ -563,7 +576,7 @@ class _State:
         for name in (
             "b", "binv", "beta", "c_real", "c_b", "mask",
             "pi", "d", "tmp_n", "tmp_m", "basis_keys",
-            "a_q", "alpha", "ratios", "ratio_min", "eta", "row_p",
+            "a_q", "alpha", "ratios", "choice", "ratio_min", "eta", "row_p",
         ):
             arr = getattr(self, name, None)
             if arr is not None and not arr.is_freed:

@@ -24,19 +24,21 @@ Per-iteration kernel schedule:
 ======== ==========================================================
 section  kernels
 ======== ==========================================================
-pricing  sparse.btran_lu (π), sparse.spmv_csc_t (Aᵀπ), axpy,
-         mask map, arg-min tree reduction
-ftran    sparse.fill_zero + sparse.scatter_col (a_q), sparse.ftran_lu
+pricing  sparse.btran_lu (π), copy of c then sparse.spmv_csc_t with
+         β = 1 (d = c − Aᵀπ), mask map, device-resident arg-min (q, d_q)
+ftran    column load reading q on the device (CSC scatter or e_i),
+         sparse.ftran_lu
 ratio    ratio map kernel, device-resident arg-min; tie-break map,
-         arg-min whose one readback brings (p, θ, α_p)
+         arg-min whose one readback brings (q, d_q, p, θ, α_p)
 update   β update kernel (also stores the basis swap: mask bits, c_B
          entry, basis key), sparse.eta_append
 ======== ==========================================================
 
-Per pivot the host reads two results back — the pricing arg-min and the
-ratio test's struct — and writes nothing.  The pivot is checked against
-the host factor mirror before the update launches, so a pivot the eta
-file rejects never leaves a half-swapped device state.
+Per iteration the host reads one struct back and writes nothing; the
+column load, FTRAN and the ratio test run on the device-resident pricing
+choice (see :mod:`repro.core.gpu_revised_simplex`).  The pivot is checked
+against the host factor mirror before the update launches, so a pivot the
+eta file rejects never leaves a half-swapped device state.
 
 Runs as a :class:`~repro.engine.backend.SolverBackend`; instrumentation
 flows only through the engine observer hooks.
@@ -54,6 +56,7 @@ from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
+from repro.gpu.reduce import NO_INDEX
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix, spmv_csc_t
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
@@ -208,33 +211,26 @@ class GpuSparseRevisedSimplex(SolverBackend):
         while iters < cap:
             iters += 1
 
-            # -- pricing: π = B⁻ᵀ c_B (sparse BTRAN);  d = c − Aᵀπ;  arg-min
+            # -- pricing: π = B⁻ᵀ c_B (sparse BTRAN);  d = c − Aᵀπ;
+            #    masked selection, left on the device
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
                 st.btran_lu(st.c_b, st.pi)
                 blas.copy(st.c_real, st.d)
-                spmv_csc_t(st.a_sparse, st.pi, st.tmp_n)
-                blas.axpy(-1.0, st.tmp_n, st.d)
-                choice = pricing.select(sec, st.d, st.mask, st.tmp_n, self._tol_rc)
-            if choice is None:
-                stats.bland_activations += pricing.activations
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_label(pricing),
-                        eta_count=st.lu.eta_count, objective=float(z),
-                    )
-                return SolveStatus.OPTIMAL, iters
-            q, d_q = choice
+                spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
+                pricing.select(
+                    sec, st.d, st.mask, st.tmp_n, st.choice, self._tol_rc
+                )
 
-            # -- ftran: α = B⁻¹ a_q through the sparse factors
+            # -- ftran: α = B⁻¹ a_q through the sparse factors, q read on
+            #    the device
             with dev.timed_section("ftran"):
                 with self.plan.section("ftran"):
-                    st.load_column(q)
+                    st.load_entering()
                     alpha_h = st.ftran_lu(st.a_q, st.alpha)
                 alpha64 = alpha_h["x"]
 
-            # -- ratio test (device map + reductions, Bland tie-break, one
-            #    readback)
+            # -- ratio test (device map + reductions, Bland tie-break); one
+            #    readback brings (q, d_q, p, θ, α_p)
             with dev.timed_section("ratio"):
                 with self.plan.section("ratio.map") as sec:
                     K.ratio_kernel(dev, st.beta, st.alpha, st.ratios,
@@ -243,9 +239,18 @@ class GpuSparseRevisedSimplex(SolverBackend):
                 with self.plan.section("ratio.tie") as sec:
                     K.tie_break_key_kernel(dev, st.ratios, st.ratio_min,
                                            st.basis_keys, st.tmp_m)
-                    p, theta, (pivot,) = sec.ratio_readback(
-                        st.tmp_m, st.ratio_min, (st.alpha,)
+                    q, d_q, p, theta, (pivot,) = sec.ratio_readback(
+                        st.choice, st.tmp_m, st.ratio_min, (st.alpha,)
                     )
+            if q == NO_INDEX:
+                stats.bland_activations += pricing.activations
+                if tr is not None:
+                    tr.record(
+                        phase=phase, iteration=iters, event="optimal",
+                        pricing_rule=rule_label(pricing),
+                        eta_count=st.lu.eta_count, objective=float(z),
+                    )
+                return SolveStatus.OPTIMAL, iters
             if not np.isfinite(theta):
                 stats.bland_activations += pricing.activations
                 if tr is not None:
@@ -431,6 +436,8 @@ class _SparseState:
             self.a_q = dev.zeros(m, dtype)
             self.alpha = dev.zeros(m, dtype)
             self.ratios = dev.zeros(m, dtype)
+            #: (q, d_q) of the pricing reduction, read by the column load
+            self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
             self.upload_factor()  # identity factors of the crash basis
@@ -571,6 +578,13 @@ class _SparseState:
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
 
+    def load_entering(self) -> None:
+        """a_q := the column pricing chose, q read on the device."""
+        K.load_entering_column(
+            self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
+            csc=self.a_sparse,
+        )
+
     def load_column(self, j: int) -> None:
         """a_q := column j (CSC scatter or synthesised artificial e_i)."""
         n = self.prep.n_total
@@ -585,7 +599,7 @@ class _SparseState:
         for name in (
             "b", "beta", "c_real", "c_b", "mask",
             "pi", "d", "tmp_n", "tmp_m", "basis_keys",
-            "a_q", "alpha", "ratios", "ratio_min",
+            "a_q", "alpha", "ratios", "choice", "ratio_min",
         ):
             arr = getattr(self, name, None)
             if arr is not None and not arr.is_freed:

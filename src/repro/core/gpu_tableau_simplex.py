@@ -10,9 +10,10 @@ column extraction is the hot read), so the pivot-row extraction is strided
 and charged its transaction amplification — the classic layout trade the
 paper's discussion of coalescing covers.
 
-Per pivot the host reads two results back (the pricing reduction and the
-ratio test's struct) and writes nothing: the basis swap and the zeroed
-reduced cost of the entering column are stores of the β-update launch.
+Per iteration the host reads one struct back — (q, d_q, p, θ, α_p), after
+the pricing reduction, the column extract and the ratio test all ran on
+the device — and writes nothing: the basis swap and the zeroed reduced
+cost of the entering column are stores of the β-update launch.
 
 Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
 :mod:`repro.engine` lifecycle.
@@ -165,19 +166,14 @@ class GpuTableauSimplex(SolverBackend):
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
                 K.masked_for_min(dev, st.d, st.mask, st.work)
                 if use_bland:
-                    q, d_q = sec.first_index_below(st.work, -tol_rc)
-                    optimal = q == NO_INDEX
+                    sec.first_below_to_device(st.work, -tol_rc, st.choice)
                 else:
-                    q, d_q = sec.argmin(st.work)
-                    optimal = d_q >= -tol_rc
-            if optimal:
-                if tr is not None:
-                    tr.record(phase=phase, iteration=iters, event="optimal",
-                              pricing_rule=rule_name(), objective=float(z))
-                return SolveStatus.OPTIMAL, iters
+                    sec.argmin_to_device(st.work, st.choice, below=-tol_rc)
 
             with dev.timed_section("column"), self.plan.section("column"):
-                K.extract_column(dev, st.tableau, q, st.alpha, column_major=True)
+                K.load_entering_column(
+                    dev, st.choice, st.alpha, n_real=n_cols, dense=st.tableau
+                )
 
             with dev.timed_section("ratio"):
                 with self.plan.section("ratio.map") as sec:
@@ -187,9 +183,14 @@ class GpuTableauSimplex(SolverBackend):
                     K.tie_break_key_kernel(
                         dev, st.ratios, st.ratio_min, st.basis_keys, st.tie_keys
                     )
-                    p, theta, (pivot,) = sec.ratio_readback(
-                        st.tie_keys, st.ratio_min, (st.alpha,)
+                    q, d_q, p, theta, (pivot,) = sec.ratio_readback(
+                        st.choice, st.tie_keys, st.ratio_min, (st.alpha,)
                     )
+            if q == NO_INDEX:
+                if tr is not None:
+                    tr.record(phase=phase, iteration=iters, event="optimal",
+                              pricing_rule=rule_name(), objective=float(z))
+                return SolveStatus.OPTIMAL, iters
             if not np.isfinite(theta):
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="unbounded",
@@ -347,6 +348,8 @@ class _TableauState:
             self.work = dev.zeros(n_cols, dtype)
             self.alpha = dev.zeros(m, dtype)
             self.ratios = dev.zeros(m, dtype)
+            #: (q, d_q) of the pricing reduction, read by the column extract
+            self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
             self.tie_keys = dev.zeros(m, dtype)
@@ -405,7 +408,7 @@ class _TableauState:
         """Release device allocations; tolerates partial construction."""
         for name in (
             "tableau", "beta", "c", "c_b", "mask", "d", "work", "alpha",
-            "ratios", "ratio_min", "tie_keys", "basis_keys", "row_buf",
+            "ratios", "choice", "ratio_min", "tie_keys", "basis_keys", "row_buf",
             "row_norm",
         ):
             arr = getattr(self, name, None)

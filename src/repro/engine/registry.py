@@ -34,11 +34,9 @@ class MethodSpec:
     #: Honors ``solve(..., initial_basis=...)`` (drives chain warm starts).
     supports_warm_start: bool = False
     #: Runs on the simulated device and accepts ``solve(..., device=...)``
-    #: (drives batch device sharing).
+    #: (drives batch device sharing); its device work goes through
+    #: :mod:`repro.gpu.plan` sections, so it honors ``SolverOptions.fusion``.
     supports_device: bool = False
-    #: Emits its device work through :mod:`repro.gpu.plan` sections and
-    #: honors ``SolverOptions.fusion`` (kernel-fusion lowering).
-    supports_fusion: bool = False
     #: Honors ``SolverOptions.precision="mixed"`` — fp32 device compute
     #: with fp64 iterative-refinement correction at extraction.
     supports_mixed_precision: bool = False
@@ -121,27 +119,21 @@ METHODS: "dict[str, MethodSpec]" = {
         MethodSpec(
             "gpu-revised", _gpu_revised,
             supports_warm_start=True, supports_device=True,
-            supports_fusion=True, supports_mixed_precision=True,
+            supports_mixed_precision=True,
         ),
         MethodSpec(
             "gpu-revised-sparse", _gpu_revised_sparse,
             supports_warm_start=True, supports_device=True,
-            supports_fusion=True,
         ),
         MethodSpec(
-            "gpu-revised-bounded", _gpu_revised_bounded,
-            supports_device=True, supports_fusion=True,
+            "gpu-revised-bounded", _gpu_revised_bounded, supports_device=True,
         ),
         MethodSpec(
             "gpu-tableau", _gpu_tableau,
-            supports_device=True, supports_fusion=True,
-            supports_mixed_precision=True,
+            supports_device=True, supports_mixed_precision=True,
         ),
         MethodSpec("pdlp", _pdlp),
-        MethodSpec(
-            "gpu-pdlp", _gpu_pdlp,
-            supports_device=True, supports_fusion=True,
-        ),
+        MethodSpec("gpu-pdlp", _gpu_pdlp, supports_device=True),
     )
 }
 
@@ -154,12 +146,6 @@ def warm_start_methods() -> frozenset:
 def device_methods() -> frozenset:
     """Method names that run on (and can share) the simulated device."""
     return frozenset(n for n, s in METHODS.items() if s.supports_device)
-
-
-def fusion_methods() -> frozenset:
-    """Method names whose backends lower through plan sections and honor
-    ``SolverOptions.fusion``."""
-    return frozenset(n for n, s in METHODS.items() if s.supports_fusion)
 
 
 def mixed_precision_methods() -> frozenset:

@@ -5,16 +5,19 @@ Solver backends describe each iteration's device work as *plan sections*
 ordinary :mod:`repro.gpu.blas` / kernel calls; the section decides how they
 reach the device:
 
-- **fusion off** (the default): every call passes straight through to
-  :meth:`Device.launch` — execution, costs and statistics are exactly the
-  legacy op-by-op behaviour, which is what keeps the golden fixture
-  bit-identical.
-- **fusion on**: the device records the launches instead of executing them
-  (:meth:`Device._begin_capture`), and on section exit the planner lowers
-  the captured sequence — runs of ``fusable`` map kernels collapse into one
-  launch whose cost is :meth:`OpCost.fuse` of the parts (one launch
-  overhead; operands a later op re-reads are fetched once), while
-  non-fusable ops launch singly with their original name and cost.
+- **fusion on** (the default): the device records the launches instead of
+  executing them (:meth:`Device._begin_capture`), and on section exit the
+  planner lowers the captured sequence — runs of ``fusable`` map kernels
+  collapse into one launch whose cost is :meth:`OpCost.fuse` of the parts
+  (one launch overhead; operands a later op re-reads are fetched once),
+  while non-fusable ops launch singly with their original name and cost.
+  The partition into groups is memoized per plan by the captured
+  sequence's signature; the fused costs are recomputed on every lowering
+  (sparse LU solve costs grow with the eta file).
+- **fusion off** (``fusion=False``, the op-by-op ablation baseline): every
+  call passes straight through to :meth:`Device.launch`.  Fused launches
+  run the same kernel bodies in capture order, so fp64 results are
+  bit-identical either way; only modeled time and launch counts differ.
 
 Two structural rules make fusion *safe* rather than merely plausible:
 
@@ -28,8 +31,8 @@ Two structural rules make fusion *safe* rather than merely plausible:
    the captured bodies in capture order, making fp64 results bit-identical
    by construction.
 2. A section holds at most **one** terminal reduction
-   (:meth:`_PlanSection.argmin`, :meth:`_PlanSection.first_index_below`,
-   :meth:`_PlanSection.argmin_to_device` or
+   (:meth:`_PlanSection.argmin_to_device`,
+   :meth:`_PlanSection.first_below_to_device` or
    :meth:`_PlanSection.ratio_readback`), and it ends the capture: its first
    tree pass is recorded as a fusable op (the classic map+reduce fusion),
    the captured sequence is lowered and executed, then the remaining tree
@@ -38,12 +41,14 @@ Two structural rules make fusion *safe* rather than merely plausible:
 
 Host transfers raise inside a capture (the bodies have not executed yet),
 so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections.
-The backends' ratio test still spans two sections, ``ratio.map`` and
-``ratio.tie``, but no host round trip sits between them: the map's arg-min
-leaves (row, θ) in a small device buffer and the tie-break kernel reads θ
-from there.  The split is a grid-wide barrier — every block of the
-tie-break map needs the global minimum — which one fused launch cannot
-span.  ``ratio.tie`` ends in the ratio test's single readback.
+A simplex iteration of the GPU backends spans several sections — pricing,
+the column load and FTRAN, ``ratio.map`` and ``ratio.tie`` — but no host
+round trip sits between them: pricing leaves (q, d_q) in a small device
+buffer that the column-load kernel reads, the ratio map's arg-min leaves
+(row, θ) in another that the tie-break kernel reads.  Each split is a
+grid-wide barrier — every block of the next map needs the global result —
+which one fused launch cannot span.  ``ratio.tie`` ends in the iteration's
+single readback.
 
 :func:`emit` is the blessed pass-through for backend-owned custom kernels
 (sparse LU solves, PDHG updates): backends never call ``Device.launch``
@@ -208,19 +213,23 @@ class LaunchPlan:
     device:
         The device every section's launches target.
     fusion:
-        Off → sections are pure pass-throughs (legacy behaviour, to the
-        bit).  On → sections capture and lower with fusion.
+        On (the default) → sections capture and lower with fusion.  Off →
+        sections are pure pass-throughs, the op-by-op ablation baseline.
     hooks:
         Optional engine hooks object (``repro.engine.hooks``); when given,
         the first fused lowering of each section name emits a
         ``plan.lower`` span with the op → launch compression.
     """
 
-    def __init__(self, device: Device, *, fusion: bool = False, hooks=None):
+    def __init__(self, device: Device, *, fusion: bool = True, hooks=None):
         self.device = device
         self.fusion = bool(fusion)
         self._hooks = hooks
         self._reported: set[str] = set()
+        #: Lowering partitions (group sizes) by captured-sequence signature:
+        #: an iteration's sections capture the same ops on the same buffers
+        #: every time, so the grouping is computed once per shape.
+        self._partitions: dict[tuple, tuple[int, ...]] = {}
         #: Cumulative fusion statistics of this plan (one solve, typically).
         self.fused_launches = 0
         self.fused_ops = 0
@@ -267,9 +276,19 @@ class LaunchPlan:
             with self.device.timed_section(timed):
                 self._lower(name, captured)
             return
-        groups = _group_captured(captured)
-        for group in groups:
-            if len(group) == 1:
+        key = tuple(
+            (op.name, op.dtype, op.block, op.fusable, op.reads, op.writes)
+            for op in captured
+        )
+        sizes = self._partitions.get(key)
+        if sizes is None:
+            sizes = tuple(len(g) for g in _group_captured(captured))
+            self._partitions[key] = sizes
+        start = 0
+        for size in sizes:
+            group = captured[start:start + size]
+            start += size
+            if size == 1:
                 op = group[0]
                 self.device.launch(
                     op.name, op.body, op.cost, dtype=op.dtype, block=op.block
@@ -298,7 +317,7 @@ class LaunchPlan:
             self._reported.add(name)
             with self._hooks.span(
                 "plan.lower", section=name,
-                ops=len(captured), launches=len(groups),
+                ops=len(captured), launches=len(sizes),
             ):
                 pass
 
@@ -346,50 +365,42 @@ class _PlanSection:
             tail_read=tail_read,
         )
 
-    def argmin(self, x: DeviceArray) -> tuple[int, float]:
-        """(index, value) of the minimum element — see
-        :func:`repro.gpu.reduce.argmin`."""
-        if not self.plan.fusion:
-            return gpured.argmin(x)
-        self._finish_reduction(x, "reduce.argmin", pair=True)
-        idx, val = gpured.argmin_host(x)
-        self.plan.device._record_transfer("dtoh", 2 * x.dtype.itemsize)
-        return idx, val
-
-    def first_index_below(
-        self, x: DeviceArray, threshold: float
-    ) -> tuple[int, float]:
-        """Bland's min-index reduction, index and value in one readback —
-        see :func:`repro.gpu.reduce.first_index_below`."""
-        if not self.plan.fusion:
-            return gpured.first_index_below(x, threshold)
-        w = x.dtype.itemsize
-        self._finish_reduction(x, "reduce.first_below", pair=False, tail_read=w)
-        result = gpured.first_below_host(x, threshold)
-        self.plan.device._record_transfer("dtoh", 4 + w)
-        return result
-
-    def argmin_to_device(self, x: DeviceArray, out: DeviceArray) -> None:
+    def argmin_to_device(
+        self, x: DeviceArray, out: DeviceArray, below: "float | None" = None
+    ) -> None:
         """Arg-min left on the device in ``out[:2]`` — see
         :func:`repro.gpu.reduce.argmin_to_device`."""
         if not self.plan.fusion:
-            gpured.argmin_to_device(x, out)
+            gpured.argmin_to_device(x, out, below)
             return
         self._finish_reduction(x, "reduce.argmin", pair=True)
-        gpured.store_argmin(x, out)
+        gpured.store_argmin(x, out, below)
+
+    def first_below_to_device(
+        self, x: DeviceArray, threshold: float, out: DeviceArray
+    ) -> None:
+        """Bland's min-index reduction left on the device in ``out[:2]`` —
+        see :func:`repro.gpu.reduce.first_below_to_device`."""
+        if not self.plan.fusion:
+            gpured.first_below_to_device(x, threshold, out)
+            return
+        w = x.dtype.itemsize
+        self._finish_reduction(x, "reduce.first_below", pair=False, tail_read=w)
+        gpured.store_first_below(x, threshold, out)
 
     def ratio_readback(
         self,
+        choice: DeviceArray,
         keys: DeviceArray,
         best: DeviceArray,
         gather: tuple[DeviceArray, ...] = (),
-    ) -> tuple[int, float, tuple[float, ...]]:
-        """The ratio test's one readback — see
+    ) -> tuple[int, float, int, float, tuple[float, ...]]:
+        """The simplex iteration's one readback — see
         :func:`repro.gpu.reduce.ratio_readback`."""
         if not self.plan.fusion:
-            return gpured.ratio_readback(keys, best, gather)
-        tail = (2 + len(gather)) * keys.dtype.itemsize
+            return gpured.ratio_readback(choice, keys, best, gather)
+        tail = (4 + len(gather)) * keys.dtype.itemsize
         self._finish_reduction(keys, "reduce.argmin", pair=True, tail_read=tail)
-        result = gpured.ratio_result(keys, best, gather)
+        result = gpured.ratio_result(choice, keys, best, gather)
         self.plan.device._record_transfer("dtoh", tail)
         return result

@@ -10,9 +10,11 @@ their launch-overhead-dominated cost.
 
 All host-returning primitives charge the final DtoH transfer, one per
 reduction: whatever the host needs of the result travels as one struct.
-:func:`argmin_to_device` keeps its result on the device for a later kernel
-instead, and :func:`ratio_readback` finishes the ratio test by shipping the
-leaving row, θ and the gathered pivot-row entries together.
+:func:`argmin_to_device` and :func:`first_below_to_device` keep their
+result on the device for later kernels instead (the simplex pricing choice,
+the ratio map's minimum), and :func:`ratio_readback` finishes a simplex
+iteration by shipping the entering column, its reduced cost, the leaving
+row, θ and the gathered pivot-row entries as one struct.
 """
 
 from __future__ import annotations
@@ -173,22 +175,40 @@ def first_below_host(x: DeviceArray, threshold: float) -> tuple[int, float]:
     return idx, float(x.data[idx])
 
 
-def store_argmin(x: DeviceArray, out: DeviceArray) -> None:
+def store_argmin(
+    x: DeviceArray, out: DeviceArray, below: "float | None" = None
+) -> None:
     """Write the arg-min of ``x`` into ``out[:2]`` as (index, value) — the
-    final tree pass's store of :func:`argmin_to_device`."""
-    idx, _ = argmin_host(x)
-    out.data[0] = idx
+    final tree pass's store of :func:`argmin_to_device`.  With ``below``
+    set, a minimum that is not below it stores ``NO_INDEX`` as the index."""
+    idx, val = argmin_host(x)
     out.data[1] = x.data[idx]
+    if below is not None and val >= below:
+        idx = NO_INDEX
+    out.data[0] = idx
+
+
+def store_first_below(x: DeviceArray, threshold: float, out: DeviceArray) -> None:
+    """Write Bland's (index, value) into ``out[:2]`` — the final pass's
+    store of :func:`first_below_to_device` (``(NO_INDEX, inf)`` when no
+    element is below ``threshold``)."""
+    out.data[0], out.data[1] = first_below_host(x, threshold)
 
 
 def ratio_result(
-    keys: DeviceArray, best: DeviceArray, gather: tuple[DeviceArray, ...]
-) -> tuple[int, float, tuple[float, ...]]:
+    choice: DeviceArray,
+    keys: DeviceArray,
+    best: DeviceArray,
+    gather: tuple[DeviceArray, ...],
+) -> tuple[int, float, int, float, tuple[float, ...]]:
     """Host-side value of :func:`ratio_readback`."""
     row, key = argmin_host(keys)
     if not np.isfinite(key):
         row = int(best.data[0])
-    return row, float(best.data[1]), tuple(float(g.data[row]) for g in gather)
+    return (
+        int(choice.data[0]), float(choice.data[1]),
+        row, float(best.data[1]), tuple(float(g.data[row]) for g in gather),
+    )
 
 
 def argmin(x: DeviceArray) -> tuple[int, float]:
@@ -201,33 +221,52 @@ def argmin(x: DeviceArray) -> tuple[int, float]:
     return idx, val
 
 
-def argmin_to_device(x: DeviceArray, out: DeviceArray) -> None:
+def argmin_to_device(
+    x: DeviceArray, out: DeviceArray, below: "float | None" = None
+) -> None:
     """Device-resident arg-min: ``out[:2] := (index, value)`` of min x.
 
     The tree passes are charged as for :func:`argmin`, but the final pass
     stores the pair in ``out`` (at least two elements, ``x``'s dtype) for a
-    later kernel to read; nothing crosses PCIe.
+    later kernel to read; nothing crosses PCIe.  ``below`` makes it the
+    Dantzig pricing reduction: the final pass stores ``NO_INDEX`` when the
+    minimum is not below the threshold (no column prices in).
     """
     dev, dtype, w = _prep(x)
     _charge_tree(dev, "reduce.argmin", x.size, w, dtype, pair=True)
-    store_argmin(x, out)
+    store_argmin(x, out, below)
+
+
+def first_below_to_device(
+    x: DeviceArray, threshold: float, out: DeviceArray
+) -> None:
+    """Device-resident :func:`first_index_below`: Bland's ``(i, x[i])`` —
+    or ``(NO_INDEX, inf)`` — stored in ``out[:2]``, no DtoH."""
+    dev, dtype, w = _prep(x)
+    _charge_tree(dev, "reduce.first_below", x.size, w, dtype, tail_read=w)
+    store_first_below(x, threshold, out)
 
 
 def ratio_readback(
-    keys: DeviceArray, best: DeviceArray, gather: tuple[DeviceArray, ...] = ()
-) -> tuple[int, float, tuple[float, ...]]:
-    """The ratio test's single readback: ``(row, θ, gathered)``.
+    choice: DeviceArray,
+    keys: DeviceArray,
+    best: DeviceArray,
+    gather: tuple[DeviceArray, ...] = (),
+) -> tuple[int, float, int, float, tuple[float, ...]]:
+    """A simplex iteration's single readback: ``(q, d_q, row, θ, gathered)``.
 
-    An arg-min over the tie-break ``keys`` whose final pass resolves the
-    leaving row (the lowest key, or ``best``'s index when no key is
-    finite), reads θ from ``best[1]`` and each ``gather`` vector's entry at
-    that row, and ships all of it to the host as one struct.
+    An arg-min over the ratio test's tie-break ``keys`` whose final pass
+    resolves the leaving row (the lowest key, or ``best``'s index when no
+    key is finite), reads the pricing choice ``(q, d_q)`` from
+    ``choice[:2]``, θ from ``best[1]`` and each ``gather`` vector's entry
+    at that row, and ships all of it to the host as one struct.  The host
+    tests ``q == NO_INDEX`` (optimal) before ``θ = inf`` (unbounded).
     """
     dev, dtype, w = _prep(keys)
-    tail = (2 + len(gather)) * w
+    tail = (4 + len(gather)) * w
     _charge_tree(dev, "reduce.argmin", keys.size, w, dtype, pair=True,
                  tail_read=tail)
-    result = ratio_result(keys, best, gather)
+    result = ratio_result(choice, keys, best, gather)
     dev._record_transfer("dtoh", tail)
     return result
 

@@ -76,6 +76,9 @@ class DeviceCscMatrix:
         #: by peeking at ``self.indptr.data`` — silently bypass the device
         #: cost model.
         self.host_indptr = host.indptr.astype(np.int64, copy=True)
+        #: Nonzeros of the widest column: what a kernel that learns its
+        #: column index on the device must be sized for.
+        self.max_col_nnz = int(np.diff(self.host_indptr).max(initial=0))
         try:
             self.indptr = device.to_device(host.indptr.astype(np.int32))
             self.indices = device.to_device(host.indices.astype(np.int32))
@@ -170,12 +173,22 @@ def spmv_csr(a: DeviceCsrMatrix, x: DeviceArray, y: DeviceArray) -> None:
     )
 
 
-def spmv_csc_t(a: DeviceCscMatrix, x: DeviceArray, y: DeviceArray) -> None:
-    """y := Aᵀ x for device CSC A.
+def spmv_csc_t(
+    a: DeviceCscMatrix,
+    x: DeviceArray,
+    y: DeviceArray,
+    alpha: float = 1.0,
+    beta: float = 0.0,
+) -> None:
+    """y := alpha · Aᵀ x + beta · y for device CSC A (the ``blas.gemv``
+    convention).
 
     A CSC matrix read column-by-column *is* the CSR of Aᵀ, so this is the
     scalar-CSR kernel with one thread per column of A — the pricing kernel's
     access pattern (reduced cost of every nonbasic column in one launch).
+    ``beta = 1`` accumulates into y in place, so ``d := c − Aᵀπ`` is a copy
+    of c followed by one launch, the copy→SpMV(β=1) pair the plan layer
+    fuses.
     """
     m, n = a.shape
     if x.shape != (m,) or y.shape != (n,):
@@ -184,20 +197,29 @@ def spmv_csc_t(a: DeviceCscMatrix, x: DeviceArray, y: DeviceArray) -> None:
         )
     dev = a.device
     w = x.itemsize
+    alpha_t = y.dtype.type(alpha)
+    beta_t = y.dtype.type(beta)
 
     def body() -> None:
         prods = a.data.data.astype(np.float64) * x.data[a.indices.data]
-        y.data[:] = segment_sums(prods, a.indptr.data).astype(y.dtype)
+        s = segment_sums(prods, a.indptr.data).astype(y.dtype)
+        if beta == 0.0:
+            y.data[:] = s if alpha == 1.0 else alpha_t * s
+        else:
+            y.data[:] = alpha_t * s + beta_t * y.data
 
+    extra = n * w if beta != 0.0 else 0
     cost = OpCost(
-        flops=2 * a.nnz,
+        flops=2 * a.nnz + (2 * n if beta != 0.0 else 0),
         bytes_read=a.nnz * (w + INDEX_BYTES)
         + (n + 1) * INDEX_BYTES
-        + a.nnz * w,
+        + a.nnz * w
+        + extra,
         bytes_written=n * w,
         threads=max(1, n),
         coalesced_fraction=0.6,
     )
     dev.launch(
-        "sparse.spmv_csc_t", body, cost, dtype=a.dtype, reads=(x,), writes=(y,)
+        "sparse.spmv_csc_t", body, cost, dtype=a.dtype,
+        reads=(x, y) if beta != 0.0 else (x,), writes=(y,),
     )

@@ -17,9 +17,10 @@ from __future__ import annotations
 from typing import Any
 
 #: Name recorded in baselines produced from :func:`smoke_workload`.
-#: v2 added the fused (``fusion=True``) solve that pins the kernel-fusion
-#: counters in the gate baseline.
-SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v2"
+#: v2 added a fused solve that pins the kernel-fusion counters in the gate
+#: baseline; v3, with fused lowering the default, turned that solve into
+#: the op-by-op (``fusion=False``) one, so the gate pins both lowerings.
+SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v3"
 
 
 def smoke_workload() -> None:
@@ -34,8 +35,8 @@ def smoke_workload() -> None:
       solver — exercises the chain schedule and CPU section counters;
     - one traced ``gpu-tableau`` solve — exercises the ratio-test-tie
       counter and a second GPU solver;
-    - one ``gpu-revised`` solve with ``fusion=True`` — exercises the
-      launch-plan lowering and pins the fused-launch counters;
+    - one ``gpu-revised`` solve with ``fusion=False`` — pins the op-by-op
+      lowering every other GPU solve here skips (fused is the default);
     - one ``revised-bounded`` solve of a box-bounded LP — exercises the
       bounded solver family;
     - a 6-job served trace with the ``repro.obs`` span recorder on at a
@@ -61,7 +62,7 @@ def smoke_workload() -> None:
 
     solve(random_dense_lp(12, 18, seed=7), method="gpu-tableau", trace=True)
 
-    solve(random_dense_lp(14, 20, seed=11), method="gpu-revised", fusion=True)
+    solve(random_dense_lp(14, 20, seed=11), method="gpu-revised", fusion=False)
 
     bounded = LPProblem.minimize(
         c=[-2.0, -3.0, 1.0],

@@ -96,9 +96,9 @@ class ServeConfig:
     cache_capacity: int = 128
     gpu_params: GpuModelParams = GTX280_PARAMS
     dtype: type = np.float64
-    #: Solve every job with kernel-fusion lowering
-    #: (``SolverOptions.fusion``); requires a fusion-capable ``method``.
-    fusion: bool = False
+    #: Kernel-fusion lowering of every job's solve (``SolverOptions.fusion``,
+    #: on by default; ``False`` is the op-by-op ablation baseline).
+    fusion: bool = True
     #: Merge the dispatch window's GEMV/SpMV launches across streams into
     #: batched launches (:class:`~repro.batch.scheduler.ConcurrentSchedule`
     #: ``batch_gemv``).

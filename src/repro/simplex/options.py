@@ -68,12 +68,14 @@ class SolverOptions:
         Arithmetic precision: float64 (CPU default) or float32 (the GPU's
         fast path; the F4 experiment flips this).
     fusion:
-        GPU methods only: lower each iteration's device work through the
+        Device methods lower each iteration's work through the
         :mod:`repro.gpu.plan` launch planner, fusing adjacent map/reduction
-        kernels into single launches.  Modeled time drops (fewer launch
-        overheads, shared operands fetched once); results are bit-identical
-        to the unfused execution because the fused launch runs the same
-        kernel bodies in the same order.
+        kernels into single launches (on by default).  Modeled time drops
+        (fewer launch overheads, shared operands fetched once); results are
+        bit-identical to ``fusion=False``, the op-by-op ablation baseline,
+        because a fused launch runs the same kernel bodies in the same
+        order.  Host methods ignore it, just as simplex methods ignore
+        ``tol_kkt``.
     precision:
         GPU precision policy overriding ``dtype``: ``"fp32"``/``"fp64"``
         force the device dtype, ``"mixed"`` runs the device compute in fp32
@@ -94,7 +96,7 @@ class SolverOptions:
     refactor_period: int = 100
     scale: bool = False
     dtype: type = np.float64
-    fusion: bool = False
+    fusion: bool = True
     precision: "str | None" = None
     #: Record a full per-iteration :class:`~repro.trace.SolveTrace` into
     #: ``result.trace`` (entering/leaving indices, pivot magnitude, step

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.engine.registry import (
     METHODS,
-    fusion_methods,
     mixed_precision_methods,
     warm_start_methods,
 )
@@ -145,13 +144,6 @@ def solve(
             f"warm-start methods: {sorted(warm_start_methods())}"
         )
     opts = (options or SolverOptions()).replace(**option_overrides)
-    if opts.fusion and not spec.supports_fusion:
-        from repro.errors import SolverError
-
-        raise SolverError(
-            f"method {method!r} does not lower through launch plans; "
-            f"fusion methods: {sorted(fusion_methods())}"
-        )
     if opts.precision is not None and not spec.supports_device:
         from repro.errors import SolverError
 

@@ -33,6 +33,14 @@ class TestSolve:
     def test_solve_with_scale_and_presolve(self, mps_file, capsys):
         assert main(["solve", mps_file, "--scale", "--presolve"]) == 0
 
+    def test_fusion_flag(self, mps_file, capsys):
+        # fused lowering is the default; --no-fusion is the op-by-op baseline
+        assert main(["solve", mps_file]) == 0
+        assert "fusion:" in capsys.readouterr().out
+        assert main(["solve", mps_file, "--no-fusion"]) == 0
+        assert "fusion:" not in capsys.readouterr().out
+        assert main(["solve", mps_file, "--method", "revised", "--fusion"]) == 0
+
     def test_print_solution(self, mps_file, capsys):
         assert main(["solve", mps_file, "--print-solution"]) == 0
         out = capsys.readouterr().out
@@ -138,6 +146,12 @@ class TestServeCommand:
 
         exposition = out[out.index("# HELP"):]
         assert validate_prometheus_text(exposition) > 0
+
+    def test_serve_fusion_flag(self, capsys):
+        assert main(["serve", "--jobs", "4", "--metrics"]) == 0
+        assert "repro_gpu_fused_launches_total" in capsys.readouterr().out
+        assert main(["serve", "--jobs", "4", "--metrics", "--no-fusion"]) == 0
+        assert "repro_gpu_fused_launches_total" not in capsys.readouterr().out
 
     def test_serve_cpu_method(self, capsys):
         assert main(["serve", "--jobs", "4", "--method", "revised"]) == 0

@@ -74,7 +74,7 @@ class TestBoxedCorrectness:
                        maximize=True)
         r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
         assert_matches_oracle(lp, r)
-        assert "sparse.spmv_csc_t" in r.extra["by_kernel"]
+        assert any("spmv_csc_t" in k for k in r.extra["by_kernel"])
 
     def test_bound_flips_counted(self):
         lp = boxed_random(20, 30, seed=1)
@@ -84,7 +84,9 @@ class TestBoxedCorrectness:
     def test_flip_kernels_cheaper_than_pivots(self):
         """A bound flip must not launch the GER basis-update kernel."""
         lp = boxed_random(24, 36, seed=2)
-        solver = GpuBoundedRevisedSimplex(SolverOptions(dtype=np.float64))
+        solver = GpuBoundedRevisedSimplex(
+            SolverOptions(dtype=np.float64, fusion=False)
+        )
         r = solver.solve(lp)
         ger_launches = solver.device.stats.by_kernel["blas.ger"].launches
         pivots = (r.iterations.total_iterations

@@ -92,25 +92,55 @@ class TestArgReductions:
         assert device.stats.by_kernel["reduce.argmin"].launches == 1
         assert list(out.data) == [1.0, -1.0]
 
+    def test_argmin_to_device_below_threshold(self, device):
+        x = dvec(device, [3.0, -1.0, 2.0])
+        out = device.alloc(2, np.float64)
+        R.argmin_to_device(x, out, below=-0.5)
+        assert list(out.data) == [1.0, -1.0]
+        # no element prices in: the index becomes NO_INDEX, the value stays
+        R.argmin_to_device(x, out, below=-2.0)
+        assert list(out.data) == [R.NO_INDEX, -1.0]
+        # a minimum *equal* to the threshold does not price in
+        R.argmin_to_device(x, out, below=-1.0)
+        assert out.data[0] == R.NO_INDEX
+
+    def test_first_below_to_device(self, device):
+        x = dvec(device, [0.5, -0.1, -3.0])
+        out = device.alloc(2, np.float64)
+        before = device.stats.dtoh_bytes
+        R.first_below_to_device(x, 0.0, out)
+        assert list(out.data) == [1.0, -0.1]
+        R.first_below_to_device(x, -5.0, out)
+        assert list(out.data) == [R.NO_INDEX, np.inf]
+        assert device.stats.dtoh_bytes == before
+        assert device.stats.by_kernel["reduce.first_below"].launches == 2
+
     def test_ratio_readback_gathers_in_one_transfer(self, device):
         ratios = dvec(device, [4.0, 2.0, 2.0, 9.0])
         best = device.alloc(2, np.float64)
         R.argmin_to_device(ratios, best)
+        choice = dvec(device, [5.0, -0.25])
         # rows 1 and 2 tie at θ = 2; the keys pick row 2 (lower variable)
         keys = dvec(device, [np.inf, 7.0, 3.0, np.inf])
         alpha = dvec(device, [0.1, 0.2, 0.3, 0.4])
         before = device.stats.dtoh_bytes
         device.record_timeline()
-        assert R.ratio_readback(keys, best, (alpha,)) == (2, 2.0, (0.3,))
+        assert R.ratio_readback(choice, keys, best, (alpha,)) == (
+            5, -0.25, 2, 2.0, (0.3,)
+        )
         assert [e.kind for e in device.timeline if e.kind != "kernel"] == ["dtoh"]
-        assert device.stats.dtoh_bytes - before == 3 * 8
+        # (q, d_q, p, θ, α_p) in one struct
+        assert device.stats.dtoh_bytes - before == 5 * 8
 
     def test_ratio_readback_falls_back_to_best_row(self, device):
         ratios = dvec(device, [4.0, 2.0])
         best = device.alloc(2, np.float64)
         R.argmin_to_device(ratios, best)
         keys = dvec(device, [np.inf, np.inf])
-        assert R.ratio_readback(keys, best) == (1, 2.0, ())
+        choice = dvec(device, [R.NO_INDEX, 0.0])
+        assert R.ratio_readback(choice, keys, best) == (
+            R.NO_INDEX, 0.0, 1, 2.0, ()
+        )
 
     def test_count_below(self, device):
         x = dvec(device, [-1.0, 0.0, -2.0, 3.0])

@@ -78,7 +78,7 @@ class TestAgainstOracle:
         r = solve_gpu(lp, dtype=np.float64)
         assert_matches_oracle(lp, r)
         # the sparse kernel path actually ran
-        assert "sparse.spmv_csc_t" in r.extra["by_kernel"]
+        assert any("spmv_csc_t" in k for k in r.extra["by_kernel"])
 
     def test_transportation(self):
         lp = transportation_lp(5, 7, seed=0)

@@ -80,7 +80,9 @@ class TestDeviceBehaviour:
         fill — a real GT200 effect the model reproduces — but GER owns the
         traffic)."""
         lp = random_dense_lp(256, 256, seed=5)
-        solver = GpuTableauSimplex(SolverOptions(pricing="dantzig"))
+        solver = GpuTableauSimplex(
+            SolverOptions(pricing="dantzig", fusion=False)
+        )
         r = solver.solve(lp)
         by_bytes = {
             name: rec.bytes for name, rec in solver.device.stats.by_kernel.items()

@@ -303,10 +303,11 @@ class TestCaptureRules:
         dev = make_device()
         plan = gpu_plan.LaunchPlan(dev, fusion=True)
         x = dev.to_device(np.arange(8, dtype=np.float32))
+        out = dev.alloc(2, np.float32)
         with pytest.raises(InvalidLaunchError):
             with plan.section("bad") as sec:
-                sec.argmin(x)
-                sec.argmin(x)
+                sec.argmin_to_device(x, out)
+                sec.argmin_to_device(x, out)
 
     def test_nested_capture_raises(self):
         dev = make_device()
@@ -320,10 +321,11 @@ class TestCaptureRules:
         dev = make_device()
         plan = gpu_plan.LaunchPlan(dev, fusion=False)
         x = dev.to_device(np.arange(8, dtype=np.float32))
+        out = dev.alloc(2, np.float32)
         with plan.section("s") as sec:
             blas.scal(2.0, x)
-            idx, val = sec.argmin(x)
-        assert (idx, val) == (0, 0.0)
+            sec.argmin_to_device(x, out)
+        assert list(out.copy_to_host()) == [0.0, 0.0]
         assert plan.fused_launches == 0
         assert dev._capture is None
 
@@ -333,15 +335,17 @@ class TestCaptureRules:
             plan = gpu_plan.LaunchPlan(dev, fusion=fusion)
             x = dev.to_device(np.arange(1, 9, dtype=np.float32))
             y = dev.to_device(np.ones(8, dtype=np.float32))
+            out = dev.alloc(2, np.float32)
             with plan.section("s") as sec:
                 blas.axpy(-0.5, x, y)
-                idx, val = sec.argmin(y)
-            return dev, plan, x.copy_to_host(), y.copy_to_host(), idx, val
+                sec.argmin_to_device(y, out)
+            return (dev, plan, x.copy_to_host(), y.copy_to_host(),
+                    out.copy_to_host())
 
-        d0, p0, x0, y0, i0, v0 = run(False)
-        d1, p1, x1, y1, i1, v1 = run(True)
+        d0, p0, x0, y0, o0 = run(False)
+        d1, p1, x1, y1, o1 = run(True)
         assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
-        assert (i0, v0) == (i1, v1)
+        assert np.array_equal(o0, o1)
         assert p1.fused_launches >= 1 and p1.fused_ops > p1.fused_launches
         assert p1.saved_seconds > 0.0
         assert d1.stats.kernel_launches < d0.stats.kernel_launches
@@ -507,8 +511,8 @@ class TestFusedBitIdentity:
             )
             return r, launches
 
-        r0, n0 = run()
-        r1, n1 = run(fusion=True)
+        r0, n0 = run(fusion=False)
+        r1, n1 = run()  # fused lowering is the default
         assert r1.status == r0.status
         assert r1.objective == r0.objective  # bit-identical, not approx
         if r0.x is not None:
@@ -592,23 +596,26 @@ class TestCapabilityFlags:
     def test_registry_flags(self):
         from repro.engine.registry import (
             METHODS,
-            fusion_methods,
+            device_methods,
             mixed_precision_methods,
         )
 
-        assert fusion_methods() == {
+        assert device_methods() == {
             "gpu-revised", "gpu-revised-sparse", "gpu-revised-bounded",
             "gpu-tableau", "gpu-pdlp",
         }
         assert mixed_precision_methods() == {"gpu-revised", "gpu-tableau"}
-        # fusion-capable methods are exactly the device methods
-        for name in fusion_methods():
+        # mixed precision is a device-method capability
+        for name in mixed_precision_methods():
             assert METHODS[name].supports_device
 
-    def test_fusion_on_host_method_raises(self):
+    def test_fusion_on_host_method_ignored(self):
+        # host methods ignore fusion, as simplex methods ignore tol_kkt
         lp = random_dense_lp(8, 12, seed=0)
-        with pytest.raises(SolverError, match="launch plans"):
-            solve(lp, method="revised", fusion=True)
+        on = solve(lp, method="revised", fusion=True)
+        off = solve(lp, method="revised", fusion=False)
+        assert on.objective == off.objective
+        assert on.timing.modeled_seconds == off.timing.modeled_seconds
 
     def test_precision_on_host_method_raises(self):
         lp = random_dense_lp(8, 12, seed=0)

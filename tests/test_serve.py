@@ -351,7 +351,7 @@ class TestLPServer:
         # admission cannot prove infeasibility and must admit
         starved = server.submit(
             random_dense_lp(6, 9, seed=80), at=2e-4,
-            priority=PRIORITY_LOW, timeout=4e-3,
+            priority=PRIORITY_LOW, timeout=2.5e-3,
         )
         report = server.run()
         assert first.state is JobState.COMPLETED

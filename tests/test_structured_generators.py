@@ -36,7 +36,7 @@ class TestStaircase:
         lp = staircase_lp(4, stage_size=5, seed=3)
         r = solve(lp, method="gpu-revised", dtype=np.float64)
         assert_matches_oracle(lp, r)
-        assert "sparse.spmv_csc_t" in r.extra["by_kernel"]
+        assert any("spmv_csc_t" in k for k in r.extra["by_kernel"])
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
