@@ -24,8 +24,8 @@
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade); `make verify` is
-# the single pre-commit entry point: tier-1 tests + lint + the sparse,
-# serve and obs smokes + the metrics regression gate.
+# the single pre-commit entry point: tier-1 tests + lint + the trace,
+# sparse, serve, pdlp, obs and fuse smokes + the metrics regression gate.
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
@@ -41,7 +41,8 @@ test:  ## tier-1: the full test suite
 lint:  ## architecture lint: backend/serve import layering rules
 	python tools/lint_backend_imports.py
 
-verify: test lint sparse-smoke serve-smoke pdlp-smoke obs-smoke fuse-smoke gate  ## pre-commit: tests + lint + smokes + gate
+verify: test lint trace-smoke sparse-smoke serve-smoke pdlp-smoke obs-smoke \
+	fuse-smoke gate  ## pre-commit: tests + lint + smokes + gate
 
 test-batch:  ## fast smoke: batch subsystem tests only
 	$(PYTHONPATH_SRC) python -m pytest -x -q -k "batch"
@@ -119,6 +120,8 @@ obs-smoke:  ## end-to-end: spans on -> attribution exact -> Chrome validates
 	$(PYTHONPATH_SRC) python -m repro explain --jobs 6 --seed 3 \
 		--tree slowest --chrome-out /tmp/obs-smoke.chrome.json > /tmp/obs-smoke.txt
 	@grep -q "fleet-wide latency attribution" /tmp/obs-smoke.txt
+	@$(PYTHONPATH_SRC) python -c "from repro.trace import validate_chrome_trace; \
+		validate_chrome_trace(open('/tmp/obs-smoke.chrome.json').read())"
 	@echo "obs-smoke explain ok"
 
 fuse-smoke:  ## end-to-end: fused == unfused bit-identical, fewer launches

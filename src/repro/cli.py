@@ -340,7 +340,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(result.summary())
     print(result.trace.summary())
     if args.out:
-        merged_chrome_trace(result.trace, device=dev, target=args.out)
+        timeline = dev.timeline if dev is not None else None
+        merged_chrome_trace(result.trace, timeline=timeline, target=args.out)
         print(f"chrome trace -> {args.out}")
     return 0 if result.is_optimal else 1
 

@@ -43,12 +43,12 @@ class TimelineEvent:
     several LP streams are interleaved.
 
     ``start`` is the event's begin time on the device's modeled clock.
-    The device itself serialises work, so for device-recorded events the
-    starts are head-to-tail; schedule replays (stream-interleaved
-    :class:`~repro.batch.scheduler.ConcurrentSchedule` windows) construct
-    events with *overlapping* starts, which the Chrome exporter honors.
-    ``None`` (legacy events) means "unknown": consumers fall back to a
-    cumulative sum.
+    :meth:`Device.launch`, :meth:`Device.memset` and every transfer always
+    set it; the device serialises work, so their starts are head-to-tail.
+    The Chrome exporter (:mod:`repro.trace.chrome`) and the serve
+    attribution place events at ``start``.  Events built by hand as
+    :mod:`repro.batch.scheduler` inputs may leave it ``None``: the
+    scheduler reads only kinds, durations and sizes.
     """
 
     kind: str

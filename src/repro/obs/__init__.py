@@ -48,16 +48,10 @@ from repro.obs.attribution import (
     execute_breakdown,
 )
 from repro.obs.context import active, disable, enable, enabled, observing
-from repro.obs.export import (
-    OBS_JSON_SCHEMA,
-    chrome_span_events,
-    from_json,
-    render_tree,
-    serve_chrome_trace,
-    to_json,
-)
+from repro.obs.export import OBS_JSON_SCHEMA, from_json, render_tree, to_json
 from repro.obs.sampling import SamplingPolicy, head_keep
 from repro.obs.span import ObsRecorder, ObsRecording, Span, SpanNode
+from repro.trace.chrome import chrome_span_events, serve_chrome_trace
 
 __all__ = [
     "AttributionReport",

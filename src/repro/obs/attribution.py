@@ -68,13 +68,8 @@ def execute_breakdown(
     launch = 0.0
     kernels = 0
     transfers = 0
-    cursor = 0.0
     for ev in events:
-        start = getattr(ev, "start", None)
-        if start is None:
-            start = cursor
-        cursor = start + ev.seconds
-        mid = start + 0.5 * ev.seconds
+        mid = ev.start + 0.5 * ev.seconds
         in_refactor = any(s <= mid <= e for s, e in refactor_intervals)
         if ev.kind == "kernel":
             kernels += 1

@@ -85,7 +85,8 @@ def emit_job_executed(
     ``own_seconds`` is the job's standalone timeline total and ``stretch``
     the window's contention factor, so the execute slice opens at
     ``finish - own_seconds * stretch`` — exactly the accounting
-    ``LPServer._run_window`` used to place the finish time.
+    ``LPServer._run_window`` used to place the finish time — but never
+    before ``dispatch_time``.
     """
     trace_id = job_trace_id(job.job_id)
     if rec.has_trace(trace_id):
@@ -99,7 +100,9 @@ def emit_job_executed(
     rec.span(
         trace_id, "queue.wait", job.submit_time, job.dispatch_time, parent=root
     )
-    exec_start = finish - own_seconds * stretch
+    # Rounding can put the slice start one ULP before dispatch; clamp so
+    # placement never goes negative.
+    exec_start = max(job.dispatch_time, finish - own_seconds * stretch)
     rec.span(
         trace_id, "placement", job.dispatch_time, exec_start, parent=root,
         device=job.device,

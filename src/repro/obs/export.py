@@ -1,39 +1,27 @@
-"""Exporters for span recordings: ASCII tree, stable JSON, Chrome events.
+"""Exporters for span recordings: ASCII tree and stable JSON.
 
-Three renderings of the same :class:`~repro.obs.span.ObsRecording`:
+Two renderings of the same :class:`~repro.obs.span.ObsRecording`:
 
 - :func:`render_tree` — an indented per-trace span tree for terminals
   (what ``python -m repro explain`` prints);
 - :func:`to_json` / :func:`from_json` — a stable, versioned JSON schema
-  (sorted keys, spans ordered by id) for artifacts and diffing;
-- :func:`chrome_span_events` — Chrome trace-event **async** spans
-  (``"b"``/``"e"`` pairs) plus **flow** arrows (``"s"``/``"f"``) along
-  parent→child links, designed to merge with the four synchronous tracks
-  :func:`repro.trace.merged_chrome_trace` already emits.  Engine-solve
-  spans share the per-solve device clock, so merged with that solve's
-  kernel timeline they line up with the kernels they launched.
+  (sorted keys, spans ordered by id) for artifacts and diffing.
 
-:func:`serve_chrome_trace` exports a whole serving replay: job lifecycle
-spans on the serve clock, with each job's engine-solve spans rebased into
-its ``device.execute`` slice (offset to the slice start, scaled by the
-window's contention stretch) so queue/placement/solve phases read off one
-timeline in ``chrome://tracing``.
+The Chrome trace-event exporters of span recordings
+(``chrome_span_events``, ``serve_chrome_trace``) live with the solver and
+device tracks in :mod:`repro.trace.chrome`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.span import ObsRecording, Span, SpanNode
 
 #: Schema tag of the JSON export.
 OBS_JSON_SCHEMA = "repro-obs/v1"
-
-#: Track id for span events merged into the solver/kernel Chrome trace
-#: (the synchronous tracks use tids 0-3; see :mod:`repro.trace.chrome`).
-TID_SPANS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -138,146 +126,3 @@ def from_json(data: "str | dict") -> ObsRecording:
         links=dict(doc.get("links", {})),
         latencies=dict(doc.get("latencies", {})),
     )
-
-
-# ---------------------------------------------------------------------------
-# Chrome trace events
-# ---------------------------------------------------------------------------
-
-
-def _async_pair(
-    sp: Span, *, pid: int, tid: int, scale: float = 1.0, offset: float = 0.0
-) -> list[dict[str, Any]]:
-    ts0 = (offset + sp.t_start * scale) * 1e6
-    ts1 = (offset + sp.t_end * scale) * 1e6
-    ident = f"{sp.trace_id}/{sp.span_id}"
-    args = {"trace_id": sp.trace_id, **sp.attrs}
-    return [
-        {
-            "name": sp.name, "cat": "span", "ph": "b", "id": ident,
-            "ts": ts0, "pid": pid, "tid": tid, "args": args,
-        },
-        {
-            "name": sp.name, "cat": "span", "ph": "e", "id": ident,
-            "ts": ts1, "pid": pid, "tid": tid,
-        },
-    ]
-
-
-def _flow_pair(
-    parent: Span, child: Span, *, pid: int, tid: int,
-    scale: float = 1.0, offset: float = 0.0,
-) -> list[dict[str, Any]]:
-    ident = f"{parent.trace_id}/{parent.span_id}->{child.span_id}"
-    return [
-        {
-            "name": "link", "cat": "span-flow", "ph": "s", "id": ident,
-            "ts": (offset + parent.t_start * scale) * 1e6,
-            "pid": pid, "tid": tid,
-        },
-        {
-            "name": "link", "cat": "span-flow", "ph": "f", "bp": "e",
-            "id": ident, "ts": (offset + child.t_start * scale) * 1e6,
-            "pid": pid, "tid": tid,
-        },
-    ]
-
-
-def chrome_span_events(
-    recording: ObsRecording,
-    trace_ids: "Iterable[str] | None" = None,
-    *,
-    pid: int = 0,
-    tid: int = TID_SPANS,
-    scale: float = 1.0,
-    offset: float = 0.0,
-) -> list[dict[str, Any]]:
-    """Async ``b``/``e`` events for every span of the selected traces, plus
-    ``s``/``f`` flow arrows along parent→child links.  ``scale``/``offset``
-    rebase span times (seconds) before the microsecond conversion."""
-    selected = set(
-        recording.trace_ids() if trace_ids is None else trace_ids
-    )
-    by_id = {sp.span_id: sp for sp in recording.spans}
-    events: list[dict[str, Any]] = []
-    for sp in recording.spans:
-        if sp.trace_id not in selected:
-            continue
-        events.extend(
-            _async_pair(sp, pid=pid, tid=tid, scale=scale, offset=offset)
-        )
-        parent = by_id.get(sp.parent_id) if sp.parent_id is not None else None
-        if parent is not None:
-            events.extend(
-                _flow_pair(
-                    parent, sp, pid=pid, tid=tid, scale=scale, offset=offset
-                )
-            )
-    return events
-
-
-def serve_chrome_trace(
-    recording: ObsRecording,
-    target: "str | Path | None" = None,
-    *,
-    pid: int = 0,
-) -> str:
-    """One Chrome trace for a whole serving replay.
-
-    Job traces (roots named ``serve.job``) are emitted on the serve clock.
-    Each job's linked engine-solve traces are rebased into its
-    ``device.execute`` slice — offset to the slice start and scaled by the
-    recorded contention ``stretch`` — and connected with a flow arrow, so
-    a job's queue wait, placement and solve phases line up on one axis.
-    """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": TID_SPANS,
-            "args": {"name": "request spans"},
-        }
-    ]
-    roots = recording.roots()
-    # Trace id -> (execute span, owning job trace) for solve rebasing.
-    rebase: dict[str, Span] = {}
-    for sp in recording.spans:
-        if sp.name == "device.execute":
-            for solve_id in sp.attrs.get("solves", ()):
-                rebase[solve_id] = sp
-    for trace_id in recording.trace_ids():
-        parent = recording.links.get(trace_id)
-        if parent is None:
-            events.extend(chrome_span_events(recording, [trace_id], pid=pid))
-            continue
-        execute = rebase.get(trace_id)
-        if execute is None:  # linked but unplaced: emit unrebased
-            events.extend(chrome_span_events(recording, [trace_id], pid=pid))
-            continue
-        scale = float(execute.attrs.get("stretch", 1.0))
-        events.extend(
-            chrome_span_events(
-                recording, [trace_id], pid=pid,
-                scale=scale, offset=execute.t_start,
-            )
-        )
-        root = roots.get(trace_id)
-        if root is not None:
-            ident = f"{parent}->{trace_id}"
-            events.append(
-                {
-                    "name": "dispatch", "cat": "span-flow", "ph": "s",
-                    "id": ident, "ts": execute.t_start * 1e6,
-                    "pid": pid, "tid": TID_SPANS,
-                }
-            )
-            events.append(
-                {
-                    "name": "dispatch", "cat": "span-flow", "ph": "f",
-                    "bp": "e", "id": ident,
-                    "ts": (execute.t_start + root.t_start * scale) * 1e6,
-                    "pid": pid, "tid": TID_SPANS,
-                }
-            )
-    text = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
-    if target is not None:
-        Path(target).write_text(text)
-    return text

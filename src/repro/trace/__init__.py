@@ -8,8 +8,10 @@ ratio-test ties, the pricing rule in effect, eta count) together with the
 objective value and the modeled seconds each solver section spent during
 the iteration.
 
-:func:`merged_chrome_trace` combines a trace with the device timeline or a
-:class:`~repro.gpu.profiler.Profile` into one Chrome trace-event JSON;
+:func:`merged_chrome_trace` combines a trace with the device timeline
+(:attr:`Device.timeline <repro.gpu.device.Device.timeline>`) into one Chrome
+trace-event JSON; :mod:`repro.trace.chrome` holds every Chrome writer of the
+library, the request-span exporters of :mod:`repro.obs` included.
 ``SolveTrace.summary()`` renders an ASCII convergence/phase report, and the
 ``repro trace`` CLI command wires both together.
 """

@@ -157,64 +157,6 @@ class SolveTrace:
 
         return render_summary(self)
 
-    def to_chrome_events(
-        self, *, pid: int = 0, tid: int = 0, origin: float = 0.0
-    ) -> list[dict[str, Any]]:
-        """Chrome trace-event dicts for the solver track (durations in µs).
-
-        Each iteration becomes one ``"X"`` slice named ``iter <n>`` carrying
-        the decision fields in ``args``, plus one nested slice per solver
-        section laid head-to-tail inside the iteration's span.
-        """
-        events: list[dict[str, Any]] = []
-        for r in self.records:
-            start_us = (r.t_start - origin) * 1e6
-            dur_us = max(r.seconds, 0.0) * 1e6
-            args: dict[str, Any] = {
-                "phase": r.phase,
-                "event": r.event,
-                "entering": r.entering,
-                "leaving_row": r.leaving_row,
-                "leaving_var": r.leaving_var,
-                "pivot": r.pivot,
-                "theta": r.theta,
-                "ratio_ties": r.ratio_ties,
-                "pricing_rule": r.pricing_rule,
-                "eta_count": r.eta_count,
-                "degenerate": r.degenerate,
-            }
-            if not math.isnan(r.objective):
-                args["objective"] = r.objective
-            events.append(
-                {
-                    "name": f"iter {r.iteration} (p{r.phase})",
-                    "cat": "iteration",
-                    "ph": "X",
-                    "ts": start_us,
-                    "dur": dur_us,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-            cursor = start_us
-            for section, seconds in r.sections.items():
-                sec_us = max(seconds, 0.0) * 1e6
-                events.append(
-                    {
-                        "name": section,
-                        "cat": "solver-phase",
-                        "ph": "X",
-                        "ts": cursor,
-                        "dur": sec_us,
-                        "pid": pid,
-                        "tid": tid + 1,
-                        "args": {"iteration": r.iteration, "phase": r.phase},
-                    }
-                )
-                cursor += sec_us
-        return events
-
 
 class TraceCollector:
     """The hook a solver writes iteration records through.

@@ -482,6 +482,39 @@ class TestAttribution:
         assert out["n_kernels"] == 2 and out["n_transfers"] == 2
 
 
+@pytest.fixture(
+    scope="module", params=[(32, 7), (64, 3)], ids=["n32-seed7", "n64-seed3"]
+)
+def fleet_replay(request):
+    """Replays on a 4-device fleet where rounding once put a job's execute
+    slice one ULP before its dispatch (negative ``placement``)."""
+    n_jobs, seed = request.param
+    with observing():
+        return serve_trace(
+            synthetic_trace(n_jobs, seed=seed), ServeConfig(n_devices=4)
+        )
+
+
+class TestPlacementClamp:
+    def test_no_span_ends_before_it_starts(self, fleet_replay):
+        spans = fleet_replay.obs_recording.spans
+        assert spans
+        assert all(sp.t_end >= sp.t_start for sp in spans)
+
+    def test_buckets_non_negative_and_exact(self, fleet_replay):
+        attr = fleet_replay.attribution()
+        assert attr.jobs
+        for job in attr.jobs:
+            assert min(job.buckets.values()) >= 0.0, job
+            assert abs(sum(job.buckets.values()) - job.latency_seconds) <= 1e-9
+
+    def test_serve_chrome_trace_validates(self, fleet_replay):
+        doc = validate_chrome_trace(
+            serve_chrome_trace(fleet_replay.obs_recording)
+        )
+        assert any(e["name"] == "placement" for e in doc["traceEvents"])
+
+
 # ---------------------------------------------------------------------------
 # satellite: all-rejected traces render n/a quantiles
 # ---------------------------------------------------------------------------

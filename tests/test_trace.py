@@ -13,6 +13,7 @@ The contract under test:
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -143,12 +144,17 @@ def test_tracing_is_bit_identical(method, m, extra, seed):
 # ---------------------------------------------------------------------------
 
 
+def _ev(ph, ts=0.0, **extra):
+    """A bare async/flow trace event for the validator cases."""
+    return {"name": "s", "ph": ph, "pid": 0, "tid": 4, "ts": ts, **extra}
+
+
 class TestChromeTrace:
     def test_gpu_merge_has_solver_and_kernel_tracks(self, lp):
         dev = Device()
         dev.record_timeline()
         result = solve(lp, method="gpu-revised", trace=True, device=dev)
-        text = merged_chrome_trace(result.trace, device=dev)
+        text = merged_chrome_trace(result.trace, timeline=dev.timeline)
         doc = json.loads(text)  # round-trips as plain JSON
         assert validate_chrome_trace(text) == doc
         cats = {e.get("cat") for e in doc["traceEvents"]}
@@ -194,6 +200,37 @@ class TestChromeTrace:
                      "ts": 0.0, "dur": -1.0}
                 ]}
             )
+
+    def test_validate_accepts_paired_async_and_flow_events(self):
+        validate_chrome_trace({"traceEvents": [
+            _ev("b", 1.0, id="a"), _ev("b", 2.0, id="a"),  # nested, same id
+            _ev("e", 2.0, id="a"), _ev("e", 3.0, id="a"),
+            _ev("s", 1.0, id="l"), _ev("f", 2.0, id="l", bp="e"),
+        ]})
+
+    @pytest.mark.parametrize(
+        "events, match",
+        [
+            ([_ev("b"), _ev("e")], "needs an id"),
+            ([_ev("b", ts="0", id=1)], "numeric ts"),
+            ([_ev("b", ts=None, id=1)], "numeric ts"),
+            ([_ev("e", id=1)], "closes no open"),
+            ([_ev("b", 0.0, id=1), _ev("e", 0.0, id=2)],
+             "closes no open"),
+            ([_ev("b", 5.0, id=1), _ev("e", 4.0, id=1)],
+             "ends before its 'b'"),
+            ([_ev("b", 0.0, id=1)], "never closed"),
+            ([_ev("s", id="l")], "s/f partner"),
+            ([_ev("f", id="l")], "s/f partner"),
+            ([_ev("s", id="l"), _ev("f", id="m")],
+             "s/f partner"),
+        ],
+    )
+    def test_validate_rejects_unpaired_async_and_flow_events(
+        self, events, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            validate_chrome_trace({"traceEvents": events})
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +334,23 @@ class TestTraceCollector:
 
 class TestTimelineStarts:
     def test_recorded_starts_are_honored(self):
-        """Events with explicit (overlapping) starts keep them — schedule
-        replays interleave stream lanes, and a cumulative-sum rebuild would
-        falsely serialise them."""
+        """Events with overlapping starts keep them: the exporter places
+        every event at its recorded start, never at a cumulative sum."""
         from repro.gpu.device import TimelineEvent
-        from repro.trace.chrome import _device_timeline_events
 
         events = [
             TimelineEvent("kernel", "lane0", 0.004, threads=64, start=0.0),
             TimelineEvent("kernel", "lane1", 0.004, threads=64, start=0.001),
             TimelineEvent("htod", "transfer", 0.002, nbytes=8, start=0.002),
         ]
-        out = _device_timeline_events(events, pid=0)
+        doc = validate_chrome_trace(
+            merged_chrome_trace(SolveTrace("replay"), timeline=events)
+        )
+        out = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert [e["ts"] for e in out] == [0.0, 1000.0, 2000.0]
+        assert [e["cat"] for e in out] == ["kernel", "kernel", "transfer"]
         # lanes 0 and 1 overlap on the trace: [0, 4ms) vs [1ms, 5ms)
         assert out[0]["ts"] + out[0]["dur"] > out[1]["ts"]
-
-    def test_legacy_events_fall_back_to_cumulative_sum(self):
-        from repro.gpu.device import TimelineEvent
-        from repro.trace.chrome import _device_timeline_events
-
-        events = [
-            TimelineEvent("kernel", "a", 0.003),
-            TimelineEvent("dtoh", "transfer", 0.001),
-            TimelineEvent("kernel", "b", 0.002),
-        ]
-        out = _device_timeline_events(events, pid=0)
-        assert [e["ts"] for e in out] == [0.0, 3000.0, 4000.0]
 
     def test_device_records_serialized_starts(self):
         """The device itself serialises work, so its recorded starts equal
@@ -339,3 +366,21 @@ class TestTimelineStarts:
             assert ev.start == pytest.approx(cursor)
             cursor += ev.seconds
         assert cursor == pytest.approx(dev.clock)
+
+    def test_timeline_accounts_for_a_whole_solve(self):
+        """The device timeline is the one device-clock event recorder: over
+        a whole solve its seconds sum to the modeled time, and its kernel
+        names count exactly the launches in ``Device.stats``."""
+        dev = Device()
+        dev.record_timeline()
+        result = solve(
+            random_dense_lp(24, 32, seed=1), method="gpu-revised", device=dev
+        )
+        assert result.is_optimal
+        assert math.fsum(ev.seconds for ev in dev.timeline) == pytest.approx(
+            result.timing.modeled_seconds
+        )
+        counts = Counter(ev.name for ev in dev.timeline if ev.kind == "kernel")
+        assert counts == {
+            name: rec.launches for name, rec in dev.stats.by_kernel.items()
+        }
