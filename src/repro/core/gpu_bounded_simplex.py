@@ -16,7 +16,7 @@ basis swap (mask bits, σ signs, c_B, basis key, u_B entry) and a flip's σ
 sign are stores of the update launch.  The flip-or-pivot choice needs θ on
 the host, so a bound flip runs the tie-break pass too.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
+Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle.
 """
 
@@ -25,10 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import SolverBackend
+from repro.engine import DeviceBackend
 from repro.errors import SolverError
 from repro.gpu import blas
-from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.reduce import NO_INDEX
 from repro.gpu.sparse_kernels import DeviceCscMatrix, spmv_csc_t
@@ -36,9 +35,8 @@ from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
-    PHASE1_TOL,
     PreparedLP,
     initial_basis,
     phase1_costs,
@@ -52,7 +50,7 @@ from repro.status import SolveStatus
 BOUND_FLIP = -2
 
 
-class GpuBoundedRevisedSimplex(SolverBackend):
+class GpuBoundedRevisedSimplex(DeviceBackend):
     """Two-phase bounded-variable revised simplex on the simulated device."""
 
     name = "gpu-revised-bounded"
@@ -63,55 +61,27 @@ class GpuBoundedRevisedSimplex(SolverBackend):
         device: Device | None = None,
         gpu_params: GpuModelParams = GTX280_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, device, gpu_params)
         if self.options.pricing not in ("dantzig", "bland", "hybrid"):
             raise SolverError(
                 "gpu-revised-bounded supports dantzig/bland/hybrid pricing"
             )
         if self.options.scale:
             raise SolverError("the bounded solver does not combine with scaling")
-        self._external_device = device
-        self._gpu_params = gpu_params
-        self._st: "_BState | None" = None
-        self.device: Device | None = device
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
         self.prep = prep = prepare(problem, opts, range_bounds_as_rows=False)
-        dev = self._external_device or Device(self._gpu_params)
-        self.device = self.dev = dev
-        dev.reset_stats()
+        dtype = self._start_machine()
 
-        self._policy = policy = gpu_plan.PrecisionPolicy.from_options(opts)
-        if policy.refine:
-            raise SolverError(
-                "gpu-revised-bounded does not support mixed precision"
-            )
-        dtype = policy.compute_dtype
-        self.plan = gpu_plan.LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
-        eps = float(np.finfo(dtype).eps)
-        self._tol_rc = max(opts.tol_reduced_cost, 50 * eps)
-        self._tol_piv = max(opts.tol_pivot, 50 * eps)
-
-        self._st = st = _BState(prep, dev, dtype)
+        self._st = st = _BState(prep, self.dev, dtype)
         self.stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": prep.m,
-                "n": prep.n_total,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-            },
-        )
+        self._arm(m=prep.m, n=prep.n_total, pricing=opts.pricing)
         self.needs_phase1 = needs_phase1
-        self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
         return None
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
@@ -123,11 +93,6 @@ class GpuBoundedRevisedSimplex(SolverBackend):
 
     def phase1_objective(self) -> float:
         return blas.dot(self._st.c_b, self._st.x_b)
-
-    def cleanup(self) -> None:
-        if self._st is not None:
-            self._st.free()
-            self._st = None
 
     # ------------------------------------------------------------------
 
@@ -297,27 +262,9 @@ class GpuBoundedRevisedSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
     def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
-        result.extra["device"] = dev.params.name
+        super().standard_extras(result)
         result.extra["bound_flips"] = self._st.flips
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
 
     def extract(self, result: SolveResult) -> None:
         st = self._st
@@ -337,14 +284,6 @@ class GpuBoundedRevisedSimplex(SolverBackend):
         result.extra["basis"] = st.basis.copy()
         result.extra["x_std"] = x_std
         result.extra["at_upper"] = st.at_upper.copy()
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _BState:

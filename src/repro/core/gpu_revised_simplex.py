@@ -35,7 +35,7 @@ explicit-inverse scheme does not refactorise by default (``refactor_period``
 applies if set; the rebuild happens on the host with PCIe-charged round
 trips, as 2009-era codes did).
 
-Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
+Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
 freed on every exit path).
 """
@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import DeviceBackend, attach_standard_solution, rule_label
 from repro.errors import SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -57,9 +57,8 @@ from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
-    PHASE1_TOL,
     PreparedLP,
     initial_basis,
     phase1_costs,
@@ -122,7 +121,7 @@ class _GpuPricing:
                 self.stalled = 0
 
 
-class GpuRevisedSimplex(SolverBackend):
+class GpuRevisedSimplex(DeviceBackend):
     """Two-phase revised simplex on the simulated SIMT device.
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -146,51 +145,28 @@ class GpuRevisedSimplex(SolverBackend):
         ``result.extra["binv_fill"]`` — free instrumentation (reads the
         functional backing store; no modeled time is charged), used by the
         F8 fill-in experiment."""
-        self.options = options or SolverOptions()
+        super().__init__(options, device, gpu_params)
         if self.options.pricing in ("devex", "steepest-edge"):
             raise SolverError(
                 f"pricing {self.options.pricing!r} needs tableau columns; "
                 "use the tableau solvers"
             )
-        self._external_device = device
-        self._gpu_params = gpu_params
         self._fill_every = int(fill_stats_every)
-        self._st: "_State | None" = None
-        #: The device of the last solve (statistics inspection).
-        self.device: Device | None = device
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
         self.prep = prep = prepare(problem, opts)
-        dev = self._external_device or Device(self._gpu_params)
-        self.device = self.dev = dev
-        dev.reset_stats()
-
-        self._policy = policy = gpu_plan.PrecisionPolicy.from_options(opts)
-        dtype = policy.compute_dtype
-        self.plan = gpu_plan.LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
-        eps = float(np.finfo(dtype).eps)
-        self._tol_rc = max(opts.tol_reduced_cost, 50 * eps)
-        self._tol_piv = max(opts.tol_pivot, 50 * eps)
+        dtype = self._start_machine()
+        dev = self.dev
 
         m, n = prep.m, prep.n_total
         self._st = st = _State(prep, dev, dtype)
         self.stats = stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing)
         self._eta_updates = 0
         self._global_iter = 0
         self._fill_curve: list[tuple[int, float]] = []
@@ -215,7 +191,6 @@ class GpuRevisedSimplex(SolverBackend):
                 stats.refactorizations += 1
 
         self.needs_phase1 = needs_phase1
-        self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
         return None
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
@@ -227,11 +202,6 @@ class GpuRevisedSimplex(SolverBackend):
 
     def phase1_objective(self) -> float:
         return blas.dot(self._st.c_b, self._st.beta)
-
-    def cleanup(self) -> None:
-        if self._st is not None:
-            self._st.free()
-            self._st = None
 
     # ------------------------------------------------------------------
 
@@ -395,32 +365,10 @@ class GpuRevisedSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
     def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
+        super().standard_extras(result)
         if self._fill_every:
             result.extra["binv_fill"] = list(getattr(self, "_fill_curve", []))
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
 
     def extract(self, result: SolveResult) -> None:
         st = self._st
@@ -467,14 +415,6 @@ class GpuRevisedSimplex(SolverBackend):
         result.extra["refinement_steps"] = steps
         result.extra["residual_after_refinement"] = residual
         return x64
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _State:

@@ -40,7 +40,7 @@ choice (see :mod:`repro.core.gpu_revised_simplex`).  The pivot is checked
 against the host factor mirror before the update launches, so a pivot the
 eta file rejects never leaves a half-swapped device state.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend`; instrumentation
+Runs as a :class:`~repro.engine.backend.DeviceBackend`; instrumentation
 flows only through the engine observer hooks.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core import gpu_kernels as K
 from repro.core.gpu_revised_simplex import _GpuPricing
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import DeviceBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -63,9 +63,8 @@ from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
-    PHASE1_TOL,
     PreparedLP,
     initial_basis,
     phase1_costs,
@@ -78,7 +77,7 @@ from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.status import SolveStatus
 
 
-class GpuSparseRevisedSimplex(SolverBackend):
+class GpuSparseRevisedSimplex(DeviceBackend):
     """Two-phase sparse revised simplex on the simulated SIMT device.
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -97,55 +96,27 @@ class GpuSparseRevisedSimplex(SolverBackend):
         device: Device | None = None,
         gpu_params: GpuModelParams = GTX280_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, device, gpu_params)
         if self.options.pricing in ("devex", "steepest-edge"):
             raise SolverError(
                 f"pricing {self.options.pricing!r} needs tableau columns; "
                 "use the tableau solvers"
             )
-        self._external_device = device
-        self._gpu_params = gpu_params
-        self._st: "_SparseState | None" = None
-        #: The device of the last solve (statistics inspection).
-        self.device: Device | None = device
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
         self.prep = prep = _as_sparse_prep(prepare(problem, opts))
-        dev = self._external_device or Device(self._gpu_params)
-        self.device = self.dev = dev
-        dev.reset_stats()
-
-        self._policy = policy = gpu_plan.PrecisionPolicy.from_options(opts)
-        if policy.refine:
-            raise SolverError(
-                "gpu-revised-sparse does not support mixed precision"
-            )
-        dtype = policy.compute_dtype
-        self.plan = gpu_plan.LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
-        eps = float(np.finfo(dtype).eps)
-        self._tol_rc = max(opts.tol_reduced_cost, 50 * eps)
-        self._tol_piv = max(opts.tol_pivot, 50 * eps)
+        dtype = self._start_machine()
+        dev = self.dev
 
         m, n = prep.m, prep.n_total
         self._st = st = _SparseState(prep, dev, dtype)
         self.stats = stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-                "nnz": prep.nnz,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing, nnz=prep.nnz)
 
         if warm_hint is not None:
             from repro.simplex.common import validate_warm_basis
@@ -172,7 +143,6 @@ class GpuSparseRevisedSimplex(SolverBackend):
                 st.lu.reset_identity()
 
         self.needs_phase1 = needs_phase1
-        self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
         return None
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
@@ -181,11 +151,6 @@ class GpuSparseRevisedSimplex(SolverBackend):
 
     def phase1_objective(self) -> float:
         return blas.dot(self._st.c_b, self._st.beta)
-
-    def cleanup(self) -> None:
-        if self._st is not None:
-            self._st.free()
-            self._st = None
 
     # ------------------------------------------------------------------
 
@@ -356,49 +321,18 @@ class GpuSparseRevisedSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
     def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
+        super().standard_extras(result)
         st = self._st
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
-        if st is not None:
-            result.extra["a_nnz"] = st.prep.nnz
-            result.extra["lu_nnz"] = st.lu.lu_nnz
-            result.extra["eta_nnz"] = st.lu.eta_nnz
-            result.extra["fill_ratio"] = st.lu.fill_ratio
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
+        result.extra["a_nnz"] = st.prep.nnz
+        result.extra["lu_nnz"] = st.lu.lu_nnz
+        result.extra["eta_nnz"] = st.lu.eta_nnz
+        result.extra["fill_ratio"] = st.lu.fill_ratio
 
     def extract(self, result: SolveResult) -> None:
         st = self._st
         beta_host = st.beta.copy_to_host().astype(np.float64)
         attach_standard_solution(result, self.prep, st.basis, beta_host)
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _SparseState:

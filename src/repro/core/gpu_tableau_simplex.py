@@ -15,7 +15,7 @@ the pricing reduction, the column extract and the ratio test all ran on
 the device — and writes nothing: the basis swap and the zeroed reduced
 cost of the entering column are stores of the β-update launch.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
+Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import SolverBackend, attach_standard_solution
+from repro.engine import DeviceBackend, attach_standard_solution
 from repro.errors import SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -34,9 +34,8 @@ from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
-    PHASE1_TOL,
     PreparedLP,
     initial_basis,
     prepare,
@@ -45,7 +44,7 @@ from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
 
-class GpuTableauSimplex(SolverBackend):
+class GpuTableauSimplex(DeviceBackend):
     """Two-phase full-tableau simplex on the simulated SIMT device."""
 
     name = "gpu-tableau"
@@ -56,32 +55,19 @@ class GpuTableauSimplex(SolverBackend):
         device: Device | None = None,
         gpu_params: GpuModelParams = GTX280_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, device, gpu_params)
         if self.options.pricing not in ("dantzig", "bland", "hybrid"):
             raise SolverError(
                 f"gpu-tableau supports dantzig/bland/hybrid pricing, "
                 f"not {self.options.pricing!r}"
             )
-        self._external_device = device
-        self._gpu_params = gpu_params
-        self._st: "_TableauState | None" = None
-        self.device: Device | None = device
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
         self.prep = prep = prepare(problem, opts)
-        dev = self._external_device or Device(self._gpu_params)
-        self.device = self.dev = dev
-        dev.reset_stats()
-
-        self._policy = policy = gpu_plan.PrecisionPolicy.from_options(opts)
-        dtype = policy.compute_dtype
-        self.plan = gpu_plan.LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
-        eps = float(np.finfo(dtype).eps)
-        self._tol_rc = max(opts.tol_reduced_cost, 50 * eps)
-        self._tol_piv = max(opts.tol_pivot, 50 * eps)
+        dtype = self._start_machine()
 
         m, n = prep.m, prep.n_total
         basis, needs_phase1 = initial_basis(prep)
@@ -94,23 +80,12 @@ class GpuTableauSimplex(SolverBackend):
             t_host[:, n:] = np.eye(m)
 
         self._st = st = _TableauState(
-            dev, dtype, t_host, prep, n_cols, plan=self.plan
+            self.dev, dtype, t_host, prep, n_cols, plan=self.plan
         )
         st.init_basis(basis, enterable_limit=n)
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing)
         self.needs_phase1 = needs_phase1
-        self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
         return None
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
@@ -128,11 +103,6 @@ class GpuTableauSimplex(SolverBackend):
 
     def phase1_objective(self) -> float:
         return blas.dot(self._st.c_b, self._st.beta)
-
-    def cleanup(self) -> None:
-        if self._st is not None:
-            self._st.free()
-            self._st = None
 
     # ------------------------------------------------------------------
 
@@ -255,31 +225,6 @@ class GpuTableauSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
-    def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
-
     def extract(self, result: SolveResult) -> None:
         st = self._st
         if self._policy.refine:
@@ -317,14 +262,6 @@ class GpuTableauSimplex(SolverBackend):
         result.extra["residual_after_refinement"] = residual
         return x64
 
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
-
 
 class _TableauState:
     """Device tableau + vectors, and the host basis bookkeeping."""
@@ -354,11 +291,11 @@ class _TableauState:
             self.ratio_min = dev.alloc(2, dtype)
             self.tie_keys = dev.zeros(m, dtype)
             self.basis_keys = dev.zeros(m, dtype)
+            self.row_buf = dev.zeros(n_cols, dtype)
+            self.row_norm = dev.zeros(n_cols, dtype)
         except Exception:
             self.free()
             raise
-        self.row_buf = dev.zeros(n_cols, dtype)
-        self.row_norm = dev.zeros(n_cols, dtype)
         self.basis = np.zeros(m, dtype=np.int64)
         self.in_basis = np.zeros(n_cols, dtype=bool)
         self.enterable_limit = n_cols  # set by init_basis

@@ -27,7 +27,12 @@ fixture for all methods.
 trace records without importing :mod:`repro.trace` themselves.
 """
 
-from repro.engine.backend import SolverBackend, attach_standard_solution
+from repro.engine.backend import (
+    DeviceBackend,
+    HostBackend,
+    SolverBackend,
+    attach_standard_solution,
+)
 from repro.engine.hooks import SolveHooks
 from repro.engine.lifecycle import run_solve
 from repro.engine.registry import (
@@ -39,6 +44,8 @@ from repro.engine.registry import (
 from repro.trace import rule_label
 
 __all__ = [
+    "DeviceBackend",
+    "HostBackend",
     "METHODS",
     "MethodSpec",
     "SolveHooks",

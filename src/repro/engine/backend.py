@@ -19,6 +19,15 @@ Lifecycle call order (see :func:`~repro.engine.lifecycle.run_solve`)::
     run_phase(2)
     timing(wall) / standard_extras / extract / finalize_timing
     cleanup()                        # always (finally)
+
+The machine a method runs on is written here once, too.
+:class:`HostBackend` is the modeled sequential CPU: the cost recorder, its
+clock and ``timing``.  :class:`DeviceBackend` is the simulated GPU: the
+``(options, device, gpu_params)`` constructor, the device preamble at the
+start of ``begin`` (device, precision policy, launch plan, dtype-derived
+tolerances), ``timing``, the device extras, ``finalize_timing`` and the
+release of the device state.  A backend class names its machine by its
+base class and keeps only its method.
 """
 
 from __future__ import annotations
@@ -27,11 +36,23 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.registry import METHODS
+from repro.errors import SolverError
+from repro.gpu.device import Device
+from repro.gpu.plan import LaunchPlan, PrecisionPolicy
+from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
+from repro.perfmodel.presets import (
+    CORE2_CPU_PARAMS,
+    GTX280_PARAMS,
+    CpuModelParams,
+    GpuModelParams,
+)
 from repro.result import SolveResult, TimingStats
 from repro.status import SolveStatus
 
 if TYPE_CHECKING:  # avoids the repro.simplex package-import cycle
     from repro.simplex.common import PreparedLP
+    from repro.simplex.options import SolverOptions
 
 
 class SolverBackend:
@@ -107,6 +128,150 @@ class SolverBackend:
 
     def cleanup(self) -> None:
         """Release per-solve resources; runs on every exit path."""
+
+
+def _default_options(options: "SolverOptions | None") -> "SolverOptions":
+    from repro.simplex.options import SolverOptions
+
+    return options or SolverOptions()
+
+
+class HostBackend(SolverBackend):
+    """A method on the modeled sequential CPU: its machine time is what it
+    charges to ``self.recorder``."""
+
+    def __init__(
+        self,
+        options: "SolverOptions | None" = None,
+        cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
+    ):
+        self.options = _default_options(options)
+        self.recorder = CpuCostRecorder(
+            CpuCostModel(cpu_params), dtype=self.options.dtype
+        )
+
+    def _start_machine(self) -> np.dtype:
+        """Zero the clock for a new solve; returns the charged dtype."""
+        self.recorder.reset()
+        return np.dtype(self.options.dtype)
+
+    def _arm(self, **meta) -> None:
+        """Arm the observer hooks on the recorder's clock."""
+        self.hooks.arm(
+            clock=lambda: self.recorder.total_seconds,
+            sections=lambda: self.recorder.by_op,
+            meta={**meta, "dtype": np.dtype(self.options.dtype).name},
+        )
+
+    def timing(self, wall_seconds: float) -> TimingStats:
+        return TimingStats(
+            modeled_seconds=self.recorder.total_seconds,
+            wall_seconds=wall_seconds,
+            kernel_breakdown=dict(self.recorder.by_op),
+        )
+
+
+class DeviceBackend(SolverBackend):
+    """A method on the simulated device.
+
+    ``device`` is an external :class:`~repro.gpu.device.Device` to run on
+    (shared by a batch); without one each solve creates its own from
+    ``gpu_params``.  ``begin`` calls :meth:`_start_machine` first and keeps
+    its device state in ``self._st`` (anything with ``free()``), which
+    :meth:`cleanup` releases on every exit path.
+    """
+
+    def __init__(
+        self,
+        options: "SolverOptions | None" = None,
+        device: Device | None = None,
+        gpu_params: GpuModelParams = GTX280_PARAMS,
+    ):
+        self.options = _default_options(options)
+        self._external_device = device
+        self._gpu_params = gpu_params
+        self._st = None
+        #: The device of the last solve (statistics inspection).
+        self.device: Device | None = device
+
+    def _start_machine(self) -> np.dtype:
+        """The device preamble; returns the compute dtype.
+
+        Takes the external device or creates one, zeroes its statistics,
+        resolves the precision policy (rejecting ``precision="mixed"``
+        for methods whose registry row does not support it), opens the
+        launch plan and derives the dtype-dependent tolerances.
+        """
+        from repro.simplex.common import PHASE1_TOL
+
+        opts = self.options
+        dev = self._external_device or Device(self._gpu_params)
+        self.device = self.dev = dev
+        dev.reset_stats()
+        self._policy = policy = PrecisionPolicy.from_options(opts)
+        if policy.refine and not METHODS[self.name].supports_mixed_precision:
+            raise SolverError(f"{self.name} does not support mixed precision")
+        dtype = policy.compute_dtype
+        self.plan = LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
+        eps = float(np.finfo(dtype).eps)
+        self._tol_rc = max(opts.tol_reduced_cost, 50 * eps)
+        self._tol_piv = max(opts.tol_pivot, 50 * eps)
+        self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
+        return dtype
+
+    def _arm(self, **meta) -> None:
+        """Arm the observer hooks on the device clock."""
+        dev = self.dev
+        self.hooks.arm(
+            clock=lambda: dev.clock,
+            sections=lambda: dev.stats.sections,
+            meta={
+                **meta,
+                "dtype": self._policy.compute_dtype.name,
+                "device": dev.params.name,
+            },
+        )
+
+    def timing(self, wall_seconds: float) -> TimingStats:
+        dev = self.dev
+        breakdown = dict(dev.stats.sections)
+        breakdown["transfer"] = dev.stats.transfer_seconds
+        return TimingStats(
+            modeled_seconds=dev.clock,
+            wall_seconds=wall_seconds,
+            transfer_seconds=dev.stats.transfer_seconds,
+            kernel_breakdown=breakdown,
+        )
+
+    def standard_extras(self, result: SolveResult) -> None:
+        """The device extras every device method reports; a backend adds
+        its own after calling this."""
+        dev = self.dev
+        stats = dev.stats
+        result.extra["device"] = dev.params.name
+        result.extra["kernel_launches"] = stats.kernel_launches
+        result.extra["kernel_bytes"] = sum(
+            rec.bytes for rec in stats.by_kernel.values()
+        )
+        result.extra["by_kernel"] = stats.kernel_breakdown()
+        result.extra["peak_device_bytes"] = stats.peak_bytes_in_use
+        if self.options.fusion:
+            result.extra["fused_launches"] = self.plan.fused_launches
+            result.extra["fused_ops"] = self.plan.fused_ops
+            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
+
+    def finalize_timing(self, result: SolveResult) -> None:
+        # the solution download in extract() advanced the clock; the
+        # reported machine time must include it
+        dev = self.dev
+        result.timing.modeled_seconds = dev.clock
+        result.timing.transfer_seconds = dev.stats.transfer_seconds
+        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
+
+    def cleanup(self) -> None:
+        if self._st is not None:
+            self._st.free()
+            self._st = None
 
 
 def attach_standard_solution(

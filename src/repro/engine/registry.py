@@ -97,13 +97,13 @@ def _gpu_tableau(options: SolverOptions, device: Any):
 
 
 def _pdlp(options: SolverOptions, device: Any):
-    from repro.firstorder.cpu import PdlpSolver
+    from repro.firstorder.pdlp import PdlpSolver
 
     return PdlpSolver(options)
 
 
 def _gpu_pdlp(options: SolverOptions, device: Any):
-    from repro.firstorder.gpu import GpuPdlpSolver
+    from repro.firstorder.pdlp import GpuPdlpSolver
 
     return GpuPdlpSolver(options=options, device=device)
 

@@ -15,7 +15,11 @@ Layers
   and the opt-in :class:`TimelineEvent` timeline of every launch, memset and
   transfer (:meth:`Device.record_timeline`).
 - :mod:`~repro.gpu.memory`   — :class:`DeviceArray` and transfer helpers.
-- :mod:`~repro.gpu.kernel`   — launch configuration and validation.
+- :mod:`~repro.gpu.kernel`   — launch configuration and validation.  How
+  full a launch keeps the device (occupancy) is priced by the cost model,
+  :meth:`~repro.perfmodel.gpu_model.GpuCostModel.fill_factor`.
+- :mod:`~repro.gpu.plan`     — launch plans: capture, fusion and lowering
+  of a backend's kernel sequence, and the precision policy.
 - :mod:`~repro.gpu.blas`     — device BLAS 1/2/3 (cuBLAS stand-in).
 - :mod:`~repro.gpu.reduce`   — parallel reductions, argmin/argmax, scan.
 - :mod:`~repro.gpu.sparse_kernels` — SpMV and gather/scatter kernels.
@@ -26,7 +30,6 @@ Layers
 from repro.gpu.device import Device, DeviceStats, KernelRecord, TimelineEvent
 from repro.gpu.memory import DeviceArray
 from repro.gpu.kernel import LaunchConfig, launch_config
-from repro.gpu.occupancy import OccupancyResult, best_block_size, occupancy
 
 __all__ = [
     "Device",
@@ -36,7 +39,4 @@ __all__ = [
     "DeviceArray",
     "LaunchConfig",
     "launch_config",
-    "OccupancyResult",
-    "occupancy",
-    "best_block_size",
 ]

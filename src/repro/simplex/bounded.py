@@ -27,7 +27,7 @@ This is the classic extension the thesis's future work points at
 ("využití slackových proměnných … efektivnější nalezení počáteční báze"),
 and the A5 ablation measures what it buys over bounds-as-rows.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
+Runs as a :class:`~repro.engine.backend.HostBackend` on the shared
 :mod:`repro.engine` lifecycle.
 """
 
@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend
+from repro.engine import HostBackend
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     PHASE1_TOL,
@@ -59,7 +58,7 @@ from repro.status import SolveStatus
 BOUND_FLIP = -2
 
 
-class BoundedRevisedSimplexSolver(SolverBackend):
+class BoundedRevisedSimplexSolver(HostBackend):
     """CPU revised simplex with native upper-bound handling."""
 
     name = "revised-bounded"
@@ -69,7 +68,7 @@ class BoundedRevisedSimplexSolver(SolverBackend):
         options: SolverOptions | None = None,
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, cpu_params)
         if self.options.pricing in ("devex", "steepest-edge"):
             raise SolverError(
                 "devex/steepest-edge pricing needs the tableau solver"
@@ -79,9 +78,6 @@ class BoundedRevisedSimplexSolver(SolverBackend):
                 "the bounded solver does not combine with scaling yet; "
                 "scale the data before building the problem"
             )
-        self.recorder = CpuCostRecorder(
-            CpuCostModel(cpu_params), dtype=self.options.dtype
-        )
 
     # -- engine backend interface --------------------------------------
 
@@ -100,16 +96,7 @@ class BoundedRevisedSimplexSolver(SolverBackend):
         at_upper = np.zeros(n, dtype=bool)  # all nonbasics start at lower
         x_b = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": np.dtype(opts.dtype).name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing)
 
         self.st = _BoundedState(prep, basisrep, basis, in_basis, at_upper, x_b,
                                 u_full, stats)
@@ -353,13 +340,6 @@ class BoundedRevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def standard_extras(self, result: SolveResult) -> None:
         result.extra["bound_flips"] = self.st.flips

@@ -27,7 +27,7 @@ via ``initial_basis_hint``); with none, it attempts the crash basis and
 falls back to an exact primal pre-solve of the phase-1 type only if
 ``allow_primal_fallback`` is set.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend`: it is the
+Runs as a :class:`~repro.engine.backend.HostBackend`: it is the
 single-phase backend (``needs_phase1`` is always False) and the one that
 exercises the lifecycle's early-return path (the primal fallback produces
 a finished result before the phase driver starts).
@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution
+from repro.engine import HostBackend, attach_standard_solution
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     initial_basis,
@@ -56,7 +55,7 @@ from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
 
-class DualSimplexSolver(SolverBackend):
+class DualSimplexSolver(HostBackend):
     """CPU dual simplex for re-optimisation from a dual-feasible basis."""
 
     name = "dual-cpu"
@@ -68,13 +67,10 @@ class DualSimplexSolver(SolverBackend):
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
         allow_primal_fallback: bool = True,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, cpu_params)
         if self.options.pricing not in ("dantzig", "bland", "hybrid"):
             raise SolverError("dual simplex supports dantzig/bland/hybrid row choice")
         self.allow_primal_fallback = allow_primal_fallback
-        self.recorder = CpuCostRecorder(
-            CpuCostModel(cpu_params), dtype=self.options.dtype
-        )
 
     # -- engine backend interface --------------------------------------
 
@@ -109,16 +105,7 @@ class DualSimplexSolver(SolverBackend):
         self.in_basis = in_basis
         self.x_b = basisrep.ftran(prep.b)
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": np.dtype(opts.dtype).name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing)
         self.needs_phase1 = False
         return None
 
@@ -295,13 +282,6 @@ class DualSimplexSolver(SolverBackend):
         return result
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         x_clip = np.clip(self.x_b, 0.0, None)

@@ -18,21 +18,20 @@ redundant and keep their artificial pinned at zero).
 
 The two-phase driving, status handling and result assembly live in
 :mod:`repro.engine`; this module implements only the method itself behind
-the :class:`~repro.engine.backend.SolverBackend` interface.
+the :class:`~repro.engine.backend.HostBackend` interface.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     PHASE1_TOL,
@@ -48,7 +47,7 @@ from repro.simplex.ratio import run_ratio_test
 from repro.status import SolveStatus
 
 
-class RevisedSimplexSolver(SolverBackend):
+class RevisedSimplexSolver(HostBackend):
     """CPU revised simplex (dense or sparse standard-form data).
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -64,15 +63,12 @@ class RevisedSimplexSolver(SolverBackend):
         options: SolverOptions | None = None,
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, cpu_params)
         if self.options.pricing in ("devex", "steepest-edge"):
             raise SolverError(
                 f"pricing {self.options.pricing!r} needs the updated tableau; "
                 "use the tableau solver"
             )
-        self.recorder = CpuCostRecorder(
-            CpuCostModel(cpu_params), dtype=self.options.dtype
-        )
 
     # -- engine backend interface --------------------------------------
 
@@ -86,17 +82,7 @@ class RevisedSimplexSolver(SolverBackend):
         basis, needs_phase1 = initial_basis(prep)
         self.beta = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test)
         self._phase = 1
 
         if warm_hint is not None:
@@ -344,13 +330,6 @@ class RevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         attach_standard_solution(result, self.prep, self.basis, self.beta)

@@ -19,7 +19,7 @@ Every modeled cost scales with nonzeros (pricing 2·nnz(section), solves
 2·(nnz(LU)+nnz(etas)), updates 2·nnz(α)), which is the entire point: at
 1–5% density the dense comparator pays m·n where this backend pays nnz.
 
-Runs behind the :class:`~repro.engine.backend.SolverBackend` interface on
+Runs behind the :class:`~repro.engine.backend.HostBackend` interface on
 the shared :mod:`repro.engine` lifecycle; all instrumentation flows
 through the engine observer hooks.
 """
@@ -30,14 +30,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -65,7 +64,7 @@ def _as_sparse_prep(prep: PreparedLP) -> PreparedLP:
     )
 
 
-class SparseRevisedSimplexSolver(SolverBackend):
+class SparseRevisedSimplexSolver(HostBackend):
     """CPU sparse revised simplex (CSC data, sparse LU basis, partial pricing).
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -81,15 +80,12 @@ class SparseRevisedSimplexSolver(SolverBackend):
         options: SolverOptions | None = None,
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
     ):
-        self.options = options or SolverOptions()
+        super().__init__(options, cpu_params)
         if self.options.pricing in ("devex", "steepest-edge"):
             raise SolverError(
                 f"pricing {self.options.pricing!r} needs the updated tableau; "
                 "use the tableau solver"
             )
-        self.recorder = CpuCostRecorder(
-            CpuCostModel(cpu_params), dtype=self.options.dtype
-        )
 
     # -- engine backend interface --------------------------------------
 
@@ -105,17 +101,9 @@ class SparseRevisedSimplexSolver(SolverBackend):
         basis, needs_phase1 = initial_basis(prep)
         self.beta = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-                "nnz": prep.nnz,
-            },
+        self._arm(
+            m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test,
+            nnz=prep.nnz,
         )
         self._phase = 1
 
@@ -333,13 +321,6 @@ class SparseRevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def standard_extras(self, result: SolveResult) -> None:
         result.extra["a_nnz"] = self.prep.nnz

@@ -8,7 +8,7 @@ serves as (a) an independent correctness oracle, (b) the host of the exact
 steepest-edge / Devex pricing rules (they need updated columns), and (c) the
 CPU side of the A3 tableau-vs-revised ablation.
 
-Runs as a :class:`~repro.engine.backend.SolverBackend` on the shared
+Runs as a :class:`~repro.engine.backend.HostBackend` on the shared
 :mod:`repro.engine` lifecycle.
 """
 
@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
-from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
     initial_basis,
     prepare,
 )
-from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import (
     DevexRule,
     HybridRule,
@@ -40,20 +37,10 @@ from repro.simplex.ratio import run_ratio_test
 from repro.status import SolveStatus
 
 
-class TableauSimplexSolver(SolverBackend):
+class TableauSimplexSolver(HostBackend):
     """CPU dense full-tableau simplex."""
 
     name = "tableau-cpu"
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
-    ):
-        self.options = options or SolverOptions()
-        self.recorder = CpuCostRecorder(
-            CpuCostModel(cpu_params), dtype=self.options.dtype
-        )
 
     # -- engine backend interface --------------------------------------
 
@@ -77,17 +64,7 @@ class TableauSimplexSolver(SolverBackend):
         self.in_basis = np.zeros(n_cols, dtype=bool)
         self.in_basis[basis] = True
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-            },
-        )
+        self._arm(m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test)
         artificial = np.zeros(n_cols, dtype=bool)
         artificial[n:] = True
         self.enterable = ~artificial
@@ -261,13 +238,6 @@ class TableauSimplexSolver(SolverBackend):
             basis[p] = q
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         # Artificial basics (redundant rows) sit at zero; they are

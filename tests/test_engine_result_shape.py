@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import solve
+from repro.engine.registry import device_methods
 from repro.lp.generators import random_dense_lp
 from repro.solve import available_methods
 from repro.status import SolveStatus
@@ -99,3 +100,24 @@ def test_common_shape_details(results):
         # the legacy-tuple mirror holds the trace's pivot/flip records
         # (terminal records like "optimal" are trace-only)
         assert 1 <= len(r.extra["trace"]) <= len(r.trace), method
+
+
+#: The extras every device method reports (the shared device lifecycle);
+#: the ``fused_*`` ones only when the launch plan fuses.
+DEVICE_EXTRAS = frozenset(
+    {"device", "kernel_launches", "kernel_bytes", "by_kernel", "peak_device_bytes"}
+)
+FUSED_EXTRAS = frozenset({"fused_launches", "fused_ops", "fusion_saved_seconds"})
+
+
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+def test_device_methods_report_the_same_device_extras(fusion):
+    lp = random_dense_lp(8, 12, seed=3, name="shape-probe")
+    want = DEVICE_EXTRAS | (FUSED_EXTRAS if fusion else frozenset())
+    got = {
+        method: set(solve(lp, method=method, fusion=fusion).extra)
+        & (DEVICE_EXTRAS | FUSED_EXTRAS)
+        for method in sorted(device_methods())
+    }
+    assert len(got) == 5
+    assert all(keys == want for keys in got.values()), got

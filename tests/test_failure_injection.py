@@ -45,18 +45,31 @@ class TestDeviceOom:
         with pytest.raises(DeviceMemoryError):
             solver.solve(random_dense_lp(128, 128, seed=0))
 
-    def test_partial_allocations_released_after_oom(self):
+    #: Per device method, a card (KiB) that holds some of its device state
+    #: for a 180x180 fp64 LP but not all of it.
+    OOM_CARD_KIB = {
+        "gpu-revised": 600,
+        "gpu-revised-bounded": 600,
+        "gpu-revised-sparse": 400,
+        # fails on the last two row buffers of the tableau state
+        "gpu-tableau": 528,
+        "gpu-pdlp": 800,
+    }
+
+    @pytest.mark.parametrize("method", sorted(OOM_CARD_KIB))
+    def test_partial_allocations_released_after_oom(self, method):
         """Whatever was allocated before the OOM is freed by the cleanup."""
-        from repro.core.gpu_revised_simplex import GpuRevisedSimplex
+        from repro.engine.registry import METHODS
         from repro.simplex.options import SolverOptions
 
-        # big enough for A but not for all the solver vectors + B^-1
-        params = GpuModelParams(global_mem_bytes=600 * 1024)
-        solver = GpuRevisedSimplex(SolverOptions(dtype=np.float64),
-                                   gpu_params=params)
+        options = SolverOptions(dtype=np.float64)
+        backend_cls = type(METHODS[method].factory(options, None))
+        card = GpuModelParams(global_mem_bytes=self.OOM_CARD_KIB[method] * 1024)
+        solver = backend_cls(options, gpu_params=card)
         with pytest.raises(DeviceMemoryError):
             solver.solve(random_dense_lp(180, 180, seed=0))
         assert solver.device is not None
+        assert solver.device.stats.allocations > 0
         assert solver.device.stats.bytes_in_use == 0
 
     def test_fits_exactly_when_fp32(self):

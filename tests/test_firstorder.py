@@ -120,6 +120,22 @@ class TestResultSurface:
         assert "duals" in result.extra
         assert "y_std" in result.extra
 
+    def test_spmv_count_agrees_across_placements(self):
+        # both placements count every SpMV they charge, the 48 of the
+        # power-iteration norm estimate included
+        lp = random_sparse_lp(40, 60, density=0.1, seed=3)
+        cpu = solve(lp, method="pdlp")
+        gpu = solve(lp, method="gpu-pdlp")
+        assert cpu.iterations.total_iterations == gpu.iterations.total_iterations
+        assert cpu.extra["restarts"] == gpu.extra["restarts"]
+        assert cpu.extra["spmv_count"] == gpu.extra["spmv_count"]
+        checks = cpu.iterations.total_iterations // 64
+        # 2 per iteration, 2 per scored candidate (the start + 2 per check)
+        # and 2 per power-iteration step
+        assert cpu.extra["spmv_count"] == (
+            2 * cpu.iterations.total_iterations + 2 * (1 + 2 * checks) + 48
+        )
+
     def test_gpu_device_extras(self):
         r = solve(SUITE[0], method="gpu-pdlp")
         assert r.extra["kernel_launches"] > 0

@@ -141,6 +141,7 @@ def test_every_backend_module_is_scanned():
         "revised_sparse.py", "sparse_basis.py", "sparse_pricing.py",
         "gpu_revised_simplex.py", "gpu_tableau_simplex.py",
         "gpu_bounded_simplex.py", "gpu_sparse_simplex.py",
+        "pdlp.py", "placement.py",
     ):
         assert module in scanned, module
 
@@ -176,10 +177,33 @@ def test_launch_rule_allows_plan_emit(tmp_path):
 
 
 def test_launch_rule_covers_every_gpu_backend():
-    names = {os.path.basename(p) for p in lint.GPU_BACKENDS}
-    assert names == {
+    names = {os.path.basename(p) for p in map(str, lint.launch_rule_modules())}
+    for module in (
         "gpu_revised_simplex.py", "gpu_tableau_simplex.py",
-        "gpu_bounded_simplex.py", "gpu_sparse_simplex.py", "gpu.py",
-    }
-    for p in lint.GPU_BACKENDS:
+        "gpu_bounded_simplex.py", "gpu_sparse_simplex.py",
+        "pdlp.py", "placement.py",
+    ):
+        assert module in names, module
+    # the shared kernel modules are the one exemption
+    assert "gpu_kernels.py" not in names
+    for p in lint.SHARED_KERNEL_MODULES:
         assert (lint.REPO / p).exists(), p
+
+
+def test_launch_rule_catches_a_new_backend_module(tmp_path, monkeypatch):
+    # a backend module nobody listed anywhere is still checked
+    tree = tmp_path / "src" / "repro" / "firstorder"
+    tree.mkdir(parents=True)
+    (tree / "new_backend.py").write_text(
+        textwrap.dedent(
+            """
+            def hot_loop(dev, body, cost):
+                dev.launch("my_kernel", body, cost)
+            """
+        )
+    )
+    monkeypatch.setattr(lint, "REPO", tmp_path)
+    violations = lint.run()
+    assert len(violations) == 1
+    assert "new_backend.py" in violations[0]
+    assert "Device.launch" in violations[0]

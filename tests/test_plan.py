@@ -586,6 +586,21 @@ class TestPrecision:
         with pytest.raises(SolverError):
             solve(lp, method=method, precision="mixed")
 
+    @pytest.mark.parametrize(
+        "method", ["gpu-revised-sparse", "gpu-revised-bounded", "gpu-pdlp"]
+    )
+    def test_unsupported_mixed_raises_on_direct_construction(self, method):
+        # the device preamble rejects it without going through the façade
+        from repro.engine.registry import METHODS
+        from repro.simplex.options import SolverOptions
+
+        lp = random_sparse_lp(16, 24, density=0.2, seed=0)
+        if method == "gpu-revised-bounded":
+            lp = _bounded_lp(6, seed=0)
+        solver = METHODS[method].factory(SolverOptions(precision="mixed"), None)
+        with pytest.raises(SolverError, match="does not support mixed precision"):
+            solver.solve(lp)
+
 
 # ---------------------------------------------------------------------------
 # registry flags and façade validation

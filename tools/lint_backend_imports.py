@@ -13,14 +13,17 @@ refactor removed.
 
 Checked trees: ``src/repro/simplex/*.py`` (CPU methods),
 ``src/repro/core/*.py`` (GPU methods) and ``src/repro/firstorder/*.py``
-(the PDHG backends).
+(the PDHG backend and its placements).
 
-**Launch rule.**  The GPU solver backends must issue device work through
-the launch-plan layer — :mod:`repro.gpu.blas`, the shared kernel modules,
-or :func:`repro.gpu.plan.emit` for backend-owned kernels — never by
-calling ``Device.launch`` directly.  A direct launch would be invisible to
-the planner (no capture, no fusion, no plan-level accounting), silently
-splitting the execution path the launch-plan refactor unified.
+**Launch rule.**  Backend modules must issue device work through the
+launch-plan layer — :mod:`repro.gpu.blas`, the shared kernel modules, or
+:func:`repro.gpu.plan.emit` for backend-owned kernels — never by calling
+``Device.launch`` directly.  A direct launch would be invisible to the
+planner (no capture, no fusion, no plan-level accounting), silently
+splitting the execution path the launch-plan refactor unified.  The rule
+covers every module of the backend trees, so a new backend is checked
+the moment it exists; only the shared kernel modules listed in
+``SHARED_KERNEL_MODULES`` (the kernels the plan layer wraps) are exempt.
 
 **Serve rule.**  Serving modules (``src/repro/serve/*.py``) may not import
 ``repro.trace`` or ``repro.obs``, and may touch the metrics (and span)
@@ -57,16 +60,9 @@ BACKEND_DIRS = ("src/repro/simplex", "src/repro/core", "src/repro/firstorder")
 #: Directories holding serving modules (metrics via the façade only).
 SERVE_DIRS = ("src/repro/serve",)
 
-#: GPU solver backend modules: all device work goes through the plan layer
-#: (repro.gpu.blas / shared kernels / repro.gpu.plan.emit), never
-#: Device.launch directly.
-GPU_BACKENDS = (
-    "src/repro/core/gpu_revised_simplex.py",
-    "src/repro/core/gpu_tableau_simplex.py",
-    "src/repro/core/gpu_bounded_simplex.py",
-    "src/repro/core/gpu_sparse_simplex.py",
-    "src/repro/firstorder/gpu.py",
-)
+#: Shared kernel modules: the only backend-tree modules that may call
+#: Device.launch directly (every other module emits through the plan layer).
+SHARED_KERNEL_MODULES = ("src/repro/core/gpu_kernels.py",)
 
 #: The one metrics module serve code may import from.
 SERVE_ALLOWED = "repro.metrics.instrument"
@@ -140,6 +136,17 @@ def check_launches(path: Path) -> list[str]:
     return violations
 
 
+def launch_rule_modules() -> list[Path]:
+    """Every backend module the launch rule applies to."""
+    exempt = {REPO / p for p in SHARED_KERNEL_MODULES}
+    return [
+        path
+        for dirname in BACKEND_DIRS
+        for path in sorted((REPO / dirname).glob("*.py"))
+        if path not in exempt
+    ]
+
+
 def run() -> list[str]:
     violations: list[str] = []
     for dirname in BACKEND_DIRS:
@@ -148,8 +155,8 @@ def run() -> list[str]:
     for dirname in SERVE_DIRS:
         for path in sorted((REPO / dirname).glob("*.py")):
             violations.extend(check_file(path, serve=True))
-    for filename in GPU_BACKENDS:
-        violations.extend(check_launches(REPO / filename))
+    for path in launch_rule_modules():
+        violations.extend(check_launches(path))
     return violations
 
 
