@@ -21,19 +21,23 @@
 # asserts the fp64 results are bit-identical while the fused run issues
 # strictly fewer kernel launches, and checks mixed precision recovers the
 # fp64 objective.
+# `make batch-smoke` solves 8 small LPs as one lockstep batch and asserts
+# per-LP objectives match solo solves, a one-LP batch reproduces its solo
+# clock, and lockstep beats the stream-interleaved makespan.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the trace,
-# sparse, serve, pdlp, obs and fuse smokes + the metrics regression gate.
+# sparse, serve, pdlp, obs, fuse and batch smokes + the metrics regression
+# gate.
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 METRICS_BASELINE := benchmarks/baselines/metrics-smoke.json
 
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
-	obs-smoke fuse-smoke metrics-smoke gate gate-baseline bench bench-batch \
-	lint verify
+	obs-smoke fuse-smoke batch-smoke metrics-smoke gate gate-baseline bench \
+	bench-batch lint verify
 
 test:  ## tier-1: the full test suite
 	$(PYTHONPATH_SRC) python -m pytest -x -q
@@ -42,7 +46,7 @@ lint:  ## architecture lint: backend/serve import layering rules
 	python tools/lint_backend_imports.py
 
 verify: test lint trace-smoke sparse-smoke serve-smoke pdlp-smoke obs-smoke \
-	fuse-smoke gate  ## pre-commit: tests + lint + smokes + gate
+	fuse-smoke batch-smoke gate  ## pre-commit: tests + lint + smokes + gate
 
 test-batch:  ## fast smoke: batch subsystem tests only
 	$(PYTHONPATH_SRC) python -m pytest -x -q -k "batch"
@@ -126,6 +130,9 @@ obs-smoke:  ## end-to-end: spans on -> attribution exact -> Chrome validates
 
 fuse-smoke:  ## end-to-end: fused == unfused bit-identical, fewer launches
 	$(PYTHONPATH_SRC) python tools/fuse_smoke.py
+
+batch-smoke:  ## end-to-end: lockstep batch == solo answers, beats interleaving
+	$(PYTHONPATH_SRC) python tools/batch_smoke.py
 
 metrics-smoke:  ## end-to-end: smoke workload -> Prometheus text -> validate
 	$(PYTHONPATH_SRC) python -m repro metrics --format prometheus \

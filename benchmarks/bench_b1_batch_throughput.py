@@ -29,3 +29,7 @@ def test_b1_batch_throughput(benchmark, batch_sizes):
     # throughput grows with batch size: the fixed costs amortize and the
     # device fills up
     assert conc_lps[-1] > conc_lps[0]
+    # the lockstep batched simplex beats stream interleaving once the
+    # batch is large enough for its shared launches to matter
+    lockstep_ms = table.column("batch lockstep ms")
+    assert lockstep_ms[-1] < conc_ms[-1]

@@ -10,8 +10,10 @@ line of work (Gurung & Ray, arXiv:1802.08557 and arXiv:1609.08114).
 
 - :func:`solve_batch` — solve N independent LPs with any registered method;
   ``schedule="sequential"`` runs them back to back, ``"concurrent"``
-  interleaves the per-LP kernel launch streams to model GPU stream overlap
-  (see :mod:`repro.batch.scheduler` for the makespan model).
+  interleaves the per-LP kernel launch streams to model GPU stream overlap,
+  and ``"concurrent"`` with ``batch_gemv=True`` prices the batch as one
+  lockstep batched simplex that issues each shared launch once for all
+  LPs (see :mod:`repro.batch.scheduler` for the makespan models).
 - :func:`solve_batch_chain` — a re-optimization stream: each LP warm-starts
   from the previous optimal basis (perturbed-rhs scenario sweeps).
 
@@ -36,6 +38,7 @@ from typing import Sequence
 from repro.batch.results import BatchItem, BatchResult
 from repro.batch.scheduler import (
     ConcurrentSchedule,
+    LockstepSchedule,
     LPTimeline,
     ScheduleOutcome,
     SequentialSchedule,
@@ -63,6 +66,7 @@ __all__ = [
     "ScheduleOutcome",
     "SequentialSchedule",
     "ConcurrentSchedule",
+    "LockstepSchedule",
     "make_schedule",
     "DEFAULT_CONTEXT_SETUP_SECONDS",
     "GPU_METHODS",
@@ -141,10 +145,12 @@ def solve_batch(
     n_streams:
         Streams (GPU) / workers (CPU) for the concurrent schedule.
     batch_gemv:
-        Concurrent GPU batches only: merge the streams' GEMV/SpMV launches
-        into one batched launch per dispatch round
-        (:data:`~repro.batch.scheduler.BATCHABLE_KERNELS`), shrinking the
-        launch-serialization bound; per-LP results are unchanged.
+        Concurrent GPU batches only: price the batch as a lockstep batched
+        simplex (:class:`~repro.batch.scheduler.LockstepSchedule`), which
+        issues each launch the LPs share at a step once over all of them.
+        Raises :class:`SolverError` with ``n_streams``, with
+        ``schedule="sequential"`` or with a host method.  Per-LP results
+        are unchanged.
     device:
         Share an existing simulated device (it is reset per solve).  A new
         one with ``gpu_params`` is created otherwise.
@@ -161,14 +167,27 @@ def solve_batch(
 
     problems = _check_problems(problems)
     _check_method(method)
-    sched = make_schedule(schedule, n_streams=n_streams, batch_gemv=batch_gemv)
+    sched = make_schedule(schedule, n_streams=n_streams)
     on_gpu = method in GPU_METHODS
+    if batch_gemv:
+        if schedule != "concurrent":
+            raise SolverError("batch_gemv needs schedule='concurrent'")
+        if n_streams is not None:
+            raise SolverError(
+                "batch_gemv runs the batch in lockstep on one stream; "
+                "drop n_streams"
+            )
+        if not on_gpu:
+            raise SolverError(
+                f"batch_gemv needs a device method, not {method!r}"
+            )
 
     dev: Device | None = None
     if on_gpu:
         dev = device if device is not None else Device(gpu_params)
         dev.record_timeline()
 
+    lockstep = LockstepSchedule(dev.model) if batch_gemv else None
     t_wall = time.perf_counter()
     items: list[BatchItem] = []
     timelines: list[LPTimeline] = []
@@ -179,9 +198,10 @@ def solve_batch(
         )
         items.append(BatchItem(index=i, name=_item_name(problem, i), result=result))
         if on_gpu:
-            timelines.append(
-                LPTimeline.from_events(i, list(dev.timeline or ()), dev.params)
-            )
+            events = list(dev.timeline or ())
+            timelines.append(LPTimeline.from_events(i, events, dev.params))
+            if lockstep is not None:
+                lockstep.add(events)
         else:
             timelines.append(
                 LPTimeline.from_modeled_seconds(
@@ -190,14 +210,17 @@ def solve_batch(
             )
     wall = time.perf_counter() - t_wall
 
-    outcome = sched.plan(timelines, params=dev.params if on_gpu else None)
-    record_batch(schedule, outcome, timelines)
-    obs_batch_schedule(schedule, outcome, timelines)
+    if lockstep is not None:
+        outcome = lockstep.plan()
+    else:
+        outcome = sched.plan(timelines, params=dev.params if on_gpu else None)
+    record_batch(outcome.schedule, outcome, timelines)
+    obs_batch_schedule(outcome.schedule, outcome, timelines)
     if context_seconds is None:
         context_seconds = DEFAULT_CONTEXT_SETUP_SECONDS if on_gpu else 0.0
     return BatchResult(
         method=method,
-        schedule=schedule,
+        schedule=outcome.schedule,
         items=items,
         outcome=outcome,
         context_seconds=context_seconds,

@@ -46,12 +46,21 @@ Concurrent *kernel* execution across streams is a Fermi-and-later ability
 batched launch, as the cited papers do); the schedule is therefore labeled
 *reconstructed* in EXPERIMENTS.md, like the other beyond-paper experiments.
 
-``ConcurrentSchedule(batch_gemv=True)`` additionally models that fused
-batched launch for the GEMV/SpMV kernels every iteration issues
-(:data:`BATCHABLE_KERNELS`): each dispatch round merges one pending
-matrix-vector launch from every stream into a single launch, which removes
-host launch overhead (the launch-serialization bound) without changing any
-LP's compute or memory traffic.
+- :class:`LockstepSchedule` — that GT200 answer: a *lockstep batched
+  simplex*.  The LPs run as one program of steps; a step is the stretch of
+  device work between two host transfers (where the host reads a pivot
+  choice back or writes data in).  At each step the LPs whose step issues
+  the same launches (kind, name, dtype, block, threads per event) form a
+  group, and the group issues each launch *once* over all its members:
+  one :class:`~repro.perfmodel.ops.OpCost` summing their flops, bytes and
+  threads (:meth:`OpCost.stack`), one launch overhead, one transfer of
+  their summed bytes.  Groups with different launches at the same step
+  run one after another; an LP that has finished drops out.  Every merged
+  event is priced by :func:`~repro.gpu.device.event_seconds`, the rule
+  the device charges, so a one-LP batch reproduces the solo clock exactly
+  and any gain comes from the cost model's device fill and the launches
+  and transfer latencies no longer paid per LP.  The makespan is the clock
+  of that sequential program, not a bound.
 """
 
 from __future__ import annotations
@@ -60,24 +69,13 @@ import dataclasses
 from typing import Sequence
 
 from repro.errors import SolverError
-from repro.gpu.device import TimelineEvent
-from repro.perfmodel.gpu_model import GpuModelParams
+from repro.gpu.device import TimelineEvent, event_seconds
+from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
+from repro.perfmodel.ops import OpCost
 
 #: Event kinds that occupy the PCIe copy engine; everything else runs on
 #: the device itself (kernels and device-to-device copies).
 _COPY_KINDS = frozenset({"htod", "dtoh"})
-
-#: Kernel names eligible for cross-LP batching: the dense/sparse
-#: matrix-vector products every simplex pricing step and every PDHG
-#: iteration issues.  When several streams each have one of these queued in
-#: a dispatch window, the host can issue them as a *single* batched-GEMV
-#: launch (one grid, one launch overhead) — the trick the batched-LP papers
-#: use on pre-Fermi hardware where streams cannot co-run kernels.  The
-#: per-LP compute and memory traffic is unchanged; only the launch
-#: serialization on the host shrinks.
-BATCHABLE_KERNELS = frozenset(
-    {"blas.gemv", "blas.gemv_t", "sparse.spmv_csr", "sparse.spmv_csc_t"}
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,10 +93,6 @@ class LPTimeline:
     device_seconds: float
     busy_seconds: float
     total_seconds: float
-    #: How many of ``kernel_launches`` are standalone GEMV/SpMV launches
-    #: (:data:`BATCHABLE_KERNELS`) that a concurrent schedule may merge
-    #: across LPs into one batched launch per dispatch round.
-    batchable_launches: int = 0
 
     @staticmethod
     def from_events(
@@ -108,7 +102,6 @@ class LPTimeline:
     ) -> "LPTimeline":
         """Collapse one solve's device timeline into scheduling totals."""
         launches = 0
-        batchable = 0
         transfer = 0.0
         device = 0.0
         busy = 0.0
@@ -120,8 +113,6 @@ class LPTimeline:
                 device += ev.seconds
                 if ev.kind == "kernel":
                     launches += 1
-                    if ev.name in BATCHABLE_KERNELS:
-                        batchable += 1
                     util = max(
                         params.min_fill,
                         min(1.0, max(ev.threads, 1) / capacity),
@@ -136,7 +127,6 @@ class LPTimeline:
             device_seconds=device,
             busy_seconds=busy,
             total_seconds=transfer + device,
-            batchable_launches=batchable,
         )
 
     @staticmethod
@@ -166,12 +156,9 @@ class ScheduleOutcome:
     binding_resource: str
     #: Every modeled bound, for reporting (name -> seconds).
     bounds: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Launches eliminated by cross-LP GEMV batching (0 unless the
-    #: schedule ran with ``batch_gemv=True`` on a GPU batch).
+    #: Launches the lockstep schedule merged away: the members' solo
+    #: launches minus the launches it issues (0 for the other schedules).
     batched_launches_saved: int = 0
-    #: Host launch-overhead seconds those merges removed from the
-    #: launch-serialization bound.
-    batching_saved_seconds: float = 0.0
 
     @property
     def speedup_vs_sequential(self) -> float:
@@ -214,14 +201,6 @@ class ConcurrentSchedule:
     copy_compute_overlap:
         Whether PCIe transfers hide under kernel execution (async copy
         engine).  On for the modeled GT200-class devices.
-    batch_gemv:
-        Merge the streams' standalone GEMV/SpMV launches
-        (:data:`BATCHABLE_KERNELS`) into one batched launch per dispatch
-        round.  Each round retires at most one batchable launch from every
-        stream, so the rounds needed equal the *largest* per-stream
-        batchable count; the difference to the total batchable count is
-        launches the host never issues, shrinking the launch-serialization
-        bound.  Compute and memory traffic are per-LP and unchanged.
     """
 
     name = "concurrent"
@@ -232,13 +211,11 @@ class ConcurrentSchedule:
         self,
         n_streams: int | None = None,
         copy_compute_overlap: bool = True,
-        batch_gemv: bool = False,
     ):
         if n_streams is not None and n_streams < 1:
             raise SolverError("n_streams must be >= 1")
         self.n_streams = n_streams
         self.copy_compute_overlap = copy_compute_overlap
-        self.batch_gemv = batch_gemv
 
     def plan(
         self,
@@ -258,11 +235,9 @@ class ConcurrentSchedule:
 
         stream_path = [0.0] * streams
         stream_device = [0.0] * streams
-        stream_batchable = [0] * streams
         for tl in timelines:  # round-robin assignment, launch order = index
             stream_path[tl.index % streams] += tl.total_seconds
             stream_device[tl.index % streams] += tl.device_seconds
-            stream_batchable[tl.index % streams] += tl.batchable_launches
 
         transfer = sum(tl.transfer_seconds for tl in timelines)
         sequential = sum(tl.total_seconds for tl in timelines)
@@ -270,18 +245,6 @@ class ConcurrentSchedule:
         busy = sum(tl.busy_seconds for tl in timelines) / capacity
         launch_overhead = params.launch_overhead if params is not None else 0.0
         launches = sum(tl.kernel_launches for tl in timelines)
-
-        # Cross-LP GEMV batching: per dispatch round the host merges one
-        # batchable launch from each stream into a single batched launch,
-        # so the rounds needed equal the busiest stream's batchable count
-        # and every launch beyond that is one the host never issues.
-        batching_saved = 0
-        if self.batch_gemv and params is not None and streams > 1:
-            total_batchable = sum(stream_batchable)
-            rounds = max(stream_batchable)
-            batching_saved = total_batchable - rounds
-        launches -= batching_saved
-        batching_saved_seconds = batching_saved * launch_overhead
 
         if self.copy_compute_overlap:
             bounds = {
@@ -322,16 +285,114 @@ class ConcurrentSchedule:
             n_streams=streams,
             binding_resource=binding,
             bounds=bounds,
-            batched_launches_saved=batching_saved,
-            batching_saved_seconds=batching_saved_seconds,
         )
+
+
+class LockstepSchedule:
+    """One lockstep batched program over the LPs' recorded device events.
+
+    See the module docstring.  :meth:`add` folds one LP's
+    :class:`~repro.gpu.device.TimelineEvent` list, as the device recorded
+    it (kernel events carry their cost, dtype and block), into the
+    program: step t of the LP joins the group of step-t members with the
+    same signature, whose merged launches accumulate its costs and bytes.
+    The events themselves are not kept, so the program's size grows with
+    the number of distinct groups, not with the batch.  :meth:`plan` prices
+    the program; nothing is re-run or re-recorded, so the members' solves
+    and their kernel metrics stand as they were.
+    """
+
+    name = "lockstep"
+
+    def __init__(self, model: GpuCostModel):
+        self.model = model
+        #: Per step t: signature -> per position [merged cost, summed bytes].
+        self._program: list[dict[tuple, list[list]]] = []
+        self._sequential = 0.0
+        self._solo_launches = 0
+
+    def add(self, events: Sequence[TimelineEvent]) -> None:
+        """Fold the next LP's device events into the program."""
+        for t, step in enumerate(_steps(events)):
+            if t == len(self._program):
+                self._program.append({})
+            signature = _signature(step)
+            merged = self._program[t].get(signature)
+            if merged is None:
+                self._program[t][signature] = [
+                    [ev.cost, ev.nbytes] for ev in step
+                ]
+                continue
+            for slot, ev in zip(merged, step):
+                if ev.cost is not None:
+                    slot[0] = OpCost.stack(slot[0], ev.cost)
+                slot[1] += ev.nbytes
+        clock = 0.0  # added in issue order, as the device adds them
+        for ev in events:
+            clock += ev.seconds
+            if ev.kind == "kernel":
+                self._solo_launches += 1
+        self._sequential += clock
+
+    def plan(self) -> ScheduleOutcome:
+        """Run the program: groups of a step in order of their first
+        member, each merged launch or transfer priced by
+        :func:`~repro.gpu.device.event_seconds` on one clock."""
+        clock = 0.0
+        transfer = 0.0
+        launches = 0
+        for groups in self._program:
+            for signature, merged in groups.items():
+                for (kind, name, dtype, block, _), (cost, nbytes) in zip(
+                    signature, merged
+                ):
+                    seconds = event_seconds(
+                        self.model, kind, name, nbytes=nbytes, cost=cost,
+                        dtype=dtype, block=block,
+                    )
+                    clock += seconds
+                    if kind in _COPY_KINDS:
+                        transfer += seconds
+                    elif kind == "kernel":
+                        launches += 1
+        return ScheduleOutcome(
+            schedule=self.name,
+            makespan_seconds=clock,
+            sequential_seconds=self._sequential,
+            transfer_seconds=transfer,
+            n_streams=1,
+            binding_resource="stream-critical-path",
+            bounds={"stream-critical-path": clock},
+            batched_launches_saved=self._solo_launches - launches,
+        )
+
+
+def _steps(events: Sequence[TimelineEvent]) -> list[list[TimelineEvent]]:
+    """Cut one LP's events into steps, each ending at a host transfer."""
+    steps: list[list[TimelineEvent]] = []
+    cur: list[TimelineEvent] = []
+    for ev in events:
+        cur.append(ev)
+        if ev.kind in _COPY_KINDS:
+            steps.append(cur)
+            cur = []
+    if cur:
+        steps.append(cur)
+    return steps
+
+
+def _signature(step: Sequence[TimelineEvent]) -> tuple:
+    """What a lockstep kernel needs to match to run a step for several LPs
+    at once: per event its kind, name, dtype, block and thread count."""
+    return tuple(
+        (ev.kind, ev.name, ev.dtype, ev.block, ev.threads) for ev in step
+    )
 
 
 def make_schedule(
     name: str,
     n_streams: int | None = None,
     copy_compute_overlap: bool = True,
-    batch_gemv: bool = False,
 ) -> "SequentialSchedule | ConcurrentSchedule":
     """Instantiate a schedule by option name (``solve_batch``'s ``schedule``)."""
     if name == "sequential":
@@ -340,7 +401,6 @@ def make_schedule(
         return ConcurrentSchedule(
             n_streams=n_streams,
             copy_compute_overlap=copy_compute_overlap,
-            batch_gemv=batch_gemv,
         )
     raise SolverError(
         f"unknown schedule {name!r}; available: ['concurrent', 'sequential']"

@@ -797,8 +797,10 @@ def b1_batch_throughput(
 
     Compares, per batch size B: a loop of B independent solo solves (each
     paying the one-time context setup), the batch under the sequential
-    schedule (context paid once), and the batch under the concurrent
-    schedule (stream-interleaved kernel launches).  The direction of
+    schedule (context paid once), the batch under the concurrent
+    schedule (stream-interleaved kernel launches), and the batch as one
+    lockstep batched simplex (``batch_gemv=True``: each launch the LPs
+    share at a step issued once for all of them).  The direction of
     Gurung & Ray (arXiv:1802.08557, arXiv:1609.08114): many small LPs
     cannot individually fill a GPU, so solving them together is where the
     hardware pays off.  *Reconstructed* — the source paper solves one LP
@@ -811,7 +813,8 @@ def b1_batch_throughput(
         Table(
             [
                 "batch", "solo loop ms", "batch seq ms", "batch conc ms",
-                "conc speedup", "solo LPs/s", "conc LPs/s", "binding",
+                "batch lockstep ms", "conc speedup", "solo LPs/s",
+                "conc LPs/s", "binding",
             ]
         )
     )
@@ -833,11 +836,16 @@ def b1_batch_throughput(
             problems, method="gpu-revised", schedule="concurrent",
             dtype=BENCH_DTYPE,
         )
+        lockstep = solve_batch(
+            problems, method="gpu-revised", schedule="concurrent",
+            batch_gemv=True, dtype=BENCH_DTYPE,
+        )
         t.add_row(
             b,
             solo * 1e3,
             seq.modeled_seconds * 1e3,
             conc.modeled_seconds * 1e3,
+            lockstep.modeled_seconds * 1e3,
             seq.modeled_seconds / conc.modeled_seconds,
             b / solo,
             conc.throughput_lps,

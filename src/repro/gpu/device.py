@@ -30,7 +30,7 @@ from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TimelineEvent:
     """One entry of the optional device timeline (see
     :meth:`Device.record_timeline`).
@@ -47,8 +47,15 @@ class TimelineEvent:
     set it; the device serialises work, so their starts are head-to-tail.
     The Chrome exporter (:mod:`repro.trace.chrome`) and the serve
     attribution place events at ``start``.  Events built by hand as
-    :mod:`repro.batch.scheduler` inputs may leave it ``None``: the
-    scheduler reads only kinds, durations and sizes.
+    :class:`~repro.batch.scheduler.LPTimeline` inputs may leave it
+    ``None``: those totals read only kinds, durations and sizes.
+
+    Kernel events (memsets included) also carry what the device priced
+    them from — their ``cost``, ``dtype`` and launch ``block`` — so the
+    lockstep batch schedule (:class:`~repro.batch.scheduler.LockstepSchedule`)
+    can merge the same launch of several LPs into one and price it with
+    :func:`event_seconds`, the rule the device itself charges.  Transfers
+    leave them unset.
     """
 
     kind: str
@@ -57,6 +64,38 @@ class TimelineEvent:
     threads: int = 0
     nbytes: int = 0
     start: "float | None" = None
+    cost: "OpCost | None" = None
+    dtype: "np.dtype | None" = None
+    block: int = 0
+
+
+def event_seconds(
+    model: GpuCostModel,
+    kind: str,
+    name: str,
+    *,
+    nbytes: int = 0,
+    cost: "OpCost | None" = None,
+    dtype: "np.dtype | None" = None,
+    block: int = DEFAULT_BLOCK,
+) -> float:
+    """Modeled seconds of one device event of ``kind``.
+
+    The one pricing rule of the device: :class:`Device` charges every
+    launch, memset and transfer with it, and the lockstep batch schedule
+    re-applies it to merged events, so the two cannot drift.  Kernels cost
+    :meth:`~GpuCostModel.kernel_time` of their ``cost``; a memset writes
+    ``nbytes`` once (half a device-to-device copy); ``dtod`` copies cost
+    :meth:`~GpuCostModel.dtod_time` and PCIe transfers
+    :meth:`~GpuCostModel.transfer_time` of ``nbytes``.
+    """
+    if kind == "kernel":
+        if name == "memset":  # write-only traffic
+            return model.dtod_time(nbytes) / 2.0
+        return model.kernel_time(cost, dtype, block)
+    if kind == "dtod":
+        return model.dtod_time(nbytes)
+    return model.transfer_time(nbytes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,20 +252,20 @@ class Device:
             )
         arr._check_live()
         arr.data.fill(value)
-        seconds = self.model.dtod_time(arr.nbytes) / 2.0  # write-only traffic
+        seconds = event_seconds(self.model, "kernel", "memset", nbytes=arr.nbytes)
         self._advance(seconds)
         cost = OpCost(bytes_written=arr.nbytes, threads=max(1, arr.size))
         self.stats.record_kernel("memset", seconds, cost)
         _metrics.record_kernel_launch(
-            "memset", seconds, cost,
-            self.model.fill_factor(cost.threads, DEFAULT_BLOCK),
+            "memset", seconds, cost, self.model, DEFAULT_BLOCK
         )
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
                     "kernel", "memset", seconds,
-                    threads=max(1, arr.size), nbytes=arr.nbytes,
+                    threads=cost.threads, nbytes=arr.nbytes,
                     start=self.clock - seconds,
+                    cost=cost, dtype=arr.dtype, block=DEFAULT_BLOCK,
                 )
             )
 
@@ -297,18 +336,20 @@ class Device:
             )
             return
         body()
-        seconds = self.model.kernel_time(cost, np.dtype(dtype), cfg.block)
+        dtype = np.dtype(dtype)
+        seconds = event_seconds(
+            self.model, "kernel", name, cost=cost, dtype=dtype, block=cfg.block
+        )
         self._advance(seconds)
         self.stats.record_kernel(name, seconds, cost)
-        _metrics.record_kernel_launch(
-            name, seconds, cost, self.model.fill_factor(cost.threads, cfg.block)
-        )
+        _metrics.record_kernel_launch(name, seconds, cost, self.model, cfg.block)
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
                     "kernel", name, seconds,
                     threads=cost.threads, nbytes=int(cost.bytes_total),
                     start=self.clock - seconds,
+                    cost=cost, dtype=dtype, block=cfg.block,
                 )
             )
 
@@ -343,15 +384,13 @@ class Device:
                 "have not executed yet, so a transfer here would read or "
                 "write stale device data — end the plan section first"
             )
+        seconds = event_seconds(self.model, direction, "transfer", nbytes=nbytes)
         if direction == "dtod":
-            seconds = self.model.dtod_time(nbytes)
             self.stats.dtod_bytes += nbytes
+        elif direction == "htod":
+            self.stats.htod_bytes += nbytes
         else:
-            seconds = self.model.transfer_time(nbytes)
-            if direction == "htod":
-                self.stats.htod_bytes += nbytes
-            else:
-                self.stats.dtoh_bytes += nbytes
+            self.stats.dtoh_bytes += nbytes
         self.stats.transfer_seconds += seconds
         self._advance(seconds)
         _metrics.record_transfer(direction, nbytes, seconds)

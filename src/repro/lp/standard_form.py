@@ -175,6 +175,14 @@ class StandardFormLP:
         return out
 
 
+def column_entries(cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per column ``j < n``, the triplet positions ``k`` with
+    ``cols[k] == j``, in increasing order."""
+    order = np.argsort(cols, kind="stable")
+    counts = np.bincount(cols, minlength=n)
+    return np.split(order, np.cumsum(counts)[:-1])
+
+
 def to_standard_form(
     problem: LPProblem, *, range_bounds_as_rows: bool = True
 ) -> StandardFormLP:
@@ -213,10 +221,8 @@ def to_standard_form(
     upper = problem.bounds.upper
 
     # Dense per-column views are needed for the b adjustments of shifts and
-    # reflections; build them lazily from the triplets.
-    col_entries: list[list[int]] = [[] for _ in range(n)]
-    for k in range(cols.size):
-        col_entries[int(cols[k])].append(k)
+    # reflections; build them from the triplets.
+    col_entries = column_entries(cols, n)
 
     transforms: list[VariableTransform] = []
     new_cols_c: list[float] = []
@@ -277,8 +283,7 @@ def to_standard_form(
     new_vals = [np.where(negate_col[cols], -vals, vals)]
     for j, cn in split_cols:
         ks = col_entries[j]
-        if ks:
-            ks = np.asarray(ks, dtype=np.int64)
+        if ks.size:
             new_rows.append(rows[ks])
             new_cols.append(np.full(len(ks), cn, dtype=np.int64))
             new_vals.append(-vals[ks])

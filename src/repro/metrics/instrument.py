@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checkers only
     from repro.batch.scheduler import LPTimeline, ScheduleOutcome
     from repro.obs.attribution import AttributionReport
     from repro.obs.span import ObsRecording
+    from repro.perfmodel.gpu_model import GpuCostModel
     from repro.perfmodel.ops import OpCost
     from repro.result import SolveResult
 
@@ -58,10 +59,16 @@ SERVE_LATENCY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def record_kernel_launch(
-    name: str, seconds: float, cost: "OpCost", occupancy: float
+    name: str,
+    seconds: float,
+    cost: "OpCost",
+    model: "GpuCostModel",
+    block: int,
 ) -> None:
     """One kernel launch: time/launch/flop/byte totals by kernel name, plus
-    modeled occupancy and coalescing efficiency from the cost model."""
+    modeled occupancy and coalescing efficiency from the cost model.  The
+    occupancy is computed here, behind the registry check, so a launch
+    with metrics off never pays for it."""
     reg = active()
     if reg is None:
         return
@@ -84,7 +91,7 @@ def record_kernel_launch(
     reg.histogram(
         "repro_gpu_kernel_occupancy",
         "Modeled device-fill factor per kernel launch (cost model).",
-    ).observe(occupancy)
+    ).observe(model.fill_factor(cost.threads, block))
     reg.histogram(
         "repro_gpu_kernel_coalesced_fraction",
         "Coalesced fraction of each launch's memory traffic (cost model).",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class OpCost:
     """Physical cost of one operation, independent of the machine.
 
@@ -122,6 +122,19 @@ class OpCost:
             threads=max(c.threads for c in costs),
             coalesced_fraction=min(1.0, max(0.0, coalesced)),
             divergent_fraction=min(1.0, max(0.0, divergent)),
+        )
+
+    @classmethod
+    def stack(cls, *costs: "OpCost") -> "OpCost":
+        """Compose the costs of independent ops run side by side in **one**
+        launch — the same kernel over several problems at once.
+
+        Unlike :meth:`fuse` the parts occupy different threads, so
+        ``threads`` sums along with flops and bytes; access-pattern quality
+        is weighted as in :meth:`fuse`.
+        """
+        return dataclasses.replace(
+            cls.fuse(*costs), threads=sum(c.threads for c in costs)
         )
 
 

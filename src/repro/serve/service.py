@@ -99,10 +99,6 @@ class ServeConfig:
     #: Kernel-fusion lowering of every job's solve (``SolverOptions.fusion``,
     #: on by default; ``False`` is the op-by-op ablation baseline).
     fusion: bool = True
-    #: Merge the dispatch window's GEMV/SpMV launches across streams into
-    #: batched launches (:class:`~repro.batch.scheduler.ConcurrentSchedule`
-    #: ``batch_gemv``).
-    batch_gemv: bool = False
     #: Optional cap on a window's *predicted* makespan: stop filling once
     #: the predictor expects this many busy seconds (None = fill streams).
     target_batch_seconds: float | None = None
@@ -487,9 +483,9 @@ class LPServer:
                     record_chain_break(job.method)
 
         streams = min(len(window), dev.n_streams)
-        outcome = ConcurrentSchedule(
-            n_streams=streams, batch_gemv=self.config.batch_gemv
-        ).plan(timelines, params=dev.params if self.on_gpu else None)
+        outcome = ConcurrentSchedule(n_streams=streams).plan(
+            timelines, params=dev.params if self.on_gpu else None
+        )
         makespan = outcome.makespan_seconds
 
         # Per-job finish times: each stream lane is dependency-ordered, so

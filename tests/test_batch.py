@@ -286,6 +286,98 @@ class TestSolveBatch:
 
 
 # ---------------------------------------------------------------------------
+# solve_batch(..., batch_gemv=True): the lockstep batched simplex
+# ---------------------------------------------------------------------------
+
+
+def _lockstep(problems, **kw):
+    return solve_batch(
+        problems, method="gpu-revised", schedule="concurrent",
+        batch_gemv=True, **kw,
+    )
+
+
+class TestLockstep:
+    def test_one_lp_makespan_is_the_solo_clock(self, workload):
+        batch = _lockstep(workload[:1])
+        solo = solve(workload[0], method="gpu-revised")
+        assert batch.outcome.makespan_seconds == solo.timing.modeled_seconds
+        assert batch.outcome.sequential_seconds == solo.timing.modeled_seconds
+        assert batch.outcome.batched_launches_saved == 0
+
+    def test_copies_issue_the_solo_launch_count(self, workload):
+        solo = solve(workload[0], method="gpu-revised")
+        launches = solo.extra["kernel_launches"]
+        batch = _lockstep([workload[0]] * 5)
+        # every step of every copy merges: B x solo launches become solo
+        assert batch.outcome.batched_launches_saved == 4 * launches
+        assert batch.outcome.makespan_seconds < solo.timing.modeled_seconds * 5
+
+    def test_outcome_shape(self, workload):
+        batch = _lockstep(workload)
+        out = batch.outcome
+        assert out.schedule == batch.schedule == "lockstep"
+        assert out.n_streams == 1
+        assert out.binding_resource == "stream-critical-path"
+        assert out.bounds == {"stream-critical-path": out.makespan_seconds}
+        assert 0.0 < out.transfer_seconds < out.makespan_seconds
+        assert out.makespan_seconds < out.sequential_seconds
+        assert "lockstep" in batch.summary()
+
+    def test_results_match_solo_solves(self, workload):
+        batch = _lockstep(workload)
+        for item, lp in zip(batch.items, workload):
+            solo = solve(lp, method="gpu-revised")
+            assert item.result.objective == solo.objective
+            assert (
+                item.result.timing.modeled_seconds
+                == solo.timing.modeled_seconds
+            )
+
+    def test_kernel_metrics_counted_once(self, workload):
+        """Pricing the lockstep program records no launches of its own."""
+        from repro import metrics
+
+        with metrics.collecting() as reg:
+            batch = _lockstep(workload[:3])
+            snap = reg.snapshot()
+        series = snap["metrics"]["repro_gpu_kernel_launches_total"]["series"]
+        assert sum(e["value"] for e in series) == sum(
+            it.result.extra["kernel_launches"] for it in batch
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"schedule": "sequential"}, "schedule='concurrent'"),
+            ({"schedule": "concurrent", "n_streams": 2}, "n_streams"),
+            ({"schedule": "concurrent", "method": "revised"}, "device method"),
+        ],
+        ids=["sequential", "n_streams", "host-method"],
+    )
+    def test_rejected_combinations(self, workload, kwargs, match):
+        with pytest.raises(SolverError, match=match):
+            solve_batch(workload[:2], batch_gemv=True, **kwargs)
+
+    def test_beats_the_unbatched_concurrent_schedule(self):
+        """8 fp32 random_dense_lp(64, 96): the median lockstep makespan over
+        three batches is below the median stream-interleaved one."""
+        lock, conc = [], []
+        for base in (0, 100, 200):
+            lps = [random_dense_lp(64, 96, seed=base + i) for i in range(8)]
+            lock.append(
+                _lockstep(lps, dtype=np.float32).outcome.makespan_seconds
+            )
+            conc.append(
+                solve_batch(
+                    lps, method="gpu-revised", schedule="concurrent",
+                    dtype=np.float32,
+                ).outcome.makespan_seconds
+            )
+        assert float(np.median(lock)) < float(np.median(conc))
+
+
+# ---------------------------------------------------------------------------
 # solve_batch_chain
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,8 @@ LPs through ``solve_batch`` — under either schedule — returns, per LP, the
 *exact* status, objective and iteration counts that N independent ``solve()``
 calls return, while the concurrent schedule's aggregate modeled time is
 strictly below the sequential sum.  Batching changes the time accounting,
-never the numerics.
+never the numerics.  The lockstep schedule (``batch_gemv=True``) keeps
+the same contract, and its clock never exceeds the sequential sum.
 
 The second half covers the *scheduler* itself: over arbitrary synthetic
 timelines, the concurrent makespan must dominate every bound it reports,
@@ -13,6 +14,7 @@ dominate the largest single LP, never exceed the sequential makespan, and
 pick its binding resource deterministically under ties.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,42 @@ def test_batching_invariance_random_families(n_lps, m, n, seed, schedule, method
             item.result.iterations.total_iterations
             == solo.iterations.total_iterations
         )
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n_lps=st.integers(1, 6),
+    m=st.integers(3, 12),
+    n=st.integers(3, 12),
+    seed=st.integers(0, 2**31),
+    method=st.sampled_from(["gpu-revised", "gpu-tableau"]),
+    fusion=st.booleans(),
+)
+def test_lockstep_never_slower_and_never_changes_answers(
+    n_lps, m, n, seed, method, fusion
+):
+    """The lockstep program's clock never exceeds the LPs back to back,
+    and every LP's result is bit-identical to its solo solve."""
+    lps = [random_dense_lp(m, n, seed=seed + i) for i in range(n_lps)]
+    batch = solve_batch(
+        lps, method=method, schedule="concurrent", batch_gemv=True,
+        fusion=fusion,
+    )
+    assert batch.outcome.makespan_seconds <= batch.sequential_seconds
+    for item, lp in zip(batch.items, lps):
+        solo = solve(lp, method=method, fusion=fusion)
+        assert item.result.status is solo.status
+        assert item.result.objective == solo.objective
+        assert np.array_equal(item.result.x, solo.x)
+        assert (
+            item.result.iterations.total_iterations
+            == solo.iterations.total_iterations
+        )
+        assert item.result.timing.modeled_seconds == solo.timing.modeled_seconds
 
 
 # ---------------------------------------------------------------------------

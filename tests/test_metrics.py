@@ -454,6 +454,34 @@ class TestInstrumentation:
         )
         assert ties == sum(r.ratio_ties for r in result.trace)
 
+    def test_disabled_launch_skips_occupancy(self, monkeypatch):
+        """Metrics off cost nothing: a zero-flop launch (whose kernel time
+        needs no fill factor) never computes the occupancy histogram's
+        input, while with metrics on it is computed once per launch."""
+        from repro.gpu.device import Device
+        from repro.perfmodel.gpu_model import GpuCostModel
+        from repro.perfmodel.ops import OpCost
+        from repro.perfmodel.presets import GTX280_PARAMS
+
+        calls = []
+        real = GpuCostModel.fill_factor
+
+        def counting(model, threads, block):
+            calls.append(threads)
+            return real(model, threads, block)
+
+        monkeypatch.setattr(GpuCostModel, "fill_factor", counting)
+        dev = Device(GTX280_PARAMS)
+        cost = OpCost(bytes_read=4096.0, threads=1024)
+        metrics.disable()
+        dev.launch("k", lambda: None, cost)
+        dev.memset(dev.alloc(16), 0)
+        assert calls == []
+        with metrics.collecting():
+            dev.launch("k", lambda: None, cost)
+            dev.memset(dev.alloc(16), 0)
+        assert calls == [1024, 16]
+
     def test_disabled_is_a_noop(self, lp):
         reg = MetricsRegistry()
         metrics.disable()

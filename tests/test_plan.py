@@ -11,7 +11,7 @@ The plan layer's two load-bearing promises are checked here at every level:
   the generator families, while launching strictly fewer kernels;
 - **integration**: precision policies (fp32 / fp64 / mixed refinement),
   the engine registry capability flags, the solve() façade validation, and
-  the batch scheduler's cross-LP GEMV batching.
+  the recorded pricing inputs the lockstep batch schedule merges.
 """
 
 from __future__ import annotations
@@ -645,85 +645,71 @@ class TestCapabilityFlags:
 
 
 # ---------------------------------------------------------------------------
-# batch: cross-LP GEMV batching
+# batch: what the lockstep schedule prices from
 # ---------------------------------------------------------------------------
 
 
 class TestBatchGemv:
-    def test_timeline_counts_batchable(self):
-        from repro.batch.scheduler import BATCHABLE_KERNELS, LPTimeline
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_timeline_events_reprice_to_their_seconds(self, fusion):
+        """Each recorded event carries what the device priced it from, and
+        the shared pricing rule gives back exactly the seconds charged."""
+        from repro.gpu.device import event_seconds
 
         dev = make_device()
         dev.record_timeline()
         solve(random_dense_lp(12, 18, seed=0), method="gpu-revised",
-              device=dev)
-        tl = LPTimeline.from_events(0, list(dev.timeline), dev.params)
-        want = sum(
-            1 for ev in dev.timeline
-            if ev.kind == "kernel" and ev.name in BATCHABLE_KERNELS
-        )
-        assert tl.batchable_launches == want > 0
-        assert tl.batchable_launches <= tl.kernel_launches
+              device=dev, fusion=fusion)
+        kinds = {ev.kind for ev in dev.timeline}
+        assert {"kernel", "htod", "dtoh"} <= kinds
+        for ev in dev.timeline:
+            if ev.kind == "kernel":
+                assert ev.cost is not None and ev.block > 0
+            seconds = event_seconds(
+                dev.model, ev.kind, ev.name, nbytes=ev.nbytes,
+                cost=ev.cost, dtype=ev.dtype, block=ev.block,
+            )
+            assert seconds == ev.seconds, ev
 
-    def test_batching_shrinks_launch_bound_only(self):
-        from repro.batch import solve_batch
+    def test_memset_event_reprices(self):
+        from repro.gpu.device import event_seconds
 
-        lps = [random_dense_lp(10, 16, seed=s) for s in range(6)]
-        base = solve_batch(
-            lps, method="gpu-revised", schedule="concurrent", n_streams=3
-        )
-        bat = solve_batch(
-            lps, method="gpu-revised", schedule="concurrent", n_streams=3,
-            batch_gemv=True,
-        )
-        for a, b in zip(base.items, bat.items):
-            assert a.result.objective == b.result.objective
-        assert bat.outcome.batched_launches_saved > 0
-        assert bat.outcome.batching_saved_seconds == pytest.approx(
-            bat.outcome.batched_launches_saved
-            * GTX280_PARAMS.launch_overhead
-        )
-        assert (
-            bat.outcome.bounds["launch-serialization"]
-            < base.outcome.bounds["launch-serialization"]
-        )
-        # the other bounds are untouched
-        for k in ("copy-engine", "compute-capacity", "stream-critical-path"):
-            assert bat.outcome.bounds[k] == base.outcome.bounds[k]
-        assert bat.outcome.makespan_seconds <= base.outcome.makespan_seconds
+        dev = make_device()
+        dev.record_timeline()
+        dev.zeros(1000, np.float64)
+        (ev,) = dev.timeline
+        assert (ev.kind, ev.name, ev.nbytes) == ("kernel", "memset", 8000)
+        assert ev.dtype == np.float64
+        assert event_seconds(
+            dev.model, ev.kind, ev.name, nbytes=ev.nbytes, cost=ev.cost,
+            dtype=ev.dtype, block=ev.block,
+        ) == ev.seconds
 
-    def test_single_stream_saves_nothing(self):
-        from repro.batch import solve_batch
+    def test_stack_sums_threads_and_work(self):
+        a = OpCost(flops=10, bytes_read=100, bytes_written=40, threads=64,
+                   coalesced_fraction=0.5)
+        b = OpCost(flops=6, bytes_read=60, bytes_written=0, threads=256)
+        s = OpCost.stack(a, b)
+        assert (s.flops, s.bytes_read, s.bytes_written) == (16, 160, 40)
+        assert s.threads == 320  # side by side, not the widest op
+        assert s.coalesced_fraction == OpCost.fuse(a, b).coalesced_fraction
 
-        lps = [random_dense_lp(10, 16, seed=s) for s in range(3)]
-        out = solve_batch(
-            lps, method="gpu-revised", schedule="concurrent", n_streams=1,
-            batch_gemv=True,
-        )
-        assert out.outcome.batched_launches_saved == 0
-
-    def test_rounds_equal_busiest_stream(self):
-        from repro.batch.scheduler import ConcurrentSchedule, LPTimeline
-
-        # two streams: batchable counts 10 and 4 -> 10 rounds, 4 saved
-        tls = [
-            LPTimeline(0, 20, 0.0, 1.0, 1.0, 1.0, batchable_launches=10),
-            LPTimeline(1, 12, 0.0, 1.0, 1.0, 1.0, batchable_launches=4),
-        ]
-        out = ConcurrentSchedule(n_streams=2, batch_gemv=True).plan(
-            tls, params=GTX280_PARAMS
-        )
-        assert out.batched_launches_saved == 4
-        assert out.bounds["launch-serialization"] == pytest.approx(
-            (20 + 12 - 4) * GTX280_PARAMS.launch_overhead
-        )
+    @pytest.mark.parametrize("threads", [1, 96, 4096, 60_000])
+    def test_stacked_launch_costs_less_than_its_parts(self, threads):
+        """One launch over B problems pays one overhead and fills the
+        device at least as well as each part."""
+        model = make_device().model
+        part = OpCost(flops=2.0 * threads, bytes_read=8.0 * threads,
+                      bytes_written=4.0 * threads, threads=threads)
+        for b in (2, 8):
+            whole = model.kernel_time(OpCost.stack(*[part] * b), np.float32)
+            assert whole < b * model.kernel_time(part, np.float32)
 
     def test_serve_config_plumbs_fusion(self):
         from repro.serve import LPServer, ServeConfig
 
         cfg = ServeConfig(
-            n_devices=1, n_streams=2, method="gpu-revised",
-            fusion=True, batch_gemv=True,
+            n_devices=1, n_streams=2, method="gpu-revised", fusion=True,
         )
         server = LPServer(cfg)
         for s in range(4):

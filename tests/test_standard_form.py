@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp.problem import Bounds, ConstraintSense, LPProblem
-from repro.lp.standard_form import to_standard_form
-from repro.sparse import CscMatrix
+from repro.lp.standard_form import column_entries, to_standard_form
+from repro.sparse import CooMatrix, CscMatrix
 
 
 def feasible_point_roundtrip(lp, x_orig):
@@ -201,3 +201,48 @@ def test_standard_form_invariants(lp):
     direct = float(c_min @ x)
     via_std = float(std.c @ x_std) + std.constant
     assert direct == pytest.approx(via_std, rel=1e-9, abs=1e-9)
+
+
+class TestColumnEntries:
+    """The per-column triplet index lists the bound transforms walk."""
+
+    @staticmethod
+    def _lp():
+        # Row-major COO (the canonical order), so each column's entries are
+        # scattered through the triplets.  Columns: 0 shifted (lo=2),
+        # 1 reflected (hi=3), 2 free, 3 reflected with no entries, 4 plain.
+        rng = np.random.default_rng(7)
+        m, n = 6, 5
+        dense = rng.uniform(-4.0, 4.0, size=(m, n))
+        dense[rng.random((m, n)) < 0.3] = 0.0
+        dense[:, 3] = 0.0
+        rows, cols = np.nonzero(dense)
+        a = CooMatrix((m, n), rows, cols, dense[rows, cols])
+        bounds = Bounds(
+            np.array([2.0, -np.inf, -np.inf, -np.inf, 0.0]),
+            np.array([np.inf, 3.0, np.inf, 1.5, np.inf]),
+        )
+        b = 100.0 + rng.uniform(0.0, 1.0, size=m)  # no row flips
+        lp = LPProblem(c=rng.standard_normal(n), a=a, senses=["<="] * m,
+                       b=b, bounds=bounds)
+        return lp, a
+
+    def test_matches_the_per_nonzero_loop(self):
+        lp, a = self._lp()
+        n = lp.num_vars
+        loop: list[list[int]] = [[] for _ in range(n)]
+        for k in range(a.col.size):
+            loop[int(a.col[k])].append(k)
+        got = column_entries(a.col, n)
+        assert [[int(k) for k in ks] for ks in got[:n]] == loop
+        assert loop[3] == [] and all(loop[j] for j in (0, 1, 2))
+
+    def test_shift_and_reflect_keep_b_bit_identical(self):
+        lp, a = self._lp()
+        b = lp.b.astype(np.float64).copy()
+        for j, offset in ((0, 2.0), (1, 3.0), (3, 1.5)):
+            for k in range(a.col.size):
+                if a.col[k] == j:
+                    b[int(a.row[k])] -= a.val[k] * offset
+        std = to_standard_form(lp)
+        assert np.array_equal(std.b[: lp.num_constraints], b)
