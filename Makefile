@@ -24,6 +24,10 @@
 # `make batch-smoke` solves 8 small LPs as one lockstep batch and asserts
 # per-LP objectives match solo solves, a one-LP batch reproduces its solo
 # clock, and lockstep beats the stream-interleaved makespan.
+# `make bench-gate` compares the two newest committed points of the
+# end-to-end benchmark trajectory (benchmarks/trajectory/BENCH_<n>.json,
+# each written by `python3 benchmarks/e2e/run.py --repeat 3 --out FILE`)
+# with benchmarks/e2e/compare.py and the BENCHMARK.json bounds.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade); `make verify` is
@@ -35,9 +39,11 @@ PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 METRICS_BASELINE := benchmarks/baselines/metrics-smoke.json
 
+TRAJECTORY := benchmarks/trajectory
+
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
 	obs-smoke fuse-smoke batch-smoke metrics-smoke gate gate-baseline bench \
-	bench-batch lint verify
+	bench-batch bench-gate lint verify
 
 test:  ## tier-1: the full test suite
 	$(PYTHONPATH_SRC) python -m pytest -x -q
@@ -154,3 +160,7 @@ bench:  ## regenerate every evaluation experiment's tables
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q
+
+bench-gate:  ## e2e benchmark: newest trajectory point vs the one before
+	python3 benchmarks/e2e/compare.py \
+		$$(ls $(TRAJECTORY)/BENCH_*.json | sort -V | tail -n 2)

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="auto | tableau | revised | revised-sparse | "
                               "gpu-revised | gpu-revised-sparse | gpu-tableau "
                               "| pdlp | gpu-pdlp")
-    p_solve.add_argument("--pricing", default="dantzig",
+    p_solve.add_argument("--pricing", default="hybrid",
                          help="dantzig | bland | hybrid | devex | steepest-edge")
     p_solve.add_argument("--dtype", default="float64",
                          choices=["float32", "float64"])
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="columns of the generated LP (with --random)")
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--method", default="gpu-revised")
-    p_trace.add_argument("--pricing", default="dantzig")
+    p_trace.add_argument("--pricing", default="hybrid")
     p_trace.add_argument("--dtype", default="float64",
                          choices=["float32", "float64"])
     p_trace.add_argument("--max-iterations", type=int, default=0)

@@ -4,7 +4,29 @@ The device port of :class:`~repro.simplex.bounded.BoundedRevisedSimplexSolver`:
 upper bounds live in device memory alongside the data, the pricing map is a
 signed masked arg-min (σ·d with σ = ±1 by resting bound), the ratio test is
 the three-way bounded map kernel, and bound flips cost a single AXPY-class
-kernel — no basis update, no GER, no eta.
+kernel — no basis update, no GER, no eta, and no change to π.
+
+Per-iteration kernel schedule:
+
+======== =========================================================
+section  kernels
+======== =========================================================
+pricing  copy of c then GEMVᵀ/SpMVᵀ with β = 1 (d = c − Aᵀπ), signed
+         mask map, device-resident arg-min (q, σ_q·d_q); GEMVᵀ
+         π = B⁻ᵀc_B first only when π is stale
+ftran    column load reading q on the device, GEMV (α = B⁻¹a_q)
+ratio    bounded ratio map (reads σ_q on the device), arg-min;
+         tie-break map, arg-min whose one readback brings
+         (q, σ·d_q, p, θ, α_p, to_upper[p])
+update   pivot: bounded β update (carries the swap stores), η
+         kernel, row extract ρ_p, AXPY π += (d_q/α_p)·ρ_p, GER;
+         bound flip: the bounded β update alone
+======== =========================================================
+
+As in ``gpu-revised``, π = B⁻ᵀc_B is multiplied fresh only at the start
+of each phase and is otherwise updated from the pivot row
+(:class:`~repro.core.gpu_kernels.Multipliers`); a terminal verdict priced
+with an updated π is verified by redoing the iteration with a fresh one.
 
 Compared to ``gpu-revised`` on a fully boxed problem, this solver keeps the
 basis at m instead of m + #bounds; A5 measures the effect.
@@ -120,7 +142,7 @@ class GpuBoundedRevisedSimplex(DeviceBackend):
             iters += 1
 
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
-                blas.gemv(st.binv, st.c_b, st.pi, trans=True)
+                st.multipliers.refresh()
                 blas.copy(st.c_real, st.d)
                 if st.a_sparse is not None:
                     spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
@@ -154,18 +176,23 @@ class GpuBoundedRevisedSimplex(DeviceBackend):
                             (st.alpha, st.to_upper),
                         )
                     )
+            if q != NO_INDEX:
+                sigma = -1.0 if st.at_upper[q] else 1.0
+                d_q = sigma * signed_dq  # un-sign: actual reduced cost
+                pivot_kind = "basic"
+                u_q = float(st.u_host[q])
+                if np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12):
+                    theta = u_q
+                    pivot_kind = "flip"
+            terminal = q == NO_INDEX or not np.isfinite(theta)
+            if terminal and not st.multipliers.confirms():
+                iters -= 1  # verify with a fresh π; the redo is not counted
+                continue
             if q == NO_INDEX:
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="optimal",
                               pricing_rule=rule_name(), objective=float(z))
                 return SolveStatus.OPTIMAL, iters
-            sigma = -1.0 if st.at_upper[q] else 1.0
-            d_q = sigma * signed_dq  # un-sign: actual reduced cost
-            pivot_kind = "basic"
-            u_q = float(st.u_host[q])
-            if np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12):
-                theta = u_q
-                pivot_kind = "flip"
             if not np.isfinite(theta):
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="unbounded",
@@ -194,6 +221,7 @@ class GpuBoundedRevisedSimplex(DeviceBackend):
                     )
                     K.eta_kernel(dev, st.alpha, p, pivot, st.eta)
                     K.extract_row(dev, st.binv, p, st.row_p)
+                    st.multipliers.update(d_q, pivot, st.row_p)
                     blas.ger(st.eta, st.row_p, st.binv)
             z += d_q * sigma * theta
             if tr is not None:
@@ -334,6 +362,7 @@ class _BState:
             self.free()
             raise
 
+        self.multipliers = K.Multipliers(self.binv, self.c_b, self.pi)
         self.basis = np.zeros(m, dtype=np.int64)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.at_upper = np.zeros(n, dtype=bool)
@@ -357,6 +386,7 @@ class _BState:
         with self.dev.timed_section("transfer"):
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
+        self.multipliers.invalidate()
 
     def load_entering(self) -> None:
         """a_q := the column pricing chose, q read on the device."""

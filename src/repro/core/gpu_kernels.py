@@ -4,14 +4,18 @@ Everything here is a thin kernel over :class:`~repro.gpu.device.Device` with
 an explicit cost, mirroring the custom (non-cuBLAS) kernels a CUDA port
 writes around the BLAS calls: the ratio-test map, eta-column construction,
 the β update, masked pricing preparation and matrix row/column extraction,
-plus the basis-swap bookkeeping those launches carry as scalar stores.
+plus the basis-swap bookkeeping those launches carry as scalar stores and
+the simplex multipliers π the explicit-inverse backends keep current.
 
-Layout convention: dense device matrices that are read column-wise (the
-constraint matrix A, the tableau T) are stored **column-major** on the
-device, exactly as the paper's implementation does, so column extraction is
-a coalesced copy.  The basis inverse B⁻¹ is stored **row-major** because the
+Layout: the revised backends upload the constraint matrix A as the host
+holds it, **row-major** m×n; pricing reads it through ``blas.gemv(trans=True)``,
+whose cost charges the transposed walk.  The column load is charged as a
+coalesced m-element copy (:func:`extract_column`'s ``column_major``
+default, :func:`load_entering_column`), the price of the column-major copy
+of A the paper keeps for it.  The basis inverse B⁻¹ is row-major too: the
 eta update reads row p (coalesced) and GEMV's warp-per-row mapping wants
-contiguous rows.
+contiguous rows.  The tableau T is charged as column-major
+(:func:`ger_column_major`, :func:`extract_column`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import DeviceArrayError
+from repro.gpu import blas
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix
@@ -94,13 +99,66 @@ def basis_swap(st, p: int, q: int, c_q: float, n_mask: int) -> ScalarStores:
     return ScalarStores(tuple(items))
 
 
+class Multipliers:
+    """The simplex multipliers π = B⁻ᵀc_B of an explicit-inverse backend,
+    resident in the device buffer ``pi``.
+
+    π is multiplied fresh — one m×m GEMVᵀ — only when it is stale: at the
+    start of a phase (c_B reloaded; a warm-start upload of B⁻¹ happens
+    before the first one) and after B⁻¹ was rebuilt.  After every basis
+    change the pivot row updates it instead, π ← π + (d_q/α_pq)·ρ_p with
+    ρ_p = e_pᵀB⁻¹ row p of the pre-pivot inverse: one fusable m-length
+    AXPY in the update launch.  A bound flip leaves the basis, and so π,
+    unchanged.
+
+    An updated π carries the rounding of its updates, so a terminal verdict
+    it priced (optimal, unbounded) is not taken on trust:
+    :meth:`confirms` marks π stale and the backend redoes the iteration
+    with a fresh multiply, the dual clean-up pass of production simplex
+    codes.
+    """
+
+    def __init__(self, binv: DeviceArray, c_b: DeviceArray, pi: DeviceArray):
+        self.binv = binv
+        self.c_b = c_b
+        self.pi = pi
+        self.stale = True
+        #: π moved by an update since its last multiply
+        self.updated = False
+
+    def invalidate(self) -> None:
+        """B⁻¹ or c_B changed wholesale: multiply π before the next pricing."""
+        self.stale = True
+
+    def refresh(self) -> None:
+        """π := B⁻ᵀc_B if stale — the first op of a pricing section."""
+        if self.stale:
+            blas.gemv(self.binv, self.c_b, self.pi, trans=True)
+            self.stale = self.updated = False
+
+    def update(self, d_q: float, pivot: float, row_p: DeviceArray) -> None:
+        """π += (d_q/α_pq)·ρ_p; ``row_p`` holds row p of B⁻¹ before the GER."""
+        blas.axpy(d_q / pivot, row_p, self.pi)
+        self.updated = True
+
+    def confirms(self) -> bool:
+        """Whether a terminal verdict priced with the current π stands.
+
+        True when π was multiplied fresh; otherwise π goes stale and the
+        caller must redo the iteration."""
+        if self.updated:
+            self.stale = True
+        return not self.updated
+
+
 def extract_column(
     dev: Device, a: DeviceArray, j: int, out: DeviceArray, *, column_major: bool = True
 ) -> None:
     """out := A[:, j] for a dense device matrix.
 
-    Coalesced when the matrix is stored column-major (the solver's layout
-    for A and T); a strided, transaction-amplified read otherwise.
+    Coalesced when the matrix is stored column-major (the tableau T; the
+    revised backends' A is charged the same way, see the module docstring);
+    a strided, transaction-amplified read otherwise.
     """
     m, n = a.shape
     if not 0 <= j < n:
@@ -196,9 +254,9 @@ def load_entering_column(
 
     ``choice[0]`` holds the pricing reduction's entering index, so the
     host launches this before it knows q.  One kernel covers every case:
-    a column of the column-major ``dense`` matrix, a scatter of column q of
-    the device CSC matrix ``csc``, or the artificial e_{q − n_real} for
-    q ≥ ``n_real``.  When pricing found no entering column (``NO_INDEX``)
+    a column of the ``dense`` matrix (charged as a coalesced copy), a
+    scatter of column q of the device CSC matrix ``csc``, or the
+    artificial e_{q − n_real} for q ≥ ``n_real``.  When pricing found no entering column (``NO_INDEX``)
     it writes zeros, so FTRAN and the ratio test of an optimal iteration
     run on a null column.  The cost is sized for the widest column.
     """

@@ -1,24 +1,27 @@
 """The paper's solver: revised simplex on the (simulated) GPU.
 
 Data placement follows the IPDPS 2009 design: the constraint matrix A
-(column-major), the basis inverse B⁻¹ (row-major, dense), β, the pricing
-vector and all scratch buffers live in device global memory for the whole
-solve; the host only sees per-iteration scalars (entering/leaving indices,
-step length, pivot) and drives control flow.
+(dense m×n, uploaded row-major, or CSC), the basis inverse B⁻¹ (row-major,
+dense), β, the simplex multipliers π, the pricing vector and all scratch
+buffers live in device global memory for the whole solve; the host only
+sees per-iteration scalars (entering/leaving indices, step length, pivot)
+and drives control flow.
 
 Per-iteration kernel schedule (names match the breakdown figure F3):
 
 ======== =========================================================
 section  kernels
 ======== =========================================================
-pricing  GEMVᵀ (π = B⁻ᵀc_B), copy of c then GEMVᵀ/SpMVᵀ with β = 1
-         (d = c − Aᵀπ), mask map, device-resident arg-min (q, d_q)
+pricing  copy of c then GEMVᵀ/SpMVᵀ with β = 1 (d = c − Aᵀπ), mask
+         map, device-resident arg-min (q, d_q); GEMVᵀ π = B⁻ᵀc_B
+         first only when π is stale
 ftran    column load reading q on the device (dense extract, CSC
          scatter or e_i synthesis), GEMV (α = B⁻¹a_q)
 ratio    ratio map kernel, device-resident arg-min; tie-break map,
          arg-min whose one readback brings (q, d_q, p, θ, α_p)
 update   β update kernel (also stores the basis swap: mask bits, c_B
-         entry, basis key), η kernel, row extract, GER rank-1 B⁻¹ update
+         entry, basis key), η kernel, row extract ρ_p = e_pᵀB⁻¹,
+         AXPY π += (d_q/α_p)·ρ_p, GER rank-1 B⁻¹ update
 ======== =========================================================
 
 Per iteration the host reads one struct back and writes nothing: pricing
@@ -28,6 +31,16 @@ host, and the swap's device bookkeeping travels as kernel parameters of
 the β update.  The host tests optimality (``q == NO_INDEX``) before
 unboundedness (θ = ∞), so each phase's last iteration also pays for its
 column load, FTRAN and ratio test.
+
+π is multiplied fresh at the start of each phase (which also follows a
+warm-start upload of B⁻¹) and after a rebuild of B⁻¹, and otherwise
+updated from the pivot row already extracted for the GER
+(:class:`~repro.core.gpu_kernels.Multipliers`).  A terminal verdict is
+accepted only from a freshly multiplied π: when an updated π prices every
+column out, or picks a column with no blocking row, the iteration is
+redone after a fresh multiply, and is not counted.  A phase therefore
+pays one extra iteration at its end, or more only if a fresh π
+contradicts an updated one.
 
 Phase 1 uses implicit artificial columns (e_i synthesised on demand);
 phase 2 reuses the phase-1 basis inverse, exactly as in the paper.  The
@@ -229,10 +242,10 @@ class GpuRevisedSimplex(DeviceBackend):
         while iters < cap:
             iters += 1
 
-            # -- pricing: π = B⁻ᵀ c_B;  d = c − Aᵀπ;  masked selection,
-            #    left on the device
+            # -- pricing: π = B⁻ᵀ c_B if stale;  d = c − Aᵀπ;  masked
+            #    selection, left on the device
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
-                blas.gemv(st.binv, st.c_b, st.pi, trans=True)
+                st.multipliers.refresh()
                 blas.copy(st.c_real, st.d)
                 if st.a_sparse is not None:
                     spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
@@ -260,6 +273,10 @@ class GpuRevisedSimplex(DeviceBackend):
                     q, d_q, p, theta, (pivot,) = sec.ratio_readback(
                         st.choice, st.tmp_m, st.ratio_min, (st.alpha,)
                     )
+            terminal = q == NO_INDEX or not np.isfinite(theta)
+            if terminal and not st.multipliers.confirms():
+                iters -= 1  # verify with a fresh π; the redo is not counted
+                continue
             if q == NO_INDEX:
                 stats.bland_activations += pricing.activations
                 if tr is not None:
@@ -287,13 +304,14 @@ class GpuRevisedSimplex(DeviceBackend):
                 trace_leaving = int(st.basis[p])
                 trace_ties = int(np.count_nonzero(st.ratios.data <= K.tie_cut(theta)))
 
-            # -- update: β, B⁻¹, objective; the basis swap's device stores
-            #    ride on the β-update launch
+            # -- update: β, π, B⁻¹, objective; the basis swap's device
+            #    stores ride on the β-update launch
             with dev.timed_section("update"), self.plan.section("update"):
                 swap = K.basis_swap(st, p, q, float(c_full[q]), n)
                 K.update_beta_kernel(dev, st.beta, st.alpha, theta, p, swap)
                 K.eta_kernel(dev, st.alpha, p, pivot, st.eta)
                 K.extract_row(dev, st.binv, p, st.row_p)
+                st.multipliers.update(d_q, pivot, st.row_p)
                 blas.ger(st.eta, st.row_p, st.binv)
             z += theta * d_q
             self._eta_updates += 1
@@ -461,6 +479,7 @@ class _State:
             self.free()
             raise
 
+        self.multipliers = K.Multipliers(self.binv, self.c_b, self.pi)
         self.basis = np.zeros(m, dtype=np.int64)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self._c_full = np.zeros(n + m)
@@ -483,6 +502,7 @@ class _State:
         with self.dev.timed_section("transfer"):
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
+        self.multipliers.invalidate()
 
     def load_entering(self) -> None:
         """a_q := the column pricing chose, q read on the device."""
@@ -502,13 +522,15 @@ class _State:
             K.extract_column(self.dev, self.a_dense, j, self.a_q)
 
     def refactor_host(self) -> None:
-        """Rebuild B⁻¹ exactly on the host (PCIe round trip), refresh β."""
+        """Rebuild B⁻¹ exactly on the host (PCIe round trip), refresh β;
+        π is multiplied afresh at the next pricing."""
         b_matrix = self.prep.basis_matrix(self.basis)
         binv = np.linalg.solve(b_matrix, np.eye(self.prep.m))
         with self.dev.timed_section("transfer"):
             self.binv.copy_from_host(binv.astype(self.dtype))
         blas.gemv(self.binv, self.b, self.beta)
         K.clamp_nonneg_kernel(self.dev, self.beta)
+        self.multipliers.invalidate()
 
     def free(self) -> None:
         """Release every device allocation; tolerates partially-constructed

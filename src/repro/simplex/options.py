@@ -28,11 +28,14 @@ class SolverOptions:
     Attributes
     ----------
     pricing:
-        Entering-variable rule.  ``dantzig`` (most negative reduced cost),
-        ``bland`` (lowest index, anti-cycling), ``hybrid`` (Dantzig with an
-        automatic Bland fallback on objective stalls), ``devex`` and
-        ``steepest-edge`` (tableau solvers only — they need the updated
-        column norms the tableau carries).
+        Entering-variable rule.  ``hybrid`` (the default: Dantzig with an
+        automatic Bland fallback after ``stall_window`` iterations without
+        objective progress, so it cannot cycle), ``dantzig`` (most negative
+        reduced cost; cycles on degenerate LPs such as
+        :func:`~repro.lp.generators.beale_cycling_lp`), ``bland`` (lowest
+        index, anti-cycling), ``devex`` and ``steepest-edge`` (tableau
+        solvers only — they need the updated column norms the tableau
+        carries).
     ratio_test:
         ``standard`` (min ratio, lowest-index tie-break) or ``harris``
         (two-pass with feasibility tolerance; picks the largest pivot among
@@ -84,7 +87,7 @@ class SolverOptions:
         tableau methods).  ``None`` (default) keeps ``dtype`` as-is.
     """
 
-    pricing: str = "dantzig"
+    pricing: str = "hybrid"
     ratio_test: str = "standard"
     basis_update: str = "explicit"
     max_iterations: int = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,93 @@ def assert_matches_oracle(lp: LPProblem, result, tol: float = 1e-5) -> None:
     )
     assert result.x is not None
     assert lp.constraint_violation(result.x) <= 1e-5
+
+
+# -- simplex multipliers of the explicit-inverse device backends ----------
+
+
+def multiplier_drift(solver, lp: LPProblem, monkeypatch):
+    """Solve ``lp`` with ``solver`` (``gpu-revised`` or
+    ``gpu-revised-bounded``, built with ``trace=True``) and measure, after
+    every pivot and bound flip, the device π against B⁻ᵀc_B solved exactly
+    on the host.  Returns the result and the relative max-norm distances.
+    The device buffer is read from its backing store (uncharged)."""
+    from repro.engine.hooks import SolveHooks
+    from repro.simplex.common import phase1_costs, phase2_costs
+
+    drift: list[float] = []
+    record = SolveHooks.record
+
+    def check(hooks, **fields):
+        if fields["event"] in ("pivot", "flip"):
+            st = solver._st
+            costs = phase1_costs if fields["phase"] == 1 else phase2_costs
+            basis_t = st.prep.basis_matrix(st.basis).T
+            want = np.linalg.solve(basis_t, costs(st.prep)[st.basis])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            drift.append(float(np.max(np.abs(st.pi.data - want))) / scale)
+        record(hooks, **fields)
+
+    monkeypatch.setattr(SolveHooks, "record", check)
+    return solver.solve(lp), drift
+
+
+def optimal_multipliers(prep, basis: np.ndarray) -> np.ndarray:
+    """The phase-2 π of an optimal ``basis``: dual feasible, so every
+    column prices out against it."""
+    from repro.simplex.common import phase2_costs
+
+    return np.linalg.solve(prep.basis_matrix(basis).T, phase2_costs(prep)[basis])
+
+
+def corrupt_multiplier_updates(monkeypatch, pi_bad: np.ndarray) -> list[bool]:
+    """Failure injection: every π update leaves ``pi_bad`` in the device π
+    (run the solve with ``fusion=False``, so the update's AXPY has executed
+    when it is overwritten).  Returns a log with one entry per pricing
+    pass, True where π was multiplied fresh."""
+    from repro.core import gpu_kernels as K
+
+    update, refresh = K.Multipliers.update, K.Multipliers.refresh
+    multiplied: list[bool] = []
+
+    def corrupt(self, d_q, pivot, row_p):
+        update(self, d_q, pivot, row_p)
+        self.pi.data[:] = pi_bad
+
+    def logged(self):
+        multiplied.append(self.stale)
+        refresh(self)
+
+    monkeypatch.setattr(K.Multipliers, "update", corrupt)
+    monkeypatch.setattr(K.Multipliers, "refresh", logged)
+    return multiplied
+
+
+def pricing_gemv_launches(monkeypatch, run):
+    """Call ``run()`` (a device solve) and count the GEMV-class launches
+    (GEMV, GEMVᵀ, SpMV, fused or alone) each pricing section issues.
+    Returns ``run()``'s result and the per-pass counts."""
+    counts: list[int] = []
+    sections: list[str] = []
+    launch, timed_section = Device.launch, Device.timed_section
+
+    def counting_launch(self, name, *args, **kw):
+        heavy = "gemv" in name or "spmv" in name
+        if sections[-1:] == ["pricing"] and self._capture is None and heavy:
+            counts[-1] += 1
+        return launch(self, name, *args, **kw)
+
+    @contextlib.contextmanager
+    def tracking_section(self, name):
+        if name == "pricing":
+            counts.append(0)
+        sections.append(name)
+        try:
+            with timed_section(self, name):
+                yield
+        finally:
+            sections.pop()
+
+    monkeypatch.setattr(Device, "launch", counting_launch)
+    monkeypatch.setattr(Device, "timed_section", tracking_section)
+    return run(), counts

@@ -15,7 +15,13 @@ from repro import solve
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import Bounds, LPProblem
 
-METHODS = ("tableau", "revised", "gpu-revised", "gpu-tableau")
+METHODS = (
+    "tableau", "revised", "gpu-revised", "gpu-tableau", "gpu-revised-bounded",
+)
+
+#: Methods whose optimal/infeasible/unbounded verdicts are checked on
+#: arbitrary LPs.
+STATUS_METHODS = ("revised", "gpu-revised", "gpu-revised-bounded")
 
 SLOW = settings(
     max_examples=12,
@@ -31,7 +37,7 @@ def test_feasible_bounded_family_all_solvers_agree(m, n, seed):
     ref = scipy_oracle(lp)
     assert ref is not None
     for method in METHODS:
-        r = solve(lp, method=method, dtype=np.float64, pricing="hybrid")
+        r = solve(lp, method=method, dtype=np.float64)
         assert r.status.value == "optimal", (method, r.status)
         assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref)), method
         assert lp.constraint_violation(r.x) <= 1e-6
@@ -43,8 +49,8 @@ def test_sparse_family_agrees(seed):
     lp = random_sparse_lp(12, 20, density=0.25, seed=seed)
     ref = scipy_oracle(lp)
     assert ref is not None
-    for method in ("revised", "gpu-revised"):
-        r = solve(lp, method=method, dtype=np.float64, pricing="hybrid")
+    for method in ("revised", "gpu-revised", "gpu-revised-bounded"):
+        r = solve(lp, method=method, dtype=np.float64)
         assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref)), method
 
 
@@ -91,18 +97,19 @@ def test_status_trichotomy_matches_oracle(lp):
                   b_eq=np.asarray(b_eq) if b_eq else None,
                   bounds=bounds, method="highs")
 
-    r = solve(lp, method="revised", dtype=np.float64, pricing="hybrid")
-    if ref.status == 0:
-        assert r.status.value == "optimal"
-        expected = float(-ref.fun if lp.maximize else ref.fun)
-        assert abs(r.objective - expected) <= 1e-6 * (1 + abs(expected))
-    elif ref.status == 2:
-        assert r.status.value == "infeasible"
-    elif ref.status == 3:
-        assert r.status.value in ("unbounded", "optimal")
-        # HiGHS sometimes reports unbounded where a bounded optimum exists
-        # only at infinity in a direction our orientation rules out; accept
-        # 'unbounded' strictly when our solver also sees it.
-        if r.status.value == "optimal":
-            # must then be genuinely feasible
-            assert lp.constraint_violation(r.x) <= 1e-6
+    for method in STATUS_METHODS:
+        r = solve(lp, method=method, dtype=np.float64)
+        if ref.status == 0:
+            assert r.status.value == "optimal", method
+            expected = float(-ref.fun if lp.maximize else ref.fun)
+            assert abs(r.objective - expected) <= 1e-6 * (1 + abs(expected)), method
+        elif ref.status == 2:
+            assert r.status.value == "infeasible", method
+        elif ref.status == 3:
+            assert r.status.value in ("unbounded", "optimal"), method
+            # HiGHS sometimes reports unbounded where a bounded optimum
+            # exists only at infinity in a direction our orientation rules
+            # out; accept 'unbounded' strictly when our solver also sees it.
+            if r.status.value == "optimal":
+                # must then be genuinely feasible
+                assert lp.constraint_violation(r.x) <= 1e-6, method

@@ -14,6 +14,7 @@ from repro.lp.generators import (
     transportation_lp,
 )
 from repro.lp.problem import ConstraintSense
+from repro.solve import available_methods
 
 
 class TestRandomDense:
@@ -119,6 +120,17 @@ class TestBeale:
         from repro import solve
 
         r = solve(beale_cycling_lp(), method="revised", pricing="bland")
+        assert r.status.value == "optimal"
+        assert r.objective == pytest.approx(-0.05)
+
+    @pytest.mark.parametrize(
+        "method", [m for m in available_methods() if not m.endswith("pdlp")]
+    )
+    def test_default_pricing_does_not_cycle(self, method):
+        """Every simplex method solves Beale's cycling LP at its defaults."""
+        from repro import solve
+
+        r = solve(beale_cycling_lp(), method=method)
         assert r.status.value == "optimal"
         assert r.objective == pytest.approx(-0.05)
 

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import BOUNDED_VARS_OPTIMUM, TEXTBOOK_OPTIMUM, assert_matches_oracle
+from conftest import (
+    BOUNDED_VARS_OPTIMUM,
+    TEXTBOOK_OPTIMUM,
+    assert_matches_oracle,
+    corrupt_multiplier_updates,
+    multiplier_drift,
+    optimal_multipliers,
+    pricing_gemv_launches,
+    scipy_oracle,
+)
 from repro import solve
 from repro.core.gpu_bounded_simplex import GpuBoundedRevisedSimplex
 from repro.errors import SolverError
@@ -133,3 +142,46 @@ class TestOptionsAndCleanup:
         r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
         for section in ("pricing", "ftran", "ratio", "update", "transfer"):
             assert section in r.timing.kernel_breakdown
+
+
+class TestMultiplierUpdate:
+    """π = B⁻ᵀc_B is updated from the pivot row, left alone by bound
+    flips, and multiplied fresh to verify a terminal verdict."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_updated_pi_matches_exact_multipliers(self, seed, monkeypatch):
+        lp = boxed_random(20, 30, seed=seed)
+        solver = GpuBoundedRevisedSimplex(
+            SolverOptions(dtype=np.float64, trace=True)
+        )
+        r, drift = multiplier_drift(solver, lp, monkeypatch)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.extra["bound_flips"] >= 1
+        assert len(drift) == r.iterations.total_iterations - 1
+        assert max(drift) <= 1e-9
+
+    def test_corrupted_update_is_re_multiplied(self, monkeypatch):
+        lp = random_dense_lp(16, 24, seed=5)
+        clean = GpuBoundedRevisedSimplex(SolverOptions(dtype=np.float64))
+        ref = clean.solve(lp)
+        assert ref.iterations.phase1_iterations == 0
+        multiplied = corrupt_multiplier_updates(
+            monkeypatch, optimal_multipliers(clean.prep, ref.extra["basis"])
+        )
+        r = solve(lp, method="gpu-revised-bounded", dtype=np.float64,
+                  fusion=False)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(scipy_oracle(lp), rel=1e-9)
+        assert sum(multiplied) == r.iterations.total_iterations >= 5
+
+    def test_pricing_issues_one_gemv_per_iteration(self, monkeypatch):
+        lp = boxed_random(24, 36, seed=2)
+        r, per_pass = pricing_gemv_launches(
+            monkeypatch,
+            lambda: solve(lp, method="gpu-revised-bounded", dtype=np.float64),
+        )
+        assert r.iterations.phase1_iterations == 0
+        assert r.extra["bound_flips"] >= 1
+        assert per_pass[0] == 2
+        assert per_pass[1:-1] == [1] * (len(per_pass) - 2)
+        assert len(per_pass) == r.iterations.total_iterations + (per_pass[-1] - 1)

@@ -8,6 +8,11 @@ from conftest import (
     TEXTBOOK_OPTIMUM,
     TEXTBOOK_X,
     assert_matches_oracle,
+    corrupt_multiplier_updates,
+    multiplier_drift,
+    optimal_multipliers,
+    pricing_gemv_launches,
+    scipy_oracle,
 )
 from repro.core.gpu_revised_simplex import GpuRevisedSimplex
 from repro.errors import SolverError
@@ -201,3 +206,75 @@ class TestPrecisionBehaviour:
         """fp32 solves must not spin on sub-epsilon reduced costs."""
         r = solve_gpu(textbook_lp, dtype=np.float32, tol_reduced_cost=1e-15)
         assert r.status is SolveStatus.OPTIMAL
+
+
+class TestMultiplierUpdate:
+    """π = B⁻ᵀc_B is multiplied once per phase and then updated from the
+    pivot row; terminal verdicts are re-priced with a fresh multiply."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_updated_pi_matches_exact_multipliers(self, seed, monkeypatch):
+        lp = random_dense_lp(24, 32, seed=seed)
+        solver = GpuRevisedSimplex(SolverOptions(dtype=np.float64, trace=True))
+        r, drift = multiplier_drift(solver, lp, monkeypatch)
+        assert r.status is SolveStatus.OPTIMAL
+        assert len(drift) == r.iterations.total_iterations - 1
+        assert max(drift) <= 1e-9
+
+    def test_updated_pi_matches_through_phase1(self, monkeypatch):
+        lp = transportation_lp(4, 6, seed=0)
+        solver = GpuRevisedSimplex(SolverOptions(dtype=np.float64, trace=True))
+        r, drift = multiplier_drift(solver, lp, monkeypatch)
+        assert r.iterations.phase1_iterations > 0
+        assert_matches_oracle(lp, r)
+        assert len(drift) >= 10
+        assert max(drift) <= 1e-9
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_corrupted_update_is_re_multiplied(self, sparse, monkeypatch):
+        """An update that prices every column out must not end the solve:
+        each false verdict is redone with a fresh π, and the solve goes on
+        to HiGHS's optimum."""
+        lp = (random_sparse_lp(16, 24, density=0.3, seed=2) if sparse
+              else random_dense_lp(16, 24, seed=5))
+        clean = GpuRevisedSimplex(SolverOptions(dtype=np.float64))
+        ref = clean.solve(lp)
+        assert ref.iterations.phase1_iterations == 0
+        multiplied = corrupt_multiplier_updates(
+            monkeypatch, optimal_multipliers(clean.prep, ref.extra["basis"])
+        )
+        r = solve_gpu(lp, dtype=np.float64, fusion=False)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(scipy_oracle(lp), rel=1e-9)
+        # the phase start, then one re-multiply after every pivot
+        assert sum(multiplied) == r.iterations.total_iterations >= 5
+        assert len(multiplied) == 2 * r.iterations.total_iterations - 1
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_pricing_issues_one_gemv_per_iteration(self, sparse, monkeypatch):
+        lp = (random_sparse_lp(30, 40, density=0.2, seed=3) if sparse
+              else random_dense_lp(30, 40, seed=3))
+        r, per_pass = pricing_gemv_launches(
+            monkeypatch, lambda: solve_gpu(lp, dtype=np.float64)
+        )
+        assert r.iterations.phase1_iterations == 0
+        assert len(per_pass) >= r.iterations.total_iterations >= 10
+        # π = B⁻ᵀc_B joins the first pass and the terminal verification
+        assert per_pass[0] == 2
+        assert per_pass[1:-1] == [1] * (len(per_pass) - 2)
+        assert per_pass[-1] in (1, 2)
+        assert len(per_pass) == r.iterations.total_iterations + (per_pass[-1] - 1)
+
+    def test_refactor_marks_pi_stale(self, monkeypatch):
+        lp = random_dense_lp(24, 32, seed=4)
+        solver = GpuRevisedSimplex(
+            SolverOptions(dtype=np.float64, trace=True, refactor_period=2)
+        )
+        r, drift = multiplier_drift(solver, lp, monkeypatch)
+        assert r.iterations.refactorizations >= 3
+        assert max(drift) <= 1e-9
+        _, per_pass = pricing_gemv_launches(
+            monkeypatch,
+            lambda: solve_gpu(lp, dtype=np.float64, refactor_period=2),
+        )
+        assert per_pass.count(2) >= 1 + r.iterations.refactorizations

@@ -64,10 +64,14 @@ class TestGpuCostStructure:
         assert 1.0 < t64 / t32 < 4.0  # bandwidth-bound, nowhere near 12x
 
     def test_gemv_t_is_top_kernel_at_scale(self):
+        """The fused pricing pass, which holds d = c − Aᵀπ's GEMVᵀ, is the
+        top kernel; π = B⁻ᵀc_B's own GEMVᵀ runs only when π is stale."""
         lp = random_dense_lp(256, 256, seed=42)
         r = solve(lp, method="gpu-revised", dtype=np.float32)
         by_kernel = r.extra["by_kernel"]
-        assert max(by_kernel, key=by_kernel.get) == "blas.gemv_t"
+        top = max(by_kernel, key=by_kernel.get)
+        assert top == "fused[copy+gemv_t+mask_min+argmin]"
+        assert by_kernel["blas.gemv_t"] < 0.1 * by_kernel[top]
 
 
 class TestExtensionClaims:
