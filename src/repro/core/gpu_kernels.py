@@ -3,9 +3,10 @@
 Everything here is a thin kernel over :class:`~repro.gpu.device.Device` with
 an explicit cost, mirroring the custom (non-cuBLAS) kernels a CUDA port
 writes around the BLAS calls: the ratio-test map, eta-column construction,
-the β update, masked pricing preparation and matrix row/column extraction,
-plus the basis-swap bookkeeping those launches carry as scalar stores and
-the simplex multipliers π the explicit-inverse backends keep current.
+the β update, masked pricing preparation and entering selection, and
+matrix row/column extraction, plus the basis-swap bookkeeping those
+launches carry as scalar stores and the simplex multipliers π the
+explicit-inverse basis strategy keeps current.
 
 Layout: the revised backends upload the constraint matrix A as the host
 holds it, **row-major** m×n; pricing reads it through ``blas.gemv(trans=True)``,
@@ -535,6 +536,19 @@ def masked_for_min(
         reads=(values, mask),
         writes=(out,),
     )
+
+
+def select_entering(
+    sec, work: DeviceArray, choice: DeviceArray, tol: float, bland: bool
+) -> None:
+    """Leave (q, d_q) of the masked reduced costs ``work`` in ``choice`` on
+    the device: the lowest index below −tol under Bland, the arg-min below
+    −tol otherwise (``NO_INDEX`` when no column prices in).  ``sec`` is the
+    open pricing :class:`~repro.gpu.plan.LaunchPlan` section."""
+    if bland:
+        sec.first_below_to_device(work, -tol, choice)
+    else:
+        sec.argmin_to_device(work, choice, below=-tol)
 
 
 def masked_signed_for_min(

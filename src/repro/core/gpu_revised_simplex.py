@@ -1,28 +1,51 @@
 """The paper's solver: revised simplex on the (simulated) GPU.
 
 Data placement follows the IPDPS 2009 design: the constraint matrix A
-(dense m×n, uploaded row-major, or CSC), the basis inverse B⁻¹ (row-major,
-dense), β, the simplex multipliers π, the pricing vector and all scratch
-buffers live in device global memory for the whole solve; the host only
-sees per-iteration scalars (entering/leaving indices, step length, pivot)
-and drives control flow.
+(dense m×n, uploaded row-major, or CSC), the basis representation, β, the
+simplex multipliers π, the pricing vector and all scratch buffers live in
+device global memory for the whole solve; the host only sees
+per-iteration scalars (entering/leaving indices, step length, pivot) and
+drives control flow.
 
-Per-iteration kernel schedule (names match the breakdown figure F3):
+The iteration is written once here and varies along two axes, each a
+small strategy object fixed by the method's class:
 
-======== =========================================================
-section  kernels
-======== =========================================================
-pricing  copy of c then GEMVᵀ/SpMVᵀ with β = 1 (d = c − Aᵀπ), mask
-         map, device-resident arg-min (q, d_q); GEMVᵀ π = B⁻ᵀc_B
-         first only when π is stale
-ftran    column load reading q on the device (dense extract, CSC
-         scatter or e_i synthesis), GEMV (α = B⁻¹a_q)
-ratio    ratio map kernel, device-resident arg-min; tie-break map,
-         arg-min whose one readback brings (q, d_q, p, θ, α_p)
-update   β update kernel (also stores the basis swap: mask bits, c_B
-         entry, basis key), η kernel, row extract ρ_p = e_pᵀB⁻¹,
-         AXPY π += (d_q/α_p)·ρ_p, GER rank-1 B⁻¹ update
-======== =========================================================
+- **basis representation** — :class:`ExplicitInverse` (the paper's dense
+  B⁻¹, ``gpu-revised`` and ``gpu-revised-bounded``) or
+  :class:`~repro.core.gpu_sparse_simplex.DeviceLU` (sparse LU factors plus
+  an eta file, ``gpu-revised-sparse``);
+- **bounds** — :class:`StandardBounds` (x ≥ 0) or
+  :class:`~repro.core.gpu_bounded_simplex.BoxedBounds` (finite upper
+  bounds handled natively, ``gpu-revised-bounded``).
+
+Per-iteration kernel schedule (names match the breakdown figure F3); a row
+marked *all* runs in every method, the others in the named strategy:
+
+======== ========= =====================================================
+section  strategy  kernels
+======== ========= =====================================================
+pricing  explicit  GEMVᵀ π = B⁻ᵀc_B, only when π is stale
+         LU        sparse.btran_lu (π), every iteration
+         all       copy of c then GEMVᵀ/SpMVᵀ with β = 1 (d = c − Aᵀπ)
+         standard  mask map
+         boxed     signed mask map (σ·d, σ = ±1 by resting bound)
+         all       device-resident arg-min (q, d_q)
+ftran    all       column load reading q on the device (dense extract,
+                   CSC scatter or e_i synthesis)
+         explicit  GEMV α = B⁻¹a_q
+         LU        sparse.ftran_lu
+ratio    standard  ratio map kernel, device-resident arg-min
+         boxed     bounded ratio map (reads σ_q on the device), arg-min
+         all       tie-break map, arg-min whose one readback brings
+                   (q, d_q, p, θ, α_p), plus to_upper[p] when boxed
+update   standard  β update kernel (also stores the basis swap: mask
+                   bits, c_B entry, basis key)
+         boxed     bounded β update (also σ signs and the u_B entry); a
+                   bound flip runs it alone and stops there
+         explicit  η kernel, row extract ρ_p = e_pᵀB⁻¹, AXPY
+                   π += (d_q/α_p)·ρ_p, GER rank-1 B⁻¹ update
+         LU        sparse.eta_append
+======== ========= =====================================================
 
 Per iteration the host reads one struct back and writes nothing: pricing
 leaves its choice on the device (``NO_INDEX`` when no column prices in),
@@ -32,21 +55,20 @@ the β update.  The host tests optimality (``q == NO_INDEX``) before
 unboundedness (θ = ∞), so each phase's last iteration also pays for its
 column load, FTRAN and ratio test.
 
-π is multiplied fresh at the start of each phase (which also follows a
-warm-start upload of B⁻¹) and after a rebuild of B⁻¹, and otherwise
-updated from the pivot row already extracted for the GER
-(:class:`~repro.core.gpu_kernels.Multipliers`).  A terminal verdict is
-accepted only from a freshly multiplied π: when an updated π prices every
-column out, or picks a column with no blocking row, the iteration is
-redone after a fresh multiply, and is not counted.  A phase therefore
-pays one extra iteration at its end, or more only if a fresh π
+With the explicit inverse, π is multiplied fresh at the start of each
+phase (which also follows a warm-start upload of B⁻¹) and after a rebuild
+of B⁻¹, and otherwise updated from the pivot row already extracted for
+the GER (:class:`~repro.core.gpu_kernels.Multipliers`).  A terminal
+verdict is accepted only from a freshly multiplied π: when an updated π
+prices every column out, or picks a column with no blocking row, the
+iteration is redone after a fresh multiply, and is not counted.  A phase
+therefore pays one extra iteration at its end, or more only if a fresh π
 contradicts an updated one.
 
 Phase 1 uses implicit artificial columns (e_i synthesised on demand);
-phase 2 reuses the phase-1 basis inverse, exactly as in the paper.  The
-explicit-inverse scheme does not refactorise by default (``refactor_period``
-applies if set; the rebuild happens on the host with PCIe-charged round
-trips, as 2009-era codes did).
+phase 2 reuses the phase-1 basis representation, exactly as in the
+paper.  The explicit inverse is rebuilt every ``refactor_period`` pivots
+on the host, with PCIe-charged round trips, as 2009-era codes did.
 
 Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
@@ -58,10 +80,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import DeviceBackend, attach_standard_solution, rule_label
-from repro.errors import SolverError
+from repro.engine import DeviceBackend, attach_standard_solution
+from repro.errors import SingularBasisError
 from repro.gpu import blas
-from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.gpu.reduce import NO_INDEX
@@ -77,61 +98,187 @@ from repro.simplex.common import (
     phase1_costs,
     phase2_costs,
     prepare,
+    validate_warm_basis,
 )
 from repro.simplex.options import SolverOptions
+from repro.simplex.pricing import StallSwitch
 from repro.status import SolveStatus
 
 
-class _GpuPricing:
-    """Host-side pricing state machine driving the device reductions.
+class ExplicitInverse:
+    """Basis strategy: the dense m×m B⁻¹ resident on the device.
 
-    Implements dantzig / bland / hybrid over the masked reduced-cost buffer
-    (``devex``/``steepest-edge`` need tableau columns and are rejected at
-    construction of the solver).
+    FTRAN is one GEMV, π is kept by :class:`~repro.core.gpu_kernels.Multipliers`
+    (multiplied when stale, updated from the pivot row otherwise), a pivot
+    is an η kernel, a row extract and a rank-1 GER, and a rebuild solves
+    B⁻¹ on the host and uploads it.  ``st.etas`` counts the GER updates
+    since the last rebuild.
     """
 
-    def __init__(self, mode: str, stall_window: int):
-        self.mode = mode
-        self.stall_window = stall_window
-        self.using_bland = mode == "bland"
-        self.stalled = 0
-        self.improved_streak = 0
-        self.activations = 0
+    #: The rebuilt β has been clamped, but the phase objective carries on
+    #: from the running sum.
+    resyncs_objective = False
 
-    def select(
+    def prepared(self, prep: PreparedLP) -> PreparedLP:
+        return prep
+
+    def arm_meta(self, prep: PreparedLP) -> dict:
+        return {}
+
+    def place(self, st: "_State") -> None:
+        """Uploads inside the state's first transfer section."""
+        st.binv = st.dev.to_device(np.eye(st.prep.m), st.dtype)
+
+    def alloc(self, st: "_State") -> None:
+        """Work buffers, allocated after the shared ones."""
+        st.eta = st.dev.zeros(st.prep.m, st.dtype)
+        st.row_p = st.dev.zeros(st.prep.m, st.dtype)
+        st.multipliers = K.Multipliers(st.binv, st.c_b, st.pi)
+        st.etas = 0
+
+    def factor_warm(self, st: "_State", warm: np.ndarray):
+        """Host trial factorisation of a warm-start basis: ``(B⁻¹b,
+        upload)``, where ``upload(β)`` places the factors and β on the
+        device, or ``None`` when the basis is singular."""
+        m = st.prep.m
+        try:
+            binv = np.linalg.solve(st.prep.basis_matrix(warm), np.eye(m))
+        except np.linalg.LinAlgError:
+            return None
+
+        def upload(beta: np.ndarray) -> None:
+            with st.dev.timed_section("transfer"):
+                st.binv.copy_from_host(binv.astype(st.dtype))
+                st.beta.copy_from_host(beta)
+
+        return binv @ st.prep.b, upload
+
+    # -- π ------------------------------------------------------------------
+
+    def invalidate(self, st: "_State") -> None:
+        st.multipliers.invalidate()
+
+    def refresh_pi(self, st: "_State") -> None:
+        st.multipliers.refresh()
+
+    def confirms(self, st: "_State") -> bool:
+        return st.multipliers.confirms()
+
+    # -- solves and updates -------------------------------------------------
+
+    def ftran(self, st: "_State") -> None:
+        blas.gemv(st.binv, st.a_q, st.alpha)
+
+    def host_pivot(self, st: "_State", solved, p: int) -> float:
+        return st.alpha.scalar_to_host(p)
+
+    def rejects(self, solved, p: int, tol_piv: float) -> bool:
+        return False
+
+    def inverse_row(self, st: "_State", p: int) -> DeviceArray:
+        """e_pᵀB⁻¹ into a device buffer: row p of B⁻¹ read directly."""
+        K.extract_row(st.dev, st.binv, p, st.row_p)
+        return st.row_p
+
+    def update(
         self,
-        sec: "gpu_plan._PlanSection",
-        d: DeviceArray,
-        mask: DeviceArray,
-        work: DeviceArray,
-        choice: DeviceArray,
-        tol: float,
+        st: "_State",
+        p: int,
+        pivot: float,
+        solved,
+        tol_piv: float,
+        stores: K.ScalarStores = K.ScalarStores(),
+        d_q: "float | None" = None,
     ) -> None:
-        """Leave (q, d_q) in ``choice`` on the device, or ``NO_INDEX`` when
-        no column prices in."""
-        K.masked_for_min(d.device, d, mask, work)
-        if self.using_bland:
-            sec.first_below_to_device(work, -tol, choice)
-        else:
-            sec.argmin_to_device(work, choice, below=-tol)
+        """B⁻¹ ← E·B⁻¹; with ``d_q``, π follows from the pre-GER row p."""
+        K.eta_kernel(st.dev, st.alpha, p, pivot, st.eta, stores)
+        K.extract_row(st.dev, st.binv, p, st.row_p)
+        if d_q is not None:
+            st.multipliers.update(d_q, pivot, st.row_p)
+        blas.ger(st.eta, st.row_p, st.binv)
+        st.etas += 1
 
-    def notify(self, improved: bool) -> None:
-        if self.mode != "hybrid":
-            return
-        if improved:
-            self.stalled = 0
-            if self.using_bland:
-                self.improved_streak += 1
-                if self.improved_streak >= 5:
-                    self.using_bland = False
-                    self.improved_streak = 0
+    def eta_count(self, st: "_State") -> int:
+        return st.etas
+
+    def refactor_due(self, st: "_State", iters: int, period: int) -> bool:
+        return bool(period) and iters % period == 0
+
+    def refactor(self, st: "_State") -> None:
+        """Rebuild B⁻¹ exactly on the host (PCIe round trip), refresh β;
+        π is multiplied afresh at the next pricing."""
+        b_matrix = st.prep.basis_matrix(st.basis)
+        binv = np.linalg.solve(b_matrix, np.eye(st.prep.m))
+        with st.dev.timed_section("transfer"):
+            st.binv.copy_from_host(binv.astype(st.dtype))
+        blas.gemv(st.binv, st.b, st.beta)
+        K.clamp_nonneg_kernel(st.dev, st.beta)
+        st.multipliers.invalidate()
+        st.etas = 0
+
+    def extras(self, st: "_State", result: SolveResult) -> None:
+        pass
+
+    def free(self, st: "_State") -> None:
+        pass
+
+
+class StandardBounds:
+    """Bounds strategy: every column rests at its lower bound 0.
+
+    Pricing masks basic columns out, the ratio test is the one-sided map,
+    and a pivot's β update carries the basis swap.
+    """
+
+    range_bounds_as_rows = True
+    #: A rebuild may recompute β = B⁻¹b.
+    rebuilds_beta = True
+
+    def place(self, st: "_State") -> None:
+        pass
+
+    def alloc(self, st: "_State") -> None:
+        pass
+
+    def upload_basis(self, st: "_State") -> None:
+        pass
+
+    def price_map(self, st: "_State") -> None:
+        K.masked_for_min(st.dev, st.d, st.mask, st.tmp_n)
+
+    def ratio_map(self, st: "_State", tol_piv: float) -> None:
+        K.ratio_kernel(st.dev, st.beta, st.alpha, st.ratios, tol_piv)
+
+    def gathered(self, st: "_State") -> tuple[DeviceArray, ...]:
+        """Buffers whose row-p entry rides on the ratio readback."""
+        return (st.alpha,)
+
+    def step(self, st: "_State", q: int, d_q: float, theta: float):
+        """(d_q, σ, θ, flip): the signed step the ratio test found."""
+        return d_q, 1.0, theta, False
+
+    def pivot(self, st, p, q, c_q, theta, sigma, gathered) -> None:
+        swap = K.basis_swap(st, p, q, c_q, st.prep.n_total)
+        K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
+
+    def drive_swap(self, st, p: int, j: int, pivot: float) -> K.ScalarStores:
+        """Swap artificial row p for column j and move β; returns stores
+        left for the basis update's first launch."""
+        theta = st.beta.scalar_to_host(p) / pivot
+        swap = K.basis_swap(st, p, j, 0.0, st.prep.n_total)
+        K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
+        return K.ScalarStores()
+
+    def extras(self, st: "_State", result: SolveResult) -> None:
+        pass
+
+    def extract(self, backend: "GpuRevisedSimplex", result: SolveResult) -> None:
+        st = backend._st
+        if backend._policy.refine:
+            beta_host = backend._refined_beta(result)
         else:
-            self.stalled += 1
-            self.improved_streak = 0
-            if not self.using_bland and self.stalled >= self.stall_window:
-                self.using_bland = True
-                self.activations += 1
-                self.stalled = 0
+            beta_host = st.beta.copy_to_host().astype(np.float64)
+        attach_standard_solution(result, backend.prep, st.basis, beta_host)
 
 
 class GpuRevisedSimplex(DeviceBackend):
@@ -141,10 +288,15 @@ class GpuRevisedSimplex(DeviceBackend):
     basis: the hint's B⁻¹ is factorised on the host and uploaded (one PCIe
     round trip — exactly how a CUDA port would warm-start).  A singular or
     primal-infeasible hint falls back to the cold crash basis.
+
+    The class also carries the shared device loop: a subclass picks its
+    basis representation (``basis_rep``) and bounds handling (``bounds``).
     """
 
     name = "gpu-revised"
     accepts_warm_start = True
+    basis_rep = ExplicitInverse()
+    bounds = StandardBounds()
 
     def __init__(
         self,
@@ -159,47 +311,34 @@ class GpuRevisedSimplex(DeviceBackend):
         functional backing store; no modeled time is charged), used by the
         F8 fill-in experiment."""
         super().__init__(options, device, gpu_params)
-        if self.options.pricing in ("devex", "steepest-edge"):
-            raise SolverError(
-                f"pricing {self.options.pricing!r} needs tableau columns; "
-                "use the tableau solvers"
-            )
         self._fill_every = int(fill_stats_every)
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
-        self.prep = prep = prepare(problem, opts)
+        basis_rep = self.basis_rep
+        self.prep = prep = basis_rep.prepared(prepare(
+            problem, opts, range_bounds_as_rows=self.bounds.range_bounds_as_rows
+        ))
         dtype = self._start_machine()
-        dev = self.dev
 
         m, n = prep.m, prep.n_total
-        self._st = st = _State(prep, dev, dtype)
+        self._st = st = _State(prep, self.dev, dtype, basis_rep, self.bounds)
         self.stats = stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self._arm(m=m, n=n, pricing=opts.pricing)
-        self._eta_updates = 0
+        self._arm(m=m, n=n, pricing=opts.pricing, **basis_rep.arm_meta(prep))
         self._global_iter = 0
         self._fill_curve: list[tuple[int, float]] = []
 
         if warm_hint is not None:
-            from repro.simplex.common import validate_warm_basis
-
             warm = validate_warm_basis(prep, warm_hint)
-            try:
-                binv = np.linalg.solve(prep.basis_matrix(warm), np.eye(m))
-                warm_beta = binv @ prep.b
-            except np.linalg.LinAlgError:
-                warm_beta = None
-            if warm_beta is not None and warm_beta.min() >= -1e-7:
+            trial = basis_rep.factor_warm(st, warm)
+            if trial is not None and trial[0].min() >= -1e-7:
+                warm_beta, upload = trial
                 st.init_basis(warm)
-                with dev.timed_section("transfer"):
-                    st.binv.copy_from_host(binv.astype(dtype))
-                    st.beta.copy_from_host(
-                        np.clip(warm_beta, 0.0, None).astype(dtype)
-                    )
+                upload(np.clip(warm_beta, 0.0, None).astype(dtype))
                 needs_phase1 = bool(np.any(warm >= n))
                 stats.refactorizations += 1
 
@@ -208,10 +347,7 @@ class GpuRevisedSimplex(DeviceBackend):
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
         c_full = phase1_costs(self.prep) if phase == 1 else phase2_costs(self.prep)
-        return self._run_phase(
-            self._st, c_full, self.stats, self._tol_rc, self._tol_piv,
-            phase=phase,
-        )
+        return self._run_phase(c_full, phase)
 
     def phase1_objective(self) -> float:
         return blas.dot(self._st.c_b, self._st.beta)
@@ -219,149 +355,156 @@ class GpuRevisedSimplex(DeviceBackend):
     # ------------------------------------------------------------------
 
     def _run_phase(
-        self,
-        st: "_State",
-        c_full: np.ndarray,
-        stats: IterationStats,
-        tol_rc: float,
-        tol_piv: float,
-        phase: int,
+        self, c_full: np.ndarray, phase: int
     ) -> tuple[SolveStatus, int]:
         opts = self.options
+        st, stats = self._st, self.stats
+        basis_rep, bounds = self.basis_rep, self.bounds
         dev = st.dev
-        prep = st.prep
-        m, n = prep.m, prep.n_total
+        m, n = st.prep.m, st.prep.n_total
         cap = opts.iteration_cap(m, n)
-        pricing = _GpuPricing(opts.pricing, opts.stall_window)
+        tol_rc, tol_piv = self._tol_rc, self._tol_piv
+        switch = StallSwitch(opts.pricing, opts.stall_window)
+        tr = self.hooks if self.hooks.enabled else None
 
         st.load_phase_costs(c_full)
         z = blas.dot(st.c_b, st.beta)
         iters = 0
-        tr = self.hooks if self.hooks.enabled else None
+
+        def record(event: str, **fields) -> None:
+            tr.record(
+                phase=phase, iteration=iters, event=event,
+                pricing_rule=switch.label, eta_count=basis_rep.eta_count(st),
+                objective=float(z), **fields,
+            )
+
+        def finish(status: SolveStatus, event: "str | None" = None, **fields):
+            stats.bland_activations += switch.activations
+            if tr is not None and event is not None:
+                record(event, **fields)
+            return status, iters
 
         while iters < cap:
             iters += 1
 
-            # -- pricing: π = B⁻ᵀ c_B if stale;  d = c − Aᵀπ;  masked
-            #    selection, left on the device
+            # -- pricing: π;  d = c − Aᵀπ;  masked selection, left on the
+            #    device
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
-                st.multipliers.refresh()
+                basis_rep.refresh_pi(st)
                 blas.copy(st.c_real, st.d)
-                if st.a_sparse is not None:
-                    spmv_csc_t(st.a_sparse, st.pi, st.d, alpha=-1.0, beta=1.0)
-                else:
-                    blas.gemv(st.a_dense, st.pi, st.d, alpha=-1.0, beta=1.0, trans=True)
-                pricing.select(sec, st.d, st.mask, st.tmp_n, st.choice, tol_rc)
+                st.multiply_at(st.pi, st.d, alpha=-1.0, beta=1.0)
+                bounds.price_map(st)
+                K.select_entering(sec, st.tmp_n, st.choice, tol_rc, switch.using_bland)
 
             # -- ftran: α = B⁻¹ a_q, q read on the device
-            with dev.timed_section("ftran"), self.plan.section("ftran"):
-                st.load_entering()
-                blas.gemv(st.binv, st.a_q, st.alpha)
+            with dev.timed_section("ftran"):
+                with self.plan.section("ftran"):
+                    st.load_entering()
+                    solved = basis_rep.ftran(st)
 
             # -- ratio test (Bland-compatible: ties break to the lowest
             #    basic-variable index via a second keyed reduction).  The
             #    map's arg-min stays on the device, the tie pass reads θ
-            #    from it, and one readback returns (q, d_q, p, θ, α_p).
+            #    from it, and one readback returns (q, d_q, p, θ, α_p, …).
             with dev.timed_section("ratio"):
                 with self.plan.section("ratio.map") as sec:
-                    K.ratio_kernel(dev, st.beta, st.alpha, st.ratios, tol_piv)
+                    bounds.ratio_map(st, tol_piv)
                     sec.argmin_to_device(st.ratios, st.ratio_min)
                 with self.plan.section("ratio.tie") as sec:
                     K.tie_break_key_kernel(
                         dev, st.ratios, st.ratio_min, st.basis_keys, st.tmp_m
                     )
-                    q, d_q, p, theta, (pivot,) = sec.ratio_readback(
-                        st.choice, st.tmp_m, st.ratio_min, (st.alpha,)
+                    q, d_q, p, theta, gathered = sec.ratio_readback(
+                        st.choice, st.tmp_m, st.ratio_min, bounds.gathered(st)
                     )
+            pivot = gathered[0]
+            if q != NO_INDEX:
+                d_q, sigma, theta, flip = bounds.step(st, q, d_q, theta)
             terminal = q == NO_INDEX or not np.isfinite(theta)
-            if terminal and not st.multipliers.confirms():
+            if terminal and not basis_rep.confirms(st):
                 iters -= 1  # verify with a fresh π; the redo is not counted
                 continue
             if q == NO_INDEX:
-                stats.bland_activations += pricing.activations
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_label(pricing),
-                        eta_count=self._eta_updates, objective=float(z),
-                    )
-                return SolveStatus.OPTIMAL, iters
+                return finish(SolveStatus.OPTIMAL, "optimal")
             if not np.isfinite(theta):
-                stats.bland_activations += pricing.activations
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="unbounded",
-                        entering=int(q), pricing_rule=rule_label(pricing),
-                        eta_count=self._eta_updates, objective=float(z),
-                    )
-                return SolveStatus.UNBOUNDED, iters
-            if theta <= opts.tol_zero:
+                return finish(SolveStatus.UNBOUNDED, "unbounded", entering=int(q))
+            degenerate = theta <= opts.tol_zero
+            if degenerate:
                 stats.degenerate_steps += 1
             if tr is not None:
                 # Uncharged diagnostic peeks (host reads of the functional
                 # backing store): leaving variable before the basis swap,
                 # ratio-test tie count below the Harris-style cut.
-                trace_leaving = int(st.basis[p])
-                trace_ties = int(np.count_nonzero(st.ratios.data <= K.tie_cut(theta)))
+                peek = {} if flip else dict(
+                    leaving_row=int(p), leaving_var=int(st.basis[p]),
+                    pivot=float(pivot),
+                    ratio_ties=int(np.count_nonzero(st.ratios.data <= K.tie_cut(theta))),
+                )
 
-            # -- update: β, π, B⁻¹, objective; the basis swap's device
-            #    stores ride on the β-update launch
+            if not flip and basis_rep.rejects(solved, p, tol_piv):
+                # pivot too small for the factors: refactorise and retry
+                if not self._refactor():
+                    return finish(
+                        SolveStatus.NUMERICAL, "numerical",
+                        entering=int(q), leaving_row=int(p),
+                    )
+                z = blas.dot(st.c_b, st.beta)
+                continue
+
+            # -- update: β, basis representation, π, objective; the basis
+            #    swap's device stores ride on the β-update launch
             with dev.timed_section("update"), self.plan.section("update"):
-                swap = K.basis_swap(st, p, q, float(c_full[q]), n)
-                K.update_beta_kernel(dev, st.beta, st.alpha, theta, p, swap)
-                K.eta_kernel(dev, st.alpha, p, pivot, st.eta)
-                K.extract_row(dev, st.binv, p, st.row_p)
-                st.multipliers.update(d_q, pivot, st.row_p)
-                blas.ger(st.eta, st.row_p, st.binv)
-            z += theta * d_q
-            self._eta_updates += 1
+                if flip:
+                    bounds.flip(st, q, sigma, theta)
+                else:
+                    bounds.pivot(st, p, q, float(c_full[q]), theta, sigma, gathered)
+                    basis_rep.update(st, p, pivot, solved, tol_piv, d_q=d_q)
+            z += d_q * sigma * theta
             if tr is not None:
-                tr.record(
-                    phase=phase, iteration=iters, event="pivot",
-                    entering=int(q), leaving_row=int(p),
-                    leaving_var=trace_leaving,
-                    pivot=float(pivot), theta=float(theta),
-                    ratio_ties=trace_ties, pricing_rule=rule_label(pricing),
-                    eta_count=self._eta_updates, objective=float(z),
-                    degenerate=theta <= opts.tol_zero,
+                record(
+                    "flip" if flip else "pivot", entering=int(q),
+                    theta=float(theta), degenerate=degenerate, **peek,
                 )
             self._global_iter += 1
             if self._fill_every and self._global_iter % self._fill_every == 0:
                 # diagnostic peek at the functional backing store (uncharged)
                 frac = float(np.mean(np.abs(st.binv.data) > 1e-7))
                 self._fill_curve.append((self._global_iter, frac))
-            pricing.notify(theta * (-d_q) > 1e-12 * (1.0 + abs(z)))
+            switch.notify((-d_q * sigma) * theta > 1e-12 * (1.0 + abs(z)))
 
-            if (
-                opts.refactor_period
-                and iters % opts.refactor_period == 0
+            if bounds.rebuilds_beta and basis_rep.refactor_due(
+                st, iters, opts.refactor_period
             ):
-                with self.hooks.span("engine.refactor"):
-                    st.refactor_host()
-                stats.refactorizations += 1
-                self._eta_updates = 0
+                if not self._refactor():
+                    return finish(SolveStatus.NUMERICAL)
+                if basis_rep.resyncs_objective:
+                    z = blas.dot(st.c_b, st.beta)
 
-        stats.bland_activations += pricing.activations
-        return SolveStatus.ITERATION_LIMIT, iters
+        return finish(SolveStatus.ITERATION_LIMIT)
+
+    def _refactor(self) -> bool:
+        try:
+            with self.hooks.span("engine.refactor"):
+                self.basis_rep.refactor(self._st)
+        except SingularBasisError:
+            return False
+        self.stats.refactorizations += 1
+        return True
 
     # ------------------------------------------------------------------
 
     def drive_out_artificials(self) -> None:
         """Replace zero-valued artificial basics by real columns (host-driven,
-        device-computed): row p of B⁻¹ is read directly (it *is* e_pᵀB⁻¹),
-        the transformed row over real columns comes from one GEMVᵀ/SpMVᵀ."""
+        device-computed): the transformed row e_pᵀB⁻¹A over the real
+        columns comes from the basis representation's row p of B⁻¹ and one
+        GEMVᵀ/SpMVᵀ."""
         st = self._st
+        basis_rep = self.basis_rep
         tol_piv = self._tol_piv
-        dev = st.dev
-        prep = st.prep
-        n = prep.n_total
+        n = st.prep.n_total
         for p in np.nonzero(st.basis >= n)[0]:
             p = int(p)
-            K.extract_row(dev, st.binv, p, st.row_p)
-            if st.a_sparse is not None:
-                spmv_csc_t(st.a_sparse, st.row_p, st.tmp_n)
-            else:
-                blas.gemv(st.a_dense, st.row_p, st.tmp_n, trans=True)
+            st.multiply_at(basis_rep.inverse_row(st, p), st.tmp_n)
             alpha_row = st.tmp_n.copy_to_host().astype(np.float64)
             eligible = (~st.in_basis[:n]) & (np.abs(alpha_row) > 1e-5)
             candidates = np.nonzero(eligible)[0]
@@ -369,17 +512,12 @@ class GpuRevisedSimplex(DeviceBackend):
                 continue  # redundant row; artificial stays basic at zero
             j = int(candidates[np.argmax(np.abs(alpha_row[candidates]))])
             st.load_column(j)
-            blas.gemv(st.binv, st.a_q, st.alpha)
-            pivot = st.alpha.scalar_to_host(p)
+            solved = basis_rep.ftran(st)
+            pivot = basis_rep.host_pivot(st, solved, p)
             if abs(pivot) <= tol_piv:
                 continue
-            beta_p = st.beta.scalar_to_host(p)
-            theta = beta_p / pivot
-            swap = K.basis_swap(st, p, j, 0.0, n)
-            K.update_beta_kernel(dev, st.beta, st.alpha, theta, p, swap)
-            K.eta_kernel(dev, st.alpha, p, pivot, st.eta)
-            K.extract_row(dev, st.binv, p, st.row_p)
-            blas.ger(st.eta, st.row_p, st.binv)
+            stores = self.bounds.drive_swap(st, p, j, pivot)
+            basis_rep.update(st, p, pivot, solved, tol_piv, stores)
 
     # -- finish participation ------------------------------------------
 
@@ -387,14 +525,11 @@ class GpuRevisedSimplex(DeviceBackend):
         super().standard_extras(result)
         if self._fill_every:
             result.extra["binv_fill"] = list(getattr(self, "_fill_curve", []))
+        self.basis_rep.extras(self._st, result)
+        self.bounds.extras(self._st, result)
 
     def extract(self, result: SolveResult) -> None:
-        st = self._st
-        if self._policy.refine:
-            beta_host = self._refined_beta(result)
-        else:
-            beta_host = st.beta.copy_to_host().astype(np.float64)
-        attach_standard_solution(result, self.prep, st.basis, beta_host)
+        self.bounds.extract(self, result)
 
     def _refined_beta(self, result: SolveResult) -> np.ndarray:
         """Mixed-precision extraction: fp64 residuals on the host drive
@@ -436,12 +571,20 @@ class GpuRevisedSimplex(DeviceBackend):
 
 
 class _State:
-    """Device-resident solver state plus the host-side basis bookkeeping."""
+    """Device-resident solver state plus the host-side basis bookkeeping.
 
-    def __init__(self, prep: PreparedLP, dev: Device, dtype: np.dtype):
+    The shared buffers are allocated here; each strategy adds its own
+    (``place`` inside the first transfer section, ``alloc`` after the
+    shared work buffers).
+    """
+
+    def __init__(self, prep: PreparedLP, dev: Device, dtype: np.dtype,
+                 basis_rep, bounds):
         self.prep = prep
         self.dev = dev
         self.dtype = dtype
+        self.bounds = bounds
+        self.basis_rep = basis_rep
         m, n = prep.m, prep.n_total
 
         self.a_sparse: DeviceCscMatrix | None = None
@@ -453,11 +596,12 @@ class _State:
                 else:
                     self.a_dense = dev.to_device(np.asarray(prep.a), dtype)
                 self.b = dev.to_device(prep.b, dtype)
-                self.binv = dev.to_device(np.eye(m), dtype)
+                basis_rep.place(self)
                 self.beta = dev.to_device(prep.b, dtype)
                 self.c_real = dev.to_device(np.zeros(n), dtype)
                 self.c_b = dev.to_device(np.zeros(m), dtype)
                 self.mask = dev.to_device(np.ones(n), dtype)
+                bounds.place(self)
 
             self.pi = dev.zeros(m, dtype)
             self.d = dev.zeros(n, dtype)
@@ -468,41 +612,29 @@ class _State:
             self.alpha = dev.zeros(m, dtype)
             self.ratios = dev.zeros(m, dtype)
             #: (q, d_q) of the pricing reduction, read by the column load
+            #: (and, boxed, by the ratio map)
             self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
-            self.eta = dev.zeros(m, dtype)
-            self.row_p = dev.zeros(m, dtype)
+            bounds.alloc(self)
+            basis_rep.alloc(self)
         except Exception:
             # a failed allocation (device OOM) must not leak what was
             # already placed on the card
             self.free()
             raise
 
-        self.multipliers = K.Multipliers(self.binv, self.c_b, self.pi)
         self.basis = np.zeros(m, dtype=np.int64)
         self.in_basis = np.zeros(n + m, dtype=bool)
-        self._c_full = np.zeros(n + m)
 
-    # -- basis bookkeeping ------------------------------------------------
+    # -- data access --------------------------------------------------------
 
-    def init_basis(self, basis: np.ndarray) -> None:
-        self.basis = basis.astype(np.int64).copy()
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        mask_host = np.where(self.in_basis[: self.prep.n_total], 0.0, 1.0)
-        with self.dev.timed_section("transfer"):
-            self.mask.copy_from_host(mask_host.astype(self.dtype))
-            self.basis_keys.copy_from_host(self.basis.astype(self.dtype))
-
-    def load_phase_costs(self, c_full: np.ndarray) -> None:
-        """Upload the phase cost data: c over real columns and c_B."""
-        self._c_full = c_full
-        n = self.prep.n_total
-        with self.dev.timed_section("transfer"):
-            self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
-            self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
-        self.multipliers.invalidate()
+    def multiply_at(self, x: DeviceArray, out: DeviceArray, **kw) -> None:
+        """out := alpha·Aᵀx + beta·out (GEMVᵀ or SpMVᵀ)."""
+        if self.a_sparse is not None:
+            spmv_csc_t(self.a_sparse, x, out, **kw)
+        else:
+            blas.gemv(self.a_dense, x, out, trans=True, **kw)
 
     def load_entering(self) -> None:
         """a_q := the column pricing chose, q read on the device."""
@@ -521,29 +653,32 @@ class _State:
         else:
             K.extract_column(self.dev, self.a_dense, j, self.a_q)
 
-    def refactor_host(self) -> None:
-        """Rebuild B⁻¹ exactly on the host (PCIe round trip), refresh β;
-        π is multiplied afresh at the next pricing."""
-        b_matrix = self.prep.basis_matrix(self.basis)
-        binv = np.linalg.solve(b_matrix, np.eye(self.prep.m))
+    # -- basis bookkeeping ------------------------------------------------
+
+    def init_basis(self, basis: np.ndarray) -> None:
+        self.basis = basis.astype(np.int64).copy()
+        self.in_basis[:] = False
+        self.in_basis[self.basis] = True
+        mask_host = np.where(self.in_basis[: self.prep.n_total], 0.0, 1.0)
         with self.dev.timed_section("transfer"):
-            self.binv.copy_from_host(binv.astype(self.dtype))
-        blas.gemv(self.binv, self.b, self.beta)
-        K.clamp_nonneg_kernel(self.dev, self.beta)
-        self.multipliers.invalidate()
+            self.mask.copy_from_host(mask_host.astype(self.dtype))
+            self.basis_keys.copy_from_host(self.basis.astype(self.dtype))
+            self.bounds.upload_basis(self)
+
+    def load_phase_costs(self, c_full: np.ndarray) -> None:
+        """Upload the phase cost data: c over real columns and c_B."""
+        n = self.prep.n_total
+        with self.dev.timed_section("transfer"):
+            self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
+            self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
+        self.basis_rep.invalidate(self)
 
     def free(self) -> None:
         """Release every device allocation; tolerates partially-constructed
         state (OOM during ``__init__``)."""
-        for name in (
-            "b", "binv", "beta", "c_real", "c_b", "mask",
-            "pi", "d", "tmp_n", "tmp_m", "basis_keys",
-            "a_q", "alpha", "ratios", "choice", "ratio_min", "eta", "row_p",
-        ):
-            arr = getattr(self, name, None)
-            if arr is not None and not arr.is_freed:
+        for arr in list(vars(self).values()):
+            if isinstance(arr, DeviceArray) and not arr.is_freed:
                 arr.free()
-        if self.a_dense is not None and not self.a_dense.is_freed:
-            self.a_dense.free()
         if self.a_sparse is not None and not self.a_sparse.data.is_freed:
             self.a_sparse.free()
+        self.basis_rep.free(self)

@@ -25,22 +25,19 @@ import numpy as np
 
 from repro.core import gpu_kernels as K
 from repro.engine import DeviceBackend, attach_standard_solution
-from repro.errors import SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.reduce import NO_INDEX
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
-from repro.perfmodel.gpu_model import GpuModelParams
-from repro.perfmodel.presets import GTX280_PARAMS
 from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PreparedLP,
     initial_basis,
     prepare,
 )
-from repro.simplex.options import SolverOptions
+from repro.simplex.pricing import StallSwitch
 from repro.status import SolveStatus
 
 
@@ -48,19 +45,6 @@ class GpuTableauSimplex(DeviceBackend):
     """Two-phase full-tableau simplex on the simulated SIMT device."""
 
     name = "gpu-tableau"
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        device: Device | None = None,
-        gpu_params: GpuModelParams = GTX280_PARAMS,
-    ):
-        super().__init__(options, device, gpu_params)
-        if self.options.pricing not in ("dantzig", "bland", "hybrid"):
-            raise SolverError(
-                f"gpu-tableau supports dantzig/bland/hybrid pricing, "
-                f"not {self.options.pricing!r}"
-            )
 
     # -- engine backend interface --------------------------------------
 
@@ -120,25 +104,20 @@ class GpuTableauSimplex(DeviceBackend):
         tr = self.hooks if self.hooks.enabled else None
         m, n_cols = st.tableau.shape
         cap = opts.iteration_cap(m, n_cols)
-        use_bland = opts.pricing == "bland"
-        stalled = 0
+        switch = StallSwitch(opts.pricing, opts.stall_window)
         z = blas.dot(st.c_b, st.beta)
         iters = 0
 
-        def rule_name() -> str:
-            if opts.pricing == "hybrid":
-                return "hybrid:bland" if use_bland else "hybrid:dantzig"
-            return opts.pricing
+        def finish(status: SolveStatus) -> tuple[SolveStatus, int]:
+            stats.bland_activations += switch.activations
+            return status, iters
 
         while iters < cap:
             iters += 1
 
             with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
                 K.masked_for_min(dev, st.d, st.mask, st.work)
-                if use_bland:
-                    sec.first_below_to_device(st.work, -tol_rc, st.choice)
-                else:
-                    sec.argmin_to_device(st.work, st.choice, below=-tol_rc)
+                K.select_entering(sec, st.work, st.choice, tol_rc, switch.using_bland)
 
             with dev.timed_section("column"), self.plan.section("column"):
                 K.load_entering_column(
@@ -159,14 +138,14 @@ class GpuTableauSimplex(DeviceBackend):
             if q == NO_INDEX:
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="optimal",
-                              pricing_rule=rule_name(), objective=float(z))
-                return SolveStatus.OPTIMAL, iters
+                              pricing_rule=switch.label, objective=float(z))
+                return finish(SolveStatus.OPTIMAL)
             if not np.isfinite(theta):
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="unbounded",
-                              entering=int(q), pricing_rule=rule_name(),
+                              entering=int(q), pricing_rule=switch.label,
                               objective=float(z))
-                return SolveStatus.UNBOUNDED, iters
+                return finish(SolveStatus.UNBOUNDED)
             degenerate = theta <= opts.tol_zero
             if degenerate:
                 stats.degenerate_steps += 1
@@ -184,23 +163,12 @@ class GpuTableauSimplex(DeviceBackend):
                     entering=int(q), leaving_row=int(p),
                     leaving_var=trace_leaving,
                     pivot=float(pivot), theta=float(theta),
-                    ratio_ties=trace_ties, pricing_rule=rule_name(),
+                    ratio_ties=trace_ties, pricing_rule=switch.label,
                     objective=float(z), degenerate=degenerate,
                 )
+            switch.notify(theta * (-d_q) > 1e-12 * (1.0 + abs(z)))
 
-            improved = theta * (-d_q) > 1e-12 * (1.0 + abs(z))
-            if opts.pricing == "hybrid":
-                if improved:
-                    stalled = 0
-                    use_bland = False
-                else:
-                    stalled += 1
-                    if stalled >= opts.stall_window and not use_bland:
-                        use_bland = True
-                        stats.bland_activations += 1
-                        stalled = 0
-
-        return SolveStatus.ITERATION_LIMIT, iters
+        return finish(SolveStatus.ITERATION_LIMIT)
 
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued artificial basics onto real columns."""

@@ -67,6 +67,12 @@ class SolverBackend:
 
     name: str = "?"
 
+    #: The ``SolverOptions.pricing`` rules the method accepts; ``None`` for
+    #: methods that price no columns (first-order) and leave it unread.
+    #: ``devex`` and ``steepest-edge`` need the updated tableau columns,
+    #: which only the CPU ``tableau`` method carries.
+    pricing_rules: "tuple[str, ...] | None" = ("dantzig", "bland", "hybrid")
+
     #: Whether ``solve(..., initial_basis_hint=...)`` is honored.  The
     #: engine rejects a hint passed to a backend that does not opt in, so a
     #: direct caller cannot have one silently ignored.
@@ -130,10 +136,22 @@ class SolverBackend:
         """Release per-solve resources; runs on every exit path."""
 
 
-def _default_options(options: "SolverOptions | None") -> "SolverOptions":
+def _checked_options(
+    backend: SolverBackend, options: "SolverOptions | None"
+) -> "SolverOptions":
+    """The options a backend runs with (defaults when ``None``), with its
+    pricing rule checked against :attr:`SolverBackend.pricing_rules`."""
     from repro.simplex.options import SolverOptions
 
-    return options or SolverOptions()
+    options = options or SolverOptions()
+    rules = backend.pricing_rules
+    if rules is not None and options.pricing not in rules:
+        raise SolverError(
+            f"{backend.name} does not accept pricing {options.pricing!r}: "
+            "devex and steepest-edge need tableau columns, and only the "
+            "'tableau' method accepts them"
+        )
+    return options
 
 
 class HostBackend(SolverBackend):
@@ -145,7 +163,7 @@ class HostBackend(SolverBackend):
         options: "SolverOptions | None" = None,
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
     ):
-        self.options = _default_options(options)
+        self.options = _checked_options(self, options)
         self.recorder = CpuCostRecorder(
             CpuCostModel(cpu_params), dtype=self.options.dtype
         )
@@ -187,7 +205,7 @@ class DeviceBackend(SolverBackend):
         device: Device | None = None,
         gpu_params: GpuModelParams = GTX280_PARAMS,
     ):
-        self.options = _default_options(options)
+        self.options = _checked_options(self, options)
         self._external_device = device
         self._gpu_params = gpu_params
         self._st = None

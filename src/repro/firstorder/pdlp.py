@@ -71,6 +71,7 @@ class PdlpBackend(SolverBackend):
     :meth:`_place`."""
 
     accepts_warm_start = False
+    pricing_rules = None
 
     def _place(self, rescaled: RescaledLP, dtype: np.dtype):
         raise NotImplementedError

@@ -52,6 +52,7 @@ from repro.simplex.common import (
     prepare,
 )
 from repro.simplex.options import SolverOptions
+from repro.simplex.pricing import StallSwitch
 from repro.status import SolveStatus
 
 #: Ratio-test outcome marker for a bound flip (no basis change).
@@ -69,10 +70,6 @@ class BoundedRevisedSimplexSolver(HostBackend):
         cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
     ):
         super().__init__(options, cpu_params)
-        if self.options.pricing in ("devex", "steepest-edge"):
-            raise SolverError(
-                "devex/steepest-edge pricing needs the tableau solver"
-            )
         if self.options.scale:
             raise SolverError(
                 "the bounded solver does not combine with scaling yet; "
@@ -106,7 +103,11 @@ class BoundedRevisedSimplexSolver(HostBackend):
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
         c_full = phase1_costs(self.prep) if phase == 1 else phase2_costs(self.prep)
-        status, z, iters = self._run_phase(self.st, c_full, phase=phase)
+        switch = StallSwitch(self.options.pricing, self.options.stall_window)
+        try:
+            status, z, iters = self._run_phase(self.st, c_full, switch, phase)
+        finally:
+            self.stats.bland_activations += switch.activations
         self._z = z
         return status, iters
 
@@ -116,26 +117,19 @@ class BoundedRevisedSimplexSolver(HostBackend):
     # ------------------------------------------------------------------
 
     def _run_phase(self, st: "_BoundedState", c_full: np.ndarray,
-                   phase: int = 2):
+                   switch: StallSwitch, phase: int):
         opts = self.options
         tr = self.hooks if self.hooks.enabled else None
         prep = st.prep
         m, n = prep.m, prep.n_total
         w = np.dtype(opts.dtype).itemsize
         cap = opts.iteration_cap(m, n)
-        use_bland = opts.pricing == "bland"
-        stalled = 0
         z = float(c_full[st.basis] @ st.x_b) + float(
             c_full[:n][st.at_upper] @ st.u[:n][st.at_upper]
         )
         iters = 0
         tol_rc = opts.tol_reduced_cost
         tol_piv = opts.tol_pivot
-
-        def rule_name() -> str:
-            if opts.pricing == "hybrid":
-                return "hybrid:bland" if use_bland else "hybrid:dantzig"
-            return opts.pricing
 
         while iters < cap:
             iters += 1
@@ -153,7 +147,7 @@ class BoundedRevisedSimplexSolver(HostBackend):
             )
             sigma_all = np.where(st.at_upper, -1.0, 1.0)
             signed = np.where(~st.in_basis[:n], sigma_all * d, np.inf)
-            if use_bland:
+            if switch.using_bland:
                 hits = np.nonzero(signed < -tol_rc)[0]
                 q = int(hits[0]) if hits.size else None
             else:
@@ -164,7 +158,7 @@ class BoundedRevisedSimplexSolver(HostBackend):
                 if tr is not None:
                     tr.record(
                         phase=phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_name(),
+                        pricing_rule=switch.label,
                         eta_count=int(st.basisrep.updates_since_refactor),
                         objective=float(z),
                     )
@@ -210,7 +204,7 @@ class BoundedRevisedSimplexSolver(HostBackend):
                 if tr is not None:
                     tr.record(
                         phase=phase, iteration=iters, event="unbounded",
-                        entering=int(q), pricing_rule=rule_name(),
+                        entering=int(q), pricing_rule=switch.label,
                         eta_count=int(st.basisrep.updates_since_refactor),
                         objective=float(z),
                     )
@@ -236,7 +230,7 @@ class BoundedRevisedSimplexSolver(HostBackend):
                     tr.record(
                         phase=phase, iteration=iters, event="flip",
                         entering=int(q), theta=float(theta),
-                        pricing_rule=rule_name(),
+                        pricing_rule=switch.label,
                         eta_count=int(st.basisrep.updates_since_refactor),
                         objective=float(z), degenerate=degenerate,
                     )
@@ -252,7 +246,7 @@ class BoundedRevisedSimplexSolver(HostBackend):
                             phase=phase, iteration=iters,
                             event="recovery" if recovered else "numerical",
                             entering=int(q), leaving_row=int(p),
-                            pricing_rule=rule_name(), objective=float(z),
+                            pricing_rule=switch.label, objective=float(z),
                         )
                     if not recovered:
                         return SolveStatus.NUMERICAL, z, iters
@@ -271,21 +265,12 @@ class BoundedRevisedSimplexSolver(HostBackend):
                         phase=phase, iteration=iters, event="pivot",
                         entering=int(q), leaving_row=int(p), leaving_var=leaving,
                         pivot=float(alpha[p]), theta=float(theta),
-                        ratio_ties=int(tied.size), pricing_rule=rule_name(),
+                        ratio_ties=int(tied.size), pricing_rule=switch.label,
                         eta_count=int(st.basisrep.updates_since_refactor),
                         objective=float(z), degenerate=degenerate,
                     )
 
-            if opts.pricing == "hybrid":
-                if improved:
-                    stalled = 0
-                    use_bland = False
-                else:
-                    stalled += 1
-                    if stalled >= opts.stall_window and not use_bland:
-                        use_bland = True
-                        st.stats.bland_activations += 1
-                        stalled = 0
+            switch.notify(improved)
 
             if (
                 opts.refactor_period

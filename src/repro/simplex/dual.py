@@ -68,8 +68,6 @@ class DualSimplexSolver(HostBackend):
         allow_primal_fallback: bool = True,
     ):
         super().__init__(options, cpu_params)
-        if self.options.pricing not in ("dantzig", "bland", "hybrid"):
-            raise SolverError("dual simplex supports dantzig/bland/hybrid row choice")
         self.allow_primal_fallback = allow_primal_fallback
 
     # -- engine backend interface --------------------------------------

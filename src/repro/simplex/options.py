@@ -33,9 +33,9 @@ class SolverOptions:
         objective progress, so it cannot cycle), ``dantzig`` (most negative
         reduced cost; cycles on degenerate LPs such as
         :func:`~repro.lp.generators.beale_cycling_lp`), ``bland`` (lowest
-        index, anti-cycling), ``devex`` and ``steepest-edge`` (tableau
-        solvers only — they need the updated column norms the tableau
-        carries).
+        index, anti-cycling), ``devex`` and ``steepest-edge`` (the CPU
+        ``tableau`` method only — they need the updated column norms the
+        tableau carries).
     ratio_test:
         ``standard`` (min ratio, lowest-index tie-break) or ``harris``
         (two-pass with feasibility tolerance; picks the largest pivot among
@@ -61,10 +61,13 @@ class SolverOptions:
         run cannot certify 1e-9 residuals).
     stall_window:
         Iterations without objective improvement before ``hybrid`` pricing
-        switches to Bland (and after escaping the stall, back).
+        switches to Bland; five improving pivots switch it back
+        (:class:`~repro.simplex.pricing.StallSwitch`, one rule for every
+        simplex method).
     refactor_period:
         Revised solvers: rebuild B⁻¹ (or the PFI base) from the basis
-        columns every this many pivots; 0 disables.
+        columns every this many pivots; 0 disables.  ``gpu-revised-bounded``
+        keeps its B⁻¹ for the whole solve.
     scale:
         Apply geometric-mean scaling to the standard-form data.
     dtype:

@@ -87,55 +87,78 @@ class BlandRule(PricingRule):
         return int(hits[0]) if hits.size else None
 
 
-class HybridRule(PricingRule):
-    """Dantzig with an automatic Bland fallback on objective stalls.
+class StallSwitch:
+    """The hybrid rule's Dantzig ↔ Bland switch, written once for every
+    simplex method.
 
-    Counts consecutive non-improving pivots; at ``stall_window`` it switches
-    to Bland (guaranteeing escape from any cycle), and switches back to
-    Dantzig after ``recovery`` improving pivots.
+    ``mode`` is the pricing option: ``"bland"`` stays on Bland and
+    ``"dantzig"`` on Dantzig.  ``"hybrid"`` counts consecutive
+    non-improving pivots; at ``stall_window`` it switches to Bland
+    (guaranteeing escape from any cycle), and back to Dantzig after
+    ``recovery`` improving pivots.
     """
 
-    def __init__(self, stall_window: int = 40, recovery: int = 5):
-        if stall_window < 1:
-            raise SolverError("stall_window must be >= 1")
+    def __init__(self, mode: str = "hybrid", stall_window: int = 40,
+                 recovery: int = 5):
+        self.mode = mode
         self.stall_window = stall_window
         self.recovery = recovery
-        self._dantzig = DantzigRule()
-        self._bland = BlandRule()
-        self._stalled = 0
-        self._improved_streak = 0
-        self._using_bland = False
-        #: Number of Dantzig→Bland switches (reported as bland_activations).
-        self.activations = 0
+        self.reset()
 
-    def reset(self, n_cols: int) -> None:
+    def reset(self, n_cols: int = 0) -> None:
         # Clears the activation counter too: callers flush per-phase counts
         # into their stats before resetting, and a stale counter would be
         # double-counted into the next phase's total.
+        self.using_bland = self.mode == "bland"
         self._stalled = 0
         self._improved_streak = 0
-        self._using_bland = False
+        #: Number of Dantzig→Bland switches (reported as bland_activations).
         self.activations = 0
 
-    def select(self, d: np.ndarray, eligible: np.ndarray, tol: float) -> int | None:
-        rule = self._bland if self._using_bland else self._dantzig
-        return rule.select(d, eligible, tol)
+    @property
+    def label(self) -> str:
+        """The rule in effect, as trace records name it."""
+        if self.mode == "hybrid":
+            return "hybrid:bland" if self.using_bland else "hybrid:dantzig"
+        return self.mode
 
-    def notify_pivot(self, q, p_row, alpha, improved) -> None:
+    def notify(self, improved: bool) -> None:
+        """Account one pivot: whether it strictly improved the objective."""
+        if self.mode != "hybrid":
+            return
         if improved:
             self._stalled = 0
-            if self._using_bland:
+            if self.using_bland:
                 self._improved_streak += 1
                 if self._improved_streak >= self.recovery:
-                    self._using_bland = False
+                    self.using_bland = False
                     self._improved_streak = 0
         else:
             self._stalled += 1
             self._improved_streak = 0
-            if not self._using_bland and self._stalled >= self.stall_window:
-                self._using_bland = True
+            if not self.using_bland and self._stalled >= self.stall_window:
+                self.using_bland = True
                 self.activations += 1
                 self._stalled = 0
+
+    def notify_pivot(self, q, p_row, alpha, improved) -> None:
+        self.notify(improved)
+
+
+class HybridRule(StallSwitch, PricingRule):
+    """Dantzig with an automatic Bland fallback on objective stalls (the
+    :class:`StallSwitch` picks which rule selects)."""
+
+    def __init__(self, stall_window: int = 40, recovery: int = 5):
+        if stall_window < 1:
+            raise SolverError("stall_window must be >= 1")
+        super().__init__("hybrid", stall_window, recovery)
+        self._dantzig = DantzigRule()
+        self._bland = BlandRule()
+
+    def select(self, d: np.ndarray, eligible: np.ndarray, tol: float) -> int | None:
+        rule = self._bland if self.using_bland else self._dantzig
+        return rule.select(d, eligible, tol)
 
 
 class DevexRule(PricingRule):

@@ -31,11 +31,10 @@ import dataclasses
 import numpy as np
 
 from repro.engine import HostBackend, attach_standard_solution, rule_label
-from repro.errors import SingularBasisError, SolverError
+from repro.errors import SingularBasisError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.ops import OpCost
-from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
 from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
@@ -45,7 +44,6 @@ from repro.simplex.common import (
     phase2_costs,
     prepare,
 )
-from repro.simplex.options import SolverOptions
 from repro.simplex.ratio import run_ratio_test
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.simplex.sparse_pricing import SparsePartialPricing
@@ -74,18 +72,6 @@ class SparseRevisedSimplexSolver(HostBackend):
 
     name = "revised-sparse-cpu"
     accepts_warm_start = True
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
-    ):
-        super().__init__(options, cpu_params)
-        if self.options.pricing in ("devex", "steepest-edge"):
-            raise SolverError(
-                f"pricing {self.options.pricing!r} needs the updated tableau; "
-                "use the tableau solver"
-            )
 
     # -- engine backend interface --------------------------------------
 

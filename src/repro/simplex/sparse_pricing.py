@@ -16,8 +16,8 @@ Three modes mirror :mod:`repro.simplex.pricing`:
 - ``bland``   — the scan always restarts at section 0 and returns the
   lowest-index eligible column, which is *global* Bland's rule
   (anti-cycling guarantee preserved);
-- ``hybrid``  — partial Dantzig with the same stall-triggered Bland
-  fallback as :class:`~repro.simplex.pricing.HybridRule`.
+- ``hybrid``  — partial Dantzig with the stall-triggered Bland fallback
+  of :class:`~repro.simplex.pricing.StallSwitch`, which this class is.
 
 Modeled CPU time is charged per section actually scanned, so the recorder
 sees the savings partial pricing exists to provide.
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.perfmodel.cpu_model import CpuCostRecorder
 from repro.perfmodel.ops import OpCost
+from repro.simplex.pricing import StallSwitch
 from repro.sparse.base import segment_sums
 from repro.sparse.csc import CscMatrix
 
@@ -43,7 +44,7 @@ _TARGET_SECTIONS = 8
 _MIN_SECTION = 32
 
 
-class SparsePartialPricing:
+class SparsePartialPricing(StallSwitch):
     """Round-robin sectioned pricing with Dantzig/Bland/hybrid selection."""
 
     def __init__(
@@ -55,25 +56,16 @@ class SparsePartialPricing:
         dtype=np.float64,
     ):
         self.a = a
-        self.mode = mode
-        self.stall_window = stall_window
         self.recorder = recorder
         self._w = np.dtype(dtype).itemsize
         n = a.shape[1]
         n_sections = max(1, min(_TARGET_SECTIONS, n // _MIN_SECTION))
         self._bounds = np.linspace(0, n, n_sections + 1).astype(np.int64)
         self.n_sections = n_sections
-        self.using_bland = mode == "bland"
-        self.stalled = 0
-        self.improved_streak = 0
-        #: Dantzig→Bland switches this phase (flushed into IterationStats).
-        self.activations = 0
-        self._cursor = 0
+        super().__init__(mode, stall_window)
 
-    def reset(self, n: int) -> None:
-        self.using_bland = self.mode == "bland"
-        self.stalled = 0
-        self.improved_streak = 0
+    def reset(self, n: int = 0) -> None:
+        super().reset(n)
         self._cursor = 0
 
     # -- section scan ------------------------------------------------------
@@ -131,23 +123,3 @@ class SparsePartialPricing:
                 self._cursor = s  # stay on a productive section
                 return s0 + j, float(masked[j])
         return None
-
-    # -- hybrid switching (same policy as the dense/GPU hybrid rules) ------
-
-    def notify_pivot(self, q, p, unused, improved: bool) -> None:
-        if self.mode != "hybrid":
-            return
-        if improved:
-            self.stalled = 0
-            if self.using_bland:
-                self.improved_streak += 1
-                if self.improved_streak >= 5:
-                    self.using_bland = False
-                    self.improved_streak = 0
-        else:
-            self.stalled += 1
-            self.improved_streak = 0
-            if not self.using_bland and self.stalled >= self.stall_window:
-                self.using_bland = True
-                self.activations += 1
-                self.stalled = 0

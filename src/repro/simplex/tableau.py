@@ -27,6 +27,7 @@ from repro.simplex.common import (
     initial_basis,
     prepare,
 )
+from repro.simplex.options import PRICING_RULES
 from repro.simplex.pricing import (
     DevexRule,
     HybridRule,
@@ -41,6 +42,7 @@ class TableauSimplexSolver(HostBackend):
     """CPU dense full-tableau simplex."""
 
     name = "tableau-cpu"
+    pricing_rules = PRICING_RULES
 
     # -- engine backend interface --------------------------------------
 

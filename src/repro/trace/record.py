@@ -215,20 +215,15 @@ def rule_label(rule: Any) -> str:
     """Human-readable label of the pricing rule currently in effect.
 
     Accepts a plain string (passed through), any of the
-    :mod:`repro.simplex.pricing` rule objects, or the GPU solvers' internal
-    pricing helpers.  Hybrid rules report which arm is active
-    (``"hybrid:dantzig"`` / ``"hybrid:bland"``).
+    :mod:`repro.simplex.pricing` rule objects, or a
+    :class:`~repro.simplex.pricing.StallSwitch`.  Hybrid rules report which
+    arm is active (``"hybrid:dantzig"`` / ``"hybrid:bland"``).
     """
     if isinstance(rule, str):
         return rule
-    mode = getattr(rule, "mode", None)
-    using_bland = getattr(rule, "using_bland", None)
-    if using_bland is None:
-        using_bland = getattr(rule, "_using_bland", None)
-    if mode is not None:  # GPU pricing helper
-        if mode == "hybrid":
-            return "hybrid:bland" if using_bland else "hybrid:dantzig"
-        return str(mode)
+    label = getattr(rule, "label", None)
+    if label is not None:  # the hybrid switch and the rules built on it
+        return label
     name = type(rule).__name__
     labels = {
         "DantzigRule": "dantzig",
@@ -236,6 +231,4 @@ def rule_label(rule: Any) -> str:
         "DevexRule": "devex",
         "SteepestEdgeRule": "steepest-edge",
     }
-    if name == "HybridRule":
-        return "hybrid:bland" if using_bland else "hybrid:dantzig"
     return labels.get(name, name)

@@ -96,3 +96,39 @@ class TestModuleSurfaces:
             if not (module.__doc__ or "").strip():
                 missing.append(info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+class TestTableauPricingRejection:
+    """``devex`` and ``steepest-edge`` need updated tableau columns; every
+    simplex method but ``tableau`` rejects them with one message."""
+
+    METHODS = [
+        "revised", "revised-bounded", "revised-sparse", "dual",
+        "gpu-revised", "gpu-revised-bounded", "gpu-revised-sparse",
+        "gpu-tableau",
+    ]
+    MESSAGE = "only the 'tableau' method accepts them"
+
+    @pytest.mark.parametrize("rule", ["devex", "steepest-edge"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_constructor(self, method, rule):
+        from repro.engine import METHODS
+        from repro.simplex.options import SolverOptions
+
+        cls = type(METHODS[method].factory(SolverOptions(), None))
+        with pytest.raises(E.SolverError, match=self.MESSAGE):
+            cls(SolverOptions(pricing=rule))
+
+    @pytest.mark.parametrize("rule", ["devex", "steepest-edge"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve(self, method, rule, textbook_lp):
+        from repro import solve
+
+        with pytest.raises(E.SolverError, match=self.MESSAGE):
+            solve(textbook_lp, method=method, pricing=rule)
+
+    def test_tableau_accepts_them(self, textbook_lp):
+        from repro import solve
+
+        for rule in ("devex", "steepest-edge"):
+            assert solve(textbook_lp, method="tableau", pricing=rule).status.value == "optimal"

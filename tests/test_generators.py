@@ -134,6 +134,19 @@ class TestBeale:
         assert r.status.value == "optimal"
         assert r.objective == pytest.approx(-0.05)
 
+    @pytest.mark.parametrize(
+        "method", [m for m in available_methods() if not m.endswith("pdlp")]
+    )
+    def test_hybrid_switch_is_the_same_everywhere(self, method):
+        """With ``stall_window=2`` the hybrid rule stalls into Bland after
+        two pivots and stays there: a single improving pivot does not
+        switch it back on any method."""
+        from repro import solve
+
+        r = solve(beale_cycling_lp(), method=method, stall_window=2, trace=True)
+        rules = [t.pricing_rule for t in r.trace if t.event == "pivot"]
+        assert rules == ["hybrid:dantzig"] * 2 + ["hybrid:bland"] * 4
+
 
 class TestTransportation:
     def test_balanced(self):

@@ -71,10 +71,10 @@ class TestHybrid:
         rule = HybridRule(stall_window=2, recovery=2)
         for _ in range(2):
             rule.notify_pivot(1, 0, None, improved=False)
-        assert rule._using_bland
+        assert rule.using_bland
         for _ in range(2):
             rule.notify_pivot(1, 0, None, improved=True)
-        assert not rule._using_bland
+        assert not rule.using_bland
 
     def test_improvement_resets_stall_counter(self):
         rule = HybridRule(stall_window=3)
@@ -152,7 +152,7 @@ class TestHybridReset:
         assert rule.activations == 1
         rule.reset(5)
         assert rule.activations == 0
-        assert not rule._using_bland
+        assert not rule.using_bland
         assert rule._stalled == 0
 
 
