@@ -43,9 +43,8 @@ from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
 from repro.result import SolveResult
-from repro.simplex.common import PreparedLP
+from repro.simplex.common import PreparedLP, as_sparse_prep
 from repro.simplex.options import SolverOptions
-from repro.simplex.revised_sparse import _as_sparse_prep
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 
 
@@ -65,7 +64,7 @@ class DeviceLU:
     def prepared(self, prep: PreparedLP) -> PreparedLP:
         """Dense inputs are converted to CSC: this strategy always runs the
         sparse data path."""
-        return _as_sparse_prep(prep)
+        return as_sparse_prep(prep)
 
     def arm_meta(self, prep: PreparedLP) -> dict:
         return {"nnz": prep.nnz}

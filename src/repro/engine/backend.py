@@ -5,10 +5,11 @@ mapping, the phase-1 feasibility verdict, result assembly and observer
 wiring (:func:`repro.engine.lifecycle.run_solve`).  A backend owns the
 *method*: how state is prepared, how a phase's iteration loop prices,
 ratio-tests and pivots, and how the optimal solution is read back.  The
-split keeps the seven methods' numerics byte-for-byte intact (their inner
-loops differ structurally: eta files vs Gauss–Jordan tableaus, one- vs
-three-way ratio tests, primal vs dual pivoting) while the surrounding
-boilerplate that used to be cloned per solver lives exactly once.
+split keeps the methods' numerics byte-for-byte intact (their inner loops
+differ structurally: revised vs Gauss–Jordan tableau, primal vs dual
+pivoting; the revised methods of one machine share a loop with strategy
+objects) while the surrounding boilerplate that used to be cloned per
+solver lives exactly once.
 
 Lifecycle call order (see :func:`~repro.engine.lifecycle.run_solve`)::
 
@@ -72,6 +73,12 @@ class SolverBackend:
     #: ``devex`` and ``steepest-edge`` need the updated tableau columns,
     #: which only the CPU ``tableau`` method carries.
     pricing_rules: "tuple[str, ...] | None" = ("dantzig", "bland", "hybrid")
+
+    #: The ``SolverOptions.ratio_test`` values the method accepts; ``None``
+    #: for methods without a ratio test.  The Harris two-pass test runs in
+    #: the one-way ratio tests of the CPU ``tableau``, ``revised`` and
+    #: ``revised-sparse`` methods only.
+    ratio_tests: "tuple[str, ...] | None" = ("standard",)
 
     #: Whether ``solve(..., initial_basis_hint=...)`` is honored.  The
     #: engine rejects a hint passed to a backend that does not opt in, so a
@@ -140,7 +147,8 @@ def _checked_options(
     backend: SolverBackend, options: "SolverOptions | None"
 ) -> "SolverOptions":
     """The options a backend runs with (defaults when ``None``), with its
-    pricing rule checked against :attr:`SolverBackend.pricing_rules`."""
+    pricing rule and ratio test checked against
+    :attr:`SolverBackend.pricing_rules` and :attr:`SolverBackend.ratio_tests`."""
     from repro.simplex.options import SolverOptions
 
     options = options or SolverOptions()
@@ -150,6 +158,13 @@ def _checked_options(
             f"{backend.name} does not accept pricing {options.pricing!r}: "
             "devex and steepest-edge need tableau columns, and only the "
             "'tableau' method accepts them"
+        )
+    tests = backend.ratio_tests
+    if tests is not None and options.ratio_test not in tests:
+        raise SolverError(
+            f"{backend.name} does not accept ratio_test {options.ratio_test!r}: "
+            "only the 'tableau', 'revised' and 'revised-sparse' methods "
+            "run the Harris ratio test"
         )
     return options
 

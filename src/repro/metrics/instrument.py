@@ -197,7 +197,7 @@ def record_solve(result: "SolveResult") -> None:
     iters.inc(stats.phase2_iterations, solver=solver, phase="2")
     reg.counter(
         "repro_solver_degenerate_pivots_total",
-        "Degenerate (zero-step or tied) pivots by solver.", labels=("solver",),
+        "Degenerate (zero-step) pivots by solver.", labels=("solver",),
     ).inc(stats.degenerate_steps, solver=solver)
     reg.counter(
         "repro_solver_bland_activations_total",

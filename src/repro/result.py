@@ -22,6 +22,8 @@ class IterationStats:
 
     phase1_iterations: int = 0
     phase2_iterations: int = 0
+    #: Steps of length θ <= ``tol_zero`` (pivots and bound flips), the same
+    #: test in every simplex method.
     degenerate_steps: int = 0
     bland_activations: int = 0
     refactorizations: int = 0

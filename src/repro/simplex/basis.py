@@ -94,6 +94,11 @@ class BasisRepresentation(abc.ABC):
     def refactorize(self, basis_columns: np.ndarray) -> None:
         """Rebuild exactly from the m×m matrix of current basis columns."""
 
+    def needs_refresh(self) -> bool:
+        """Whether the representation asks for a rebuild before the next
+        ``refactor_period`` is due (fill-in, for the sparse LU)."""
+        return False
+
 
 class ExplicitInverseBasis(BasisRepresentation):
     """Dense explicit B⁻¹ with in-place rank-1 eta updates."""

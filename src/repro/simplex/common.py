@@ -79,6 +79,17 @@ class PreparedLP:
         return 2.0 * (self.nnz if self.is_sparse else self.m * self.n_total)
 
 
+def as_sparse_prep(prep: PreparedLP) -> PreparedLP:
+    """The prepared data with its matrix in CSC (dense inputs converted)."""
+    if prep.is_sparse:
+        if isinstance(prep.a, CscMatrix):
+            return prep
+        return dataclasses.replace(prep, a=prep.a.tocsc())
+    return dataclasses.replace(
+        prep, a=CscMatrix.from_dense(np.asarray(prep.a, dtype=np.float64))
+    )
+
+
 def prepare(
     problem: "LPProblem | StandardFormLP",
     options: SolverOptions,

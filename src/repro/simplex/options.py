@@ -60,8 +60,8 @@ class SolverOptions:
         methods ignore it.  Floored by the arithmetic precision (a float32
         run cannot certify 1e-9 residuals).
     stall_window:
-        Iterations without objective improvement before ``hybrid`` pricing
-        switches to Bland; five improving pivots switch it back
+        Iterations (>= 1) without objective improvement before ``hybrid``
+        pricing switches to Bland; five improving pivots switch it back
         (:class:`~repro.simplex.pricing.StallSwitch`, one rule for every
         simplex method).
     refactor_period:
@@ -128,6 +128,8 @@ class SolverOptions:
             )
         if self.max_iterations < 0:
             raise SolverError("max_iterations must be >= 0")
+        if self.stall_window < 1:
+            raise SolverError("stall_window must be >= 1")
         for name in ("tol_reduced_cost", "tol_pivot", "tol_zero", "tol_kkt"):
             if getattr(self, name) < 0:
                 raise SolverError(f"{name} must be non-negative")

@@ -1,20 +1,54 @@
-"""Dense two-phase revised simplex on the CPU.
+"""Two-phase revised simplex on the CPU: one host loop for three methods.
 
 This is the paper's sequential comparator: the same algorithm the GPU solver
 parallelises, running against NumPy (standing in for an optimized CPU BLAS)
 with modeled 2009-era CPU time recorded per operation.
 
-Algorithm (per iteration):
+The iteration is written once here and varies along two axes, each a small
+strategy object fixed by the method's class:
 
-1. **BTRAN**    π = c_Bᵀ B⁻¹                     (basis representation)
-2. **pricing**  d = c − πᵀA; entering column q   (pricing rule)
-3. **FTRAN**    α = B⁻¹ a_q
-4. **ratio**    leaving row p, step θ            (ratio test)
-5. **update**   β, z, B⁻¹, basis index sets
+- **data, basis and pricing** — :class:`DenseData` (the standard-form data
+  as given, the ``basis_update`` representation rebuilt from the dense
+  basis matrix, full pricing; ``revised`` and ``revised-bounded``) or
+  :class:`~repro.simplex.revised_sparse.SparseData` (CSC data, sparse LU
+  rebuilt from the basis' CSC columns, sectioned partial pricing;
+  ``revised-sparse``);
+- **bounds** — :class:`StandardBounds` (x ≥ 0; ``revised`` and
+  ``revised-sparse``) or :class:`~repro.simplex.bounded.BoxedBounds`
+  (finite upper bounds handled natively; ``revised-bounded``).
 
-Phase 1 minimises the sum of implicit artificial variables; artificials are
-driven out of the basis before phase 2 (rows that cannot be driven out are
-redundant and keep their artificial pinned at zero).
+Per iteration, with the modeled charges in the order they are made; a row
+marked *all* runs in every method, the others in the named strategy:
+
+========= ========= ====================================================
+step      strategy  work (charge)
+========= ========= ====================================================
+BTRAN     all       π = B⁻ᵀc_B (``btran``)
+pricing   dense     d = c − Aᵀπ over every column (one ``pricing``), then
+                    Dantzig or Bland as the stall switch says
+          sparse    d section by section from the CSC slices, stopping at
+                    the first section with a candidate (``pricing`` per
+                    section scanned)
+          standard  candidates: nonbasic columns with d_j < −tol
+          boxed     candidates: nonbasic columns with σ_j·d_j < −tol
+                    (σ_j = −1 at the upper bound, +1 at 0)
+FTRAN     all       α = B⁻¹a_q (``ftran``)
+ratio     standard  one-way minimum ratio, standard or Harris (``ratio``)
+          boxed     three-way: a basic falls to 0, a basic rises to its
+                    bound, or the entering column reaches its own bound —
+                    a bound flip (``ratio``)
+update    standard  basis update (``update.*``), then β −= θα
+                    (``update.beta``)
+          boxed     x_B += θ·δ (``update.beta``), then the basis update
+                    unless the step was a flip
+refactor  all       every ``refactor_period`` pivots, or when the basis
+                    representation asks (``refactor``, ``ftran``)
+========= ========= ====================================================
+
+A step is degenerate when θ ≤ ``tol_zero``.  Phase 1 minimises the sum of
+implicit artificial variables; artificials are driven out of the basis
+before phase 2 (rows that cannot be driven out are redundant and keep
+their artificial pinned at zero).
 
 The two-phase driving, status handling and result assembly live in
 :mod:`repro.engine`; this module implements only the method itself behind
@@ -22,6 +56,8 @@ the :class:`~repro.engine.backend.HostBackend` interface.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +75,149 @@ from repro.simplex.common import (
     phase1_costs,
     phase2_costs,
     prepare,
+    validate_warm_basis,
 )
-from repro.simplex.pricing import HybridRule, make_pricing_rule
+from repro.simplex.options import RATIO_TESTS
+from repro.simplex.pricing import StallSwitch
 from repro.simplex.ratio import run_ratio_test
 from repro.status import SolveStatus
+
+#: Modeled width of a sparse row index (the CSC index array).
+_INDEX_BYTES = 4
+
+
+def full_pricing_cost(prep: PreparedLP, w: int) -> OpCost:
+    """One pass of Aᵀy over every real column: full pricing, and the
+    drive-out's transformed row.  CSC data reads a value and an index per
+    nonzero."""
+    m, n = prep.m, prep.n_total
+    if prep.is_sparse:
+        nnz = prep.nnz
+        return OpCost(
+            flops=2 * nnz,
+            bytes_read=nnz * (w + _INDEX_BYTES) + m * w,
+            bytes_written=n * w,
+        )
+    return OpCost(
+        flops=2 * m * n, bytes_read=(m * n + m) * w, bytes_written=n * w
+    )
+
+
+class Step(NamedTuple):
+    """What a bounds strategy's ratio test found."""
+
+    #: The leaving row, or -1 for a bound flip.
+    row: int
+    theta: float
+    pivot: float
+    ties: int
+    #: The leaving variable exits at its upper bound (boxed only).
+    to_upper: bool = False
+
+    @property
+    def flip(self) -> bool:
+        return self.row < 0
+
+
+class DenseData:
+    """Data, basis and pricing strategy: the prepared data as it is, the
+    representation ``basis_update`` names (rebuilt from the dense basis
+    matrix), and full pricing with the Dantzig/Bland choice of a
+    :class:`~repro.simplex.pricing.StallSwitch`."""
+
+    def prepared(self, prep: PreparedLP) -> PreparedLP:
+        return prep
+
+    def arm_meta(self, prep: PreparedLP) -> dict:
+        return {}
+
+    def make_basis(self, s: "RevisedSimplexSolver"):
+        return make_basis(s.options.basis_update, s.prep.m, s.recorder)
+
+    def basis_columns(self, prep: PreparedLP, basis: np.ndarray):
+        return prep.basis_matrix(basis)
+
+    def pricing_rule(self, s: "RevisedSimplexSolver"):
+        return StallSwitch(s.options.pricing, s.options.stall_window)
+
+    def price(self, s: "RevisedSimplexSolver", rule, pi, c_full):
+        """(q, d_q) of the entering column, or None at optimality."""
+        d = c_full[: s.prep.n_total] - s.prep.price_all(pi)
+        s.recorder.charge("pricing", s._pricing_cost)
+        score = s.bounds.score(s, d)
+        tol = s.options.tol_reduced_cost
+        if rule.using_bland:
+            hits = np.nonzero(score < -tol)[0]
+            if not hits.size:
+                return None
+            q = int(hits[0])
+        else:
+            q = int(np.argmin(score))
+            if not score[q] < -tol:
+                return None
+        return q, float(d[q])
+
+    def extras(self, s: "RevisedSimplexSolver", result: SolveResult) -> None:
+        pass
+
+
+class StandardBounds:
+    """Bounds strategy: every nonbasic column rests at 0; β = x_B."""
+
+    range_bounds_as_rows = True
+
+    def arm_meta(self, opts) -> dict:
+        return {"ratio_test": opts.ratio_test}
+
+    def begin(self, s: "RevisedSimplexSolver") -> None:
+        pass
+
+    def objective(self, s: "RevisedSimplexSolver", c_full) -> float:
+        return float(c_full[s.basis] @ s.beta)
+
+    def effective_b(self, s: "RevisedSimplexSolver") -> np.ndarray:
+        return s.prep.b
+
+    def score(self, s: "RevisedSimplexSolver", d: np.ndarray) -> np.ndarray:
+        return np.where(~s.in_basis[: s.prep.n_total], d, np.inf)
+
+    def sigma(self, s: "RevisedSimplexSolver", q: int) -> float:
+        return 1.0
+
+    def ratio(self, s: "RevisedSimplexSolver", q: int, alpha) -> "Step | None":
+        opts = s.options
+        m, w = s.prep.m, s._w
+        rr = run_ratio_test(opts.ratio_test, s.beta, alpha, s.basis, opts.tol_pivot)
+        s.recorder.charge(
+            "ratio", OpCost(flops=m, bytes_read=2 * m * w, bytes_written=m * w)
+        )
+        if rr.unbounded:
+            return None
+        return Step(rr.row, rr.theta, rr.pivot, rr.ties)
+
+    def move(self, s: "RevisedSimplexSolver", q: int, d_q: float, alpha,
+             r: Step) -> None:
+        """The basis update first: when it fails, β and z stay put."""
+        s.basisrep.update(alpha, r.row, s.options.tol_pivot)
+        beta = s.beta
+        beta -= r.theta * alpha
+        beta[r.row] = r.theta
+        np.clip(beta, 0.0, None, out=beta)  # round-off guard; β >= 0 invariant
+        s._charge_beta()
+        s._z += r.theta * d_q
+
+    def drive_swap(self, s: "RevisedSimplexSolver", p: int, j: int, alpha) -> None:
+        beta = s.beta
+        theta = beta[p] / alpha[p] if alpha[p] != 0 else 0.0
+        beta -= theta * alpha
+        beta[p] = theta
+        np.clip(beta, 0.0, None, out=beta)
+
+    def extras(self, s: "RevisedSimplexSolver", result: SolveResult) -> None:
+        pass
+
+    def extract(self, s: "RevisedSimplexSolver", result: SolveResult) -> None:
+        attach_standard_solution(result, s.prep, s.basis, s.beta)
 
 
 class RevisedSimplexSolver(HostBackend):
@@ -51,32 +226,42 @@ class RevisedSimplexSolver(HostBackend):
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
     basis (e.g. ``previous_result.extra["basis"]``).  A hint that is
     singular or infeasible silently falls back to the cold crash basis.
+
+    The class also carries the shared host loop: a subclass picks its data,
+    basis and pricing handling (``data``) and its bounds handling
+    (``bounds``).
     """
 
     name = "revised-cpu"
     accepts_warm_start = True
+    ratio_tests = RATIO_TESTS
+    data = DenseData()
+    bounds = StandardBounds()
 
     # -- engine backend interface --------------------------------------
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
-        self.recorder.reset()
+        self._w = self._start_machine().itemsize
         opts = self.options
-        self.prep = prep = prepare(problem, opts)
+        data, bounds = self.data, self.bounds
+        self.prep = prep = data.prepared(prepare(
+            problem, opts, range_bounds_as_rows=bounds.range_bounds_as_rows
+        ))
         m, n = prep.m, prep.n_total
-
-        self.basisrep = make_basis(opts.basis_update, m, self.recorder)
+        self._pricing_cost = full_pricing_cost(prep, self._w)
+        self.basisrep = data.make_basis(self)
         basis, needs_phase1 = initial_basis(prep)
         self.beta = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self._arm(m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test)
-        self._phase = 1
+        self._arm(
+            m=m, n=n, pricing=opts.pricing, **bounds.arm_meta(opts),
+            **data.arm_meta(prep),
+        )
 
         if warm_hint is not None:
-            from repro.simplex.common import validate_warm_basis
-
             warm = validate_warm_basis(prep, warm_hint)
             try:
-                self.basisrep.refactorize(prep.basis_matrix(warm))
+                self.basisrep.refactorize(data.basis_columns(prep, warm))
                 warm_beta = self.basisrep.ftran(prep.b)
                 if warm_beta.min() >= -1e-7:
                     basis = warm
@@ -91,6 +276,7 @@ class RevisedSimplexSolver(HostBackend):
         self.basis = basis
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[basis] = True
+        bounds.begin(self)
         self.needs_phase1 = needs_phase1
         self.phase1_feas_tol = PHASE1_TOL
         return None
@@ -98,184 +284,125 @@ class RevisedSimplexSolver(HostBackend):
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
         self._phase = phase
         c_full = phase1_costs(self.prep) if phase == 1 else phase2_costs(self.prep)
-        status, z, iters = self._run_phase(
-            self.prep, self.basisrep, self.basis, self.in_basis, self.beta,
-            c_full, self.stats,
-        )
-        self._z = z
-        return status, iters
+        rule = self.data.pricing_rule(self)
+        rule.reset(self.prep.n_total)
+        try:
+            return self._iterate(c_full, rule)
+        finally:
+            # Flush the per-phase Dantzig→Bland switch count on *every* exit
+            # path (optimal, unbounded, numerical, iteration limit).
+            self.stats.bland_activations += rule.activations
 
     def phase1_objective(self) -> float:
         return self._z
 
     # ------------------------------------------------------------------
 
-    def _pricing_cost(self, prep: PreparedLP) -> OpCost:
-        w = np.dtype(self.options.dtype).itemsize
-        if prep.is_sparse:
-            nnz = prep.nnz
-            return OpCost(
-                flops=2 * nnz,
-                bytes_read=nnz * (w + 4) + prep.m * w,
-                bytes_written=prep.n_total * w,
-            )
-        return OpCost(
-            flops=2 * prep.m * prep.n_total,
-            bytes_read=(prep.m * prep.n_total + prep.m) * w,
-            bytes_written=prep.n_total * w,
+    def _charge_beta(self) -> None:
+        m, w = self.prep.m, self._w
+        self.recorder.charge(
+            "update.beta",
+            OpCost(flops=2 * m, bytes_read=2 * m * w, bytes_written=m * w),
         )
 
-    def _run_phase(
-        self,
-        prep: PreparedLP,
-        basisrep,
-        basis: np.ndarray,
-        in_basis: np.ndarray,
-        beta: np.ndarray,
-        c_full: np.ndarray,
-        stats: IterationStats,
-    ) -> tuple[SolveStatus, float, int]:
+    def _iterate(self, c_full: np.ndarray, rule) -> tuple[SolveStatus, int]:
         opts = self.options
-        m, n = prep.m, prep.n_total
-        rule = make_pricing_rule(opts.pricing, opts.stall_window)
-        rule.reset(n)
-        cap = opts.iteration_cap(m, n)
-        z = float(c_full[basis] @ beta)
-        pricing_cost = self._pricing_cost(prep)
-
-        try:
-            return self._iterate(
-                prep, basisrep, basis, in_basis, beta, c_full, stats,
-                rule, cap, z, pricing_cost,
-            )
-        finally:
-            # Flush the per-phase Dantzig→Bland switch count on *every* exit
-            # path (optimal, unbounded, numerical, iteration limit); the rule
-            # is per-phase, so this adds each phase's activations exactly once.
-            if isinstance(rule, HybridRule):
-                stats.bland_activations += rule.activations
-
-    def _iterate(
-        self,
-        prep: PreparedLP,
-        basisrep,
-        basis: np.ndarray,
-        in_basis: np.ndarray,
-        beta: np.ndarray,
-        c_full: np.ndarray,
-        stats: IterationStats,
-        rule,
-        cap: int,
-        z: float,
-        pricing_cost: OpCost,
-    ) -> tuple[SolveStatus, float, int]:
-        opts = self.options
-        m, n = prep.m, prep.n_total
-        w = np.dtype(opts.dtype).itemsize
+        prep, basisrep, data, bounds = self.prep, self.basisrep, self.data, self.bounds
+        basis, in_basis, stats = self.basis, self.in_basis, self.stats
+        cap = opts.iteration_cap(prep.m, prep.n_total)
+        self._z = bounds.objective(self, c_full)
         iters = 0
         tr = self.hooks if self.hooks.enabled else None
+
+        def record(event: str, **fields) -> None:
+            tr.record(
+                phase=self._phase, iteration=iters, event=event,
+                pricing_rule=rule_label(rule), objective=float(self._z), **fields,
+            )
 
         while iters < cap:
             iters += 1
 
             # 1-2: BTRAN + pricing
             pi = basisrep.btran(c_full[basis])
-            d = c_full[:n] - prep.price_all(pi)
-            self.recorder.charge("pricing", pricing_cost)
-            eligible = ~in_basis[:n]
-            q = rule.select(d, eligible, opts.tol_reduced_cost)
-            if q is None:
+            choice = data.price(self, rule, pi, c_full)
+            if choice is None:
                 if tr is not None:
-                    tr.record(
-                        phase=self._phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_label(rule),
-                        eta_count=int(basisrep.updates_since_refactor),
-                        objective=float(z),
-                    )
-                return SolveStatus.OPTIMAL, z, iters
+                    record("optimal", eta_count=int(basisrep.updates_since_refactor))
+                return SolveStatus.OPTIMAL, iters
+            q, d_q = choice
+            sigma = bounds.sigma(self, q)
 
             # 3: FTRAN
-            a_q = prep.column(q)
-            alpha = basisrep.ftran(a_q)
+            alpha = basisrep.ftran(prep.column(q))
 
             # 4: ratio test
-            rr = run_ratio_test(opts.ratio_test, beta, alpha, basis, opts.tol_pivot)
-            self.recorder.charge(
-                "ratio", OpCost(flops=m, bytes_read=2 * m * w, bytes_written=m * w)
-            )
-            if rr.unbounded:
+            r = bounds.ratio(self, q, alpha)
+            if r is None:
                 if tr is not None:
-                    tr.record(
-                        phase=self._phase, iteration=iters, event="unbounded",
-                        entering=int(q), pricing_rule=rule_label(rule),
+                    record(
+                        "unbounded", entering=int(q),
                         eta_count=int(basisrep.updates_since_refactor),
-                        objective=float(z),
                     )
-                return SolveStatus.UNBOUNDED, z, iters
-            if rr.ties > 1:
+                return SolveStatus.UNBOUNDED, iters
+            degenerate = r.theta <= opts.tol_zero
+            if degenerate:
                 stats.degenerate_steps += 1
 
             # 5: update
-            theta = rr.theta
+            leaving = -1 if r.flip else int(basis[r.row])
             try:
-                basisrep.update(alpha, rr.row, opts.tol_pivot)
+                bounds.move(self, q, d_q, alpha, r)
             except SingularBasisError:
-                recovered = self._recover(prep, basisrep, basis, beta, stats)
+                recovered = self._recover()
                 if tr is not None:
-                    tr.record(
-                        phase=self._phase, iteration=iters,
-                        event="recovery" if recovered else "numerical",
-                        entering=int(q), leaving_row=int(rr.row),
-                        pricing_rule=rule_label(rule), objective=float(z),
+                    record(
+                        "recovery" if recovered else "numerical",
+                        entering=int(q), leaving_row=int(r.row),
                     )
                 if not recovered:
-                    return SolveStatus.NUMERICAL, z, iters
+                    return SolveStatus.NUMERICAL, iters
                 continue
-            beta -= theta * alpha
-            beta[rr.row] = theta
-            np.clip(beta, 0.0, None, out=beta)  # round-off guard; β >= 0 invariant
-            self.recorder.charge(
-                "update.beta",
-                OpCost(flops=2 * m, bytes_read=2 * m * w, bytes_written=m * w),
-            )
-            improvement = theta * float(-d[q])
-            z += theta * float(d[q])
             if tr is not None:
-                tr.record(
-                    phase=self._phase, iteration=iters, event="pivot",
-                    entering=int(q), leaving_row=int(rr.row),
-                    leaving_var=int(basis[rr.row]),
-                    pivot=float(rr.pivot), theta=float(theta),
-                    ratio_ties=int(rr.ties), pricing_rule=rule_label(rule),
-                    eta_count=int(basisrep.updates_since_refactor),
-                    objective=float(z), degenerate=rr.ties > 1,
+                fields = {} if r.flip else dict(
+                    leaving_row=int(r.row), leaving_var=leaving,
+                    pivot=float(r.pivot), ratio_ties=int(r.ties),
                 )
-            in_basis[basis[rr.row]] = False
-            in_basis[q] = True
-            basis[rr.row] = q
-            rule.notify_pivot(q, rr.row, None, improvement > 1e-12 * (1.0 + abs(z)))
+                record(
+                    "flip" if r.flip else "pivot", entering=int(q),
+                    theta=float(r.theta),
+                    eta_count=int(basisrep.updates_since_refactor),
+                    degenerate=degenerate, **fields,
+                )
+            if not r.flip:
+                in_basis[leaving] = False
+                in_basis[q] = True
+                basis[r.row] = q
+            rule.notify((-d_q * sigma) * r.theta > 1e-12 * (1.0 + abs(self._z)))
 
             if (
                 opts.refactor_period
                 and basisrep.updates_since_refactor >= opts.refactor_period
-            ):
-                if not self._recover(prep, basisrep, basis, beta, stats):
-                    return SolveStatus.NUMERICAL, z, iters
-                z = float(c_full[basis] @ beta)
+            ) or basisrep.needs_refresh():
+                if not self._recover():
+                    return SolveStatus.NUMERICAL, iters
+                self._z = bounds.objective(self, c_full)
 
-        return SolveStatus.ITERATION_LIMIT, z, iters
+        return SolveStatus.ITERATION_LIMIT, iters
 
-    def _recover(self, prep, basisrep, basis, beta, stats) -> bool:
+    def _recover(self) -> bool:
         """Refactorise from the basis columns and recompute β; False when the
         basis is genuinely singular (unrecoverable)."""
         try:
             with self.hooks.span("engine.refactor"):
-                basisrep.refactorize(prep.basis_matrix(basis))
+                self.basisrep.refactorize(
+                    self.data.basis_columns(self.prep, self.basis)
+                )
         except SingularBasisError:
             return False
-        stats.refactorizations += 1
-        beta[:] = basisrep.ftran(prep.b)
-        np.clip(beta, 0.0, None, out=beta)
+        self.stats.refactorizations += 1
+        self.beta[:] = self.basisrep.ftran(self.bounds.effective_b(self))
+        np.clip(self.beta, 0.0, None, out=self.beta)
         return True
 
     def drive_out_artificials(self) -> None:
@@ -286,14 +413,14 @@ class RevisedSimplexSolver(HostBackend):
         (it can never grow — phase 2 keeps its cost at 0 and β_p = 0).
         """
         prep, basisrep = self.prep, self.basisrep
-        basis, in_basis, beta = self.basis, self.in_basis, self.beta
+        basis, in_basis = self.basis, self.in_basis
         m, n = prep.m, prep.n_total
         for p in np.nonzero(basis >= n)[0]:
+            p = int(p)
             e_p = np.zeros(m)
             e_p[p] = 1.0
-            row_binv = basisrep.btran(e_p)
-            alpha_row = prep.row_all(row_binv)
-            self.recorder.charge("driveout", self._pricing_cost(prep))
+            alpha_row = prep.row_all(basisrep.btran(e_p))
+            self.recorder.charge("driveout", self._pricing_cost)
             candidates = np.nonzero(
                 (~in_basis[:n]) & (np.abs(alpha_row) > 1e-7)
             )[0]
@@ -301,21 +428,23 @@ class RevisedSimplexSolver(HostBackend):
                 continue  # redundant row
             # best pivot magnitude first for stability
             for j in candidates[np.argsort(-np.abs(alpha_row[candidates]))]:
-                alpha = basisrep.ftran(prep.column(int(j)))
+                j = int(j)
+                alpha = basisrep.ftran(prep.column(j))
                 try:
-                    basisrep.update(alpha, int(p), self.options.tol_pivot)
+                    basisrep.update(alpha, p, self.options.tol_pivot)
                 except SingularBasisError:
                     continue
-                theta = beta[p] / alpha[p] if alpha[p] != 0 else 0.0
-                beta -= theta * alpha
-                beta[p] = theta
-                np.clip(beta, 0.0, None, out=beta)
+                self.bounds.drive_swap(self, p, j, alpha)
                 in_basis[basis[p]] = False
-                in_basis[int(j)] = True
-                basis[p] = int(j)
+                in_basis[j] = True
+                basis[p] = j
                 break
 
     # -- finish participation ------------------------------------------
 
+    def standard_extras(self, result: SolveResult) -> None:
+        self.data.extras(self, result)
+        self.bounds.extras(self, result)
+
     def extract(self, result: SolveResult) -> None:
-        attach_standard_solution(result, self.prep, self.basis, self.beta)
+        self.bounds.extract(self, result)

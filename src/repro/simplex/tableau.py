@@ -27,7 +27,7 @@ from repro.simplex.common import (
     initial_basis,
     prepare,
 )
-from repro.simplex.options import PRICING_RULES
+from repro.simplex.options import PRICING_RULES, RATIO_TESTS
 from repro.simplex.pricing import (
     DevexRule,
     HybridRule,
@@ -43,6 +43,7 @@ class TableauSimplexSolver(HostBackend):
 
     name = "tableau-cpu"
     pricing_rules = PRICING_RULES
+    ratio_tests = RATIO_TESTS
 
     # -- engine backend interface --------------------------------------
 
@@ -168,10 +169,10 @@ class TableauSimplexSolver(HostBackend):
                         objective=float(z),
                     )
                 return finish_phase(SolveStatus.UNBOUNDED, z, iters)
-            if rr.ties > 1:
-                stats.degenerate_steps += 1
-
             p, theta = rr.row, rr.theta
+            degenerate = theta <= opts.tol_zero
+            if degenerate:
+                stats.degenerate_steps += 1
             if isinstance(rule, DevexRule):
                 rule.set_pivot_row(tableau[p, :].copy())
 
@@ -206,7 +207,7 @@ class TableauSimplexSolver(HostBackend):
                     leaving_var=int(basis[p]),
                     pivot=float(rr.pivot), theta=float(theta),
                     ratio_ties=int(rr.ties), pricing_rule=rule_label(rule),
-                    objective=float(z), degenerate=rr.ties > 1,
+                    objective=float(z), degenerate=degenerate,
                 )
             in_basis[basis[p]] = False
             in_basis[q] = True

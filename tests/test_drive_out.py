@@ -5,8 +5,8 @@ phase 1.  In the first the row is redundant (row 5 = row 0 + row 1), so no
 real column can replace the artificial and it stays basic.  In the second
 row 1 is the zero row over the support of the feasible point, and a real
 column pivots the artificial out before phase 2.  Every simplex method
-must reach HiGHS's optimum on both; the device backends are watched
-through the drive-out itself.
+must reach HiGHS's optimum on both; the host revised and device backends
+are watched through the drive-out itself.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from conftest import assert_matches_oracle
 from repro.core.gpu_revised_simplex import GpuRevisedSimplex
 from repro.core.gpu_tableau_simplex import GpuTableauSimplex
 from repro.lp.problem import Bounds, LPProblem
+from repro.simplex.revised_cpu import RevisedSimplexSolver
 from repro.solve import available_methods, solve
 
 SIMPLEX = [m for m in available_methods() if not m.endswith("pdlp")]
+HOST = ["revised", "revised-bounded", "revised-sparse"]
 DEVICE = ["gpu-revised", "gpu-revised-bounded", "gpu-revised-sparse", "gpu-tableau"]
 
 
@@ -54,15 +56,20 @@ def zero_artificial_lp() -> LPProblem:
 
 @pytest.fixture
 def drive_outs(monkeypatch):
-    """Basis before and after each device drive-out."""
+    """Basis before and after each host revised or device drive-out (the
+    bounded and sparse host methods inherit the revised one)."""
     seen: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for cls in (GpuRevisedSimplex, GpuTableauSimplex):
+    for cls, basis_of in (
+        (RevisedSimplexSolver, lambda backend: backend.basis),
+        (GpuRevisedSimplex, lambda backend: backend._st.basis),
+        (GpuTableauSimplex, lambda backend: backend._st.basis),
+    ):
         original = cls.drive_out_artificials
 
-        def spy(self, original=original):
-            before = self._st.basis.copy()
+        def spy(self, original=original, basis_of=basis_of):
+            before = basis_of(self).copy()
             original(self)
-            seen.append((before, self._st.basis.copy(), self.prep.n_total))
+            seen.append((before, basis_of(self).copy(), self.prep.n_total))
 
         monkeypatch.setattr(cls, "drive_out_artificials", spy)
     return seen
@@ -75,7 +82,7 @@ def test_matches_highs(method, make):
     assert_matches_oracle(lp, solve(lp, method=method))
 
 
-@pytest.mark.parametrize("method", DEVICE)
+@pytest.mark.parametrize("method", HOST + DEVICE)
 def test_redundant_row_keeps_its_artificial(method, drive_outs):
     solve(redundant_row_lp(), method=method)
     (before, after, n), = drive_outs
@@ -83,10 +90,18 @@ def test_redundant_row_keeps_its_artificial(method, drive_outs):
     assert np.array_equal(after, before)
 
 
-@pytest.mark.parametrize("method", DEVICE)
+@pytest.mark.parametrize("method", HOST + DEVICE)
 def test_zero_artificial_is_pivoted_out(method, drive_outs):
     r = solve(zero_artificial_lp(), method=method)
     (before, after, n), = drive_outs
     assert np.count_nonzero(before >= n) == 1
     assert np.all(after < n)
     assert np.all(r.extra["basis"] < n)
+
+
+@pytest.mark.parametrize("method", HOST)
+def test_host_drive_out_is_charged(method):
+    """The drive-out's BTRAN and transformed row cost modeled time on every
+    host revised method (``revised-bounded`` used to charge nothing)."""
+    r = solve(zero_artificial_lp(), method=method)
+    assert r.timing.kernel_breakdown["driveout"] > 0

@@ -147,6 +147,21 @@ class TestBeale:
         rules = [t.pricing_rule for t in r.trace if t.event == "pivot"]
         assert rules == ["hybrid:dantzig"] * 2 + ["hybrid:bland"] * 4
 
+    def test_degenerate_steps_agree(self):
+        """A degenerate step is one of length θ <= tol_zero in every simplex
+        method, so all of them count the same number on Beale's LP."""
+        from repro import solve
+
+        counts = {
+            method: solve(beale_cycling_lp(), method=method)
+            .iterations.degenerate_steps
+            for method in available_methods()
+            if not method.endswith("pdlp")
+        }
+        assert len(counts) == 9
+        assert len(set(counts.values())) == 1, counts
+        assert counts["revised"] > 0
+
 
 class TestTransportation:
     def test_balanced(self):

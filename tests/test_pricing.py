@@ -9,6 +9,7 @@ from repro.simplex.pricing import (
     DantzigRule,
     DevexRule,
     HybridRule,
+    StallSwitch,
     SteepestEdgeRule,
     make_pricing_rule,
 )
@@ -210,14 +211,18 @@ class TestBlandActivationAccounting:
         from repro.solve import solve
 
         module = importlib.import_module(module_name)
+        # the host revised loop builds a StallSwitch per phase; the tableau
+        # method builds its rule by name
+        factory = "StallSwitch" if method == "revised" else "make_pricing_rule"
+        make = getattr(module, factory)
         created = []
 
         def spy(name, stall_window=40):
-            rule = make_pricing_rule(name, stall_window)
+            rule = make(name, stall_window)
             created.append(rule)
             return rule
 
-        monkeypatch.setattr(module, "make_pricing_rule", spy)
+        monkeypatch.setattr(module, factory, spy)
         r = solve(
             two_phase_degenerate_lp, method=method,
             pricing="hybrid", stall_window=1,
@@ -226,7 +231,9 @@ class TestBlandActivationAccounting:
         assert r.status.value == "optimal"
         assert r.iterations.phase1_iterations > 0
         assert r.iterations.phase2_iterations > 0
-        hybrids = [x for x in created if isinstance(x, HybridRule)]
+        hybrids = [
+            x for x in created if isinstance(x, StallSwitch) and x.mode == "hybrid"
+        ]
         assert len(hybrids) == 2  # one fresh rule per phase
         expected = sum(x.activations for x in hybrids)
         assert expected > 0  # the stall actually tripped the fallback

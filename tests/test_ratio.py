@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.registry import METHODS
+from repro.errors import SolverError
+from repro.lp.generators import random_dense_lp
+from repro.simplex.options import SolverOptions
 from repro.simplex.ratio import (
     RatioResult,
     harris_ratio_test,
     run_ratio_test,
     standard_ratio_test,
 )
+from repro.solve import available_methods, solve
+
+SIMPLEX = [m for m in available_methods() if not m.endswith("pdlp")]
+#: The methods whose one-way ratio test can run Harris.
+HARRIS = ("tableau", "revised", "revised-sparse")
 
 
 def basis(n):
@@ -120,6 +129,29 @@ class TestDispatch:
     def test_harris(self):
         rr = run_ratio_test("harris", np.ones(1), np.ones(1), basis(1), 1e-9)
         assert rr.row == 0
+
+
+class TestHarrisAcceptance:
+    """A method that cannot run the Harris test rejects it instead of
+    silently running the standard one."""
+
+    @pytest.mark.parametrize("method", SIMPLEX)
+    def test_constructor(self, method):
+        options = SolverOptions(ratio_test="harris")
+        if method in HARRIS:
+            assert METHODS[method].factory(options, None).options is options
+        else:
+            with pytest.raises(SolverError, match="run the Harris ratio test"):
+                METHODS[method].factory(options, None)
+
+    @pytest.mark.parametrize("method", SIMPLEX)
+    def test_solve(self, method):
+        lp = random_dense_lp(8, 10, seed=1)
+        if method in HARRIS:
+            assert solve(lp, method=method, ratio_test="harris").is_optimal
+        else:
+            with pytest.raises(SolverError, match="'tableau', 'revised' and"):
+                solve(lp, method=method, ratio_test="harris")
 
 
 @settings(max_examples=60, deadline=None)

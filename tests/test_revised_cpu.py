@@ -102,6 +102,10 @@ class TestOptions:
         with pytest.raises(SolverError):
             RevisedSimplexSolver(SolverOptions(pricing="devex"))
 
+    def test_stall_window_must_be_positive(self):
+        with pytest.raises(SolverError, match="stall_window"):
+            SolverOptions(stall_window=0)
+
     @pytest.mark.parametrize("update", ["explicit", "pfi", "lu"])
     def test_basis_updates_agree(self, update):
         lp = random_dense_lp(30, 30, seed=9)
@@ -151,8 +155,10 @@ class TestDiagnostics:
         assert len(set(basis.tolist())) == 3
 
     def test_degenerate_steps_counted(self):
-        lp = degenerate_lp(15, 20, seed=1)
-        r = solve_with(lp, pricing="hybrid")
+        # a degenerate step has θ <= tol_zero; Beale's LP takes such steps
+        from repro.lp.generators import beale_cycling_lp
+
+        r = solve_with(beale_cycling_lp(), pricing="hybrid")
         assert r.iterations.degenerate_steps >= 1
 
     def test_summary_string(self, textbook_lp):
