@@ -35,11 +35,10 @@ exact sequence of kernel launches and PCIe transfers the solver issued
   thread capacity its logical work size occupies (floored at the model's
   ``min_fill``): two kernels at 2% occupancy overlap almost perfectly, two
   at 100% do not overlap at all, which is exactly why batching pays off for
-  small LPs and fades for large ones.  Copy/compute overlap (GT200's async
-  engine) is on by default; without it the copy-engine time adds to the
-  compute makespan instead of hiding under it, and the reported bounds
-  switch to the serialized composition (``stream-device-path`` — each
-  stream's compute-only critical path — replaces ``stream-critical-path``).
+  small LPs and fades for large ones.  Transfers hide under kernel
+  execution (GT200's async copy engine overlaps copy and compute), so the
+  copy engine is one bound among the four rather than a term added to
+  the others.
 
 Concurrent *kernel* execution across streams is a Fermi-and-later ability
 (on GT200 the same overlap is achieved by fusing the per-LP kernels into one
@@ -73,8 +72,8 @@ from repro.gpu.device import TimelineEvent, event_seconds
 from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
 from repro.perfmodel.ops import OpCost
 
-#: Event kinds that occupy the PCIe copy engine; everything else runs on
-#: the device itself (kernels and device-to-device copies).
+#: Event kinds that occupy the PCIe copy engine; every other event is a
+#: kernel (memsets included) and runs on the device itself.
 _COPY_KINDS = frozenset({"htod", "dtoh"})
 
 
@@ -111,14 +110,11 @@ class LPTimeline:
                 transfer += ev.seconds
             else:
                 device += ev.seconds
-                if ev.kind == "kernel":
-                    launches += 1
-                    util = max(
-                        params.min_fill,
-                        min(1.0, max(ev.threads, 1) / capacity),
-                    )
-                else:  # dtod copies saturate the memory system
-                    util = 1.0
+                launches += 1
+                util = max(
+                    params.min_fill,
+                    min(1.0, max(ev.threads, 1) / capacity),
+                )
                 busy += ev.seconds * util
         return LPTimeline(
             index=index,
@@ -198,24 +194,16 @@ class ConcurrentSchedule:
     n_streams:
         Streams (GPU) or workers (CPU baselines) to spread the batch over;
         ``None`` picks ``min(len(batch), DEFAULT_STREAMS)``.
-    copy_compute_overlap:
-        Whether PCIe transfers hide under kernel execution (async copy
-        engine).  On for the modeled GT200-class devices.
     """
 
     name = "concurrent"
 
     DEFAULT_STREAMS = 8
 
-    def __init__(
-        self,
-        n_streams: int | None = None,
-        copy_compute_overlap: bool = True,
-    ):
+    def __init__(self, n_streams: int | None = None):
         if n_streams is not None and n_streams < 1:
             raise SolverError("n_streams must be >= 1")
         self.n_streams = n_streams
-        self.copy_compute_overlap = copy_compute_overlap
 
     def plan(
         self,
@@ -234,10 +222,8 @@ class ConcurrentSchedule:
         streams = max(1, min(streams, len(timelines)))
 
         stream_path = [0.0] * streams
-        stream_device = [0.0] * streams
         for tl in timelines:  # round-robin assignment, launch order = index
             stream_path[tl.index % streams] += tl.total_seconds
-            stream_device[tl.index % streams] += tl.device_seconds
 
         transfer = sum(tl.transfer_seconds for tl in timelines)
         sequential = sum(tl.total_seconds for tl in timelines)
@@ -246,33 +232,13 @@ class ConcurrentSchedule:
         launch_overhead = params.launch_overhead if params is not None else 0.0
         launches = sum(tl.kernel_launches for tl in timelines)
 
-        if self.copy_compute_overlap:
-            bounds = {
-                "copy-engine": transfer,
-                "compute-capacity": busy,
-                "stream-critical-path": max(stream_path),
-                "launch-serialization": launches * launch_overhead,
-            }
-            makespan = max(bounds.values())
-        else:
-            # Serialized composition: with no async copy engine, every PCIe
-            # transfer adds to the compute makespan instead of hiding under
-            # it, and a stream's critical path through the *device* excludes
-            # its transfers (those all queue on the one copy engine).  The
-            # reported bounds are exactly the terms composed here — not the
-            # overlap-mode bounds, whose stream-critical-path (transfer +
-            # compute per stream) never enters this makespan.
-            bounds = {
-                "copy-engine": transfer,
-                "compute-capacity": busy,
-                "stream-device-path": max(stream_device),
-                "launch-serialization": launches * launch_overhead,
-            }
-            makespan = transfer + max(
-                bounds["compute-capacity"],
-                bounds["stream-device-path"],
-                bounds["launch-serialization"],
-            )
+        bounds = {
+            "copy-engine": transfer,
+            "compute-capacity": busy,
+            "stream-critical-path": max(stream_path),
+            "launch-serialization": launches * launch_overhead,
+        }
+        makespan = max(bounds.values())
         # Ties are broken by declaration order of the bounds dict (copy
         # engine first), so binding_resource is deterministic for equal
         # bounds — max() returns the first maximal key.
@@ -390,18 +356,13 @@ def _signature(step: Sequence[TimelineEvent]) -> tuple:
 
 
 def make_schedule(
-    name: str,
-    n_streams: int | None = None,
-    copy_compute_overlap: bool = True,
+    name: str, n_streams: int | None = None
 ) -> "SequentialSchedule | ConcurrentSchedule":
     """Instantiate a schedule by option name (``solve_batch``'s ``schedule``)."""
     if name == "sequential":
         return SequentialSchedule()
     if name == "concurrent":
-        return ConcurrentSchedule(
-            n_streams=n_streams,
-            copy_compute_overlap=copy_compute_overlap,
-        )
+        return ConcurrentSchedule(n_streams=n_streams)
     raise SolverError(
         f"unknown schedule {name!r}; available: ['concurrent', 'sequential']"
     )

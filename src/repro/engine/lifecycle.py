@@ -98,7 +98,6 @@ def _finish(
     trace = backend.hooks.trace
     if trace is not None:
         result.trace = trace
-        result.extra["trace"] = trace.legacy_tuples()
     backend.standard_extras(result)
     if status is SolveStatus.OPTIMAL:
         backend.extract(result)

@@ -29,8 +29,6 @@ observer hooks — this module imports neither ``repro.trace`` nor
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.engine import DeviceBackend, HostBackend, SolverBackend
@@ -48,20 +46,8 @@ from repro.firstorder.rescale import RescaledLP, ruiz_rescale
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.result import IterationStats, SolveResult
-from repro.simplex.common import PreparedLP, prepare
-from repro.sparse.csc import CscMatrix
+from repro.simplex.common import as_sparse_prep, prepare
 from repro.status import SolveStatus
-
-
-def _as_csc_prep(prep: PreparedLP) -> PreparedLP:
-    """PDHG iterates on CSC regardless of the input representation."""
-    if prep.is_sparse:
-        if isinstance(prep.a, CscMatrix):
-            return prep
-        return dataclasses.replace(prep, a=prep.a.tocsc())
-    return dataclasses.replace(
-        prep, a=CscMatrix.from_dense(np.asarray(prep.a, dtype=np.float64))
-    )
 
 
 class PdlpBackend(SolverBackend):
@@ -81,7 +67,7 @@ class PdlpBackend(SolverBackend):
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
-        self.prep = prep = _as_csc_prep(prepare(problem, opts))
+        self.prep = prep = as_sparse_prep(prepare(problem, opts))
         dtype = self._start_machine()
         m, n = prep.m, prep.n_total
         self._controls = PdhgControls.from_options(opts, m, n)

@@ -20,9 +20,10 @@ Layers
   :meth:`~repro.perfmodel.gpu_model.GpuCostModel.fill_factor`.
 - :mod:`~repro.gpu.plan`     — launch plans: capture, fusion and lowering
   of a backend's kernel sequence, and the precision policy.
-- :mod:`~repro.gpu.blas`     — device BLAS 1/2/3 (cuBLAS stand-in).
-- :mod:`~repro.gpu.reduce`   — parallel reductions, argmin/argmax, scan.
-- :mod:`~repro.gpu.sparse_kernels` — SpMV and gather/scatter kernels.
+- :mod:`~repro.gpu.blas`     — device BLAS 1/2 (cuBLAS stand-in).
+- :mod:`~repro.gpu.reduce`   — tree-pass costs and result stores of the
+  device-resident arg-min reductions a plan section ends in.
+- :mod:`~repro.gpu.sparse_kernels` — SpMV and column-scatter kernels.
 - :mod:`~repro.gpu.simt`     — thread-level SIMT interpreter (warps, shared
   memory, ``syncthreads``) used to validate the block-level kernels.
 """

@@ -12,23 +12,18 @@ Costs charged to the device clock (itemsize ``w``):
 routine    FLOPs       main-memory traffic                      threads
 =========  ==========  ======================================  ===========
 copy       0           r n·w, w n·w                             n
-swap       0           r 2n·w, w 2n·w                           n
 scal       n           r n·w, w n·w                             n
 axpy       2n          r 2n·w, w n·w                            n
 cast       n           r n·w_src, w n·w_dst                     n
 dot        2n          r 2n·w (+ partials)                      n
 nrm2       2n+√        r n·w (+ partials)                       n
-asum       n           r n·w (+ partials)                       n
 gemv(N)    2mn         r (mn+n)·w, w m·w                        32·m
 gemv(T)    2mn         r (mn+m)·w, w n·w                        32·n
 ger        2mn         r (mn+m+n)·w, w mn·w                     m·n
-gemm       2mnk        r (mk+kn)·w, w mn·w (tiled, ideal reuse) m·n
 =========  ==========  ======================================  ===========
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -75,29 +70,6 @@ def copy(x: DeviceArray, y: DeviceArray) -> None:
         fusable=True,
         reads=(x,),
         writes=(y,),
-    )
-
-
-def swap(x: DeviceArray, y: DeviceArray) -> None:
-    """x, y := y, x (``cublasSswap``)."""
-    dev, dtype, w = _prep(x, y)
-    require_vector("x", x)
-    require_vector("y", y, x.size)
-    n = x.size
-
-    def body() -> None:
-        tmp = x.data.copy()
-        x.data[:] = y.data
-        y.data[:] = tmp
-
-    dev.launch(
-        "blas.swap",
-        body,
-        OpCost(bytes_read=2 * n * w, bytes_written=2 * n * w, threads=n),
-        dtype=dtype,
-        fusable=True,
-        reads=(x, y),
-        writes=(x, y),
     )
 
 
@@ -208,28 +180,6 @@ def nrm2(x: DeviceArray) -> float:
     return float(out)
 
 
-def asum(x: DeviceArray) -> float:
-    """Return Σ|xᵢ| on the host (``cublasSasum``)."""
-    dev, dtype, w = _prep(x)
-    require_vector("x", x)
-    n = x.size
-    out = np.zeros((), dtype=np.float64)
-
-    def body() -> None:
-        out[...] = np.sum(np.abs(x.data.astype(np.float64)))
-
-    partials = -(-n // (2 * 256))
-    dev.launch(
-        "blas.asum",
-        body,
-        OpCost(flops=n, bytes_read=n * w, bytes_written=partials * w, threads=n),
-        dtype=dtype,
-    )
-    _reduction_launches(dev, "blas.asum", n, w, dtype, 1.0)
-    dev._record_transfer("dtoh", w)
-    return float(out)
-
-
 def cast(x: DeviceArray, out: DeviceArray) -> None:
     """out := x converted to ``out``'s dtype — the explicit fp32↔fp64 kernel.
 
@@ -270,14 +220,6 @@ def cast(x: DeviceArray, out: DeviceArray) -> None:
         reads=(x,),
         writes=(out,),
     )
-
-
-def iamax(x: DeviceArray) -> int:
-    """Index of max |xᵢ| (``cublasIsamax``; 0-based here, unlike Fortran)."""
-    from repro.gpu.reduce import argmax_abs
-
-    idx, _ = argmax_abs(x)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -370,54 +312,6 @@ def ger(
 
 
 # ---------------------------------------------------------------------------
-# Level 3
-# ---------------------------------------------------------------------------
-
-
-def gemm(
-    a: DeviceArray,
-    b: DeviceArray,
-    c: DeviceArray,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    transa: bool = False,
-    transb: bool = False,
-) -> None:
-    """C := alpha · op(A) op(B) + beta · C (``cublasSgemm``), shared-memory
-    tiled: global traffic is the ideal (A once, B once, C once)."""
-    dev, dtype, w = _prep(a, b, c)
-    require_matrix("A", a)
-    require_matrix("B", b)
-    require_matrix("C", c)
-    am, ak = (a.shape[1], a.shape[0]) if transa else a.shape
-    bk, bn = (b.shape[1], b.shape[0]) if transb else b.shape
-    if ak != bk:
-        raise DeviceArrayError(
-            f"gemm inner-dimension mismatch: op(A) is {am}x{ak}, op(B) is {bk}x{bn}"
-        )
-    require_matrix("C", c, (am, bn))
-    alpha_t = dtype.type(alpha)
-    beta_t = dtype.type(beta)
-
-    def body() -> None:
-        av = a.data.T if transa else a.data
-        bv = b.data.T if transb else b.data
-        if beta == 0.0:
-            c.data[...] = alpha_t * (av @ bv)
-        else:
-            c.data[...] = alpha_t * (av @ bv) + beta_t * c.data
-
-    extra_read = am * bn * w if beta != 0.0 else 0
-    cost = OpCost(
-        flops=2 * am * ak * bn,
-        bytes_read=(am * ak + ak * bn) * w + extra_read,
-        bytes_written=am * bn * w,
-        threads=am * bn,
-    )
-    dev.launch("blas.gemm", body, cost, dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
 # Elementwise helpers used by the solver (not in BLAS proper, but standard
 # device utility kernels).
 # ---------------------------------------------------------------------------
@@ -434,29 +328,4 @@ def fill(x: DeviceArray, value: float) -> None:
         dtype=dtype,
         fusable=True,
         writes=(x,),
-    )
-
-
-def gather(src: DeviceArray, indices: np.ndarray, out: DeviceArray) -> None:
-    """out[i] := src[indices[i]] — indexed reads are uncoalesced."""
-    dev, dtype, w = _prep(src, out)
-    require_vector("src", src)
-    require_vector("out", out, len(indices))
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= src.size):
-        raise DeviceArrayError("gather index out of range")
-    n = idx.size
-
-    def body() -> None:
-        out.data[:] = src.data[idx]
-
-    cost = OpCost(
-        bytes_read=n * w + n * 4,
-        bytes_written=n * w,
-        threads=max(1, n),
-        coalesced_fraction=0.25,
-    )
-    dev.launch(
-        "blas.gather", body, cost, dtype=dtype, fusable=True,
-        reads=(src,), writes=(out,),
     )

@@ -35,9 +35,9 @@ class TimelineEvent:
     """One entry of the optional device timeline (see
     :meth:`Device.record_timeline`).
 
-    ``kind`` is the engine the event occupies: ``"kernel"`` and ``"dtod"``
-    run on the device (SMs / memory system), ``"htod"`` and ``"dtoh"`` on
-    the PCIe copy engine.  ``threads`` is the logical work size of kernel
+    ``kind`` is the engine the event occupies: ``"kernel"`` (memsets
+    included) runs on the device, ``"htod"`` and ``"dtoh"`` on the PCIe
+    copy engine.  ``threads`` is the logical work size of kernel
     events (0 for transfers) — the batch scheduler uses it to estimate how
     much of the device a kernel actually occupies when launches from
     several LP streams are interleaved.
@@ -85,16 +85,14 @@ def event_seconds(
     launch, memset and transfer with it, and the lockstep batch schedule
     re-applies it to merged events, so the two cannot drift.  Kernels cost
     :meth:`~GpuCostModel.kernel_time` of their ``cost``; a memset writes
-    ``nbytes`` once (half a device-to-device copy); ``dtod`` copies cost
-    :meth:`~GpuCostModel.dtod_time` and PCIe transfers
+    ``nbytes`` once (half a device-to-device copy,
+    :meth:`~GpuCostModel.dtod_time`); PCIe transfers cost
     :meth:`~GpuCostModel.transfer_time` of ``nbytes``.
     """
     if kind == "kernel":
         if name == "memset":  # write-only traffic
             return model.dtod_time(nbytes) / 2.0
         return model.kernel_time(cost, dtype, block)
-    if kind == "dtod":
-        return model.dtod_time(nbytes)
     return model.transfer_time(nbytes)
 
 
@@ -147,7 +145,6 @@ class DeviceStats:
     by_kernel: dict[str, KernelRecord] = dataclasses.field(default_factory=dict)
     htod_bytes: int = 0
     dtoh_bytes: int = 0
-    dtod_bytes: int = 0
     transfer_seconds: float = 0.0
     allocations: int = 0
     frees: int = 0
@@ -385,9 +382,7 @@ class Device:
                 "write stale device data — end the plan section first"
             )
         seconds = event_seconds(self.model, direction, "transfer", nbytes=nbytes)
-        if direction == "dtod":
-            self.stats.dtod_bytes += nbytes
-        elif direction == "htod":
+        if direction == "htod":
             self.stats.htod_bytes += nbytes
         else:
             self.stats.dtoh_bytes += nbytes
@@ -409,10 +404,6 @@ class Device:
 
     def _advance(self, seconds: float) -> None:
         self.clock += seconds
-
-    def synchronize(self) -> float:
-        """``cudaDeviceSynchronize``; returns the current device time."""
-        return self.clock
 
     @contextlib.contextmanager
     def timed_section(self, name: str) -> Iterator[None]:

@@ -30,11 +30,6 @@ class LaunchConfig:
         """Threads actually launched (grid × block ≥ threads)."""
         return self.grid * self.block
 
-    @property
-    def idle_threads(self) -> int:
-        """Launched threads beyond the work size (guard-clause threads)."""
-        return self.launched_threads - self.threads
-
 
 def launch_config(
     threads: int,

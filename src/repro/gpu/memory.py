@@ -120,19 +120,6 @@ class DeviceArray:
         self.device._record_transfer("dtoh", self.nbytes)
         return result
 
-    def copy_from_device(self, src: "DeviceArray") -> float:
-        """DtoD ``cudaMemcpy``; both arrays must live on the same device."""
-        self._check_live()
-        src._check_live()
-        if src.device is not self.device:
-            raise DeviceArrayError("DtoD copy across devices is not supported")
-        if src.shape != self.shape or src.dtype != self.dtype:
-            raise DeviceArrayError(
-                f"DtoD mismatch: {src.shape}/{src.dtype} vs {self.shape}/{self.dtype}"
-            )
-        self._data[...] = src._data
-        return self.device._record_transfer("dtod", self.nbytes)
-
     def set_scalar(self, index: int | tuple[int, ...], value: float) -> None:
         """Write one element from the host (latency-dominated 4/8-byte HtoD).
 

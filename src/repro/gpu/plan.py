@@ -36,8 +36,9 @@ Two structural rules make fusion *safe* rather than merely plausible:
    :meth:`_PlanSection.ratio_readback`), and it ends the capture: its first
    tree pass is recorded as a fusable op (the classic map+reduce fusion),
    the captured sequence is lowered and executed, then the remaining tree
-   passes and the DtoH (if the result goes to the host) are charged exactly
-   as :mod:`repro.gpu.reduce` charges them.
+   passes and the DtoH (if the result goes to the host) are charged.  With
+   fusion off the same passes launch one by one, so the terminal
+   reductions have one implementation (:class:`_PlanSection`) for both.
 
 Host transfers raise inside a capture (the bodies have not executed yet),
 so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections.
@@ -325,11 +326,12 @@ class LaunchPlan:
 class _PlanSection:
     """Handle the backend sees inside ``with plan.section(...) as sec``.
 
-    Carries the section's terminal reductions.  With fusion off they call
-    :mod:`repro.gpu.reduce` directly; with fusion on they record the first
-    tree pass as a fusable op (so it fuses with the preceding map kernel),
-    end the capture, lower + execute, and charge the remaining passes and
-    the DtoH (if any) exactly as the unfused reduction does.
+    Carries the section's terminal reductions — the only entry points to
+    one.  Each charges the tree passes of :mod:`repro.gpu.reduce`; with
+    fusion on, the first pass is recorded as a fusable op (so it fuses
+    with the preceding map kernel) and the section is lowered before the
+    remaining passes launch.  The charges and their order are the same
+    either way, so only the fused launch itself differs.
     """
 
     def __init__(
@@ -339,53 +341,56 @@ class _PlanSection:
         self.name = name
         self.timed = timed
 
-    def _finish_reduction(
+    def _reduce(
         self, x: DeviceArray, name: str, *, pair: bool, tail_read: int = 0
     ) -> None:
-        """Shared fusion-mode tail: record the synthetic first pass, lower
-        the section, then charge the follow-up passes."""
-        dev = self.plan.device
-        w = x.dtype.itemsize
-        if dev._capture is None:
-            raise InvalidLaunchError(
-                f"second terminal reduction in plan section {self.name!r}; "
-                "sections hold at most one (split the section)"
+        """Charge a tree reduction over ``x``: with fusion on, record its
+        first pass, lower the section, then charge the follow-up passes."""
+        dev, dtype, w = gpured._prep(x)
+        fused = self.plan.fusion
+        if fused:
+            if dev._capture is None:
+                raise InvalidLaunchError(
+                    f"second terminal reduction in plan section {self.name!r}; "
+                    "sections hold at most one (split the section)"
+                )
+            dev.launch(
+                name,
+                lambda: None,
+                gpured.first_pass_cost(x.size, w, pair=pair, tail_read=tail_read),
+                dtype=dtype,
+                fusable=True,
+                reads=(x,),
             )
-        dev.launch(
-            name,
-            lambda: None,
-            gpured.first_pass_cost(x.size, w, pair=pair, tail_read=tail_read),
-            dtype=x.dtype,
-            fusable=True,
-            reads=(x,),
-        )
-        self.plan._lower(self.name, dev._end_capture(), timed=self.timed)
+            self.plan._lower(self.name, dev._end_capture(), timed=self.timed)
         gpured._charge_tree(
-            dev, name, x.size, w, x.dtype, pair=pair, skip_first=True,
+            dev, name, x.size, w, dtype, pair=pair, skip_first=fused,
             tail_read=tail_read,
         )
 
     def argmin_to_device(
         self, x: DeviceArray, out: DeviceArray, below: "float | None" = None
     ) -> None:
-        """Arg-min left on the device in ``out[:2]`` — see
-        :func:`repro.gpu.reduce.argmin_to_device`."""
-        if not self.plan.fusion:
-            gpured.argmin_to_device(x, out, below)
-            return
-        self._finish_reduction(x, "reduce.argmin", pair=True)
+        """Device-resident arg-min: ``out[:2] := (index, value)`` of min x.
+
+        The final pass stores the pair in ``out`` (at least two elements,
+        ``x``'s dtype) for a later kernel to read; nothing crosses PCIe.
+        Ties break to the lowest index.  ``below`` makes it the Dantzig
+        pricing reduction: the final pass stores ``NO_INDEX`` when the
+        minimum is not below the threshold (no column prices in).
+        """
+        self._reduce(x, "reduce.argmin", pair=True)
         gpured.store_argmin(x, out, below)
 
     def first_below_to_device(
         self, x: DeviceArray, threshold: float, out: DeviceArray
     ) -> None:
-        """Bland's min-index reduction left on the device in ``out[:2]`` —
-        see :func:`repro.gpu.reduce.first_below_to_device`."""
-        if not self.plan.fusion:
-            gpured.first_below_to_device(x, threshold, out)
-            return
-        w = x.dtype.itemsize
-        self._finish_reduction(x, "reduce.first_below", pair=False, tail_read=w)
+        """Bland's min-index reduction: ``(i, x[i])`` for the smallest i
+        with x[i] < threshold — or ``(NO_INDEX, inf)`` — stored in
+        ``out[:2]``, no DtoH."""
+        self._reduce(
+            x, "reduce.first_below", pair=False, tail_read=x.dtype.itemsize
+        )
         gpured.store_first_below(x, threshold, out)
 
     def ratio_readback(
@@ -395,12 +400,18 @@ class _PlanSection:
         best: DeviceArray,
         gather: tuple[DeviceArray, ...] = (),
     ) -> tuple[int, float, int, float, tuple[float, ...]]:
-        """The simplex iteration's one readback — see
-        :func:`repro.gpu.reduce.ratio_readback`."""
-        if not self.plan.fusion:
-            return gpured.ratio_readback(choice, keys, best, gather)
+        """A simplex iteration's single readback: ``(q, d_q, row, θ, gathered)``.
+
+        An arg-min over the ratio test's tie-break ``keys`` whose final pass
+        resolves the leaving row (the lowest key, or ``best``'s index when
+        no key is finite), reads the pricing choice ``(q, d_q)`` from
+        ``choice[:2]``, θ from ``best[1]`` and each ``gather`` vector's
+        entry at that row, and ships all of it to the host as one struct.
+        The host tests ``q == NO_INDEX`` (optimal) before ``θ = inf``
+        (unbounded).
+        """
         tail = (4 + len(gather)) * keys.dtype.itemsize
-        self._finish_reduction(keys, "reduce.argmin", pair=True, tail_read=tail)
+        self._reduce(keys, "reduce.argmin", pair=True, tail_read=tail)
         result = gpured.ratio_result(choice, keys, best, gather)
         self.plan.device._record_transfer("dtoh", tail)
         return result

@@ -51,14 +51,6 @@ class DeviceCsrMatrix:
         self.indices.free()
         self.data.free()
 
-    def to_host(self) -> CsrMatrix:
-        return CsrMatrix(
-            self.shape,
-            self.indptr.copy_to_host().astype(np.int64),
-            self.indices.copy_to_host().astype(np.int64),
-            self.data.copy_to_host().astype(np.float64),
-        )
-
 
 class DeviceCscMatrix:
     """A CSC matrix resident in device memory."""

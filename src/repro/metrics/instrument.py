@@ -120,13 +120,13 @@ def record_fused_launch(n_ops: int, saved_seconds: float) -> None:
 
 
 def record_transfer(direction: str, nbytes: int, seconds: float) -> None:
-    """One HtoD/DtoH/DtoD transfer."""
+    """One HtoD/DtoH transfer."""
     reg = active()
     if reg is None:
         return
     reg.counter(
         "repro_gpu_transfer_bytes_total",
-        "Bytes moved by direction (htod/dtoh over PCIe, dtod on-device).",
+        "Bytes moved over PCIe by direction (htod/dtoh).",
         labels=("direction",),
     ).inc(nbytes, direction=direction)
     reg.counter(
@@ -501,11 +501,6 @@ def update_serve_latency_quantiles() -> None:
 # recorder is installed — the same zero-overhead contract as every metrics
 # hook in this module — and the span-shaped work lives in
 # :mod:`repro.obs.emit`, imported only once a recorder exists.
-
-
-def obs_enabled() -> bool:
-    """True when a span recorder is installed (``repro.obs.enable``)."""
-    return _obs_active() is not None
 
 
 def obs_job_rejected(job: Any) -> None:

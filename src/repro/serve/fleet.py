@@ -15,8 +15,7 @@ Placement inputs computed here:
 - :class:`MakespanPredictor` — a per-(method, size-bucket) running mean of
   observed single-LP machine times (each dispatched job's
   :class:`~repro.batch.scheduler.LPTimeline` feeds it), used by admission
-  control to reject deadline-infeasible jobs and by the window builder to
-  cap a group's predicted makespan.
+  control to reject deadline-infeasible jobs.
 """
 
 from __future__ import annotations

@@ -53,10 +53,6 @@ class JobState(enum.Enum):
     REJECTED = "rejected"
     EXPIRED = "expired"
 
-    @property
-    def is_terminal(self) -> bool:
-        return self not in (JobState.QUEUED, JobState.RUNNING)
-
 
 @dataclasses.dataclass
 class Job:

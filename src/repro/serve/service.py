@@ -24,8 +24,8 @@ The pipeline per event:
    predictor's estimate, are rejected up front.
 2. **Placement** — each idle device greedily fills a dispatch window from
    the queue: strict priority order, bin-packed by modeled footprint
-   against the device's global memory, capped at the device's stream count
-   (and optionally at a target predicted makespan).
+   against the device's global memory, capped at the device's stream
+   count.
 3. **Execution** — the window's solves run on the device, their
    :class:`~repro.batch.scheduler.LPTimeline`\\ s are priced as one group by
    :class:`~repro.batch.scheduler.ConcurrentSchedule` (the same
@@ -99,9 +99,6 @@ class ServeConfig:
     #: Kernel-fusion lowering of every job's solve (``SolverOptions.fusion``,
     #: on by default; ``False`` is the op-by-op ablation baseline).
     fusion: bool = True
-    #: Optional cap on a window's *predicted* makespan: stop filling once
-    #: the predictor expects this many busy seconds (None = fill streams).
-    target_batch_seconds: float | None = None
 
 
 @dataclasses.dataclass
@@ -407,28 +404,18 @@ class LPServer:
 
     def _fill_window(self, dev: DeviceWorker) -> list[Job]:
         """Greedy bin-packing of queued jobs into one dispatch window:
-        strict priority order, capped at the stream count, the modeled
-        memory budget, and (optionally) a target predicted makespan."""
-        cfg = self.config
+        strict priority order, capped at the stream count and the modeled
+        memory budget."""
         window: list[Job] = []
         mem = 0
-        predicted = 0.0
         self.queue.expire_stale(self.clock)
         while len(window) < dev.n_streams and len(self.queue):
             head = self.queue.peek()
             if mem + head.footprint_bytes > dev.mem_capacity:
                 break  # memory window full (job fits a bigger device later)
-            head_predicted = self.predictor.predict(head.problem, head.method)
-            if (
-                cfg.target_batch_seconds is not None
-                and window
-                and predicted + head_predicted > cfg.target_batch_seconds
-            ):
-                break
             job = self.queue.pop()
             window.append(job)
             mem += job.footprint_bytes
-            predicted += head_predicted
             self.queue.expire_stale(self.clock)
         return window
 

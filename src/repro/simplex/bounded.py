@@ -111,18 +111,21 @@ class BoxedBounds:
         return Step(-1, theta, 0.0, 0)
 
     def move(self, s, q: int, d_q: float, alpha, r: Step) -> None:
-        """x_B and z first; then the flip, or the basis update."""
+        """x_B first; then the flip, or the basis update.  z takes the step
+        only once it stands: when the basis update fails, the recovery
+        rebuilds x_B for the unchanged basis and z must not include it."""
         sigma = self.sigma(s, q)
         s.beta += r.theta * (-sigma * alpha)
         np.clip(s.beta, 0.0, None, out=s.beta)
-        s._z += d_q * sigma * r.theta
         s._charge_beta()
         if r.flip:
+            s._z += d_q * sigma * r.theta
             s.at_upper[q] = ~s.at_upper[q]
             s.flips += 1
             return
         leaving = int(s.basis[r.row])
         s.basisrep.update(alpha, r.row, s.options.tol_pivot)
+        s._z += d_q * sigma * r.theta
         s.beta[r.row] = s.u[q] - r.theta if sigma < 0 else r.theta
         if leaving < s.prep.n_total:
             s.at_upper[leaving] = r.to_upper and np.isfinite(s.u[leaving])

@@ -16,11 +16,9 @@ import numpy as np
 from repro.lp.problem import LPProblem
 from repro.lp.scaling import ScalingResult, geometric_mean_scaling
 from repro.lp.standard_form import StandardFormLP, to_standard_form
-from repro.result import SolveResult
 from repro.simplex.options import SolverOptions
 from repro.sparse.base import SparseMatrix
 from repro.sparse.csc import CscMatrix
-from repro.status import SolveStatus
 
 #: Phase-1 feasibility threshold: the artificial objective below which the
 #: problem is declared feasible (relative to the rhs scale).
@@ -177,8 +175,3 @@ def extract_solution(
     objective = prep.std.original_objective(z_std)
     x = prep.std.recover_x(x_std)
     return x, objective, x_std
-
-
-def failure_result(status: SolveStatus, solver: str) -> SolveResult:
-    """A result carrying only a terminal status (infeasible/unbounded/...)."""
-    return SolveResult(status=status, solver=solver)

@@ -107,8 +107,7 @@ class SolverOptions:
     #: Record a full per-iteration :class:`~repro.trace.SolveTrace` into
     #: ``result.trace`` (entering/leaving indices, pivot magnitude, step
     #: length, ratio-test ties, pricing rule, eta count, objective and
-    #: per-section modeled seconds); the legacy per-pivot tuple list stays
-    #: available as ``result.extra["trace"]``.  Off by default — traces are
+    #: per-section modeled seconds).  Off by default — traces are
     #: O(iterations) host memory — and tracing never perturbs results: with
     #: it on, statuses, objectives and modeled times are bit-identical.
     trace: bool = False

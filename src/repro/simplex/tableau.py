@@ -23,7 +23,6 @@ from repro.perfmodel.ops import OpCost
 from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
-    PreparedLP,
     initial_basis,
     prepare,
 )
@@ -82,11 +81,7 @@ class TableauSimplexSolver(HostBackend):
             c_full[n:] = 1.0
         else:
             c_full[:n] = self.prep.c
-        status, z, iters = self._run_phase(
-            self.prep, self.tableau, self.beta, self.basis, self.in_basis,
-            c_full, self.enterable, self.stats, phase=phase,
-        )
-        self._z = z
+        status, self._z, iters = self._run_phase(c_full, phase)
         return status, iters
 
     def phase1_objective(self) -> float:
@@ -94,19 +89,33 @@ class TableauSimplexSolver(HostBackend):
 
     # ------------------------------------------------------------------
 
+    def _eliminate(self, p: int, q: int) -> np.ndarray:
+        """Gauss–Jordan elimination of the tableau and β around (p, q);
+        returns the scaled pivot row."""
+        tableau, beta = self.tableau, self.beta
+        piv = tableau[p, q]
+        row_p = tableau[p, :] / piv
+        beta_p = beta[p] / piv
+        col = tableau[:, q].copy()
+        tableau -= np.outer(col, row_p)
+        tableau[p, :] = row_p
+        beta -= col * beta_p
+        beta[p] = beta_p
+        np.clip(beta, 0.0, None, out=beta)
+        return row_p
+
+    def _swap(self, p: int, q: int) -> None:
+        """Column q replaces the basic variable of row p."""
+        self.in_basis[self.basis[p]] = False
+        self.in_basis[q] = True
+        self.basis[p] = q
+
     def _run_phase(
-        self,
-        prep: PreparedLP,
-        tableau: np.ndarray,
-        beta: np.ndarray,
-        basis: np.ndarray,
-        in_basis: np.ndarray,
-        c_full: np.ndarray,
-        enterable: np.ndarray,
-        stats: IterationStats,
-        phase: int = 2,
+        self, c_full: np.ndarray, phase: int
     ) -> tuple[SolveStatus, float, int]:
         opts = self.options
+        tableau, beta, basis = self.tableau, self.beta, self.basis
+        in_basis, enterable, stats = self.in_basis, self.enterable, self.stats
         tr = self.hooks if self.hooks.enabled else None
         m, n_cols = tableau.shape
         w = np.dtype(opts.dtype).itemsize
@@ -176,16 +185,7 @@ class TableauSimplexSolver(HostBackend):
             if isinstance(rule, DevexRule):
                 rule.set_pivot_row(tableau[p, :].copy())
 
-            # Gauss–Jordan elimination around (p, q)
-            piv = tableau[p, q]
-            row_p = tableau[p, :] / piv
-            beta_p = beta[p] / piv
-            col = tableau[:, q].copy()
-            tableau -= np.outer(col, row_p)
-            tableau[p, :] = row_p
-            beta -= col * beta_p
-            beta[p] = beta_p
-            np.clip(beta, 0.0, None, out=beta)
+            row_p = self._eliminate(p, q)
             dq = d[q]
             d -= dq * row_p
             d[q] = 0.0
@@ -209,36 +209,22 @@ class TableauSimplexSolver(HostBackend):
                     ratio_ties=int(rr.ties), pricing_rule=rule_label(rule),
                     objective=float(z), degenerate=degenerate,
                 )
-            in_basis[basis[p]] = False
-            in_basis[q] = True
-            basis[p] = q
+            self._swap(p, q)
             rule.notify_pivot(q, p, None, improvement > 1e-12 * (1.0 + abs(z)))
 
         return finish_phase(SolveStatus.ITERATION_LIMIT, z, iters)
 
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued artificial basics onto real columns in place."""
-        tableau, beta = self.tableau, self.beta
-        basis, in_basis = self.basis, self.in_basis
         n = self.prep.n_total
-        for p in np.nonzero(basis >= n)[0]:
-            row = tableau[p, :n]
-            candidates = np.nonzero((~in_basis[:n]) & (np.abs(row) > 1e-7))[0]
+        for p in np.nonzero(self.basis >= n)[0]:
+            row = self.tableau[p, :n]
+            candidates = np.nonzero((~self.in_basis[:n]) & (np.abs(row) > 1e-7))[0]
             if candidates.size == 0:
                 continue  # redundant row
             q = int(candidates[np.argmax(np.abs(row[candidates]))])
-            piv = tableau[p, q]
-            row_p = tableau[p, :] / piv
-            beta_p = beta[p] / piv
-            col = tableau[:, q].copy()
-            tableau -= np.outer(col, row_p)
-            tableau[p, :] = row_p
-            beta -= col * beta_p
-            beta[p] = beta_p
-            np.clip(beta, 0.0, None, out=beta)
-            in_basis[basis[p]] = False
-            in_basis[q] = True
-            basis[p] = q
+            self._eliminate(p, q)
+            self._swap(p, q)
 
     # -- finish participation ------------------------------------------
 

@@ -137,20 +137,6 @@ class SolveTrace:
         """Number of degenerate (θ ≈ 0) pivots recorded."""
         return sum(1 for r in self.records if r.degenerate)
 
-    def legacy_tuples(self) -> list[tuple]:
-        """The pre-trace ``result.extra['trace']`` tuple format.
-
-        One ``(phase, iteration, entering, leaving_row, theta, objective)``
-        tuple per successful pivot/flip — terminal and recovery records are
-        excluded, matching the historical behaviour of appending only after
-        a completed basis change.
-        """
-        return [
-            (r.phase, r.iteration, r.entering, r.leaving_row, r.theta, r.objective)
-            for r in self.records
-            if r.event in PIVOT_EVENTS
-        ]
-
     def summary(self) -> str:
         """ASCII convergence / per-phase summary (see :mod:`repro.trace.render`)."""
         from repro.trace.render import render_summary

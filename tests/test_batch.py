@@ -39,17 +39,17 @@ class TestLPTimeline:
             TimelineEvent("htod", "transfer", 5e-4, nbytes=1024),
             TimelineEvent("kernel", "big", 2e-3, threads=p.concurrent_threads),
             TimelineEvent("kernel", "tiny", 1e-3, threads=1),
-            TimelineEvent("dtod", "transfer", 1e-4, nbytes=64),
+            TimelineEvent("kernel", "memset", 1e-4, threads=p.concurrent_threads),
             TimelineEvent("dtoh", "transfer", 3e-4, nbytes=512),
         ]
         tl = LPTimeline.from_events(3, events, p)
         assert tl.index == 3
-        assert tl.kernel_launches == 2
+        assert tl.kernel_launches == 3
         assert tl.transfer_seconds == pytest.approx(8e-4)
         assert tl.device_seconds == pytest.approx(2e-3 + 1e-3 + 1e-4)
         assert tl.total_seconds == pytest.approx(tl.transfer_seconds + tl.device_seconds)
-        # big kernel fills the device (util 1), tiny floors at min_fill,
-        # dtod saturates the memory system (util 1)
+        # big kernel and the memset fill the device (util 1), tiny floors
+        # at min_fill
         tiny_util = max(p.min_fill, 1.0 / cap)
         assert tl.busy_seconds == pytest.approx(2e-3 + 1e-3 * tiny_util + 1e-4)
         assert tl.busy_seconds < tl.device_seconds
@@ -116,57 +116,9 @@ class TestConcurrentSchedule:
         # every bound is a *lower* bound, strictly below the serial sum here
         assert out.makespan_seconds < out.sequential_seconds
 
-    def test_no_copy_compute_overlap_is_slower(self):
-        p = GTX280_PARAMS
-        events = [
-            TimelineEvent("htod", "transfer", 5e-4, nbytes=4096),
-            TimelineEvent("kernel", "k", 1e-3, threads=256),
-        ]
-        tls = [LPTimeline.from_events(i, events, p) for i in range(6)]
-        with_overlap = ConcurrentSchedule().plan(tls, params=p)
-        without = ConcurrentSchedule(copy_compute_overlap=False).plan(tls, params=p)
-        assert without.makespan_seconds > with_overlap.makespan_seconds
-        # serialized transfers are paid in full up front
-        assert without.makespan_seconds >= without.transfer_seconds
-
     def test_bad_stream_count(self):
         with pytest.raises(SolverError):
             ConcurrentSchedule(n_streams=0)
-
-    def test_serialized_mode_reports_composed_bounds(self):
-        """Regression: with ``copy_compute_overlap=False`` the reported
-        bounds (and the binding resource picked from them) must be the
-        terms of the serialized composition — not the overlap-mode bounds,
-        which the buggy version reported.  Transfer-heavy case where the
-        two disagree: the overlap bounds' stream-critical-path (transfer +
-        compute per stream, 1.1s) would win the binding vote, but it never
-        enters the serialized makespan, whose largest true term is the
-        copy engine (1.0s)."""
-        p = GTX280_PARAMS
-        events = [
-            TimelineEvent("htod", "transfer", 0.25, nbytes=1 << 20),
-            TimelineEvent("kernel", "k", 0.6, threads=1),  # tiny: busy ~ 0
-            TimelineEvent("dtoh", "transfer", 0.25, nbytes=1 << 20),
-        ]
-        tls = [LPTimeline.from_events(i, events, p) for i in range(2)]
-        out = ConcurrentSchedule(
-            n_streams=2, copy_compute_overlap=False
-        ).plan(tls, params=p)
-        # the serialized composition's own terms, nothing from overlap mode
-        assert set(out.bounds) == {
-            "copy-engine", "compute-capacity",
-            "stream-device-path", "launch-serialization",
-        }
-        assert out.bounds["copy-engine"] == pytest.approx(1.0)
-        assert out.bounds["stream-device-path"] == pytest.approx(0.6)
-        assert out.makespan_seconds == pytest.approx(1.6)
-        # binding picked from the composed bounds: the copy engine, not
-        # the overlap-mode stream-critical-path the old code reported
-        assert out.binding_resource == "copy-engine"
-        # every reported bound is a genuine lower bound of the makespan
-        assert all(
-            b <= out.makespan_seconds + 1e-12 for b in out.bounds.values()
-        )
 
     def test_binding_tie_is_deterministic(self):
         """Equal bounds: max() breaks the tie by declaration order, so the

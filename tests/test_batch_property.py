@@ -184,15 +184,14 @@ def _gpu_timelines(draw):
 @given(
     tls=_gpu_timelines(),
     n_streams=st.integers(1, 12),
-    overlap=st.booleans(),
 )
-def test_concurrent_makespan_dominates_bounds(tls, n_streams, overlap):
-    """In both overlap modes the makespan is (a) >= every bound the plan
-    reports, (b) >= the largest single LP, (c) <= the sequential makespan,
-    and the binding resource is one of the reported bounds."""
-    out = ConcurrentSchedule(
-        n_streams=n_streams, copy_compute_overlap=overlap
-    ).plan(tls, params=GTX280_PARAMS)
+def test_concurrent_makespan_dominates_bounds(tls, n_streams):
+    """The makespan is (a) >= every bound the plan reports, (b) >= the
+    largest single LP, (c) <= the sequential makespan, and the binding
+    resource is one of the reported bounds."""
+    out = ConcurrentSchedule(n_streams=n_streams).plan(
+        tls, params=GTX280_PARAMS
+    )
     seq = SequentialSchedule().plan(tls)
     eps = 1e-12 + 1e-9 * out.makespan_seconds
     for name, bound in out.bounds.items():
@@ -206,13 +205,12 @@ def test_concurrent_makespan_dominates_bounds(tls, n_streams, overlap):
 @given(
     tls=_gpu_timelines(),
     n_streams=st.integers(1, 12),
-    overlap=st.booleans(),
 )
-def test_binding_resource_is_deterministic(tls, n_streams, overlap):
+def test_binding_resource_is_deterministic(tls, n_streams):
     """Replanning identical timelines always reports the same binding
     resource — ties between equal bounds break by declaration order, not
     by dict-iteration accidents."""
-    sched = ConcurrentSchedule(n_streams=n_streams, copy_compute_overlap=overlap)
+    sched = ConcurrentSchedule(n_streams=n_streams)
     first = sched.plan(tls, params=GTX280_PARAMS)
     for _ in range(3):
         again = sched.plan(list(tls), params=GTX280_PARAMS)

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.lp.generators import random_dense_lp
 from repro.lp.mps import write_mps
+from repro.trace import PIVOT_EVENTS
 
 
 @pytest.fixture
@@ -194,15 +195,15 @@ class TestTraceOption:
 
         lp = random_dense_lp(10, 14, seed=2)
         r = solve(lp, method="revised", trace=True)
-        trace = r.extra["trace"]
+        pivots = [rec for rec in r.trace if rec.event in PIVOT_EVENTS]
         # each phase's final iteration only detects optimality (no pivot)
         total = r.iterations.total_iterations
-        assert total - 2 <= len(trace) < total
-        phases = {t[0] for t in trace}
+        assert total - 2 <= len(pivots) < total
+        phases = {rec.phase for rec in pivots}
         assert phases <= {1, 2}
-        # objective column is monotone non-increasing in phase 2 (minimisation
+        # the objective is monotone non-increasing in phase 2 (minimisation
         # of the negated objective)
-        z_values = [t[5] for t in trace if t[0] == 2]
+        z_values = [rec.objective for rec in pivots if rec.phase == 2]
         assert all(b <= a + 1e-9 for a, b in zip(z_values, z_values[1:]))
 
     def test_trace_gpu_matches_cpu(self):
@@ -212,9 +213,13 @@ class TestTraceOption:
         rc = solve(lp, method="revised", trace=True, dtype=np.float64)
         rg = solve(lp, method="gpu-revised", trace=True, dtype=np.float64)
         # identical pivot sequences: same (entering, leaving-row) pairs
-        assert [(t[2], t[3]) for t in rc.extra["trace"]] == [
-            (t[2], t[3]) for t in rg.extra["trace"]
-        ]
+        def pivots(r):
+            return [
+                (rec.entering, rec.leaving_row)
+                for rec in r.trace if rec.event in PIVOT_EVENTS
+            ]
+
+        assert pivots(rc) == pivots(rg)
 
     def test_trace_off_by_default(self):
         from repro import solve

@@ -99,6 +99,48 @@ class TestSingularBases:
         r = solve(lp, method="revised", initial_basis=np.array([1, 2]))
         assert r.status is SolveStatus.OPTIMAL
 
+    def test_bounded_failed_update_keeps_phase1_objective(self, monkeypatch):
+        """A basis update that fails leaves the objective at the old basis:
+        the recovery rebuilds x_B for the unchanged basis, so a step that
+        did not happen must not reach the phase-1 feasibility verdict."""
+        import dataclasses
+
+        from repro.lp.generators import transportation_lp
+        from repro.simplex.basis import ExplicitInverseBasis
+        from repro.simplex.bounded import BoundedRevisedSimplexSolver
+
+        lp = transportation_lp(4, 5, seed=1)
+        n = lp.num_vars
+        boxed = dataclasses.replace(
+            lp, bounds=Bounds(np.zeros(n), np.full(n, 1e4))
+        )
+        update = ExplicitInverseBasis.update
+        calls = []
+
+        def failing_second_update(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularBasisError("injected")
+            return update(self, *args, **kwargs)
+
+        phase1 = []
+        objective = BoundedRevisedSimplexSolver.phase1_objective
+
+        def record_phase1(self):
+            phase1.append(objective(self))
+            return phase1[-1]
+
+        monkeypatch.setattr(ExplicitInverseBasis, "update", failing_second_update)
+        monkeypatch.setattr(
+            BoundedRevisedSimplexSolver, "phase1_objective", record_phase1
+        )
+        r = solve(boxed, method="revised-bounded")
+        assert len(calls) > 2
+        # a sum of artificials: never negative, zero for a feasible LP
+        assert phase1 == [pytest.approx(0.0, abs=1e-9)]
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(solve(lp, method="revised").objective)
+
     def test_certificate_raises_on_singular_basis(self):
         from repro.lp.postsolve import certificate_from_basis
         from repro.simplex.common import prepare

@@ -19,6 +19,7 @@ from repro.lp.problem import Bounds, LPProblem
 from repro.simplex.options import SolverOptions
 from repro.solve import choose_method, solve
 from repro.status import SolveStatus
+from repro.trace import PIVOT_EVENTS
 
 FIRSTORDER = ("pdlp", "gpu-pdlp")
 
@@ -113,8 +114,9 @@ class TestResultSurface:
         # every restart record carries the candidate's KKT score in theta
         assert all(rec.theta >= 0.0 for rec in restarts)
         assert all(rec.pricing_rule == "pdhg" for rec in restarts)
-        # the legacy tuple mirror includes restarts (the pivot analogue)
-        assert len(result.extra["trace"]) == len(restarts)
+        # restarts are the first-order methods' pivot analogue
+        pivots = [rec for rec in result.trace if rec.event in PIVOT_EVENTS]
+        assert pivots == restarts
 
     def test_duals_recovered(self, result):
         assert "duals" in result.extra

@@ -23,13 +23,6 @@ class TestLevel1:
         blas.copy(x, y)
         assert np.array_equal(y.data, x.data)
 
-    def test_swap(self, device):
-        x = dvec(device, [1.0, 2.0])
-        y = dvec(device, [3.0, 4.0])
-        blas.swap(x, y)
-        assert np.array_equal(x.data, [3.0, 4.0])
-        assert np.array_equal(y.data, [1.0, 2.0])
-
     def test_scal(self, device):
         x = dvec(device, [1.0, -2.0, 3.0])
         blas.scal(2.0, x)
@@ -50,29 +43,10 @@ class TestLevel1:
         xh = rng.normal(size=33)
         assert blas.nrm2(dvec(device, xh)) == pytest.approx(np.linalg.norm(xh))
 
-    def test_asum(self, device):
-        assert blas.asum(dvec(device, [-1.0, 2.0, -3.0])) == pytest.approx(6.0)
-
-    def test_iamax(self, device):
-        assert blas.iamax(dvec(device, [1.0, -7.0, 3.0])) == 1
-
     def test_fill(self, device):
         x = device.zeros(5, np.float32)
         blas.fill(x, 3.5)
         assert np.all(x.data == np.float32(3.5))
-
-    def test_gather(self, device):
-        src = dvec(device, [10.0, 20.0, 30.0, 40.0])
-        out = device.zeros(2, np.float64)
-        blas.gather(src, np.array([3, 0]), out)
-        assert np.array_equal(out.data, [40.0, 10.0])
-
-    def test_gather_out_of_range(self, device):
-        src = dvec(device, [1.0])
-        out = device.zeros(1, np.float64)
-        with pytest.raises(DeviceArrayError):
-            blas.gather(src, np.array([5]), out)
-
 
 class TestLevel2:
     def test_gemv_notrans(self, device, rng):
@@ -128,38 +102,6 @@ class TestLevel2:
         y = device.zeros(3, np.float64)
         with pytest.raises(DeviceArrayError):
             blas.gemv(a, x, y)
-
-
-class TestLevel3:
-    def test_gemm(self, device, rng):
-        ah = rng.normal(size=(4, 6))
-        bh = rng.normal(size=(6, 3))
-        a, b = device.to_device(ah), device.to_device(bh)
-        c = device.zeros((4, 3), np.float64)
-        blas.gemm(a, b, c)
-        np.testing.assert_allclose(c.data, ah @ bh, rtol=1e-12)
-
-    def test_gemm_transposes(self, device, rng):
-        ah = rng.normal(size=(6, 4))
-        bh = rng.normal(size=(3, 6))
-        a, b = device.to_device(ah), device.to_device(bh)
-        c = device.zeros((4, 3), np.float64)
-        blas.gemm(a, b, c, transa=True, transb=True)
-        np.testing.assert_allclose(c.data, ah.T @ bh.T, rtol=1e-12)
-
-    def test_gemm_beta(self, device, rng):
-        ah, bh = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        ch = rng.normal(size=(2, 2))
-        a, b, c = device.to_device(ah), device.to_device(bh), device.to_device(ch)
-        blas.gemm(a, b, c, alpha=2.0, beta=-1.0)
-        np.testing.assert_allclose(c.data, 2 * (ah @ bh) - ch, rtol=1e-12)
-
-    def test_gemm_inner_mismatch(self, device):
-        a = device.zeros((4, 5), np.float64)
-        b = device.zeros((6, 3), np.float64)
-        c = device.zeros((4, 3), np.float64)
-        with pytest.raises(DeviceArrayError):
-            blas.gemm(a, b, c)
 
 
 class TestAccounting:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceArrayError
-from repro.gpu.device import Device
-from repro.perfmodel.presets import GTX8800_PARAMS
 
 
 class TestProperties:
@@ -74,26 +72,6 @@ class TestTransfers:
         h = a.copy_to_host()
         h[0] = 99
         assert a.data[0] == 0
-
-    def test_dtod(self, device):
-        a = device.to_device(np.arange(5, dtype=np.float32))
-        b = device.zeros(5, np.float32)
-        b.copy_from_device(a)
-        assert np.array_equal(b.data, a.data)
-        assert device.stats.dtod_bytes == 20
-
-    def test_dtod_mismatch(self, device):
-        a = device.to_device(np.arange(5, dtype=np.float32))
-        b = device.zeros(6, np.float32)
-        with pytest.raises(DeviceArrayError):
-            b.copy_from_device(a)
-
-    def test_dtod_across_devices_rejected(self, device):
-        other = Device(GTX8800_PARAMS)
-        a = device.to_device(np.arange(5, dtype=np.float32))
-        b = other.zeros(5, np.float32)
-        with pytest.raises(DeviceArrayError):
-            b.copy_from_device(a)
 
 
 class TestScalarAccess:

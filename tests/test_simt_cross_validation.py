@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import blas
-from repro.gpu import reduce as gpured
+from repro.gpu.plan import LaunchPlan
 from repro.gpu.simt import (
     SimtEngine,
     simt_block_argmin,
@@ -78,9 +78,14 @@ class TestBlockArgmin:
         vals = np.zeros(1)
         idxs = np.zeros(1, dtype=np.int64)
         engine.run(simt_block_argmin, 1, 8, x, vals, idxs)
-        d_idx, d_val = gpured.argmin(device.to_device(x))
-        assert idxs[0] == d_idx == 1  # lowest index among the tied 1.0s
-        assert vals[0] == d_val
+        for fusion in (False, True):
+            plan = LaunchPlan(device, fusion=fusion)
+            d_x, out = device.to_device(x), device.alloc(2, np.float64)
+            with plan.section("pricing") as sec:
+                sec.argmin_to_device(d_x, out)
+            d_idx, d_val = out.copy_to_host()
+            assert idxs[0] == d_idx == 1  # lowest index among the tied 1.0s
+            assert vals[0] == d_val
 
 
 class TestEtaUpdate:

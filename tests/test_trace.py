@@ -8,7 +8,8 @@ The contract under test:
    modeled seconds are bit-identical with tracing on and off;
 3. the merged Chrome-trace JSON round-trips through ``json.loads`` and
    carries both solver tracks and (for GPU methods) kernel/transfer tracks;
-4. the legacy ``result.extra["trace"]`` tuple format is preserved.
+4. the trace aggregates (phase seconds, objective series, summary, batch
+   traces) read back what the records hold.
 """
 
 import json
@@ -234,22 +235,11 @@ class TestChromeTrace:
 
 
 # ---------------------------------------------------------------------------
-# 4. legacy tuple compatibility + aggregation/rendering
+# 4. aggregation/rendering
 # ---------------------------------------------------------------------------
 
 
 class TestLegacyAndAggregation:
-    def test_legacy_tuples_preserved_in_extra(self, lp):
-        result = solve(lp, method="revised", trace=True)
-        legacy = result.extra["trace"]
-        assert legacy == result.trace.legacy_tuples()
-        total = result.iterations.total_iterations
-        # historical contract: one tuple per completed pivot, i.e. all
-        # iterations except the terminal detection of each phase
-        assert total - 2 <= len(legacy) < total
-        phase, iteration, entering, leaving_row, theta, objective = legacy[0]
-        assert phase in (1, 2) and entering >= 0 and leaving_row >= 0
-
     def test_phase_seconds_cover_modeled_time(self, lp):
         result = solve(lp, method="gpu-revised", trace=True)
         sections = result.trace.phase_seconds()
