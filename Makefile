@@ -9,8 +9,9 @@
 # `make sparse-smoke` exercises the sparse solver path end to end (generate
 # a sparse instance, solve it with the dense and both sparse revised
 # backends, assert the objectives agree).
-# `make serve-smoke` replays a small arrival trace through the serving layer
-# (fleet beats sequential, warm-start cache hits land).
+# `make serve-smoke` replays a small arrival trace whose arrivals outpace one
+# stream through the serving layer (fleet beats sequential, warm-start cache
+# hits land).
 # `make pdlp-smoke` runs the first-order (PDLP) backends on a sparse
 # instance and asserts they agree with the revised simplex, and that
 # method="auto" dispatches to a registered method.
@@ -19,8 +20,9 @@
 # each job's latency, and validates the exported Chrome span trace.
 # `make fuse-smoke` solves the same LP with launch-plan fusion off and on,
 # asserts the fp64 results are bit-identical while the fused run issues
-# strictly fewer kernel launches, and checks mixed precision recovers the
-# fp64 objective.
+# strictly fewer kernel launches, that a fused ratio test over at most 512
+# rows is one launch, and checks mixed precision recovers the fp64
+# objective.
 # `make batch-smoke` solves 8 small LPs as one lockstep batch and asserts
 # per-LP objectives match solo solves, a one-LP batch reproduces its solo
 # clock, and lockstep beats the stream-interleaved makespan.
@@ -83,9 +85,10 @@ sparse-smoke:  ## end-to-end: sparse instance -> dense + sparse solvers agree
 serve-smoke:  ## end-to-end: arrival trace -> fleet serving -> invariants
 	$(PYTHONPATH_SRC) python -c "\
 	from repro.serve import ServeConfig, serve_trace, synthetic_trace; \
-	trace = synthetic_trace(n_jobs=16, seed=7); \
+	trace = synthetic_trace(n_jobs=16, seed=7, mean_interarrival=0.0005); \
 	seq = serve_trace(trace, ServeConfig(n_devices=1, n_streams=1, cache_capacity=1)); \
 	fleet = serve_trace(trace, ServeConfig(n_devices=2)); \
+	assert seq.jobs[-1].queue_seconds > 0.0, 'arrivals do not queue on one stream'; \
 	assert fleet.all_optimal and seq.all_optimal; \
 	assert fleet.span_seconds < seq.span_seconds, (fleet.span_seconds, seq.span_seconds); \
 	assert fleet.cache_hits >= 1, fleet.cache.summary(); \

@@ -13,8 +13,9 @@ basis at m instead of m + #bounds; A5 measures the effect.
 
 The ratio readback also brings to_upper[p], and the basis swap adds the σ
 signs and the u_B entry to the stores of the update launch.  The
-flip-or-pivot choice needs θ on the host, so a bound flip runs the
-tie-break pass too.
+flip-or-pivot choice needs θ on the host, so a bound flip runs the whole
+ratio test, tie-break kernel included; fused and for m ≤ 2·DEFAULT_BLOCK
+that is still one launch.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ ftran    all       column load reading q on the device (dense extract,
 ratio    standard  ratio map kernel, device-resident arg-min
          boxed     bounded ratio map (reads σ_q on the device), arg-min
          all       tie-break map, arg-min whose one readback brings
-                   (q, d_q, p, θ, α_p), plus to_upper[p] when boxed
+                   (q, d_q, p, θ, α_p), plus to_upper[p] when boxed;
+                   fused and m ≤ 2·DEFAULT_BLOCK, the four are one launch
 update   standard  β update kernel (also stores the basis swap: mask
                    bits, c_B entry, basis key)
          boxed     bounded β update (also σ signs and the u_B entry); a
@@ -405,18 +406,17 @@ class GpuRevisedSimplex(DeviceBackend):
             # -- ratio test (Bland-compatible: ties break to the lowest
             #    basic-variable index via a second keyed reduction).  The
             #    map's arg-min stays on the device, the tie pass reads θ
-            #    from it, and one readback returns (q, d_q, p, θ, α_p, …).
-            with dev.timed_section("ratio"):
-                with self.plan.section("ratio.map") as sec:
-                    bounds.ratio_map(st, tol_piv)
-                    sec.argmin_to_device(st.ratios, st.ratio_min)
-                with self.plan.section("ratio.tie") as sec:
-                    K.tie_break_key_kernel(
-                        dev, st.ratios, st.ratio_min, st.basis_keys, st.tmp_m
-                    )
-                    q, d_q, p, theta, gathered = sec.ratio_readback(
-                        st.choice, st.tmp_m, st.ratio_min, bounds.gathered(st)
-                    )
+            #    from it, and one readback returns (q, d_q, p, θ, α_p, …);
+            #    for m ≤ 2·DEFAULT_BLOCK all of it is one launch.
+            with dev.timed_section("ratio"), self.plan.section("ratio") as sec:
+                bounds.ratio_map(st, tol_piv)
+                sec.argmin_to_device(st.ratios, st.ratio_min)
+                K.tie_break_key_kernel(
+                    dev, st.ratios, st.ratio_min, st.basis_keys, st.tmp_m
+                )
+                q, d_q, p, theta, gathered = sec.ratio_readback(
+                    st.choice, st.tmp_m, st.ratio_min, bounds.gathered(st)
+                )
             pivot = gathered[0]
             if q != NO_INDEX:
                 d_q, sigma, theta, flip = bounds.step(st, q, d_q, theta)

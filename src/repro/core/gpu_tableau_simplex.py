@@ -124,17 +124,15 @@ class GpuTableauSimplex(DeviceBackend):
                     dev, st.choice, st.alpha, n_real=n_cols, dense=st.tableau
                 )
 
-            with dev.timed_section("ratio"):
-                with self.plan.section("ratio.map") as sec:
-                    K.ratio_kernel(dev, st.beta, st.alpha, st.ratios, tol_piv)
-                    sec.argmin_to_device(st.ratios, st.ratio_min)
-                with self.plan.section("ratio.tie") as sec:
-                    K.tie_break_key_kernel(
-                        dev, st.ratios, st.ratio_min, st.basis_keys, st.tie_keys
-                    )
-                    q, d_q, p, theta, (pivot,) = sec.ratio_readback(
-                        st.choice, st.tie_keys, st.ratio_min, (st.alpha,)
-                    )
+            with dev.timed_section("ratio"), self.plan.section("ratio") as sec:
+                K.ratio_kernel(dev, st.beta, st.alpha, st.ratios, tol_piv)
+                sec.argmin_to_device(st.ratios, st.ratio_min)
+                K.tie_break_key_kernel(
+                    dev, st.ratios, st.ratio_min, st.basis_keys, st.tie_keys
+                )
+                q, d_q, p, theta, (pivot,) = sec.ratio_readback(
+                    st.choice, st.tie_keys, st.ratio_min, (st.alpha,)
+                )
             if q == NO_INDEX:
                 if tr is not None:
                     tr.record(phase=phase, iteration=iters, event="optimal",

@@ -1,7 +1,7 @@
 """Launch plans: capture → fuse → lower, the CUDA-graph-style seam.
 
 Solver backends describe each iteration's device work as *plan sections*
-(pricing, ratio.map, update, …).  Inside a section the backend issues its
+(pricing, ratio, update, …).  Inside a section the backend issues its
 ordinary :mod:`repro.gpu.blas` / kernel calls; the section decides how they
 reach the device:
 
@@ -30,26 +30,36 @@ Two structural rules make fusion *safe* rather than merely plausible:
    copy→gemvᵀ→mask→reduce).  Ops are never reordered: fused launches run
    the captured bodies in capture order, making fp64 results bit-identical
    by construction.
-2. A section holds at most **one** terminal reduction
-   (:meth:`_PlanSection.argmin_to_device`,
+2. A terminal reduction (:meth:`_PlanSection.argmin_to_device`,
    :meth:`_PlanSection.first_below_to_device` or
-   :meth:`_PlanSection.ratio_readback`), and it ends the capture: its first
-   tree pass is recorded as a fusable op (the classic map+reduce fusion),
-   the captured sequence is lowered and executed, then the remaining tree
-   passes and the DtoH (if the result goes to the host) are charged.  With
-   fusion off the same passes launch one by one, so the terminal
-   reductions have one implementation (:class:`_PlanSection`) for both.
+   :meth:`_PlanSection.ratio_readback`) records its first tree pass as a
+   fusable op whose body is the reduction's store (the classic map+reduce
+   fusion), and ends a launch only when it needs a grid-wide barrier.
+   When the reduced vector has at most 2·``DEFAULT_BLOCK`` elements and
+   every op captured since the last lowering is fusable over at most
+   2·``DEFAULT_BLOCK`` threads, one thread block runs all of it:
+   ``__syncthreads`` is the only barrier the next op needs, so the capture
+   stays open, and the fused launch is charged as that one block.
+   Otherwise the section lowers the capture, charges the remaining tree
+   passes and reopens the capture.  Ops after a block-resident reduction
+   that do not fit one block start a launch of their own.  The ratio
+   readback always lowers, because the host reads its result.  With
+   fusion off the same passes launch one by one and the stores run right
+   after them, so the terminal reductions have one implementation
+   (:class:`_PlanSection`) for both.
 
 Host transfers raise inside a capture (the bodies have not executed yet),
-so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections.
-A simplex iteration of the GPU backends spans several sections — pricing,
-the column load and FTRAN, ``ratio.map`` and ``ratio.tie`` — but no host
-round trip sits between them: pricing leaves (q, d_q) in a small device
-buffer that the column-load kernel reads, the ratio map's arg-min leaves
-(row, θ) in another that the tie-break kernel reads.  Each split is a
-grid-wide barrier — every block of the next map needs the global result —
-which one fused launch cannot span.  ``ratio.tie`` ends in the iteration's
-single readback.
+so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections
+(the ratio readback's DtoH runs between its lowering and the reopened
+capture).  A simplex iteration of the GPU backends spans several
+sections — pricing, the column load and FTRAN, and the ratio test — but
+no host round trip sits between them: pricing leaves (q, d_q) in a small
+device buffer that the column-load kernel reads.  Those splits are
+grid-wide barriers — every block of the next kernel needs the global
+result — which one launch cannot span.  The ratio test's map arg-min
+leaves (row, θ) in another buffer that its tie-break kernel reads; for
+m ≤ 2·``DEFAULT_BLOCK`` that is a block barrier, and the whole ``ratio``
+section, ending in the iteration's single readback, is one launch.
 
 :func:`emit` is the blessed pass-through for backend-owned custom kernels
 (sparse LU solves, PDHG updates): backends never call ``Device.launch``
@@ -65,7 +75,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.errors import InvalidLaunchError, SolverError
+from repro.errors import SolverError
 from repro.gpu import reduce as gpured
 from repro.gpu.device import CapturedLaunch, Device
 from repro.gpu.kernel import DEFAULT_BLOCK
@@ -259,8 +269,7 @@ class LaunchPlan:
             if self.device._capture is not None:
                 self.device._end_capture()
             raise
-        if self.device._capture is not None:  # no terminal reduction ran
-            self._lower(name, self.device._end_capture(), timed=timed)
+        sec._lower()
 
     # -- lowering ----------------------------------------------------------
 
@@ -269,13 +278,19 @@ class LaunchPlan:
         name: str,
         captured: list[CapturedLaunch],
         timed: "str | None" = None,
+        *,
+        resident: bool = False,
     ) -> None:
-        """Replay a captured sequence as (possibly fused) real launches."""
+        """Replay a captured sequence as (possibly fused) real launches.
+
+        ``resident`` marks a sequence that keeps a reduction's result
+        inside one thread block: each fused launch runs as that one block,
+        its ``threads`` capped at :data:`DEFAULT_BLOCK`."""
         if not captured:
             return
         if timed is not None:
             with self.device.timed_section(timed):
-                self._lower(name, captured)
+                self._lower(name, captured, resident=resident)
             return
         key = tuple(
             (op.name, op.dtype, op.block, op.fusable, op.reads, op.writes)
@@ -300,6 +315,10 @@ class LaunchPlan:
                 *(op.cost for op in group),
                 shared_read_bytes=_shared_read_bytes(group),
             )
+            if resident:
+                cost = dataclasses.replace(
+                    cost, threads=min(cost.threads, DEFAULT_BLOCK)
+                )
             bodies = [op.body for op in group]
 
             def run(bodies=bodies) -> None:
@@ -323,15 +342,30 @@ class LaunchPlan:
                 pass
 
 
+#: Largest vector one thread block reduces in a single tree pass.
+_ONE_BLOCK = 2 * DEFAULT_BLOCK
+
+
+def _block_resident(captured: list[CapturedLaunch]) -> bool:
+    """Whether one thread block can run the whole captured sequence: every
+    op is an elementwise map or a reduction pass over at most
+    :data:`_ONE_BLOCK` threads, so ``__syncthreads`` is the only barrier
+    it needs."""
+    return all(op.fusable and op.cost.threads <= _ONE_BLOCK for op in captured)
+
+
 class _PlanSection:
     """Handle the backend sees inside ``with plan.section(...) as sec``.
 
     Carries the section's terminal reductions — the only entry points to
     one.  Each charges the tree passes of :mod:`repro.gpu.reduce`; with
-    fusion on, the first pass is recorded as a fusable op (so it fuses
-    with the preceding map kernel) and the section is lowered before the
-    remaining passes launch.  The charges and their order are the same
-    either way, so only the fused launch itself differs.
+    fusion on, the first pass is recorded as a fusable op whose body is
+    the reduction's store (so it fuses with the preceding map kernel).  A
+    reduction that one thread block finishes keeps the capture open: the
+    ops after it join the same launch, behind a block barrier.  Any other
+    reduction lowers the capture, charges its remaining passes and reopens
+    the capture.  The charges and their order are the same either way, so
+    only the fused launches themselves differ.
     """
 
     def __init__(
@@ -340,33 +374,64 @@ class _PlanSection:
         self.plan = plan
         self.name = name
         self.timed = timed
+        #: Length of the captured prefix that ends in a block-resident
+        #: reduction pass (0: none since the last lowering).
+        self._resident = 0
+
+    def _lower(self) -> None:
+        """End the capture and lower it.  When ops after the last
+        block-resident reduction do not fit one block, the prefix up to
+        that reduction launches on its own, ahead of them."""
+        captured = self.plan.device._end_capture()
+        k, self._resident = self._resident, 0
+        if k and not _block_resident(captured[k:]):
+            self.plan._lower(self.name, captured[:k], self.timed, resident=True)
+            captured, k = captured[k:], 0
+        self.plan._lower(self.name, captured, self.timed, resident=bool(k))
 
     def _reduce(
-        self, x: DeviceArray, name: str, *, pair: bool, tail_read: int = 0
+        self,
+        x: DeviceArray,
+        name: str,
+        store: Callable[[], None],
+        *,
+        pair: bool,
+        out: "DeviceArray | None" = None,
+        tail_read: int = 0,
+        readback: int = 0,
     ) -> None:
-        """Charge a tree reduction over ``x``: with fusion on, record its
-        first pass, lower the section, then charge the follow-up passes."""
+        """Charge a tree reduction over ``x`` whose final pass runs
+        ``store`` (which writes ``out``); ``readback`` bytes of its result
+        then go to the host.  With fusion on, record the first pass; keep
+        the capture open when one block finishes the section so far,
+        otherwise lower it, charge the follow-up passes and reopen it."""
         dev, dtype, w = gpured._prep(x)
         fused = self.plan.fusion
         if fused:
-            if dev._capture is None:
-                raise InvalidLaunchError(
-                    f"second terminal reduction in plan section {self.name!r}; "
-                    "sections hold at most one (split the section)"
-                )
             dev.launch(
                 name,
-                lambda: None,
+                store,
                 gpured.first_pass_cost(x.size, w, pair=pair, tail_read=tail_read),
                 dtype=dtype,
                 fusable=True,
                 reads=(x,),
+                writes=() if out is None else (out,),
             )
-            self.plan._lower(self.name, dev._end_capture(), timed=self.timed)
+            if (not readback and x.size <= _ONE_BLOCK
+                    and _block_resident(dev._capture)):
+                self._resident = len(dev._capture)
+                return
+            self._lower()
         gpured._charge_tree(
             dev, name, x.size, w, dtype, pair=pair, skip_first=fused,
             tail_read=tail_read,
         )
+        if not fused:
+            store()
+        if readback:
+            dev._record_transfer("dtoh", readback)
+        if fused:
+            dev._begin_capture()
 
     def argmin_to_device(
         self, x: DeviceArray, out: DeviceArray, below: "float | None" = None
@@ -379,8 +444,10 @@ class _PlanSection:
         pricing reduction: the final pass stores ``NO_INDEX`` when the
         minimum is not below the threshold (no column prices in).
         """
-        self._reduce(x, "reduce.argmin", pair=True)
-        gpured.store_argmin(x, out, below)
+        self._reduce(
+            x, "reduce.argmin", lambda: gpured.store_argmin(x, out, below),
+            pair=True, out=out,
+        )
 
     def first_below_to_device(
         self, x: DeviceArray, threshold: float, out: DeviceArray
@@ -389,9 +456,10 @@ class _PlanSection:
         with x[i] < threshold — or ``(NO_INDEX, inf)`` — stored in
         ``out[:2]``, no DtoH."""
         self._reduce(
-            x, "reduce.first_below", pair=False, tail_read=x.dtype.itemsize
+            x, "reduce.first_below",
+            lambda: gpured.store_first_below(x, threshold, out),
+            pair=False, out=out, tail_read=x.dtype.itemsize,
         )
-        gpured.store_first_below(x, threshold, out)
 
     def ratio_readback(
         self,
@@ -408,10 +476,12 @@ class _PlanSection:
         ``choice[:2]``, θ from ``best[1]`` and each ``gather`` vector's
         entry at that row, and ships all of it to the host as one struct.
         The host tests ``q == NO_INDEX`` (optimal) before ``θ = inf``
-        (unbounded).
+        (unbounded).  It always ends the launch, because the host reads
+        the result.
         """
         tail = (4 + len(gather)) * keys.dtype.itemsize
-        self._reduce(keys, "reduce.argmin", pair=True, tail_read=tail)
-        result = gpured.ratio_result(choice, keys, best, gather)
-        self.plan.device._record_transfer("dtoh", tail)
-        return result
+        self._reduce(
+            keys, "reduce.argmin", lambda: None,
+            pair=True, tail_read=tail, readback=tail,
+        )
+        return gpured.ratio_result(choice, keys, best, gather)

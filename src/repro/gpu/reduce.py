@@ -14,9 +14,13 @@ The entry points are the plan section's terminal reductions
 :meth:`~repro.gpu.plan._PlanSection.ratio_readback`).  This module holds
 what they share: the cost of the first pass (:func:`first_pass_cost`, the
 pass a fused section folds into the preceding map kernel), the charge of
-the passes (:func:`_charge_tree`), and the final pass's stores.  The
-pricing choice and the ratio map's minimum stay on the device for later
-kernels; only the iteration's single readback crosses PCIe.
+the passes (:func:`_charge_tree`), and the final pass's stores.  A fused
+section records the stores as the first pass's body, so they run in
+capture order; a reduction over at most 2·``DEFAULT_BLOCK`` elements is
+that one pass, and the kernels after it in the same launch read its
+store behind a block barrier.  The pricing choice and the ratio map's
+minimum stay on the device for later kernels; only the iteration's single
+readback crosses PCIe.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ The plan layer's two load-bearing promises are checked here at every level:
 - **unit**: :meth:`OpCost.fuse` composition algebra, the
   :func:`repro.gpu.plan._group_captured` grouping rules (prologue/epilogue
   fusion, the one-heavy-per-group invariant, dtype splits), the capture
-  guard rails (no transfers, one terminal reduction per section);
+  guard rails (no transfers inside a capture), and the terminal
+  reductions: one that a thread block finishes keeps the launch open,
+  a wider one splits the section;
 - **property**: a fused fp64 solve is bit-identical to the unfused solve —
   status, objective and solution vector — across all five GPU backends on
   the generator families, while launching strictly fewer kernels;
@@ -24,6 +26,7 @@ from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
 from repro.gpu.device import CapturedLaunch, Device
 from repro.gpu.kernel import DEFAULT_BLOCK
+from repro.gpu.reduce import NO_INDEX
 from repro.lp.generators import (
     random_dense_lp,
     random_sparse_lp,
@@ -299,16 +302,6 @@ class TestCaptureRules:
             with plan.section("bad"):
                 dev.zeros(8, np.float32)
 
-    def test_second_reduction_in_section_raises(self):
-        dev = make_device()
-        plan = gpu_plan.LaunchPlan(dev, fusion=True)
-        x = dev.to_device(np.arange(8, dtype=np.float32))
-        out = dev.alloc(2, np.float32)
-        with pytest.raises(InvalidLaunchError):
-            with plan.section("bad") as sec:
-                sec.argmin_to_device(x, out)
-                sec.argmin_to_device(x, out)
-
     def test_nested_capture_raises(self):
         dev = make_device()
         plan = gpu_plan.LaunchPlan(dev, fusion=True)
@@ -368,6 +361,137 @@ class TestCaptureRules:
             blas.scal(2.0, x)
             blas.scal(0.5, x)
         assert dev.stats.sections.get("spmv", 0.0) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# terminal reductions: block-resident or grid-wide
+# ---------------------------------------------------------------------------
+
+
+def _kernels(fusion, build):
+    """Lower one plan section on a fresh device with its timeline on.
+    ``build(dev)`` allocates the buffers and returns ``(issue, stored)``:
+    ``issue(sec)`` issues the section's kernels, ``stored`` are the buffers
+    whose contents the caller compares.  Returns the section's kernel
+    events and host copies of ``stored``."""
+    dev = make_device()
+    plan = gpu_plan.LaunchPlan(dev, fusion=fusion)
+    issue, stored = build(dev)
+    dev.record_timeline()
+    with plan.section("s") as sec:
+        issue(sec)
+    events = [e for e in dev.timeline if e.kind == "kernel"]
+    return events, [list(buf.data) for buf in stored]
+
+
+class TestBlockResidentReductions:
+    @staticmethod
+    def ratio_test(m):
+        """The ratio test's map, arg-min, tie-break map and keyed arg-min
+        over ``m`` rows, storing two (index, value) pairs."""
+        from repro.core import gpu_kernels as K
+
+        def build(dev):
+            rng = np.random.default_rng(m)
+            beta = dev.to_device(rng.integers(0, 4, size=m).astype(float))
+            alpha = dev.to_device(rng.integers(-1, 3, size=m).astype(float))
+            keys = dev.to_device(rng.permutation(m).astype(float))
+            ratios, tie = dev.zeros(m, np.float64), dev.zeros(m, np.float64)
+            best, row = dev.alloc(2, np.float64), dev.alloc(2, np.float64)
+
+            def issue(sec):
+                K.ratio_kernel(dev, beta, alpha, ratios, 1e-9)
+                sec.argmin_to_device(ratios, best)
+                K.tie_break_key_kernel(dev, ratios, best, keys, tie)
+                sec.argmin_to_device(tie, row)
+
+            return issue, (best, row)
+
+        return build
+
+    def test_two_one_block_reductions_lower_to_one_launch(self):
+        build = self.ratio_test(2 * DEFAULT_BLOCK)
+        plain, stored = _kernels(False, build)
+        fused, fused_stored = _kernels(True, build)
+        assert len(plain) == 4
+        assert [e.name for e in fused] == [
+            "fused[ratio+argmin+tie_break+argmin]"
+        ]
+        # the tie-break map read the first arg-min's store: capture order
+        assert fused_stored == stored
+        assert stored[1][0] != NO_INDEX
+
+    def test_block_resident_launch_is_one_block(self):
+        (launch,) = _kernels(True, self.ratio_test(2 * DEFAULT_BLOCK))[0]
+        assert launch.cost.threads == DEFAULT_BLOCK
+
+        # a fused group whose reduction ends the launch keeps its grid
+        def build(dev):
+            x = dev.to_device(np.linspace(1.0, -1.0, 2 * DEFAULT_BLOCK + 1))
+            out = dev.alloc(2, np.float64)
+
+            def issue(sec):
+                blas.scal(2.0, x)
+                sec.argmin_to_device(x, out)
+
+            return issue, (out,)
+
+        first = _kernels(True, build)[0][0]
+        assert first.name == "fused[scal+argmin]"
+        assert first.cost.threads == 2 * DEFAULT_BLOCK + 1
+
+    def test_wide_reduction_splits_the_section(self):
+        """A reduction over 2·DEFAULT_BLOCK + 1 elements needs a grid-wide
+        barrier: the section lowers at it, charges its second tree pass,
+        reopens, and the next reduction's launch follows."""
+        n = 2 * DEFAULT_BLOCK + 1
+
+        def build(dev):
+            x = dev.to_device(np.linspace(3.0, -1.0, n))
+            y = dev.to_device(np.linspace(-2.0, 2.0, 64))
+            a, b = dev.alloc(2, np.float64), dev.alloc(2, np.float64)
+
+            def issue(sec):
+                blas.scal(2.0, x)
+                sec.argmin_to_device(x, a)
+                blas.scal(0.5, y)
+                sec.first_below_to_device(y, 0.0, b)
+
+            return issue, (a, b)
+
+        plain, stored = _kernels(False, build)
+        fused, fused_stored = _kernels(True, build)
+        assert [e.name for e in plain] == [
+            "blas.scal", "reduce.argmin", "reduce.argmin",
+            "blas.scal", "reduce.first_below",
+        ]
+        assert [e.name for e in fused] == [
+            "fused[scal+argmin]", "reduce.argmin", "fused[scal+first_below]",
+        ]
+        # the remaining pass is charged exactly as op by op
+        assert fused[1].cost == plain[2].cost
+        assert fused_stored == stored == [[n - 1.0, -2.0], [0.0, -1.0]]
+
+    def test_heavy_op_after_an_open_reduction_launches_apart(self):
+        """Ops after a block-resident reduction that do not fit one block
+        start a new launch; the reduction's launch goes first."""
+
+        def build(dev):
+            a = dev.to_device(np.arange(12.0).reshape(3, 4))
+            x = dev.to_device(np.array([2.0, -1.0, 0.5]))
+            y, out = dev.zeros(4, np.float64), dev.alloc(2, np.float64)
+
+            def issue(sec):
+                blas.scal(2.0, x)
+                sec.argmin_to_device(x, out)
+                blas.gemv(a, x, y, trans=True)
+
+            return issue, (out, y)
+
+        plain, stored = _kernels(False, build)
+        fused, fused_stored = _kernels(True, build)
+        assert [e.name for e in fused] == ["fused[scal+argmin]", "blas.gemv_t"]
+        assert fused_stored == stored
 
 
 # ---------------------------------------------------------------------------

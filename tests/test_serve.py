@@ -498,11 +498,15 @@ class TestServeTrace:
     def trace(self):
         return synthetic_trace(n_jobs=16, seed=7)
 
-    def test_fleet_beats_sequential(self, trace):
+    def test_fleet_beats_sequential(self):
+        # arrivals that outpace one stream: the fleet wins by not queueing
+        trace = synthetic_trace(n_jobs=16, seed=7, mean_interarrival=0.0005)
         seq = serve_trace(
             trace, ServeConfig(n_devices=1, n_streams=1, cache_capacity=1)
         )
         fleet = serve_trace(trace, ServeConfig(n_devices=2))
+        # the premise: on one stream the last arrival waits behind the queue
+        assert seq.jobs[-1].queue_seconds > 0.0
         assert seq.all_optimal and fleet.all_optimal
         assert fleet.span_seconds < seq.span_seconds
         assert fleet.cache_hits >= 1

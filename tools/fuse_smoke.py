@@ -13,7 +13,11 @@ contracts the plan layer promises:
 - **transfer budget**: every pivot (or bound flip) of the four GPU simplex
   backends issues no host→device transfer and exactly one device→host one
   (the iteration's pricing choice and ratio-test result as one struct),
-  fused or not.
+  fused or not;
+- **one launch per ratio test**: fused, every ratio test of the four GPU
+  simplex backends at m ≤ 2·DEFAULT_BLOCK = 512 rows is a single kernel
+  launch (its reductions fit one thread block), checked on the cases below
+  and on 512-row LPs; at 513 rows it is not.
 
 A final check runs ``precision="mixed"`` (fp32 compute + fp64 iterative
 refinement) and asserts the refined objective matches the all-fp64 solve to
@@ -22,12 +26,14 @@ near machine precision.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import numpy as np
 
 from repro.engine.hooks import SolveHooks
 from repro.gpu.device import Device
+from repro.gpu.kernel import DEFAULT_BLOCK
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.perfmodel.presets import GTX280_PARAMS
 from repro.solve import solve
@@ -78,6 +84,32 @@ def pivot_windows(dev, marks) -> list[list[str]]:
     return windows
 
 
+def ratio_test_launches(lp, method, **kw) -> list[int]:
+    """Kernel launches of each ratio test (the device's ``ratio`` timed
+    section) of one solve."""
+    dev = Device(GTX280_PARAMS)
+    dev.record_timeline()
+    counts = []
+    original = Device.timed_section
+
+    @contextlib.contextmanager
+    def timed_section(self, name):
+        start = len(self.timeline)
+        with original(self, name):
+            yield
+        if name == "ratio":
+            counts.append(
+                sum(1 for ev in self.timeline[start:] if ev.kind == "kernel")
+            )
+
+    Device.timed_section = timed_section
+    try:
+        solve(lp, method=method, device=dev, **kw)
+    finally:
+        Device.timed_section = original
+    return counts
+
+
 def run(lp, method, **kw):
     result, dev, marks = traced_solve(lp, method, **kw)
     launches = sum(1 for ev in dev.timeline if ev.kind == "kernel")
@@ -106,6 +138,18 @@ def main() -> int:
         assert np.array_equal(r0.x, r1.x), f"{method}: fused x drifted"
         assert n1 < n0, (method, n0, n1)
         deltas.append(f"{method} {n0}->{n1}")
+        if method in SIMPLEX_METHODS:
+            counts = ratio_test_launches(lp, method, dtype=np.float64)
+            assert counts and set(counts) == {1}, (method, counts)
+
+    # the block-size boundary: a few iterations on LPs of 512 and 513 rows
+    one_block = 2 * DEFAULT_BLOCK
+    for method in SIMPLEX_METHODS:
+        for m, single in ((one_block, True), (one_block + 1, False)):
+            counts = ratio_test_launches(
+                random_dense_lp(m, m, seed=5), method, max_iterations=2
+            )
+            assert counts and (set(counts) == {1}) == single, (method, m, counts)
 
     lp = random_dense_lp(32, 48, seed=5)
     r64, _ = run(lp, "gpu-revised", dtype=np.float64)
@@ -114,7 +158,8 @@ def main() -> int:
     assert err < 1e-8, err
 
     print("fuse-smoke ok:", ", ".join(deltas), "| mixed relerr %.2e" % err,
-          "| 0 HtoD + 1 DtoH per pivot")
+          "| 0 HtoD + 1 DtoH per pivot | 1 launch per ratio test at m <=",
+          one_block)
     return 0
 
 
