@@ -5,8 +5,7 @@ an explicit cost, mirroring the custom (non-cuBLAS) kernels a CUDA port
 writes around the BLAS calls: the ratio-test map, eta-column construction,
 the β update, masked pricing preparation and entering selection, and
 matrix row/column extraction, plus the basis-swap bookkeeping those
-launches carry as scalar stores and the simplex multipliers π the
-explicit-inverse basis strategy keeps current.
+launches carry as scalar stores.
 
 Layout: the revised backends upload the constraint matrix A as the host
 holds it, **row-major** m×n; pricing reads it through ``blas.gemv(trans=True)``,
@@ -26,11 +25,11 @@ import dataclasses
 import numpy as np
 
 from repro.errors import DeviceArrayError
-from repro.gpu import blas
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix
 from repro.perfmodel.ops import OpCost
+from repro.simplex.ratio import bounded_ratios
 
 #: Value standing in for +inf in the ratio vector (a float32-safe infinity).
 #: Kernels must materialise it **in the vector's own dtype**
@@ -98,58 +97,6 @@ def basis_swap(st, p: int, q: int, c_q: float, n_mask: int) -> ScalarStores:
         items.append((st.mask, leaving, 1.0))
     items += [(st.c_b, p, c_q), (st.basis_keys, p, float(q))]
     return ScalarStores(tuple(items))
-
-
-class Multipliers:
-    """The simplex multipliers π = B⁻ᵀc_B of an explicit-inverse backend,
-    resident in the device buffer ``pi``.
-
-    π is multiplied fresh — one m×m GEMVᵀ — only when it is stale: at the
-    start of a phase (c_B reloaded; a warm-start upload of B⁻¹ happens
-    before the first one) and after B⁻¹ was rebuilt.  After every basis
-    change the pivot row updates it instead, π ← π + (d_q/α_pq)·ρ_p with
-    ρ_p = e_pᵀB⁻¹ row p of the pre-pivot inverse: one fusable m-length
-    AXPY in the update launch.  A bound flip leaves the basis, and so π,
-    unchanged.
-
-    An updated π carries the rounding of its updates, so a terminal verdict
-    it priced (optimal, unbounded) is not taken on trust:
-    :meth:`confirms` marks π stale and the backend redoes the iteration
-    with a fresh multiply, the dual clean-up pass of production simplex
-    codes.
-    """
-
-    def __init__(self, binv: DeviceArray, c_b: DeviceArray, pi: DeviceArray):
-        self.binv = binv
-        self.c_b = c_b
-        self.pi = pi
-        self.stale = True
-        #: π moved by an update since its last multiply
-        self.updated = False
-
-    def invalidate(self) -> None:
-        """B⁻¹ or c_B changed wholesale: multiply π before the next pricing."""
-        self.stale = True
-
-    def refresh(self) -> None:
-        """π := B⁻ᵀc_B if stale — the first op of a pricing section."""
-        if self.stale:
-            blas.gemv(self.binv, self.c_b, self.pi, trans=True)
-            self.stale = self.updated = False
-
-    def update(self, d_q: float, pivot: float, row_p: DeviceArray) -> None:
-        """π += (d_q/α_pq)·ρ_p; ``row_p`` holds row p of B⁻¹ before the GER."""
-        blas.axpy(d_q / pivot, row_p, self.pi)
-        self.updated = True
-
-    def confirms(self) -> bool:
-        """Whether a terminal verdict priced with the current π stands.
-
-        True when π was multiplied fresh; otherwise π goes stale and the
-        caller must redo the iteration."""
-        if self.updated:
-            self.stale = True
-        return not self.updated
 
 
 def extract_column(
@@ -626,16 +573,12 @@ def bounded_ratio_kernel(
     def body() -> None:
         q = int(choice.data[0])
         s = sigma.data[q] if q >= 0 else one
-        delta = (-s * alpha.data).astype(np.float64)
-        x = x_b.data.astype(np.float64)
-        u = u_basis.data.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dec = delta < -tol
-            t_dec = np.where(dec, x / np.maximum(-delta, 1e-300), np.inf)
-            inc = (delta > tol) & np.isfinite(u)
-            t_inc = np.where(inc, (u - x) / np.maximum(delta, 1e-300), np.inf)
-        t_dec = np.where(t_dec < 0, 0.0, t_dec)
-        t_inc = np.where(t_inc < 0, 0.0, t_inc)
+        t_dec, t_inc = bounded_ratios(
+            x_b.data.astype(np.float64),
+            (-s * alpha.data).astype(np.float64),
+            u_basis.data.astype(np.float64),
+            tol,
+        )
         ratios.data[:] = np.minimum(t_dec, t_inc).astype(ratios.dtype)
         to_upper.data[:] = (t_inc < t_dec).astype(to_upper.dtype)
 

@@ -1,75 +1,32 @@
-"""The paper's solver: revised simplex on the (simulated) GPU.
+"""The device placement of the revised simplex: the paper's solver.
 
-Data placement follows the IPDPS 2009 design: the constraint matrix A
-(dense m×n, uploaded row-major, or CSC), the basis representation, β, the
-simplex multipliers π, the pricing vector and all scratch buffers live in
-device global memory for the whole solve; the host only sees
-per-iteration scalars (entering/leaving indices, step length, pivot) and
-drives control flow.
+:class:`DevicePlacement` runs each step of the one loop in
+:mod:`repro.simplex.revised` on the (simulated) GPU, with the plan
+sections and kernels its schedule table lists.  Data placement follows the
+IPDPS 2009 design: the constraint matrix A (dense m×n, uploaded row-major,
+or CSC), the basis representation, β, the simplex multipliers π, the
+pricing vector and all scratch buffers live in device global memory for
+the whole solve; the host only sees per-iteration scalars and drives
+control flow.  Per iteration the host reads one struct back and writes
+nothing: pricing leaves its choice on the device (``NO_INDEX`` when no
+column prices in), the column load, FTRAN and the ratio test run without
+waiting for the host, and the swap's device bookkeeping travels as kernel
+parameters of the β update.  Each phase's last iteration therefore also
+pays for its column load, FTRAN and ratio test.
 
-The iteration is written once here and varies along two axes, each a
-small strategy object fixed by the method's class:
+Two strategies fixed by the method's class shape it:
 
 - **basis representation** — :class:`ExplicitInverse` (the paper's dense
-  B⁻¹, ``gpu-revised`` and ``gpu-revised-bounded``) or
-  :class:`~repro.core.gpu_sparse_simplex.DeviceLU` (sparse LU factors plus
-  an eta file, ``gpu-revised-sparse``);
-- **bounds** — :class:`StandardBounds` (x ≥ 0) or
-  :class:`~repro.core.gpu_bounded_simplex.BoxedBounds` (finite upper
-  bounds handled natively, ``gpu-revised-bounded``).
-
-Per-iteration kernel schedule (names match the breakdown figure F3); a row
-marked *all* runs in every method, the others in the named strategy:
-
-======== ========= =====================================================
-section  strategy  kernels
-======== ========= =====================================================
-pricing  explicit  GEMVᵀ π = B⁻ᵀc_B, only when π is stale
-         LU        sparse.btran_lu (π), every iteration
-         all       copy of c then GEMVᵀ/SpMVᵀ with β = 1 (d = c − Aᵀπ)
-         standard  mask map
-         boxed     signed mask map (σ·d, σ = ±1 by resting bound)
-         all       device-resident arg-min (q, d_q)
-ftran    all       column load reading q on the device (dense extract,
-                   CSC scatter or e_i synthesis)
-         explicit  GEMV α = B⁻¹a_q
-         LU        sparse.ftran_lu
-ratio    standard  ratio map kernel, device-resident arg-min
-         boxed     bounded ratio map (reads σ_q on the device), arg-min
-         all       tie-break map, arg-min whose one readback brings
-                   (q, d_q, p, θ, α_p), plus to_upper[p] when boxed;
-                   fused and m ≤ 2·DEFAULT_BLOCK, the four are one launch
-update   standard  β update kernel (also stores the basis swap: mask
-                   bits, c_B entry, basis key)
-         boxed     bounded β update (also σ signs and the u_B entry); a
-                   bound flip runs it alone and stops there
-         explicit  η kernel, row extract ρ_p = e_pᵀB⁻¹, AXPY
-                   π += (d_q/α_p)·ρ_p, GER rank-1 B⁻¹ update
-         LU        sparse.eta_append
-======== ========= =====================================================
-
-Per iteration the host reads one struct back and writes nothing: pricing
-leaves its choice on the device (``NO_INDEX`` when no column prices in),
-the column load, FTRAN and the ratio test run without waiting for the
-host, and the swap's device bookkeeping travels as kernel parameters of
-the β update.  The host tests optimality (``q == NO_INDEX``) before
-unboundedness (θ = ∞), so each phase's last iteration also pays for its
-column load, FTRAN and ratio test.
-
-With the explicit inverse, π is multiplied fresh at the start of each
-phase (which also follows a warm-start upload of B⁻¹) and after a rebuild
-of B⁻¹, and otherwise updated from the pivot row already extracted for
-the GER (:class:`~repro.core.gpu_kernels.Multipliers`).  A terminal
-verdict is accepted only from a freshly multiplied π: when an updated π
-prices every column out, or picks a column with no blocking row, the
-iteration is redone after a fresh multiply, and is not counted.  A phase
-therefore pays one extra iteration at its end, or more only if a fresh π
-contradicts an updated one.
-
-Phase 1 uses implicit artificial columns (e_i synthesised on demand);
-phase 2 reuses the phase-1 basis representation, exactly as in the
-paper.  The explicit inverse is rebuilt every ``refactor_period`` pivots
-on the host, with PCIe-charged round trips, as 2009-era codes did.
+  B⁻¹, rebuilt on the host with PCIe-charged round trips as 2009-era codes
+  did; ``gpu-revised`` and ``gpu-revised-bounded``) or :class:`DeviceLU`
+  (after Gahrouei & Ghatee, arXiv:1803.04378: CSC data priced by one
+  ``spmv_csc_t`` launch, sparse LU factors plus a sparse eta file whose
+  device footprint scales with their nonzeros in place of the dense B⁻¹;
+  ``gpu-revised-sparse``);
+- **bounds** — :class:`StandardBounds` (x ≥ 0) or :class:`BoxedBounds`
+  (finite upper bounds on the device, a signed pricing map, the three-way
+  bounded ratio map, and a bound flip that costs a single β kernel — no
+  basis update, no change to π; ``gpu-revised-bounded``).
 
 Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
@@ -84,33 +41,28 @@ from repro.core import gpu_kernels as K
 from repro.engine import DeviceBackend, attach_standard_solution
 from repro.errors import SingularBasisError
 from repro.gpu import blas
+from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.gpu.reduce import NO_INDEX
-from repro.gpu.sparse_kernels import DeviceCscMatrix, spmv_csc_t
-from repro.lp.problem import LPProblem
-from repro.lp.standard_form import StandardFormLP
+from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix, spmv_csc_t
 from repro.perfmodel.gpu_model import GpuModelParams
+from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult
-from repro.simplex.common import (
-    PreparedLP,
-    initial_basis,
-    phase1_costs,
-    phase2_costs,
-    prepare,
-    validate_warm_basis,
-)
+from repro.result import SolveResult
+from repro.simplex.basis import ExplicitInverseBasis, Multipliers
+from repro.simplex.common import PreparedLP
 from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
-from repro.status import SolveStatus
+from repro.simplex.revised import BoxedRules, RevisedBackend, Step
+from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 
 
 class ExplicitInverse:
     """Basis strategy: the dense m×m B⁻¹ resident on the device.
 
-    FTRAN is one GEMV, π is kept by :class:`~repro.core.gpu_kernels.Multipliers`
-    (multiplied when stale, updated from the pivot row otherwise), a pivot
+    FTRAN is one GEMV, π is kept by :class:`~repro.simplex.basis.Multipliers`
+    (one GEMVᵀ when stale, an AXPY from the pivot row otherwise), a pivot
     is an η kernel, a row extract and a rank-1 GER, and a rebuild solves
     B⁻¹ on the host and uploads it.  ``st.etas`` counts the GER updates
     since the last rebuild.
@@ -120,74 +72,56 @@ class ExplicitInverse:
     #: from the running sum.
     resyncs_objective = False
 
-    def prepared(self, prep: PreparedLP) -> PreparedLP:
-        return prep
-
-    def arm_meta(self, prep: PreparedLP) -> dict:
-        return {}
-
-    def place(self, st: "_State") -> None:
+    def place(self, st: "DevicePlacement") -> None:
         """Uploads inside the state's first transfer section."""
         st.binv = st.dev.to_device(np.eye(st.prep.m), st.dtype)
 
-    def alloc(self, st: "_State") -> None:
+    def alloc(self, st: "DevicePlacement") -> None:
         """Work buffers, allocated after the shared ones."""
         st.eta = st.dev.zeros(st.prep.m, st.dtype)
         st.row_p = st.dev.zeros(st.prep.m, st.dtype)
-        st.multipliers = K.Multipliers(st.binv, st.c_b, st.pi)
+        st.multipliers = Multipliers(st.pi, follows_pivots=True)
         st.etas = 0
 
-    def factor_warm(self, st: "_State", warm: np.ndarray):
-        """Host trial factorisation of a warm-start basis: ``(B⁻¹b,
-        upload)``, where ``upload(β)`` places the factors and β on the
-        device, or ``None`` when the basis is singular."""
-        m = st.prep.m
-        try:
-            binv = np.linalg.solve(st.prep.basis_matrix(warm), np.eye(m))
-        except np.linalg.LinAlgError:
-            return None
+    #: The host representation a rebuild or warm start factors into.
+    mirror = ExplicitInverseBasis
 
-        def upload(beta: np.ndarray) -> None:
-            with st.dev.timed_section("transfer"):
-                st.binv.copy_from_host(binv.astype(st.dtype))
-                st.beta.copy_from_host(beta)
+    def columns(self, prep: PreparedLP, basis: np.ndarray) -> np.ndarray:
+        return prep.basis_matrix(basis)
 
-        return binv @ st.prep.b, upload
+    def install(self, st: "DevicePlacement", rep: ExplicitInverseBasis) -> None:
+        """Upload a B⁻¹ solved on the host (PCIe round trip)."""
+        with st.dev.timed_section("transfer"):
+            st.binv.copy_from_host(rep.binv.astype(st.dtype))
+        st.etas = 0
 
-    # -- π ------------------------------------------------------------------
+    def solve(self, st: "DevicePlacement", rhs: DeviceArray,
+              out: DeviceArray) -> None:
+        blas.gemv(st.binv, rhs, out)
 
-    def invalidate(self, st: "_State") -> None:
-        st.multipliers.invalidate()
+    def multiply(self, st: "DevicePlacement") -> None:
+        """π := B⁻ᵀc_B, one GEMVᵀ."""
+        blas.gemv(st.binv, st.c_b, st.pi, trans=True)
 
-    def refresh_pi(self, st: "_State") -> None:
-        st.multipliers.refresh()
-
-    def confirms(self, st: "_State") -> bool:
-        return st.multipliers.confirms()
-
-    # -- solves and updates -------------------------------------------------
-
-    def ftran(self, st: "_State") -> None:
+    def ftran(self, st: "DevicePlacement") -> None:
         blas.gemv(st.binv, st.a_q, st.alpha)
 
-    def host_pivot(self, st: "_State", solved, p: int) -> float:
+    def host_pivot(self, st: "DevicePlacement", p: int) -> float:
         return st.alpha.scalar_to_host(p)
 
-    def rejects(self, solved, p: int, tol_piv: float) -> bool:
-        return False
+    def admit(self, st: "DevicePlacement", p: int) -> None:
+        """The ratio test's pivot already clears ``tol_pivot``."""
 
-    def inverse_row(self, st: "_State", p: int) -> DeviceArray:
+    def inverse_row(self, st: "DevicePlacement", p: int) -> DeviceArray:
         """e_pᵀB⁻¹ into a device buffer: row p of B⁻¹ read directly."""
         K.extract_row(st.dev, st.binv, p, st.row_p)
         return st.row_p
 
     def update(
         self,
-        st: "_State",
+        st: "DevicePlacement",
         p: int,
         pivot: float,
-        solved,
-        tol_piv: float,
         stores: K.ScalarStores = K.ScalarStores(),
         d_q: "float | None" = None,
     ) -> None:
@@ -195,33 +129,171 @@ class ExplicitInverse:
         K.eta_kernel(st.dev, st.alpha, p, pivot, st.eta, stores)
         K.extract_row(st.dev, st.binv, p, st.row_p)
         if d_q is not None:
-            st.multipliers.update(d_q, pivot, st.row_p)
+            blas.axpy(d_q / pivot, st.row_p, st.pi)
+            st.multipliers.update()
         blas.ger(st.eta, st.row_p, st.binv)
         st.etas += 1
 
-    def eta_count(self, st: "_State") -> int:
+    def updates(self, st: "DevicePlacement") -> int:
         return st.etas
 
-    def refactor_due(self, st: "_State", iters: int, period: int) -> bool:
-        return bool(period) and iters % period == 0
+    def needs_rebuild(self, st: "DevicePlacement") -> bool:
+        return False
 
-    def refactor(self, st: "_State") -> None:
-        """Rebuild B⁻¹ exactly on the host (PCIe round trip), refresh β;
-        π is multiplied afresh at the next pricing."""
-        b_matrix = st.prep.basis_matrix(st.basis)
-        binv = np.linalg.solve(b_matrix, np.eye(st.prep.m))
+
+class DeviceLU:
+    """Basis strategy: sparse LU factors plus an eta file on the device.
+
+    The device holds a byte buffer standing for the packed LU factors
+    (``st.factor_buf``) and one small buffer per sparse eta
+    (``st.eta_bufs``).  The triangular solves launch as device kernels
+    whose modeled cost scales with ``nnz(L)+nnz(U)+nnz(etas)``; their
+    numerics are mirrored by the host ``st.rep`` (uncharged — the
+    functional backing store of the device factors, as dense device
+    arrays are backed by host ndarrays).  Refactorisation is host work —
+    sparse LU pivoting is sequential and branchy — and the fresh factors
+    are uploaded over PCIe, which the model charges.  π is solved through
+    the factors at every pricing.
+    """
+
+    #: A rebuild recomputes β through the fresh factors; the phase
+    #: objective is re-read from it.
+    resyncs_objective = True
+
+    def place(self, st: "DevicePlacement") -> None:
+        st.rep = SparseLUBasis(st.prep.m, recorder=None)
+        st.factor_buf = None
+        st.eta_bufs = []
+
+    def alloc(self, st: "DevicePlacement") -> None:
+        self.upload_factor(st)  # identity factors of the crash basis
+        st.multipliers = Multipliers(st.pi, follows_pivots=False)
+
+    #: The host factor mirror a rebuild or warm start factors into.
+    mirror = SparseLUBasis
+
+    def columns(self, prep: PreparedLP, basis: np.ndarray):
+        return basis_columns_csc(prep, basis)
+
+    def install(self, st: "DevicePlacement", rep: SparseLUBasis) -> None:
+        st.rep = rep
+        self.upload_factor(st)
+
+    def solve(self, st: "DevicePlacement", rhs: DeviceArray,
+              out: DeviceArray) -> None:
+        self.lu_solve(st, "ftran", rhs, out)
+
+    # -- factor placement ----------------------------------------------------
+
+    def upload_factor(self, st: "DevicePlacement") -> None:
+        """(Re)place the packed factors on the device; frees stale etas.
+
+        The upload is a real HtoD transfer in the model — refactorisation
+        is host work and the fresh factors must cross PCIe.
+        """
+        for buf in (*st.eta_bufs, st.factor_buf):
+            if buf is not None:
+                buf.free()
+        st.eta_bufs = []
+        nbytes = max(1, st.rep.lu_nnz * (st.width + INDEX_BYTES))
         with st.dev.timed_section("transfer"):
-            st.binv.copy_from_host(binv.astype(st.dtype))
-        blas.gemv(st.binv, st.b, st.beta)
-        K.clamp_nonneg_kernel(st.dev, st.beta)
-        st.multipliers.invalidate()
-        st.etas = 0
+            st.factor_buf = st.dev.to_device(np.zeros(nbytes, dtype=np.uint8))
 
-    def extras(self, st: "_State", result: SolveResult) -> None:
-        pass
+    def _lu_solve_cost(self, st: "DevicePlacement") -> OpCost:
+        # Vector-style level-scheduled triangular solve (cuSPARSE csrsv2
+        # lineage): one thread per stored nonzero, columns of a level in
+        # parallel, factor segments streamed contiguously.  Same thread and
+        # coalescing convention as the SpMV kernels above it in the stack.
+        work = st.rep.lu_nnz + st.rep.eta_nnz
+        m, w = st.prep.m, st.width
+        return OpCost(
+            flops=2.0 * work,
+            bytes_read=work * (w + INDEX_BYTES) + m * w,
+            bytes_written=m * w,
+            threads=max(1, work),
+            coalesced_fraction=0.6,
+        )
 
-    def free(self, st: "_State") -> None:
-        pass
+    def lu_solve(self, st: "DevicePlacement", kind: str,
+                 src: DeviceArray, dst: DeviceArray) -> dict[str, np.ndarray]:
+        """dst := B⁻¹src (``kind`` "ftran") or B⁻ᵀsrc ("btran") through the
+        device factors.  Returns a holder whose ``"x"`` is the exact
+        float64 result (the mirror's arithmetic), for the eta update; it
+        appears when the body *executes* — at section exit inside a
+        capturing plan section."""
+        holder: dict[str, np.ndarray] = {}
+
+        def body() -> None:
+            holder["x"] = x = getattr(st.rep, kind)(src.data.astype(np.float64))
+            dst.data[:] = x.astype(st.dtype)
+
+        gpu_plan.emit(
+            st.dev, f"sparse.{kind}_lu", body, self._lu_solve_cost(st),
+            dtype=st.dtype, reads=(src,), writes=(dst,),
+        )
+        return holder
+
+    def multiply(self, st: "DevicePlacement") -> None:
+        """π := B⁻ᵀc_B through the device factors."""
+        self.lu_solve(st, "btran", st.c_b, st.pi)
+
+    # -- solves and updates --------------------------------------------------
+
+    def ftran(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
+        return self.lu_solve(st, "ftran", st.a_q, st.alpha)
+
+    def host_pivot(self, st: "DevicePlacement", p: int) -> float:
+        return float(st.solved["x"][p])
+
+    def admit(self, st: "DevicePlacement", p: int) -> None:
+        """Check the pivot against the factor mirror before any update
+        launches, so a pivot the eta file rejects never leaves a
+        half-swapped device state."""
+        pivot = self.host_pivot(st, p)
+        if abs(pivot) <= st.tol_piv:
+            raise SingularBasisError(f"pivot {pivot!r} below tolerance {st.tol_piv}")
+
+    def inverse_row(self, st: "DevicePlacement", p: int) -> DeviceArray:
+        """e_pᵀB⁻¹ into a device buffer: e_p uploaded, one sparse BTRAN."""
+        e_p = np.zeros(st.prep.m)
+        e_p[p] = 1.0
+        with st.dev.timed_section("transfer"):
+            st.tmp_m.copy_from_host(e_p.astype(st.dtype))
+        self.lu_solve(st, "btran", st.tmp_m, st.tmp_m)
+        return st.tmp_m
+
+    def update(self, st: "DevicePlacement", p: int, pivot: float,
+               stores: K.ScalarStores = K.ScalarStores(), d_q=None) -> None:
+        """Mirror the pivot into the factor file and charge the device eta
+        kernel + its buffer; the swap's stores rode on the β update."""
+        before = st.rep.eta_nnz
+        st.rep.update(st.solved["x"], p, st.tol_piv)
+        added = st.rep.eta_nnz - before
+        m, w = st.prep.m, st.width
+        # the kernel scans α once and writes the compacted eta column
+        gpu_plan.emit(
+            st.dev,
+            "sparse.eta_append",
+            lambda: None,  # numerics live in the host factor mirror
+            OpCost(
+                flops=float(m),
+                bytes_read=m * w,
+                bytes_written=added * (w + INDEX_BYTES),
+                threads=max(1, m),
+                coalesced_fraction=0.6,
+            ),
+            dtype=st.dtype,
+            reads=(st.alpha,),
+        )
+        st.eta_bufs.append(
+            st.dev.alloc(max(1, added * (w + INDEX_BYTES)), np.uint8)
+        )
+
+    def updates(self, st: "DevicePlacement") -> int:
+        return st.rep.updates_since_refactor
+
+    def needs_rebuild(self, st: "DevicePlacement") -> bool:
+        return st.rep.needs_refresh()
 
 
 class StandardBounds:
@@ -232,33 +304,31 @@ class StandardBounds:
     """
 
     range_bounds_as_rows = True
-    #: A rebuild may recompute β = B⁻¹b.
-    rebuilds_beta = True
 
-    def place(self, st: "_State") -> None:
+    def place(self, st: "DevicePlacement") -> None:
         pass
 
-    def alloc(self, st: "_State") -> None:
+    def alloc(self, st: "DevicePlacement") -> None:
         pass
 
-    def upload_basis(self, st: "_State") -> None:
+    def upload_basis(self, st: "DevicePlacement") -> None:
         pass
 
-    def price_map(self, st: "_State") -> None:
+    def price_map(self, st: "DevicePlacement") -> None:
         K.masked_for_min(st.dev, st.d, st.mask, st.tmp_n)
 
-    def ratio_map(self, st: "_State", tol_piv: float) -> None:
-        K.ratio_kernel(st.dev, st.beta, st.alpha, st.ratios, tol_piv)
+    def ratio_map(self, st: "DevicePlacement") -> None:
+        K.ratio_kernel(st.dev, st.beta, st.alpha, st.ratios, st.tol_piv)
 
-    def gathered(self, st: "_State") -> tuple[DeviceArray, ...]:
+    def gathered(self, st: "DevicePlacement") -> tuple[DeviceArray, ...]:
         """Buffers whose row-p entry rides on the ratio readback."""
         return (st.alpha,)
 
-    def step(self, st: "_State", q: int, d_q: float, theta: float):
+    def step(self, st: "DevicePlacement", q: int, d_q: float, theta: float):
         """(d_q, σ, θ, flip): the signed step the ratio test found."""
         return d_q, 1.0, theta, False
 
-    def pivot(self, st, p, q, c_q, theta, sigma, gathered) -> None:
+    def pivot(self, st, p, q, c_q, theta, sigma, to_upper) -> None:
         swap = K.basis_swap(st, p, q, c_q, st.prep.n_total)
         K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
 
@@ -270,321 +340,133 @@ class StandardBounds:
         K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
         return K.ScalarStores()
 
-    def extras(self, st: "_State", result: SolveResult) -> None:
-        pass
+    def rhs(self, st: "DevicePlacement") -> DeviceArray:
+        return st.b
 
-    def extract(self, backend: "GpuRevisedSimplex", result: SolveResult) -> None:
-        st = backend._st
-        if backend._policy.refine:
-            beta_host = backend._refined_beta(result)
+    def extract(self, st: "DevicePlacement", result: SolveResult) -> None:
+        if st.refine:
+            beta_host = st.refined_beta(result)
         else:
             beta_host = st.beta.copy_to_host().astype(np.float64)
-        attach_standard_solution(result, backend.prep, st.basis, beta_host)
+        attach_standard_solution(result, st.prep, st.basis, beta_host)
 
 
-class GpuRevisedSimplex(DeviceBackend):
-    """Two-phase revised simplex on the simulated SIMT device.
+class BoxedBounds(BoxedRules):
+    """Bounds strategy: finite upper bounds handled natively.
 
-    ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
-    basis: the hint's B⁻¹ is factorised on the host and uploaded (one PCIe
-    round trip — exactly how a CUDA port would warm-start).  A singular or
-    primal-infeasible hint falls back to the cold crash basis.
-
-    The class also carries the shared device loop: a subclass picks its
-    basis representation (``basis_rep``) and bounds handling (``bounds``).
+    The device holds σ (−1 for a nonbasic at its upper bound), u_B and the
+    ratio map's ``to_upper``.  The ratio readback also brings to_upper[p],
+    and the basis swap adds the σ signs and the u_B entry to the stores of
+    the update launch.  The flip-or-pivot choice needs θ on the host, so a
+    bound flip runs the whole ratio test.
     """
 
-    name = "gpu-revised"
-    accepts_warm_start = True
-    basis_rep = ExplicitInverse()
-    bounds = StandardBounds()
+    def place(self, st: "DevicePlacement") -> None:
+        self.begin(st)
+        st.sigma = st.dev.to_device(np.ones(st.prep.n_total), st.dtype)
+        st.u_basis = st.dev.to_device(np.full(st.prep.m, np.inf), st.dtype)
 
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        device: Device | None = None,
-        gpu_params: GpuModelParams = GTX280_PARAMS,
-        fill_stats_every: int = 0,
-    ):
-        """``fill_stats_every > 0`` samples the fraction of non-negligible
-        entries of the device-resident B⁻¹ every that-many pivots into
-        ``result.extra["binv_fill"]`` — free instrumentation (reads the
-        functional backing store; no modeled time is charged), used by the
-        F8 fill-in experiment."""
-        super().__init__(options, device, gpu_params)
-        self._fill_every = int(fill_stats_every)
+    def alloc(self, st: "DevicePlacement") -> None:
+        st.to_upper = st.dev.zeros(st.prep.m, st.dtype)
 
-    # -- engine backend interface --------------------------------------
+    def upload_basis(self, st: "DevicePlacement") -> None:
+        st.u_basis.copy_from_host(st.u[st.basis].astype(st.dtype))
 
-    def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
-        opts = self.options
-        basis_rep = self.basis_rep
-        self.prep = prep = basis_rep.prepared(prepare(
-            problem, opts, range_bounds_as_rows=self.bounds.range_bounds_as_rows
-        ))
-        dtype = self._start_machine()
+    def price_map(self, st: "DevicePlacement") -> None:
+        K.masked_signed_for_min(st.dev, st.d, st.mask, st.sigma, st.tmp_n)
 
-        m, n = prep.m, prep.n_total
-        self._st = st = _State(prep, self.dev, dtype, basis_rep, self.bounds)
-        self.stats = stats = IterationStats()
-        basis, needs_phase1 = initial_basis(prep)
-        st.init_basis(basis)
-        self._arm(m=m, n=n, pricing=opts.pricing, **basis_rep.arm_meta(prep))
-        self._global_iter = 0
-        self._fill_curve: list[tuple[int, float]] = []
-
-        if warm_hint is not None:
-            warm = validate_warm_basis(prep, warm_hint)
-            trial = basis_rep.factor_warm(st, warm)
-            if trial is not None and trial[0].min() >= -1e-7:
-                warm_beta, upload = trial
-                st.init_basis(warm)
-                upload(np.clip(warm_beta, 0.0, None).astype(dtype))
-                needs_phase1 = bool(np.any(warm >= n))
-                stats.refactorizations += 1
-
-        self.needs_phase1 = needs_phase1
-        return None
-
-    def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
-        c_full = phase1_costs(self.prep) if phase == 1 else phase2_costs(self.prep)
-        return self._run_phase(c_full, phase)
-
-    def phase1_objective(self) -> float:
-        return blas.dot(self._st.c_b, self._st.beta)
-
-    # ------------------------------------------------------------------
-
-    def _run_phase(
-        self, c_full: np.ndarray, phase: int
-    ) -> tuple[SolveStatus, int]:
-        opts = self.options
-        st, stats = self._st, self.stats
-        basis_rep, bounds = self.basis_rep, self.bounds
-        dev = st.dev
-        m, n = st.prep.m, st.prep.n_total
-        cap = opts.iteration_cap(m, n)
-        tol_rc, tol_piv = self._tol_rc, self._tol_piv
-        switch = StallSwitch(opts.pricing, opts.stall_window)
-        tr = self.hooks if self.hooks.enabled else None
-
-        st.load_phase_costs(c_full)
-        z = blas.dot(st.c_b, st.beta)
-        iters = 0
-
-        def record(event: str, **fields) -> None:
-            tr.record(
-                phase=phase, iteration=iters, event=event,
-                pricing_rule=switch.label, eta_count=basis_rep.eta_count(st),
-                objective=float(z), **fields,
-            )
-
-        def finish(status: SolveStatus, event: "str | None" = None, **fields):
-            stats.bland_activations += switch.activations
-            if tr is not None and event is not None:
-                record(event, **fields)
-            return status, iters
-
-        while iters < cap:
-            iters += 1
-
-            # -- pricing: π;  d = c − Aᵀπ;  masked selection, left on the
-            #    device
-            with dev.timed_section("pricing"), self.plan.section("pricing") as sec:
-                basis_rep.refresh_pi(st)
-                blas.copy(st.c_real, st.d)
-                st.multiply_at(st.pi, st.d, alpha=-1.0, beta=1.0)
-                bounds.price_map(st)
-                K.select_entering(sec, st.tmp_n, st.choice, tol_rc, switch.using_bland)
-
-            # -- ftran: α = B⁻¹ a_q, q read on the device
-            with dev.timed_section("ftran"):
-                with self.plan.section("ftran"):
-                    st.load_entering()
-                    solved = basis_rep.ftran(st)
-
-            # -- ratio test (Bland-compatible: ties break to the lowest
-            #    basic-variable index via a second keyed reduction).  The
-            #    map's arg-min stays on the device, the tie pass reads θ
-            #    from it, and one readback returns (q, d_q, p, θ, α_p, …);
-            #    for m ≤ 2·DEFAULT_BLOCK all of it is one launch.
-            with dev.timed_section("ratio"), self.plan.section("ratio") as sec:
-                bounds.ratio_map(st, tol_piv)
-                sec.argmin_to_device(st.ratios, st.ratio_min)
-                K.tie_break_key_kernel(
-                    dev, st.ratios, st.ratio_min, st.basis_keys, st.tmp_m
-                )
-                q, d_q, p, theta, gathered = sec.ratio_readback(
-                    st.choice, st.tmp_m, st.ratio_min, bounds.gathered(st)
-                )
-            pivot = gathered[0]
-            if q != NO_INDEX:
-                d_q, sigma, theta, flip = bounds.step(st, q, d_q, theta)
-            terminal = q == NO_INDEX or not np.isfinite(theta)
-            if terminal and not basis_rep.confirms(st):
-                iters -= 1  # verify with a fresh π; the redo is not counted
-                continue
-            if q == NO_INDEX:
-                return finish(SolveStatus.OPTIMAL, "optimal")
-            if not np.isfinite(theta):
-                return finish(SolveStatus.UNBOUNDED, "unbounded", entering=int(q))
-            degenerate = theta <= opts.tol_zero
-            if degenerate:
-                stats.degenerate_steps += 1
-            if tr is not None:
-                # Uncharged diagnostic peeks (host reads of the functional
-                # backing store): leaving variable before the basis swap,
-                # ratio-test tie count below the Harris-style cut.
-                peek = {} if flip else dict(
-                    leaving_row=int(p), leaving_var=int(st.basis[p]),
-                    pivot=float(pivot),
-                    ratio_ties=int(np.count_nonzero(st.ratios.data <= K.tie_cut(theta))),
-                )
-
-            if not flip and basis_rep.rejects(solved, p, tol_piv):
-                # pivot too small for the factors: refactorise and retry
-                if not self._refactor():
-                    return finish(
-                        SolveStatus.NUMERICAL, "numerical",
-                        entering=int(q), leaving_row=int(p),
-                    )
-                z = blas.dot(st.c_b, st.beta)
-                continue
-
-            # -- update: β, basis representation, π, objective; the basis
-            #    swap's device stores ride on the β-update launch
-            with dev.timed_section("update"), self.plan.section("update"):
-                if flip:
-                    bounds.flip(st, q, sigma, theta)
-                else:
-                    bounds.pivot(st, p, q, float(c_full[q]), theta, sigma, gathered)
-                    basis_rep.update(st, p, pivot, solved, tol_piv, d_q=d_q)
-            z += d_q * sigma * theta
-            if tr is not None:
-                record(
-                    "flip" if flip else "pivot", entering=int(q),
-                    theta=float(theta), degenerate=degenerate, **peek,
-                )
-            self._global_iter += 1
-            if self._fill_every and self._global_iter % self._fill_every == 0:
-                # diagnostic peek at the functional backing store (uncharged)
-                frac = float(np.mean(np.abs(st.binv.data) > 1e-7))
-                self._fill_curve.append((self._global_iter, frac))
-            switch.notify((-d_q * sigma) * theta > 1e-12 * (1.0 + abs(z)))
-
-            if bounds.rebuilds_beta and basis_rep.refactor_due(
-                st, iters, opts.refactor_period
-            ):
-                if not self._refactor():
-                    return finish(SolveStatus.NUMERICAL)
-                if basis_rep.resyncs_objective:
-                    z = blas.dot(st.c_b, st.beta)
-
-        return finish(SolveStatus.ITERATION_LIMIT)
-
-    def _refactor(self) -> bool:
-        try:
-            with self.hooks.span("engine.refactor"):
-                self.basis_rep.refactor(self._st)
-        except SingularBasisError:
-            return False
-        self.stats.refactorizations += 1
-        return True
-
-    # ------------------------------------------------------------------
-
-    def drive_out_artificials(self) -> None:
-        """Replace zero-valued artificial basics by real columns (host-driven,
-        device-computed): the transformed row e_pᵀB⁻¹A over the real
-        columns comes from the basis representation's row p of B⁻¹ and one
-        GEMVᵀ/SpMVᵀ."""
-        st = self._st
-        basis_rep = self.basis_rep
-        tol_piv = self._tol_piv
-        n = st.prep.n_total
-        for p in np.nonzero(st.basis >= n)[0]:
-            p = int(p)
-            st.multiply_at(basis_rep.inverse_row(st, p), st.tmp_n)
-            alpha_row = st.tmp_n.copy_to_host().astype(np.float64)
-            eligible = (~st.in_basis[:n]) & (np.abs(alpha_row) > 1e-5)
-            candidates = np.nonzero(eligible)[0]
-            if candidates.size == 0:
-                continue  # redundant row; artificial stays basic at zero
-            j = int(candidates[np.argmax(np.abs(alpha_row[candidates]))])
-            st.load_column(j)
-            solved = basis_rep.ftran(st)
-            pivot = basis_rep.host_pivot(st, solved, p)
-            if abs(pivot) <= tol_piv:
-                continue
-            stores = self.bounds.drive_swap(st, p, j, pivot)
-            basis_rep.update(st, p, pivot, solved, tol_piv, stores)
-
-    # -- finish participation ------------------------------------------
-
-    def standard_extras(self, result: SolveResult) -> None:
-        super().standard_extras(result)
-        if self._fill_every:
-            result.extra["binv_fill"] = list(getattr(self, "_fill_curve", []))
-        self.basis_rep.extras(self._st, result)
-        self.bounds.extras(self._st, result)
-
-    def extract(self, result: SolveResult) -> None:
-        self.bounds.extract(self, result)
-
-    def _refined_beta(self, result: SolveResult) -> np.ndarray:
-        """Mixed-precision extraction: fp64 residuals on the host drive
-        fp32 correction solves on the device (dx = B⁻¹r via the resident
-        inverse), with the solution accumulated in fp64 — the classic
-        iterative-refinement scheme.  Every round trip is transfer-costed
-        and the fp32↔fp64 conversions run as :func:`repro.gpu.blas.cast`
-        kernels."""
-        st = self._st
-        dev = self.dev
-        m = self.prep.m
-        basis_matrix = np.asarray(
-            self.prep.basis_matrix(st.basis), dtype=np.float64
+    def ratio_map(self, st: "DevicePlacement") -> None:
+        K.bounded_ratio_kernel(
+            st.dev, st.beta, st.alpha, st.u_basis, st.sigma,
+            st.choice, st.tol_piv, st.ratios, st.to_upper,
         )
-        b64 = np.asarray(self.prep.b, dtype=np.float64)
-        scale = 1.0 + float(np.max(np.abs(b64))) if m else 1.0
-        x64 = st.beta.copy_to_host().astype(np.float64)
-        steps = 0
-        residual = float(np.max(np.abs(b64 - basis_matrix @ x64))) if m else 0.0
-        r64 = dev.alloc(m, np.float64)
-        r32 = dev.alloc(m, np.float32)
-        dx32 = dev.alloc(m, np.float32)
-        try:
-            while steps < 3 and residual > 1e-12 * scale:
-                with dev.timed_section("transfer"):
-                    r64.copy_from_host(b64 - basis_matrix @ x64)
-                with dev.timed_section("refine"):
-                    blas.cast(r64, r32)
-                    blas.gemv(st.binv, r32, dx32)
-                x64 += dx32.copy_to_host().astype(np.float64)
-                steps += 1
-                residual = float(np.max(np.abs(b64 - basis_matrix @ x64)))
-        finally:
-            for buf in (r64, r32, dx32):
-                buf.free()
-        result.extra["refinement_steps"] = steps
-        result.extra["residual_after_refinement"] = residual
-        return x64
+
+    def gathered(self, st: "DevicePlacement") -> tuple[DeviceArray, ...]:
+        return (st.alpha, st.to_upper)
+
+    def step(self, st: "DevicePlacement", q: int, signed_dq: float, theta: float):
+        """Un-sign d_q, and turn the step into a bound flip when q reaches
+        its own upper bound first."""
+        sigma = self.sigma(st, q)
+        u_q = float(st.u[q])
+        flip = bool(np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12))
+        return sigma * signed_dq, sigma, u_q if flip else theta, flip
+
+    def flip(self, st: "DevicePlacement", q: int, sigma: float, theta: float) -> None:
+        """Bound flip of nonbasic q: β moves, σ_q's sign is a store."""
+        self.toggle(st, q)
+        sign = K.ScalarStores(((st.sigma, q, self.sigma(st, q)),))
+        K.bounded_update_beta_kernel(
+            st.dev, st.beta, st.alpha, -sigma * theta, -1, 0.0, sign
+        )
+
+    def pivot(self, st, p, q, c_q, theta, sigma, to_upper) -> None:
+        x_q_new = float(st.u[q]) - theta if sigma < 0 else theta
+        swap = self._swap(st, p, q, c_q, leaves_at_upper=to_upper)
+        K.bounded_update_beta_kernel(
+            st.dev, st.beta, st.alpha, -sigma * theta, p, x_q_new, swap
+        )
+
+    def drive_swap(self, st, p: int, j: int, pivot: float) -> K.ScalarStores:
+        # degenerate swap: no value moves; the new basic takes its current
+        # resting value, stored with the swap by the basis update's launch
+        value = float(st.u[j]) if st.at_upper[j] else 0.0
+        swap = self._swap(st, p, j, 0.0, leaves_at_upper=False)
+        return swap + K.ScalarStores(((st.beta, p, value),))
+
+    def _swap(self, st, p: int, q: int, c_q: float,
+              leaves_at_upper: bool) -> K.ScalarStores:
+        """Basis exchange (see :func:`~repro.core.gpu_kernels.basis_swap`)
+        plus the bounded extras: σ signs of the entering and leaving
+        variables and the u_B entry of row p."""
+        n = st.prep.n_total
+        leaving = int(st.basis[p])
+        stores = K.basis_swap(st, p, q, c_q, n)
+        goes_up = self.swap(st, leaving, q, leaves_at_upper)
+        extra = [(st.sigma, q, 1.0)]
+        if leaving < n:
+            extra.append((st.sigma, leaving, -1.0 if goes_up else 1.0))
+        # +inf is fine in fp32
+        extra.append((st.u_basis, p, float(st.u[q])))
+        return stores + K.ScalarStores(tuple(extra))
+
+    def rhs(self, st: "DevicePlacement") -> DeviceArray:
+        """The effective rhs, formed on the host with the rebuild and
+        uploaded with it."""
+        b_eff = self.effective_b(st)
+        with st.dev.timed_section("transfer"):
+            st.tmp_m.copy_from_host(b_eff.astype(st.dtype))
+        return st.tmp_m
+
+    def extract(self, st: "DevicePlacement", result: SolveResult) -> None:
+        self.attach(st, result, st.beta.copy_to_host().astype(np.float64))
 
 
-class _State:
+class DevicePlacement:
     """Device-resident solver state plus the host-side basis bookkeeping.
 
     The shared buffers are allocated here; each strategy adds its own
     (``place`` inside the first transfer section, ``alloc`` after the
-    shared work buffers).
+    shared work buffers).  A failed allocation (device OOM) releases
+    whatever was already placed before re-raising.
     """
 
-    def __init__(self, prep: PreparedLP, dev: Device, dtype: np.dtype,
-                 basis_rep, bounds):
+    def __init__(self, backend: "GpuRevisedSimplex", prep: PreparedLP,
+                 dtype: np.dtype):
         self.prep = prep
-        self.dev = dev
+        self.dev = dev = backend.dev
+        self.plan = backend.plan
         self.dtype = dtype
-        self.bounds = bounds
-        self.basis_rep = basis_rep
+        self.width = int(np.dtype(dtype).itemsize)
+        self.options = backend.options
+        self.basis_rep = basis_rep = backend.basis_rep
+        self.bounds = bounds = backend.bounds
+        self.tol_rc, self.tol_piv = backend._tol_rc, backend._tol_piv
+        self.refine = backend._policy.refine
+        self.tracing = backend.hooks.enabled
+        self.fill_every = backend._fill_every
+        self.fill_curve: list[tuple[int, float]] = []
+        self.steps = 0
         m, n = prep.m, prep.n_total
 
         self.a_sparse: DeviceCscMatrix | None = None
@@ -619,8 +501,6 @@ class _State:
             bounds.alloc(self)
             basis_rep.alloc(self)
         except Exception:
-            # a failed allocation (device OOM) must not leak what was
-            # already placed on the card
             self.free()
             raise
 
@@ -636,13 +516,6 @@ class _State:
         else:
             blas.gemv(self.a_dense, x, out, trans=True, **kw)
 
-    def load_entering(self) -> None:
-        """a_q := the column pricing chose, q read on the device."""
-        K.load_entering_column(
-            self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
-            dense=self.a_dense, csc=self.a_sparse,
-        )
-
     def load_column(self, j: int) -> None:
         """a_q := column j (real column or synthesised artificial e_i)."""
         n = self.prep.n_total
@@ -653,7 +526,7 @@ class _State:
         else:
             K.extract_column(self.dev, self.a_dense, j, self.a_q)
 
-    # -- basis bookkeeping ------------------------------------------------
+    # -- begin -------------------------------------------------------------
 
     def init_basis(self, basis: np.ndarray) -> None:
         self.basis = basis.astype(np.int64).copy()
@@ -665,20 +538,271 @@ class _State:
             self.basis_keys.copy_from_host(self.basis.astype(self.dtype))
             self.bounds.upload_basis(self)
 
-    def load_phase_costs(self, c_full: np.ndarray) -> None:
-        """Upload the phase cost data: c over real columns and c_B."""
+    def new_basis(self):
+        """Host factors are uncharged: the upload is what the model prices."""
+        return self.basis_rep.mirror(self.prep.m)
+
+    def columns(self, basis: np.ndarray):
+        return self.basis_rep.columns(self.prep, basis)
+
+    def install(self, rep) -> None:
+        self.basis_rep.install(self, rep)
+
+    def adopt_warm(self, warm: np.ndarray, rep, beta: np.ndarray) -> None:
+        """Upload the hint's basis, its factors and β (one PCIe round trip,
+        exactly how a CUDA port would warm-start)."""
+        self.init_basis(warm)
+        self.install(rep)
+        with self.dev.timed_section("transfer"):
+            self.beta.copy_from_host(beta.astype(self.dtype))
+
+    # -- the loop's steps ------------------------------------------------
+
+    @property
+    def updates(self) -> int:
+        return self.basis_rep.updates(self)
+
+    def pricing_rule(self) -> StallSwitch:
+        return StallSwitch(self.options.pricing, self.options.stall_window)
+
+    def load_costs(self, c_full: np.ndarray) -> float:
+        """Upload c over the real columns and c_B; z = c_B·β."""
         n = self.prep.n_total
         with self.dev.timed_section("transfer"):
             self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
             self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
-        self.basis_rep.invalidate(self)
+        return blas.dot(self.c_b, self.beta)
+
+    def price(self, rule: StallSwitch) -> None:
+        """π;  d = c − Aᵀπ;  masked selection, left on the device."""
+        with self.dev.timed_section("pricing"), self.plan.section("pricing") as sec:
+            if self.multipliers.refresh():
+                self.basis_rep.multiply(self)
+            blas.copy(self.c_real, self.d)
+            self.multiply_at(self.pi, self.d, alpha=-1.0, beta=1.0)
+            self.bounds.price_map(self)
+            K.select_entering(
+                sec, self.tmp_n, self.choice, self.tol_rc, rule.using_bland
+            )
+
+    def ftran(self) -> None:
+        """α = B⁻¹a_q, q read on the device."""
+        with self.dev.timed_section("ftran"):
+            with self.plan.section("ftran"):
+                K.load_entering_column(
+                    self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
+                    dense=self.a_dense, csc=self.a_sparse,
+                )
+                self.solved = self.basis_rep.ftran(self)
+
+    def ratio(self) -> Step:
+        """Bland-compatible ratio test: ties break to the lowest
+        basic-variable index via a second keyed reduction.  The map's
+        arg-min stays on the device, the tie pass reads θ from it, and one
+        readback returns (q, d_q, p, θ, α_p, …); for m ≤ 2·DEFAULT_BLOCK all
+        of it is one launch."""
+        dev = self.dev
+        with dev.timed_section("ratio"), self.plan.section("ratio") as sec:
+            self.bounds.ratio_map(self)
+            sec.argmin_to_device(self.ratios, self.ratio_min)
+            K.tie_break_key_kernel(
+                dev, self.ratios, self.ratio_min, self.basis_keys, self.tmp_m
+            )
+            q, d_q, p, theta, gathered = sec.ratio_readback(
+                self.choice, self.tmp_m, self.ratio_min, self.bounds.gathered(self)
+            )
+        if q == NO_INDEX:
+            return Step(-1)
+        d_q, sigma, theta, flip = self.bounds.step(self, q, d_q, theta)
+        ties = 0
+        if self.tracing and not flip:
+            # uncharged diagnostic peek at the functional backing store
+            ties = int(np.count_nonzero(self.ratios.data <= K.tie_cut(theta)))
+        return Step(
+            int(q), d_q, sigma, -1 if flip else int(p), theta, gathered[0],
+            ties, len(gathered) > 1 and gathered[1] != 0.0,
+        )
+
+    def update(self, r: Step, c_q: float) -> None:
+        """β, basis representation, π; the basis swap's device stores ride
+        on the β-update launch."""
+        if not r.flip:
+            self.basis_rep.admit(self, r.row)
+        with self.dev.timed_section("update"), self.plan.section("update"):
+            if r.flip:
+                self.bounds.flip(self, r.q, r.sigma, r.theta)
+            else:
+                self.bounds.pivot(
+                    self, r.row, r.q, c_q, r.theta, r.sigma, r.to_upper
+                )
+                self.basis_rep.update(self, r.row, r.pivot, d_q=r.d_q)
+        self.steps += 1
+        if self.fill_every and self.steps % self.fill_every == 0:
+            # diagnostic peek at the functional backing store (uncharged)
+            frac = float(np.mean(np.abs(self.binv.data) > 1e-7))
+            self.fill_curve.append((self.steps, frac))
+
+    def needs_rebuild(self) -> bool:
+        return self.basis_rep.needs_rebuild(self)
+
+    def refresh_beta(self) -> None:
+        self.basis_rep.solve(self, self.bounds.rhs(self), self.beta)
+        K.clamp_nonneg_kernel(self.dev, self.beta)
+
+    def resync(self, z: float) -> float:
+        if self.basis_rep.resyncs_objective:
+            return blas.dot(self.c_b, self.beta)
+        return z
+
+    def phase1_objective(self, z: float) -> float:
+        return blas.dot(self.c_b, self.beta)
+
+    # -- drive-out (host-driven, device-computed) --------------------------
+
+    def transformed_row(self, p: int) -> np.ndarray:
+        """e_pᵀB⁻¹A over the real columns: row p of B⁻¹ from the basis
+        representation, one GEMVᵀ/SpMVᵀ, one download."""
+        self.multiply_at(self.basis_rep.inverse_row(self, p), self.tmp_n)
+        return self.tmp_n.copy_to_host().astype(np.float64)
+
+    def column_pivot(self, j: int, p: int) -> float:
+        self.load_column(j)
+        self.solved = self.basis_rep.ftran(self)
+        return self.basis_rep.host_pivot(self, p)
+
+    def swap_in(self, p: int, j: int, pivot: float) -> None:
+        stores = self.bounds.drive_swap(self, p, j, pivot)
+        self.basis_rep.update(self, p, pivot, stores)
+
+    # -- finish ------------------------------------------------------------
+
+    def extras(self, result: SolveResult) -> None:
+        if self.fill_every:
+            result.extra["binv_fill"] = list(self.fill_curve)
+
+    def extract(self, result: SolveResult) -> None:
+        self.bounds.extract(self, result)
+
+    def refined_beta(self, result: SolveResult) -> np.ndarray:
+        """Mixed-precision extraction: fp64 residuals on the host drive
+        fp32 correction solves on the device (dx = B⁻¹r via the resident
+        inverse), with the solution accumulated in fp64 — the classic
+        iterative-refinement scheme.  Every round trip is transfer-costed
+        and the fp32↔fp64 conversions run as :func:`repro.gpu.blas.cast`
+        kernels."""
+        dev = self.dev
+        m = self.prep.m
+        basis_matrix = np.asarray(self.prep.basis_matrix(self.basis), dtype=np.float64)
+        b64 = np.asarray(self.prep.b, dtype=np.float64)
+        scale = 1.0 + float(np.max(np.abs(b64))) if m else 1.0
+        x64 = self.beta.copy_to_host().astype(np.float64)
+        steps = 0
+        residual = float(np.max(np.abs(b64 - basis_matrix @ x64))) if m else 0.0
+        r64 = dev.alloc(m, np.float64)
+        r32 = dev.alloc(m, np.float32)
+        dx32 = dev.alloc(m, np.float32)
+        try:
+            while steps < 3 and residual > 1e-12 * scale:
+                with dev.timed_section("transfer"):
+                    r64.copy_from_host(b64 - basis_matrix @ x64)
+                with dev.timed_section("refine"):
+                    blas.cast(r64, r32)
+                    blas.gemv(self.binv, r32, dx32)
+                x64 += dx32.copy_to_host().astype(np.float64)
+                steps += 1
+                residual = float(np.max(np.abs(b64 - basis_matrix @ x64)))
+        finally:
+            for buf in (r64, r32, dx32):
+                buf.free()
+        result.extra["refinement_steps"] = steps
+        result.extra["residual_after_refinement"] = residual
+        return x64
 
     def free(self) -> None:
         """Release every device allocation; tolerates partially-constructed
         state (OOM during ``__init__``)."""
-        for arr in list(vars(self).values()):
-            if isinstance(arr, DeviceArray) and not arr.is_freed:
-                arr.free()
+        for value in list(vars(self).values()):
+            for arr in value if isinstance(value, list) else (value,):
+                if isinstance(arr, DeviceArray) and not arr.is_freed:
+                    arr.free()
         if self.a_sparse is not None and not self.a_sparse.data.is_freed:
             self.a_sparse.free()
-        self.basis_rep.free(self)
+
+
+class GpuRevisedSimplex(RevisedBackend, DeviceBackend):
+    """Two-phase revised simplex on the simulated SIMT device.
+
+    ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
+    basis: the hint's B⁻¹ is factorised on the host and uploaded (one PCIe
+    round trip — exactly how a CUDA port would warm-start).  A singular or
+    primal-infeasible hint falls back to the cold crash basis.
+    """
+
+    name = "gpu-revised"
+    basis_rep = ExplicitInverse()
+    bounds = StandardBounds()
+
+    # Defined on the class itself, as profilers that wrap a backend class's
+    # own methods expect.
+    begin = RevisedBackend.begin
+    run_phase = RevisedBackend.run_phase
+
+    def __init__(
+        self,
+        options: SolverOptions | None = None,
+        device: Device | None = None,
+        gpu_params: GpuModelParams = GTX280_PARAMS,
+        fill_stats_every: int = 0,
+    ):
+        """``fill_stats_every > 0`` samples the fraction of non-negligible
+        entries of the device-resident B⁻¹ every that-many pivots into
+        ``result.extra["binv_fill"]`` — free instrumentation (reads the
+        functional backing store; no modeled time is charged), used by the
+        F8 fill-in experiment."""
+        super().__init__(options, device, gpu_params)
+        self._fill_every = int(fill_stats_every)
+
+    def _place(self, prep: PreparedLP, dtype: np.dtype) -> DevicePlacement:
+        return DevicePlacement(self, prep, dtype)
+
+
+class GpuBoundedRevisedSimplex(GpuRevisedSimplex):
+    """Two-phase bounded-variable revised simplex on the simulated device;
+    compared to ``gpu-revised`` on a fully boxed problem it keeps the basis
+    at m instead of m + #bounds (the A5 ablation)."""
+
+    name = "gpu-revised-bounded"
+    accepts_warm_start = False
+    bounds = BoxedBounds()
+
+    def __init__(
+        self,
+        options: SolverOptions | None = None,
+        device: Device | None = None,
+        gpu_params: GpuModelParams = GTX280_PARAMS,
+    ):
+        super().__init__(options, device, gpu_params)
+        self.bounds.check(self.options)
+
+
+class GpuSparseRevisedSimplex(GpuRevisedSimplex):
+    """Two-phase sparse revised simplex on the simulated SIMT device.
+
+    ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
+    basis: the hint is factorised sparsely on the host and the factors are
+    uploaded (one PCIe round trip).  A singular or primal-infeasible hint
+    falls back to the cold crash basis.  Dense inputs are converted to CSC
+    on entry — this method always runs the sparse data path.
+    """
+
+    name = "gpu-revised-sparse"
+    sparse_data = True
+    basis_rep = DeviceLU()
+
+    def __init__(
+        self,
+        options: SolverOptions | None = None,
+        device: Device | None = None,
+        gpu_params: GpuModelParams = GTX280_PARAMS,
+    ):
+        super().__init__(options, device, gpu_params)

@@ -55,7 +55,7 @@ def _revised(options: SolverOptions, device: Any):
 
 
 def _revised_bounded(options: SolverOptions, device: Any):
-    from repro.simplex.bounded import BoundedRevisedSimplexSolver
+    from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
 
     return BoundedRevisedSimplexSolver(options)
 
@@ -67,7 +67,7 @@ def _dual(options: SolverOptions, device: Any):
 
 
 def _revised_sparse(options: SolverOptions, device: Any):
-    from repro.simplex.revised_sparse import SparseRevisedSimplexSolver
+    from repro.simplex.revised_cpu import SparseRevisedSimplexSolver
 
     return SparseRevisedSimplexSolver(options)
 
@@ -79,13 +79,13 @@ def _gpu_revised(options: SolverOptions, device: Any):
 
 
 def _gpu_revised_bounded(options: SolverOptions, device: Any):
-    from repro.core.gpu_bounded_simplex import GpuBoundedRevisedSimplex
+    from repro.core.gpu_revised_simplex import GpuBoundedRevisedSimplex
 
     return GpuBoundedRevisedSimplex(options=options, device=device)
 
 
 def _gpu_revised_sparse(options: SolverOptions, device: Any):
-    from repro.core.gpu_sparse_simplex import GpuSparseRevisedSimplex
+    from repro.core.gpu_revised_simplex import GpuSparseRevisedSimplex
 
     return GpuSparseRevisedSimplex(options=options, device=device)
 

@@ -8,8 +8,10 @@
 - :mod:`~repro.simplex.basis`       — basis-inverse representations
   (explicit B⁻¹ with eta updates, product-form-of-inverse eta file).
 - :mod:`~repro.simplex.tableau`     — dense two-phase tableau simplex.
-- :mod:`~repro.simplex.revised_cpu` — dense two-phase revised simplex, the
-  paper's sequential comparator.
+- :mod:`~repro.simplex.revised`     — the two-phase revised simplex,
+  written once for a host or a device placement.
+- :mod:`~repro.simplex.revised_cpu` — its host placement: ``revised`` (the
+  paper's sequential comparator), ``revised-bounded``, ``revised-sparse``.
 """
 
 from repro.simplex.options import SolverOptions

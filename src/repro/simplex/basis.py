@@ -19,7 +19,9 @@ Two representations are provided, matching the A2 ablation:
 
 Both support :meth:`refactorize` (rebuild from the current basis columns),
 which bounds error accumulation; the solvers call it periodically and after
-numerical trouble.
+numerical trouble.  :class:`LUBasis` is the product form over LU factors.
+Charges use the recorder's word size.  :class:`Multipliers` holds the π
+rule that goes with a representation, on either machine.
 """
 
 from __future__ import annotations
@@ -70,9 +72,38 @@ class BasisRepresentation(abc.ABC):
         #: Eta updates applied since the last refactorisation.
         self.updates_since_refactor = 0
 
+    @property
+    def _w(self) -> int:
+        """Modeled word size: the recorder's arithmetic (fp64 without one)."""
+        return self.recorder.dtype.itemsize if self.recorder is not None else 8
+
     def _charge(self, name: str, cost: OpCost) -> None:
         if self.recorder is not None:
             self.recorder.charge(name, cost)
+
+    def _charge_solve(self, name: str, etas: int = 0) -> None:
+        """A dense m×m solve followed by ``etas`` eta applications."""
+        m, w = self.m, self._w
+        self._charge(
+            name,
+            OpCost(
+                flops=2 * m * m + 2 * m * etas,
+                bytes_read=(m * m + m + 2 * m * etas) * w,
+                bytes_written=m * w,
+            ),
+        )
+
+    def _charge_refactor(self, solves: float, reads: int) -> None:
+        """An LU of B plus ``solves``·m³ flops, reading ``reads``·m² words."""
+        m, w = self.m, self._w
+        self._charge(
+            "refactor",
+            OpCost(
+                flops=(2.0 / 3.0) * m**3 + solves * m**3,
+                bytes_read=reads * m * m * w,
+                bytes_written=m * m * w,
+            ),
+        )
 
     @abc.abstractmethod
     def reset_identity(self) -> None:
@@ -100,33 +131,30 @@ class BasisRepresentation(abc.ABC):
         return False
 
 
+def _inverse(basis_columns: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(basis_columns, np.eye(basis_columns.shape[0]))
+    except np.linalg.LinAlgError:
+        raise SingularBasisError("basis matrix is singular at refactorisation") from None
+
+
 class ExplicitInverseBasis(BasisRepresentation):
     """Dense explicit B⁻¹ with in-place rank-1 eta updates."""
 
     def __init__(self, m: int, recorder: CpuCostRecorder | None = None):
         super().__init__(m, recorder)
-        self.binv = np.eye(m)
+        self.reset_identity()
 
     def reset_identity(self) -> None:
         self.binv = np.eye(self.m)
         self.updates_since_refactor = 0
 
     def ftran(self, col: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
-        self._charge(
-            "ftran",
-            OpCost(flops=2 * m * m, bytes_read=(m * m + m) * w, bytes_written=m * w),
-        )
+        self._charge_solve("ftran")
         return self.binv @ col
 
     def btran(self, row: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
-        self._charge(
-            "btran",
-            OpCost(flops=2 * m * m, bytes_read=(m * m + m) * w, bytes_written=m * w),
-        )
+        self._charge_solve("btran")
         return row @ self.binv
 
     def update(self, alpha: np.ndarray, p: int, tol_pivot: float) -> None:
@@ -137,7 +165,7 @@ class ExplicitInverseBasis(BasisRepresentation):
         self.binv += np.outer(eta_minus_ep, row_p)
         self.updates_since_refactor += 1
         m = self.m
-        w = 8
+        w = self._w
         self._charge(
             "update.eta",
             OpCost(
@@ -148,103 +176,75 @@ class ExplicitInverseBasis(BasisRepresentation):
         )
 
     def refactorize(self, basis_columns: np.ndarray) -> None:
-        m = self.m
-        try:
-            self.binv = np.linalg.solve(basis_columns, np.eye(m))
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix is singular at refactorisation") from None
+        self.binv = _inverse(basis_columns)
         self.updates_since_refactor = 0
-        w = 8
-        self._charge(
-            "refactor",
-            OpCost(
-                flops=(2.0 / 3.0) * m**3 + 2.0 * m**3,  # LU + m solves
-                bytes_read=2 * m * m * w,
-                bytes_written=m * m * w,
-            ),
-        )
+        self._charge_refactor(2.0, 2)  # LU + m solves
 
 
 class ProductFormBasis(BasisRepresentation):
-    """Product form of the inverse: dense base + eta file."""
+    """Product form of the inverse: a dense base inverse refreshed at
+    refactorisation plus an eta file."""
+
+    #: Refactorisation work beyond the LU (× m³ flops) and its reads (× m²
+    #: words): the base inverse takes m more solves.
+    _refactor_work = (2.0, 2)
 
     def __init__(self, m: int, recorder: CpuCostRecorder | None = None):
         super().__init__(m, recorder)
-        self.base_inv = np.eye(m)
         self.etas: list[tuple[int, np.ndarray]] = []
+        self.reset_identity()
 
     @property
     def eta_count(self) -> int:
         return len(self.etas)
 
     def reset_identity(self) -> None:
-        self.base_inv = np.eye(self.m)
+        self._factor(np.eye(self.m))
         self.etas.clear()
         self.updates_since_refactor = 0
 
+    def _factor(self, basis_columns: np.ndarray) -> None:
+        self.base_inv = _inverse(basis_columns)
+
+    def _solve(self, col: np.ndarray) -> np.ndarray:
+        return self.base_inv @ col
+
+    def _solve_t(self, row: np.ndarray) -> np.ndarray:
+        return row @ self.base_inv
+
     def ftran(self, col: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
-        y = self.base_inv @ col
+        y = self._solve(col)
         for p, eta in self.etas:
             apply_eta(y, eta, p)
-        self._charge(
-            "ftran",
-            OpCost(
-                flops=2 * m * m + 2 * m * len(self.etas),
-                bytes_read=(m * m + m + 2 * m * len(self.etas)) * w,
-                bytes_written=m * w,
-            ),
-        )
+        self._charge_solve("ftran", len(self.etas))
         return y
 
     def btran(self, row: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
         r = np.array(row, dtype=np.float64, copy=True)
         for p, eta in reversed(self.etas):
             apply_eta_transposed(r, eta, p)
-        result = r @ self.base_inv
-        self._charge(
-            "btran",
-            OpCost(
-                flops=2 * m * m + 2 * m * len(self.etas),
-                bytes_read=(m * m + m + 2 * m * len(self.etas)) * w,
-                bytes_written=m * w,
-            ),
-        )
+        result = self._solve_t(r)
+        self._charge_solve("btran", len(self.etas))
         return result
 
     def update(self, alpha: np.ndarray, p: int, tol_pivot: float) -> None:
         eta = eta_from_alpha(alpha, p, tol_pivot)
         self.etas.append((p, eta))
         self.updates_since_refactor += 1
-        w = 8
+        w = self._w
         self._charge(
             "update.eta",
             OpCost(flops=2 * self.m, bytes_read=self.m * w, bytes_written=self.m * w),
         )
 
     def refactorize(self, basis_columns: np.ndarray) -> None:
-        m = self.m
-        try:
-            self.base_inv = np.linalg.solve(basis_columns, np.eye(m))
-        except np.linalg.LinAlgError:
-            raise SingularBasisError("basis matrix is singular at refactorisation") from None
+        self._factor(basis_columns)
         self.etas.clear()
         self.updates_since_refactor = 0
-        w = 8
-        self._charge(
-            "refactor",
-            OpCost(
-                flops=(2.0 / 3.0) * m**3 + 2.0 * m**3,
-                bytes_read=2 * m * m * w,
-                bytes_written=m * m * w,
-            ),
-        )
+        self._charge_refactor(*self._refactor_work)
 
 
-class LUBasis(BasisRepresentation):
+class LUBasis(ProductFormBasis):
     """LU factorisation of B (scipy) with an eta file on top.
 
     The modern CPU scheme: refactorisation computes P·L·U = B once
@@ -253,92 +253,87 @@ class LUBasis(BasisRepresentation):
     file exactly as in the product form.
     """
 
-    def __init__(self, m: int, recorder: CpuCostRecorder | None = None):
-        super().__init__(m, recorder)
-        import scipy.linalg as sla
+    _refactor_work = (0.0, 1)
 
-        self._sla = sla
-        self._lu = sla.lu_factor(np.eye(m))
-        self.etas: list[tuple[int, np.ndarray]] = []
-
-    @property
-    def eta_count(self) -> int:
-        return len(self.etas)
-
-    def reset_identity(self) -> None:
-        self._lu = self._sla.lu_factor(np.eye(self.m))
-        self.etas.clear()
-        self.updates_since_refactor = 0
-
-    def ftran(self, col: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
-        y = self._sla.lu_solve(self._lu, col)
-        for p, eta in self.etas:
-            apply_eta(y, eta, p)
-        self._charge(
-            "ftran",
-            OpCost(
-                flops=2 * m * m + 2 * m * len(self.etas),
-                bytes_read=(m * m + m + 2 * m * len(self.etas)) * w,
-                bytes_written=m * w,
-            ),
-        )
-        return y
-
-    def btran(self, row: np.ndarray) -> np.ndarray:
-        m = self.m
-        w = 8
-        r = np.array(row, dtype=np.float64, copy=True)
-        for p, eta in reversed(self.etas):
-            apply_eta_transposed(r, eta, p)
-        result = self._sla.lu_solve(self._lu, r, trans=1)
-        self._charge(
-            "btran",
-            OpCost(
-                flops=2 * m * m + 2 * m * len(self.etas),
-                bytes_read=(m * m + m + 2 * m * len(self.etas)) * w,
-                bytes_written=m * w,
-            ),
-        )
-        return result
-
-    def update(self, alpha: np.ndarray, p: int, tol_pivot: float) -> None:
-        eta = eta_from_alpha(alpha, p, tol_pivot)
-        self.etas.append((p, eta))
-        self.updates_since_refactor += 1
-        w = 8
-        self._charge(
-            "update.eta",
-            OpCost(flops=2 * self.m, bytes_read=self.m * w, bytes_written=self.m * w),
-        )
-
-    def refactorize(self, basis_columns: np.ndarray) -> None:
+    def _factor(self, basis_columns: np.ndarray) -> None:
         import warnings
 
-        m = self.m
+        import scipy.linalg as sla
+
         try:
             with warnings.catch_warnings():
                 # scipy emits LinAlgWarning on exact singularity; we turn it
                 # into the library's SingularBasisError via the diag check
                 warnings.simplefilter("ignore")
-                self._lu = self._sla.lu_factor(basis_columns)
+                lu = sla.lu_factor(basis_columns)
         except (np.linalg.LinAlgError, ValueError):
             raise SingularBasisError("basis matrix is singular at refactorisation") from None
         # lu_factor does not raise on exact singularity; check the diagonal
-        if np.any(np.abs(np.diag(self._lu[0])) < 1e-300):
+        if np.any(np.abs(np.diag(lu[0])) < 1e-300):
             raise SingularBasisError("basis matrix is singular at refactorisation")
-        self.etas.clear()
-        self.updates_since_refactor = 0
-        w = 8
-        self._charge(
-            "refactor",
-            OpCost(
-                flops=(2.0 / 3.0) * m**3,
-                bytes_read=m * m * w,
-                bytes_written=m * m * w,
-            ),
-        )
+        self._lu = lu
+
+    def _solve(self, col: np.ndarray) -> np.ndarray:
+        import scipy.linalg as sla
+
+        return sla.lu_solve(self._lu, col)
+
+    def _solve_t(self, row: np.ndarray) -> np.ndarray:
+        import scipy.linalg as sla
+
+        return sla.lu_solve(self._lu, row, trans=1)
+
+
+class Multipliers:
+    """When the simplex multipliers π = B⁻ᵀc_B must be computed afresh, on
+    either machine; ``pi`` is the placement's π (a host array or a device
+    buffer).
+
+    An explicit inverse (``follows_pivots``) multiplies π fresh only when
+    it is stale: at the start of a phase (c_B reloaded; a warm start
+    happens before the first one) and after a rebuild.  After every basis
+    change the placement updates π from the pivot row instead,
+    π += (d_q/α_pq)·ρ_p with ρ_p row p of the pre-pivot inverse, and calls
+    :meth:`update`.  A bound flip leaves the basis, and so π, unchanged.
+    An updated π carries the rounding of its updates, so a terminal verdict
+    it priced (optimal, unbounded) is not taken on trust: :meth:`confirms`
+    marks π stale and the loop redoes the iteration with a fresh multiply,
+    the dual clean-up pass of production simplex codes.
+
+    The factored representations solve π at every pricing, and every
+    verdict stands.
+    """
+
+    def __init__(self, pi, follows_pivots: bool):
+        self.pi = pi
+        self.follows_pivots = follows_pivots
+        self.stale = True
+        #: π moved by an update since its last multiply
+        self.updated = False
+
+    def invalidate(self) -> None:
+        """B⁻¹ or c_B changed wholesale: multiply π before the next pricing."""
+        self.stale = True
+
+    def refresh(self) -> bool:
+        """Whether π must be computed at this pricing (it is fresh after)."""
+        if self.stale or not self.follows_pivots:
+            self.stale = self.updated = False
+            return True
+        return False
+
+    def update(self) -> None:
+        """π was just updated from the pivot row."""
+        self.updated = True
+
+    def confirms(self) -> bool:
+        """Whether a terminal verdict priced with the current π stands.
+
+        True when π was computed fresh; otherwise π goes stale and the
+        caller must redo the iteration."""
+        if self.updated:
+            self.stale = True
+        return not self.updated
 
 
 def make_basis(

@@ -63,10 +63,6 @@ class PreparedLP:
             return self.a.rmatvec(pi)
         return pi @ self.a
 
-    def row_all(self, row: np.ndarray) -> np.ndarray:
-        """rowᵀA over the real columns (used by artificial drive-out)."""
-        return self.price_all(row)
-
     def basis_matrix(self, basis: np.ndarray) -> np.ndarray:
         """The dense m×m matrix of the current basis columns."""
         cols = [self.column(int(j)) for j in basis]

@@ -47,7 +47,11 @@ class SolverOptions:
         triangular factors; ``sparse-lu`` factorises the basis sparsely from
         its CSC columns with sparse eta updates (the default of the
         ``revised-sparse`` methods, which additionally refactorise early
-        when fill-in grows).
+        when fill-in grows).  The simplex multipliers π follow the
+        representation: an explicit B⁻¹ updates π from its pre-pivot row
+        and multiplies it fresh at a phase start, after a rebuild and
+        before accepting a terminal verdict; the factored representations
+        solve π at every pricing.
     max_iterations:
         Per-phase iteration cap; 0 means the dimension-derived default
         ``50 * (m + n)``.
@@ -65,9 +69,11 @@ class SolverOptions:
         (:class:`~repro.simplex.pricing.StallSwitch`, one rule for every
         simplex method).
     refactor_period:
-        Revised solvers: rebuild B⁻¹ (or the PFI base) from the basis
-        columns every this many pivots; 0 disables.  ``gpu-revised-bounded``
-        keeps its B⁻¹ for the whole solve.
+        Revised solvers: rebuild the basis representation from the basis
+        columns once this many basis updates have accumulated since the
+        last rebuild (bound flips do not count; the count carries across
+        the phase boundary); 0 disables.  Every revised method, boxed ones
+        included, recomputes β from the rebuilt representation.
     scale:
         Apply geometric-mean scaling to the standard-form data.
     dtype:

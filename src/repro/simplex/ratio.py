@@ -13,7 +13,8 @@ as the entering variable increases.
   largest |pivot| — trading a bounded infeasibility for numerical stability.
 
 Both return :class:`RatioResult`; ``row < 0`` signals an unbounded
-direction.
+direction.  :func:`bounded_ratios` is the per-row map of the three-way
+bounded-variable test, shared by the host method and the device kernel.
 """
 
 from __future__ import annotations
@@ -105,3 +106,20 @@ def run_ratio_test(
     if kind == "harris":
         return harris_ratio_test(beta, alpha, basis, tol_pivot)
     return standard_ratio_test(beta, alpha, basis, tol_pivot)
+
+
+def bounded_ratios(
+    x_b: np.ndarray, delta: np.ndarray, u_basis: np.ndarray, tol
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row blocking steps ``(t_dec, t_inc)`` of the bounded ratio test.
+
+    Each basic moves at rate δ_i per unit step: when δ_i < −tol it blocks
+    at its lower bound 0 after t_dec = x_i/(−δ_i), when δ_i > tol and u_i
+    is finite at its upper bound after t_inc = (u_i − x_i)/δ_i; otherwise
+    the step is +inf.  Negative steps (round-off) clamp to 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_dec = np.where(delta < -tol, x_b / np.maximum(-delta, 1e-300), np.inf)
+        inc = (delta > tol) & np.isfinite(u_basis)
+        t_inc = np.where(inc, (u_basis - x_b) / np.maximum(delta, 1e-300), np.inf)
+    return np.where(t_dec < 0, 0.0, t_dec), np.where(t_inc < 0, 0.0, t_inc)

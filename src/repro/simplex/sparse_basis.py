@@ -38,7 +38,6 @@ from repro.sparse.csc import CscMatrix
 #: Host index width (the factor stores int64 row ids; modeled as 4-byte
 #: indices to match the sparse-matrix cost convention of repro.gpu/repro.sparse).
 _INDEX_BYTES = 4
-_WORD = 8
 
 
 class SparseLUBasis(BasisRepresentation):
@@ -207,8 +206,8 @@ class SparseLUBasis(BasisRepresentation):
             "refactor",
             OpCost(
                 flops=flops,
-                bytes_read=(a.nnz + lu_nnz) * (_WORD + _INDEX_BYTES),
-                bytes_written=lu_nnz * (_WORD + _INDEX_BYTES),
+                bytes_read=(a.nnz + lu_nnz) * (self._w + _INDEX_BYTES),
+                bytes_written=lu_nnz * (self._w + _INDEX_BYTES),
             ),
         )
 
@@ -247,8 +246,8 @@ class SparseLUBasis(BasisRepresentation):
             "ftran",
             OpCost(
                 flops=2.0 * work,
-                bytes_read=work * (_WORD + _INDEX_BYTES) + m * _WORD,
-                bytes_written=m * _WORD,
+                bytes_read=work * (self._w + _INDEX_BYTES) + m * self._w,
+                bytes_written=m * self._w,
             ),
         )
         return z
@@ -277,8 +276,8 @@ class SparseLUBasis(BasisRepresentation):
             "btran",
             OpCost(
                 flops=2.0 * work,
-                bytes_read=work * (_WORD + _INDEX_BYTES) + m * _WORD,
-                bytes_written=m * _WORD,
+                bytes_read=work * (self._w + _INDEX_BYTES) + m * self._w,
+                bytes_written=m * self._w,
             ),
         )
         return pi
@@ -301,8 +300,8 @@ class SparseLUBasis(BasisRepresentation):
             "update.eta",
             OpCost(
                 flops=2.0 * rows.size,
-                bytes_read=rows.size * (_WORD + _INDEX_BYTES),
-                bytes_written=rows.size * (_WORD + _INDEX_BYTES),
+                bytes_read=rows.size * (self._w + _INDEX_BYTES),
+                bytes_written=rows.size * (self._w + _INDEX_BYTES),
             ),
         )
 

@@ -139,21 +139,21 @@ def corrupt_multiplier_updates(monkeypatch, pi_bad: np.ndarray) -> list[bool]:
     (run the solve with ``fusion=False``, so the update's AXPY has executed
     when it is overwritten).  Returns a log with one entry per pricing
     pass, True where π was multiplied fresh."""
-    from repro.core import gpu_kernels as K
+    from repro.simplex.basis import Multipliers
 
-    update, refresh = K.Multipliers.update, K.Multipliers.refresh
+    update, refresh = Multipliers.update, Multipliers.refresh
     multiplied: list[bool] = []
 
-    def corrupt(self, d_q, pivot, row_p):
-        update(self, d_q, pivot, row_p)
+    def corrupt(self):
+        update(self)
         self.pi.data[:] = pi_bad
 
     def logged(self):
         multiplied.append(self.stale)
-        refresh(self)
+        return refresh(self)
 
-    monkeypatch.setattr(K.Multipliers, "update", corrupt)
-    monkeypatch.setattr(K.Multipliers, "refresh", logged)
+    monkeypatch.setattr(Multipliers, "update", corrupt)
+    monkeypatch.setattr(Multipliers, "refresh", logged)
     return multiplied
 
 

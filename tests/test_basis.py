@@ -144,6 +144,22 @@ class TestRepresentations:
         assert "ftran" in rec.by_op and "btran" in rec.by_op
 
 
+def test_fp32_solve_charges_four_byte_words():
+    """Host basis operations charge at the solve's word size: an fp32
+    explicit-inverse FTRAN reads B⁻¹ and the column at 4 bytes a word."""
+    from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
+    from repro.perfmodel.presets import CORE2_CPU_PARAMS
+    from repro.simplex.basis import ExplicitInverseBasis
+
+    m = 6
+    rec = CpuCostRecorder(CpuCostModel(CORE2_CPU_PARAMS), dtype=np.float32)
+    charged = []
+    rec.charge = lambda name, cost: charged.append((name, cost))
+    ExplicitInverseBasis(m, rec).ftran(np.ones(m))
+    assert [name for name, _ in charged] == ["ftran"]
+    assert charged[0][1].bytes_read == (m * m + m) * 4
+
+
 class TestEquivalence:
     def test_explicit_and_pfi_agree(self, rng):
         """Both representations track the same basis exactly."""

@@ -10,7 +10,7 @@ from repro import solve
 from repro.errors import SolverError
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import Bounds, LPProblem
-from repro.simplex.bounded import BoundedRevisedSimplexSolver
+from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
 from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 

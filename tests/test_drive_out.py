@@ -60,7 +60,7 @@ def drive_outs(monkeypatch):
     bounded and sparse host methods inherit the revised one)."""
     seen: list[tuple[np.ndarray, np.ndarray, int]] = []
     for cls, basis_of in (
-        (RevisedSimplexSolver, lambda backend: backend.basis),
+        (RevisedSimplexSolver, lambda backend: backend._st.basis),
         (GpuRevisedSimplex, lambda backend: backend._st.basis),
         (GpuTableauSimplex, lambda backend: backend._st.basis),
     ):

@@ -107,7 +107,7 @@ class TestSingularBases:
 
         from repro.lp.generators import transportation_lp
         from repro.simplex.basis import ExplicitInverseBasis
-        from repro.simplex.bounded import BoundedRevisedSimplexSolver
+        from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
 
         lp = transportation_lp(4, 5, seed=1)
         n = lp.num_vars

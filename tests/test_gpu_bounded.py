@@ -14,7 +14,7 @@ from conftest import (
     scipy_oracle,
 )
 from repro import solve
-from repro.core.gpu_bounded_simplex import GpuBoundedRevisedSimplex
+from repro.core.gpu_revised_simplex import GpuBoundedRevisedSimplex
 from repro.errors import SolverError
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import Bounds, LPProblem
@@ -185,3 +185,21 @@ class TestMultiplierUpdate:
         assert per_pass[0] == 2
         assert per_pass[1:-1] == [1] * (len(per_pass) - 2)
         assert len(per_pass) == r.iterations.total_iterations + (per_pass[-1] - 1)
+
+
+def test_rebuilds_like_the_host():
+    """The boxed device method rebuilds B⁻¹ on the same update count as the
+    host one, recomputing β from the effective rhs, and lands on the same
+    optimum."""
+    import dataclasses
+
+    lp = random_dense_lp(40, 60, seed=2)
+    boxed = dataclasses.replace(lp, bounds=Bounds(np.zeros(60), np.full(60, 3.0)))
+    host, dev = (
+        solve(boxed, method=m, dtype=np.float64, refactor_period=7)
+        for m in ("revised-bounded", "gpu-revised-bounded")
+    )
+    assert host.status is dev.status is SolveStatus.OPTIMAL
+    assert dev.extra["bound_flips"] == host.extra["bound_flips"] > 0
+    assert dev.iterations.refactorizations == host.iterations.refactorizations > 0
+    assert dev.objective == pytest.approx(host.objective, rel=1e-9)

@@ -137,10 +137,9 @@ def test_every_backend_module_is_scanned():
     # every solver module — including the sparse backends and their
     # basis/pricing support modules — must be in scope of the lint
     for module in (
-        "tableau.py", "revised_cpu.py", "bounded.py", "dual.py",
-        "revised_sparse.py", "sparse_basis.py", "sparse_pricing.py",
+        "tableau.py", "revised.py", "revised_cpu.py", "dual.py",
+        "sparse_basis.py", "sparse_pricing.py",
         "gpu_revised_simplex.py", "gpu_tableau_simplex.py",
-        "gpu_bounded_simplex.py", "gpu_sparse_simplex.py",
         "pdlp.py", "placement.py",
     ):
         assert module in scanned, module
@@ -180,7 +179,6 @@ def test_launch_rule_covers_every_gpu_backend():
     names = {os.path.basename(p) for p in map(str, lint.launch_rule_modules())}
     for module in (
         "gpu_revised_simplex.py", "gpu_tableau_simplex.py",
-        "gpu_bounded_simplex.py", "gpu_sparse_simplex.py",
         "pdlp.py", "placement.py",
     ):
         assert module in names, module

@@ -15,11 +15,15 @@ Run from the repo root::
 
     PYTHONPATH=src python tools/gen_golden.py
 
-and commit the diff only when a behaviour change is intended.
+and commit the diff only when a behaviour change is intended.  With
+``--diff`` it writes nothing and prints each cell that differs from the
+committed fixture instead: the fields that moved, ``modeled_seconds`` old →
+new (%), and whether the pivot sequence moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -113,13 +117,52 @@ def run_one(problem: LPProblem, method: str) -> dict:
     return cell
 
 
+def fixture_diff(old: dict, new: dict) -> list[str]:
+    """One line per (problem, method) cell of ``new`` that differs from
+    ``old``: the fields that moved, ``modeled_seconds`` old → new (%), and
+    whether the pivot sequence moved."""
+    lines = []
+    old_problems = old.get("problems", {})
+    for problem, cells in sorted(new["problems"].items()):
+        for method, cell in sorted(cells.items()):
+            before = old_problems.get(problem, {}).get(method)
+            if before is None:
+                lines.append(f"{problem} {method}: new cell")
+                continue
+            fields = sorted(k for k in set(cell) | set(before)
+                            if cell.get(k) != before.get(k))
+            if not fields:
+                continue
+            line = f"{problem} {method}: {', '.join(fields)}"
+            if "modeled_seconds" in fields:
+                t0 = float.fromhex(before["modeled_seconds"])
+                t1 = float.fromhex(cell["modeled_seconds"])
+                pct = 100.0 * (t1 - t0) / t0 if t0 else float("inf")
+                line += f"; modeled_seconds {t0:.6g} -> {t1:.6g} ({pct:+.2f}%)"
+            moved = "pivots" in fields
+            line += f"; pivots {'moved' if moved else 'unchanged'}"
+            lines.append(line)
+    return lines
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="print the cells that differ from the committed fixture; write nothing",
+    )
+    args = parser.parse_args()
     fixture: dict = {"problems": {}}
     for problem in suite():
         per_method: dict = {}
         for method in available_methods():
             per_method[method] = run_one(problem, method)
         fixture["problems"][problem.name] = per_method
+    if args.diff:
+        with open(FIXTURE) as fh:
+            lines = fixture_diff(json.load(fh), fixture)
+        print("\n".join(lines) if lines else "no cell differs")
+        return
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w") as fh:
         json.dump(fixture, fh, indent=1, sort_keys=True)
