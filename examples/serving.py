@@ -54,9 +54,12 @@ def main() -> None:
     print("fleet detail:")
     print(fleet.render())
 
-    # the fleet serves the identical trace strictly faster, and the
-    # structural fingerprints of resubmitted LPs land warm-start hits
-    assert fleet.span_seconds < sequential.span_seconds
+    # the fleet serves the identical trace with a strictly shorter tail
+    # (both spans end one job after the last arrival, so they may tie),
+    # and the structural fingerprints of resubmitted LPs land warm-start
+    # hits
+    assert fleet.latency_quantile(0.95) < sequential.latency_quantile(0.95)
+    assert fleet.span_seconds <= sequential.span_seconds
     assert fleet.cache_hits >= 1
     assert fleet.all_optimal
 

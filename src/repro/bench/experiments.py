@@ -343,16 +343,22 @@ def f5_transfer_overhead(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 42) -
     """PCIe transfer time as a fraction of total GPU solve time."""
     report = Report("F5", "GPU solve: transfer overhead vs size")
     t = report.add_table(
-        Table(["size", "total ms", "transfer ms", "transfer %", "htod MiB", "dtoh MiB"])
+        Table(["size", "total ms", "transfer ms", "transfer %", "htod MiB",
+               "dtoh MiB", "htod copies", "dtoh copies"])
     )
     for size in sizes:
         lp = random_dense_lp(size, size, seed=seed)
         from repro.core.gpu_revised_simplex import GpuRevisedSimplex
+        from repro.gpu.device import Device
         from repro.simplex.options import SolverOptions
 
-        solver = GpuRevisedSimplex(SolverOptions(dtype=BENCH_DTYPE, pricing="dantzig"))
+        dev = Device(GTX280_PARAMS)
+        dev.record_timeline()
+        solver = GpuRevisedSimplex(
+            SolverOptions(dtype=BENCH_DTYPE, pricing="dantzig"), device=dev
+        )
         result = solver.solve(lp)
-        dev = solver.device
+        kinds = [ev.kind for ev in dev.timeline]
         t.add_row(
             size,
             result.timing.modeled_seconds * 1e3,
@@ -360,9 +366,13 @@ def f5_transfer_overhead(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 42) -
             100.0 * result.timing.transfer_seconds / result.timing.modeled_seconds,
             dev.stats.htod_bytes / 1024**2,
             dev.stats.dtoh_bytes / 1024**2,
+            kinds.count("htod"),
+            kinds.count("dtoh"),
         )
     report.add_note(
-        "DtoH stays small and latency-bound (per-iteration scalars); HtoD is dominated by the one-time upload of A."
+        "DtoH stays small and latency-bound (one readback per iteration); "
+        "HtoD is one upload at begin (A, b, β, B⁻¹, mask, basis keys) plus "
+        "one per phase cost load and per rebuild."
     )
     return report
 

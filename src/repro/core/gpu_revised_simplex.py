@@ -7,12 +7,17 @@ IPDPS 2009 design: the constraint matrix A (dense m×n, uploaded row-major,
 or CSC), the basis representation, β, the simplex multipliers π, the
 pricing vector and all scratch buffers live in device global memory for
 the whole solve; the host only sees per-iteration scalars and drives
-control flow.  Per iteration the host reads one struct back and writes
-nothing: pricing leaves its choice on the device (``NO_INDEX`` when no
-column prices in), the column load, FTRAN and the ratio test run without
-waiting for the host, and the swap's device bookkeeping travels as kernel
-parameters of the β update.  Each phase's last iteration therefore also
-pays for its column load, FTRAN and ratio test.
+control flow.  :meth:`DevicePlacement.start` places the data with one
+HtoD copy into one device region, after the begin settled the starting
+basis (crash or warm) on the host; each phase's cost load and each
+rebuild is one more copy, and work buffers are never zero-filled, since
+each is written before it is read.  Per iteration the host reads one
+struct back and writes nothing: pricing leaves its choice on the device
+(``NO_INDEX`` when no column prices in), the column load, FTRAN and the
+ratio test run without waiting for the host, and the swap's device
+bookkeeping travels as kernel parameters of the β update.  Each phase's
+last iteration therefore also pays for its column load, FTRAN and ratio
+test.
 
 Two strategies fixed by the method's class shape it:
 
@@ -43,7 +48,7 @@ from repro.errors import SingularBasisError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
-from repro.gpu.memory import DeviceArray
+from repro.gpu.memory import DeviceArray, DeviceRegion
 from repro.gpu.reduce import NO_INDEX
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix, spmv_csc_t
 from repro.perfmodel.gpu_model import GpuModelParams
@@ -72,16 +77,17 @@ class ExplicitInverse:
     #: from the running sum.
     resyncs_objective = False
 
-    def place(self, st: "DevicePlacement") -> None:
-        """Uploads inside the state's first transfer section."""
-        st.binv = st.dev.to_device(np.eye(st.prep.m), st.dtype)
-
     def alloc(self, st: "DevicePlacement") -> None:
         """Work buffers, allocated after the shared ones."""
-        st.eta = st.dev.zeros(st.prep.m, st.dtype)
-        st.row_p = st.dev.zeros(st.prep.m, st.dtype)
+        st.eta = st.dev.alloc(st.prep.m, st.dtype)
+        st.row_p = st.dev.alloc(st.prep.m, st.dtype)
         st.multipliers = Multipliers(st.pi, follows_pivots=True)
         st.etas = 0
+
+    def hosts(self, st: "DevicePlacement", rep) -> dict[str, np.ndarray]:
+        """B⁻¹ to upload: the crash basis' identity, or ``rep``'s."""
+        binv = np.eye(st.prep.m) if rep is None else rep.binv
+        return {"binv": binv.astype(st.dtype)}
 
     #: The host representation a rebuild or warm start factors into.
     mirror = ExplicitInverseBasis
@@ -89,10 +95,9 @@ class ExplicitInverse:
     def columns(self, prep: PreparedLP, basis: np.ndarray) -> np.ndarray:
         return prep.basis_matrix(basis)
 
-    def install(self, st: "DevicePlacement", rep: ExplicitInverseBasis) -> None:
-        """Upload a B⁻¹ solved on the host (PCIe round trip)."""
-        with st.dev.timed_section("transfer"):
-            st.binv.copy_from_host(rep.binv.astype(st.dtype))
+    def install(self, st: "DevicePlacement", hosts: dict[str, np.ndarray]) -> None:
+        """Refill B⁻¹ (and what the bounds upload with it) in place."""
+        st.region.fill(hosts)
         st.etas = 0
 
     def solve(self, st: "DevicePlacement", rhs: DeviceArray,
@@ -160,14 +165,23 @@ class DeviceLU:
     #: objective is re-read from it.
     resyncs_objective = True
 
-    def place(self, st: "DevicePlacement") -> None:
-        st.rep = SparseLUBasis(st.prep.m, recorder=None)
-        st.factor_buf = None
-        st.eta_bufs = []
-
     def alloc(self, st: "DevicePlacement") -> None:
-        self.upload_factor(st)  # identity factors of the crash basis
+        st.rep = SparseLUBasis(st.prep.m, recorder=None)
+        st.eta_bufs = []
+        # the region of the rebuilt factors; None while the first factors
+        # sit in the placement's region (their slot there stays allocated
+        # until the solve ends)
+        st.factor_region = None
         st.multipliers = Multipliers(st.pi, follows_pivots=False)
+
+    def hosts(self, st: "DevicePlacement", rep) -> dict[str, np.ndarray]:
+        """The packed factors to upload: the crash basis' identity factors,
+        or ``rep``'s, which become the mirror.  Refactorisation is host
+        work, so fresh factors are a real HtoD transfer in the model."""
+        if rep is not None:
+            st.rep = rep
+        nbytes = max(1, st.rep.lu_nnz * (st.width + INDEX_BYTES))
+        return {"factor_buf": np.zeros(nbytes, dtype=np.uint8)}
 
     #: The host factor mirror a rebuild or warm start factors into.
     mirror = SparseLUBasis
@@ -175,29 +189,27 @@ class DeviceLU:
     def columns(self, prep: PreparedLP, basis: np.ndarray):
         return basis_columns_csc(prep, basis)
 
-    def install(self, st: "DevicePlacement", rep: SparseLUBasis) -> None:
-        st.rep = rep
-        self.upload_factor(st)
+    def install(self, st: "DevicePlacement", hosts: dict[str, np.ndarray]) -> None:
+        """Place the fresh factors (and what the bounds upload with them)
+        in a region of their own; frees the stale factors and etas.
+
+        The first factors' slot in the placement's region cannot be freed
+        on its own (a region is one allocation), so after the first rebuild
+        the device holds that slot, m·(w+4) bytes for the crash basis'
+        identity factors, on top of the fresh factors."""
+        for buf in st.eta_bufs:
+            buf.free()
+        st.eta_bufs = []
+        if st.factor_region is not None:
+            st.factor_region.free()
+        st.factor_region = region = st.dev.place(hosts)
+        st.factor_buf = region["factor_buf"]
+        if "b_eff" in region:
+            st.b_eff = region["b_eff"]
 
     def solve(self, st: "DevicePlacement", rhs: DeviceArray,
               out: DeviceArray) -> None:
         self.lu_solve(st, "ftran", rhs, out)
-
-    # -- factor placement ----------------------------------------------------
-
-    def upload_factor(self, st: "DevicePlacement") -> None:
-        """(Re)place the packed factors on the device; frees stale etas.
-
-        The upload is a real HtoD transfer in the model — refactorisation
-        is host work and the fresh factors must cross PCIe.
-        """
-        for buf in (*st.eta_bufs, st.factor_buf):
-            if buf is not None:
-                buf.free()
-        st.eta_bufs = []
-        nbytes = max(1, st.rep.lu_nnz * (st.width + INDEX_BYTES))
-        with st.dev.timed_section("transfer"):
-            st.factor_buf = st.dev.to_device(np.zeros(nbytes, dtype=np.uint8))
 
     def _lu_solve_cost(self, st: "DevicePlacement") -> OpCost:
         # Vector-style level-scheduled triangular solve (cuSPARSE csrsv2
@@ -254,11 +266,9 @@ class DeviceLU:
             raise SingularBasisError(f"pivot {pivot!r} below tolerance {st.tol_piv}")
 
     def inverse_row(self, st: "DevicePlacement", p: int) -> DeviceArray:
-        """e_pᵀB⁻¹ into a device buffer: e_p uploaded, one sparse BTRAN."""
-        e_p = np.zeros(st.prep.m)
-        e_p[p] = 1.0
-        with st.dev.timed_section("transfer"):
-            st.tmp_m.copy_from_host(e_p.astype(st.dtype))
+        """e_pᵀB⁻¹ into a device buffer: e_p written on the device, one
+        sparse BTRAN."""
+        K.unit_vector(st.dev, st.tmp_m, p)
         self.lu_solve(st, "btran", st.tmp_m, st.tmp_m)
         return st.tmp_m
 
@@ -305,14 +315,17 @@ class StandardBounds:
 
     range_bounds_as_rows = True
 
-    def place(self, st: "DevicePlacement") -> None:
-        pass
-
     def alloc(self, st: "DevicePlacement") -> None:
         pass
 
-    def upload_basis(self, st: "DevicePlacement") -> None:
-        pass
+    def hosts(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
+        return {}
+
+    def rebuild_layout(self, st: "DevicePlacement") -> dict:
+        return {}
+
+    def rebuild_hosts(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
+        return {}
 
     def price_map(self, st: "DevicePlacement") -> None:
         K.masked_for_min(st.dev, st.d, st.mask, st.tmp_n)
@@ -361,16 +374,25 @@ class BoxedBounds(BoxedRules):
     bound flip runs the whole ratio test.
     """
 
-    def place(self, st: "DevicePlacement") -> None:
-        self.begin(st)
-        st.sigma = st.dev.to_device(np.ones(st.prep.n_total), st.dtype)
-        st.u_basis = st.dev.to_device(np.full(st.prep.m, np.inf), st.dtype)
-
     def alloc(self, st: "DevicePlacement") -> None:
-        st.to_upper = st.dev.zeros(st.prep.m, st.dtype)
+        self.begin(st)
+        st.to_upper = st.dev.alloc(st.prep.m, st.dtype)
 
-    def upload_basis(self, st: "DevicePlacement") -> None:
-        st.u_basis.copy_from_host(st.u[st.basis].astype(st.dtype))
+    def hosts(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
+        """σ (every column starts at 0) and u_B of the starting basis."""
+        return {
+            "sigma": np.ones(st.prep.n_total, dtype=st.dtype),
+            "u_basis": st.u[st.basis].astype(st.dtype),
+        }
+
+    def rebuild_layout(self, st: "DevicePlacement") -> dict:
+        """The buffer :meth:`rebuild_hosts` fills, reserved at begin."""
+        return {"b_eff": ((st.prep.m,), st.dtype)}
+
+    def rebuild_hosts(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
+        """The effective rhs, formed on the host and uploaded with the
+        rebuilt basis representation."""
+        return {"b_eff": self.effective_b(st).astype(st.dtype)}
 
     def price_map(self, st: "DevicePlacement") -> None:
         K.masked_signed_for_min(st.dev, st.d, st.mask, st.sigma, st.tmp_n)
@@ -431,12 +453,7 @@ class BoxedBounds(BoxedRules):
         return stores + K.ScalarStores(tuple(extra))
 
     def rhs(self, st: "DevicePlacement") -> DeviceArray:
-        """The effective rhs, formed on the host with the rebuild and
-        uploaded with it."""
-        b_eff = self.effective_b(st)
-        with st.dev.timed_section("transfer"):
-            st.tmp_m.copy_from_host(b_eff.astype(st.dtype))
-        return st.tmp_m
+        return st.b_eff
 
     def extract(self, st: "DevicePlacement", result: SolveResult) -> None:
         self.attach(st, result, st.beta.copy_to_host().astype(np.float64))
@@ -445,10 +462,11 @@ class BoxedBounds(BoxedRules):
 class DevicePlacement:
     """Device-resident solver state plus the host-side basis bookkeeping.
 
-    The shared buffers are allocated here; each strategy adds its own
-    (``place`` inside the first transfer section, ``alloc`` after the
-    shared work buffers).  A failed allocation (device OOM) releases
-    whatever was already placed before re-raising.
+    The work buffers are allocated here, uninitialised: each is written
+    before it is read.  :meth:`start` then places the data in one region.
+    Each strategy adds its own buffers (``alloc``) and uploads
+    (``hosts``).  A failed allocation (device OOM) releases whatever was
+    already allocated before re-raising.
     """
 
     def __init__(self, backend: "GpuRevisedSimplex", prep: PreparedLP,
@@ -472,27 +490,13 @@ class DevicePlacement:
         self.a_sparse: DeviceCscMatrix | None = None
         self.a_dense: DeviceArray | None = None
         try:
-            with dev.timed_section("transfer"):
-                if prep.is_sparse:
-                    self.a_sparse = DeviceCscMatrix(dev, prep.a, dtype)
-                else:
-                    self.a_dense = dev.to_device(np.asarray(prep.a), dtype)
-                self.b = dev.to_device(prep.b, dtype)
-                basis_rep.place(self)
-                self.beta = dev.to_device(prep.b, dtype)
-                self.c_real = dev.to_device(np.zeros(n), dtype)
-                self.c_b = dev.to_device(np.zeros(m), dtype)
-                self.mask = dev.to_device(np.ones(n), dtype)
-                bounds.place(self)
-
-            self.pi = dev.zeros(m, dtype)
-            self.d = dev.zeros(n, dtype)
-            self.tmp_n = dev.zeros(n, dtype)
-            self.tmp_m = dev.zeros(m, dtype)
-            self.basis_keys = dev.zeros(m, dtype)
-            self.a_q = dev.zeros(m, dtype)
-            self.alpha = dev.zeros(m, dtype)
-            self.ratios = dev.zeros(m, dtype)
+            self.pi = dev.alloc(m, dtype)
+            self.d = dev.alloc(n, dtype)
+            self.tmp_n = dev.alloc(n, dtype)
+            self.tmp_m = dev.alloc(m, dtype)
+            self.a_q = dev.alloc(m, dtype)
+            self.alpha = dev.alloc(m, dtype)
+            self.ratios = dev.alloc(m, dtype)
             #: (q, d_q) of the pricing reduction, read by the column load
             #: (and, boxed, by the ratio map)
             self.choice = dev.alloc(2, dtype)
@@ -503,9 +507,6 @@ class DevicePlacement:
         except Exception:
             self.free()
             raise
-
-        self.basis = np.zeros(m, dtype=np.int64)
-        self.in_basis = np.zeros(n + m, dtype=bool)
 
     # -- data access --------------------------------------------------------
 
@@ -528,15 +529,44 @@ class DevicePlacement:
 
     # -- begin -------------------------------------------------------------
 
-    def init_basis(self, basis: np.ndarray) -> None:
+    def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
+        """Place the solve's data with one HtoD copy: A (dense or CSC), b,
+        β, the mask and basis keys, the bounds' σ and u_B, and last the
+        basis representation — B⁻¹ or the factors of the crash basis, or a
+        warm start's ``rep`` with its ``beta``.
+
+        Every buffer the region holds becomes an attribute of the
+        placement.  It also reserves, uninitialised, a leading run for each
+        phase's costs (c over the real columns, then c_B; :meth:`load_costs`)
+        and a trailing run for what the bounds upload with a rebuild, so
+        each of those later uploads is one copy too.
+        """
+        prep, dtype = self.prep, self.dtype
+        m, n = prep.m, prep.n_total
         self.basis = basis.astype(np.int64).copy()
-        self.in_basis[:] = False
+        self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
-        mask_host = np.where(self.in_basis[: self.prep.n_total], 0.0, 1.0)
+        if prep.is_sparse:
+            hosts = DeviceCscMatrix.arrays(prep.a, dtype)
+        else:
+            hosts = {"a_dense": np.asarray(prep.a, dtype=dtype)}
+        hosts["b"] = prep.b.astype(dtype)
+        hosts["beta"] = (prep.b if beta is None else beta).astype(dtype)
+        hosts["mask"] = np.where(self.in_basis[:n], 0.0, 1.0).astype(dtype)
+        hosts["basis_keys"] = self.basis.astype(dtype)
+        hosts.update(self.bounds.hosts(self))
+        hosts.update(self.basis_rep.hosts(self, rep))
+        layout = {"c_real": ((n,), dtype), "c_b": ((m,), dtype)}
+        layout.update({k: (h.shape, h.dtype) for k, h in hosts.items()})
+        layout.update(self.bounds.rebuild_layout(self))
+        self.region = region = self.dev.region(layout)
         with self.dev.timed_section("transfer"):
-            self.mask.copy_from_host(mask_host.astype(self.dtype))
-            self.basis_keys.copy_from_host(self.basis.astype(self.dtype))
-            self.bounds.upload_basis(self)
+            region.fill(hosts)
+        for name in layout:
+            if "." not in name:  # the CSC arrays belong to a_sparse
+                setattr(self, name, region[name])
+        if prep.is_sparse:
+            self.a_sparse = DeviceCscMatrix(prep.a, region)
 
     def new_basis(self):
         """Host factors are uncharged: the upload is what the model prices."""
@@ -546,15 +576,12 @@ class DevicePlacement:
         return self.basis_rep.columns(self.prep, basis)
 
     def install(self, rep) -> None:
-        self.basis_rep.install(self, rep)
-
-    def adopt_warm(self, warm: np.ndarray, rep, beta: np.ndarray) -> None:
-        """Upload the hint's basis, its factors and β (one PCIe round trip,
-        exactly how a CUDA port would warm-start)."""
-        self.init_basis(warm)
-        self.install(rep)
+        """Upload a rebuilt basis representation solved on the host, and
+        with boxed bounds the effective rhs, as one copy."""
+        hosts = self.basis_rep.hosts(self, rep)
+        hosts.update(self.bounds.rebuild_hosts(self))
         with self.dev.timed_section("transfer"):
-            self.beta.copy_from_host(beta.astype(self.dtype))
+            self.basis_rep.install(self, hosts)
 
     # -- the loop's steps ------------------------------------------------
 
@@ -566,11 +593,10 @@ class DevicePlacement:
         return StallSwitch(self.options.pricing, self.options.stall_window)
 
     def load_costs(self, c_full: np.ndarray) -> float:
-        """Upload c over the real columns and c_B; z = c_B·β."""
+        """Upload c over the real columns and c_B (one copy); z = c_B·β."""
         n = self.prep.n_total
         with self.dev.timed_section("transfer"):
-            self.c_real.copy_from_host(c_full[:n].astype(self.dtype))
-            self.c_b.copy_from_host(c_full[self.basis].astype(self.dtype))
+            self.region.fill({"c_real": c_full[:n], "c_b": c_full[self.basis]})
         return blas.dot(self.c_b, self.beta)
 
     def price(self, rule: StallSwitch) -> None:
@@ -723,19 +749,18 @@ class DevicePlacement:
         state (OOM during ``__init__``)."""
         for value in list(vars(self).values()):
             for arr in value if isinstance(value, list) else (value,):
-                if isinstance(arr, DeviceArray) and not arr.is_freed:
+                live = isinstance(arr, (DeviceArray, DeviceRegion))
+                if live and not arr.is_freed:
                     arr.free()
-        if self.a_sparse is not None and not self.a_sparse.data.is_freed:
-            self.a_sparse.free()
 
 
 class GpuRevisedSimplex(RevisedBackend, DeviceBackend):
     """Two-phase revised simplex on the simulated SIMT device.
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
-    basis: the hint's B⁻¹ is factorised on the host and uploaded (one PCIe
-    round trip — exactly how a CUDA port would warm-start).  A singular or
-    primal-infeasible hint falls back to the cold crash basis.
+    basis: the hint's B⁻¹ is factorised on the host and uploaded with the
+    data, in the begin's one copy.  A singular or primal-infeasible hint
+    falls back to the cold crash basis.
     """
 
     name = "gpu-revised"
@@ -790,9 +815,10 @@ class GpuSparseRevisedSimplex(GpuRevisedSimplex):
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
     basis: the hint is factorised sparsely on the host and the factors are
-    uploaded (one PCIe round trip).  A singular or primal-infeasible hint
-    falls back to the cold crash basis.  Dense inputs are converted to CSC
-    on entry — this method always runs the sparse data path.
+    uploaded with the data, in the begin's one copy.  A singular or
+    primal-infeasible hint falls back to the cold crash basis.  Dense
+    inputs are converted to CSC on entry — this method always runs the
+    sparse data path.
     """
 
     name = "gpu-revised-sparse"

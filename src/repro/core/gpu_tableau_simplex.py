@@ -63,10 +63,10 @@ class GpuTableauSimplex(DeviceBackend):
         if needs_phase1:
             t_host[:, n:] = np.eye(m)
 
-        self._st = st = _TableauState(
-            self.dev, dtype, t_host, prep, n_cols, plan=self.plan
+        self._st = _TableauState(
+            self.dev, dtype, t_host, prep, basis, enterable_limit=n,
+            plan=self.plan,
         )
-        st.init_basis(basis, enterable_limit=n)
         self.stats = IterationStats()
         self._arm(m=m, n=n, pricing=opts.pricing)
         self.needs_phase1 = needs_phase1
@@ -230,59 +230,61 @@ class GpuTableauSimplex(DeviceBackend):
 
 
 class _TableauState:
-    """Device tableau + vectors, and the host basis bookkeeping."""
+    """Device tableau + vectors, and the host basis bookkeeping.
+
+    The work vectors are allocated uninitialised (each is written before
+    it is read); the tableau, β, the mask and the basis keys are placed in
+    one region with one HtoD copy, behind a leading run for each phase's
+    costs (c, then c_B) that :meth:`load_costs` fills with one copy.
+    """
 
     def __init__(self, dev: Device, dtype: np.dtype, t_host: np.ndarray,
-                 prep: PreparedLP, n_cols: int, *,
+                 prep: PreparedLP, basis: np.ndarray, enterable_limit: int, *,
                  plan: gpu_plan.LaunchPlan):
         self.dev = dev
         self.dtype = dtype
         self.prep = prep
         self.plan = plan
-        m = prep.m
+        m, n_cols = t_host.shape
+        self.basis = basis.astype(np.int64).copy()
+        self.enterable_limit = enterable_limit
+        self.in_basis = np.zeros(n_cols, dtype=bool)
+        self.in_basis[self.basis] = True
+        mask_host = np.ones(n_cols)
+        mask_host[self.in_basis] = 0.0
+        mask_host[enterable_limit:] = 0.0  # artificials never (re-)enter
         try:
-            with dev.timed_section("transfer"):
-                self.tableau = dev.to_device(t_host, dtype)
-                self.beta = dev.to_device(prep.b, dtype)
-                self.c = dev.to_device(np.zeros(n_cols), dtype)
-                self.c_b = dev.to_device(np.zeros(m), dtype)
-                self.mask = dev.to_device(np.ones(n_cols), dtype)
-            self.d = dev.zeros(n_cols, dtype)
-            self.work = dev.zeros(n_cols, dtype)
-            self.alpha = dev.zeros(m, dtype)
-            self.ratios = dev.zeros(m, dtype)
+            self.d = dev.alloc(n_cols, dtype)
+            self.work = dev.alloc(n_cols, dtype)
+            self.alpha = dev.alloc(m, dtype)
+            self.ratios = dev.alloc(m, dtype)
             #: (q, d_q) of the pricing reduction, read by the column extract
             self.choice = dev.alloc(2, dtype)
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
-            self.tie_keys = dev.zeros(m, dtype)
-            self.basis_keys = dev.zeros(m, dtype)
-            self.row_buf = dev.zeros(n_cols, dtype)
-            self.row_norm = dev.zeros(n_cols, dtype)
+            self.tie_keys = dev.alloc(m, dtype)
+            self.row_buf = dev.alloc(n_cols, dtype)
+            self.row_norm = dev.alloc(n_cols, dtype)
+            hosts = {
+                "tableau": t_host, "beta": prep.b, "mask": mask_host,
+                "basis_keys": self.basis,
+            }
+            layout = {"c": ((n_cols,), dtype), "c_b": ((m,), dtype)}
+            layout.update({k: (np.shape(h), dtype) for k, h in hosts.items()})
+            self.region = region = dev.region(layout)
+            with dev.timed_section("transfer"):
+                region.fill(hosts)
+            for name in layout:
+                setattr(self, name, region[name])
         except Exception:
             self.free()
             raise
-        self.basis = np.zeros(m, dtype=np.int64)
-        self.in_basis = np.zeros(n_cols, dtype=bool)
-        self.enterable_limit = n_cols  # set by init_basis
-
-    def init_basis(self, basis: np.ndarray, enterable_limit: int) -> None:
-        self.basis = basis.astype(np.int64).copy()
-        self.enterable_limit = enterable_limit
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        mask_host = np.ones(self.mask.size)
-        mask_host[self.in_basis] = 0.0
-        mask_host[enterable_limit:] = 0.0  # artificials never (re-)enter
-        with self.dev.timed_section("transfer"):
-            self.mask.copy_from_host(mask_host.astype(self.dtype))
-            self.basis_keys.copy_from_host(self.basis.astype(self.dtype))
 
     def load_costs(self, c_full: np.ndarray, basis: np.ndarray) -> None:
-        """Upload phase costs and recompute d = c − c_Bᵀ T on the device."""
+        """Upload phase costs (one copy) and recompute d = c − c_Bᵀ T on
+        the device."""
         with self.dev.timed_section("transfer"):
-            self.c.copy_from_host(c_full.astype(self.dtype))
-            self.c_b.copy_from_host(c_full[basis].astype(self.dtype))
+            self.region.fill({"c": c_full, "c_b": c_full[basis]})
         with self.dev.timed_section("pricing"), self.plan.section("pricing.load"):
             blas.copy(self.c, self.d)
             blas.gemv(self.tableau, self.c_b, self.d, alpha=-1.0, beta=1.0, trans=True)
@@ -310,9 +312,8 @@ class _TableauState:
     def free(self) -> None:
         """Release device allocations; tolerates partial construction."""
         for name in (
-            "tableau", "beta", "c", "c_b", "mask", "d", "work", "alpha",
-            "ratios", "choice", "ratio_min", "tie_keys", "basis_keys", "row_buf",
-            "row_norm",
+            "region", "d", "work", "alpha", "ratios", "choice", "ratio_min",
+            "tie_keys", "row_buf", "row_norm",
         ):
             arr = getattr(self, name, None)
             if arr is not None and not arr.is_freed:

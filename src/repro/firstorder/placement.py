@@ -282,22 +282,27 @@ def _scaled_residual_kernel(
     )
 
 
-#: The device work vectors of a :class:`DevicePlacement` in allocation
-#: order, each with its length: ``n`` (primal) or ``m`` (dual).
+#: The device vectors of a :class:`DevicePlacement` in allocation order,
+#: each with its length, ``n`` (primal) or ``m`` (dual), and whether it
+#: starts at zero: the iterates, their running sums and the restart
+#: anchors do; every other vector is written before it is read.
 _VECTORS = (
-    ("x", "n"), ("y", "m"), ("x_ext", "n"), ("x_sum", "n"), ("y_sum", "m"),
-    ("x_avg", "n"), ("y_avg", "m"), ("x_rst", "n"), ("y_rst", "m"),
-    ("x_best", "n"), ("y_best", "m"), ("ax", "m"), ("aty", "n"),
-    ("chk_m", "m"), ("chk_n", "n"), ("tmp_m", "m"), ("tmp_n", "n"),
+    ("x", "n", True), ("y", "m", True), ("x_sum", "n", True),
+    ("y_sum", "m", True), ("x_rst", "n", True), ("y_rst", "m", True),
+    ("x_ext", "n", False), ("x_avg", "n", False), ("y_avg", "m", False),
+    ("x_best", "n", False), ("y_best", "m", False), ("ax", "m", False),
+    ("aty", "n", False), ("chk_m", "m", False), ("chk_n", "n", False),
+    ("tmp_m", "m", False), ("tmp_n", "n", False),
 )
 
 
 class DevicePlacement:
     """PDHG vectors resident on the simulated device.
 
-    Setup (Ruiz/Pock–Chambolle rescaling) is host work; the upload of the
-    matrix and vectors is charged as transfer, and a failed allocation
-    (device OOM) releases whatever was already placed before re-raising.
+    Setup (Ruiz/Pock–Chambolle rescaling) is host work.  The matrix (CSC
+    and CSR), b̂, ĉ and the two inverse scalings are placed in one region
+    with one HtoD copy, charged as transfer; a failed allocation (device
+    OOM) releases whatever was already allocated before re-raising.
     """
 
     def __init__(
@@ -313,15 +318,23 @@ class DevicePlacement:
         self.spmv_count = 0
         m, n = rescaled.a.shape
         try:
+            for name, dim, zero in _VECTORS:
+                size = n if dim == "n" else m
+                setattr(self, name, (dev.zeros if zero else dev.alloc)(size, dtype))
+            a_csr = rescaled.a.tocsr()
             with dev.timed_section("transfer"):
-                self.a_csc = DeviceCscMatrix(dev, rescaled.a, dtype)
-                self.a_csr = DeviceCsrMatrix(dev, rescaled.a.tocsr(), dtype)
-                self.b = dev.to_device(rescaled.b, dtype)
-                self.c = dev.to_device(rescaled.c, dtype)
-                self.inv_row = dev.to_device(rescaled.inv_row_scale, dtype)
-                self.inv_col = dev.to_device(rescaled.inv_col_scale, dtype)
-            for name, dim in _VECTORS:
-                setattr(self, name, dev.zeros(n if dim == "n" else m, dtype))
+                self.region = region = dev.place({
+                    **DeviceCscMatrix.arrays(rescaled.a, dtype, "a_csc"),
+                    **DeviceCsrMatrix.arrays(a_csr, dtype, "a_csr"),
+                    "b": rescaled.b.astype(dtype),
+                    "c": rescaled.c.astype(dtype),
+                    "inv_row": rescaled.inv_row_scale.astype(dtype),
+                    "inv_col": rescaled.inv_col_scale.astype(dtype),
+                })
+            self.a_csc = DeviceCscMatrix(rescaled.a, region, "a_csc")
+            self.a_csr = DeviceCsrMatrix(a_csr, region, "a_csr")
+            for name in ("b", "c", "inv_row", "inv_col"):
+                setattr(self, name, region[name])
         except Exception:
             self.free()
             raise
@@ -436,11 +449,7 @@ class DevicePlacement:
         )
 
     def free(self) -> None:
-        names = ("b", "c", "inv_row", "inv_col", *(v for v, _ in _VECTORS))
-        for name in names:
+        for name in ("region", *(v for v, _, _ in _VECTORS)):
             arr = getattr(self, name, None)
             if arr is not None and not arr.is_freed:
                 arr.free()
-        for mat in (getattr(self, "a_csc", None), getattr(self, "a_csr", None)):
-            if mat is not None:
-                mat.free()

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import DeviceMemoryError, InvalidLaunchError
 from repro.gpu.kernel import DEFAULT_BLOCK, launch_config
-from repro.gpu.memory import DeviceArray
+from repro.gpu.memory import DeviceArray, DeviceRegion
 from repro.metrics import instrument as _metrics
 from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
 from repro.perfmodel.ops import OpCost
@@ -229,16 +229,28 @@ class Device:
         self.memset(arr, 0)
         return arr
 
+    def region(
+        self, layout: Mapping[str, tuple[tuple[int, ...], np.dtype]]
+    ) -> DeviceRegion:
+        """Allocate one region holding the named buffers of ``layout``
+        (name -> (shape, dtype)) back to back, uninitialised; fill runs of
+        them with :meth:`DeviceRegion.fill`."""
+        return DeviceRegion(self, layout)
+
+    def place(self, hosts: Mapping[str, np.ndarray]) -> DeviceRegion:
+        """Allocate a region shaped like the named host arrays and copy all
+        of them in with one HtoD transfer."""
+        region = self.region({k: (h.shape, h.dtype) for k, h in hosts.items()})
+        region.fill(hosts)
+        return region
+
     def to_device(self, host: np.ndarray, dtype=None) -> DeviceArray:
-        """Allocate on device and copy a host array in (HtoD transfer)."""
+        """Allocate on device and copy a host array in (HtoD transfer): the
+        one-buffer case of :meth:`place`."""
         host = np.asarray(host)
         if dtype is not None:
             host = host.astype(dtype, copy=False)
-        if host.dtype == np.float16 or not np.issubdtype(host.dtype, np.number):
-            raise TypeError(f"unsupported device dtype {host.dtype}")
-        arr = self.alloc(host.shape, host.dtype)
-        arr.copy_from_host(host)
-        return arr
+        return self.place({"array": host})["array"]
 
     def memset(self, arr: DeviceArray, value: int) -> None:
         """``cudaMemset``: fill with a byte value (0 fills with zeros)."""

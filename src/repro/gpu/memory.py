@@ -1,10 +1,14 @@
-"""Device-resident arrays and host↔device transfers.
+"""Device-resident arrays, regions and host↔device transfers.
 
 A :class:`DeviceArray` wraps a NumPy backing store that plays the role of
 device global memory.  The intent of the CUDA address-space split is
 enforced at the API level: host code may only move data with the explicit
 transfer methods (each charged PCIe time by the cost model), while kernels —
 and only kernels — touch ``.data`` directly.
+
+A :class:`DeviceRegion` is how host data is placed: one allocation holding
+several named buffers back to back, filled by one HtoD copy per contiguous
+run of its buffers.  :meth:`Device.to_device` is its one-buffer case.
 
 The class deliberately implements **no arithmetic operators**: as on a real
 GPU, you cannot add two device pointers from the host; you launch a kernel
@@ -13,7 +17,7 @@ GPU, you cannot add two device pointers from the host; you launch a kernel
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -26,16 +30,20 @@ if TYPE_CHECKING:  # pragma: no cover
 class DeviceArray:
     """An array living in the simulated device's global memory.
 
-    Create through :meth:`Device.alloc`, :meth:`Device.zeros` or
-    :meth:`Device.to_device`; never construct directly in user code.
+    Create through :meth:`Device.alloc`, :meth:`Device.zeros`,
+    :meth:`Device.to_device` or :meth:`Device.region`; never construct
+    directly in user code.  ``region`` is the :class:`DeviceRegion` the
+    array is a view of, if any.
     """
 
-    __slots__ = ("device", "_data", "_freed")
+    __slots__ = ("device", "_data", "_freed", "region")
 
-    def __init__(self, device: "Device", data: np.ndarray):
+    def __init__(self, device: "Device", data: np.ndarray,
+                 region: "DeviceRegion | None" = None):
         self.device = device
         self._data = data
         self._freed = False
+        self.region = region
 
     # -- structural properties --------------------------------------------
 
@@ -84,9 +92,16 @@ class DeviceArray:
     # -- lifetime -----------------------------------------------------------
 
     def free(self) -> None:
-        """Release the allocation (``cudaFree``); idempotent is an error."""
+        """Release the allocation (``cudaFree``); idempotent is an error.
+        A view of a region releases the whole region."""
         self._check_live()
+        if self.region is not None:
+            self.region.free()
+            return
         self.device._release(self.nbytes)
+        self._retire()
+
+    def _retire(self) -> None:
         self._freed = True
         self._data = np.empty(0, dtype=self._data.dtype)
 
@@ -151,3 +166,93 @@ class DeviceArray:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "freed" if self._freed else "live"
         return f"<DeviceArray {self.shape} {self.dtype} {state}>"
+
+
+class DeviceRegion:
+    """One device allocation holding several named buffers back to back.
+
+    Each buffer is a typed :class:`DeviceArray` view whose offset is a
+    multiple of its item size, in the order ``layout`` names them.  One
+    :meth:`fill` writes any contiguous run of buffers with one HtoD copy
+    (:meth:`DeviceArray.copy_from_host` of the bytes the run spans: its
+    buffers and the alignment padding between them), so a solve's start-up
+    data crosses PCIe in one transfer instead of one per buffer.  Buffers a fill
+    does not cover stay uninitialised (``cudaMalloc`` semantics).  Freeing
+    the region, or any of its views, releases the one allocation.
+
+    Create through :meth:`Device.region` or :meth:`Device.place`.
+    """
+
+    __slots__ = ("device", "_raw", "_views", "_offsets", "_names")
+
+    def __init__(self, device: "Device",
+                 layout: Mapping[str, tuple[tuple[int, ...], np.dtype]]):
+        placed, end = [], 0
+        for name, (shape, dtype) in layout.items():
+            dtype = np.dtype(dtype)
+            if dtype == np.float16 or not np.issubdtype(dtype, np.number):
+                raise TypeError(f"unsupported device dtype {dtype}")
+            end += -end % dtype.itemsize
+            size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            placed.append((name, shape, dtype, end, size))
+            end += size
+        self.device = device
+        self._raw = device.alloc(max(1, end), np.uint8)
+        raw = self._raw.data
+        self._views = {
+            name: DeviceArray(
+                device, raw[at: at + size].view(dtype).reshape(shape), self
+            )
+            for name, shape, dtype, at, size in placed
+        }
+        self._offsets = {name: at for name, _s, _d, at, _z in placed}
+        self._names = list(layout)
+
+    def __getitem__(self, name: str) -> DeviceArray:
+        return self._views[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._views
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the one allocation (buffers plus alignment padding)."""
+        return self._raw.nbytes
+
+    def fill(self, hosts: Mapping[str, np.ndarray]) -> float:
+        """One HtoD copy of ``hosts`` into the buffers of the same names,
+        which must be one contiguous run of this region; returns modeled
+        transfer seconds."""
+        self._raw._check_live()
+        at = sorted(self._names.index(name) for name in hosts)
+        if not at or at != list(range(at[0], at[0] + len(at))):
+            raise DeviceArrayError(
+                f"grouped copy into {sorted(hosts)} is not one contiguous "
+                "run of its region"
+            )
+        first, last = self._names[at[0]], self._names[at[-1]]
+        lo = self._offsets[first]
+        hi = self._offsets[last] + self._views[last].nbytes
+        staging = np.zeros(hi - lo, dtype=np.uint8)
+        for name, host in hosts.items():
+            view = self._views[name]
+            host = np.asarray(host, dtype=view.dtype)
+            if host.shape != view.shape:
+                raise DeviceArrayError(
+                    f"HtoD shape mismatch: host {host.shape} vs device "
+                    f"{view.shape} for {name!r}"
+                )
+            start = self._offsets[name] - lo
+            staging[start: start + view.nbytes].view(view.dtype)[:] = host.ravel()
+        span = DeviceArray(self.device, self._raw.data[lo:hi], self)
+        return span.copy_from_host(staging)
+
+    def free(self) -> None:
+        """Release the one allocation (``cudaFree``); every view dies."""
+        self._raw.free()
+        for view in self._views.values():
+            view._retire()
+
+    @property
+    def is_freed(self) -> bool:
+        return self._raw.is_freed

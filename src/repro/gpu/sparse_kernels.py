@@ -12,54 +12,60 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DeviceArrayError
-from repro.gpu.device import Device
-from repro.gpu.memory import DeviceArray
+from repro.gpu.memory import DeviceArray, DeviceRegion
 from repro.perfmodel.ops import OpCost
 from repro.sparse.base import segment_sums
 from repro.sparse.csc import CscMatrix
-from repro.sparse.csr import CsrMatrix
 
 #: Index width on the device (32-bit, as real sparse GPU kernels use).
 INDEX_BYTES = 4
 
 
-class DeviceCsrMatrix:
-    """A CSR matrix resident in device memory (three device arrays)."""
+class _DeviceCompressed:
+    """The three arrays of a compressed sparse matrix resident in device
+    memory: ``indptr`` and ``indices`` (32-bit) and ``data``.
 
-    def __init__(self, device: Device, host: CsrMatrix, dtype=np.float32):
+    The matrix takes the views named ``f"{name}.indptr"``,
+    ``f"{name}.indices"`` and ``f"{name}.data"`` of a region its owner
+    placed from :meth:`arrays`, alone or alongside other data; freeing the
+    matrix frees that region.
+    """
+
+    def __init__(self, host, region: DeviceRegion, name: str = "a"):
         self.shape = host.shape
         self.nnz = host.nnz
-        self.dtype = np.dtype(dtype)
-        self.device = device
-        try:
-            self.indptr = device.to_device(host.indptr.astype(np.int32))
-            self.indices = device.to_device(host.indices.astype(np.int32))
-            self.data = device.to_device(host.data.astype(self.dtype))
-        except Exception:
-            for name in ("indptr", "indices", "data"):
-                arr = getattr(self, name, None)
-                if arr is not None and not arr.is_freed:
-                    arr.free()
-            raise
+        self.indptr = region[f"{name}.indptr"]
+        self.indices = region[f"{name}.indices"]
+        self.data = region[f"{name}.data"]
+        self.dtype = self.data.dtype
+        self.device = region.device
+
+    @staticmethod
+    def arrays(host, dtype, name: str = "a") -> dict[str, np.ndarray]:
+        """The host arrays to place, under the names the views take."""
+        return {
+            f"{name}.indptr": host.indptr.astype(np.int32),
+            f"{name}.indices": host.indices.astype(np.int32),
+            f"{name}.data": host.data.astype(dtype),
+        }
 
     @property
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
     def free(self) -> None:
-        self.indptr.free()
-        self.indices.free()
         self.data.free()
 
 
-class DeviceCscMatrix:
+class DeviceCsrMatrix(_DeviceCompressed):
+    """A CSR matrix resident in device memory."""
+
+
+class DeviceCscMatrix(_DeviceCompressed):
     """A CSC matrix resident in device memory."""
 
-    def __init__(self, device: Device, host: CscMatrix, dtype=np.float32):
-        self.shape = host.shape
-        self.nnz = host.nnz
-        self.dtype = np.dtype(dtype)
-        self.device = device
+    def __init__(self, host: CscMatrix, region: DeviceRegion, name: str = "a"):
+        super().__init__(host, region, name)
         #: Host-resident mirror of the column pointers, captured at upload.
         #: Real sparse GPU codes keep the pointer array on the host for
         #: exactly this: the launch parameters of a column scatter (lo, hi)
@@ -71,25 +77,6 @@ class DeviceCscMatrix:
         #: Nonzeros of the widest column: what a kernel that learns its
         #: column index on the device must be sized for.
         self.max_col_nnz = int(np.diff(self.host_indptr).max(initial=0))
-        try:
-            self.indptr = device.to_device(host.indptr.astype(np.int32))
-            self.indices = device.to_device(host.indices.astype(np.int32))
-            self.data = device.to_device(host.data.astype(self.dtype))
-        except Exception:
-            for name in ("indptr", "indices", "data"):
-                arr = getattr(self, name, None)
-                if arr is not None and not arr.is_freed:
-                    arr.free()
-            raise
-
-    @property
-    def nbytes(self) -> int:
-        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
-
-    def free(self) -> None:
-        self.indptr.free()
-        self.indices.free()
-        self.data.free()
 
     def getcol_device(self, j: int, out: DeviceArray) -> int:
         """Scatter column j into the dense device vector ``out``.

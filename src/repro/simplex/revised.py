@@ -29,7 +29,8 @@ host charges are CPU-model operations, device work is plan sections:
 step      placement work
 ========= ========= ====================================================
 costs     host      c and its objective, held on the host
-          device    upload c and c_B (``transfer``); z = c_B·β (a dot)
+          device    upload c and c_B as one copy (``transfer``); z = c_B·β
+                    (a dot)
 price     explicit  π = B⁻ᵀc_B only when stale (phase start, after a
                     rebuild, before a terminal verdict); otherwise π was
                     updated from the pivot row (``btran`` / GEMVᵀ)
@@ -63,6 +64,8 @@ rebuild   all       after ``refactor_period`` basis updates since the last
                     rebuild, or when the representation asks (sparse LU
                     fill-in): refactor, β = B⁻¹b_eff with b_eff = b minus
                     the columns resting at their upper bounds, π stale
+          device    B⁻¹ or the factors, and b_eff when boxed, uploaded as
+                    one copy
 ========= ========= ====================================================
 
 A terminal verdict (optimal, unbounded) is accepted only from a π solved
@@ -228,30 +231,33 @@ class RevisedBackend(SolverBackend):
         )
         self.prep = prep = as_sparse_prep(prep) if self.sparse_data else prep
         dtype = self._start_machine()
-        basis, needs_phase1 = initial_basis(prep)
         self._st = st = self._place(prep, dtype)
-        st.init_basis(basis)
         self.stats = stats = IterationStats()
+
+        # settle the starting basis on the host, then place it once
+        basis, needs_phase1 = initial_basis(prep)
+        rep = beta = None
+        if warm_hint is not None:
+            # trial factors; a singular or infeasible hint leaves the cold
+            # crash basis in place
+            warm = validate_warm_basis(prep, warm_hint)
+            trial = st.new_basis()
+            try:
+                trial.refactorize(st.columns(warm))
+                trial_beta = trial.ftran(prep.b)
+            except SingularBasisError:
+                trial_beta = None
+            if trial_beta is not None and trial_beta.min() >= -1e-7:
+                basis, rep = warm, trial
+                beta = np.clip(trial_beta, 0.0, None)
+                needs_phase1 = bool(np.any(warm >= prep.n_total))
+                stats.refactorizations += 1
+        st.start(basis, rep, beta)
+
         meta = {"ratio_test": opts.ratio_test} if len(self.ratio_tests) > 1 else {}
         if self.sparse_data:
             meta["nnz"] = prep.nnz
         self._arm(m=prep.m, n=prep.n_total, pricing=opts.pricing, **meta)
-
-        if warm_hint is not None:
-            # trial factors on the host; a singular or infeasible hint
-            # leaves the cold crash basis in place
-            warm = validate_warm_basis(prep, warm_hint)
-            rep = st.new_basis()
-            try:
-                rep.refactorize(st.columns(warm))
-                beta = rep.ftran(prep.b)
-            except SingularBasisError:
-                beta = None
-            if beta is not None and beta.min() >= -1e-7:
-                st.adopt_warm(warm, rep, np.clip(beta, 0.0, None))
-                needs_phase1 = bool(np.any(warm >= prep.n_total))
-                stats.refactorizations += 1
-
         self.needs_phase1 = needs_phase1
         return None
 

@@ -265,12 +265,18 @@ class HostPlacement:
 
     # -- begin -------------------------------------------------------------
 
-    def init_basis(self, basis: np.ndarray) -> None:
+    def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
+        """Start from ``basis``: the crash basis with β = b, or a warm
+        start's factors ``rep`` with its ``beta``."""
         prep = self.prep
         self.basis = basis
         self.in_basis = np.zeros(prep.n_total + prep.m, dtype=bool)
         self.in_basis[basis] = True
-        self.beta = prep.b.astype(np.float64).copy()
+        if rep is None:
+            self.beta = prep.b.astype(np.float64).copy()
+        else:
+            self.install(rep)
+            self.beta = beta
 
     def new_basis(self):
         return self.data.make_basis(self)
@@ -280,11 +286,6 @@ class HostPlacement:
 
     def install(self, rep) -> None:
         self.rep = rep
-
-    def adopt_warm(self, warm: np.ndarray, rep, beta: np.ndarray) -> None:
-        self.install(rep)
-        self.init_basis(warm)
-        self.beta = beta
 
     # -- the loop's steps ------------------------------------------------
 

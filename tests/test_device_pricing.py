@@ -157,8 +157,9 @@ def _load(device, q, *, csc=False):
     choice = device.to_device(np.array([float(q), -1.0]))
     out = device.to_device(np.full(3, 9.0))
     if csc:
-        source = {"csc": DeviceCscMatrix(device, CscMatrix.from_dense(a),
-                                         np.float64)}
+        host = CscMatrix.from_dense(a)
+        region = device.place(DeviceCscMatrix.arrays(host, np.float64))
+        source = {"csc": DeviceCscMatrix(host, region)}
     else:
         source = {"dense": device.to_device(a)}
     K.load_entering_column(device, choice, out, n_real=3, **source)
@@ -188,7 +189,8 @@ def test_column_load_cost_sized_for_widest_column(device):
     a = np.zeros((6, 3))
     a[:, 1] = 1.0  # the widest column: 6 nonzeros
     a[0, 0] = a[0, 2] = 1.0
-    csc = DeviceCscMatrix(device, CscMatrix.from_dense(a), np.float64)
+    host = CscMatrix.from_dense(a)
+    csc = DeviceCscMatrix(host, device.place(DeviceCscMatrix.arrays(host, np.float64)))
     assert csc.max_col_nnz == 6
     out = device.zeros(6, np.float64)
     choice = device.to_device(np.array([0.0, -1.0]))

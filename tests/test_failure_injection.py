@@ -51,7 +51,7 @@ class TestDeviceOom:
         "gpu-revised": 600,
         "gpu-revised-bounded": 600,
         "gpu-revised-sparse": 400,
-        # fails on the last two row buffers of the tableau state
+        # fails on the region holding the tableau, after the work buffers
         "gpu-tableau": 528,
         "gpu-pdlp": 800,
     }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceArrayError
+from repro.gpu.memory import DeviceArray
 
 
 class TestProperties:
@@ -99,3 +100,122 @@ class TestScalarAccess:
         a.scalar_to_host(0)
         dt_scalar = device.clock - t0
         assert dt_scalar >= device.params.pcie_latency
+
+
+class TestRegion:
+    """One allocation, several typed views, one HtoD copy per run."""
+
+    LAYOUT = {
+        "keys": ((3,), np.int32),
+        "x": ((4,), np.float64),
+        "m": ((2, 3), np.float32),
+        "y": ((5,), np.float64),
+    }
+
+    def test_place_is_one_htod_of_the_summed_size(self, device):
+        device.record_timeline()
+        # widest item first: no alignment padding between the buffers
+        hosts = {
+            "x": np.arange(4.0),
+            "m": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "keys": np.array([7, 8, 9], dtype=np.int32),
+        }
+        region = device.place(hosts)
+        (event,) = device.timeline
+        assert event.kind == "htod"
+        assert event.nbytes == 32 + 24 + 12
+        assert event.seconds == device.model.transfer_time(68)
+        assert device.stats.allocations == 1
+        for name, host in hosts.items():
+            view = region[name]
+            assert view.dtype == host.dtype and view.shape == host.shape
+            assert np.array_equal(view.data, host)
+
+    def test_views_are_aligned_and_disjoint(self, device):
+        region = device.region(self.LAYOUT)
+        views = [region[name] for name in self.LAYOUT]
+        for view in views:
+            assert view.data.ctypes.data % view.itemsize == 0
+        for view in views:
+            view.data[...] = 0
+        region["x"].data[:] = 1.0
+        assert not region["keys"].data.any() and not region["m"].data.any()
+        # 12 bytes of keys, 4 of padding so x starts on an 8-byte boundary
+        assert region.nbytes == 16 + 32 + 24 + 40
+
+    def test_refill_of_a_run_is_one_copy(self, device):
+        region = device.region(self.LAYOUT)
+        device.record_timeline()
+        region.fill({"m": np.ones((2, 3)), "x": np.full(4, 2.0)})
+        (event,) = device.timeline
+        assert event.nbytes == 32 + 24
+        assert np.array_equal(region["x"].data, np.full(4, 2.0))
+        assert region["m"].dtype == np.float32
+
+    def test_copy_spans_the_padding_inside_its_run(self, device):
+        # 12 bytes of keys, 4 of padding, 32 of x: one copy of 48 bytes
+        region = device.region(self.LAYOUT)
+        device.record_timeline()
+        region.fill({"keys": np.arange(3), "x": np.arange(4.0)})
+        (event,) = device.timeline
+        assert event.nbytes == 48
+        assert np.array_equal(region["keys"].data, [0, 1, 2])
+
+    def test_fill_is_one_copy_from_host(self, device, monkeypatch):
+        """A region's copy is a DeviceArray.copy_from_host, the one HtoD
+        path, so whatever observes that method sees every upload."""
+        calls = []
+        original = DeviceArray.copy_from_host
+
+        def spy(self, host):
+            calls.append(self.nbytes)
+            return original(self, host)
+
+        monkeypatch.setattr(DeviceArray, "copy_from_host", spy)
+        region = device.region(self.LAYOUT)
+        region.fill({"m": np.ones((2, 3)), "y": np.zeros(5)})
+        device.to_device(np.arange(3.0))
+        assert calls == [24 + 40, 24]
+
+    def test_grouped_copy_must_be_one_contiguous_run(self, device):
+        region = device.region(self.LAYOUT)
+        before = device.stats.htod_bytes
+        with pytest.raises(DeviceArrayError, match="contiguous"):
+            region.fill({"keys": np.zeros(3), "m": np.zeros((2, 3))})
+        with pytest.raises(DeviceArrayError, match="contiguous"):
+            region.fill({})
+        assert device.stats.htod_bytes == before
+
+    def test_shape_mismatch_raises(self, device):
+        region = device.region(self.LAYOUT)
+        with pytest.raises(DeviceArrayError):
+            region.fill({"x": np.zeros(5)})
+
+    def test_bytes_released_once(self, device):
+        before = device.stats.bytes_in_use
+        region = device.region(self.LAYOUT)
+        assert device.stats.bytes_in_use == before + region.nbytes
+        region["y"].free()  # a view frees its whole region
+        assert device.stats.bytes_in_use == before
+        assert device.stats.frees == 1
+        assert region.is_freed and all(
+            region[name].is_freed for name in self.LAYOUT
+        )
+        with pytest.raises(DeviceArrayError):
+            region["x"].free()
+        with pytest.raises(DeviceArrayError):
+            region.fill({"x": np.zeros(4)})
+        assert device.stats.bytes_in_use == before
+
+    def test_to_device_is_a_one_buffer_region(self, device):
+        device.record_timeline()
+        arr = device.to_device(np.arange(5.0))
+        assert arr.region is not None
+        assert [ev.kind for ev in device.timeline] == ["htod"]
+        arr.free()
+        assert device.stats.bytes_in_use == 0
+
+    def test_rejects_unsupported_dtypes(self, device):
+        with pytest.raises(TypeError):
+            device.region({"h": ((2,), np.float16)})
+        assert device.stats.allocations == 0

@@ -14,6 +14,11 @@ from repro.gpu.sparse_kernels import (
 from repro.sparse import CscMatrix, CsrMatrix
 
 
+def upload(cls, device, host, dtype=np.float32):
+    """Place ``host`` in a region of its own and view it as ``cls``."""
+    return cls(host, device.place(cls.arrays(host, dtype)))
+
+
 @pytest.fixture
 def host_dense():
     return sp.random(17, 23, density=0.25, random_state=5).toarray()
@@ -22,7 +27,7 @@ def host_dense():
 class TestDeviceCsr:
     def test_upload_roundtrip(self, device, host_dense):
         host = CsrMatrix.from_dense(host_dense)
-        d = DeviceCsrMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCsrMatrix, device, host, dtype=np.float64)
         back = CsrMatrix(
             host.shape,
             d.indptr.copy_to_host().astype(np.int64),
@@ -34,12 +39,12 @@ class TestDeviceCsr:
     def test_upload_accounts_transfers(self, device, host_dense):
         host = CsrMatrix.from_dense(host_dense)
         before = device.stats.htod_bytes
-        d = DeviceCsrMatrix(device, host)
+        d = upload(DeviceCsrMatrix, device, host)
         assert device.stats.htod_bytes - before == d.nbytes
 
     def test_spmv(self, device, host_dense, rng):
         host = CsrMatrix.from_dense(host_dense)
-        d = DeviceCsrMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCsrMatrix, device, host, dtype=np.float64)
         xh = rng.normal(size=23)
         x = device.to_device(xh)
         y = device.zeros(17, np.float64)
@@ -47,7 +52,7 @@ class TestDeviceCsr:
         np.testing.assert_allclose(y.data, host_dense @ xh, atol=1e-10)
 
     def test_spmv_shape_check(self, device, host_dense):
-        d = DeviceCsrMatrix(device, CsrMatrix.from_dense(host_dense), np.float64)
+        d = upload(DeviceCsrMatrix, device, CsrMatrix.from_dense(host_dense), np.float64)
         x = device.zeros(17, np.float64)  # wrong side
         y = device.zeros(17, np.float64)
         with pytest.raises(DeviceArrayError):
@@ -55,7 +60,7 @@ class TestDeviceCsr:
 
     def test_spmv_flops_proportional_to_nnz(self, device, host_dense):
         host = CsrMatrix.from_dense(host_dense)
-        d = DeviceCsrMatrix(device, host, np.float32)
+        d = upload(DeviceCsrMatrix, device, host, np.float32)
         x = device.zeros(23, np.float32)
         y = device.zeros(17, np.float32)
         spmv_csr(d, x, y)
@@ -63,7 +68,7 @@ class TestDeviceCsr:
 
     def test_free(self, device, host_dense):
         before = device.stats.bytes_in_use
-        d = DeviceCsrMatrix(device, CsrMatrix.from_dense(host_dense))
+        d = upload(DeviceCsrMatrix, device, CsrMatrix.from_dense(host_dense))
         assert device.stats.bytes_in_use > before
         d.free()
         assert device.stats.bytes_in_use == before
@@ -75,7 +80,7 @@ class TestDeviceCsr:
 class TestDeviceCsc:
     def test_spmv_transpose(self, device, host_dense, rng):
         host = CscMatrix.from_dense(host_dense)
-        d = DeviceCscMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         xh = rng.normal(size=17)
         x = device.to_device(xh)
         y = device.zeros(23, np.float64)
@@ -84,7 +89,7 @@ class TestDeviceCsc:
 
     def test_spmv_t_with_empty_columns(self, device):
         dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(dense), np.float64)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(dense), np.float64)
         x = device.to_device(np.array([1.0, 1.0]))
         y = device.zeros(3, np.float64)
         spmv_csc_t(d, x, y)
@@ -92,7 +97,7 @@ class TestDeviceCsc:
 
     def test_getcol_device(self, device, host_dense):
         host = CscMatrix.from_dense(host_dense)
-        d = DeviceCscMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         out = device.zeros(17, np.float64)
         nnz = d.getcol_device(4, out)
         np.testing.assert_allclose(out.data, host_dense[:, 4])
@@ -100,26 +105,26 @@ class TestDeviceCsc:
 
     def test_getcol_overwrites_previous(self, device, host_dense):
         host = CscMatrix.from_dense(host_dense)
-        d = DeviceCscMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         out = device.zeros(17, np.float64)
         d.getcol_device(0, out)
         d.getcol_device(1, out)
         np.testing.assert_allclose(out.data, host_dense[:, 1])
 
     def test_getcol_out_of_range(self, device, host_dense):
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(host_dense), np.float64)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(host_dense), np.float64)
         out = device.zeros(17, np.float64)
         with pytest.raises(DeviceArrayError):
             d.getcol_device(99, out)
 
     def test_getcol_wrong_length(self, device, host_dense):
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(host_dense), np.float64)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(host_dense), np.float64)
         out = device.zeros(5, np.float64)
         with pytest.raises(DeviceArrayError):
             d.getcol_device(0, out)
 
     def test_fp32_storage(self, device, host_dense):
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(host_dense), np.float32)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(host_dense), np.float32)
         assert d.data.dtype == np.float32
         assert d.indices.dtype == np.int32
 
@@ -147,7 +152,7 @@ class TestEmptySegmentPatterns:
         ids=list(EMPTY_PATTERN_CASES.keys()),
     )
     def test_spmv_csr_empty_rows(self, device, dense, rng):
-        d = DeviceCsrMatrix(device, CsrMatrix.from_dense(dense), np.float64)
+        d = upload(DeviceCsrMatrix, device, CsrMatrix.from_dense(dense), np.float64)
         xh = rng.normal(size=dense.shape[1])
         x = device.to_device(xh)
         y = device.zeros(dense.shape[0], np.float64)
@@ -159,7 +164,7 @@ class TestEmptySegmentPatterns:
         ids=list(EMPTY_PATTERN_CASES.keys()),
     )
     def test_spmv_csc_t_empty_cols(self, device, dense, rng):
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(dense), np.float64)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(dense), np.float64)
         xh = rng.normal(size=dense.shape[0])
         x = device.to_device(xh)
         y = device.zeros(dense.shape[1], np.float64)
@@ -169,7 +174,7 @@ class TestEmptySegmentPatterns:
     def test_spmv_overwrites_stale_output(self, device):
         # y is fully overwritten even where segments are empty
         dense = np.diag([1.0, 0.0, 2.0])
-        d = DeviceCsrMatrix(device, CsrMatrix.from_dense(dense), np.float64)
+        d = upload(DeviceCsrMatrix, device, CsrMatrix.from_dense(dense), np.float64)
         x = device.to_device(np.ones(3))
         y = device.to_device(np.full(3, 7.0))
         spmv_csr(d, x, y)
@@ -186,7 +191,7 @@ class TestGetcolCostModel:
 
     def test_scatter_col_modeled_bytes_pinned(self, device, host_dense):
         host = CscMatrix.from_dense(host_dense)
-        d = DeviceCscMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         out = device.zeros(17, np.float64)
         j = 4
         col_nnz = d.getcol_device(j, out)
@@ -203,13 +208,13 @@ class TestGetcolCostModel:
         assert fill.bytes == out.nbytes
 
     def test_fill_zero_counts_whole_vector(self, device, host_dense):
-        d = DeviceCscMatrix(device, CscMatrix.from_dense(host_dense), np.float32)
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(host_dense), np.float32)
         out = device.zeros(17, np.float32)
         d.getcol_device(0, out)
         assert device.stats.by_kernel["sparse.fill_zero"].bytes == 17 * 4
 
     def test_host_indptr_mirrors_device(self, device, host_dense):
         host = CscMatrix.from_dense(host_dense)
-        d = DeviceCscMatrix(device, host, dtype=np.float64)
+        d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         np.testing.assert_array_equal(d.host_indptr, host.indptr)
         np.testing.assert_array_equal(d.indptr.data, host.indptr)

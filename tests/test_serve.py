@@ -342,18 +342,26 @@ class TestLPServer:
     def test_deadline_expiry_in_queue(self):
         # admitted (the deadline looked feasible) but starved by HIGH
         # traffic until the deadline passes: dropped as EXPIRED
-        server = LPServer(ServeConfig(n_devices=1, n_streams=1))
-        first = server.submit(random_dense_lp(24, 36, seed=70), at=0.0)
-        for i in range(3):
-            server.submit(random_dense_lp(24, 36, seed=71 + i),
-                          at=1e-4, priority=PRIORITY_HIGH)
-        # different size bucket: the predictor has no estimate yet, so
-        # admission cannot prove infeasibility and must admit
-        starved = server.submit(
-            random_dense_lp(6, 9, seed=80), at=2e-4,
-            priority=PRIORITY_LOW, timeout=2.5e-3,
-        )
-        report = server.run()
+        def replay(timeout):
+            server = LPServer(ServeConfig(n_devices=1, n_streams=1))
+            first = server.submit(random_dense_lp(24, 36, seed=70), at=0.0)
+            for i in range(3):
+                server.submit(random_dense_lp(24, 36, seed=71 + i),
+                              at=1e-4, priority=PRIORITY_HIGH)
+            # different size bucket: the predictor has no estimate yet, so
+            # admission cannot prove infeasibility and must admit
+            starved = server.submit(
+                random_dense_lp(6, 9, seed=80), at=2e-4,
+                priority=PRIORITY_LOW, timeout=timeout,
+            )
+            return first, starved, server.run()
+
+        # without a deadline the starved job waits out the modeled service
+        # of the four jobs ahead of it; a deadline halfway through expires
+        _, unhurried, _ = replay(None)
+        wait = unhurried.queue_seconds
+        assert unhurried.state is JobState.COMPLETED and wait > 0
+        first, starved, report = replay(wait / 2)
         assert first.state is JobState.COMPLETED
         assert starved.state is JobState.EXPIRED
         assert starved.result is None

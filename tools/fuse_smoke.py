@@ -10,10 +10,11 @@ contracts the plan layer promises:
   kernel bodies in capture order, so this is byte-for-byte, not approximate);
 - **fewer launches**: lowering actually fused something — the fused run's
   kernel-launch count is strictly below the unfused run's;
-- **transfer budget**: every pivot (or bound flip) of the four GPU simplex
-  backends issues no host→device transfer and exactly one device→host one
-  (the iteration's pricing choice and ratio-test result as one struct),
-  fused or not;
+- **transfer budget**: every GPU backend places its data with exactly one
+  host→device transfer at begin, and every pivot (or bound flip) of the
+  four GPU simplex backends issues no host→device transfer and exactly one
+  device→host one (the iteration's pricing choice and ratio-test result as
+  one struct), fused or not;
 - **one launch per ratio test**: fused, every ratio test of the four GPU
   simplex backends at m ≤ 2·DEFAULT_BLOCK = 512 rows is a single kernel
   launch (its reductions fit one thread block), checked on the cases below
@@ -47,22 +48,34 @@ SIMPLEX_METHODS = (
 def traced_solve(lp, method, **kw):
     """Solve with iteration tracing on.  Returns the result, the device
     (timeline recorded) and, per trace record, its fields with the
-    timeline length at the moment it was recorded."""
+    timeline length at the moment it was recorded; the first mark,
+    ``{"event": "begin"}``, is taken when the backend arms its hooks at
+    the end of its begin."""
     dev = Device(GTX280_PARAMS)
     dev.record_timeline()
     marks = []
-    original = SolveHooks.record
+    original_record, original_arm = SolveHooks.record, SolveHooks.arm
 
     def record(hooks, **fields):
         marks.append((fields, len(dev.timeline)))
-        original(hooks, **fields)
+        original_record(hooks, **fields)
 
-    SolveHooks.record = record
+    def arm(hooks, **kw):
+        marks.append(({"event": "begin"}, len(dev.timeline)))
+        original_arm(hooks, **kw)
+
+    SolveHooks.record, SolveHooks.arm = record, arm
     try:
         result = solve(lp, method=method, device=dev, trace=True, **kw)
     finally:
-        SolveHooks.record = original
+        SolveHooks.record, SolveHooks.arm = original_record, original_arm
     return result, dev, marks
+
+
+def begin_htod(dev, marks) -> int:
+    """Host→device transfers a traced solve issued during its begin."""
+    (end,) = [n for fields, n in marks if fields["event"] == "begin"]
+    return sum(1 for ev in dev.timeline[:end] if ev.kind == "htod")
 
 
 def pivot_windows(dev, marks) -> list[list[str]]:
@@ -113,6 +126,7 @@ def ratio_test_launches(lp, method, **kw) -> list[int]:
 def run(lp, method, **kw):
     result, dev, marks = traced_solve(lp, method, **kw)
     launches = sum(1 for ev in dev.timeline if ev.kind == "kernel")
+    assert begin_htod(dev, marks) == 1, (method, kw, "begin transfers")
     if method in SIMPLEX_METHODS:
         windows = pivot_windows(dev, marks)
         assert windows, (method, "no pivot iteration to check")
@@ -158,7 +172,7 @@ def main() -> int:
     assert err < 1e-8, err
 
     print("fuse-smoke ok:", ", ".join(deltas), "| mixed relerr %.2e" % err,
-          "| 0 HtoD + 1 DtoH per pivot | 1 launch per ratio test at m <=",
+          "| 1 HtoD at begin | 0 HtoD + 1 DtoH per pivot | 1 launch per ratio test at m <=",
           one_block)
     return 0
 
