@@ -8,7 +8,8 @@
 # against the committed baseline, failing on any metric regression.
 # `make sparse-smoke` exercises the sparse solver path end to end (generate
 # a sparse instance, solve it with the dense and both sparse revised
-# backends, assert the objectives agree).
+# backends and with gpu-revised, which prices sparse input through the same
+# device SpMVᵀ, and assert the four objectives agree).
 # `make serve-smoke` replays a small arrival trace whose arrivals outpace one
 # stream through the serving layer (fleet beats sequential, warm-start cache
 # hits land).
@@ -76,9 +77,12 @@ sparse-smoke:  ## end-to-end: sparse instance -> dense + sparse solvers agree
 	from repro.lp.mps import read_mps; \
 	from repro import solve; \
 	lp = read_mps('/tmp/sparse-smoke.mps'); \
-	objs = {m: solve(lp, method=m).objective \
-	        for m in ('revised', 'revised-sparse', 'gpu-revised-sparse')}; \
+	res = {m: solve(lp, method=m) \
+	       for m in ('revised', 'revised-sparse', 'gpu-revised', \
+	                 'gpu-revised-sparse')}; \
+	objs = {m: r.objective for m, r in res.items()}; \
 	ref = objs['revised']; \
+	assert any('spmv_csc_t' in k for k in res['gpu-revised'].extra['by_kernel']); \
 	assert all(abs(o - ref) <= 1e-6 * max(1.0, abs(ref)) for o in objs.values()), objs; \
 	print('sparse-smoke ok:', objs)"
 

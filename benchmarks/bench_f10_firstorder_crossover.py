@@ -9,8 +9,8 @@ from repro.bench.experiments import f10_firstorder_crossover
 def f10_sizes(request) -> tuple[int, ...]:
     if request.config.getoption("--full-sweep"):
         return (128, 192, 256, 320, 384, 512)
-    # the quick sweep must reach past the crossover (m+n ≈ 900 at fused
-    # lowering: simplex/pdlp 0.89 at m = 320, 1.06 at m = 384)
+    # the quick sweep must reach past the crossover (m+n ≈ 644 with the
+    # warp-per-column SpMVs: simplex/pdlp 0.92 at m = 256, 5.99 at m = 384)
     return (128, 192, 256, 384)
 
 

@@ -475,14 +475,15 @@ def a3_tableau_vs_revised(sizes: Sequence[int] = (64, 128, 256, 384), seed: int 
 
 def f6_sparse(sizes: Sequence[int] = (128, 256, 384, 512), density: float = 0.03,
               seed: int = 42,
-              crossover_sizes: Sequence[int] = (256, 512, 640)) -> Report:
+              crossover_sizes: Sequence[int] = (256, 512, 640, 768)) -> Report:
     """Sparse LPs: dense vs end-to-end sparse backends, and the crossover.
 
     Table 1 sweeps random sparse instances over all four revised backends
     (dense/sparse × CPU/GPU).  Table 2 is the dense-vs-sparse **GPU
     crossover**: banded instances (density ≲3%) where the sparse LU factors
-    stay sparse — beyond m ≈ 500 the dense backend's m² FTRAN/BTRAN/update
-    kernels cost more than the sparse backend's nnz-proportional solves.
+    stay sparse — beyond band size ≈ 630 the dense backend's m²
+    FTRAN/BTRAN/update kernels cost more than the sparse backend's
+    nnz-proportional solves, and the sparse speedup rises with size.
     """
     report = Report("F6", f"Sparse LPs (density {density}): dense vs sparse backends")
     t = report.add_table(
@@ -517,10 +518,11 @@ def f6_sparse(sizes: Sequence[int] = (128, 256, 384, 512), density: float = 0.03
         )
     report.add_note(
         "Pricing cost drops from O(mn) to O(nnz) on both machines; on the "
-        "GPU both backends price via one SpMVᵀ launch, so the crossover is "
-        "decided by the basis solves: dense B⁻¹ GEMV/GER kernels scale with "
-        "m² while sparse LU FTRAN/BTRAN scale with nnz(LU)+nnz(etas) — at "
-        "≤5% density the sparse backend wins from m ≈ 500 up."
+        "GPU both backends price via one warp-per-column SpMVᵀ launch, so "
+        "the crossover is decided by the basis solves: dense B⁻¹ GEMV/GER "
+        "kernels scale with m² while sparse LU FTRAN/BTRAN scale with "
+        "nnz(LU)+nnz(etas) — on the banded instances the sparse backend "
+        "wins from band size ≈ 630 up."
     )
     return report
 
@@ -687,8 +689,7 @@ def f10_firstorder_crossover(
     else:
         report.add_note(
             f"gpu-pdlp overtakes gpu-revised-sparse at m+n ≈ {crossover:.0f} "
-            "on this density; solve(method=\"auto\") dispatches sparse "
-            "problems past that size to the first-order backend."
+            "on this density."
         )
     return report
 

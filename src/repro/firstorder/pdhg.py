@@ -74,7 +74,10 @@ class KktScore:
 
     @property
     def score(self) -> float:
-        return max(self.primal, self.dual, self.gap)
+        """The largest relative residual; NaN when any of them is NaN
+        (``max`` alone would drop a NaN that is not its first argument)."""
+        parts = (self.primal, self.dual, self.gap)
+        return math.nan if any(map(math.isnan, parts)) else max(parts)
 
     def converged(self, tol: float) -> bool:
         return self.score <= tol

@@ -29,6 +29,8 @@ observer hooks — this module imports neither ``repro.trace`` nor
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.engine import DeviceBackend, HostBackend, SolverBackend
@@ -111,6 +113,11 @@ class PdlpBackend(SolverBackend):
                 place.average(k_since)
                 cand_avg = self._score("avg")
                 cand_cur = self._score("cur")
+            if math.isnan(cand_avg.score) or math.isnan(cand_cur.score):
+                # a NaN score loses every comparison below: report it
+                status = SolveStatus.NUMERICAL
+                cand = cand_avg if math.isnan(cand_avg.score) else cand_cur
+                break
             if cand_avg.score <= cand_cur.score:
                 cand, which = cand_avg, "avg"
             else:

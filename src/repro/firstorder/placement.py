@@ -370,7 +370,6 @@ class DevicePlacement:
             blas.copy(self.aty, self.x_ext)
             blas.scal(1.0 / nw, self.x_ext)
             sigma = float(np.sqrt(nw))
-        blas.fill(self.x_ext, 0.0)
         return max(sigma, 1e-30)
 
     def step(self, tau: float, sigma: float) -> None:

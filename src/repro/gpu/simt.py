@@ -279,6 +279,46 @@ def simt_gemv_warp_per_row(
         y[row] = sdata[t.thread_idx]
 
 
+def simt_spmv_csr_vector(
+    t: ThreadCtx,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    alpha: float = 1.0,
+    beta: float = 0.0,
+):
+    """y := alpha · A x + beta · y for CSR A with one warp per row — the
+    CSR-vector mapping the device SpMVs charge.  Lanes stride through the
+    row's contiguous segment of ``indices``/``data`` (gathering x), then
+    reduce within the warp as :func:`simt_gemv_warp_per_row` does.  Given
+    the arrays of a CSC matrix it computes Aᵀx, as ``spmv_csc_t`` does.
+    """
+    rows = indptr.size - 1
+    row = t.global_id // t.warp_size
+    lane = t.lane
+    sdata = t.shared.alloc("warp_sums", t.block_dim, dtype=np.float64)
+    acc = 0.0
+    if row < rows:
+        k = int(indptr[row]) + lane
+        while k < indptr[row + 1]:
+            acc += float(data[k]) * float(x[indices[k]])
+            k += t.warp_size
+    sdata[t.thread_idx] = acc
+    yield  # barrier: all partial sums in shared memory
+
+    offset = t.warp_size // 2
+    while offset > 0:
+        if lane < offset:
+            sdata[t.thread_idx] += sdata[t.thread_idx + offset]
+        yield
+        offset //= 2
+    if lane == 0 and row < rows:
+        s = alpha * sdata[t.thread_idx]
+        y[row] = s if beta == 0.0 else s + beta * y[row]
+
+
 def simt_block_argmin(
     t: ThreadCtx, x: np.ndarray, out_val: np.ndarray, out_idx: np.ndarray
 ):

@@ -2,9 +2,28 @@
 
 The sparse path of the GPU solver keeps the constraint matrix on the device
 in CSC form (column extraction per iteration) and prices with a
-CSR-transpose SpMV.  Kernels follow the scalar-CSR mapping (one thread per
-row) with the classic partially-coalesced access pattern of index-driven
-gathers; cost accounting reflects that (``coalesced_fraction < 1``).
+CSR-transpose SpMV.  Both SpMVs use the CSR-vector mapping (Bell & Garland,
+SC'09) that cuSPARSE-class code runs and that ``blas.gemv`` charges for
+dense GEMV: one warp per output, whose lanes stride through the row's (or
+column's) contiguous segment and then reduce in a warp tree
+(``repro.gpu.simt.simt_spmv_csr_vector`` is the thread-level twin).
+
+Costs charged to the device clock (itemsize ``w``, ``L`` outputs, ``nnz``
+stored entries, 32-bit indices; ``seg`` is the bytes of the 64-byte
+transactions the segments' values and indices span, counted once when the
+matrix is built, so a one-entry segment pays a whole transaction for each):
+
+=============  ============  ================================================  ========
+routine        FLOPs         main-memory traffic                               threads
+=============  ============  ================================================  ========
+spmv_csr       2·nnz         r seg + (L+1)·4 + nnz·w gathered, w L·w           32·L
+spmv_csc_t     2·nnz (+2L)   r seg + (L+1)·4 + nnz·w gathered (+L·w), w L·w    32·L
+scatter_col    0             r k·(w+4) + 8, w k·w (scattered)                  k
+fill_zero      0             w m·w                                             m
+=============  ============  ================================================  ========
+
+Gathered x entries are charged uncoalesced (one transaction each); the
+segments, the pointers, the β·y reads and the y writes stream.
 """
 
 from __future__ import annotations
@@ -19,6 +38,16 @@ from repro.sparse.csc import CscMatrix
 
 #: Index width on the device (32-bit, as real sparse GPU kernels use).
 INDEX_BYTES = 4
+
+
+def _spanned_bytes(indptr: np.ndarray, width: int, transaction: int) -> int:
+    """Bytes of the ``transaction``-byte segments that the runs
+    ``[indptr[k], indptr[k+1])`` of a ``width``-byte array span, summed over
+    the non-empty runs."""
+    lo = indptr[:-1] * width
+    hi = indptr[1:] * width
+    spans = (hi - 1) // transaction - lo // transaction + 1
+    return int(spans[hi > lo].sum()) * transaction
 
 
 class _DeviceCompressed:
@@ -39,6 +68,20 @@ class _DeviceCompressed:
         self.data = region[f"{name}.data"]
         self.dtype = self.data.dtype
         self.device = region.device
+        #: Host-resident mirror of the segment pointers, captured at upload.
+        #: Real sparse GPU codes keep the pointer array on the host for
+        #: exactly this: the launch parameters of a segment kernel (lo, hi)
+        #: are host scalars, and reading them from device memory would
+        #: either cost a DtoH transfer per segment or silently bypass the
+        #: device cost model.
+        self.host_indptr = host.indptr.astype(np.int64, copy=True)
+        #: Bytes of the transactions the segments' values and indices span
+        #: (each array taken as transaction-aligned): what the warps of a
+        #: CSR-vector SpMV read of the matrix.
+        tx = self.device.params.transaction_bytes
+        self.segment_bytes = _spanned_bytes(
+            self.host_indptr, self.data.itemsize, tx
+        ) + _spanned_bytes(self.host_indptr, INDEX_BYTES, tx)
 
     @staticmethod
     def arrays(host, dtype, name: str = "a") -> dict[str, np.ndarray]:
@@ -66,14 +109,6 @@ class DeviceCscMatrix(_DeviceCompressed):
 
     def __init__(self, host: CscMatrix, region: DeviceRegion, name: str = "a"):
         super().__init__(host, region, name)
-        #: Host-resident mirror of the column pointers, captured at upload.
-        #: Real sparse GPU codes keep the pointer array on the host for
-        #: exactly this: the launch parameters of a column scatter (lo, hi)
-        #: are host scalars, and reading them from device memory would
-        #: either cost a DtoH transfer per column or — as the old code did
-        #: by peeking at ``self.indptr.data`` — silently bypass the device
-        #: cost model.
-        self.host_indptr = host.indptr.astype(np.int64, copy=True)
         #: Nonzeros of the widest column: what a kernel that learns its
         #: column index on the device must be sized for.
         self.max_col_nnz = int(np.diff(self.host_indptr).max(initial=0))
@@ -123,32 +158,45 @@ class DeviceCscMatrix(_DeviceCompressed):
         return col_nnz
 
 
+def _spmv_cost(
+    a: _DeviceCompressed, w: int, out_len: int, beta: float
+) -> OpCost:
+    """The CSR-vector SpMV's cost: one warp per output; the segments are
+    charged by the transactions they span, the gathered x entries
+    uncoalesced, and pointers, β·y reads and y writes as streamed traffic."""
+    gathered = a.nnz * w
+    streamed = (
+        a.segment_bytes
+        + (out_len + 1) * INDEX_BYTES
+        + (out_len * w if beta != 0.0 else 0)
+    )
+    written = out_len * w
+    total = streamed + gathered + written
+    return OpCost(
+        flops=2 * a.nnz + (2 * out_len if beta != 0.0 else 0),
+        bytes_read=streamed + gathered,
+        bytes_written=written,
+        threads=max(1, out_len) * a.device.params.warp_size,
+        coalesced_fraction=1.0 - gathered / total,
+    )
+
+
 def spmv_csr(a: DeviceCsrMatrix, x: DeviceArray, y: DeviceArray) -> None:
-    """y := A x for device CSR A (scalar kernel: one thread per row)."""
+    """y := A x for device CSR A (CSR-vector kernel: one warp per row)."""
     m, n = a.shape
     if x.shape != (n,) or y.shape != (m,):
         raise DeviceArrayError(
             f"spmv_csr shapes: A {a.shape}, x {x.shape}, y {y.shape}"
         )
-    dev = a.device
-    w = x.itemsize
 
     def body() -> None:
         host = a  # device-resident structure
         prods = host.data.data.astype(np.float64) * x.data[host.indices.data]
         y.data[:] = segment_sums(prods, host.indptr.data).astype(y.dtype)
 
-    cost = OpCost(
-        flops=2 * a.nnz,
-        bytes_read=a.nnz * (w + INDEX_BYTES)  # values + column ids
-        + (m + 1) * INDEX_BYTES  # row pointers
-        + a.nnz * w,  # gathered x values (uncoalesced)
-        bytes_written=m * w,
-        threads=max(1, m),
-        coalesced_fraction=0.6,
-    )
-    dev.launch(
-        "sparse.spmv_csr", body, cost, dtype=a.dtype, reads=(x,), writes=(y,)
+    a.device.launch(
+        "sparse.spmv_csr", body, _spmv_cost(a, x.itemsize, m, 0.0),
+        dtype=a.dtype, reads=(x,), writes=(y,),
     )
 
 
@@ -163,7 +211,7 @@ def spmv_csc_t(
     convention).
 
     A CSC matrix read column-by-column *is* the CSR of Aᵀ, so this is the
-    scalar-CSR kernel with one thread per column of A — the pricing kernel's
+    CSR-vector kernel with one warp per column of A — the pricing kernel's
     access pattern (reduced cost of every nonbasic column in one launch).
     ``beta = 1`` accumulates into y in place, so ``d := c − Aᵀπ`` is a copy
     of c followed by one launch, the copy→SpMV(β=1) pair the plan layer
@@ -174,8 +222,6 @@ def spmv_csc_t(
         raise DeviceArrayError(
             f"spmv_csc_t shapes: A {a.shape}, x {x.shape}, y {y.shape}"
         )
-    dev = a.device
-    w = x.itemsize
     alpha_t = y.dtype.type(alpha)
     beta_t = y.dtype.type(beta)
 
@@ -187,18 +233,7 @@ def spmv_csc_t(
         else:
             y.data[:] = alpha_t * s + beta_t * y.data
 
-    extra = n * w if beta != 0.0 else 0
-    cost = OpCost(
-        flops=2 * a.nnz + (2 * n if beta != 0.0 else 0),
-        bytes_read=a.nnz * (w + INDEX_BYTES)
-        + (n + 1) * INDEX_BYTES
-        + a.nnz * w
-        + extra,
-        bytes_written=n * w,
-        threads=max(1, n),
-        coalesced_fraction=0.6,
-    )
-    dev.launch(
-        "sparse.spmv_csc_t", body, cost, dtype=a.dtype,
-        reads=(x, y) if beta != 0.0 else (x,), writes=(y,),
+    a.device.launch(
+        "sparse.spmv_csc_t", body, _spmv_cost(a, x.itemsize, n, beta),
+        dtype=a.dtype, reads=(x, y) if beta != 0.0 else (x,), writes=(y,),
     )

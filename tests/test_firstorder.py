@@ -205,3 +205,42 @@ class TestAutoDispatch:
         from repro.solve import available_methods
 
         assert "auto" not in available_methods()
+
+
+class TestNanScore:
+    """A NaN KKT score ends the phase as NUMERICAL instead of silently
+    losing every score comparison."""
+
+    def test_score_propagates_nan(self):
+        from repro.firstorder.pdhg import KktScore
+
+        nan = float("nan")
+        for parts in ((nan, 1.0, 2.0), (1.0, nan, 2.0), (1.0, 2.0, nan)):
+            assert np.isnan(KktScore(*parts, 0.0, 0.0).score)
+        assert KktScore(1.0, 3.0, 2.0, 0.0, 0.0).score == 3.0
+
+    @pytest.mark.parametrize("which", ["cur", "avg"])
+    @pytest.mark.parametrize("method", FIRSTORDER)
+    def test_nan_residual_ends_phase_numerical(self, method, which, monkeypatch):
+        from repro.firstorder import placement
+
+        cls = {
+            "pdlp": placement.HostPlacement,
+            "gpu-pdlp": placement.DevicePlacement,
+        }[method]
+        real = cls.residuals
+        calls = []
+
+        def residuals(self, pair):
+            rp, rd, pobj, dobj = real(self, pair)
+            calls.append(pair)
+            if len(calls) > 1 and pair == which:  # from the first check on
+                rd = float("nan")
+            return rp, rd, pobj, dobj
+
+        monkeypatch.setattr(cls, "residuals", residuals)
+        r = solve(SUITE[1], method=method)
+        assert r.status is SolveStatus.NUMERICAL
+        # the first check (after check_every iterations) ends the phase
+        assert r.iterations.phase2_iterations == 64
+        assert not np.isnan(r.extra["kkt_score"])  # the best accepted score

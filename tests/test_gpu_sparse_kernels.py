@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import DeviceArrayError
+from repro.gpu import blas
 from repro.gpu.sparse_kernels import (
     DeviceCscMatrix,
     DeviceCsrMatrix,
@@ -218,3 +219,75 @@ class TestGetcolCostModel:
         d = upload(DeviceCscMatrix, device, host, dtype=np.float64)
         np.testing.assert_array_equal(d.host_indptr, host.indptr)
         np.testing.assert_array_equal(d.indptr.data, host.indptr)
+
+
+def _launch_event(device, launch):
+    """The one kernel event ``launch`` records on ``device``."""
+    device.record_timeline()
+    launch()
+    (event,) = [e for e in device.timeline if e.kind == "kernel"]
+    device.record_timeline(False)
+    return event
+
+
+class TestCsrVectorCost:
+    """The CSR-vector SpMV cost: one warp per output, segments charged by
+    the 64-byte transactions they span, gathered x entries uncoalesced."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 12), (64, 96), (150, 256), (300, 40)])
+    def test_dense_spmv_t_never_cheaper_than_gemv_t(
+        self, device, rng, shape, dtype, beta
+    ):
+        ah = rng.normal(size=shape).astype(dtype)
+        assert np.count_nonzero(ah) == ah.size
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(ah), dtype)
+        da = device.to_device(ah)
+        x = device.to_device(rng.normal(size=shape[0]).astype(dtype))
+        y = device.zeros(shape[1], dtype)
+        sparse = _launch_event(device, lambda: spmv_csc_t(d, x, y, beta=beta))
+        dense = _launch_event(
+            device, lambda: blas.gemv(da, x, y, beta=beta, trans=True)
+        )
+        assert sparse.threads == dense.threads == 32 * shape[1]
+        assert sparse.seconds >= dense.seconds
+
+    def test_one_nonzero_segment_pays_a_transaction(self, device):
+        n = 48
+        ah = np.zeros((n, n))
+        ah[np.arange(n), np.arange(n)[::-1]] = 2.0  # one entry per column
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(ah), np.float64)
+        tx = device.params.transaction_bytes
+        assert d.segment_bytes == n * 2 * tx  # its value and its index
+        x = device.to_device(np.ones(n))
+        y = device.zeros(n, np.float64)
+        event = _launch_event(device, lambda: spmv_csc_t(d, x, y))
+        gathered = n * 8
+        streamed = n * 2 * tx + (n + 1) * 4
+        assert event.cost.bytes_read == streamed + gathered
+        assert event.cost.bytes_written == n * 8
+        total = streamed + gathered + n * 8
+        assert event.cost.coalesced_fraction == pytest.approx(1 - gathered / total)
+
+    def test_segments_charged_by_transactions_spanned(self, device):
+        # column 0: 9 fp64 values (bytes 0–72, two transactions) and 9
+        # indices (bytes 0–36, one); column 1: 8 values (bytes 72–136) and
+        # 8 indices (bytes 36–68), each straddling a boundary, so two
+        # transactions apiece; column 2 is empty and reads nothing
+        ah = np.zeros((9, 3))
+        ah[:, 0] = 1.0
+        ah[1:, 1] = 1.0
+        d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(ah), np.float64)
+        assert d.segment_bytes == 64 * ((2 + 1) + (2 + 2))
+
+    def test_spmv_csr_shares_the_cost(self, device, host_dense):
+        host = CsrMatrix.from_dense(host_dense)
+        d = upload(DeviceCsrMatrix, device, host, np.float64)
+        x = device.zeros(23, np.float64)
+        y = device.zeros(17, np.float64)
+        event = _launch_event(device, lambda: spmv_csr(d, x, y))
+        assert event.threads == 32 * 17
+        assert event.cost.bytes_read == (
+            d.segment_bytes + 18 * 4 + host.nnz * 8
+        )

@@ -16,7 +16,15 @@ from repro.gpu.simt import (
     simt_block_argmin,
     simt_eta_update_row,
     simt_gemv_warp_per_row,
+    simt_spmv_csr_vector,
 )
+from repro.gpu.sparse_kernels import (
+    DeviceCscMatrix,
+    DeviceCsrMatrix,
+    spmv_csc_t,
+    spmv_csr,
+)
+from repro.sparse import CscMatrix, CsrMatrix
 
 
 @pytest.fixture
@@ -59,6 +67,67 @@ class TestGemvWarpPerRow:
         y = np.zeros(m)
         engine.run(simt_gemv_warp_per_row, 3, 32, a, x, y)
         np.testing.assert_allclose(y, a @ x, rtol=1e-12)
+
+
+def _segment_test_matrix(rng):
+    """9×40 with an empty row, an empty column and a row longer than a
+    warp (37 entries)."""
+    a = rng.normal(size=(9, 40)) * (rng.random((9, 40)) < 0.3)
+    a[3, :] = 0.0  # empty row
+    a[:, 5] = 0.0  # empty column
+    a[6, :] = rng.normal(size=40)
+    a[6, [1, 5, 9]] = 0.0  # 37 entries: more than one pass of the lanes
+    return a
+
+
+def _run_csr_vector(engine, indptr, indices, data, x, y, *scalars):
+    """One warp per segment, four warps per block."""
+    segments = indptr.size - 1
+    block = 4 * 32
+    grid = -(-segments * 32 // block)
+    return engine.run(
+        simt_spmv_csr_vector, grid, block, indptr, indices, data, x, y, *scalars
+    )
+
+
+class TestSpmvCsrVector:
+    """The thread-level CSR-vector kernel against the device SpMVs, whose
+    cost charges its one-warp-per-output mapping."""
+
+    def test_matches_spmv_csr(self, engine, device, rng):
+        ah = _segment_test_matrix(rng)
+        host = CsrMatrix.from_dense(ah)
+        assert np.diff(host.indptr).max() > 32
+        d = DeviceCsrMatrix(host, device.place(DeviceCsrMatrix.arrays(host, np.float64)))
+        xh = rng.normal(size=40)
+        dy = device.zeros(9, np.float64)
+        spmv_csr(d, device.to_device(xh), dy)
+
+        y = np.full(9, 7.0)  # stale values: every row, empty ones too, is written
+        stats = _run_csr_vector(
+            engine, host.indptr, host.indices, host.data, xh, y
+        )
+        np.testing.assert_allclose(y, dy.data, rtol=1e-12, atol=1e-14)
+        assert y[3] == 0.0
+        assert stats.warps >= 9
+
+    def test_matches_spmv_csc_t_with_alpha_beta(self, engine, device, rng):
+        ah = _segment_test_matrix(rng)
+        host = CscMatrix.from_dense(ah)
+        d = DeviceCscMatrix(host, device.place(DeviceCscMatrix.arrays(host, np.float64)))
+        xh = rng.normal(size=9)
+        ch = rng.normal(size=40)
+        dy = device.to_device(ch)
+        # the pricing form d := c − Aᵀπ
+        spmv_csc_t(d, device.to_device(xh), dy, alpha=-1.0, beta=1.0)
+
+        y = ch.copy()
+        stats = _run_csr_vector(
+            engine, host.indptr, host.indices, host.data, xh, y, -1.0, 1.0
+        )
+        np.testing.assert_allclose(y, dy.data, rtol=1e-12, atol=1e-14)
+        assert y[5] == ch[5]  # empty column keeps β·y
+        assert stats.warps >= 40
 
 
 class TestBlockArgmin:
