@@ -9,8 +9,9 @@ from repro.bench.experiments import f10_firstorder_crossover
 def f10_sizes(request) -> tuple[int, ...]:
     if request.config.getoption("--full-sweep"):
         return (128, 192, 256, 320, 384, 512)
-    # the quick sweep must reach past the crossover (m+n ≈ 644 with the
-    # warp-per-column SpMVs: simplex/pdlp 0.92 at m = 256, 5.99 at m = 384)
+    # the quick sweep must reach past both crossovers (m+n ≈ 644 against
+    # gpu-revised-sparse: simplex/pdlp 0.92 at m = 256, 5.99 at m = 384;
+    # m+n ≈ 669 against gpu-revised: 0.59 and 3.64)
     return (128, 192, 256, 384)
 
 
@@ -25,8 +26,14 @@ def test_f10_firstorder_crossover(benchmark, f10_sizes):
     statuses = table.column("status")
     assert all(s == "optimal" for s in statuses)
     assert all(table.column("objectives agree"))
-    # both regimes appear inside the sweep: simplex wins the smallest
-    # size, the first-order method wins the largest
-    ratios = [r for r in table.column("speedup (simplex/pdlp)") if r != ""]
-    assert ratios[0] < 1.0
-    assert ratios[-1] > 1.0
+    # both regimes appear inside the sweep against each GPU simplex:
+    # simplex wins the smallest size, the first-order method the largest
+    rows = zip(table.column("method"), table.column("speedup (simplex/pdlp)"))
+    by_method: dict[str, list[float]] = {}
+    for method, ratio in rows:
+        if ratio != "":
+            by_method.setdefault(method, []).append(ratio)
+    assert set(by_method) == {"gpu-revised-sparse", "gpu-revised"}
+    for ratios in by_method.values():
+        assert ratios[0] < 1.0
+        assert ratios[-1] > 1.0

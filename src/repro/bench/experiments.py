@@ -642,15 +642,17 @@ def f10_firstorder_crossover(
     density: float = 0.02,
     seed: int = 42,
 ) -> Report:
-    """Modeled-time crossover between ``gpu-revised-sparse`` and ``gpu-pdlp``.
+    """Modeled-time crossover between the GPU simplex methods and ``gpu-pdlp``.
 
     First-order iterations cost two SpMVs; simplex iterations cost a basis
     solve whose factors fill in as pivots accumulate (F8).  On large sparse
     instances the per-iteration gap overwhelms PDHG's larger iteration
-    count and the first-order method wins — this sweep measures where.
-    The interpolated crossover (in m+n) is what ``solve(method="auto")``
-    uses to dispatch between the two families.
+    count and the first-order method wins — this sweep measures where,
+    against ``gpu-revised-sparse`` (the method ``solve(method="auto")``
+    weighs against ``gpu-pdlp``) and against ``gpu-revised`` (the dense
+    B⁻¹ method, which prices the same CSC data).
     """
+    simplex = ("gpu-revised-sparse", "gpu-revised")
     report = Report(
         "F10",
         f"Simplex vs first-order crossover (sparse, density {density})",
@@ -661,36 +663,42 @@ def f10_firstorder_crossover(
             "objectives agree", "speedup (simplex/pdlp)",
         ])
     )
-    simplex_recs: list = []
-    pdlp_recs: list = []
+    recs: dict[str, list] = {name: [] for name in (*simplex, "gpu-pdlp")}
     for size in sizes:
         lp = random_sparse_lp(size, int(1.5 * size), density=density, seed=seed)
-        rs = run_method(lp, "gpu-revised-sparse", dtype=BENCH_DTYPE)
         rp = run_method(lp, "gpu-pdlp", dtype=BENCH_DTYPE)
-        simplex_recs.append(rs)
-        pdlp_recs.append(rp)
-        agree = relative_error(rs.objective, rp.objective) < 1e-3
-        ratio = (
-            rs.modeled_seconds / rp.modeled_seconds
-            if rp.modeled_seconds > 0 else float("nan")
-        )
-        t.add_row(rs.m, rs.n, "gpu-revised-sparse", rs.status, rs.iterations,
-                  rs.modeled_seconds * 1e3, agree, "")
+        recs["gpu-pdlp"].append(rp)
+        agree_all = True
+        for name in simplex:
+            rs = run_method(lp, name, dtype=BENCH_DTYPE)
+            recs[name].append(rs)
+            agree = relative_error(rs.objective, rp.objective) < 1e-3
+            agree_all = agree_all and agree
+            ratio = (
+                rs.modeled_seconds / rp.modeled_seconds
+                if rp.modeled_seconds > 0 else float("nan")
+            )
+            t.add_row(rs.m, rs.n, name, rs.status, rs.iterations,
+                      rs.modeled_seconds * 1e3, agree, ratio)
         t.add_row(rp.m, rp.n, "gpu-pdlp", rp.status, rp.iterations,
-                  rp.modeled_seconds * 1e3, agree, ratio)
-    speedups = speedup_series(simplex_recs, pdlp_recs)
-    report.add_note(ascii_series(
-        [r.m + r.n for r in pdlp_recs], speedups,
-        label="gpu-pdlp speedup vs m+n",
-    ))
-    crossover = find_crossover([r.m + r.n for r in pdlp_recs], speedups)
-    if crossover is None:
-        report.add_note("no crossover inside the sweep — one method wins everywhere.")
-    else:
-        report.add_note(
-            f"gpu-pdlp overtakes gpu-revised-sparse at m+n ≈ {crossover:.0f} "
-            "on this density."
-        )
+                  rp.modeled_seconds * 1e3, agree_all, "")
+    sizes_mn = [r.m + r.n for r in recs["gpu-pdlp"]]
+    for name in simplex:
+        speedups = speedup_series(recs[name], recs["gpu-pdlp"])
+        report.add_note(ascii_series(
+            sizes_mn, speedups, label=f"gpu-pdlp speedup vs {name}, by m+n",
+        ))
+        crossover = find_crossover(sizes_mn, speedups)
+        if crossover is None:
+            report.add_note(
+                f"no crossover with {name} inside the sweep — one method "
+                "wins everywhere."
+            )
+        else:
+            report.add_note(
+                f"gpu-pdlp overtakes {name} at m+n ≈ {crossover:.0f} on this "
+                "density."
+            )
     return report
 
 

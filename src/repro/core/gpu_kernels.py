@@ -7,15 +7,21 @@ the β update, masked pricing preparation and entering selection, and
 matrix row/column extraction, plus the basis-swap bookkeeping those
 launches carry as scalar stores.
 
-Layout: the revised backends upload the constraint matrix A as the host
-holds it, **row-major** m×n; pricing reads it through ``blas.gemv(trans=True)``,
-whose cost charges the transposed walk.  The column load is charged as a
-coalesced m-element copy (:func:`extract_column`'s ``column_major``
-default, :func:`load_entering_column`), the price of the column-major copy
-of A the paper keeps for it.  The basis inverse B⁻¹ is row-major too: the
-eta update reads row p (coalesced) and GEMV's warp-per-row mapping wants
-contiguous rows.  The tableau T is charged as column-major
-(:func:`ger_column_major`, :func:`extract_column`).
+Layout: each dense matrix carries its layout from where it is placed
+(:attr:`~repro.gpu.memory.DeviceArray.layout`), and every kernel here that
+reads or writes one charges the 64-byte segments its thread mapping
+touches in that layout (:mod:`repro.gpu.transactions`).  The revised
+backends place A **column-major**, as the paper's cuBLAS code holds it:
+pricing's ``blas.gemv(trans=True)`` runs one warp per column over
+contiguous columns, and the entering-column load
+(:func:`load_entering_column`) reads one contiguous column.  The basis
+inverse B⁻¹ is **row-major**: FTRAN's GEMV runs one warp per row, the eta
+update reads row p (:func:`extract_row`) contiguously, and the stale-π
+multiply π = B⁻ᵀc_B is the one walk across a row-major matrix, which
+GEMV runs as 16-column tiles.  The tableau T is **column-major**: its
+entering-column load is contiguous, while the pivot row's read
+(:func:`extract_row`) and write (:func:`write_row_kernel`) stride across
+columns and pay a segment per element.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import dataclasses
 import numpy as np
 
 from repro.errors import DeviceArrayError
+from repro.gpu import blas
+from repro.gpu import transactions as tx
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix
@@ -99,34 +107,33 @@ def basis_swap(st, p: int, q: int, c_q: float, n_mask: int) -> ScalarStores:
     return ScalarStores(tuple(items))
 
 
-def extract_column(
-    dev: Device, a: DeviceArray, j: int, out: DeviceArray, *, column_major: bool = True
-) -> None:
-    """out := A[:, j] for a dense device matrix.
+def _copy_cost(matrix_bytes: int, vector: DeviceArray, *,
+               into_matrix: bool = False) -> OpCost:
+    """One thread per element moving the words of ``vector``, read or
+    written in coalesced runs, to or from a dense matrix (``matrix_bytes``,
+    by its layout)."""
+    run = tx.vector_bytes(vector)
+    read, written = (run, matrix_bytes) if into_matrix else (matrix_bytes, run)
+    return OpCost(bytes_read=read, bytes_written=written,
+                  threads=max(1, vector.size))
 
-    Coalesced when the matrix is stored column-major (the tableau T; the
-    revised backends' A is charged the same way, see the module docstring);
-    a strided, transaction-amplified read otherwise.
-    """
+
+def extract_column(dev: Device, a: DeviceArray, j: int, out: DeviceArray) -> None:
+    """out := A[:, j] for a dense device matrix: a contiguous read when A
+    is column-major (the tableau T), a segment per element when it is
+    row-major."""
     m, n = a.shape
     if not 0 <= j < n:
         raise DeviceArrayError(f"column {j} out of range for {a.shape}")
     if out.shape != (m,):
         raise DeviceArrayError("output vector has wrong length")
-    w = out.itemsize
-
     def body() -> None:
         out.data[:] = a.data[:, j]
 
     dev.launch(
         "kernel.extract_col",
         body,
-        OpCost(
-            bytes_read=m * w,
-            bytes_written=m * w,
-            threads=max(1, m),
-            coalesced_fraction=1.0 if column_major else 1.0 / max(1, 64 // w),
-        ),
+        _copy_cost(tx.column_bytes(a, j), out),
         dtype=a.dtype,
         fusable=True,
         # the matrix is *partially* read (one column), so it must not be
@@ -135,33 +142,22 @@ def extract_column(
     )
 
 
-def extract_row(
-    dev: Device, a: DeviceArray, i: int, out: DeviceArray, *, row_major: bool = True
-) -> None:
-    """out := A[i, :] for a dense device matrix.
-
-    Coalesced for the row-major layout (B⁻¹); strided for column-major
-    matrices (the tableau), where the transaction amplification is charged.
-    """
+def extract_row(dev: Device, a: DeviceArray, i: int, out: DeviceArray) -> None:
+    """out := A[i, :] for a dense device matrix: a contiguous read when A
+    is row-major (B⁻¹), a segment per element when it is column-major
+    (the tableau)."""
     m, n = a.shape
     if not 0 <= i < m:
         raise DeviceArrayError(f"row {i} out of range for {a.shape}")
     if out.shape != (n,):
         raise DeviceArrayError("output vector has wrong length")
-    w = out.itemsize
-
     def body() -> None:
         out.data[:] = a.data[i, :]
 
     dev.launch(
         "kernel.extract_row",
         body,
-        OpCost(
-            bytes_read=n * w,
-            bytes_written=n * w,
-            threads=max(1, n),
-            coalesced_fraction=1.0 if row_major else 1.0 / max(1, 64 // w),
-        ),
+        _copy_cost(tx.row_bytes(a, i), out),
         dtype=a.dtype,
         fusable=True,
         # partial read of the matrix (one row): not a resident operand
@@ -202,14 +198,16 @@ def load_entering_column(
 
     ``choice[0]`` holds the pricing reduction's entering index, so the
     host launches this before it knows q.  One kernel covers every case:
-    a column of the ``dense`` matrix (charged as a coalesced copy), a
-    scatter of column q of the device CSC matrix ``csc``, or the
-    artificial e_{q − n_real} for q ≥ ``n_real``.  When pricing found no entering column (``NO_INDEX``)
-    it writes zeros, so FTRAN and the ratio test of an optimal iteration
-    run on a null column.  The cost is sized for the widest column.
+    a column of the ``dense`` matrix (read by its layout, with q through
+    the texture cache), a scatter of column q of the device CSC matrix
+    ``csc``, or the artificial e_{q − n_real} for q ≥ ``n_real``.  When
+    pricing found no entering column (``NO_INDEX``) it writes zeros, so
+    FTRAN and the ratio test of an optimal iteration run on a null column.
+    The cost is sized for the costliest column.
     """
     m = out.size
     w = out.itemsize
+    read_bytes = None
     if csc is not None:
         indices, values = csc.indices, csc.data
         indptr = csc.host_indptr
@@ -226,9 +224,12 @@ def load_entering_column(
             ),
         )
     else:
-        cost = OpCost(
-            bytes_read=w + m * w, bytes_written=m * w, threads=max(1, m)
+        # q is one word of choice, read through the texture cache
+        choice_read = tx.span_bytes(
+            1, w, choice.offset, dev.params.transaction_bytes
         )
+        cost = _copy_cost(choice_read + tx.widest_column_bytes(dense), out)
+        read_bytes = {choice: choice_read}
 
     def body() -> None:
         j = int(choice.data[0])
@@ -253,6 +254,7 @@ def load_entering_column(
         # fusion-resident operand — only the choice and the output are
         reads=(choice,),
         writes=(out,),
+        read_bytes=read_bytes,
     )
 
 
@@ -671,23 +673,25 @@ def scale_row_kernel(
 
 
 def write_row_kernel(dev: Device, mat: DeviceArray, i: int, row: DeviceArray) -> None:
-    """mat[i, :] := row (coalesced row write of a row-major matrix)."""
+    """mat[i, :] := row: a coalesced write when ``mat`` is row-major, a
+    segment per element when it is column-major (the tableau's pivot
+    row)."""
     m, n = mat.shape
     if not 0 <= i < m or row.size != n:
         raise DeviceArrayError("row write operand mismatch")
-    w = row.itemsize
-
     def body() -> None:
         mat.data[i, :] = row.data
 
+    cost = _copy_cost(tx.row_bytes(mat, i), row, into_matrix=True)
     dev.launch(
         "kernel.write_row",
         body,
-        OpCost(bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
+        cost,
         dtype=mat.dtype,
         fusable=True,
         reads=(row,),
         writes=(mat,),
+        read_bytes={row: cost.bytes_read},
     )
 
 
@@ -698,31 +702,28 @@ def ger_column_major(
     a: DeviceArray,
     alpha: float = 1.0,
 ) -> None:
-    """A := A + alpha·x yᵀ for a **column-major** device matrix.
+    """A := A + alpha·x yᵀ for the column-major tableau.
 
-    Functionally identical to :func:`repro.gpu.blas.ger`; kept separate so
-    the tableau update is attributed its own kernel name in breakdowns.
+    Computes and costs what :func:`repro.gpu.blas.ger` does; kept separate
+    so the tableau update is attributed its own kernel name in
+    breakdowns and fuses with the elementwise kernels around it.
     """
     m, n = a.shape
     if x.size != m or y.size != n:
         raise DeviceArrayError("ger operand mismatch")
-    w = a.itemsize
     alpha_t = a.dtype.type(alpha)
 
     def body() -> None:
         a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
 
+    cost, read_bytes = blas.ger_cost(x, y, a)
     dev.launch(
         "kernel.tableau_ger",
         body,
-        OpCost(
-            flops=2 * m * n,
-            bytes_read=(m * n + m + n) * w,
-            bytes_written=m * n * w,
-            threads=m * n,
-        ),
+        cost,
         dtype=a.dtype,
         fusable=True,
         reads=(x, y, a),
         writes=(a,),
+        read_bytes=read_bytes,
     )

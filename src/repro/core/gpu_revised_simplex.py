@@ -3,13 +3,18 @@
 :class:`DevicePlacement` runs each step of the one loop in
 :mod:`repro.simplex.revised` on the (simulated) GPU, with the plan
 sections and kernels its schedule table lists.  Data placement follows the
-IPDPS 2009 design: the constraint matrix A (dense m×n, uploaded row-major,
-or CSC), the basis representation, β, the simplex multipliers π, the
+IPDPS 2009 design: the constraint matrix A (dense m×n placed column-major,
+as the paper's cuBLAS code holds it, or CSC), the basis representation
+(a row-major B⁻¹ or sparse factors), β, the simplex multipliers π, the
 pricing vector and all scratch buffers live in device global memory for
 the whole solve; the host only sees per-iteration scalars and drives
-control flow.  :meth:`DevicePlacement.start` places the data with one
-HtoD copy into one device region, after the begin settled the starting
-basis (crash or warm) on the host; each phase's cost load and each
+control flow.  Pricing's GEMVᵀ runs one warp per contiguous column of A
+and the column load reads one contiguous column; FTRAN's GEMV runs one
+warp per row of B⁻¹, and the stale-π multiply B⁻ᵀc_B runs 16-column tiles
+across its rows (:mod:`repro.gpu.blas`).  :meth:`DevicePlacement.start`
+places the data with one HtoD copy into one device region, after the
+begin settled the starting basis (crash or warm) on the host; each
+phase's cost load and each
 rebuild is one more copy, and work buffers are never zero-filled, since
 each is written before it is read.  Per iteration the host reads one
 struct back and writes nothing: pricing leaves its choice on the device
@@ -559,7 +564,10 @@ class DevicePlacement:
         layout = {"c_real": ((n,), dtype), "c_b": ((m,), dtype)}
         layout.update({k: (h.shape, h.dtype) for k, h in hosts.items()})
         layout.update(self.bounds.rebuild_layout(self))
-        self.region = region = self.dev.region(layout)
+        self.region = region = self.dev.region(
+            layout, column_major=() if prep.is_sparse else ("a_dense",),
+            aligned=True,
+        )
         with self.dev.timed_section("transfer"):
             region.fill(hosts)
         for name in layout:

@@ -5,10 +5,11 @@ pivot.  On a GPU this is the maximally parallel formulation (m·n threads,
 perfect device fill), but it does Θ(mn) work per iteration where the revised
 method does Θ(m² + pricing); the A3 experiment measures where each wins.
 
-Device layout: the tableau T is **column-major** (the per-iteration entering
-column extraction is the hot read), so the pivot-row extraction is strided
-and charged its transaction amplification — the classic layout trade the
-paper's discussion of coalescing covers.
+Device layout: the tableau T is placed **column-major** (the per-iteration
+entering column load is the hot read, and d = c − Tᵀc_B runs one warp per
+contiguous column), so the pivot row's read and write stride across
+columns and pay a 64-byte segment per element — the classic layout trade
+the paper's discussion of coalescing covers.
 
 Per iteration the host reads one struct back — (q, d_q, p, θ, α_p), after
 the pricing reduction, the column extract and the ratio test all ran on
@@ -175,14 +176,14 @@ class GpuTableauSimplex(DeviceBackend):
         n = st.enterable_limit
         for p in np.nonzero(st.basis >= n)[0]:
             p = int(p)
-            K.extract_row(dev, st.tableau, p, st.row_buf, row_major=False)
+            K.extract_row(dev, st.tableau, p, st.row_buf)
             row = st.row_buf.copy_to_host().astype(np.float64)[:n]
             eligible = (~st.in_basis[:n]) & (np.abs(row) > 1e-5)
             candidates = np.nonzero(eligible)[0]
             if candidates.size == 0:
                 continue
             q = int(candidates[np.argmax(np.abs(row[candidates]))])
-            K.extract_column(dev, st.tableau, q, st.alpha, column_major=True)
+            K.extract_column(dev, st.tableau, q, st.alpha)
             pivot = st.alpha.scalar_to_host(p)
             beta_p = st.beta.scalar_to_host(p)
             theta = beta_p / pivot
@@ -271,7 +272,9 @@ class _TableauState:
             }
             layout = {"c": ((n_cols,), dtype), "c_b": ((m,), dtype)}
             layout.update({k: (np.shape(h), dtype) for k, h in hosts.items()})
-            self.region = region = dev.region(layout)
+            self.region = region = dev.region(
+                layout, column_major=("tableau",), aligned=True
+            )
             with dev.timed_section("transfer"):
                 region.fill(hosts)
             for name in layout:
@@ -300,7 +303,7 @@ class _TableauState:
         swap += K.ScalarStores(((self.d, q, 0.0),))
         with dev.timed_section("pivot"), self.plan.section("pivot"):
             # normalised pivot row
-            K.extract_row(dev, self.tableau, p, self.row_buf, row_major=False)
+            K.extract_row(dev, self.tableau, p, self.row_buf)
             K.scale_row_kernel(dev, self.row_buf, 1.0 / pivot, self.row_norm)
             # tableau rank-1 elimination, then rewrite row p
             K.ger_column_major(dev, self.alpha, self.row_norm, self.tableau, alpha=-1.0)

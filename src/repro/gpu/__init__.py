@@ -14,7 +14,8 @@ Layers
 - :mod:`~repro.gpu.device`   — :class:`Device`: clock, allocator, statistics,
   and the opt-in :class:`TimelineEvent` timeline of every launch, memset and
   transfer (:meth:`Device.record_timeline`).
-- :mod:`~repro.gpu.memory`   — :class:`DeviceArray` and transfer helpers.
+- :mod:`~repro.gpu.memory`   — :class:`DeviceArray` (with a matrix's
+  row- or column-major layout) and transfer helpers.
 - :mod:`~repro.gpu.kernel`   — launch configuration and validation.  How
   full a launch keeps the device (occupancy) is priced by the cost model,
   :meth:`~repro.perfmodel.gpu_model.GpuCostModel.fill_factor`.
@@ -24,8 +25,11 @@ Layers
 - :mod:`~repro.gpu.reduce`   — tree-pass costs and result stores of the
   device-resident arg-min reductions a plan section ends in.
 - :mod:`~repro.gpu.sparse_kernels` — SpMV and column-scatter kernels.
+- :mod:`~repro.gpu.transactions` — the 64-byte segments a kernel's access
+  pattern touches in its matrix's layout, counted once per shape.
 - :mod:`~repro.gpu.simt`     — thread-level SIMT interpreter (warps, shared
-  memory, ``syncthreads``) used to validate the block-level kernels.
+  memory, ``syncthreads``, a global-memory transaction recorder) used to
+  validate the block-level kernels and their charges.
 """
 
 from repro.gpu.device import Device, DeviceStats, KernelRecord, TimelineEvent

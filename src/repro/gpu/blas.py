@@ -2,28 +2,55 @@
 
 Level-1 routines follow the cuBLAS convention of returning scalars to the
 host (charged a latency-dominated DtoH transfer — a real per-iteration cost
-of GPU simplex codes).  Level-2 GEMV uses a warp-per-row mapping, the layout
-the paper's implementation relies on for coalesced access; GER maps one
-thread per matrix element.
+of GPU simplex codes).  Level-2 routines read the layout of their matrix
+(:attr:`~repro.gpu.memory.DeviceArray.layout`) and pick the thread mapping
+that walks it along its lines (rows when row-major, columns when
+column-major):
 
-Costs charged to the device clock (itemsize ``w``):
+- GEMV whose outputs are the matrix's lines (y = A x row-major, y = Aᵀx
+  column-major: FTRAN over B⁻¹ and pricing over A) runs one warp per
+  output; the warp's lanes read the line in coalesced runs, reduce in a
+  warp tree, and the block's warps write their outputs together.
+- GEMV whose outputs run along the lines (y = Aᵀx row-major: π = B⁻ᵀc_B
+  over B⁻¹) runs 16-output × 16-slice tiles of 256 threads: the lanes of
+  a half-warp read 16 consecutive words of a line (GT200 coalesces per
+  half-warp, so a 16-word run is as whole as a 32-word one and the grid
+  has twice the blocks), the 16 half-warps take every 16th line, and the
+  slices reduce in shared memory.  No grid barrier, so it is one launch.
+- GER maps one thread per matrix element in memory order.
 
-=========  ==========  ======================================  ===========
-routine    FLOPs       main-memory traffic                      threads
-=========  ==========  ======================================  ===========
-copy       0           r n·w, w n·w                             n
-scal       n           r n·w, w n·w                             n
-axpy       2n          r 2n·w, w n·w                            n
-cast       n           r n·w_src, w n·w_dst                     n
-dot        2n          r 2n·w (+ partials)                      n
-nrm2       2n+√        r n·w (+ partials)                       n
-gemv(N)    2mn         r (mn+n)·w, w m·w                        32·m
-gemv(T)    2mn         r (mn+m)·w, w n·w                        32·n
-ger        2mn         r (mn+m+n)·w, w mn·w                     m·n
-=========  ==========  ======================================  ===========
+Their main-memory traffic is charged as the 64-byte segments their
+half-warp instructions touch where the operands sit
+(:mod:`repro.gpu.transactions`), so the cost carries no coalescing guess.
+The vector operands every warp re-reads (GEMV's x, GER's x and y) go
+through the read-only texture cache: each of their segments is fetched
+once per launch.  Each launch also reports what it charged for reading
+each operand (``read_bytes``), so a fused launch that keeps a re-read
+operand in registers is credited in the units it was charged.
+``repro.gpu.simt`` holds a thread-level twin of each mapping whose
+counted transactions equal the charge.
+
+Costs charged to the device clock (itemsize ``w``; ``seg(·)`` is the
+bytes of the segments an operand's accesses touch):
+
+=========  ==========  ========================================  ==============
+routine    FLOPs       main-memory traffic                        threads
+=========  ==========  ========================================  ==============
+copy       0           r n·w, w n·w                               n
+scal       n           r n·w, w n·w                               n
+axpy       2n          r 2n·w, w n·w                              n
+cast       n           r n·w_src, w n·w_dst                       n
+dot        2n          r 2n·w (+ partials)                        n
+nrm2       2n+√        r n·w (+ partials)                         n
+gemv       2mn         r seg(A by lines) + seg(x) (+seg(y)),      32 per output
+                       w seg(y)                                   or 256 per 16
+ger        2mn         r seg(A) + seg(x) + seg(y), w seg(A)       m·n
+=========  ==========  ========================================  ==============
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,8 +63,10 @@ from repro.gpu._checks import (
     require_same_dtype,
     require_vector,
 )
+from repro.gpu import transactions as tx
 from repro.gpu.device import Device
-from repro.gpu.memory import DeviceArray
+from repro.gpu.kernel import DEFAULT_BLOCK
+from repro.gpu.memory import COLUMN_MAJOR, DeviceArray
 from repro.perfmodel.ops import OpCost
 
 
@@ -237,8 +266,9 @@ def gemv(
 ) -> None:
     """y := alpha · op(A) x + beta · y, with op(A) = A or Aᵀ (``cublasSgemv``).
 
-    Warp-per-row mapping (warp-per-column for the transposed case): each
-    warp reduces one dot product with coalesced row segments.
+    One warp per output when the outputs are A's lines, a 16-output tile
+    of 256 threads when they run along the lines (see the module
+    docstring); either way the matrix is read along its layout.
     """
     dev, dtype, w = _prep(a, x, y)
     require_matrix("A", a)
@@ -246,11 +276,9 @@ def gemv(
     if not trans:
         require_vector("x", x, n)
         require_vector("y", y, m)
-        out_len, in_len = m, n
     else:
         require_vector("x", x, m)
         require_vector("y", y, n)
-        out_len, in_len = n, m
 
     alpha_t = dtype.type(alpha)
     beta_t = dtype.type(beta)
@@ -262,17 +290,7 @@ def gemv(
         else:
             y.data[:] = alpha_t * (av @ x.data) + beta_t * y.data
 
-    extra = out_len * w if beta != 0.0 else 0
-    cost = OpCost(
-        flops=2 * m * n + (2 * out_len if beta != 0.0 else 0),
-        bytes_read=m * n * w + in_len * w + extra,
-        bytes_written=out_len * w,
-        threads=out_len * dev.params.warp_size,
-        # The transposed walk strides down columns; GT200 coalesces it only
-        # partially without an explicit transpose, which the paper's layout
-        # avoids for the hot path (we keep a mild penalty here).
-        coalesced_fraction=1.0 if not trans else 0.85,
-    )
+    cost, read_bytes = _gemv_cost(a, x, y, trans, beta != 0.0)
     dev.launch(
         "blas.gemv_t" if trans else "blas.gemv",
         body,
@@ -280,7 +298,51 @@ def gemv(
         dtype=dtype,
         reads=(a, x, y) if beta != 0.0 else (a, x),
         writes=(y,),
+        read_bytes=read_bytes,
     )
+
+
+def _gemv_cost(
+    a: DeviceArray, x: DeviceArray, y: DeviceArray, trans: bool,
+    accumulate: bool,
+) -> tuple[OpCost, dict]:
+    """What :func:`gemv` charges, and its read of each operand: the
+    segments its mapping touches where the operands sit."""
+    p = a.device.params
+    t = p.transaction_bytes
+    cost, a_read, x_read, y_read = _gemv_shape_cost(
+        a.shape, a.itemsize, a.layout, trans, accumulate, p,
+        a.offset % t, x.offset % t, y.offset % t,
+    )
+    return cost, {a: a_read, x: x_read, y: y_read}
+
+
+@functools.lru_cache(maxsize=256)
+def _gemv_shape_cost(shape, w, layout, trans, accumulate, p, a_at, x_at, y_at):
+    m, n = shape
+    t = p.transaction_bytes
+    half = p.warp_size // 2
+    out_len, in_len = (n, m) if trans else (m, n)
+    if trans == (layout == COLUMN_MAJOR):
+        # a warp per line; the block's warps write their outputs together
+        threads = out_len * p.warp_size
+        y_bytes = tx.run_bytes(out_len, w, y_at, DEFAULT_BLOCK // p.warp_size, t)
+    else:
+        # tiles of 16 outputs × 16 line slices; half-warp 0 writes the
+        # outputs
+        threads = -(-out_len // half) * DEFAULT_BLOCK
+        y_bytes = tx.run_bytes(out_len, w, y_at, half, t)
+    lines = (n, m) if layout == COLUMN_MAJOR else (m, n)
+    a_read = tx.walk_bytes(*lines, w, a_at, half, t)
+    x_read = tx.span_bytes(in_len, w, x_at, t)
+    y_read = y_bytes if accumulate else 0
+    cost = OpCost(
+        flops=2 * m * n + (2 * out_len if accumulate else 0),
+        bytes_read=a_read + x_read + y_read,
+        bytes_written=y_bytes,
+        threads=threads,
+    )
+    return cost, a_read, x_read, y_read
 
 
 def ger(
@@ -289,7 +351,8 @@ def ger(
     a: DeviceArray,
     alpha: float = 1.0,
 ) -> None:
-    """A := A + alpha · x yᵀ (``cublasSger``), one thread per element."""
+    """A := A + alpha · x yᵀ (``cublasSger``), one thread per element in
+    A's memory order."""
     dev, dtype, w = _prep(x, y, a)
     require_matrix("A", a)
     m, n = a.shape
@@ -300,15 +363,39 @@ def ger(
     def body() -> None:
         a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
 
+    cost, read_bytes = ger_cost(x, y, a)
+    dev.launch(
+        "blas.ger", body, cost, dtype=dtype, reads=(x, y, a), writes=(a,),
+        read_bytes=read_bytes,
+    )
+
+
+def ger_cost(x: DeviceArray, y: DeviceArray, a: DeviceArray) -> tuple[OpCost, dict]:
+    """What a rank-1 update of ``a`` charges, and its read of each operand:
+    A read and written in coalesced runs whatever its layout, x and y
+    through the texture cache."""
+    p = a.device.params
+    t = p.transaction_bytes
+    cost, a_read, x_read, y_read = _ger_shape_cost(
+        a.shape, a.itemsize, p, a.offset % t, x.offset % t, y.offset % t
+    )
+    return cost, {a: a_read, x: x_read, y: y_read}
+
+
+@functools.lru_cache(maxsize=256)
+def _ger_shape_cost(shape, w, p, a_at, x_at, y_at):
+    m, n = shape
+    t = p.transaction_bytes
+    matrix = tx.run_bytes(m * n, w, a_at, p.warp_size // 2, t)
+    x_read = tx.span_bytes(m, w, x_at, t)
+    y_read = tx.span_bytes(n, w, y_at, t)
     cost = OpCost(
         flops=2 * m * n,
-        bytes_read=m * n * w + (m + n) * w,
-        bytes_written=m * n * w,
+        bytes_read=matrix + x_read + y_read,
+        bytes_written=matrix,
         threads=m * n,
     )
-    dev.launch(
-        "blas.ger", body, cost, dtype=dtype, reads=(x, y, a), writes=(a,)
-    )
+    return cost, matrix, x_read, y_read
 
 
 # ---------------------------------------------------------------------------

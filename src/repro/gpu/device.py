@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -106,7 +106,8 @@ class CapturedLaunch:
     cost is :meth:`OpCost.fuse` of the parts.  ``reads``/``writes`` hold
     ``id()`` tokens of the operand buffers so the planner can deduplicate
     the global-memory reads a fused group keeps in registers, and
-    ``operand_bytes`` maps each token to that operand's size.
+    ``operand_bytes`` maps each token to the bytes ``cost`` charges for
+    reading that operand (its size unless the launch said otherwise).
     """
 
     name: str
@@ -230,12 +231,17 @@ class Device:
         return arr
 
     def region(
-        self, layout: Mapping[str, tuple[tuple[int, ...], np.dtype]]
+        self,
+        layout: Mapping[str, tuple[tuple[int, ...], np.dtype]],
+        column_major: Collection[str] = (),
+        aligned: bool = False,
     ) -> DeviceRegion:
         """Allocate one region holding the named buffers of ``layout``
-        (name -> (shape, dtype)) back to back, uninitialised; fill runs of
-        them with :meth:`DeviceRegion.fill`."""
-        return DeviceRegion(self, layout)
+        (name -> (shape, dtype)) back to back, uninitialised, the matrices
+        named in ``column_major`` column-major and, if ``aligned``, every
+        matrix on a memory segment; fill runs of them with
+        :meth:`DeviceRegion.fill`."""
+        return DeviceRegion(self, layout, column_major, aligned)
 
     def place(self, hosts: Mapping[str, np.ndarray]) -> DeviceRegion:
         """Allocate a region shaped like the named host arrays and copy all
@@ -315,6 +321,7 @@ class Device:
         fusable: bool = False,
         reads: tuple = (),
         writes: tuple = (),
+        read_bytes: "Mapping[DeviceArray, int] | None" = None,
     ) -> None:
         """Launch a kernel: run ``body`` functionally, advance the clock.
 
@@ -324,8 +331,11 @@ class Device:
         ``fusable`` marks elementwise/map kernels the plan lowerer may fold
         into a neighbouring launch; ``reads``/``writes`` name the operand
         :class:`~repro.gpu.memory.DeviceArray` buffers so fusion can count
-        shared operands' global-memory traffic once.  All three are ignored
-        outside a plan capture.
+        shared operands' global-memory traffic once.  ``read_bytes`` gives
+        what ``cost`` charges for reading an operand where that is not its
+        size (a read charged by the segments it touches), so the fusion
+        credits a re-read in the units it was charged.  All four are
+        ignored outside a plan capture.
         """
         cfg = launch_config(cost.threads, block, self.params)
         if cfg.grid > 65535 * 65535:  # 2D grid limit of the modeled hardware
@@ -334,6 +344,8 @@ class Device:
             operand_bytes = {
                 id(a): int(a.nbytes) for a in (*reads, *writes)
             }
+            for a, nbytes in (read_bytes or {}).items():
+                operand_bytes[id(a)] = int(nbytes)
             self._capture.append(
                 CapturedLaunch(
                     name=name, body=body, cost=cost, dtype=np.dtype(dtype),

@@ -10,6 +10,17 @@ A :class:`DeviceRegion` is how host data is placed: one allocation holding
 several named buffers back to back, filled by one HtoD copy per contiguous
 run of its buffers.  :meth:`Device.to_device` is its one-buffer case.
 
+Every dense matrix records, where it is placed, the order its elements
+sit in global memory: :data:`ROW_MAJOR` (the default) or
+:data:`COLUMN_MAJOR`; every array records its byte offset in its
+allocation.  A region aligns each buffer to its item size, and with
+``aligned`` each matrix to a memory segment; a buffer behind an
+odd-length one otherwise starts within a segment.  Kernels charge the
+memory transactions that layout and offset make their thread mapping
+touch (:mod:`repro.gpu.transactions`); the NumPy backing store keeps the
+host's row-major order whatever the layout, so a kernel body computes
+the same bits under either.
+
 The class deliberately implements **no arithmetic operators**: as on a real
 GPU, you cannot add two device pointers from the host; you launch a kernel
 (see :mod:`repro.gpu.blas`).
@@ -17,7 +28,7 @@ GPU, you cannot add two device pointers from the host; you launch a kernel
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 import numpy as np
 
@@ -26,6 +37,10 @@ from repro.errors import DeviceArrayError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
 
+#: Element orders of a dense device matrix.
+ROW_MAJOR = "row-major"
+COLUMN_MAJOR = "column-major"
+
 
 class DeviceArray:
     """An array living in the simulated device's global memory.
@@ -33,17 +48,22 @@ class DeviceArray:
     Create through :meth:`Device.alloc`, :meth:`Device.zeros`,
     :meth:`Device.to_device` or :meth:`Device.region`; never construct
     directly in user code.  ``region`` is the :class:`DeviceRegion` the
-    array is a view of, if any.
+    array is a view of, if any; ``layout`` is the element order of a
+    matrix in device memory; ``offset`` is the array's byte offset in its
+    allocation, whose start (``cudaMalloc``'s) lies on a segment boundary.
     """
 
-    __slots__ = ("device", "_data", "_freed", "region")
+    __slots__ = ("device", "_data", "_freed", "region", "layout", "offset")
 
     def __init__(self, device: "Device", data: np.ndarray,
-                 region: "DeviceRegion | None" = None):
+                 region: "DeviceRegion | None" = None,
+                 layout: str = ROW_MAJOR, offset: int = 0):
         self.device = device
         self._data = data
         self._freed = False
         self.region = region
+        self.layout = layout
+        self.offset = offset
 
     # -- structural properties --------------------------------------------
 
@@ -70,6 +90,15 @@ class DeviceArray:
     @property
     def itemsize(self) -> int:
         return self._data.dtype.itemsize
+
+    @property
+    def steps(self) -> tuple[int, int]:
+        """Bytes between neighbouring elements of a matrix in device
+        memory, down a column and along a row: ``(n·w, w)`` row-major,
+        ``(w, m·w)`` column-major."""
+        m, n = self.shape
+        w = self.itemsize
+        return (n * w, w) if self.layout == ROW_MAJOR else (w, m * w)
 
     # -- device-side access (kernels only) ---------------------------------
 
@@ -172,7 +201,11 @@ class DeviceRegion:
     """One device allocation holding several named buffers back to back.
 
     Each buffer is a typed :class:`DeviceArray` view whose offset is a
-    multiple of its item size, in the order ``layout`` names them.  One
+    multiple of its item size, in the order ``layout`` names them; the
+    matrices named in ``column_major`` are placed column-major.  With
+    ``aligned`` every matrix starts on a memory segment
+    (``transaction_bytes``), where a ``cudaMalloc``'d matrix starts, so
+    the runs along its lines do not straddle segments.  One
     :meth:`fill` writes any contiguous run of buffers with one HtoD copy
     (:meth:`DeviceArray.copy_from_host` of the bytes the run spans: its
     buffers and the alignment padding between them), so a solve's start-up
@@ -186,13 +219,23 @@ class DeviceRegion:
     __slots__ = ("device", "_raw", "_views", "_offsets", "_names")
 
     def __init__(self, device: "Device",
-                 layout: Mapping[str, tuple[tuple[int, ...], np.dtype]]):
+                 layout: Mapping[str, tuple[tuple[int, ...], np.dtype]],
+                 column_major: Collection[str] = (), aligned: bool = False):
+        unknown = set(column_major) - set(layout)
+        if unknown:
+            raise DeviceArrayError(
+                f"no buffers {sorted(unknown)} to place column-major"
+            )
+        if any(len(layout[name][0]) != 2 for name in column_major):
+            raise DeviceArrayError("only a matrix can be column-major")
+        segment = device.params.transaction_bytes
         placed, end = [], 0
         for name, (shape, dtype) in layout.items():
             dtype = np.dtype(dtype)
             if dtype == np.float16 or not np.issubdtype(dtype, np.number):
                 raise TypeError(f"unsupported device dtype {dtype}")
-            end += -end % dtype.itemsize
+            matrix = aligned and len(shape) == 2
+            end += -end % (segment if matrix else dtype.itemsize)
             size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
             placed.append((name, shape, dtype, end, size))
             end += size
@@ -201,7 +244,8 @@ class DeviceRegion:
         raw = self._raw.data
         self._views = {
             name: DeviceArray(
-                device, raw[at: at + size].view(dtype).reshape(shape), self
+                device, raw[at: at + size].view(dtype).reshape(shape), self,
+                COLUMN_MAJOR if name in column_major else ROW_MAJOR, at,
             )
             for name, shape, dtype, at, size in placed
         }
@@ -244,7 +288,7 @@ class DeviceRegion:
                 )
             start = self._offsets[name] - lo
             staging[start: start + view.nbytes].view(view.dtype)[:] = host.ravel()
-        span = DeviceArray(self.device, self._raw.data[lo:hi], self)
+        span = DeviceArray(self.device, self._raw.data[lo:hi], self, offset=lo)
         return span.copy_from_host(staging)
 
     def free(self) -> None:

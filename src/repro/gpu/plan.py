@@ -204,8 +204,8 @@ def _group_captured(captured: list[CapturedLaunch]) -> list[list[CapturedLaunch]
 
 def _shared_read_bytes(group: list[CapturedLaunch]) -> float:
     """Read traffic the fused kernel keeps in registers/shared memory:
-    bytes of operands a later op reads that an earlier op already read or
-    wrote (fetched once instead of per-op)."""
+    what a later op was charged for reading operands an earlier op already
+    read or wrote (fetched once instead of per-op)."""
     resident: set[int] = set()
     shared = 0
     for op in group:

@@ -25,10 +25,26 @@ undefined behaviour on hardware, a detected error here.
 The engine reports run statistics (blocks, warps, barriers) so tests can
 assert structural properties (e.g. a tree reduction executes the expected
 number of barriers).
+
+Global-memory transactions
+--------------------------
+Arrays wrapped by the engine's :class:`GlobalMemory` recorder
+(``engine.memory.array(name, data)``) count the transactions their
+accesses cost, by the convention :mod:`repro.gpu.transactions` charges:
+the k-th access of each lane of a half-warp to one array (reads and
+writes apart) forms one memory instruction, which costs the distinct
+``transaction_bytes``-aligned segments its lanes touch.  Addresses come
+from the wrapped array's own strides, so a Fortran-ordered array *is* a
+column-major matrix, after the array's byte ``offset`` in its allocation
+(0 by default: on a segment boundary).  An array wrapped ``cached=True``
+is read through the read-only (texture) cache: each distinct segment
+costs once per run.
+``SimtRunStats.memory_bytes`` holds the counted bytes per array.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Any, Callable, Generator
 
@@ -51,6 +67,105 @@ class SimtRunStats:
     warps: int = 0
     threads: int = 0
     barriers: int = 0  # per-block barrier episodes, summed over blocks
+    #: Global-memory transaction bytes per recorded array (see
+    #: :class:`GlobalMemory`).
+    memory_bytes: dict[str, int] = dataclasses.field(default_factory=dict)
+
+
+class GlobalMemory:
+    """Counts the global-memory transactions of one SIMT run.
+
+    The engine tells the recorder which thread runs; each access through
+    an array from :meth:`array` is filed under its memory instruction (see
+    the module docstring).
+    """
+
+    def __init__(self, params: GpuModelParams):
+        self.transaction = params.transaction_bytes
+        self.half_warp = params.warp_size // 2
+        self.thread = (0, 0)  # (blockIdx.x, threadIdx.x) of the running thread
+        self.reset()
+
+    def reset(self) -> None:
+        self._accesses: collections.Counter = collections.Counter()
+        self._instructions: dict[tuple, set[int]] = collections.defaultdict(set)
+        self._cached: dict[str, set[int]] = collections.defaultdict(set)
+
+    def array(self, name: str, data: np.ndarray, *, cached: bool = False,
+              offset: int = 0) -> "GlobalArray":
+        """``data`` as a global-memory array ``offset`` bytes into a
+        segment-aligned allocation, whose accesses are counted."""
+        return GlobalArray(self, name, data, cached, offset)
+
+    def touch(self, name: str, kind: str, offset: int, cached: bool) -> None:
+        segment = offset // self.transaction
+        if cached:
+            if kind != "read":
+                raise DeviceError(f"write to {name!r} through the read-only cache")
+            self._cached[name].add(segment)
+            return
+        block, tx = self.thread
+        lane_key = (name, kind, block, tx)
+        k = self._accesses[lane_key]
+        self._accesses[lane_key] = k + 1
+        self._instructions[(name, kind, block, tx // self.half_warp, k)].add(segment)
+
+    def bytes(self) -> dict[str, int]:
+        """Transaction bytes per array counted since the last reset."""
+        out: collections.Counter = collections.Counter()
+        for (name, *_), segments in self._instructions.items():
+            out[name] += len(segments) * self.transaction
+        for name, segments in self._cached.items():
+            out[name] += len(segments) * self.transaction
+        return dict(out)
+
+
+class GlobalArray:
+    """An ndarray in global memory whose element accesses the
+    :class:`GlobalMemory` recorder counts.  Kernels index it like the
+    array; ``.T`` is the transposed view of the same memory."""
+
+    __slots__ = ("_memory", "name", "_data", "_cached", "_base")
+
+    def __init__(self, memory: GlobalMemory, name: str, data: np.ndarray,
+                 cached: bool, base: int = 0):
+        self._memory = memory
+        self.name = name
+        self._data = data
+        self._cached = cached
+        self._base = base
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
+
+    @property
+    def size(self) -> int:
+        return self._data.size
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        return self._data.strides
+
+    @property
+    def T(self) -> "GlobalArray":
+        return GlobalArray(
+            self._memory, self.name, self._data.T, self._cached, self._base
+        )
+
+    def _offset(self, index) -> int:
+        index = index if isinstance(index, tuple) else (index,)
+        return self._base + sum(
+            int(i) * s for i, s in zip(index, self._data.strides)
+        )
+
+    def __getitem__(self, index):
+        self._memory.touch(self.name, "read", self._offset(index), self._cached)
+        return self._data[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._memory.touch(self.name, "write", self._offset(index), self._cached)
+        self._data[index] = value
 
 
 class SharedMemory:
@@ -115,6 +230,9 @@ class SimtEngine:
 
     def __init__(self, params: GpuModelParams = GTX280_PARAMS):
         self.params = params
+        #: Transaction recorder of the arrays kernels access through it;
+        #: reset at the start of every run.
+        self.memory = GlobalMemory(params)
 
     def run(
         self,
@@ -139,9 +257,10 @@ class SimtEngine:
             )
         stats = SimtRunStats()
         warp = self.params.warp_size
+        self.memory.reset()
         for bx in range(grid):
             shared = SharedMemory(self.params.shared_mem_per_block)
-            generators: list[Generator[None, None, None]] = []
+            generators: list[tuple[int, Generator[None, None, None]]] = []
             for tx in range(block):
                 ctx = ThreadCtx(
                     thread_idx=tx,
@@ -151,28 +270,33 @@ class SimtEngine:
                     shared=shared,
                     warp_size=warp,
                 )
+                self.memory.thread = (bx, tx)
                 result = kernel(ctx, *args)
                 if result is not None:
-                    generators.append(result)
-            self._run_block(generators, stats)
+                    generators.append((tx, result))
+            self._run_block(bx, generators, stats)
             stats.blocks += 1
             stats.threads += block
             stats.warps += -(-block // warp)
+        stats.memory_bytes = self.memory.bytes()
         return stats
 
-    @staticmethod
     def _run_block(
-        generators: list["Generator[None, None, None]"], stats: SimtRunStats
+        self,
+        bx: int,
+        generators: list[tuple[int, "Generator[None, None, None]"]],
+        stats: SimtRunStats,
     ) -> None:
         """Advance every thread of a block in lockstep barrier episodes."""
         live = generators
         while live:
-            survivors: list[Generator[None, None, None]] = []
+            survivors: list[tuple[int, Generator[None, None, None]]] = []
             finished = 0
-            for gen in live:
+            for tx, gen in live:
+                self.memory.thread = (bx, tx)
                 try:
                     next(gen)
-                    survivors.append(gen)
+                    survivors.append((tx, gen))
                 except StopIteration:
                     finished += 1
             if survivors and finished:
@@ -248,16 +372,21 @@ def simt_dot_partial(
 
 
 def simt_gemv_warp_per_row(
-    t: ThreadCtx, a: np.ndarray, x: np.ndarray, y: np.ndarray
+    t: ThreadCtx, a, x, y, alpha: float = 1.0, beta: float = 0.0
 ):
-    """y := A x with one warp per matrix row — the mapping the device BLAS
-    charges for GEMV.  Lanes stride across the row (coalesced reads), then
-    reduce within the warp via shared memory.
+    """y := alpha · A x + beta · y with one warp per matrix row — the
+    mapping ``blas.gemv`` charges when its outputs are the matrix's lines.
+    Lanes stride across the row (coalesced reads when A is row-major),
+    reduce within the warp via shared memory, and the block's warps then
+    write their outputs together.  Given ``a.T`` of a column-major A it is
+    the warp-per-column GEMVᵀ that prices over A.
     """
     m, n = a.shape
     row = t.global_id // t.warp_size
     lane = t.lane
+    warps = t.block_dim // t.warp_size
     sdata = t.shared.alloc("warp_sums", t.block_dim, dtype=np.float64)
+    line_sums = t.shared.alloc("line_sums", warps, dtype=np.float64)
     acc = 0.0
     if row < m:
         j = lane
@@ -275,8 +404,99 @@ def simt_gemv_warp_per_row(
             sdata[t.thread_idx] += sdata[t.thread_idx + offset]
         yield
         offset //= 2
-    if lane == 0 and row < m:
-        y[row] = sdata[t.thread_idx]
+    if lane == 0:
+        line_sums[t.warp_id] = sdata[t.thread_idx]
+    yield  # barrier: every warp's sum in shared memory
+
+    out = t.block_idx * warps + t.thread_idx
+    if t.thread_idx < warps and out < m:
+        s = alpha * line_sums[t.thread_idx]
+        y[out] = s if beta == 0.0 else s + beta * y[out]
+
+
+def simt_gemv_tiled(
+    t: ThreadCtx, a, x, y, alpha: float = 1.0, beta: float = 0.0
+):
+    """y := alpha · Aᵀx + beta · y for a row-major A with a tile of 16
+    outputs per block — the mapping ``blas.gemv`` charges when its outputs
+    run along the matrix's lines (π = B⁻ᵀc_B).  Lane c of half-warp s reads
+    A[k, 16·block + c] for every k ≡ s (mod slices), so each half-warp
+    reads 16 consecutive words of a row, one coalesced instruction on
+    GT200; the slices' partial sums then reduce in shared memory and the
+    first half-warp writes the 16 outputs.  Given ``a.T`` of a
+    column-major A it computes A x.
+    """
+    rows, cols = a.shape
+    width = t.warp_size // 2
+    slices = t.block_dim // width
+    c, s = t.thread_idx % width, t.thread_idx // width
+    col = t.block_idx * width + c
+    part = t.shared.alloc("tile", (slices, width), dtype=np.float64)
+    acc = 0.0
+    if col < cols:
+        k = s
+        while k < rows:
+            acc += float(a[k, col]) * float(x[k])
+            k += slices
+    part[s, c] = acc
+    yield  # barrier: every slice's partial sums in shared memory
+
+    half = slices // 2
+    while half > 0:
+        if s < half:
+            part[s, c] += part[s + half, c]
+        yield
+        half //= 2
+    if s == 0 and col < cols:
+        v = alpha * part[0, c]
+        y[col] = v if beta == 0.0 else v + beta * y[col]
+
+
+def simt_extract_row(t: ThreadCtx, a, i: int, out):
+    """out := A[i, :], one thread per element — ``extract_row``'s mapping;
+    given ``a.T`` it is ``extract_column``'s."""
+    j = t.global_id
+    if j < out.size:
+        out[j] = a[i, j]
+    return
+    yield  # pragma: no cover - marks this as a generator function
+
+
+def simt_write_row(t: ThreadCtx, a, i: int, row):
+    """A[i, :] := row, one thread per element — ``write_row_kernel``."""
+    j = t.global_id
+    if j < row.size:
+        a[i, j] = row[j]
+    return
+    yield  # pragma: no cover - marks this as a generator function
+
+
+def simt_load_column(t: ThreadCtx, choice, a, out):
+    """out := A[:, q] with q = choice[0] read on the device, one thread
+    per element — the dense path of ``load_entering_column``."""
+    q = int(choice[0])
+    i = t.global_id
+    if i < out.size:
+        out[i] = a[i, q]
+    return
+    yield  # pragma: no cover - marks this as a generator function
+
+
+def simt_ger(t: ThreadCtx, a, x, y, alpha: float = 1.0):
+    """A := A + alpha · x yᵀ, one thread per element in A's memory order
+    (consecutive threads take consecutive addresses) — ``blas.ger``, and
+    with x = η − e_p and y = row p of B⁻¹ the exact per-thread body of the
+    solver's basis-inverse update."""
+    m, n = a.shape
+    idx = t.global_id
+    if idx < m * n:
+        if a.strides[0] < a.strides[1]:  # column-major
+            j, i = divmod(idx, m)
+        else:
+            i, j = divmod(idx, n)
+        a[i, j] = a[i, j] + alpha * x[i] * y[j]
+    return
+    yield  # pragma: no cover - marks this as a generator function
 
 
 def simt_spmv_csr_vector(
@@ -352,23 +572,6 @@ def simt_block_argmin(
     if t.thread_idx == 0:
         out_val[t.block_idx] = vals[0]
         out_idx[t.block_idx] = idxs[0]
-
-
-def simt_eta_update_row(
-    t: ThreadCtx,
-    binv: np.ndarray,
-    eta_minus_ep: np.ndarray,
-    row_p: np.ndarray,
-):
-    """One thread per B⁻¹ element: the rank-1 eta update GER, the exact
-    per-thread body of the solver's basis-update kernel."""
-    m = binv.shape[0]
-    idx = t.global_id
-    if idx < m * m:
-        i, j = divmod(idx, m)
-        binv[i, j] += eta_minus_ep[i] * row_p[j]
-    return
-    yield  # pragma: no cover - marks this as a generator function
 
 
 def simt_ratio_test(

@@ -32,22 +32,13 @@ import numpy as np
 
 from repro.errors import DeviceArrayError
 from repro.gpu.memory import DeviceArray, DeviceRegion
+from repro.gpu.transactions import spanned_bytes
 from repro.perfmodel.ops import OpCost
 from repro.sparse.base import segment_sums
 from repro.sparse.csc import CscMatrix
 
 #: Index width on the device (32-bit, as real sparse GPU kernels use).
 INDEX_BYTES = 4
-
-
-def _spanned_bytes(indptr: np.ndarray, width: int, transaction: int) -> int:
-    """Bytes of the ``transaction``-byte segments that the runs
-    ``[indptr[k], indptr[k+1])`` of a ``width``-byte array span, summed over
-    the non-empty runs."""
-    lo = indptr[:-1] * width
-    hi = indptr[1:] * width
-    spans = (hi - 1) // transaction - lo // transaction + 1
-    return int(spans[hi > lo].sum()) * transaction
 
 
 class _DeviceCompressed:
@@ -79,9 +70,9 @@ class _DeviceCompressed:
         #: (each array taken as transaction-aligned): what the warps of a
         #: CSR-vector SpMV read of the matrix.
         tx = self.device.params.transaction_bytes
-        self.segment_bytes = _spanned_bytes(
+        self.segment_bytes = spanned_bytes(
             self.host_indptr, self.data.itemsize, tx
-        ) + _spanned_bytes(self.host_indptr, INDEX_BYTES, tx)
+        ) + spanned_bytes(self.host_indptr, INDEX_BYTES, tx)
 
     @staticmethod
     def arrays(host, dtype, name: str = "a") -> dict[str, np.ndarray]:

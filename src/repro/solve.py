@@ -64,12 +64,13 @@ from repro.simplex.options import SolverOptions
 #: The method table (name → :class:`~repro.engine.registry.MethodSpec`).
 _METHODS = METHODS
 
-#: ``method="auto"`` thresholds, calibrated against experiment F10: on
-#: sparse instances below this density the modeled gpu-pdlp time overtakes
-#: gpu-revised-sparse once the problem passes the size crossover
-#: (F10 interpolates the crossing at m+n ≈ 745 for density 0.02).
+#: ``method="auto"`` thresholds, set against experiment F10: on sparse
+#: instances below this density the modeled gpu-pdlp time overtakes the GPU
+#: simplex methods once the problem passes a size crossover.  F10
+#: interpolates it at m+n ≈ 644 against gpu-revised-sparse and m+n ≈ 669
+#: against gpu-revised (density 0.02), below the 750 used here.
 _AUTO_DENSITY = 0.05
-_AUTO_CROSSOVER = 750  # m + n at the measured modeled-time crossover
+_AUTO_CROSSOVER = 750  # m + n above which sparse LPs go to gpu-pdlp
 
 
 def available_methods() -> list[str]:

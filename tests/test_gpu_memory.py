@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceArrayError
-from repro.gpu.memory import DeviceArray
+from repro.gpu.memory import COLUMN_MAJOR, ROW_MAJOR, DeviceArray
 
 
 class TestProperties:
@@ -22,6 +22,49 @@ class TestProperties:
         assert "live" in repr(a)
         a.free()
         assert "freed" in repr(a)
+
+
+class TestLayout:
+    def test_row_major_by_default(self, device):
+        assert device.alloc((3, 4), np.float64).layout == ROW_MAJOR
+        assert device.to_device(np.zeros((3, 4))).layout == ROW_MAJOR
+
+    def test_placed_column_major(self, device):
+        host = np.arange(12.0).reshape(3, 4)
+        region = device.region(
+            {"a": (host.shape, host.dtype), "b": (host.shape, host.dtype)},
+            column_major=("a",),
+        )
+        region.fill({"a": host, "b": host})
+        a, b = region["a"], region["b"]
+        assert (a.layout, b.layout) == (COLUMN_MAJOR, ROW_MAJOR)
+        assert a.steps == (8, 24)  # down a column: one word
+        assert b.steps == (32, 8)  # along a row: one word
+        # the backing store keeps the host's order either way
+        np.testing.assert_array_equal(a.copy_to_host(), host)
+
+    def test_offset_is_the_place_in_the_allocation(self, device):
+        region = device.region({
+            "v": ((3,), np.float32), "a": ((4, 4), np.float64),
+            "k": ((1,), np.int32),
+        })
+        # a follows 12 bytes of v, aligned up to its 8-byte words
+        assert [region[k].offset for k in ("v", "a", "k")] == [0, 16, 144]
+        assert device.alloc(5, np.float32).offset == 0
+
+    def test_aligned_region_starts_matrices_on_segments(self, device):
+        layout = {"v": ((3,), np.float32), "a": ((4, 4), np.float64),
+                  "k": ((1,), np.int32)}
+        region = device.region(layout, aligned=True)
+        # a moves from byte 16 to the next segment; vectors still pack
+        assert [region[k].offset for k in layout] == [0, 64, 192]
+
+    def test_bad_column_major_names_rejected(self, device):
+        with pytest.raises(DeviceArrayError, match="no buffers"):
+            device.region({"a": ((3, 4), np.float64)}, column_major=("x",))
+        with pytest.raises(DeviceArrayError, match="only a matrix"):
+            device.region({"v": ((3,), np.float64)}, column_major=("v",))
+        assert device.stats.bytes_in_use == 0  # rejected before allocating
 
 
 class TestLifetime:

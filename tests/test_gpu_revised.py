@@ -278,3 +278,34 @@ class TestMultiplierUpdate:
             lambda: solve_gpu(lp, dtype=np.float64, refactor_period=2),
         )
         assert per_pass.count(2) >= 1 + r.iterations.refactorizations
+
+
+class TestDeviceLayout:
+    def test_a_column_major_binv_row_major(self):
+        """A is placed column-major and B⁻¹ row-major, so pricing's GEMVᵀ
+        runs a warp per column of A and only the stale-π multiply, across
+        the rows of B⁻¹, runs 16-column tiles of 256 threads."""
+        from repro.gpu.memory import COLUMN_MAJOR, ROW_MAJOR
+
+        placed = []
+
+        class Probe(GpuRevisedSimplex):
+            def _place(self, prep, dtype):
+                placed.append(super()._place(prep, dtype))
+                return placed[-1]
+
+        lp = random_dense_lp(40, 60, seed=3)
+        dev = Device()
+        dev.record_timeline()
+        r = Probe(SolverOptions(fusion=False), device=dev).solve(lp)
+        assert r.status is SolveStatus.OPTIMAL
+        (st,) = placed
+        assert (st.a_dense.layout, st.binv.layout) == (COLUMN_MAJOR, ROW_MAJOR)
+        # each starts on a segment although the vectors before it do not end
+        # on one (A follows 100 + 40 words of costs)
+        segment = dev.params.transaction_bytes
+        assert st.region["c_b"].offset % segment != 0
+        assert st.a_dense.offset % segment == st.binv.offset % segment == 0
+        m, n = st.prep.m, st.prep.n_total
+        threads = {e.threads for e in dev.timeline if e.name == "blas.gemv_t"}
+        assert threads == {32 * n, 256 * -(-m // 16)}

@@ -243,7 +243,11 @@ class TestCsrVectorCost:
         ah = rng.normal(size=shape).astype(dtype)
         assert np.count_nonzero(ah) == ah.size
         d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(ah), dtype)
-        da = device.to_device(ah)
+        # like for like: CSC and the column-major dense matrix both hold
+        # each column contiguous, and both run a warp per column
+        region = device.region({"a": (shape, dtype)}, column_major=("a",))
+        region.fill({"a": ah})
+        da = region["a"]
         x = device.to_device(rng.normal(size=shape[0]).astype(dtype))
         y = device.zeros(shape[1], dtype)
         sparse = _launch_event(device, lambda: spmv_csc_t(d, x, y, beta=beta))

@@ -43,11 +43,16 @@ class TestHeadlineShape:
 
 class TestGpuCostStructure:
     def test_pricing_dominates_phases(self):
+        """Pricing is the largest of the sections that walk a matrix.  At
+        this size the latency-bound ratio test leads overall: it is one
+        launch plus the iteration's readback, which the column-major
+        pricing pass no longer outweighs (F3: pricing leads at 512)."""
         lp = random_dense_lp(256, 256, seed=42)
         r = solve(lp, method="gpu-revised", dtype=np.float32)
         bd = r.timing.kernel_breakdown
         phases = {k: v for k, v in bd.items() if k != "transfer"}
-        assert max(phases, key=phases.get) == "pricing"
+        assert max(phases, key=phases.get) == "ratio"
+        assert bd["pricing"] == max(bd["pricing"], bd["ftran"], bd["update"])
 
     def test_transfer_fraction_decreases_with_size(self):
         fracs = []

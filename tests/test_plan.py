@@ -279,6 +279,37 @@ class TestGrouping:
         # b re-reads operand 1 (read by a) and operand 2 (written by a)
         assert gpu_plan._shared_read_bytes(ops) == 48.0
 
+    def test_reread_credited_as_charged(self):
+        """GEMVᵀ over a column-major A reads β·y in 8-lane runs, a segment
+        per 8 outputs: 128 B for 16 fp32 outputs, twice their 64 bytes.
+        Fused after the copy that writes y, the read it keeps in registers
+        is credited at what it was charged."""
+        from repro.gpu.memory import COLUMN_MAJOR
+
+        def run(fusion):
+            dev = make_device()
+            dev.record_timeline()
+            region = dev.region(
+                {"a": ((64, 16), np.float32)}, column_major=("a",)
+            )
+            region.fill({"a": np.ones((64, 16), np.float32)})
+            assert region["a"].layout == COLUMN_MAJOR
+            c = dev.to_device(np.ones(16, np.float32))
+            pi = dev.to_device(np.ones(64, np.float32))
+            d = dev.alloc(16, np.float32)
+            with gpu_plan.LaunchPlan(dev, fusion=fusion).section("pricing"):
+                blas.copy(c, d)
+                blas.gemv(region["a"], pi, d, -1.0, 1.0, trans=True)
+            return [e for e in dev.timeline if e.kind == "kernel"]
+
+        copy, gemv = (e.cost for e in run(False))
+        (fused,) = run(True)
+        assert fused.name == "fused[copy+gemv_t]"
+        gemv_y_read = 2 * GTX280_PARAMS.transaction_bytes
+        assert fused.cost.bytes_read == (
+            copy.bytes_read + gemv.bytes_read - gemv_y_read
+        )
+
 
 # ---------------------------------------------------------------------------
 # capture guard rails

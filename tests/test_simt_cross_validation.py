@@ -14,8 +14,8 @@ from repro.gpu.plan import LaunchPlan
 from repro.gpu.simt import (
     SimtEngine,
     simt_block_argmin,
-    simt_eta_update_row,
     simt_gemv_warp_per_row,
+    simt_ger,
     simt_spmv_csr_vector,
 )
 from repro.gpu.sparse_kernels import (
@@ -185,7 +185,7 @@ class TestEtaUpdate:
         eta_minus_ep[p] -= 1.0
         row_p = binv_h[p, :].copy()
         threads = m * m
-        engine.run(simt_eta_update_row, -(-threads // 64), 64,
+        engine.run(simt_ger, -(-threads // 64), 64,
                    binv_simt, eta_minus_ep, row_p)
 
         np.testing.assert_allclose(binv_d.data, binv_simt, rtol=1e-10)
@@ -208,7 +208,7 @@ class TestEtaUpdate:
         eta_minus_ep = eta.copy()
         eta_minus_ep[p] -= 1.0
         row_p = binv[p, :].copy()
-        engine.run(simt_eta_update_row, -(-m * m // 32), 32,
+        engine.run(simt_ger, -(-m * m // 32), 32,
                    binv, eta_minus_ep, row_p)
         e_p = np.zeros(m)
         e_p[p] = 1.0
