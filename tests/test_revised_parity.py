@@ -1,9 +1,10 @@
-"""Cross-machine parity of the one revised-simplex loop.
+"""Cross-machine parity of the one primal simplex loop.
 
-The host and device placements run the same iteration schedule, so at
-fp64 a host method and its device twin must take the same pivots: the
-same ``(event, entering, leaving_row)`` sequence, the same status and the
-same objective to 1e-9 relative.  The sparse pair prices differently by
+The host and device placements run the same iteration schedule (the
+tableau pair too, each on its own T = B⁻¹A), so at fp64 a host method
+and its device twin must take the same pivots: the same ``(event,
+entering, leaving_row)`` sequence, the same status and the same
+objective to 1e-9 relative.  The sparse pair prices differently by
 design (partial pricing on the host, one full SpMVᵀ on the device), so it
 agrees on status and objective only.
 """
@@ -36,7 +37,11 @@ PROBLEMS = {
     "sparse-120x180": random_sparse_lp(120, 180, 0.03, seed=1),
 }
 
-PAIRS = [("revised", "gpu-revised"), ("revised-bounded", "gpu-revised-bounded")]
+PAIRS = [
+    ("revised", "gpu-revised"),
+    ("revised-bounded", "gpu-revised-bounded"),
+    ("tableau", "gpu-tableau"),
+]
 
 
 def _run(problem, method):

@@ -7,6 +7,11 @@ pivot sequence (phase, iteration, entering column, leaving row, event) and
 the modeled machine seconds.  Floats are stored in ``float.hex()`` form so
 the comparison is bit-level, not approximate.
 
+Each method is pinned at its defaults (``problems``).  The options that
+only one method runs are pinned in ``variants``, one cell per (problem,
+variant): the tableau's other pricing rules and the Harris ratio test, and
+``gpu-tableau`` in fp32 and mixed precision.
+
 ``tests/test_engine_golden.py`` replays the suite and asserts equality; the
 fixture therefore guards any refactor of the solver lifecycle (the
 ``repro.engine`` layer) against silent behaviour drift.
@@ -83,6 +88,18 @@ def suite() -> list[LPProblem]:
     ]
 
 
+#: Non-default option sets, each a (method, option overrides) pair.
+VARIANTS = {
+    "tableau:dantzig": ("tableau", {"pricing": "dantzig"}),
+    "tableau:bland": ("tableau", {"pricing": "bland"}),
+    "tableau:devex": ("tableau", {"pricing": "devex"}),
+    "tableau:steepest-edge": ("tableau", {"pricing": "steepest-edge"}),
+    "tableau:harris": ("tableau", {"ratio_test": "harris"}),
+    "gpu-tableau:fp32": ("gpu-tableau", {"dtype": np.float32}),
+    "gpu-tableau:mixed": ("gpu-tableau", {"precision": "mixed"}),
+}
+
+
 def hexf(value: float) -> str:
     value = float(value)
     if math.isnan(value):
@@ -90,8 +107,9 @@ def hexf(value: float) -> str:
     return value.hex()
 
 
-def run_one(problem: LPProblem, method: str) -> dict:
-    result = solve(problem, method=method, dtype=np.float64, trace=True)
+def run_one(problem: LPProblem, method: str, **options) -> dict:
+    options = {"dtype": np.float64, **options}
+    result = solve(problem, method=method, trace=True, **options)
     pivots = []
     if result.trace is not None:
         for rec in result.trace:
@@ -114,16 +132,24 @@ def run_one(problem: LPProblem, method: str) -> dict:
         # count alongside the objective (they have no pivot sequence to pin)
         cell["kkt_residual"] = hexf(result.extra["kkt_score"])
         cell["restarts"] = result.extra["restarts"]
+    if "refinement_steps" in result.extra:
+        cell["refinement_steps"] = result.extra["refinement_steps"]
     return cell
 
 
 def fixture_diff(old: dict, new: dict) -> list[str]:
-    """One line per (problem, method) cell of ``new`` that differs from
-    ``old``: the fields that moved, ``modeled_seconds`` old → new (%), and
-    whether the pivot sequence moved."""
+    """One line per (problem, method or variant) cell of ``new`` that
+    differs from ``old``: the fields that moved, ``modeled_seconds`` old →
+    new (%), and whether the pivot sequence moved."""
     lines = []
-    old_problems = old.get("problems", {})
-    for problem, cells in sorted(new["problems"].items()):
+    for section in ("problems", "variants"):
+        lines += _section_diff(old.get(section, {}), new.get(section, {}))
+    return lines
+
+
+def _section_diff(old_problems: dict, new_problems: dict) -> list[str]:
+    lines = []
+    for problem, cells in sorted(new_problems.items()):
         for method, cell in sorted(cells.items()):
             before = old_problems.get(problem, {}).get(method)
             if before is None:
@@ -152,12 +178,15 @@ def main() -> None:
         help="print the cells that differ from the committed fixture; write nothing",
     )
     args = parser.parse_args()
-    fixture: dict = {"problems": {}}
+    fixture: dict = {"problems": {}, "variants": {}}
     for problem in suite():
-        per_method: dict = {}
-        for method in available_methods():
-            per_method[method] = run_one(problem, method)
-        fixture["problems"][problem.name] = per_method
+        fixture["problems"][problem.name] = {
+            method: run_one(problem, method) for method in available_methods()
+        }
+        fixture["variants"][problem.name] = {
+            label: run_one(problem, method, **options)
+            for label, (method, options) in VARIANTS.items()
+        }
     if args.diff:
         with open(FIXTURE) as fh:
             lines = fixture_diff(json.load(fh), fixture)
@@ -167,7 +196,7 @@ def main() -> None:
     with open(FIXTURE, "w") as fh:
         json.dump(fixture, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    n = len(fixture["problems"]) * len(available_methods())
+    n = len(fixture["problems"]) * (len(available_methods()) + len(VARIANTS))
     print(f"wrote {FIXTURE}: {n} (problem, method) cells")
 
 
