@@ -15,7 +15,8 @@
 # hits land).
 # `make pdlp-smoke` runs the first-order (PDLP) backends on a sparse
 # instance and asserts they agree with the revised simplex, and that
-# method="auto" dispatches to a registered method.
+# method="auto" sends that 80x120 instance to gpu-revised and a 400x600
+# sparse one to gpu-pdlp.
 # `make obs-smoke` replays a trace with the repro.obs span recorder on,
 # validates span-tree containment, checks the attribution buckets sum to
 # each job's latency, and validates the exported Chrome span trace.
@@ -112,6 +113,7 @@ pdlp-smoke:  ## end-to-end: first-order backends agree with simplex + auto dispa
 	assert all(abs(o - ref) <= 1e-4 * max(1.0, abs(ref)) for o in objs.values()), (ref, objs); \
 	big = random_sparse_lp(400, 600, density=0.02, seed=1); \
 	assert choose_method(big) == 'gpu-pdlp', choose_method(big); \
+	assert choose_method(lp) == 'gpu-revised', choose_method(lp); \
 	auto = solve(lp, method='auto'); \
 	assert auto.status.value == 'optimal'; \
 	print('pdlp-smoke ok:', {'revised': ref, **objs}, 'auto->', choose_method(lp))"

@@ -648,9 +648,9 @@ def f10_firstorder_crossover(
     solve whose factors fill in as pivots accumulate (F8).  On large sparse
     instances the per-iteration gap overwhelms PDHG's larger iteration
     count and the first-order method wins — this sweep measures where,
-    against ``gpu-revised-sparse`` (the method ``solve(method="auto")``
-    weighs against ``gpu-pdlp``) and against ``gpu-revised`` (the dense
-    B⁻¹ method, which prices the same CSC data).
+    against ``gpu-revised`` (the dense B⁻¹ method, which prices the same
+    CSC data; the method ``solve(method="auto")`` weighs against
+    ``gpu-pdlp``) and against ``gpu-revised-sparse`` (sparse LU factors).
     """
     simplex = ("gpu-revised-sparse", "gpu-revised")
     report = Report(

@@ -718,39 +718,29 @@ class DevicePlacement:
         self.bounds.extract(self, result)
 
     def refined_beta(self, result: SolveResult) -> np.ndarray:
-        """Mixed-precision extraction: fp64 residuals on the host drive
-        fp32 correction solves on the device (dx = B⁻¹r via the resident
-        inverse), with the solution accumulated in fp64 — the classic
-        iterative-refinement scheme.  Every round trip is transfer-costed
-        and the fp32↔fp64 conversions run as :func:`repro.gpu.blas.cast`
-        kernels."""
-        dev = self.dev
-        m = self.prep.m
-        basis_matrix = np.asarray(self.prep.basis_matrix(self.basis), dtype=np.float64)
-        b64 = np.asarray(self.prep.b, dtype=np.float64)
-        scale = 1.0 + float(np.max(np.abs(b64))) if m else 1.0
+        """Mixed-precision extraction (:func:`refine_basic_solution`): the
+        fp32 correction solves run on the device (dx = B⁻¹r via the resident
+        inverse).  Every round trip is transfer-costed and the fp32↔fp64
+        conversions run as :func:`repro.gpu.blas.cast` kernels."""
+        dev, m = self.dev, self.prep.m
         x64 = self.beta.copy_to_host().astype(np.float64)
-        steps = 0
-        residual = float(np.max(np.abs(b64 - basis_matrix @ x64))) if m else 0.0
         r64 = dev.alloc(m, np.float64)
         r32 = dev.alloc(m, np.float32)
         dx32 = dev.alloc(m, np.float32)
+
+        def correction(basis_matrix: np.ndarray, r: np.ndarray) -> np.ndarray:
+            with dev.timed_section("transfer"):
+                r64.copy_from_host(r)
+            with dev.timed_section("refine"):
+                blas.cast(r64, r32)
+                blas.gemv(self.binv, r32, dx32)
+            return dx32.copy_to_host().astype(np.float64)
+
         try:
-            while steps < 3 and residual > 1e-12 * scale:
-                with dev.timed_section("transfer"):
-                    r64.copy_from_host(b64 - basis_matrix @ x64)
-                with dev.timed_section("refine"):
-                    blas.cast(r64, r32)
-                    blas.gemv(self.binv, r32, dx32)
-                x64 += dx32.copy_to_host().astype(np.float64)
-                steps += 1
-                residual = float(np.max(np.abs(b64 - basis_matrix @ x64)))
+            return refine_basic_solution(result, self.prep, self.basis, x64, correction)
         finally:
             for buf in (r64, r32, dx32):
                 buf.free()
-        result.extra["refinement_steps"] = steps
-        result.extra["residual_after_refinement"] = residual
-        return x64
 
     def free(self) -> None:
         """Release every device allocation; tolerates partially-constructed
@@ -760,6 +750,29 @@ class DevicePlacement:
                 live = isinstance(arr, (DeviceArray, DeviceRegion))
                 if live and not arr.is_freed:
                     arr.free()
+
+
+def refine_basic_solution(result: SolveResult, prep: PreparedLP,
+                          basis: np.ndarray, x64: np.ndarray,
+                          correction) -> np.ndarray:
+    """fp64 iterative refinement of an fp32 basic solution, the classic
+    mixed-precision scheme: fp64 residuals r = b − Bx on the host, up to
+    three corrections x += ``correction(B, r)`` ≈ B⁻¹r accumulated in fp64,
+    until ‖r‖∞ ≤ 1e-12·(1 + ‖b‖∞).  Records the step count and the final
+    residual in ``result.extra``."""
+    m = prep.m
+    basis_matrix = np.asarray(prep.basis_matrix(basis), dtype=np.float64)
+    b64 = np.asarray(prep.b, dtype=np.float64)
+    scale = 1.0 + float(np.max(np.abs(b64))) if m else 1.0
+    steps = 0
+    residual = float(np.max(np.abs(b64 - basis_matrix @ x64))) if m else 0.0
+    while steps < 3 and residual > 1e-12 * scale:
+        x64 += correction(basis_matrix, b64 - basis_matrix @ x64)
+        steps += 1
+        residual = float(np.max(np.abs(b64 - basis_matrix @ x64)))
+    result.extra["refinement_steps"] = steps
+    result.extra["residual_after_refinement"] = residual
+    return x64
 
 
 class GpuRevisedSimplex(RevisedBackend, DeviceBackend):

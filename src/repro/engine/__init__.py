@@ -15,16 +15,11 @@ code match that shape.  It owns everything a solve has in common —
   warm-start/device capability flags that ``repro.solve`` and
   ``repro.batch`` both dispatch from (:mod:`repro.engine.registry`);
 
-while each of the seven methods is a thin
-:class:`~repro.engine.backend.SolverBackend` implementing only its own
-numerics (state preparation, the per-phase pricing/ratio/pivot loop,
-solution read-back).  The refactor is behaviour-preserving by construction
-and by test: ``tests/test_engine_golden.py`` pins statuses, objectives,
-pivot sequences and modeled seconds bit-for-bit against a committed
-fixture for all methods.
-
-``rule_label`` is re-exported here so backends can label pricing rules in
-trace records without importing :mod:`repro.trace` themselves.
+while each method is a :class:`~repro.engine.backend.SolverBackend`
+implementing only its own numerics; the eight primal simplex methods
+share one (:mod:`repro.simplex.revised`).  ``tests/test_engine_golden.py``
+pins statuses, objectives, pivot sequences and modeled seconds
+bit-for-bit against a committed fixture for all methods.
 """
 
 from repro.engine.backend import (
@@ -41,7 +36,6 @@ from repro.engine.registry import (
     device_methods,
     warm_start_methods,
 )
-from repro.trace import rule_label
 
 __all__ = [
     "DeviceBackend",
@@ -52,7 +46,6 @@ __all__ = [
     "SolverBackend",
     "attach_standard_solution",
     "device_methods",
-    "rule_label",
     "run_solve",
     "warm_start_methods",
 ]

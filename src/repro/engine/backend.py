@@ -5,11 +5,9 @@ mapping, the phase-1 feasibility verdict, result assembly and observer
 wiring (:func:`repro.engine.lifecycle.run_solve`).  A backend owns the
 *method*: how state is prepared, how a phase's iteration loop prices,
 ratio-tests and pivots, and how the optimal solution is read back.  The
-split keeps the methods' numerics byte-for-byte intact (their inner loops
-differ structurally: revised vs Gauss–Jordan tableau, primal vs dual
-pivoting; the revised methods of one machine share a loop with strategy
-objects) while the surrounding boilerplate that used to be cloned per
-solver lives exactly once.
+eight primal simplex methods share one loop over placements
+(:mod:`repro.simplex.revised`); the dual simplex and the first-order pair
+keep their own.
 
 Lifecycle call order (see :func:`~repro.engine.lifecycle.run_solve`)::
 

@@ -268,21 +268,8 @@ class Device:
         arr._check_live()
         arr.data.fill(value)
         seconds = event_seconds(self.model, "kernel", "memset", nbytes=arr.nbytes)
-        self._advance(seconds)
         cost = OpCost(bytes_written=arr.nbytes, threads=max(1, arr.size))
-        self.stats.record_kernel("memset", seconds, cost)
-        _metrics.record_kernel_launch(
-            "memset", seconds, cost, self.model, DEFAULT_BLOCK
-        )
-        if self.timeline is not None:
-            self.timeline.append(
-                TimelineEvent(
-                    "kernel", "memset", seconds,
-                    threads=cost.threads, nbytes=arr.nbytes,
-                    start=self.clock - seconds,
-                    cost=cost, dtype=arr.dtype, block=DEFAULT_BLOCK,
-                )
-            )
+        self._account_kernel("memset", seconds, cost, arr.dtype, DEFAULT_BLOCK)
 
     def _reserve(self, nbytes: int) -> None:
         limit = self.params.global_mem_bytes
@@ -361,16 +348,22 @@ class Device:
         seconds = event_seconds(
             self.model, "kernel", name, cost=cost, dtype=dtype, block=cfg.block
         )
+        self._account_kernel(name, seconds, cost, dtype, cfg.block)
+
+    def _account_kernel(self, name: str, seconds: float, cost: OpCost,
+                        dtype: np.dtype, block: int) -> None:
+        """Advance the clock past one executed kernel and record it, once
+        for every launch path: device stats, metrics and the timeline."""
         self._advance(seconds)
         self.stats.record_kernel(name, seconds, cost)
-        _metrics.record_kernel_launch(name, seconds, cost, self.model, cfg.block)
+        _metrics.record_kernel_launch(name, seconds, cost, self.model, block)
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
                     "kernel", name, seconds,
                     threads=cost.threads, nbytes=int(cost.bytes_total),
                     start=self.clock - seconds,
-                    cost=cost, dtype=dtype, block=cfg.block,
+                    cost=cost, dtype=dtype, block=block,
                 )
             )
 

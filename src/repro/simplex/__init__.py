@@ -7,9 +7,9 @@
   (standard lowest-index, Harris two-pass).
 - :mod:`~repro.simplex.basis`       — basis-inverse representations
   (explicit B⁻¹ with eta updates, product-form-of-inverse eta file).
-- :mod:`~repro.simplex.tableau`     — dense two-phase tableau simplex.
-- :mod:`~repro.simplex.revised`     — the two-phase revised simplex,
+- :mod:`~repro.simplex.revised`     — the two-phase primal simplex,
   written once for a host or a device placement.
+- :mod:`~repro.simplex.tableau`     — its full-tableau host placement.
 - :mod:`~repro.simplex.revised_cpu` — its host placement: ``revised`` (the
   paper's sequential comparator), ``revised-bounded``, ``revised-sparse``.
 """

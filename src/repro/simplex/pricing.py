@@ -10,15 +10,19 @@ counts.  Rules implemented:
   anti-cycling, often slow.
 - **Hybrid**: Dantzig until the objective stalls for ``stall_window``
   iterations, then Bland until progress resumes — the practical compromise.
-- **Devex** (tableau solvers): Dantzig on reference-framework-weighted
+  :class:`StallSwitch` runs this choice (and the plain Dantzig and Bland
+  modes) for every simplex method.
+- **Devex** (``tableau`` only): Dantzig on reference-framework-weighted
   reduced costs ``d_j² / w_j`` with the classic multiplicative weight update.
-- **Steepest edge** (tableau solvers): exact edge norms from the updated
+- **Steepest edge** (``tableau`` only): exact edge norms from the updated
   tableau columns, ``d_j² / (1 + ‖ᾱ_j‖²)``.
 
 All rules receive the full reduced-cost vector plus an eligibility mask and
 return a *global column index* (or ``None`` at optimality).  Ties break to
 the lowest index everywhere, keeping every solver in the library pivot-for-
-pivot deterministic.
+pivot deterministic.  The simplex loop reads ``active``, ``label``,
+``activations`` and ``notify`` of the :class:`StallSwitch` or tableau rule
+it holds.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ class PricingRule(abc.ABC):
 
     #: Rules that need the updated tableau column (ᾱ) per pivot.
     needs_tableau: bool = False
+
+    #: Dantzig→Bland switches: only a :class:`StallSwitch` makes any.
+    activations = 0
+
+    @property
+    def active(self) -> "PricingRule":
+        """The rule that selects now: the rule itself."""
+        return self
+
+    def notify(self, improved: bool) -> None:
+        """Account one pivot; a fixed rule ignores it."""
 
     @abc.abstractmethod
     def select(self, d: np.ndarray, eligible: np.ndarray, tol: float) -> int | None:
@@ -53,18 +68,6 @@ class PricingRule(abc.ABC):
         Returns the global column index, or ``None`` when no column
         qualifies (current basis optimal).
         """
-
-    def notify_pivot(
-        self,
-        q: int,
-        p_row: int,
-        alpha: np.ndarray | None,
-        improved: bool,
-    ) -> None:
-        """Called after each pivot: entering column ``q``, pivot row
-        ``p_row``, the updated entering column ``alpha`` (``None`` for
-        revised solvers that don't carry the tableau) and whether the
-        objective strictly improved."""
 
     def reset(self, n_cols: int) -> None:
         """Re-initialise any per-column state for a phase with n columns."""
@@ -122,6 +125,11 @@ class StallSwitch:
             return "hybrid:bland" if self.using_bland else "hybrid:dantzig"
         return self.mode
 
+    @property
+    def active(self) -> PricingRule:
+        """The rule that selects now: Dantzig, or Bland while switched."""
+        return _BLAND if self.using_bland else _DANTZIG
+
     def notify(self, improved: bool) -> None:
         """Account one pivot: whether it strictly improved the objective."""
         if self.mode != "hybrid":
@@ -141,39 +149,23 @@ class StallSwitch:
                 self.activations += 1
                 self._stalled = 0
 
-    def notify_pivot(self, q, p_row, alpha, improved) -> None:
-        self.notify(improved)
 
-
-class HybridRule(StallSwitch, PricingRule):
-    """Dantzig with an automatic Bland fallback on objective stalls (the
-    :class:`StallSwitch` picks which rule selects)."""
-
-    def __init__(self, stall_window: int = 40, recovery: int = 5):
-        if stall_window < 1:
-            raise SolverError("stall_window must be >= 1")
-        super().__init__("hybrid", stall_window, recovery)
-        self._dantzig = DantzigRule()
-        self._bland = BlandRule()
-
-    def select(self, d: np.ndarray, eligible: np.ndarray, tol: float) -> int | None:
-        rule = self._bland if self.using_bland else self._dantzig
-        return rule.select(d, eligible, tol)
+_DANTZIG, _BLAND = DantzigRule(), BlandRule()
 
 
 class DevexRule(PricingRule):
     """Devex pricing (Harris 1973) with the multiplicative weight update.
 
     Approximates steepest-edge using reference weights ``w_j`` updated from
-    the pivot column only — no extra BTRANs.  Requires the updated entering
-    column each pivot, so it is offered by the tableau solvers.
+    the pivot row only — no extra BTRANs.  Requires the updated pivot row
+    each pivot, so only the ``tableau`` method offers it.
     """
 
     needs_tableau = True
+    label = "devex"
 
     def __init__(self):
         self._weights: np.ndarray | None = None
-        self._alpha_row: np.ndarray | None = None
 
     def reset(self, n_cols: int) -> None:
         self._weights = np.ones(n_cols)
@@ -195,21 +187,18 @@ class DevexRule(PricingRule):
         score = np.where(negative, d * d / self._weights, -np.inf)
         return int(np.argmax(score))
 
-    def set_pivot_row(self, alpha_row: np.ndarray) -> None:
-        """Provide the pivot row ᾱ_{p,·} (over all columns) for the update."""
-        self._alpha_row = alpha_row
-
-    def notify_pivot(self, q, p_row, alpha, improved) -> None:
-        if self._weights is None or self._alpha_row is None:
+    def pivot(self, q: int, alpha_row: np.ndarray) -> None:
+        """Update the weights for a pivot on column ``q`` whose pre-pivot
+        row ᾱ_{p,·} (over all columns) is ``alpha_row``."""
+        if self._weights is None:
             return
         w_q = self._weights[q]
-        a_pq = self._alpha_row[q]
+        a_pq = alpha_row[q]
         if abs(a_pq) < 1e-300:
             return
-        ratio = (self._alpha_row / a_pq) ** 2 * w_q
+        ratio = (alpha_row / a_pq) ** 2 * w_q
         self._weights = np.maximum(self._weights, ratio)
         self._weights[q] = max(w_q / (a_pq * a_pq), 1.0)
-        self._alpha_row = None
 
 
 class SteepestEdgeRule(PricingRule):
@@ -220,6 +209,7 @@ class SteepestEdgeRule(PricingRule):
     """
 
     needs_tableau = True
+    label = "steepest-edge"
 
     def __init__(self):
         self._gamma: np.ndarray | None = None
@@ -239,18 +229,3 @@ class SteepestEdgeRule(PricingRule):
             return None
         score = np.where(negative, d * d / self._gamma, -np.inf)
         return int(np.argmax(score))
-
-
-def make_pricing_rule(name: str, stall_window: int = 40) -> PricingRule:
-    """Instantiate a pricing rule by option name."""
-    if name == "dantzig":
-        return DantzigRule()
-    if name == "bland":
-        return BlandRule()
-    if name == "hybrid":
-        return HybridRule(stall_window=stall_window)
-    if name == "devex":
-        return DevexRule()
-    if name == "steepest-edge":
-        return SteepestEdgeRule()
-    raise SolverError(f"unknown pricing rule {name!r}")

@@ -1,4 +1,4 @@
-"""Two-phase revised simplex, written once for both machines.
+"""Two-phase primal simplex, written once for both machines.
 
 :class:`RevisedBackend` is the method: begin (with warm start), the phase
 loop, recovery and rebuild, the artificial drive-out and extraction.  It
@@ -12,18 +12,25 @@ does (:mod:`repro.firstorder.pdlp`):
 - :class:`~repro.core.gpu_revised_simplex.DevicePlacement` — buffers
   resident on the simulated device, moved by kernels, with one readback
   per iteration (``gpu-revised``, ``gpu-revised-bounded``,
-  ``gpu-revised-sparse``; the paper's solver).
+  ``gpu-revised-sparse``; the paper's solver);
+- :class:`~repro.simplex.tableau.HostTableau` and
+  :class:`~repro.core.gpu_tableau_simplex.DeviceTableau` — the full
+  tableau T = B⁻¹A on either machine (``tableau``, ``gpu-tableau``; the A3
+  ablation).  T is its own basis representation: there is no π, no basis
+  update counts toward ``refactor_period`` and nothing is ever rebuilt.
 
-Each placement varies along two more axes, strategies fixed by the class
-and never exposed as options: the **basis representation** (host
+Each revised placement varies along two more axes, strategies fixed by the
+class and never exposed as options: the **basis representation** (host
 ``explicit`` / ``pfi`` / ``lu`` from ``basis_update``, or ``sparse-lu``;
 device :class:`~repro.core.gpu_revised_simplex.ExplicitInverse` or
 :class:`~repro.core.gpu_revised_simplex.DeviceLU`) and the **bounds**
 (standard x ≥ 0, or boxed: finite upper bounds handled natively, with
-bound flips).
+bound flips).  The tableau pair runs standard bounds.
 
 One iteration, step by step.  A row marked *all* holds for every method;
-host charges are CPU-model operations, device work is plan sections:
+host charges are CPU-model operations, device work is plan sections.  The
+*tableau* rows hold for both tableau placements and replace the rows of
+the revised ones:
 
 ========= ========= ====================================================
 step      placement work
@@ -31,6 +38,8 @@ step      placement work
 costs     host      c and its objective, held on the host
           device    upload c and c_B as one copy (``transfer``); z = c_B·β
                     (a dot)
+          tableau   d = c − Tᵀc_B once per phase (``pricing.recompute``;
+                    device ``pricing.load``: copy and GEMVᵀ over T)
 price     explicit  π = B⁻ᵀc_B only when stale (phase start, after a
                     rebuild, before a terminal verdict); otherwise π was
                     updated from the pivot row (``btran`` / GEMVᵀ)
@@ -44,9 +53,16 @@ price     explicit  π = B⁻ᵀc_B only when stale (phase start, after a
           device    copy of c, GEMVᵀ/SpMVᵀ (one full pass, sparse data
                     too), mask map (signed when boxed), device-resident
                     arg-min left on the device
+          tableau   d kept by the pivot-row update, no π; the host picks
+                    by the stall switch, or by Devex or steepest edge
+                    (γ from T at every pricing, ``pricing.edge_norms``),
+                    then ``pricing.select``; the device runs the mask map
+                    and arg-min over d
 ftran     all       α = B⁻¹a_q; the host skips it when nothing priced in,
                     the device reads q on the device (``ftran`` / GEMV /
                     ``sparse.ftran_lu``)
+          tableau   α read from T: column q in place, or one device
+                    column load (``column``)
 ratio     host      one-way minimum ratio, standard or Harris (host
                     only), or three-way when boxed: a basic falls to 0,
                     rises to its bound, or q reaches its own bound — a
@@ -60,12 +76,18 @@ update    all       a flip moves β only; a pivot moves β and updates the
                     flip stops there), then ``update.pi``
           device    β update carrying the swap's stores; η kernel, row
                     extract, AXPY, GER — or ``sparse.eta_append``
+          tableau   Gauss–Jordan around (p, q): T, β and d from the pivot
+                    row (``pivot.eliminate``; device ``pivot``: row
+                    extract, scale, GER, row write, AXPY on d, β update
+                    carrying the swap and d_q := 0); Devex re-weighs from
+                    the pre-pivot row
 rebuild   all       after ``refactor_period`` basis updates since the last
                     rebuild, or when the representation asks (sparse LU
                     fill-in): refactor, β = B⁻¹b_eff with b_eff = b minus
                     the columns resting at their upper bounds, π stale
           device    B⁻¹ or the factors, and b_eff when boxed, uploaded as
                     one copy
+          tableau   never
 ========= ========= ====================================================
 
 A terminal verdict (optimal, unbounded) is accepted only from a π solved
@@ -79,13 +101,16 @@ a retry, recorded as ``recovery``.  A step is degenerate when θ ≤
 Phase 1 minimises the sum of implicit artificial variables.  Between the
 phases each zero-valued basic artificial is driven out in favour of the
 real nonbasic column with the largest entry of its transformed row
-(|entry| > 1e-5), when that column's pivot clears ``tol_pivot``; rows with
-no candidate are redundant and keep their artificial pinned at zero.
+(|entry| > ``drive_out_tol``: 1e-5, and 1e-7 for the fp64 ``tableau``
+oracle), when that column's pivot clears ``tol_pivot``; rows with no
+candidate are redundant and keep their artificial pinned at zero.  The
+tableau reads the row from T.
 
 Kept per machine: sparse pricing (partial on the host, one full SpMVᵀ on
-the device), the Harris ratio test (host only), mixed-precision refinement
-and ``fill_stats_every`` (device only).  The engine (:mod:`repro.engine`)
-drives the phases, statuses and result assembly.
+the device), Devex, steepest edge and the Harris ratio test (host only),
+mixed-precision refinement and ``fill_stats_every`` (device only).  Only
+``dual`` keeps a loop of its own (:mod:`repro.simplex.dual`).  The engine
+(:mod:`repro.engine`) drives the phases, statuses and result assembly.
 """
 
 from __future__ import annotations
@@ -109,9 +134,6 @@ from repro.simplex.common import (
     validate_warm_basis,
 )
 from repro.status import SolveStatus
-
-#: A drive-out candidate's transformed-row entry must exceed this.
-DRIVE_OUT_TOL = 1e-5
 
 
 class Step(NamedTuple):
@@ -218,6 +240,8 @@ class RevisedBackend(SolverBackend):
     #: CSC data on entry (the sparse methods convert dense inputs).
     sparse_data = False
     bounds = None
+    #: A drive-out candidate's transformed-row entry must exceed this.
+    drive_out_tol = 1e-5
 
     def _place(self, prep: PreparedLP, dtype: np.dtype):
         raise NotImplementedError
@@ -368,7 +392,7 @@ class RevisedBackend(SolverBackend):
         for p in np.nonzero(st.basis >= n)[0]:
             p = int(p)
             row = st.transformed_row(p)
-            eligible = (~st.in_basis[:n]) & (np.abs(row) > DRIVE_OUT_TOL)
+            eligible = (~st.in_basis[:n]) & (np.abs(row) > self.drive_out_tol)
             candidates = np.nonzero(eligible)[0]
             if candidates.size == 0:
                 continue  # redundant row

@@ -37,7 +37,7 @@ from repro.result import SolveResult
 from repro.simplex.basis import ExplicitInverseBasis, Multipliers, make_basis
 from repro.simplex.common import PHASE1_TOL, PreparedLP
 from repro.simplex.options import RATIO_TESTS, SolverOptions
-from repro.simplex.pricing import BlandRule, DantzigRule, StallSwitch
+from repro.simplex.pricing import StallSwitch
 from repro.simplex.ratio import bounded_ratios, run_ratio_test
 from repro.simplex.revised import BoxedRules, RevisedBackend, Step
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
@@ -45,8 +45,6 @@ from repro.simplex.sparse_pricing import SparsePartialPricing
 
 #: Modeled width of a sparse row index (the CSC index array).
 _INDEX_BYTES = 4
-
-_DANTZIG, _BLAND = DantzigRule(), BlandRule()
 
 
 def full_pricing_cost(prep: PreparedLP, w: int) -> OpCost:
@@ -86,8 +84,9 @@ class DenseData:
         n = s.prep.n_total
         d = s.c_full[:n] - s.prep.price_all(pi)
         s.recorder.charge("pricing", s.pricing_cost)
-        pick = _BLAND if rule.using_bland else _DANTZIG
-        q = pick.select(s.bounds.signed(s, d), ~s.in_basis[:n], s.options.tol_reduced_cost)
+        q = rule.active.select(
+            s.bounds.signed(s, d), ~s.in_basis[:n], s.options.tol_reduced_cost
+        )
         return None if q is None else (q, float(d[q]))
 
 

@@ -8,90 +8,150 @@ serves as (a) an independent correctness oracle, (b) the host of the exact
 steepest-edge / Devex pricing rules (they need updated columns), and (c) the
 CPU side of the A3 tableau-vs-revised ablation.
 
-Runs as a :class:`~repro.engine.backend.HostBackend` on the shared
-:mod:`repro.engine` lifecycle.
+It runs the one simplex loop of :mod:`repro.simplex.revised` through
+:class:`HostTableau`, a placement whose basis representation is T itself:
+there is no π to keep (d is updated from the pivot row) and nothing to
+rebuild.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import HostBackend, attach_standard_solution, rule_label
-from repro.lp.problem import LPProblem
-from repro.lp.standard_form import StandardFormLP
+from repro.engine import HostBackend
 from repro.perfmodel.ops import OpCost
-from repro.result import IterationStats, SolveResult
-from repro.simplex.common import (
-    PHASE1_TOL,
-    initial_basis,
-    prepare,
-)
+from repro.simplex.basis import Multipliers
+from repro.simplex.common import PHASE1_TOL, PreparedLP
 from repro.simplex.options import PRICING_RULES, RATIO_TESTS
-from repro.simplex.pricing import (
-    DevexRule,
-    HybridRule,
-    SteepestEdgeRule,
-    make_pricing_rule,
-)
-from repro.simplex.ratio import run_ratio_test
-from repro.status import SolveStatus
+from repro.simplex.pricing import DevexRule, StallSwitch, SteepestEdgeRule
+from repro.simplex.revised import RevisedBackend, Step
+from repro.simplex.revised_cpu import HostPlacement, StandardBounds
+
+#: The rules that read T; every other pricing option is a stall-switch mode.
+_TABLEAU_RULES = {"devex": DevexRule, "steepest-edge": SteepestEdgeRule}
 
 
-class TableauSimplexSolver(HostBackend):
-    """CPU dense full-tableau simplex."""
+def initial_tableau(prep: PreparedLP, basis: np.ndarray) -> np.ndarray:
+    """T = A for the crash basis (B = I), with the artificial identity block
+    only when the basis holds artificials (phase 1 runs)."""
+    m, n = prep.m, prep.n_total
+    n_cols = n + (m if np.any(basis >= n) else 0)
+    tableau = np.zeros((m, n_cols))
+    tableau[:, :n] = prep.a.to_dense() if prep.is_sparse else np.asarray(prep.a)
+    if n_cols > n:
+        tableau[:, n:] = np.eye(m)
+    return tableau
 
-    name = "tableau-cpu"
-    pricing_rules = PRICING_RULES
-    ratio_tests = RATIO_TESTS
 
-    # -- engine backend interface --------------------------------------
+class TableauPlacement:
+    """What both tableau placements share.  T is the basis representation,
+    so there is no π to keep (every verdict stands), no basis update counts
+    toward a rebuild, and nothing is ever rebuilt; the ratio test and the
+    extraction are the standard-bounds ones of the machine."""
 
-    def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
-        self.recorder.reset()
-        opts = self.options
-        self.prep = prep = prepare(problem, opts)
-        m, n = prep.m, prep.n_total
+    updates = 0
 
-        basis, needs_phase1 = initial_basis(prep)
-        # Materialise the tableau; artificial identity block only if needed.
-        n_cols = n + (m if needs_phase1 else 0)
-        tableau = np.zeros((m, n_cols))
-        tableau[:, :n] = prep.a.to_dense() if prep.is_sparse else np.asarray(prep.a)
-        if needs_phase1:
-            tableau[:, n:] = np.eye(m)
-        self.tableau = tableau
-        self.n_cols = n_cols
+    def __init__(self, backend, prep: PreparedLP):
+        self.prep = prep
+        self.options = backend.options
+        self.bounds = backend.bounds
+        self.multipliers = Multipliers(None, follows_pivots=False)
+
+    def needs_rebuild(self) -> bool:
+        return False
+
+    def extras(self, result) -> None:
+        pass
+
+    def extract(self, result) -> None:
+        # Artificial basics (redundant rows) sit at zero; they are
+        # filtered by extract_solution's `basis < n_total` mask.
+        self.bounds.extract(self, result)
+
+
+class HostTableau(TableauPlacement):
+    """T, d and β as NumPy arrays, every step charged to the CPU cost
+    model at the solve's word size."""
+
+    def __init__(self, backend: "TableauSimplexSolver", prep: PreparedLP,
+                 dtype: np.dtype):
+        super().__init__(backend, prep)
+        self.recorder = backend.recorder
+        self.w = np.dtype(dtype).itemsize
+        self.tol_piv = self.options.tol_pivot
+
+    def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
+        prep = self.prep
+        self.tableau = initial_tableau(prep, basis)
+        self.n_cols = n_cols = self.tableau.shape[1]
         self.basis = basis
         self.beta = prep.b.astype(np.float64).copy()
         self.in_basis = np.zeros(n_cols, dtype=bool)
         self.in_basis[basis] = True
-        self.stats = IterationStats()
-        self._arm(m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test)
-        artificial = np.zeros(n_cols, dtype=bool)
-        artificial[n:] = True
-        self.enterable = ~artificial
-        self.needs_phase1 = needs_phase1
-        self.phase1_feas_tol = PHASE1_TOL
-        return None
+        self.enterable = np.arange(n_cols) < prep.n_total  # never artificials
+        m, w = prep.m, self.w
+        #: one multiply-add pass over T into an n-vector (d, edge norms)
+        self.pass_cost = OpCost(flops=2 * m * n_cols, bytes_read=m * n_cols * w,
+                                bytes_written=n_cols * w)
+        #: one scan of d (the entering-column pick)
+        self.scan_cost = OpCost(flops=n_cols, bytes_read=n_cols * w,
+                                bytes_written=w)
+        #: the Gauss–Jordan update of T, β and d
+        self.pivot_cost = OpCost(
+            flops=2 * m * n_cols + 4 * n_cols + 4 * m,
+            bytes_read=(m * n_cols + 2 * n_cols + 2 * m) * w,
+            bytes_written=(m * n_cols + n_cols + m) * w,
+        )
 
-    def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
-        n = self.prep.n_total
-        c_full = np.zeros(self.n_cols)
-        if phase == 1:
-            c_full[n:] = 1.0
-        else:
-            c_full[:n] = self.prep.c
-        status, self._z, iters = self._run_phase(c_full, phase)
-        return status, iters
+    # -- the loop's steps ------------------------------------------------
 
-    def phase1_objective(self) -> float:
-        return self._z
+    def pricing_rule(self):
+        opts = self.options
+        make = _TABLEAU_RULES.get(opts.pricing)
+        rule = make() if make else StallSwitch(opts.pricing, opts.stall_window)
+        rule.reset(self.n_cols)
+        self.rule = rule
+        return rule
 
-    # ------------------------------------------------------------------
+    def load_costs(self, c_full: np.ndarray) -> float:
+        """d = c − c_BᵀT for the phase's costs (the basis may be non-trivial
+        entering phase 2)."""
+        c = c_full[: self.n_cols]
+        self.d = c - c[self.basis] @ self.tableau
+        z = float(c[self.basis] @ self.beta)
+        self.recorder.charge("pricing.recompute", self.pass_cost)
+        return z
+
+    def price(self, rule) -> None:
+        if isinstance(rule, SteepestEdgeRule):
+            rule.set_tableau(self.tableau)
+            self.recorder.charge("pricing.edge_norms", self.pass_cost)
+        eligible = self.enterable & ~self.in_basis
+        q = rule.active.select(self.d, eligible, self.options.tol_reduced_cost)
+        self.recorder.charge("pricing.select", self.scan_cost)
+        self.choice = None if q is None else (q, float(self.d[q]))
+
+    def ftran(self) -> None:
+        """α is column q of T, read in place."""
+        if self.choice is not None:
+            self.alpha = self.tableau[:, self.choice[0]]
+
+    ratio = HostPlacement.ratio
+
+    def update(self, r: Step, c_q: float) -> None:
+        """Gauss–Jordan elimination of T and β around (p, q), and d from the
+        pivot row; Devex weighs the pre-pivot row."""
+        if isinstance(self.rule, DevexRule):
+            self.rule.pivot(r.q, self.tableau[r.row, :].copy())
+        row_p = self._eliminate(r.row, r.q)
+        self.d -= r.d_q * row_p
+        self.d[r.q] = 0.0
+        self.recorder.charge("pivot.eliminate", self.pivot_cost)
+        self._swap(r.row, r.q)
 
     def _eliminate(self, p: int, q: int) -> np.ndarray:
-        """Gauss–Jordan elimination of the tableau and β around (p, q);
-        returns the scaled pivot row."""
+        """Gauss–Jordan elimination of T and β around (p, q); returns the
+        scaled pivot row."""
         tableau, beta = self.tableau, self.beta
         piv = tableau[p, q]
         row_p = tableau[p, :] / piv
@@ -104,131 +164,41 @@ class TableauSimplexSolver(HostBackend):
         np.clip(beta, 0.0, None, out=beta)
         return row_p
 
-    def _swap(self, p: int, q: int) -> None:
-        """Column q replaces the basic variable of row p."""
-        self.in_basis[self.basis[p]] = False
-        self.in_basis[q] = True
-        self.basis[p] = q
+    _swap = HostPlacement._swap
 
-    def _run_phase(
-        self, c_full: np.ndarray, phase: int
-    ) -> tuple[SolveStatus, float, int]:
-        opts = self.options
-        tableau, beta, basis = self.tableau, self.beta, self.basis
-        in_basis, enterable, stats = self.in_basis, self.enterable, self.stats
-        tr = self.hooks if self.hooks.enabled else None
-        m, n_cols = tableau.shape
-        w = np.dtype(opts.dtype).itemsize
-        rule = make_pricing_rule(opts.pricing, opts.stall_window)
-        rule.reset(n_cols)
-        cap = opts.iteration_cap(m, n_cols)
+    phase1_objective = HostPlacement.phase1_objective
 
-        def finish_phase(status: SolveStatus, z: float, iters: int):
-            # Flush the per-phase Dantzig→Bland switch count on every exit
-            # path; the rule is per-phase, so each phase contributes exactly
-            # once (activations used to be dropped unless the iteration cap
-            # was hit).
-            if isinstance(rule, HybridRule):
-                stats.bland_activations += rule.activations
-            return status, z, iters
+    # -- drive-out (uncharged) ---------------------------------------------
 
-        # reduced costs of the *current* tableau (basis may be non-trivial
-        # when entering phase 2)
-        d = c_full - c_full[basis] @ tableau
-        z = float(c_full[basis] @ beta)
-        self.recorder.charge(
-            "pricing.recompute",
-            OpCost(flops=2 * m * n_cols, bytes_read=m * n_cols * w,
-                   bytes_written=n_cols * w),
-        )
-        iters = 0
-        while iters < cap:
-            iters += 1
-            if isinstance(rule, SteepestEdgeRule):
-                rule.set_tableau(tableau)
-                self.recorder.charge(
-                    "pricing.edge_norms",
-                    OpCost(flops=2 * m * n_cols, bytes_read=m * n_cols * w,
-                           bytes_written=n_cols * w),
-                )
-            eligible = enterable & ~in_basis
-            q = rule.select(d, eligible, opts.tol_reduced_cost)
-            self.recorder.charge(
-                "pricing.select",
-                OpCost(flops=n_cols, bytes_read=n_cols * w, bytes_written=w),
-            )
-            if q is None:
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="optimal",
-                        pricing_rule=rule_label(rule), objective=float(z),
-                    )
-                return finish_phase(SolveStatus.OPTIMAL, z, iters)
+    def transformed_row(self, p: int) -> np.ndarray:
+        return self.tableau[p, : self.prep.n_total]
 
-            alpha = tableau[:, q]
-            rr = run_ratio_test(opts.ratio_test, beta, alpha, basis, opts.tol_pivot)
-            self.recorder.charge(
-                "ratio", OpCost(flops=m, bytes_read=2 * m * w, bytes_written=m * w)
-            )
-            if rr.unbounded:
-                if tr is not None:
-                    tr.record(
-                        phase=phase, iteration=iters, event="unbounded",
-                        entering=int(q), pricing_rule=rule_label(rule),
-                        objective=float(z),
-                    )
-                return finish_phase(SolveStatus.UNBOUNDED, z, iters)
-            p, theta = rr.row, rr.theta
-            degenerate = theta <= opts.tol_zero
-            if degenerate:
-                stats.degenerate_steps += 1
-            if isinstance(rule, DevexRule):
-                rule.set_pivot_row(tableau[p, :].copy())
+    def column_pivot(self, j: int, p: int) -> float:
+        return float(self.tableau[p, j])
 
-            row_p = self._eliminate(p, q)
-            dq = d[q]
-            d -= dq * row_p
-            d[q] = 0.0
-            z += theta * dq
-            self.recorder.charge(
-                "pivot.eliminate",
-                OpCost(
-                    flops=2 * m * n_cols + 4 * n_cols + 4 * m,
-                    bytes_read=(m * n_cols + 2 * n_cols + 2 * m) * w,
-                    bytes_written=(m * n_cols + n_cols + m) * w,
-                ),
-            )
+    def swap_in(self, p: int, j: int, pivot: float) -> None:
+        self._eliminate(p, j)
+        self._swap(p, j)
 
-            improvement = theta * float(-dq)
-            if tr is not None:
-                tr.record(
-                    phase=phase, iteration=iters, event="pivot",
-                    entering=int(q), leaving_row=int(p),
-                    leaving_var=int(basis[p]),
-                    pivot=float(rr.pivot), theta=float(theta),
-                    ratio_ties=int(rr.ties), pricing_rule=rule_label(rule),
-                    objective=float(z), degenerate=degenerate,
-                )
-            self._swap(p, q)
-            rule.notify_pivot(q, p, None, improvement > 1e-12 * (1.0 + abs(z)))
 
-        return finish_phase(SolveStatus.ITERATION_LIMIT, z, iters)
+class TableauSimplexSolver(RevisedBackend, HostBackend):
+    """CPU dense full-tableau simplex."""
 
-    def drive_out_artificials(self) -> None:
-        """Pivot zero-valued artificial basics onto real columns in place."""
-        n = self.prep.n_total
-        for p in np.nonzero(self.basis >= n)[0]:
-            row = self.tableau[p, :n]
-            candidates = np.nonzero((~self.in_basis[:n]) & (np.abs(row) > 1e-7))[0]
-            if candidates.size == 0:
-                continue  # redundant row
-            q = int(candidates[np.argmax(np.abs(row[candidates]))])
-            self._eliminate(p, q)
-            self._swap(p, q)
+    name = "tableau-cpu"
+    accepts_warm_start = False
+    pricing_rules = PRICING_RULES
+    ratio_tests = RATIO_TESTS
+    phase1_feas_tol = PHASE1_TOL
+    bounds = StandardBounds()
+    #: The fp64 oracle drives out on entries the other methods call zero:
+    #: a row left basic on a real entry in (1e-7, 1e-5] lets phase 2 move
+    #: its artificial, and the solve ends wrongly UNBOUNDED.
+    drive_out_tol = 1e-7
 
-    # -- finish participation ------------------------------------------
+    # Defined on the class itself, as profilers that wrap a backend class's
+    # own methods expect.
+    begin = RevisedBackend.begin
+    run_phase = RevisedBackend.run_phase
 
-    def extract(self, result: SolveResult) -> None:
-        # Artificial basics (redundant rows) sit at zero; they are
-        # filtered by extract_solution's `basis < n_total` mask.
-        attach_standard_solution(result, self.prep, self.basis, self.beta)
+    def _place(self, prep: PreparedLP, dtype: np.dtype) -> HostTableau:
+        return HostTableau(self, prep, dtype)

@@ -65,12 +65,11 @@ from repro.simplex.options import SolverOptions
 _METHODS = METHODS
 
 #: ``method="auto"`` thresholds, set against experiment F10: on sparse
-#: instances below this density the modeled gpu-pdlp time overtakes the GPU
-#: simplex methods once the problem passes a size crossover.  F10
-#: interpolates it at m+n ≈ 644 against gpu-revised-sparse and m+n ≈ 669
-#: against gpu-revised (density 0.02), below the 750 used here.
+#: instances below this density the modeled gpu-pdlp time overtakes
+#: gpu-revised, the simplex method ``auto`` runs, once the problem passes
+#: a size crossover.  F10 interpolates it at m+n ≈ 669 (density 0.02).
 _AUTO_DENSITY = 0.05
-_AUTO_CROSSOVER = 750  # m + n above which sparse LPs go to gpu-pdlp
+_AUTO_CROSSOVER = 669  # m + n from which sparse LPs go to gpu-pdlp
 
 
 def available_methods() -> list[str]:
@@ -83,9 +82,10 @@ def choose_method(problem: LPProblem, initial_basis=None) -> str:
 
     The rule mirrors the F10 crossover measurement: big sparse problems go
     to the first-order GPU solver (iteration cost is two SpMVs instead of
-    a basis solve), everything else to the revised simplex variant that
-    matches the storage format.  A warm-start request forces a basis
-    method — the first-order solvers have no basis to start from.
+    a basis solve), everything else to ``gpu-revised``, which F10 measures
+    ahead of ``gpu-revised-sparse`` on every sparse instance it runs.  A
+    warm-start request forces the simplex — the first-order solvers have no
+    basis to start from.
     """
     m, n = problem.num_constraints, problem.num_vars
     if problem.is_sparse:
@@ -96,8 +96,6 @@ def choose_method(problem: LPProblem, initial_basis=None) -> str:
     sparse_enough = density <= _AUTO_DENSITY
     if initial_basis is None and sparse_enough and m + n >= _AUTO_CROSSOVER:
         return "gpu-pdlp"
-    if problem.is_sparse:
-        return "gpu-revised-sparse"
     return "gpu-revised"
 
 

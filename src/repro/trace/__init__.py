@@ -23,7 +23,6 @@ from repro.trace.record import (
     SolveTrace,
     TraceCollector,
     TraceRecord,
-    rule_label,
 )
 from repro.trace.render import render_summary
 
@@ -35,6 +34,5 @@ __all__ = [
     "TraceRecord",
     "merged_chrome_trace",
     "render_summary",
-    "rule_label",
     "validate_chrome_trace",
 ]

@@ -195,26 +195,3 @@ class TraceCollector:
         self._t_prev = now
         self.trace.records.append(rec)
         return rec
-
-
-def rule_label(rule: Any) -> str:
-    """Human-readable label of the pricing rule currently in effect.
-
-    Accepts a plain string (passed through), any of the
-    :mod:`repro.simplex.pricing` rule objects, or a
-    :class:`~repro.simplex.pricing.StallSwitch`.  Hybrid rules report which
-    arm is active (``"hybrid:dantzig"`` / ``"hybrid:bland"``).
-    """
-    if isinstance(rule, str):
-        return rule
-    label = getattr(rule, "label", None)
-    if label is not None:  # the hybrid switch and the rules built on it
-        return label
-    name = type(rule).__name__
-    labels = {
-        "DantzigRule": "dantzig",
-        "BlandRule": "bland",
-        "DevexRule": "devex",
-        "SteepestEdgeRule": "steepest-edge",
-    }
-    return labels.get(name, name)

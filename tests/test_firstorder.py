@@ -178,8 +178,10 @@ class TestAutoDispatch:
         assert choose_method(random_dense_lp(8, 12, seed=3)) == "gpu-revised"
 
     def test_small_sparse_goes_to_sparse_simplex(self):
+        # gpu-revised prices the CSC data itself and F10 measures it ahead
+        # of gpu-revised-sparse on every sparse instance
         lp = random_sparse_lp(10, 16, density=0.3, seed=11)
-        assert choose_method(lp) == "gpu-revised-sparse"
+        assert choose_method(lp) == "gpu-revised"
 
     def test_large_sparse_goes_to_pdlp(self):
         lp = random_sparse_lp(400, 600, density=0.02, seed=1)
@@ -187,9 +189,7 @@ class TestAutoDispatch:
 
     def test_warm_start_forces_basis_method(self):
         lp = random_sparse_lp(400, 600, density=0.02, seed=1)
-        assert choose_method(lp, initial_basis=np.arange(3)) == (
-            "gpu-revised-sparse"
-        )
+        assert choose_method(lp, initial_basis=np.arange(3)) == "gpu-revised"
 
     def test_auto_solves_end_to_end(self):
         lp = random_sparse_lp(10, 16, density=0.3, seed=11)

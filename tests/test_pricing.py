@@ -8,11 +8,10 @@ from repro.simplex.pricing import (
     BlandRule,
     DantzigRule,
     DevexRule,
-    HybridRule,
     StallSwitch,
     SteepestEdgeRule,
-    make_pricing_rule,
 )
+from repro.simplex.options import SolverOptions
 
 ALL = np.ones(5, dtype=bool)
 
@@ -55,40 +54,42 @@ class TestBland:
 
 
 class TestHybrid:
+    """The stall switch in hybrid mode: its ``active`` rule selects."""
+
     def test_starts_as_dantzig(self):
-        rule = HybridRule(stall_window=3)
+        rule = StallSwitch("hybrid", stall_window=3)
         d = np.array([-0.1, -5.0, 0.0, 0.0, 0.0])
-        assert rule.select(d, ALL, 1e-9) == 1  # most negative, not lowest index
+        assert rule.active.select(d, ALL, 1e-9) == 1  # most negative, not lowest index
 
     def test_switches_to_bland_after_stall(self):
-        rule = HybridRule(stall_window=3)
+        rule = StallSwitch("hybrid", stall_window=3)
         d = np.array([-0.1, -5.0, 0.0, 0.0, 0.0])
         for _ in range(3):
-            rule.notify_pivot(1, 0, None, improved=False)
+            rule.notify(improved=False)
         assert rule.activations == 1
-        assert rule.select(d, ALL, 1e-9) == 0  # now Bland: lowest index
+        assert rule.active.select(d, ALL, 1e-9) == 0  # now Bland: lowest index
 
     def test_switches_back_after_recovery(self):
-        rule = HybridRule(stall_window=2, recovery=2)
+        rule = StallSwitch("hybrid", stall_window=2, recovery=2)
         for _ in range(2):
-            rule.notify_pivot(1, 0, None, improved=False)
+            rule.notify(improved=False)
         assert rule.using_bland
         for _ in range(2):
-            rule.notify_pivot(1, 0, None, improved=True)
+            rule.notify(improved=True)
         assert not rule.using_bland
 
     def test_improvement_resets_stall_counter(self):
-        rule = HybridRule(stall_window=3)
-        rule.notify_pivot(1, 0, None, improved=False)
-        rule.notify_pivot(1, 0, None, improved=False)
-        rule.notify_pivot(1, 0, None, improved=True)
-        rule.notify_pivot(1, 0, None, improved=False)
-        rule.notify_pivot(1, 0, None, improved=False)
+        rule = StallSwitch("hybrid", stall_window=3)
+        rule.notify(improved=False)
+        rule.notify(improved=False)
+        rule.notify(improved=True)
+        rule.notify(improved=False)
+        rule.notify(improved=False)
         assert rule.activations == 0
 
     def test_bad_window(self):
         with pytest.raises(SolverError):
-            HybridRule(stall_window=0)
+            SolverOptions(stall_window=0)
 
 
 class TestDevex:
@@ -104,8 +105,7 @@ class TestDevex:
         ones = np.ones(3, dtype=bool)
         # pivot on column 2 with a huge pivot row entry for column 1:
         # column 1's weight grows, demoting it
-        rule.set_pivot_row(np.array([0.0, 100.0, 1.0]))
-        rule.notify_pivot(2, 0, None, improved=True)
+        rule.pivot(2, np.array([0.0, 100.0, 1.0]))
         d = np.array([0.0, -3.0, -2.9])
         # plain Dantzig would take column 1; Devex demotes it
         assert rule.select(d, ones, 1e-9) == 2
@@ -148,8 +148,8 @@ class TestHybridReset:
         # Regression: reset() used to preserve self.activations, so a rule
         # reused across phases would re-report phase 1's switches after the
         # caller had already flushed them into its stats.
-        rule = HybridRule(stall_window=1)
-        rule.notify_pivot(1, 0, None, improved=False)
+        rule = StallSwitch("hybrid", stall_window=1)
+        rule.notify(improved=False)
         assert rule.activations == 1
         rule.reset(5)
         assert rule.activations == 0
@@ -211,10 +211,8 @@ class TestBlandActivationAccounting:
         from repro.solve import solve
 
         module = importlib.import_module(module_name)
-        # the host revised loop builds a StallSwitch per phase; the tableau
-        # method builds its rule by name
-        factory = "StallSwitch" if method == "revised" else "make_pricing_rule"
-        make = getattr(module, factory)
+        # both host placements build a StallSwitch per phase
+        make = module.StallSwitch
         created = []
 
         def spy(name, stall_window=40):
@@ -222,7 +220,7 @@ class TestBlandActivationAccounting:
             created.append(rule)
             return rule
 
-        monkeypatch.setattr(module, factory, spy)
+        monkeypatch.setattr(module, "StallSwitch", spy)
         r = solve(
             two_phase_degenerate_lp, method=method,
             pricing="hybrid", stall_window=1,
@@ -241,13 +239,30 @@ class TestBlandActivationAccounting:
 
 
 class TestFactory:
+    """The tableau builds its rule by option name: a stall switch, or one of
+    the rules that read T."""
+
+    @staticmethod
+    def _tableau_rule(name: str):
+        from repro.lp.generators import random_dense_lp
+        from repro.simplex.common import initial_basis, prepare
+        from repro.simplex.tableau import TableauSimplexSolver
+
+        solver = TableauSimplexSolver(SolverOptions(pricing=name))
+        prep = prepare(random_dense_lp(3, 4, seed=0), solver.options)
+        st = solver._place(prep, np.dtype(np.float64))
+        st.start(initial_basis(prep)[0])
+        return st.pricing_rule()
+
     @pytest.mark.parametrize("name,cls", [
-        ("dantzig", DantzigRule), ("bland", BlandRule), ("hybrid", HybridRule),
+        ("dantzig", StallSwitch), ("bland", StallSwitch), ("hybrid", StallSwitch),
         ("devex", DevexRule), ("steepest-edge", SteepestEdgeRule),
     ])
     def test_make(self, name, cls):
-        assert isinstance(make_pricing_rule(name), cls)
+        rule = self._tableau_rule(name)
+        assert isinstance(rule, cls)
+        assert rule.label.split(":")[0] == name
 
     def test_unknown(self):
         with pytest.raises(SolverError):
-            make_pricing_rule("oracle")
+            SolverOptions(pricing="oracle")

@@ -33,7 +33,6 @@ from repro.trace import (
     TraceCollector,
     TraceRecord,
     merged_chrome_trace,
-    rule_label,
     validate_chrome_trace,
 )
 
@@ -309,12 +308,17 @@ class TestTraceCollector:
         assert trace.meta == {"m": 1}
 
     def test_rule_label(self):
-        from repro.simplex.pricing import make_pricing_rule
+        """Every rule the simplex loop holds names itself in trace records."""
+        from repro.simplex.pricing import DevexRule, StallSwitch, SteepestEdgeRule
 
-        assert rule_label("dantzig") == "dantzig"
-        assert rule_label(make_pricing_rule("bland", 4)) == "bland"
-        hybrid = make_pricing_rule("hybrid", 4)
-        assert rule_label(hybrid) in ("hybrid:dantzig", "hybrid:bland")
+        assert StallSwitch("dantzig", 4).label == "dantzig"
+        assert StallSwitch("bland", 4).label == "bland"
+        hybrid = StallSwitch("hybrid", 1)
+        assert hybrid.label == "hybrid:dantzig"
+        hybrid.notify(improved=False)
+        assert hybrid.label == "hybrid:bland"
+        assert DevexRule().label == "devex"
+        assert SteepestEdgeRule().label == "steepest-edge"
 
 
 # ---------------------------------------------------------------------------

@@ -189,14 +189,14 @@ def upload_calls(monkeypatch):
     """HtoD copies issued by each device solve's begin, and by each call
     of a phase cost load or a rebuild's install."""
     from repro.core.gpu_revised_simplex import DevicePlacement, GpuRevisedSimplex
-    from repro.core.gpu_tableau_simplex import GpuTableauSimplex, _TableauState
+    from repro.core.gpu_tableau_simplex import DeviceTableau, GpuTableauSimplex
     from repro.firstorder.pdlp import GpuPdlpSolver
 
     calls = {"begin": [], "load_costs": [], "install": []}
     spied = [
         (GpuRevisedSimplex, "begin"), (GpuTableauSimplex, "begin"),
         (GpuPdlpSolver, "begin"), (DevicePlacement, "load_costs"),
-        (DevicePlacement, "install"), (_TableauState, "load_costs"),
+        (DevicePlacement, "install"), (DeviceTableau, "load_costs"),
     ]
     for cls, name in spied:
         original = getattr(cls, name)

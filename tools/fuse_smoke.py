@@ -50,11 +50,13 @@ def traced_solve(lp, method, **kw):
     (timeline recorded) and, per trace record, its fields with the
     timeline length at the moment it was recorded; the first mark,
     ``{"event": "begin"}``, is taken when the backend arms its hooks at
-    the end of its begin."""
+    the end of its begin, and each basis rebuild adds a
+    ``{"event": "refactor"}`` mark where it starts."""
     dev = Device(GTX280_PARAMS)
     dev.record_timeline()
     marks = []
     original_record, original_arm = SolveHooks.record, SolveHooks.arm
+    original_span = SolveHooks.span
 
     def record(hooks, **fields):
         marks.append((fields, len(dev.timeline)))
@@ -64,11 +66,17 @@ def traced_solve(lp, method, **kw):
         marks.append(({"event": "begin"}, len(dev.timeline)))
         original_arm(hooks, **kw)
 
-    SolveHooks.record, SolveHooks.arm = record, arm
+    def span(hooks, name, **attrs):
+        if name == "engine.refactor":
+            marks.append(({"event": "refactor"}, len(dev.timeline)))
+        return original_span(hooks, name, **attrs)
+
+    SolveHooks.record, SolveHooks.arm, SolveHooks.span = record, arm, span
     try:
         result = solve(lp, method=method, device=dev, trace=True, **kw)
     finally:
         SolveHooks.record, SolveHooks.arm = original_record, original_arm
+        SolveHooks.span = original_span
     return result, dev, marks
 
 
@@ -80,16 +88,14 @@ def begin_htod(dev, marks) -> int:
 
 def pivot_windows(dev, marks) -> list[list[str]]:
     """Transfer directions of each iteration that runs from one pivot (or
-    bound flip) record to the next within a phase, skipping those a basis
-    refactorization falls in."""
+    bound flip) record to the next within a phase; a basis refactorization
+    mark between two records leaves their iteration out."""
     steps = ("pivot", "flip")
     windows = []
     for (prev, start), (cur, end) in zip(marks, marks[1:]):
         if prev["event"] not in steps or cur["event"] not in steps:
             continue
         if prev["phase"] != cur["phase"]:
-            continue
-        if "eta_count" in cur and cur["eta_count"] != prev["eta_count"] + 1:
             continue
         windows.append(
             [ev.kind for ev in dev.timeline[start:end] if ev.kind != "kernel"]
