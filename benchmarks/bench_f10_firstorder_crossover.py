@@ -11,7 +11,7 @@ def f10_sizes(request) -> tuple[int, ...]:
         return (128, 192, 256, 320, 384, 512)
     # the quick sweep must reach past both crossovers (m+n ≈ 644 against
     # gpu-revised-sparse: simplex/pdlp 0.92 at m = 256, 5.99 at m = 384;
-    # m+n ≈ 669 against gpu-revised: 0.59 and 3.64)
+    # m+n ≈ 679 against gpu-revised: 0.51 and 3.20)
     return (128, 192, 256, 384)
 
 

@@ -3,8 +3,8 @@
 from repro.bench.experiments import f6_sparse
 
 #: Band size from which the sparse GPU backend beats the dense one (the
-#: measured crossover lies between 512 and 640).
-CROSSOVER_BAND = 630
+#: measured crossover lies between 640 and 704).
+CROSSOVER_BAND = 680
 
 
 def test_f6_sparse(benchmark, sweep_sizes):
@@ -27,9 +27,10 @@ def test_f6_sparse(benchmark, sweep_sizes):
     for dense_ms, sparse_ms in zip(table.column("cpu ms"), table.column("cpu-sp ms")):
         assert sparse_ms < dense_ms
     # dense-vs-sparse GPU crossover on banded instances (density ≲3%):
-    # beyond band size ≈ 630 the sparse backend's nnz-proportional basis
-    # solves beat the dense backend's m² kernels (measured 0.88× at 512,
-    # 1.01× at 640, 1.18× at 768), and the sparse speedup rises with size
+    # beyond band size ≈ 680 the sparse backend's nnz-proportional basis
+    # solves beat the dense backend's m² kernels (measured 0.79× at 512,
+    # 0.95× at 640, 1.03× at 704, 1.14× at 768), and the sparse speedup
+    # rises with size
     crossover = report.tables[1]
     band_sizes = crossover.column("band size")
     speedups = crossover.column("sparse speedup")

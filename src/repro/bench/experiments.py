@@ -481,7 +481,7 @@ def f6_sparse(sizes: Sequence[int] = (128, 256, 384, 512), density: float = 0.03
     Table 1 sweeps random sparse instances over all four revised backends
     (dense/sparse × CPU/GPU).  Table 2 is the dense-vs-sparse **GPU
     crossover**: banded instances (density ≲3%) where the sparse LU factors
-    stay sparse — beyond band size ≈ 630 the dense backend's m²
+    stay sparse — beyond band size ≈ 680 the dense backend's m²
     FTRAN/BTRAN/update kernels cost more than the sparse backend's
     nnz-proportional solves, and the sparse speedup rises with size.
     """
@@ -522,7 +522,7 @@ def f6_sparse(sizes: Sequence[int] = (128, 256, 384, 512), density: float = 0.03
         "the crossover is decided by the basis solves: dense B⁻¹ GEMV/GER "
         "kernels scale with m² while sparse LU FTRAN/BTRAN scale with "
         "nnz(LU)+nnz(etas) — on the banded instances the sparse backend "
-        "wins from band size ≈ 630 up."
+        "wins from band size ≈ 680 up."
     )
     return report
 
@@ -648,8 +648,9 @@ def f10_firstorder_crossover(
     solve whose factors fill in as pivots accumulate (F8).  On large sparse
     instances the per-iteration gap overwhelms PDHG's larger iteration
     count and the first-order method wins — this sweep measures where,
-    against ``gpu-revised`` (the dense B⁻¹ method, which prices the same
-    CSC data; the method ``solve(method="auto")`` weighs against
+    against ``gpu-revised`` (the dense B⁻¹ method: it prices the same CSC
+    data through the SpMV, but its FTRAN and basis update run the dense
+    B⁻¹ kernels; the method ``solve(method="auto")`` weighs against
     ``gpu-pdlp``) and against ``gpu-revised-sparse`` (sparse LU factors).
     """
     simplex = ("gpu-revised-sparse", "gpu-revised")

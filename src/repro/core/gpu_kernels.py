@@ -12,10 +12,11 @@ Layout: each dense matrix carries its layout from where it is placed
 reads or writes one charges the 64-byte segments its thread mapping
 touches in that layout (:mod:`repro.gpu.transactions`).  The revised
 backends place A **column-major**, as the paper's cuBLAS code holds it:
-pricing's ``blas.gemv(trans=True)`` runs one warp per column over
-contiguous columns, and the entering-column load
-(:func:`load_entering_column`) reads one contiguous column.  The basis
-inverse B⁻¹ is **row-major**: FTRAN's GEMV runs one warp per row, the eta
+pricing's ``blas.gemv(trans=True)`` walks contiguous columns (k warps
+per column, :func:`~repro.gpu.blas.warps_per_line`), and the
+entering-column load (:func:`load_entering_column`) reads one contiguous
+column.  The basis inverse B⁻¹ is **row-major**: FTRAN's GEMV walks its
+rows the same way, the eta
 update reads row p (:func:`extract_row`) contiguously, and the stale-π
 multiply π = B⁻ᵀc_B is the one walk across a row-major matrix, which
 GEMV runs as 16-column tiles.  The tableau T is **column-major**: its

@@ -8,10 +8,12 @@ as the paper's cuBLAS code holds it, or CSC), the basis representation
 (a row-major B⁻¹ or sparse factors), β, the simplex multipliers π, the
 pricing vector and all scratch buffers live in device global memory for
 the whole solve; the host only sees per-iteration scalars and drives
-control flow.  Pricing's GEMVᵀ runs one warp per contiguous column of A
-and the column load reads one contiguous column; FTRAN's GEMV runs one
-warp per row of B⁻¹, and the stale-π multiply B⁻ᵀc_B runs 16-column tiles
-across its rows (:mod:`repro.gpu.blas`).  :meth:`DevicePlacement.start`
+control flow.  Pricing's GEMVᵀ walks the contiguous columns of A and the
+column load reads one contiguous column; FTRAN's GEMV walks the rows of
+B⁻¹.  Both GEMVs split each line over k warps, as many as fill the device
+(k = 4 at m = 128), so they run near full bandwidth from m = 64 up; the
+stale-π multiply B⁻ᵀc_B runs 16-column tiles across B⁻¹'s rows
+(:mod:`repro.gpu.blas`).  :meth:`DevicePlacement.start`
 places the data with one HtoD copy into one device region, after the
 begin settled the starting basis (crash or warm) on the host; each
 phase's cost load and each

@@ -6,8 +6,8 @@ perfect device fill), but it does Θ(mn) work per iteration where the revised
 method does Θ(m² + pricing); the A3 experiment measures where each wins.
 
 Device layout: the tableau T is placed **column-major** (the per-iteration
-entering column load is the hot read, and d = c − Tᵀc_B runs one warp per
-contiguous column), so the pivot row's read and write stride across
+entering column load is the hot read, and d = c − Tᵀc_B walks contiguous
+columns, k warps per column), so the pivot row's read and write stride across
 columns and pay a 64-byte segment per element — the classic layout trade
 the paper's discussion of coalescing covers.
 
@@ -127,10 +127,7 @@ class DeviceTableau(TableauPlacement):
     ratio = DevicePlacement.ratio
 
     def update(self, r: Step, c_q: float) -> None:
-        # Timed under "pivot" here and again inside _pivot, so the loop's
-        # pivots count twice in that section (the drive-out's once).
-        with self.dev.timed_section("pivot"):
-            self._pivot(r.row, r.q, r.pivot, r.theta, r.d_q, c_q)
+        self._pivot(r.row, r.q, r.pivot, r.theta, r.d_q, c_q)
 
     def _pivot(self, p: int, q: int, pivot: float, theta: float,
                d_q: float, c_q: float) -> None:

@@ -8,9 +8,14 @@ that walks it along its lines (rows when row-major, columns when
 column-major):
 
 - GEMV whose outputs are the matrix's lines (y = A x row-major, y = Aᵀx
-  column-major: FTRAN over B⁻¹ and pricing over A) runs one warp per
-  output; the warp's lanes read the line in coalesced runs, reduce in a
-  warp tree, and the block's warps write their outputs together.
+  column-major: FTRAN over B⁻¹ and pricing over A) runs k warps per
+  output (:func:`warps_per_line`): the fewest, a power of two, whose
+  threads fill the device, so long as every lane reads a word and a
+  line's warps share a block.  The lanes of a line's k warps stride
+  across it together, so each half-warp instruction still reads 16
+  consecutive words, and the line's segments are those one warp reads;
+  each warp reduces in a tree, the k warp sums reduce in shared memory,
+  and a block's 8/k lines write their outputs together.
 - GEMV whose outputs run along the lines (y = Aᵀx row-major: π = B⁻ᵀc_B
   over B⁻¹) runs 16-output × 16-slice tiles of 256 threads: the lanes of
   a half-warp read 16 consecutive words of a line (GT200 coalesces per
@@ -42,7 +47,7 @@ axpy       2n          r 2n·w, w n·w                              n
 cast       n           r n·w_src, w n·w_dst                       n
 dot        2n          r 2n·w (+ partials)                        n
 nrm2       2n+√        r n·w (+ partials)                         n
-gemv       2mn         r seg(A by lines) + seg(x) (+seg(y)),      32 per output
+gemv       2mn         r seg(A by lines) + seg(x) (+seg(y)),      32·k per output
                        w seg(y)                                   or 256 per 16
 ger        2mn         r seg(A) + seg(x) + seg(y), w seg(A)       m·n
 =========  ==========  ========================================  ==============
@@ -266,7 +271,7 @@ def gemv(
 ) -> None:
     """y := alpha · op(A) x + beta · y, with op(A) = A or Aᵀ (``cublasSgemv``).
 
-    One warp per output when the outputs are A's lines, a 16-output tile
+    k warps per output when the outputs are A's lines, a 16-output tile
     of 256 threads when they run along the lines (see the module
     docstring); either way the matrix is read along its layout.
     """
@@ -317,6 +322,19 @@ def _gemv_cost(
     return cost, {a: a_read, x: x_read, y: y_read}
 
 
+def warps_per_line(lines: int, length: int, p) -> int:
+    """The k warps a line-walking GEMV gives each of its ``lines`` lines of
+    ``length`` words: the fewest, a power of two, whose lines·32·k threads
+    fill the device, but no more than leave every lane a word
+    (32·k ≤ length) and no more than one block holds (a line's warps share
+    a block)."""
+    k = 1
+    while (lines * p.warp_size * k < p.concurrent_threads
+           and 2 * k * p.warp_size <= min(length, DEFAULT_BLOCK)):
+        k *= 2
+    return k
+
+
 @functools.lru_cache(maxsize=256)
 def _gemv_shape_cost(shape, w, layout, trans, accumulate, p, a_at, x_at, y_at):
     m, n = shape
@@ -324,9 +342,12 @@ def _gemv_shape_cost(shape, w, layout, trans, accumulate, p, a_at, x_at, y_at):
     half = p.warp_size // 2
     out_len, in_len = (n, m) if trans else (m, n)
     if trans == (layout == COLUMN_MAJOR):
-        # a warp per line; the block's warps write their outputs together
-        threads = out_len * p.warp_size
-        y_bytes = tx.run_bytes(out_len, w, y_at, DEFAULT_BLOCK // p.warp_size, t)
+        # k warps per line; a block's lines write their outputs together
+        k = warps_per_line(out_len, in_len, p)
+        threads = out_len * p.warp_size * k
+        y_bytes = tx.run_bytes(
+            out_len, w, y_at, DEFAULT_BLOCK // (p.warp_size * k), t
+        )
     else:
         # tiles of 16 outputs × 16 line slices; half-warp 0 writes the
         # outputs

@@ -40,6 +40,13 @@ column-major matrix, after the array's byte ``offset`` in its allocation
 is read through the read-only (texture) cache: each distinct segment
 costs once per run.
 ``SimtRunStats.memory_bytes`` holds the counted bytes per array.
+
+Every dense kernel of :mod:`repro.gpu.blas` and
+:mod:`repro.core.gpu_kernels` has a twin here, run with the launch
+configuration its charge implies: :func:`simt_gemv_split_line` with the
+k warps per line that ``blas.warps_per_line`` derives,
+:func:`simt_gemv_tiled`, :func:`simt_ger` and the row, column and
+entering-column copies.
 """
 
 from __future__ import annotations
@@ -371,28 +378,41 @@ def simt_dot_partial(
         partials[t.block_idx] = sdata[0]
 
 
-def simt_gemv_warp_per_row(
-    t: ThreadCtx, a, x, y, alpha: float = 1.0, beta: float = 0.0
+def simt_gemv_split_line(
+    t: ThreadCtx, a, x, y, alpha: float = 1.0, beta: float = 0.0,
+    warps_per_line: int = 1,
 ):
-    """y := alpha · A x + beta · y with one warp per matrix row — the
-    mapping ``blas.gemv`` charges when its outputs are the matrix's lines.
-    Lanes stride across the row (coalesced reads when A is row-major),
-    reduce within the warp via shared memory, and the block's warps then
-    write their outputs together.  Given ``a.T`` of a column-major A it is
-    the warp-per-column GEMVᵀ that prices over A.
+    """y := alpha · A x + beta · y with ``warps_per_line`` (k) warps per
+    matrix row — the mapping ``blas.gemv`` charges when its outputs are the
+    matrix's lines.  The 32·k lanes of a row stride across it together
+    (each half-warp reads 16 consecutive words: coalesced when A is
+    row-major), each warp reduces in a tree, the row's k warp sums reduce
+    in shared memory, and the block's rows then write their outputs
+    together.  A row's warps share the block, so the block holds
+    ``block_dim / 32k`` whole rows.  Given ``a.T`` of a column-major A it
+    is the GEMVᵀ that prices over A.
     """
     m, n = a.shape
-    row = t.global_id // t.warp_size
+    k = warps_per_line
+    width = k * t.warp_size
+    if t.block_dim % width:
+        raise InvalidLaunchError(
+            f"a row of {width} threads does not fit whole in a block of "
+            f"{t.block_dim}"
+        )
+    rows = t.block_dim // width
+    row = t.global_id // width
     lane = t.lane
-    warps = t.block_dim // t.warp_size
-    sdata = t.shared.alloc("warp_sums", t.block_dim, dtype=np.float64)
-    line_sums = t.shared.alloc("line_sums", warps, dtype=np.float64)
+    sdata = t.shared.alloc("lanes", t.block_dim, dtype=np.float64)
+    warp_sums = t.shared.alloc(
+        "warp_sums", t.block_dim // t.warp_size, dtype=np.float64
+    )
     acc = 0.0
     if row < m:
-        j = lane
+        j = t.thread_idx % width
         while j < n:
             acc += float(a[row, j]) * float(x[j])
-            j += t.warp_size
+            j += width
     sdata[t.thread_idx] = acc
     yield  # barrier: all partial sums in shared memory
 
@@ -405,12 +425,20 @@ def simt_gemv_warp_per_row(
         yield
         offset //= 2
     if lane == 0:
-        line_sums[t.warp_id] = sdata[t.thread_idx]
+        warp_sums[t.warp_id] = sdata[t.thread_idx]
     yield  # barrier: every warp's sum in shared memory
 
-    out = t.block_idx * warps + t.thread_idx
-    if t.thread_idx < warps and out < m:
-        s = alpha * line_sums[t.thread_idx]
+    # the row's k warp sums, in a tree
+    offset = k // 2
+    while offset > 0:
+        if lane == 0 and t.warp_id % k < offset:
+            warp_sums[t.warp_id] += warp_sums[t.warp_id + offset]
+        yield
+        offset //= 2
+
+    out = t.block_idx * rows + t.thread_idx
+    if t.thread_idx < rows and out < m:
+        s = alpha * warp_sums[t.thread_idx * k]
         y[out] = s if beta == 0.0 else s + beta * y[out]
 
 
@@ -512,8 +540,9 @@ def simt_spmv_csr_vector(
     """y := alpha · A x + beta · y for CSR A with one warp per row — the
     CSR-vector mapping the device SpMVs charge.  Lanes stride through the
     row's contiguous segment of ``indices``/``data`` (gathering x), then
-    reduce within the warp as :func:`simt_gemv_warp_per_row` does.  Given
-    the arrays of a CSC matrix it computes Aᵀx, as ``spmv_csc_t`` does.
+    reduce within the warp as :func:`simt_gemv_split_line` does with one
+    warp per row.  Given the arrays of a CSC matrix it computes Aᵀx, as
+    ``spmv_csc_t`` does.
     """
     rows = indptr.size - 1
     row = t.global_id // t.warp_size

@@ -100,11 +100,11 @@ a retry, recorded as ``recovery``.  A step is degenerate when θ ≤
 
 Phase 1 minimises the sum of implicit artificial variables.  Between the
 phases each zero-valued basic artificial is driven out in favour of the
-real nonbasic column with the largest entry of its transformed row
-(|entry| > ``drive_out_tol``: 1e-5, and 1e-7 for the fp64 ``tableau``
-oracle), when that column's pivot clears ``tol_pivot``; rows with no
-candidate are redundant and keep their artificial pinned at zero.  The
-tableau reads the row from T.
+real nonbasic column with the largest entry of its transformed row, when
+that entry and the column's pivot clear ``tol_pivot`` (the ratio test's
+zero); rows with no such entry are redundant, and their artificial stays
+pinned at zero because the ratio test never sees a nonzero α in its row.
+The tableau reads the row from T.
 
 Kept per machine: sparse pricing (partial on the host, one full SpMVᵀ on
 the device), Devex, steepest edge and the Harris ratio test (host only),
@@ -240,8 +240,6 @@ class RevisedBackend(SolverBackend):
     #: CSC data on entry (the sparse methods convert dense inputs).
     sparse_data = False
     bounds = None
-    #: A drive-out candidate's transformed-row entry must exceed this.
-    drive_out_tol = 1e-5
 
     def _place(self, prep: PreparedLP, dtype: np.dtype):
         raise NotImplementedError
@@ -383,20 +381,19 @@ class RevisedBackend(SolverBackend):
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued basic artificials out in favour of real columns.
 
-        Rows where no real nonbasic column has a usable entry in the
-        transformed row e_pᵀB⁻¹A are redundant: their artificial stays
-        basic at zero (phase 2 keeps its cost at 0 and β_p = 0).
+        Rows where no real nonbasic entry of the transformed row e_pᵀB⁻¹A
+        clears ``tol_piv`` are redundant: the ratio test treats every α_p
+        of such a row as zero, so their artificial stays basic at zero
+        (phase 2 keeps its cost at 0 and β_p = 0).
         """
         st = self._st
         n = self.prep.n_total
         for p in np.nonzero(st.basis >= n)[0]:
             p = int(p)
-            row = st.transformed_row(p)
-            eligible = (~st.in_basis[:n]) & (np.abs(row) > self.drive_out_tol)
-            candidates = np.nonzero(eligible)[0]
-            if candidates.size == 0:
+            row = np.where(st.in_basis[:n], 0.0, np.abs(st.transformed_row(p)))
+            j = int(np.argmax(row))
+            if row[j] <= st.tol_piv:
                 continue  # redundant row
-            j = int(candidates[np.argmax(np.abs(row[candidates]))])
             pivot = st.column_pivot(j, p)
             if abs(pivot) <= st.tol_piv:
                 continue

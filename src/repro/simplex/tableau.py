@@ -168,16 +168,22 @@ class HostTableau(TableauPlacement):
 
     phase1_objective = HostPlacement.phase1_objective
 
-    # -- drive-out (uncharged) ---------------------------------------------
+    # -- drive-out ---------------------------------------------------------
 
     def transformed_row(self, p: int) -> np.ndarray:
-        return self.tableau[p, : self.prep.n_total]
+        """Row p of T, read and scanned for its largest entry."""
+        n, w = self.prep.n_total, self.w
+        self.recorder.charge(
+            "driveout", OpCost(flops=n, bytes_read=n * w, bytes_written=w)
+        )
+        return self.tableau[p, :n]
 
     def column_pivot(self, j: int, p: int) -> float:
         return float(self.tableau[p, j])
 
     def swap_in(self, p: int, j: int, pivot: float) -> None:
         self._eliminate(p, j)
+        self.recorder.charge("pivot.eliminate", self.pivot_cost)
         self._swap(p, j)
 
 
@@ -190,10 +196,6 @@ class TableauSimplexSolver(RevisedBackend, HostBackend):
     ratio_tests = RATIO_TESTS
     phase1_feas_tol = PHASE1_TOL
     bounds = StandardBounds()
-    #: The fp64 oracle drives out on entries the other methods call zero:
-    #: a row left basic on a real entry in (1e-7, 1e-5] lets phase 2 move
-    #: its artificial, and the solve ends wrongly UNBOUNDED.
-    drive_out_tol = 1e-7
 
     # Defined on the class itself, as profilers that wrap a backend class's
     # own methods expect.

@@ -67,9 +67,9 @@ _METHODS = METHODS
 #: ``method="auto"`` thresholds, set against experiment F10: on sparse
 #: instances below this density the modeled gpu-pdlp time overtakes
 #: gpu-revised, the simplex method ``auto`` runs, once the problem passes
-#: a size crossover.  F10 interpolates it at m+n ≈ 669 (density 0.02).
+#: a size crossover.  F10 interpolates it at m+n ≈ 679 (density 0.02).
 _AUTO_DENSITY = 0.05
-_AUTO_CROSSOVER = 669  # m + n from which sparse LPs go to gpu-pdlp
+_AUTO_CROSSOVER = 679  # m + n from which sparse LPs go to gpu-pdlp
 
 
 def available_methods() -> list[str]:

@@ -5,8 +5,9 @@ phase 1.  In the first the row is redundant (row 5 = row 0 + row 1), so no
 real column can replace the artificial and it stays basic.  In the second
 row 1 is the zero row over the support of the feasible point, and a real
 column pivots the artificial out before phase 2.  Every simplex method
-must reach HiGHS's optimum on both; the host revised and device backends
-are watched through the drive-out itself.
+must reach HiGHS's optimum on both; the host and device backends are
+watched through the drive-out itself.  A third LP's transformed row has
+only a tiny real entry, which must still pivot its artificial out.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from repro.core.gpu_revised_simplex import GpuRevisedSimplex
 from repro.core.gpu_tableau_simplex import GpuTableauSimplex
 from repro.lp.problem import Bounds, LPProblem
 from repro.simplex.revised_cpu import RevisedSimplexSolver
+from repro.simplex.tableau import TableauSimplexSolver
 from repro.solve import available_methods, solve
+from repro.status import SolveStatus
 
 SIMPLEX = [m for m in available_methods() if not m.endswith("pdlp")]
-HOST = ["revised", "revised-bounded", "revised-sparse"]
+PRIMAL = [m for m in SIMPLEX if m != "dual"]
+HOST = ["revised", "revised-bounded", "revised-sparse", "tableau"]
 DEVICE = ["gpu-revised", "gpu-revised-bounded", "gpu-revised-sparse", "gpu-tableau"]
 
 
@@ -56,11 +60,12 @@ def zero_artificial_lp() -> LPProblem:
 
 @pytest.fixture
 def drive_outs(monkeypatch):
-    """Basis before and after each host revised or device drive-out (the
-    bounded and sparse host methods inherit the revised one)."""
+    """Basis before and after each host or device drive-out (the bounded
+    and sparse host methods inherit the revised one)."""
     seen: list[tuple[np.ndarray, np.ndarray, int]] = []
     for cls, basis_of in (
         (RevisedSimplexSolver, lambda backend: backend._st.basis),
+        (TableauSimplexSolver, lambda backend: backend._st.basis),
         (GpuRevisedSimplex, lambda backend: backend._st.basis),
         (GpuTableauSimplex, lambda backend: backend._st.basis),
     ):
@@ -101,7 +106,38 @@ def test_zero_artificial_is_pivoted_out(method, drive_outs):
 
 @pytest.mark.parametrize("method", HOST)
 def test_host_drive_out_is_charged(method):
-    """The drive-out's BTRAN and transformed row cost modeled time on every
-    host revised method (``revised-bounded`` used to charge nothing)."""
+    """The drive-out's transformed row costs modeled time on every host
+    method."""
     r = solve(zero_artificial_lp(), method=method)
     assert r.timing.kernel_breakdown["driveout"] > 0
+
+
+def test_tableau_drive_out_swap_is_charged(monkeypatch):
+    """The tableau's drive-out swap eliminates all of T, charged as a
+    loop pivot's elimination."""
+    charged = []
+    original = TableauSimplexSolver.drive_out_artificials
+
+    def spy(self):
+        before = self.recorder.by_op.get("pivot.eliminate", 0.0)
+        original(self)
+        charged.append(self.recorder.by_op.get("pivot.eliminate", 0.0) - before)
+
+    monkeypatch.setattr(TableauSimplexSolver, "drive_out_artificials", spy)
+    solve(zero_artificial_lp(), method="tableau")
+    assert charged and charged[0] > 0
+
+
+@pytest.mark.parametrize("method", PRIMAL)
+def test_tiny_entry_still_drives_out(method):
+    """Phase 1 ends with x₁ + x₂ = 1 and an artificial basic in row 2,
+    whose only real nonbasic entry is x₃'s −10⁻⁶.  That entry clears the
+    pivot tolerance, so the artificial must leave; left basic, phase 2
+    grows it with x₃ and reports the bounded LP UNBOUNDED."""
+    lp = LPProblem.minimize(
+        c=[1.0, 2.0, -3.0], a_eq=[[1.0, 1.0, 0.0], [1.0, 1.0, -1e-6]],
+        b_eq=[1.0, 1.0],
+    )
+    r = solve(lp, method=method)
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.objective == pytest.approx(1.0, abs=1e-9)

@@ -122,3 +122,17 @@ def test_device_methods_report_the_same_device_extras(fusion):
     }
     assert len(got) == 5
     assert all(keys == want for keys in got.values()), got
+
+
+
+@pytest.mark.parametrize("method", sorted(device_methods()))
+def test_device_sections_count_each_second_once(method):
+    """A device method's timed sections never nest, so the ones other
+    than ``transfer`` sum to at most the modeled clock.  At 24×32 the
+    pivots are a large enough share of the clock that a section counted
+    twice shows."""
+    timing = solve(random_dense_lp(24, 32, seed=3), method=method).timing
+    sections = sum(
+        v for k, v in timing.kernel_breakdown.items() if k != "transfer"
+    )
+    assert sections <= timing.modeled_seconds, timing.kernel_breakdown

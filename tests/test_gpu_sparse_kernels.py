@@ -244,7 +244,8 @@ class TestCsrVectorCost:
         assert np.count_nonzero(ah) == ah.size
         d = upload(DeviceCscMatrix, device, CscMatrix.from_dense(ah), dtype)
         # like for like: CSC and the column-major dense matrix both hold
-        # each column contiguous, and both run a warp per column
+        # each column contiguous; the SpMV runs a warp per column, the
+        # GEMV k warps per column, as many as fill the device
         region = device.region({"a": (shape, dtype)}, column_major=("a",))
         region.fill({"a": ah})
         da = region["a"]
@@ -254,7 +255,9 @@ class TestCsrVectorCost:
         dense = _launch_event(
             device, lambda: blas.gemv(da, x, y, beta=beta, trans=True)
         )
-        assert sparse.threads == dense.threads == 32 * shape[1]
+        k = blas.warps_per_line(shape[1], shape[0], device.params)
+        assert sparse.threads == 32 * shape[1]
+        assert dense.threads == 32 * k * shape[1]
         assert sparse.seconds >= dense.seconds
 
     def test_one_nonzero_segment_pays_a_transaction(self, device):

@@ -280,10 +280,11 @@ class TestGrouping:
         assert gpu_plan._shared_read_bytes(ops) == 48.0
 
     def test_reread_credited_as_charged(self):
-        """GEMVᵀ over a column-major A reads β·y in 8-lane runs, a segment
-        per 8 outputs: 128 B for 16 fp32 outputs, twice their 64 bytes.
-        Fused after the copy that writes y, the read it keeps in registers
-        is credited at what it was charged."""
+        """GEMVᵀ over a column-major 64×16 A runs two warps per 64-word
+        column, so a block holds 4 columns and reads β·y in 4-lane runs,
+        a segment per 4 outputs: 256 B for 16 fp32 outputs, four times
+        their 64 bytes.  Fused after the copy that writes y, the read it
+        keeps in registers is credited at what it was charged."""
         from repro.gpu.memory import COLUMN_MAJOR
 
         def run(fusion):
@@ -305,7 +306,8 @@ class TestGrouping:
         copy, gemv = (e.cost for e in run(False))
         (fused,) = run(True)
         assert fused.name == "fused[copy+gemv_t]"
-        gemv_y_read = 2 * GTX280_PARAMS.transaction_bytes
+        assert gemv.threads == 16 * 32 * 2
+        gemv_y_read = 4 * GTX280_PARAMS.transaction_bytes
         assert fused.cost.bytes_read == (
             copy.bytes_read + gemv.bytes_read - gemv_y_read
         )

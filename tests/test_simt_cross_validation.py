@@ -14,7 +14,7 @@ from repro.gpu.plan import LaunchPlan
 from repro.gpu.simt import (
     SimtEngine,
     simt_block_argmin,
-    simt_gemv_warp_per_row,
+    simt_gemv_split_line,
     simt_ger,
     simt_spmv_csr_vector,
 )
@@ -42,7 +42,7 @@ class TestGemvWarpPerRow:
         threads = warps_needed * 32
         block = 128
         grid = -(-threads // block)
-        stats = engine.run(simt_gemv_warp_per_row, grid, block, a, x, y)
+        stats = engine.run(simt_gemv_split_line, grid, block, a, x, y)
         np.testing.assert_allclose(y, a @ x, rtol=1e-12)
         assert stats.warps >= warps_needed
 
@@ -56,7 +56,7 @@ class TestGemvWarpPerRow:
         blas.gemv(da, dx, dy)
         # thread-level SIMT
         y_simt = np.zeros(m)
-        engine.run(simt_gemv_warp_per_row, m, 32, ah, xh, y_simt)
+        engine.run(simt_gemv_split_line, m, 32, ah, xh, y_simt)
         np.testing.assert_allclose(dy.data, y_simt, rtol=1e-10)
 
     def test_wide_row_grid_stride(self, engine, rng):
@@ -65,7 +65,7 @@ class TestGemvWarpPerRow:
         a = rng.normal(size=(m, n))
         x = rng.normal(size=n)
         y = np.zeros(m)
-        engine.run(simt_gemv_warp_per_row, 3, 32, a, x, y)
+        engine.run(simt_gemv_split_line, 3, 32, a, x, y)
         np.testing.assert_allclose(y, a @ x, rtol=1e-12)
 
 

@@ -13,7 +13,10 @@ vectors read once through the texture cache.  The twins also compute the
 kernel's result, which is checked against the device's.
 
 Shapes: 16×32 keeps every row and column on segment boundaries in both
-word sizes; 7×9 and 24×36 put rows and columns off them.  Every kernel's
+word sizes; 7×9 and 24×36 put rows and columns off them.  64×96 and
+130×70 have lines of 64 words or more, so the line-walking GEMV splits
+each line over k > 1 warps; 130×70's lines of 70 words and 130 words
+are not a multiple of 32.  Every kernel's
 operands are placed in one region, directly (``lead`` 0: the first on a
 segment boundary) or after 40 bytes of padding, so the matrix and the
 vectors behind it start mid-segment, as a solver's region places a
@@ -33,13 +36,13 @@ from repro.gpu.simt import (
     SimtEngine,
     simt_extract_row,
     simt_gemv_tiled,
-    simt_gemv_warp_per_row,
+    simt_gemv_split_line,
     simt_ger,
     simt_load_column,
     simt_write_row,
 )
 
-SHAPES = [(7, 9), (16, 32), (24, 36)]
+SHAPES = [(7, 9), (16, 32), (24, 36), (64, 96), (130, 70)]
 DTYPES = [np.float32, np.float64]
 LAYOUTS = [ROW_MAJOR, COLUMN_MAJOR]
 LEADS = [0, 40]
@@ -120,10 +123,11 @@ def test_gemv(device, engine, rng, shape, dtype, layout, lead, trans, beta):
     y_twin = yh.copy()
     args = (_twin(engine, "x", xh, x, cached=True),
             _twin(engine, "y", y_twin, y), -1.0, beta)
-    if trans == (layout == COLUMN_MAJOR):  # a warp per line
+    if trans == (layout == COLUMN_MAJOR):  # k warps per line
+        k = blas.warps_per_line(out_len, in_len, device.params)
+        assert cost.threads == out_len * 32 * k
         lines = a_view.T if trans else a_view
-        stats = _run(engine, simt_gemv_warp_per_row, cost, lines, *args)
-        assert cost.threads == out_len * 32
+        stats = _run(engine, simt_gemv_split_line, cost, lines, *args, k)
     else:  # tiles across the lines
         lines = a_view if trans else a_view.T
         stats = _run(engine, simt_gemv_tiled, cost, lines, *args)
@@ -220,6 +224,36 @@ def test_ger(device, engine, rng, shape, dtype, layout, lead, kernel):
                  _twin(engine, "y", yh, y, cached=True), -1.0)
     _assert_counted(cost, stats)
     np.testing.assert_allclose(a_mem, a.data, rtol=1e-5, atol=1e-5)
+
+
+class TestWarpsPerLine:
+    """The line-walking GEMV's k: the fewest warps per line that fill the
+    device, so long as no lane is left without a word and a line never
+    spans two blocks."""
+
+    @pytest.mark.parametrize("lines", [1, 7, 64, 130, 256, 959, 960, 4000])
+    @pytest.mark.parametrize("length", [1, 31, 63, 64, 70, 96, 128, 255, 256, 900])
+    def test_rule(self, device, lines, length):
+        p = device.params
+        k = blas.warps_per_line(lines, length, p)
+        assert k >= 1 and k & (k - 1) == 0
+        assert k == 1 or 32 * k <= length  # every lane reads a word
+        assert DEFAULT_BLOCK % (32 * k) == 0  # whole lines in a block
+        # minimal: half as many warps would leave the device unfilled
+        assert k == 1 or lines * 32 * (k // 2) < p.concurrent_threads
+        # and only the fill or a cap stops it growing
+        assert (lines * 32 * k >= p.concurrent_threads
+                or 64 * k > min(length, DEFAULT_BLOCK))
+
+    def test_solver_sizes(self, device):
+        p = device.params
+        assert p.concurrent_threads == 30720
+        assert blas.warps_per_line(128, 128, p) == 4
+        assert blas.warps_per_line(256, 128, p) == 4
+        assert blas.warps_per_line(64, 64, p) == 2
+        assert blas.warps_per_line(512, 256, p) == 2
+        assert blas.warps_per_line(960, 256, p) == 1
+        assert blas.warps_per_line(100, 63, p) == 1  # a line under 64 words
 
 
 def test_mid_segment_matrix_pays_for_the_straddle(device):

@@ -18,7 +18,10 @@ contracts the plan layer promises:
 - **one launch per ratio test**: fused, every ratio test of the four GPU
   simplex backends at m ≤ 2·DEFAULT_BLOCK = 512 rows is a single kernel
   launch (its reductions fit one thread block), checked on the cases below
-  and on 512-row LPs; at 513 rows it is not.
+  and on 512-row LPs; at 513 rows it is not;
+- **split lines**: on a 128×128 dense LP the fused pricing launch (a line
+  per column of A) and FTRAN's (a line per row of B⁻¹) carry 32·k
+  threads per line with k = 4 warps, enough to fill the device.
 
 A final check runs ``precision="mixed"`` (fp32 compute + fp64 iterative
 refinement) and asserts the refined objective matches the all-fp64 solve to
@@ -36,6 +39,7 @@ from repro.engine.hooks import SolveHooks
 from repro.gpu.device import Device
 from repro.gpu.kernel import DEFAULT_BLOCK
 from repro.lp.generators import random_dense_lp, random_sparse_lp
+from repro.lp.standard_form import to_standard_form
 from repro.perfmodel.presets import GTX280_PARAMS
 from repro.solve import solve
 
@@ -141,6 +145,22 @@ def run(lp, method, **kw):
     return result, launches
 
 
+def split_line_threads() -> None:
+    """The line-walking GEMVs of ``gpu-revised`` at m = 128 run 4 warps
+    per line."""
+    lp = random_dense_lp(128, 128, seed=5)
+    m, n_total = to_standard_form(lp).a.shape
+    dev = Device(GTX280_PARAMS)
+    dev.record_timeline()
+    solve(lp, method="gpu-revised", device=dev, max_iterations=3)
+    lines = {"fused[copy+gemv_t+mask_min+argmin]": n_total,
+             "fused[load_col+gemv]": m}
+    seen = {ev.name: ev.threads for ev in dev.timeline if ev.name in lines}
+    assert seen.keys() == lines.keys(), seen
+    for name, count in lines.items():
+        assert seen[name] == count * 32 * 4, (name, seen[name], count)
+
+
 def main() -> int:
     cases = [
         ("gpu-revised", random_dense_lp(32, 48, seed=5)),
@@ -171,6 +191,8 @@ def main() -> int:
             )
             assert counts and (set(counts) == {1}) == single, (method, m, counts)
 
+    split_line_threads()
+
     lp = random_dense_lp(32, 48, seed=5)
     r64, _ = run(lp, "gpu-revised", dtype=np.float64)
     rmx, _ = run(lp, "gpu-revised", precision="mixed")
@@ -179,7 +201,7 @@ def main() -> int:
 
     print("fuse-smoke ok:", ", ".join(deltas), "| mixed relerr %.2e" % err,
           "| 1 HtoD at begin | 0 HtoD + 1 DtoH per pivot | 1 launch per ratio test at m <=",
-          one_block)
+          one_block, "| 4 warps per line at m = 128")
     return 0
 
 
