@@ -79,8 +79,7 @@ sparse-smoke:  ## end-to-end: sparse instance -> dense + sparse solvers agree
 	from repro import solve; \
 	lp = read_mps('/tmp/sparse-smoke.mps'); \
 	res = {m: solve(lp, method=m) \
-	       for m in ('revised', 'revised-sparse', 'gpu-revised', \
-	                 'gpu-revised-sparse')}; \
+	       for m in ('revised', 'revised-sparse', 'gpu-revised')}; \
 	objs = {m: r.objective for m, r in res.items()}; \
 	ref = objs['revised']; \
 	assert any('spmv_csc_t' in k for k in res['gpu-revised'].extra['by_kernel']); \

@@ -28,7 +28,6 @@ from repro.bench.harness import (
 )
 from repro.bench.tables import Report, Table, ascii_series
 from repro.lp.generators import (
-    band_lp,
     degenerate_lp,
     klee_minty_lp,
     netlib_synth_suite,
@@ -474,55 +473,47 @@ def a3_tableau_vs_revised(sizes: Sequence[int] = (64, 128, 256, 384), seed: int 
 
 
 def f6_sparse(sizes: Sequence[int] = (128, 256, 384, 512), density: float = 0.03,
-              seed: int = 42,
-              crossover_sizes: Sequence[int] = (256, 512, 640, 768)) -> Report:
-    """Sparse LPs: dense vs end-to-end sparse backends, and the crossover.
+              seed: int = 42) -> Report:
+    """Sparse LPs: dense vs sparse data on both machines.
 
-    Table 1 sweeps random sparse instances over all four revised backends
-    (dense/sparse × CPU/GPU).  Table 2 is the dense-vs-sparse **GPU
-    crossover**: banded instances (density ≲3%) where the sparse LU factors
-    stay sparse — beyond band size ≈ 680 the dense backend's m²
-    FTRAN/BTRAN/update kernels cost more than the sparse backend's
-    nnz-proportional solves, and the sparse speedup rises with size.
+    Random sparse instances over the dense CPU comparator ``revised``, the
+    sparse CPU backend ``revised-sparse`` (CSC data, sparse LU factors,
+    partial pricing) and ``gpu-revised``, which places sparse input as CSC
+    and prices it by SpMVᵀ while keeping the paper's dense B⁻¹.
     """
     report = Report("F6", f"Sparse LPs (density {density}): dense vs sparse backends")
     t = report.add_table(
-        Table(["size", "nnz", "iters", "cpu ms", "gpu ms", "speedup",
-               "cpu-sp ms", "gpu-sp ms"])
+        Table(["size", "nnz", "iters", "cpu ms", "gpu ms", "speedup", "cpu-sp ms"])
     )
     for size in sizes:
         lp = random_sparse_lp(size, size, density=density, seed=seed)
         rc = run_method(lp, "revised", dtype=BENCH_DTYPE)
         rg = run_method(lp, "gpu-revised", dtype=BENCH_DTYPE)
         rcs = run_method(lp, "revised-sparse", dtype=BENCH_DTYPE)
-        rgs = run_method(lp, "gpu-revised-sparse", dtype=BENCH_DTYPE)
         t.add_row(
             size, lp.a.nnz, rg.iterations, rc.modeled_seconds * 1e3,
             rg.modeled_seconds * 1e3,
             rc.modeled_seconds / rg.modeled_seconds if rg.modeled_seconds else float("nan"),
-            rcs.modeled_seconds * 1e3, rgs.modeled_seconds * 1e3,
-        )
-    tx = report.add_table(
-        Table(["band size", "density %", "iters", "gpu ms", "gpu-sp ms",
-               "sparse speedup"])
-    )
-    for size in crossover_sizes:
-        lp = band_lp(size, bandwidth=8, seed=seed)
-        m, n = lp.a.shape
-        rg = run_method(lp, "gpu-revised", dtype=BENCH_DTYPE)
-        rgs = run_method(lp, "gpu-revised-sparse", dtype=BENCH_DTYPE)
-        tx.add_row(
-            size, 100.0 * lp.a.nnz / (m * n), rgs.iterations,
-            rg.modeled_seconds * 1e3, rgs.modeled_seconds * 1e3,
-            rg.modeled_seconds / rgs.modeled_seconds if rgs.modeled_seconds else float("nan"),
+            rcs.modeled_seconds * 1e3,
         )
     report.add_note(
-        "Pricing cost drops from O(mn) to O(nnz) on both machines; on the "
-        "GPU both backends price via one warp-per-column SpMVᵀ launch, so "
-        "the crossover is decided by the basis solves: dense B⁻¹ GEMV/GER "
-        "kernels scale with m² while sparse LU FTRAN/BTRAN scale with "
-        "nnz(LU)+nnz(etas) — on the banded instances the sparse backend "
-        "wins from band size ≈ 680 up."
+        "Pricing cost drops from O(mn) to O(nnz) on both machines: the host "
+        "sparse backend prices sections of CSC columns, the device one "
+        "warp-per-column SpMVᵀ launch.  The device keeps B⁻¹ dense, whose "
+        "fill-in F8 measures."
+    )
+    report.add_note(
+        "The device used to offer sparse LU factors with an eta file as a "
+        "second basis representation (after Gahrouei & Ghatee, "
+        "arXiv:1803.04378).  It won no instance up to the largest size the "
+        "e2e benchmark runs: gpu-revised was 1.19-1.62x faster on all 120 "
+        "sparse-lu instances, and 57.0 vs 30.6 ms here at 256.  Its only "
+        "wins, banded LPs of 704 and 768 rows (1.03x, 1.14x), came from "
+        "charging each triangular solve as one fully parallel launch: at "
+        "band 704 L has up to 63 dependency levels and U up to 137, and an "
+        "FTRAN applies 31.6 etas on average (up to 89) one after another; "
+        "with no grid-wide barrier each level is a launch, about 1 ms an "
+        "FTRAN against 127 us for a whole iteration.  So it was deleted."
     )
     return report
 
@@ -642,18 +633,17 @@ def f10_firstorder_crossover(
     density: float = 0.02,
     seed: int = 42,
 ) -> Report:
-    """Modeled-time crossover between the GPU simplex methods and ``gpu-pdlp``.
+    """Modeled-time crossover between the GPU simplex and ``gpu-pdlp``.
 
     First-order iterations cost two SpMVs; simplex iterations cost a basis
-    solve whose factors fill in as pivots accumulate (F8).  On large sparse
-    instances the per-iteration gap overwhelms PDHG's larger iteration
-    count and the first-order method wins — this sweep measures where,
-    against ``gpu-revised`` (the dense B⁻¹ method: it prices the same CSC
-    data through the SpMV, but its FTRAN and basis update run the dense
-    B⁻¹ kernels; the method ``solve(method="auto")`` weighs against
-    ``gpu-pdlp``) and against ``gpu-revised-sparse`` (sparse LU factors).
+    solve over a B⁻¹ that fills in as pivots accumulate (F8).  On large
+    sparse instances the per-iteration gap overwhelms PDHG's larger
+    iteration count and the first-order method wins — this sweep measures
+    where, against ``gpu-revised`` (it prices the same CSC data through
+    the SpMV, but its FTRAN and basis update run the dense B⁻¹ kernels;
+    the method ``solve(method="auto")`` weighs against ``gpu-pdlp``).
     """
-    simplex = ("gpu-revised-sparse", "gpu-revised")
+    simplex = ("gpu-revised",)
     report = Report(
         "F10",
         f"Simplex vs first-order crossover (sparse, density {density})",

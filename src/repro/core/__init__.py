@@ -5,11 +5,10 @@
   masked pricing) layered over :mod:`repro.gpu`.
 - :mod:`~repro.core.gpu_revised_simplex` — the device placement of the
   one primal simplex loop (:mod:`repro.simplex.revised`): device-resident
-  B⁻¹ or sparse LU factors, BLAS-2 iteration (pricing/FTRAN as GEMV or
-  SpMV, rank-1 GER basis update), dense or sparse constraint matrix,
-  fp32/fp64, standard or boxed bounds — **GpuRevisedSimplex** (the
-  paper's solver), **GpuBoundedRevisedSimplex** and
-  **GpuSparseRevisedSimplex**.
+  B⁻¹, BLAS-2 iteration (pricing as GEMVᵀ or SpMVᵀ, FTRAN as GEMV,
+  rank-1 GER basis update), dense or CSC constraint matrix, fp32/fp64,
+  standard or boxed bounds — **GpuRevisedSimplex** (the paper's solver)
+  and **GpuBoundedRevisedSimplex**.
 - :mod:`~repro.core.gpu_tableau_simplex` — **GpuTableauSimplex**, the
   full-tableau placement of the same loop (O(mn) GER per iteration,
   maximal parallelism) used by the A3 ablation.

@@ -4,41 +4,35 @@
 :mod:`repro.simplex.revised` on the (simulated) GPU, with the plan
 sections and kernels its schedule table lists.  Data placement follows the
 IPDPS 2009 design: the constraint matrix A (dense m×n placed column-major,
-as the paper's cuBLAS code holds it, or CSC), the basis representation
-(a row-major B⁻¹ or sparse factors), β, the simplex multipliers π, the
-pricing vector and all scratch buffers live in device global memory for
-the whole solve; the host only sees per-iteration scalars and drives
-control flow.  Pricing's GEMVᵀ walks the contiguous columns of A and the
-column load reads one contiguous column; FTRAN's GEMV walks the rows of
-B⁻¹.  Both GEMVs split each line over k warps, as many as fill the device
-(k = 4 at m = 128), so they run near full bandwidth from m = 64 up; the
-stale-π multiply B⁻ᵀc_B runs 16-column tiles across B⁻¹'s rows
-(:mod:`repro.gpu.blas`).  :meth:`DevicePlacement.start`
-places the data with one HtoD copy into one device region, after the
-begin settled the starting basis (crash or warm) on the host; each
-phase's cost load and each
-rebuild is one more copy, and work buffers are never zero-filled, since
-each is written before it is read.  Per iteration the host reads one
-struct back and writes nothing: pricing leaves its choice on the device
-(``NO_INDEX`` when no column prices in), the column load, FTRAN and the
-ratio test run without waiting for the host, and the swap's device
-bookkeeping travels as kernel parameters of the β update.  Each phase's
-last iteration therefore also pays for its column load, FTRAN and ratio
-test.
+as the paper's cuBLAS code holds it, or CSC when the input is sparse,
+priced by one ``spmv_csc_t`` launch), the dense row-major basis inverse
+B⁻¹, β, the simplex multipliers π, the pricing vector and all scratch
+buffers live in device global memory for the whole solve; the host only
+sees per-iteration scalars and drives control flow.  Pricing's GEMVᵀ
+walks the contiguous columns of A and the column load reads one
+contiguous column; FTRAN's GEMV walks the rows of B⁻¹.  Both GEMVs split
+each line over k warps, as many as fill the device (k = 4 at m = 128), so
+they run near full bandwidth from m = 64 up; the stale-π multiply B⁻ᵀc_B
+runs 16-column tiles across B⁻¹'s rows (:mod:`repro.gpu.blas`).
+:meth:`DevicePlacement.start` places the data with one HtoD copy into one
+device region, after the begin settled the starting basis (crash or warm)
+on the host; each phase's cost load and each rebuild is one more copy,
+and work buffers are never zero-filled, since each is written before it
+is read.  Per iteration the host reads one struct back and writes
+nothing: pricing leaves its choice on the device (``NO_INDEX`` when no
+column prices in), the column load, FTRAN and the ratio test run without
+waiting for the host, and the swap's device bookkeeping travels as kernel
+parameters of the β update.  Each phase's last iteration therefore also
+pays for its column load, FTRAN and ratio test.
 
-Two strategies fixed by the method's class shape it:
-
-- **basis representation** — :class:`ExplicitInverse` (the paper's dense
-  B⁻¹, rebuilt on the host with PCIe-charged round trips as 2009-era codes
-  did; ``gpu-revised`` and ``gpu-revised-bounded``) or :class:`DeviceLU`
-  (after Gahrouei & Ghatee, arXiv:1803.04378: CSC data priced by one
-  ``spmv_csc_t`` launch, sparse LU factors plus a sparse eta file whose
-  device footprint scales with their nonzeros in place of the dense B⁻¹;
-  ``gpu-revised-sparse``);
-- **bounds** — :class:`StandardBounds` (x ≥ 0) or :class:`BoxedBounds`
-  (finite upper bounds on the device, a signed pricing map, the three-way
-  bounded ratio map, and a bound flip that costs a single β kernel — no
-  basis update, no change to π; ``gpu-revised-bounded``).
+B⁻¹ is the one basis representation on the device, sparse input too (F8
+measures how fast it fills in under the rank-1 updates).  It is rebuilt on
+the host and uploaded with a PCIe-charged copy, as 2009-era codes did.  A
+bounds strategy fixed by the method's class shapes the rest:
+:class:`StandardBounds` (x ≥ 0; ``gpu-revised``) or :class:`BoxedBounds`
+(finite upper bounds on the device, a signed pricing map, the three-way
+bounded ratio map, and a bound flip that costs a single β kernel — no
+basis update, no change to π; ``gpu-revised-bounded``).
 
 Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
@@ -51,15 +45,12 @@ import numpy as np
 
 from repro.core import gpu_kernels as K
 from repro.engine import DeviceBackend, attach_standard_solution
-from repro.errors import SingularBasisError
 from repro.gpu import blas
-from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray, DeviceRegion
 from repro.gpu.reduce import NO_INDEX
-from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix, spmv_csc_t
+from repro.gpu.sparse_kernels import DeviceCscMatrix, spmv_csc_t
 from repro.perfmodel.gpu_model import GpuModelParams
-from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
 from repro.result import SolveResult
 from repro.simplex.basis import ExplicitInverseBasis, Multipliers
@@ -67,250 +58,6 @@ from repro.simplex.common import PreparedLP
 from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
 from repro.simplex.revised import BoxedRules, RevisedBackend, Step
-from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
-
-
-class ExplicitInverse:
-    """Basis strategy: the dense m×m B⁻¹ resident on the device.
-
-    FTRAN is one GEMV, π is kept by :class:`~repro.simplex.basis.Multipliers`
-    (one GEMVᵀ when stale, an AXPY from the pivot row otherwise), a pivot
-    is an η kernel, a row extract and a rank-1 GER, and a rebuild solves
-    B⁻¹ on the host and uploads it.  ``st.etas`` counts the GER updates
-    since the last rebuild.
-    """
-
-    #: The rebuilt β has been clamped, but the phase objective carries on
-    #: from the running sum.
-    resyncs_objective = False
-
-    def alloc(self, st: "DevicePlacement") -> None:
-        """Work buffers, allocated after the shared ones."""
-        st.eta = st.dev.alloc(st.prep.m, st.dtype)
-        st.row_p = st.dev.alloc(st.prep.m, st.dtype)
-        st.multipliers = Multipliers(st.pi, follows_pivots=True)
-        st.etas = 0
-
-    def hosts(self, st: "DevicePlacement", rep) -> dict[str, np.ndarray]:
-        """B⁻¹ to upload: the crash basis' identity, or ``rep``'s."""
-        binv = np.eye(st.prep.m) if rep is None else rep.binv
-        return {"binv": binv.astype(st.dtype)}
-
-    #: The host representation a rebuild or warm start factors into.
-    mirror = ExplicitInverseBasis
-
-    def columns(self, prep: PreparedLP, basis: np.ndarray) -> np.ndarray:
-        return prep.basis_matrix(basis)
-
-    def install(self, st: "DevicePlacement", hosts: dict[str, np.ndarray]) -> None:
-        """Refill B⁻¹ (and what the bounds upload with it) in place."""
-        st.region.fill(hosts)
-        st.etas = 0
-
-    def solve(self, st: "DevicePlacement", rhs: DeviceArray,
-              out: DeviceArray) -> None:
-        blas.gemv(st.binv, rhs, out)
-
-    def multiply(self, st: "DevicePlacement") -> None:
-        """π := B⁻ᵀc_B, one GEMVᵀ."""
-        blas.gemv(st.binv, st.c_b, st.pi, trans=True)
-
-    def ftran(self, st: "DevicePlacement") -> None:
-        blas.gemv(st.binv, st.a_q, st.alpha)
-
-    def host_pivot(self, st: "DevicePlacement", p: int) -> float:
-        return st.alpha.scalar_to_host(p)
-
-    def admit(self, st: "DevicePlacement", p: int) -> None:
-        """The ratio test's pivot already clears ``tol_pivot``."""
-
-    def inverse_row(self, st: "DevicePlacement", p: int) -> DeviceArray:
-        """e_pᵀB⁻¹ into a device buffer: row p of B⁻¹ read directly."""
-        K.extract_row(st.dev, st.binv, p, st.row_p)
-        return st.row_p
-
-    def update(
-        self,
-        st: "DevicePlacement",
-        p: int,
-        pivot: float,
-        stores: K.ScalarStores = K.ScalarStores(),
-        d_q: "float | None" = None,
-    ) -> None:
-        """B⁻¹ ← E·B⁻¹; with ``d_q``, π follows from the pre-GER row p."""
-        K.eta_kernel(st.dev, st.alpha, p, pivot, st.eta, stores)
-        K.extract_row(st.dev, st.binv, p, st.row_p)
-        if d_q is not None:
-            blas.axpy(d_q / pivot, st.row_p, st.pi)
-            st.multipliers.update()
-        blas.ger(st.eta, st.row_p, st.binv)
-        st.etas += 1
-
-    def updates(self, st: "DevicePlacement") -> int:
-        return st.etas
-
-    def needs_rebuild(self, st: "DevicePlacement") -> bool:
-        return False
-
-
-class DeviceLU:
-    """Basis strategy: sparse LU factors plus an eta file on the device.
-
-    The device holds a byte buffer standing for the packed LU factors
-    (``st.factor_buf``) and one small buffer per sparse eta
-    (``st.eta_bufs``).  The triangular solves launch as device kernels
-    whose modeled cost scales with ``nnz(L)+nnz(U)+nnz(etas)``; their
-    numerics are mirrored by the host ``st.rep`` (uncharged — the
-    functional backing store of the device factors, as dense device
-    arrays are backed by host ndarrays).  Refactorisation is host work —
-    sparse LU pivoting is sequential and branchy — and the fresh factors
-    are uploaded over PCIe, which the model charges.  π is solved through
-    the factors at every pricing.
-    """
-
-    #: A rebuild recomputes β through the fresh factors; the phase
-    #: objective is re-read from it.
-    resyncs_objective = True
-
-    def alloc(self, st: "DevicePlacement") -> None:
-        st.rep = SparseLUBasis(st.prep.m, recorder=None)
-        st.eta_bufs = []
-        # the region of the rebuilt factors; None while the first factors
-        # sit in the placement's region (their slot there stays allocated
-        # until the solve ends)
-        st.factor_region = None
-        st.multipliers = Multipliers(st.pi, follows_pivots=False)
-
-    def hosts(self, st: "DevicePlacement", rep) -> dict[str, np.ndarray]:
-        """The packed factors to upload: the crash basis' identity factors,
-        or ``rep``'s, which become the mirror.  Refactorisation is host
-        work, so fresh factors are a real HtoD transfer in the model."""
-        if rep is not None:
-            st.rep = rep
-        nbytes = max(1, st.rep.lu_nnz * (st.width + INDEX_BYTES))
-        return {"factor_buf": np.zeros(nbytes, dtype=np.uint8)}
-
-    #: The host factor mirror a rebuild or warm start factors into.
-    mirror = SparseLUBasis
-
-    def columns(self, prep: PreparedLP, basis: np.ndarray):
-        return basis_columns_csc(prep, basis)
-
-    def install(self, st: "DevicePlacement", hosts: dict[str, np.ndarray]) -> None:
-        """Place the fresh factors (and what the bounds upload with them)
-        in a region of their own; frees the stale factors and etas.
-
-        The first factors' slot in the placement's region cannot be freed
-        on its own (a region is one allocation), so after the first rebuild
-        the device holds that slot, m·(w+4) bytes for the crash basis'
-        identity factors, on top of the fresh factors."""
-        for buf in st.eta_bufs:
-            buf.free()
-        st.eta_bufs = []
-        if st.factor_region is not None:
-            st.factor_region.free()
-        st.factor_region = region = st.dev.place(hosts)
-        st.factor_buf = region["factor_buf"]
-        if "b_eff" in region:
-            st.b_eff = region["b_eff"]
-
-    def solve(self, st: "DevicePlacement", rhs: DeviceArray,
-              out: DeviceArray) -> None:
-        self.lu_solve(st, "ftran", rhs, out)
-
-    def _lu_solve_cost(self, st: "DevicePlacement") -> OpCost:
-        # Vector-style level-scheduled triangular solve (cuSPARSE csrsv2
-        # lineage): one thread per stored nonzero, columns of a level in
-        # parallel, factor segments streamed contiguously.  Same thread and
-        # coalescing convention as the SpMV kernels above it in the stack.
-        work = st.rep.lu_nnz + st.rep.eta_nnz
-        m, w = st.prep.m, st.width
-        return OpCost(
-            flops=2.0 * work,
-            bytes_read=work * (w + INDEX_BYTES) + m * w,
-            bytes_written=m * w,
-            threads=max(1, work),
-            coalesced_fraction=0.6,
-        )
-
-    def lu_solve(self, st: "DevicePlacement", kind: str,
-                 src: DeviceArray, dst: DeviceArray) -> dict[str, np.ndarray]:
-        """dst := B⁻¹src (``kind`` "ftran") or B⁻ᵀsrc ("btran") through the
-        device factors.  Returns a holder whose ``"x"`` is the exact
-        float64 result (the mirror's arithmetic), for the eta update; it
-        appears when the body *executes* — at section exit inside a
-        capturing plan section."""
-        holder: dict[str, np.ndarray] = {}
-
-        def body() -> None:
-            holder["x"] = x = getattr(st.rep, kind)(src.data.astype(np.float64))
-            dst.data[:] = x.astype(st.dtype)
-
-        gpu_plan.emit(
-            st.dev, f"sparse.{kind}_lu", body, self._lu_solve_cost(st),
-            dtype=st.dtype, reads=(src,), writes=(dst,),
-        )
-        return holder
-
-    def multiply(self, st: "DevicePlacement") -> None:
-        """π := B⁻ᵀc_B through the device factors."""
-        self.lu_solve(st, "btran", st.c_b, st.pi)
-
-    # -- solves and updates --------------------------------------------------
-
-    def ftran(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
-        return self.lu_solve(st, "ftran", st.a_q, st.alpha)
-
-    def host_pivot(self, st: "DevicePlacement", p: int) -> float:
-        return float(st.solved["x"][p])
-
-    def admit(self, st: "DevicePlacement", p: int) -> None:
-        """Check the pivot against the factor mirror before any update
-        launches, so a pivot the eta file rejects never leaves a
-        half-swapped device state."""
-        pivot = self.host_pivot(st, p)
-        if abs(pivot) <= st.tol_piv:
-            raise SingularBasisError(f"pivot {pivot!r} below tolerance {st.tol_piv}")
-
-    def inverse_row(self, st: "DevicePlacement", p: int) -> DeviceArray:
-        """e_pᵀB⁻¹ into a device buffer: e_p written on the device, one
-        sparse BTRAN."""
-        K.unit_vector(st.dev, st.tmp_m, p)
-        self.lu_solve(st, "btran", st.tmp_m, st.tmp_m)
-        return st.tmp_m
-
-    def update(self, st: "DevicePlacement", p: int, pivot: float,
-               stores: K.ScalarStores = K.ScalarStores(), d_q=None) -> None:
-        """Mirror the pivot into the factor file and charge the device eta
-        kernel + its buffer; the swap's stores rode on the β update."""
-        before = st.rep.eta_nnz
-        st.rep.update(st.solved["x"], p, st.tol_piv)
-        added = st.rep.eta_nnz - before
-        m, w = st.prep.m, st.width
-        # the kernel scans α once and writes the compacted eta column
-        gpu_plan.emit(
-            st.dev,
-            "sparse.eta_append",
-            lambda: None,  # numerics live in the host factor mirror
-            OpCost(
-                flops=float(m),
-                bytes_read=m * w,
-                bytes_written=added * (w + INDEX_BYTES),
-                threads=max(1, m),
-                coalesced_fraction=0.6,
-            ),
-            dtype=st.dtype,
-            reads=(st.alpha,),
-        )
-        st.eta_bufs.append(
-            st.dev.alloc(max(1, added * (w + INDEX_BYTES)), np.uint8)
-        )
-
-    def updates(self, st: "DevicePlacement") -> int:
-        return st.rep.updates_since_refactor
-
-    def needs_rebuild(self, st: "DevicePlacement") -> bool:
-        return st.rep.needs_refresh()
 
 
 class StandardBounds:
@@ -469,9 +216,16 @@ class BoxedBounds(BoxedRules):
 class DevicePlacement:
     """Device-resident solver state plus the host-side basis bookkeeping.
 
+    The basis representation is the paper's dense m×m B⁻¹, resident on the
+    device.  FTRAN is one GEMV, π is kept by
+    :class:`~repro.simplex.basis.Multipliers` (one GEMVᵀ when stale, an
+    AXPY from the pivot row otherwise), a pivot is an η kernel, a row
+    extract and a rank-1 GER, and a rebuild solves B⁻¹ on the host and
+    uploads it.  ``updates`` counts the GER updates since the last rebuild.
+
     The work buffers are allocated here, uninitialised: each is written
     before it is read.  :meth:`start` then places the data in one region.
-    Each strategy adds its own buffers (``alloc``) and uploads
+    The bounds strategy adds its own buffers (``alloc``) and uploads
     (``hosts``).  A failed allocation (device OOM) releases whatever was
     already allocated before re-raising.
     """
@@ -482,9 +236,7 @@ class DevicePlacement:
         self.dev = dev = backend.dev
         self.plan = backend.plan
         self.dtype = dtype
-        self.width = int(np.dtype(dtype).itemsize)
         self.options = backend.options
-        self.basis_rep = basis_rep = backend.basis_rep
         self.bounds = bounds = backend.bounds
         self.tol_rc, self.tol_piv = backend._tol_rc, backend._tol_piv
         self.refine = backend._policy.refine
@@ -510,10 +262,13 @@ class DevicePlacement:
             #: (row, θ) of the ratio map's arg-min, read by the tie pass
             self.ratio_min = dev.alloc(2, dtype)
             bounds.alloc(self)
-            basis_rep.alloc(self)
+            self.eta = dev.alloc(m, dtype)
+            self.row_p = dev.alloc(m, dtype)
         except Exception:
             self.free()
             raise
+        self.multipliers = Multipliers(self.pi, follows_pivots=True)
+        self.updates = 0
 
     # -- data access --------------------------------------------------------
 
@@ -538,9 +293,9 @@ class DevicePlacement:
 
     def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
         """Place the solve's data with one HtoD copy: A (dense or CSC), b,
-        β, the mask and basis keys, the bounds' σ and u_B, and last the
-        basis representation — B⁻¹ or the factors of the crash basis, or a
-        warm start's ``rep`` with its ``beta``.
+        β, the mask and basis keys, the bounds' σ and u_B, and last B⁻¹ —
+        the crash basis' identity, or a warm start's ``rep`` with its
+        ``beta``.
 
         Every buffer the region holds becomes an attribute of the
         placement.  It also reserves, uninitialised, a leading run for each
@@ -562,7 +317,7 @@ class DevicePlacement:
         hosts["mask"] = np.where(self.in_basis[:n], 0.0, 1.0).astype(dtype)
         hosts["basis_keys"] = self.basis.astype(dtype)
         hosts.update(self.bounds.hosts(self))
-        hosts.update(self.basis_rep.hosts(self, rep))
+        hosts["binv"] = (np.eye(m) if rep is None else rep.binv).astype(dtype)
         layout = {"c_real": ((n,), dtype), "c_b": ((m,), dtype)}
         layout.update({k: (h.shape, h.dtype) for k, h in hosts.items()})
         layout.update(self.bounds.rebuild_layout(self))
@@ -578,26 +333,23 @@ class DevicePlacement:
         if prep.is_sparse:
             self.a_sparse = DeviceCscMatrix(prep.a, region)
 
-    def new_basis(self):
+    def new_basis(self) -> ExplicitInverseBasis:
         """Host factors are uncharged: the upload is what the model prices."""
-        return self.basis_rep.mirror(self.prep.m)
+        return ExplicitInverseBasis(self.prep.m)
 
-    def columns(self, basis: np.ndarray):
-        return self.basis_rep.columns(self.prep, basis)
+    def columns(self, basis: np.ndarray) -> np.ndarray:
+        return self.prep.basis_matrix(basis)
 
-    def install(self, rep) -> None:
-        """Upload a rebuilt basis representation solved on the host, and
-        with boxed bounds the effective rhs, as one copy."""
-        hosts = self.basis_rep.hosts(self, rep)
+    def install(self, rep: ExplicitInverseBasis) -> None:
+        """Upload B⁻¹ rebuilt on the host, and with boxed bounds the
+        effective rhs, as one copy."""
+        hosts = {"binv": rep.binv.astype(self.dtype)}
         hosts.update(self.bounds.rebuild_hosts(self))
         with self.dev.timed_section("transfer"):
-            self.basis_rep.install(self, hosts)
+            self.region.fill(hosts)
+        self.updates = 0
 
     # -- the loop's steps ------------------------------------------------
-
-    @property
-    def updates(self) -> int:
-        return self.basis_rep.updates(self)
 
     def pricing_rule(self) -> StallSwitch:
         return StallSwitch(self.options.pricing, self.options.stall_window)
@@ -613,7 +365,7 @@ class DevicePlacement:
         """π;  d = c − Aᵀπ;  masked selection, left on the device."""
         with self.dev.timed_section("pricing"), self.plan.section("pricing") as sec:
             if self.multipliers.refresh():
-                self.basis_rep.multiply(self)
+                blas.gemv(self.binv, self.c_b, self.pi, trans=True)
             blas.copy(self.c_real, self.d)
             self.multiply_at(self.pi, self.d, alpha=-1.0, beta=1.0)
             self.bounds.price_map(self)
@@ -629,7 +381,7 @@ class DevicePlacement:
                     self.dev, self.choice, self.a_q, n_real=self.prep.n_total,
                     dense=self.a_dense, csc=self.a_sparse,
                 )
-                self.solved = self.basis_rep.ftran(self)
+                blas.gemv(self.binv, self.a_q, self.alpha)
 
     def ratio(self) -> Step:
         """Bland-compatible ratio test: ties break to the lowest
@@ -660,10 +412,8 @@ class DevicePlacement:
         )
 
     def update(self, r: Step, c_q: float) -> None:
-        """β, basis representation, π; the basis swap's device stores ride
-        on the β-update launch."""
-        if not r.flip:
-            self.basis_rep.admit(self, r.row)
+        """β, B⁻¹, π; the basis swap's device stores ride on the β-update
+        launch."""
         with self.dev.timed_section("update"), self.plan.section("update"):
             if r.flip:
                 self.bounds.flip(self, r.q, r.sigma, r.theta)
@@ -671,23 +421,35 @@ class DevicePlacement:
                 self.bounds.pivot(
                     self, r.row, r.q, c_q, r.theta, r.sigma, r.to_upper
                 )
-                self.basis_rep.update(self, r.row, r.pivot, d_q=r.d_q)
+                self._update_inverse(r.row, r.pivot, d_q=r.d_q)
         self.steps += 1
         if self.fill_every and self.steps % self.fill_every == 0:
             # diagnostic peek at the functional backing store (uncharged)
             frac = float(np.mean(np.abs(self.binv.data) > 1e-7))
             self.fill_curve.append((self.steps, frac))
 
+    def _update_inverse(self, p: int, pivot: float,
+                        stores: K.ScalarStores = K.ScalarStores(),
+                        d_q: "float | None" = None) -> None:
+        """B⁻¹ ← E·B⁻¹; with ``d_q``, π follows from the pre-GER row p."""
+        K.eta_kernel(self.dev, self.alpha, p, pivot, self.eta, stores)
+        K.extract_row(self.dev, self.binv, p, self.row_p)
+        if d_q is not None:
+            blas.axpy(d_q / pivot, self.row_p, self.pi)
+            self.multipliers.update()
+        blas.ger(self.eta, self.row_p, self.binv)
+        self.updates += 1
+
     def needs_rebuild(self) -> bool:
-        return self.basis_rep.needs_rebuild(self)
+        return False
 
     def refresh_beta(self) -> None:
-        self.basis_rep.solve(self, self.bounds.rhs(self), self.beta)
+        blas.gemv(self.binv, self.bounds.rhs(self), self.beta)
         K.clamp_nonneg_kernel(self.dev, self.beta)
 
     def resync(self, z: float) -> float:
-        if self.basis_rep.resyncs_objective:
-            return blas.dot(self.c_b, self.beta)
+        """The rebuilt β has been clamped, but the phase objective carries
+        on from the running sum."""
         return z
 
     def phase1_objective(self, z: float) -> float:
@@ -696,19 +458,20 @@ class DevicePlacement:
     # -- drive-out (host-driven, device-computed) --------------------------
 
     def transformed_row(self, p: int) -> np.ndarray:
-        """e_pᵀB⁻¹A over the real columns: row p of B⁻¹ from the basis
-        representation, one GEMVᵀ/SpMVᵀ, one download."""
-        self.multiply_at(self.basis_rep.inverse_row(self, p), self.tmp_n)
+        """e_pᵀB⁻¹A over the real columns: row p of B⁻¹ read directly, one
+        GEMVᵀ/SpMVᵀ, one download."""
+        K.extract_row(self.dev, self.binv, p, self.row_p)
+        self.multiply_at(self.row_p, self.tmp_n)
         return self.tmp_n.copy_to_host().astype(np.float64)
 
     def column_pivot(self, j: int, p: int) -> float:
         self.load_column(j)
-        self.solved = self.basis_rep.ftran(self)
-        return self.basis_rep.host_pivot(self, p)
+        blas.gemv(self.binv, self.a_q, self.alpha)
+        return self.alpha.scalar_to_host(p)
 
     def swap_in(self, p: int, j: int, pivot: float) -> None:
         stores = self.bounds.drive_swap(self, p, j, pivot)
-        self.basis_rep.update(self, p, pivot, stores)
+        self._update_inverse(p, pivot, stores)
 
     # -- finish ------------------------------------------------------------
 
@@ -748,10 +511,8 @@ class DevicePlacement:
         """Release every device allocation; tolerates partially-constructed
         state (OOM during ``__init__``)."""
         for value in list(vars(self).values()):
-            for arr in value if isinstance(value, list) else (value,):
-                live = isinstance(arr, (DeviceArray, DeviceRegion))
-                if live and not arr.is_freed:
-                    arr.free()
+            if isinstance(value, (DeviceArray, DeviceRegion)) and not value.is_freed:
+                value.free()
 
 
 def refine_basic_solution(result: SolveResult, prep: PreparedLP,
@@ -787,7 +548,6 @@ class GpuRevisedSimplex(RevisedBackend, DeviceBackend):
     """
 
     name = "gpu-revised"
-    basis_rep = ExplicitInverse()
     bounds = StandardBounds()
 
     # Defined on the class itself, as profilers that wrap a backend class's
@@ -831,27 +591,3 @@ class GpuBoundedRevisedSimplex(GpuRevisedSimplex):
     ):
         super().__init__(options, device, gpu_params)
         self.bounds.check(self.options)
-
-
-class GpuSparseRevisedSimplex(GpuRevisedSimplex):
-    """Two-phase sparse revised simplex on the simulated SIMT device.
-
-    ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
-    basis: the hint is factorised sparsely on the host and the factors are
-    uploaded with the data, in the begin's one copy.  A singular or
-    primal-infeasible hint falls back to the cold crash basis.  Dense
-    inputs are converted to CSC on entry — this method always runs the
-    sparse data path.
-    """
-
-    name = "gpu-revised-sparse"
-    sparse_data = True
-    basis_rep = DeviceLU()
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        device: Device | None = None,
-        gpu_params: GpuModelParams = GTX280_PARAMS,
-    ):
-        super().__init__(options, device, gpu_params)

@@ -85,9 +85,11 @@ def _gpu_revised_bounded(options: SolverOptions, device: Any):
 
 
 def _gpu_revised_sparse(options: SolverOptions, device: Any):
-    from repro.core.gpu_revised_simplex import GpuSparseRevisedSimplex
-
-    return GpuSparseRevisedSimplex(options=options, device=device)
+    # gpu-revised under its second name; the name picks the row whose flags
+    # the solver checks
+    solver = _gpu_revised(options, device)
+    solver.name = "gpu-revised-sparse"
+    return solver
 
 
 def _gpu_tableau(options: SolverOptions, device: Any):
@@ -121,6 +123,11 @@ METHODS: "dict[str, MethodSpec]" = {
             supports_warm_start=True, supports_device=True,
             supports_mixed_precision=True,
         ),
+        # A second name for gpu-revised, which places sparse input as CSC
+        # itself.  It stays only because the e2e benchmark's sparse-lu
+        # workload calls it; the benchmark change that moves sparse-lu onto
+        # gpu-revised deletes this row.  Its flags are the ones the name
+        # always had (no mixed precision).
         MethodSpec(
             "gpu-revised-sparse", _gpu_revised_sparse,
             supports_warm_start=True, supports_device=True,

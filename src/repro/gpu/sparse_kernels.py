@@ -10,8 +10,9 @@ column's) contiguous segment and then reduce in a warp tree
 
 Costs charged to the device clock (itemsize ``w``, ``L`` outputs, ``nnz``
 stored entries, 32-bit indices; ``seg`` is the bytes of the 64-byte
-transactions the segments' values and indices span, counted once when the
-matrix is built, so a one-entry segment pays a whole transaction for each):
+transactions the segments' values and indices span from where their
+arrays sit, counted once when the matrix is built, so a one-entry segment
+pays a whole transaction for each):
 
 =============  ============  ================================================  ========
 routine        FLOPs         main-memory traffic                               threads
@@ -66,13 +67,15 @@ class _DeviceCompressed:
         #: either cost a DtoH transfer per segment or silently bypass the
         #: device cost model.
         self.host_indptr = host.indptr.astype(np.int64, copy=True)
-        #: Bytes of the transactions the segments' values and indices span
-        #: (each array taken as transaction-aligned): what the warps of a
+        #: Bytes of the transactions the segments' values and indices span,
+        #: each array from where its region placed it: what the warps of a
         #: CSR-vector SpMV read of the matrix.
         tx = self.device.params.transaction_bytes
         self.segment_bytes = spanned_bytes(
-            self.host_indptr, self.data.itemsize, tx
-        ) + spanned_bytes(self.host_indptr, INDEX_BYTES, tx)
+            self.host_indptr, self.data.itemsize, tx, first=self.data.offset
+        ) + spanned_bytes(
+            self.host_indptr, INDEX_BYTES, tx, first=self.indices.offset
+        )
 
     @staticmethod
     def arrays(host, dtype, name: str = "a") -> dict[str, np.ndarray]:

@@ -11,21 +11,20 @@ does (:mod:`repro.firstorder.pdlp`):
   ``revised-sparse``; the paper's comparator);
 - :class:`~repro.core.gpu_revised_simplex.DevicePlacement` — buffers
   resident on the simulated device, moved by kernels, with one readback
-  per iteration (``gpu-revised``, ``gpu-revised-bounded``,
-  ``gpu-revised-sparse``; the paper's solver);
+  per iteration (``gpu-revised``, ``gpu-revised-bounded``; the paper's
+  solver);
 - :class:`~repro.simplex.tableau.HostTableau` and
   :class:`~repro.core.gpu_tableau_simplex.DeviceTableau` — the full
   tableau T = B⁻¹A on either machine (``tableau``, ``gpu-tableau``; the A3
   ablation).  T is its own basis representation: there is no π, no basis
   update counts toward ``refactor_period`` and nothing is ever rebuilt.
 
-Each revised placement varies along two more axes, strategies fixed by the
-class and never exposed as options: the **basis representation** (host
-``explicit`` / ``pfi`` / ``lu`` from ``basis_update``, or ``sparse-lu``;
-device :class:`~repro.core.gpu_revised_simplex.ExplicitInverse` or
-:class:`~repro.core.gpu_revised_simplex.DeviceLU`) and the **bounds**
-(standard x ≥ 0, or boxed: finite upper bounds handled natively, with
-bound flips).  The tableau pair runs standard bounds.
+Each revised placement has its **bounds**, a strategy fixed by the class
+and never exposed as an option (standard x ≥ 0, or boxed: finite upper
+bounds handled natively, with bound flips).  The host also varies its
+**basis representation** (``explicit`` / ``pfi`` / ``lu`` from
+``basis_update``, or ``sparse-lu``); the device keeps the paper's dense
+B⁻¹, sparse input too.  The tableau pair runs standard bounds.
 
 One iteration, step by step.  A row marked *all* holds for every method;
 host charges are CPU-model operations, device work is plan sections.  The
@@ -43,8 +42,8 @@ costs     host      c and its objective, held on the host
 price     explicit  π = B⁻ᵀc_B only when stale (phase start, after a
                     rebuild, before a terminal verdict); otherwise π was
                     updated from the pivot row (``btran`` / GEMVᵀ)
-          factored  π = B⁻ᵀc_B solved at every pricing (``btran`` /
-                    ``sparse.btran_lu``)
+          factored  π = B⁻ᵀc_B solved at every pricing (``btran``;
+                    host only)
           host      d = c − Aᵀπ over every column (``pricing``), or, with
                     sparse data, section by section until one has a
                     candidate (``SparsePartialPricing``); standard bounds
@@ -59,8 +58,7 @@ price     explicit  π = B⁻ᵀc_B only when stale (phase start, after a
                     then ``pricing.select``; the device runs the mask map
                     and arg-min over d
 ftran     all       α = B⁻¹a_q; the host skips it when nothing priced in,
-                    the device reads q on the device (``ftran`` / GEMV /
-                    ``sparse.ftran_lu``)
+                    the device reads q on the device (``ftran`` / GEMV)
           tableau   α read from T: column q in place, or one device
                     column load (``column``)
 ratio     host      one-way minimum ratio, standard or Harris (host
@@ -75,7 +73,7 @@ update    all       a flip moves β only; a pivot moves β and updates the
           host      ``update.eta``, ``update.beta`` (boxed: β first, so a
                     flip stops there), then ``update.pi``
           device    β update carrying the swap's stores; η kernel, row
-                    extract, AXPY, GER — or ``sparse.eta_append``
+                    extract, AXPY, GER
           tableau   Gauss–Jordan around (p, q): T, β and d from the pivot
                     row (``pivot.eliminate``; device ``pivot``: row
                     extract, scale, GER, row write, AXPY on d, β update
@@ -85,8 +83,7 @@ rebuild   all       after ``refactor_period`` basis updates since the last
                     rebuild, or when the representation asks (sparse LU
                     fill-in): refactor, β = B⁻¹b_eff with b_eff = b minus
                     the columns resting at their upper bounds, π stale
-          device    B⁻¹ or the factors, and b_eff when boxed, uploaded as
-                    one copy
+          device    B⁻¹, and b_eff when boxed, uploaded as one copy
           tableau   never
 ========= ========= ====================================================
 
@@ -237,7 +234,7 @@ class RevisedBackend(SolverBackend):
     ``bounds`` and its placement by :meth:`_place`."""
 
     accepts_warm_start = True
-    #: CSC data on entry (the sparse methods convert dense inputs).
+    #: CSC data on entry (``revised-sparse`` converts dense inputs).
     sparse_data = False
     bounds = None
 
@@ -405,8 +402,9 @@ class RevisedBackend(SolverBackend):
         super().standard_extras(result)
         st = self._st
         st.extras(result)
-        if self.sparse_data:
+        if self.prep.is_sparse:
             result.extra["a_nnz"] = self.prep.nnz
+        if self.sparse_data:
             result.extra["lu_nnz"] = st.rep.lu_nnz
             result.extra["eta_nnz"] = st.rep.eta_nnz
             result.extra["fill_ratio"] = st.rep.fill_ratio

@@ -11,10 +11,10 @@
 - ``"dual"``         — CPU dual simplex (re-optimization after rhs changes
   from a dual-feasible warm basis).
 - ``"gpu-revised"``  — the paper's contribution: revised simplex on the
-  simulated GPU.
-- ``"gpu-revised-sparse"`` — sparse revised simplex on the simulated GPU:
-  device CSC matrix, SpMVᵀ pricing, sparse LU factors instead of the
-  dense m×m basis inverse.
+  simulated GPU with the dense basis inverse resident on the device;
+  sparse input stays CSC on the device and is priced by SpMVᵀ.
+- ``"gpu-revised-sparse"`` — a second name for ``gpu-revised`` (without
+  mixed precision), kept for callers that still use it.
 - ``"gpu-revised-bounded"`` — the GPU revised simplex with native
   upper-bound handling (bound flips on the device).
 - ``"gpu-tableau"``  — full-tableau simplex on the simulated GPU (the A3
@@ -82,10 +82,9 @@ def choose_method(problem: LPProblem, initial_basis=None) -> str:
 
     The rule mirrors the F10 crossover measurement: big sparse problems go
     to the first-order GPU solver (iteration cost is two SpMVs instead of
-    a basis solve), everything else to ``gpu-revised``, which F10 measures
-    ahead of ``gpu-revised-sparse`` on every sparse instance it runs.  A
-    warm-start request forces the simplex — the first-order solvers have no
-    basis to start from.
+    a basis solve), everything else to ``gpu-revised``, sparse input
+    included.  A warm-start request forces the simplex — the first-order
+    solvers have no basis to start from.
     """
     m, n = problem.num_constraints, problem.num_vars
     if problem.is_sparse:

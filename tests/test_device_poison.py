@@ -97,9 +97,8 @@ def test_fp32_poisoned_solves_match_zeroed(monkeypatch, method, fusion):
     ("gpu-revised", {"precision": "mixed"}),
 ])
 def test_drive_out_and_refinement_read_no_poison(monkeypatch, method, kw):
-    """The artificial drive-out (gpu-revised-sparse writes e_p on the
-    device) and mixed-precision refinement, which the golden suite does
-    not reach, read only what they wrote."""
+    """The artificial drive-out and mixed-precision refinement, which the
+    golden suite does not reach, read only what they wrote."""
     from test_drive_out import redundant_row_lp, zero_artificial_lp
 
     def outcomes():

@@ -178,8 +178,7 @@ class TestAutoDispatch:
         assert choose_method(random_dense_lp(8, 12, seed=3)) == "gpu-revised"
 
     def test_small_sparse_goes_to_sparse_simplex(self):
-        # gpu-revised prices the CSC data itself and F10 measures it ahead
-        # of gpu-revised-sparse on every sparse instance
+        # gpu-revised places and prices the CSC data itself
         lp = random_sparse_lp(10, 16, density=0.3, seed=11)
         assert choose_method(lp) == "gpu-revised"
 

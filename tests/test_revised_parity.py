@@ -4,9 +4,10 @@ The host and device placements run the same iteration schedule (the
 tableau pair too, each on its own T = B⁻¹A), so at fp64 a host method
 and its device twin must take the same pivots: the same ``(event,
 entering, leaving_row)`` sequence, the same status and the same
-objective to 1e-9 relative.  The sparse pair prices differently by
-design (partial pricing on the host, one full SpMVᵀ on the device), so it
-agrees on status and objective only.
+objective to 1e-9 relative.  The sparse pair, ``revised-sparse`` and
+``gpu-revised`` on each problem's CSC form, prices differently by design
+(partial pricing on the host, one full SpMVᵀ on the device), so it agrees
+on status and objective only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.solve import solve
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
 from gen_golden import suite  # noqa: E402
+from test_sparse_solver import as_csc  # noqa: E402
 
 PROBLEMS = {
     **{p.name: p for p in suite()},
@@ -67,6 +69,8 @@ def test_host_and_device_take_the_same_pivots(name, pair):
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_sparse_pair_agrees_on_the_outcome(name):
-    host = solve(PROBLEMS[name], method="revised-sparse", dtype=np.float64)
-    device = solve(PROBLEMS[name], method="gpu-revised-sparse", dtype=np.float64)
+    problem = as_csc(PROBLEMS[name])
+    host = solve(problem, method="revised-sparse", dtype=np.float64)
+    device = solve(problem, method="gpu-revised", dtype=np.float64)
+    assert any("spmv_csc_t" in k for k in device.extra["by_kernel"])
     _same_objective(host, device)

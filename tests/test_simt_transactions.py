@@ -21,7 +21,8 @@ operands are placed in one region, directly (``lead`` 0: the first on a
 segment boundary) or after 40 bytes of padding, so the matrix and the
 vectors behind it start mid-segment, as a solver's region places a
 buffer behind an odd-length one; the twin's arrays sit at the same byte
-offsets.
+offsets.  A CSC matrix's segment spans are held to the CSR-vector SpMV
+twin's count the same way, for columns of at most 16 entries.
 """
 
 import numpy as np
@@ -39,8 +40,11 @@ from repro.gpu.simt import (
     simt_gemv_split_line,
     simt_ger,
     simt_load_column,
+    simt_spmv_csr_vector,
     simt_write_row,
 )
+from repro.gpu.sparse_kernels import DeviceCscMatrix
+from repro.sparse import CscMatrix
 
 SHAPES = [(7, 9), (16, 32), (24, 36), (64, 96), (130, 70)]
 DTYPES = [np.float32, np.float64]
@@ -270,6 +274,40 @@ def test_mid_segment_matrix_pays_for_the_straddle(device):
     aligned, straddling = costs
     # an extra segment for each column, and one for x behind A
     assert straddling.bytes_read - aligned.bytes_read == 16 * 64 + 64
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("pad", [1, 3, 5])
+def test_sparse_segments_counted_where_the_arrays_sit(engine, rng, dtype, pad):
+    """A solver's region places the CSC arrays behind other buffers, so
+    ``indices`` and ``data`` start mid-segment.  ``segment_bytes`` spans
+    each column's run of both arrays from where it sits.  Every column here
+    holds at most 16 entries, one half-warp instruction of the CSR-vector
+    twin per array, so the twin's count is exactly those spans."""
+    ah = rng.normal(size=(24, 40)) * (rng.random((24, 40)) < 0.4)
+    ah[:, 7] = 0.0  # an empty column
+    host = CscMatrix.from_dense(ah)
+    assert 0 < np.diff(host.indptr).max() <= 16
+    arrays = DeviceCscMatrix.arrays(host, dtype)
+    spec = {"pad": ((pad,), np.float64)}  # an odd-length buffer in front
+    spec.update({k: (h.shape, h.dtype) for k, h in arrays.items()})
+    region = Device().region(spec)
+    region.fill(arrays)
+    a = DeviceCscMatrix(host, region)
+    assert a.indices.offset % 64 and a.data.offset % 64
+
+    x = rng.normal(size=24)
+    y = np.zeros(40)
+    stats = engine.run(
+        simt_spmv_csr_vector, -(-40 * 32 // DEFAULT_BLOCK), DEFAULT_BLOCK,
+        host.indptr,
+        _twin(engine, "indices", arrays["a.indices"], a.indices),
+        _twin(engine, "data", arrays["a.data"], a.data),
+        engine.memory.array("x", x, cached=True), y,
+    )
+    counted = stats.memory_bytes["indices"] + stats.memory_bytes["data"]
+    assert a.segment_bytes == counted
+    np.testing.assert_allclose(y, ah.T @ x, rtol=1e-4, atol=1e-4)
 
 
 class TestRecorder:

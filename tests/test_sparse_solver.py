@@ -7,16 +7,19 @@ Covers the sparse solver core end-to-end:
 - :class:`~repro.simplex.sparse_pricing.SparsePartialPricing` — the
   sectioned partial pricing rules agree with full Dantzig/Bland choices
   on what matters (entering column sign conventions, Bland anti-cycling).
-- ``revised-sparse`` and ``gpu-revised-sparse`` agree with their dense
-  counterparts to 1e-6 on the structured generator families.
+- ``revised-sparse`` agrees with ``revised``, and ``gpu-revised`` on CSC
+  input with ``gpu-revised`` on dense input, to 1e-6 on the structured
+  generator families.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import SolveStatus, solve
 from repro.errors import SingularBasisError
-from repro.lp.generators import netlib_synth_suite, random_sparse_lp
+from repro.lp.generators import band_lp, netlib_synth_suite, random_sparse_lp
 from repro.simplex.sparse_basis import SparseLUBasis
 from repro.sparse import CscMatrix
 
@@ -173,6 +176,18 @@ SPARSE_SUITE = [p for p in netlib_synth_suite(seed=0)] + [
 ]
 
 
+def as_csc(lp):
+    """``lp`` with its A in CSC, which the device places as CSC."""
+    if lp.is_sparse:
+        return lp
+    return dataclasses.replace(lp, a=CscMatrix.from_dense(lp.a))
+
+
+def as_dense(lp):
+    """``lp`` with a dense A."""
+    return dataclasses.replace(lp, a=lp.a_dense())
+
+
 class TestBackendAgreement:
     @pytest.mark.parametrize("lp", SPARSE_SUITE, ids=lambda p: p.name)
     def test_revised_sparse_matches_revised(self, lp):
@@ -184,8 +199,11 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("lp", SPARSE_SUITE, ids=lambda p: p.name)
     def test_gpu_revised_sparse_matches_gpu_revised(self, lp):
-        ref = solve(lp, method="gpu-revised")
-        r = solve(lp, method="gpu-revised-sparse")
+        """gpu-revised on CSC input (SpMVᵀ pricing, CSC column loads)
+        against gpu-revised on the dense matrix."""
+        ref = solve(as_dense(lp), method="gpu-revised")
+        r = solve(as_csc(lp), method="gpu-revised")
+        assert any("spmv_csc_t" in k for k in r.extra["by_kernel"])
         assert r.status is ref.status
         if ref.status is SolveStatus.OPTIMAL:
             assert r.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)
@@ -196,17 +214,19 @@ class TestBackendAgreement:
         for key in ("a_nnz", "lu_nnz", "eta_nnz", "fill_ratio"):
             assert key in r.extra, key
         assert r.extra["a_nnz"] == r.extra["a_nnz"]  # present and numeric
-        g = solve(lp, method="gpu-revised-sparse")
-        for key in ("a_nnz", "lu_nnz", "fill_ratio", "peak_device_bytes"):
+        # the device keeps no LU factors: its sparse extra is A's nnz
+        g = solve(lp, method="gpu-revised")
+        for key in ("a_nnz", "peak_device_bytes"):
             assert key in g.extra, key
+        assert g.extra["a_nnz"] == r.extra["a_nnz"]
 
     def test_sparse_device_memory_below_dense(self):
         lp = random_sparse_lp(120, 180, density=0.05, seed=5)
-        dense = solve(lp, method="gpu-revised")
-        sparse = solve(lp, method="gpu-revised-sparse")
+        dense = solve(as_dense(lp), method="gpu-revised")
+        sparse = solve(lp, method="gpu-revised")
         assert sparse.extra["peak_device_bytes"] < dense.extra["peak_device_bytes"]
 
-    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised-sparse"])
+    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised"])
     def test_warm_start_reduces_iterations(self, method):
         lp = random_sparse_lp(50, 80, density=0.1, seed=9)
         cold = solve(lp, method=method)
@@ -219,7 +239,7 @@ class TestBackendAgreement:
         )
         assert warm.iterations.phase1_iterations == 0  # hint was feasible
 
-    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised-sparse"])
+    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised"])
     def test_pricing_rules_reach_optimum(self, method):
         lp = random_sparse_lp(30, 45, density=0.15, seed=2)
         ref = solve(lp, method="revised")
@@ -228,10 +248,30 @@ class TestBackendAgreement:
             assert r.status is SolveStatus.OPTIMAL, pricing
             assert r.objective == pytest.approx(ref.objective, abs=1e-6)
 
-    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised-sparse"])
+    @pytest.mark.parametrize("method", ["revised-sparse", "gpu-revised"])
     def test_unsupported_pricing_rejected(self, method):
         from repro.errors import SolverError
 
         lp = random_sparse_lp(10, 15, density=0.3, seed=0)
         with pytest.raises(SolverError):
             solve(lp, method=method, pricing="devex")
+
+
+#: One instance of each shape the e2e benchmark's sparse-lu workload runs.
+SPARSE_LU_SHAPES = [
+    random_sparse_lp(60, 90, density=0.08, seed=1),
+    random_sparse_lp(80, 120, density=0.06, seed=2),
+    band_lp(128, bandwidth=5, seed=3),
+]
+
+
+@pytest.mark.parametrize("lp", SPARSE_LU_SHAPES, ids=lambda p: p.name)
+def test_gpu_revised_sparse_is_gpu_revised(lp):
+    """``gpu-revised-sparse`` is a second name for ``gpu-revised``: the
+    same solve, bit for bit, on the clock too."""
+    ref = solve(lp, method="gpu-revised")
+    alias = solve(lp, method="gpu-revised-sparse")
+    assert alias.status is ref.status is SolveStatus.OPTIMAL
+    assert float(alias.objective).hex() == float(ref.objective).hex()
+    assert alias.timing.modeled_seconds == ref.timing.modeled_seconds
+    assert alias.extra["kernel_launches"] == ref.extra["kernel_launches"]
