@@ -763,33 +763,28 @@ def a6_reoptimisation(size: int = 96, n_scenarios: int = 6, seed: int = 42) -> R
     base = solve(lp, method="revised")
     basis = base.extra["basis"]
 
-    t = report.add_table(
-        Table(["scenario", "cold primal iters", "warm primal iters",
-               "warm dual iters", "all agree"])
-    )
-    totals = {"cold": 0, "warm": 0, "dual": 0}
+    runs = ("cold primal", "warm primal", "warm dual")
+    t = report.add_table(Table(
+        ["scenario", *(f"{run} iters" for run in runs),
+         *(f"{run} ms" for run in runs), "all agree"]
+    ))
     for s in range(n_scenarios):
         factors = rng.uniform(0.85, 1.15, size)
         lp_s = LPProblem(c=lp.c, a=lp.a_dense(), senses=lp.senses,
                          b=lp.b * factors, bounds=lp.bounds,
                          maximize=lp.maximize)
-        cold = solve(lp_s, method="revised")
-        warm = solve(lp_s, method="revised", initial_basis=basis)
-        dual = solve(lp_s, method="dual", initial_basis=basis)
-        agree = (
-            relative_error(cold.objective, warm.objective) < 1e-6
-            and relative_error(cold.objective, dual.objective) < 1e-6
+        results = (solve(lp_s, method="revised"),
+                   solve(lp_s, method="revised", initial_basis=basis),
+                   solve(lp_s, method="dual", initial_basis=basis))
+        z = results[0].objective
+        t.add_row(s, *(r.iterations.total_iterations for r in results),
+                  *(r.timing.modeled_seconds * 1e3 for r in results),
+                  all(relative_error(z, r.objective) < 1e-6 for r in results))
+    for what, unit, fmt in (("pivots", "iters", "d"), ("modeled ms", "ms", ".2f")):
+        totals = ", ".join(
+            f"{run} {sum(t.column(f'{run} {unit}')):{fmt}}" for run in runs
         )
-        t.add_row(s, cold.iterations.total_iterations,
-                  warm.iterations.total_iterations,
-                  dual.iterations.total_iterations, agree)
-        totals["cold"] += cold.iterations.total_iterations
-        totals["warm"] += warm.iterations.total_iterations
-        totals["dual"] += dual.iterations.total_iterations
-    report.add_note(
-        f"total pivots over {n_scenarios} scenarios: cold {totals['cold']}, "
-        f"warm primal {totals['warm']}, warm dual {totals['dual']}"
-    )
+        report.add_note(f"total {what} over {n_scenarios} scenarios: {totals}")
     return report
 
 

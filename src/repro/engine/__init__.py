@@ -16,10 +16,11 @@ code match that shape.  It owns everything a solve has in common —
   ``repro.batch`` both dispatch from (:mod:`repro.engine.registry`);
 
 while each method is a :class:`~repro.engine.backend.SolverBackend`
-implementing only its own numerics; the eight primal simplex methods
-share one (:mod:`repro.simplex.revised`).  ``tests/test_engine_golden.py``
-pins statuses, objectives, pivot sequences and modeled seconds
-bit-for-bit against a committed fixture for all methods.
+implementing only its own numerics; the nine simplex methods, primal
+and dual, share one (:mod:`repro.simplex.revised`).
+``tests/test_engine_golden.py`` pins statuses, objectives, pivot sequences
+and modeled seconds bit-for-bit against a committed fixture for all
+methods.
 """
 
 from repro.engine.backend import (

@@ -5,13 +5,13 @@ mapping, the phase-1 feasibility verdict, result assembly and observer
 wiring (:func:`repro.engine.lifecycle.run_solve`).  A backend owns the
 *method*: how state is prepared, how a phase's iteration loop prices,
 ratio-tests and pivots, and how the optimal solution is read back.  The
-eight primal simplex methods share one loop over placements
-(:mod:`repro.simplex.revised`); the dual simplex and the first-order pair
-keep their own.
+nine simplex methods, the dual one included, share one loop over
+placements (:mod:`repro.simplex.revised`); the first-order pair keeps its
+own.
 
 Lifecycle call order (see :func:`~repro.engine.lifecycle.run_solve`)::
 
-    begin(problem, warm_hint)        # build state; may short-circuit
+    begin(problem, warm_hint)        # build state, settle the start
     run_phase(1)                     # iff self.needs_phase1
     phase1_objective()               #   on phase-1 optimality
     drive_out_artificials()          #   when feasible
@@ -102,13 +102,9 @@ class SolverBackend:
 
     # -- lifecycle interface ---------------------------------------------
 
-    def begin(self, problem, warm_hint) -> "SolveResult | None":
-        """Prepare all solver state up to the first phase iteration.
-
-        Returning a finished :class:`SolveResult` short-circuits the
-        lifecycle (the dual method's primal fallback); returning ``None``
-        proceeds to the phase driver.
-        """
+    def begin(self, problem, warm_hint) -> None:
+        """Prepare all solver state up to the first phase iteration and
+        settle the start, ``needs_phase1`` included."""
         raise NotImplementedError
 
     def run_phase(self, phase: int) -> "tuple[SolveStatus, int]":

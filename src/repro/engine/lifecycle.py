@@ -1,5 +1,7 @@
-"""The shared solver lifecycle: one phase driver and finish path for all
-seven simplex methods.
+"""The shared solver lifecycle: one phase driver and finish path for every
+method, the nine simplex ones and the first-order pair.  A method enters
+it only through ``begin``, which settles the start and never finishes the
+solve itself.
 
 Before this layer existed each solver class carried a private copy of the
 same scaffold — run phase 1, map UNBOUNDED→NUMERICAL (phase 1 is bounded
@@ -43,11 +45,7 @@ def run_solve(
     t_wall = time.perf_counter()
     backend.hooks = SolveHooks(backend.name, enabled=backend.options.trace)
     try:
-        early = backend.begin(problem, warm_hint)
-        if early is not None:
-            backend.hooks.finish_obs(early.status.value)
-            return early
-
+        backend.begin(problem, warm_hint)
         if backend.needs_phase1:
             with backend.hooks.span("engine.phase", phase=1):
                 status, iters = backend.run_phase(1)

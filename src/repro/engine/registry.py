@@ -61,7 +61,7 @@ def _revised_bounded(options: SolverOptions, device: Any):
 
 
 def _dual(options: SolverOptions, device: Any):
-    from repro.simplex.dual import DualSimplexSolver
+    from repro.simplex.revised_cpu import DualSimplexSolver
 
     return DualSimplexSolver(options)
 

@@ -87,7 +87,6 @@ class PdlpBackend(SolverBackend):
         )
         with place.section("setup"):
             self._norm_a = place.norm_estimate()
-        return None
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
         place, ctl, prep = self._st, self._controls, self.prep

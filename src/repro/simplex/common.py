@@ -68,10 +68,6 @@ class PreparedLP:
         cols = [self.column(int(j)) for j in basis]
         return np.column_stack(cols) if cols else np.zeros((self.m, 0))
 
-    def price_flops(self) -> float:
-        """FLOPs of one full pricing pass (2·nnz for sparse, 2mn dense)."""
-        return 2.0 * (self.nnz if self.is_sparse else self.m * self.n_total)
-
 
 def as_sparse_prep(prep: PreparedLP) -> PreparedLP:
     """The prepared data with its matrix in CSC (dense inputs converted)."""

@@ -15,6 +15,8 @@ as the entering variable increases.
 Both return :class:`RatioResult`; ``row < 0`` signals an unbounded
 direction.  :func:`bounded_ratios` is the per-row map of the three-way
 bounded-variable test, shared by the host method and the device kernel.
+:func:`dual_ratio_test` is the dual simplex's: it picks the entering
+column from the leaving row.
 """
 
 from __future__ import annotations
@@ -123,3 +125,29 @@ def bounded_ratios(
         inc = (delta > tol) & np.isfinite(u_basis)
         t_inc = np.where(inc, (u_basis - x_b) / np.maximum(delta, 1e-300), np.inf)
     return np.where(t_dec < 0, 0.0, t_dec), np.where(t_inc < 0, 0.0, t_inc)
+
+
+def dual_ratio_test(
+    d: np.ndarray,
+    alpha_row: np.ndarray,
+    eligible: np.ndarray,
+    tol_pivot: float,
+    sign: float,
+) -> tuple[int, int]:
+    """The dual minimum-ratio test over the transformed row α_r = e_pᵀB⁻¹A.
+
+    ``sign`` is −1 when the leaving basic lies below 0 (it must rise) and +1
+    when it lies above its upper bound.  An eligible column j can enter when
+    sign·α_pj > tol; among those q = argmin max(d_j, 0) / (sign·α_pj), which
+    keeps d ≥ 0, with the lowest column index winning ties (anti-cycling).
+    Returns (q, ties); q = -1 when no column can enter, so the primal is
+    infeasible (the dual is unbounded).
+    """
+    delta = sign * alpha_row
+    candidates = np.nonzero(eligible & (delta > tol_pivot))[0]
+    if candidates.size == 0:
+        return -1, 0
+    ratios = np.maximum(d[candidates], 0.0) / delta[candidates]
+    best = float(ratios.min())
+    tied = candidates[ratios <= best * (1.0 + 1e-12) + 1e-300]
+    return int(tied[0]), int(tied.size)

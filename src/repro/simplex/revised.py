@@ -1,14 +1,15 @@
-"""Two-phase primal simplex, written once for both machines.
+"""The simplex loop, written once for both machines and both directions.
 
 :class:`RevisedBackend` is the method: begin (with warm start), the phase
-loop, recovery and rebuild, the artificial drive-out and extraction.  It
-issues every step to a *placement* — where the iterates live and what each
+loop, recovery and rebuild, the artificial drive-out and extraction.  Its
+iteration runs in the primal direction (two phases) or, for the ``dual``
+method on the host, the dual one.  It issues every step to a *placement* — where the iterates live and what each
 step costs — which a subclass picks through ``_place``, as the PDLP pair
 does (:mod:`repro.firstorder.pdlp`):
 
 - :class:`~repro.simplex.revised_cpu.HostPlacement` — NumPy arrays charged
   to the modeled sequential CPU (``revised``, ``revised-bounded``,
-  ``revised-sparse``; the paper's comparator);
+  ``revised-sparse``, ``dual``; the paper's comparator);
 - :class:`~repro.core.gpu_revised_simplex.DevicePlacement` — buffers
   resident on the simulated device, moved by kernels, with one readback
   per iteration (``gpu-revised``, ``gpu-revised-bounded``; the paper's
@@ -26,10 +27,19 @@ bounds handled natively, with bound flips).  The host also varies its
 ``basis_update``, or ``sparse-lu``); the device keeps the paper's dense
 B⁻¹, sparse input too.  The tableau pair runs standard bounds.
 
+The **direction** is fixed by the class too (``dual``).  The dual simplex
+starts from a dual feasible basis (d_N ≥ −1e-7; a warm hint need not be
+primal feasible, a cold start tries the crash basis) and drives the
+primal infeasibilities of β out in one phase, as re-optimisation after a
+change of b asks.  A start that is not dual feasible, or a singular hint,
+runs the primal phases from the crash basis on the same backend
+(``fallback``).
+
 One iteration, step by step.  A row marked *all* holds for every method;
 host charges are CPU-model operations, device work is plan sections.  The
 *tableau* rows hold for both tableau placements and replace the rows of
-the revised ones:
+the revised ones; the *dual* rows are the host's dual iteration, in its
+order:
 
 ========= ========= ====================================================
 step      placement work
@@ -85,6 +95,20 @@ rebuild   all       after ``refactor_period`` basis updates since the last
                     the columns resting at their upper bounds, π stale
           device    B⁻¹, and b_eff when boxed, uploaded as one copy
           tableau   never
+leaving   dual      row p of the most violated β_p, basic artificials
+                    boxed at [0, 0], or under Bland the violated row of
+                    the lowest basic-variable index, as the stall switch
+                    says; none violated is optimal (``leaving``)
+row       dual      α_r = e_pᵀB⁻¹A, the drive-out's transformed row
+                    (``row_gen``)
+price     dual      d = c − Aᵀπ, π as above (``pricing``)
+ratio     dual      q = argmin max(d_j, 0)/|α_pj| over the nonbasic j whose
+                    α_pj moves β_p toward its bound, lowest j on ties
+                    (:func:`~repro.simplex.ratio.dual_ratio_test`); none is
+                    infeasible
+ftran     dual      α_q; |α_pq| ≤ ``tol_pivot`` is numerical
+update    dual      as above with θ_P = β_p/α_pq, and β never clipped at
+                    zero (a dual iterate is primal infeasible by design)
 ========= ========= ====================================================
 
 A terminal verdict (optimal, unbounded) is accepted only from a π solved
@@ -105,9 +129,9 @@ The tableau reads the row from T.
 
 Kept per machine: sparse pricing (partial on the host, one full SpMVᵀ on
 the device), Devex, steepest edge and the Harris ratio test (host only),
-mixed-precision refinement and ``fill_stats_every`` (device only).  Only
-``dual`` keeps a loop of its own (:mod:`repro.simplex.dual`).  The engine
-(:mod:`repro.engine`) drives the phases, statuses and result assembly.
+mixed-precision refinement and ``fill_stats_every`` (device only), and
+the dual direction (host only).  The engine (:mod:`repro.engine`) drives
+the phases, statuses and result assembly.
 """
 
 from __future__ import annotations
@@ -130,6 +154,7 @@ from repro.simplex.common import (
     prepare,
     validate_warm_basis,
 )
+from repro.simplex.ratio import dual_ratio_test
 from repro.status import SolveStatus
 
 
@@ -227,16 +252,27 @@ class BoxedRules:
         result.extra["at_upper"] = at_upper.copy()
 
 
+class Verdict(NamedTuple):
+    """An iteration that ends the phase, with the fields its trace row
+    records."""
+
+    status: SolveStatus
+    fields: dict
+
+
 class RevisedBackend(SolverBackend):
     """The revised simplex method.  A subclass names its machine by its
     lifecycle base (:class:`~repro.engine.backend.HostBackend` or
     :class:`~repro.engine.backend.DeviceBackend`), its bounds strategy by
-    ``bounds`` and its placement by :meth:`_place`."""
+    ``bounds``, its direction by ``dual`` and its placement by
+    :meth:`_place`."""
 
     accepts_warm_start = True
     #: CSC data on entry (``revised-sparse`` converts dense inputs).
     sparse_data = False
     bounds = None
+    #: Run the dual direction when the start is dual feasible (host only).
+    dual = False
 
     def _place(self, prep: PreparedLP, dtype: np.dtype):
         raise NotImplementedError
@@ -253,12 +289,12 @@ class RevisedBackend(SolverBackend):
         self._st = st = self._place(prep, dtype)
         self.stats = stats = IterationStats()
 
-        # settle the starting basis on the host, then place it once
-        basis, needs_phase1 = initial_basis(prep)
-        rep = beta = None
+        # settle the starting basis on the host, then place it: a warm hint
+        # when it factors and, for the primal, its β is feasible; else the
+        # cold crash basis
+        crash, _ = initial_basis(prep)
+        basis, rep, beta = crash, None, None
         if warm_hint is not None:
-            # trial factors; a singular or infeasible hint leaves the cold
-            # crash basis in place
             warm = validate_warm_basis(prep, warm_hint)
             trial = st.new_basis()
             try:
@@ -266,19 +302,30 @@ class RevisedBackend(SolverBackend):
                 trial_beta = trial.ftran(prep.b)
             except SingularBasisError:
                 trial_beta = None
-            if trial_beta is not None and trial_beta.min() >= -1e-7:
+            if trial_beta is not None and (self.dual or trial_beta.min() >= -1e-7):
                 basis, rep = warm, trial
-                beta = np.clip(trial_beta, 0.0, None)
-                needs_phase1 = bool(np.any(warm >= prep.n_total))
-                stats.refactorizations += 1
+                beta = trial_beta if self.dual else np.clip(trial_beta, 0.0, None)
         st.start(basis, rep, beta)
+        # why the dual direction cannot start: the primal phases then run
+        # from the crash basis
+        self.fallback = None
+        if self.dual and warm_hint is not None and rep is None:
+            self.fallback = "singular warm basis"
+        elif self.dual and not st.start_dual(phase2_costs(prep)):
+            self.fallback = "start not dual feasible"
+        if self.fallback is not None:
+            basis, rep = crash, None
+            st.rep.reset_identity()
+            st.start(basis)
+        if rep is not None:
+            stats.refactorizations += 1
+        self._dual = self.dual and self.fallback is None
 
         meta = {"ratio_test": opts.ratio_test} if len(self.ratio_tests) > 1 else {}
         if self.sparse_data:
             meta["nnz"] = prep.nnz
         self._arm(m=prep.m, n=prep.n_total, pricing=opts.pricing, **meta)
-        self.needs_phase1 = needs_phase1
-        return None
+        self.needs_phase1 = not self._dual and bool(np.any(basis >= prep.n_total))
 
     def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
         st, opts, stats = self._st, self.options, self.stats
@@ -287,7 +334,12 @@ class RevisedBackend(SolverBackend):
         period = opts.refactor_period
         rule = st.pricing_rule()
         z = st.load_costs(c_full)
-        st.multipliers.invalidate()
+        if not self._dual:  # c_B reloaded; the dual's start priced these
+            st.multipliers.invalidate()
+        # the primal lowers the objective, the dual raises it
+        choose, improving = (
+            (self._dual_step, 1.0) if self._dual else (self._primal_step, -1.0)
+        )
         iters = 0
         tr = self.hooks if self.hooks.enabled else None
 
@@ -301,21 +353,14 @@ class RevisedBackend(SolverBackend):
         try:
             while iters < cap:
                 iters += 1
-                st.price(rule)
-                st.ftran()
-                r = st.ratio()
-                terminal = r.q < 0 or not np.isfinite(r.theta)
-                if terminal and not st.multipliers.confirms():
+                r = choose(rule)
+                if r is None:
                     iters -= 1  # verify with a fresh π; the redo is not counted
                     continue
-                if r.q < 0:
+                if isinstance(r, Verdict):
                     if tr is not None:
-                        record("optimal")
-                    return SolveStatus.OPTIMAL, iters
-                if not np.isfinite(r.theta):
-                    if tr is not None:
-                        record("unbounded", entering=r.q)
-                    return SolveStatus.UNBOUNDED, iters
+                        record(r.status.value, **r.fields)
+                    return r.status, iters
                 degenerate = r.theta <= opts.tol_zero
                 if degenerate:
                     stats.degenerate_steps += 1
@@ -337,13 +382,14 @@ class RevisedBackend(SolverBackend):
                         return SolveStatus.NUMERICAL, iters
                     z = st.resync(z)
                     continue
-                z += r.d_q * r.sigma * r.theta
+                dz = r.d_q * r.sigma * r.theta
+                z += dz
                 if tr is not None:
                     record(
                         "flip" if r.flip else "pivot", entering=r.q,
                         theta=float(r.theta), degenerate=degenerate, **peek,
                     )
-                rule.notify((-r.d_q * r.sigma) * r.theta > 1e-12 * (1.0 + abs(z)))
+                rule.notify(improving * dz > 1e-12 * (1.0 + abs(z)))
 
                 if (period and st.updates >= period) or st.needs_rebuild():
                     if not self._rebuild():
@@ -354,6 +400,44 @@ class RevisedBackend(SolverBackend):
             # the per-phase Dantzig→Bland switch count, on every exit path
             stats.bland_activations += rule.activations
             self._z = z
+
+    def _primal_step(self, rule) -> "Step | Verdict | None":
+        """Price, FTRAN and the ratio test: the entering column and the row
+        it leaves by, or the verdict; None to redo with a fresh π."""
+        st = self._st
+        st.price(rule)
+        st.ftran()
+        r = st.ratio()
+        terminal = r.q < 0 or not np.isfinite(r.theta)
+        if terminal and not st.multipliers.confirms():
+            return None
+        if r.q < 0:
+            return Verdict(SolveStatus.OPTIMAL, {})
+        if not np.isfinite(r.theta):
+            return Verdict(SolveStatus.UNBOUNDED, {"entering": r.q})
+        return r
+
+    def _dual_step(self, rule) -> "Step | Verdict":
+        """The leaving row from β, its transformed row, d, the dual ratio
+        test and α_q: the pivot, or the verdict.  θ is the primal step
+        θ_P = β_p/α_pq, so the shared update moves β and π as a primal
+        pivot does."""
+        st = self._st
+        leaving = st.leaving_row(rule.using_bland)
+        if leaving is None:
+            return Verdict(SolveStatus.OPTIMAL, {})
+        p, sign = leaving
+        row = st.transformed_row(p, "row_gen")
+        d = st.reduced_costs()
+        nonbasic = ~st.in_basis[: self.prep.n_total]
+        q, ties = dual_ratio_test(d, row, nonbasic, st.tol_piv, sign)
+        if q < 0:
+            return Verdict(SolveStatus.INFEASIBLE, {"leaving_row": p})
+        pivot = st.column_pivot(q, p)
+        if abs(pivot) <= st.tol_piv:
+            return Verdict(SolveStatus.NUMERICAL,
+                           {"entering": q, "leaving_row": p, "pivot": pivot})
+        return Step(q, float(d[q]), 1.0, p, float(st.beta[p] / pivot), pivot, ties)
 
     def phase1_objective(self) -> float:
         return self._st.phase1_objective(self._z)
@@ -400,6 +484,9 @@ class RevisedBackend(SolverBackend):
 
     def standard_extras(self, result: SolveResult) -> None:
         super().standard_extras(result)
+        if self.fallback is not None:
+            result.solver = f"{self.name}(primal-fallback)"
+            result.extra["dual_fallback_reason"] = self.fallback
         st = self._st
         st.extras(result)
         if self.prep.is_sparse:

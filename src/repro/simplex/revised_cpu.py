@@ -23,7 +23,9 @@ shape it:
 
 With the ``explicit`` representation π follows the basis through
 :class:`~repro.simplex.basis.Multipliers`; ``pfi``, ``lu`` and
-``sparse-lu`` solve it at every pricing.
+``sparse-lu`` solve it at every pricing.  Only this placement runs the dual
+direction (``dual``): the start check, the leaving-row scan and the
+reduced costs, with β left unclipped.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ class StandardBounds:
         beta = s.beta
         beta -= r.theta * s.alpha
         beta[r.row] = r.theta
-        np.clip(beta, 0.0, None, out=beta)  # round-off guard; β >= 0 invariant
+        if not s.dual:
+            np.clip(beta, 0.0, None, out=beta)  # round-off guard; β >= 0 invariant
         s.charge_beta()
 
     def drive_swap(self, s: "HostPlacement", p: int, j: int) -> None:
@@ -240,6 +243,10 @@ class HostPlacement:
     """The revised-simplex state as NumPy arrays, every step charged to the
     CPU cost model at the solve's word size."""
 
+    #: Running the dual direction: β may be primal infeasible, so it is
+    #: not clipped at zero (the extracted x is).
+    dual = False
+
     def __init__(self, backend: "RevisedSimplexSolver", prep: PreparedLP,
                  dtype: np.dtype):
         self.prep = prep
@@ -301,11 +308,15 @@ class HostPlacement:
         self.c_full = c_full
         return self.bounds.objective(self)
 
-    def price(self, rule) -> None:
+    def pi(self) -> np.ndarray:
+        """π = B⁻ᵀc_B, multiplied afresh when the Multipliers rule says so."""
         pis = self.multipliers
         if pis.refresh():
             pis.pi = self.rep.btran(self.c_full[self.basis])
-        self.choice = self.data.price(self, rule, pis.pi)
+        return pis.pi
+
+    def price(self, rule) -> None:
+        self.choice = self.data.price(self, rule, self.pi())
 
     def ftran(self) -> None:
         if self.choice is not None:
@@ -342,7 +353,8 @@ class HostPlacement:
 
     def refresh_beta(self) -> None:
         self.beta[:] = self.rep.ftran(self.bounds.effective_b(self))
-        np.clip(self.beta, 0.0, None, out=self.beta)
+        if not self.dual:
+            np.clip(self.beta, 0.0, None, out=self.beta)
 
     def resync(self, z: float) -> float:
         return self.bounds.objective(self)
@@ -350,13 +362,57 @@ class HostPlacement:
     def phase1_objective(self, z: float) -> float:
         return z
 
-    # -- drive-out ---------------------------------------------------------
+    # -- the dual direction ----------------------------------------------
 
-    def transformed_row(self, p: int) -> np.ndarray:
+    def start_dual(self, c_full: np.ndarray) -> bool:
+        """Whether the placed basis is dual feasible for ``c_full``
+        (d_N ≥ −1e-7, one pricing); when it is, the placement runs the dual
+        direction from here on."""
+        self.load_costs(c_full)
+        d = self.reduced_costs()
+        self.dual = not np.any(d[~self.in_basis[: self.prep.n_total]] < -1e-7)
+        self.feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(self.prep.b), initial=0.0)))
+        return self.dual
+
+    def leaving_row(self, bland: bool) -> "tuple[int, float] | None":
+        """The dual's leaving row and the sign its transformed row needs
+        (−1 below 0, +1 above the bound), or None when β is feasible.
+
+        Basic artificials are boxed at [0, 0]: one above zero is as
+        infeasible as a negative structural.  Dantzig takes the largest
+        violation, Bland the lowest basic-variable index among the violated.
+        """
+        beta, tol = self.beta, self.feas_tol
+        over = (self.basis >= self.prep.n_total) & (beta > tol)
+        violation = np.where(over, beta, np.where(beta < -tol, -beta, 0.0))
+        if bland:
+            bad = np.nonzero(violation > 0)[0]
+            if bad.size == 0:
+                return None
+            p = int(bad[np.argmin(self.basis[bad])])
+        else:
+            p = int(np.argmax(violation))
+            if violation[p] <= 0:
+                return None
+        m, w = self.prep.m, self.w
+        self.recorder.charge(
+            "leaving", OpCost(flops=2 * m, bytes_read=m * w, bytes_written=w)
+        )
+        return p, (1.0 if over[p] else -1.0)
+
+    def reduced_costs(self) -> np.ndarray:
+        """d = c − Aᵀπ over the real columns (``pricing``)."""
+        d = self.c_full[: self.prep.n_total] - self.prep.price_all(self.pi())
+        self.recorder.charge("pricing", self.pricing_cost)
+        return d
+
+    # -- drive-out and the dual's row --------------------------------------
+
+    def transformed_row(self, p: int, section: str = "driveout") -> np.ndarray:
         e_p = np.zeros(self.prep.m)
         e_p[p] = 1.0
         row = self.prep.price_all(self.rep.btran(e_p))
-        self.recorder.charge("driveout", self.pricing_cost)
+        self.recorder.charge(section, self.pricing_cost)
         return row
 
     def column_pivot(self, j: int, p: int) -> float:
@@ -374,6 +430,8 @@ class HostPlacement:
         pass
 
     def extract(self, result: SolveResult) -> None:
+        if self.dual:
+            np.clip(self.beta, 0.0, None, out=self.beta)
         self.bounds.extract(self, result)
 
 
@@ -415,6 +473,25 @@ class BoundedRevisedSimplexSolver(RevisedSimplexSolver):
     ):
         super().__init__(options, cpu_params)
         self.bounds.check(self.options)
+
+
+class DualSimplexSolver(RevisedSimplexSolver):
+    """CPU dual simplex: re-optimisation from a dual-feasible basis.
+
+    After a change of b the previous optimal basis stays dual feasible
+    (reduced costs do not involve b) but is typically primal infeasible:
+    the dual direction's start.  Pass it as ``initial_basis_hint``; a cold
+    solve tries the crash basis.  A singular hint, or a start that is not
+    dual feasible, runs the primal phases from the crash basis, reported as
+    ``dual-cpu(primal-fallback)`` with ``extra["dual_fallback_reason"]``.
+    """
+
+    name = "dual-cpu"
+    ratio_tests = ("standard",)
+    dual = True
+
+    begin = RevisedBackend.begin
+    run_phase = RevisedBackend.run_phase
 
 
 class SparseRevisedSimplexSolver(RevisedSimplexSolver):

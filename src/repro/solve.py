@@ -8,8 +8,9 @@
   handling (bound flips instead of extra rows).
 - ``"revised-sparse"`` — CPU sparse revised simplex: CSC data, sparse LU
   basis factors with a sparse eta file, sectioned partial pricing.
-- ``"dual"``         — CPU dual simplex (re-optimization after rhs changes
-  from a dual-feasible warm basis).
+- ``"dual"``         — CPU dual simplex, the revised loop's dual direction
+  (re-optimization after rhs changes from a dual-feasible warm basis; any
+  other start runs the primal phases).
 - ``"gpu-revised"``  — the paper's contribution: revised simplex on the
   simulated GPU with the dense basis inverse resident on the device;
   sparse input stays CSC on the device and is priced by SpMVᵀ.

@@ -5,6 +5,8 @@ independent implementation) on status, and on the optimal objective when one
 exists — across randomly generated general-form LPs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,7 @@ METHODS = (
 
 #: Methods whose optimal/infeasible/unbounded verdicts are checked on
 #: arbitrary LPs.
-STATUS_METHODS = ("revised", "gpu-revised", "gpu-revised-bounded")
+STATUS_METHODS = ("revised", "gpu-revised", "gpu-revised-bounded", "dual")
 
 SLOW = settings(
     max_examples=12,
@@ -71,10 +73,8 @@ def arbitrary_lps(draw):
                      maximize=draw(st.booleans()))
 
 
-@SLOW
-@given(lp=arbitrary_lps())
-def test_status_trichotomy_matches_oracle(lp):
-    """Status agreement on arbitrary LPs (optimal / infeasible / unbounded)."""
+def highs(lp):
+    """scipy's HiGHS result for ``lp``."""
     from scipy.optimize import linprog
 
     from repro.lp.problem import ConstraintSense
@@ -91,25 +91,58 @@ def test_status_trichotomy_matches_oracle(lp):
             a_eq.append(a[i]); b_eq.append(lp.b[i])
     bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
               for lo, hi in zip(lp.bounds.lower, lp.bounds.upper)]
-    ref = linprog(c, A_ub=np.asarray(a_ub) if a_ub else None,
-                  b_ub=np.asarray(b_ub) if b_ub else None,
-                  A_eq=np.asarray(a_eq) if a_eq else None,
-                  b_eq=np.asarray(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
+    data = dict(A_ub=np.asarray(a_ub) if a_ub else None,
+                b_ub=np.asarray(b_ub) if b_ub else None,
+                A_eq=np.asarray(a_eq) if a_eq else None,
+                b_eq=np.asarray(b_eq) if b_eq else None,
+                bounds=bounds, method="highs")
+    ref = linprog(c, **data)
+    if ref.status == 2:
+        # HiGHS's presolve can report an unbounded LP as infeasible; its
+        # simplex without presolve tells the two apart
+        ref = linprog(c, **data, options={"presolve": False})
+    return ref
 
+
+def assert_status_matches(lp, ref, r, method):
+    """``r`` agrees with HiGHS's ``ref`` on status, and on the objective at
+    an optimum."""
+    if ref.status == 0:
+        assert r.status.value == "optimal", method
+        expected = float(-ref.fun if lp.maximize else ref.fun)
+        assert abs(r.objective - expected) <= 1e-6 * (1 + abs(expected)), method
+    elif ref.status == 2:
+        assert r.status.value == "infeasible", method
+    elif ref.status == 3:
+        assert r.status.value in ("unbounded", "optimal"), method
+        # HiGHS sometimes reports unbounded where a bounded optimum
+        # exists only at infinity in a direction our orientation rules
+        # out; accept 'unbounded' strictly when our solver also sees it.
+        if r.status.value == "optimal":
+            # must then be genuinely feasible
+            assert lp.constraint_violation(r.x) <= 1e-6, method
+
+
+@SLOW
+@given(lp=arbitrary_lps())
+def test_status_trichotomy_matches_oracle(lp):
+    """Status agreement on arbitrary LPs (optimal / infeasible / unbounded)."""
+    ref = highs(lp)
     for method in STATUS_METHODS:
         r = solve(lp, method=method, dtype=np.float64)
-        if ref.status == 0:
-            assert r.status.value == "optimal", method
-            expected = float(-ref.fun if lp.maximize else ref.fun)
-            assert abs(r.objective - expected) <= 1e-6 * (1 + abs(expected)), method
-        elif ref.status == 2:
-            assert r.status.value == "infeasible", method
-        elif ref.status == 3:
-            assert r.status.value in ("unbounded", "optimal"), method
-            # HiGHS sometimes reports unbounded where a bounded optimum
-            # exists only at infinity in a direction our orientation rules
-            # out; accept 'unbounded' strictly when our solver also sees it.
-            if r.status.value == "optimal":
-                # must then be genuinely feasible
-                assert lp.constraint_violation(r.x) <= 1e-6, method
+        assert_status_matches(lp, ref, r, method)
+
+
+@SLOW
+@given(lp=arbitrary_lps(), shift=st.integers(0, 2**31))
+def test_warm_dual_after_rhs_shift_matches_oracle(lp, shift):
+    """The re-optimisation ``dual`` exists for: solve, shift b, restart
+    from the optimal basis.  The shifted LP is optimal or infeasible."""
+    first = solve(lp, method="revised", dtype=np.float64)
+    if not first.is_optimal:
+        return
+    factors = np.random.default_rng(shift).uniform(0.5, 1.5, lp.b.size)
+    shifted = dataclasses.replace(lp, b=lp.b * factors)
+    r = solve(shifted, method="dual", initial_basis=first.extra["basis"],
+              dtype=np.float64)
+    assert_status_matches(shifted, highs(shifted), r, "dual")

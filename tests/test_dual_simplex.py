@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import assert_matches_oracle, scipy_oracle
-from repro import solve
+from repro import metrics, solve
 from repro.errors import SolverError
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import LPProblem
-from repro.simplex.dual import DualSimplexSolver
+from repro.obs import observing
+from repro.simplex.revised_cpu import DualSimplexSolver
 from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
@@ -80,12 +81,6 @@ class TestStartHandling:
         assert "primal-fallback" in r.solver
         assert "dual_fallback_reason" in r.extra
 
-    def test_fallback_disabled_raises(self):
-        lp = random_dense_lp(12, 16, seed=1)
-        solver = DualSimplexSolver(SolverOptions(), allow_primal_fallback=False)
-        with pytest.raises(SolverError):
-            solver.solve(lp)
-
     def test_cold_start_succeeds_when_slack_basis_dual_feasible(self):
         """min with c >= 0 over <= rows: the slack basis is dual feasible
         and primal feasible, so the dual solver accepts and stops at once."""
@@ -132,3 +127,46 @@ class TestStartHandling:
         r = solve(lp2, method="dual", pricing=rule,
                   initial_basis=first.extra["basis"])
         assert_matches_oracle(lp2, r)
+
+
+class TestOneBackend:
+    """The fallback and the stall switch run on the dual's own backend."""
+
+    def test_fallback_is_one_dual_solve(self):
+        lp = random_dense_lp(12, 16, seed=1)
+        with metrics.collecting() as reg, observing() as rec:
+            r = solve(lp, method="dual")
+            snap = reg.snapshot()
+        assert r.solver == "dual-cpu(primal-fallback)"
+        series = snap["metrics"]["repro_solves_total"]["series"]
+        assert [(e["labels"]["solver"], e["value"]) for e in series] == [
+            (r.solver, 1.0)
+        ]
+        recording = rec.collect()
+        roots = [recording.tree(t).span for t in recording.trace_ids()]
+        assert [(sp.name, sp.attrs["solver"]) for sp in roots] == [
+            ("engine.solve", "dual-cpu")
+        ]
+        # the same primal pivots as revised, plus the charged start check
+        revised = solve(lp, method="revised")
+        assert r.iterations == revised.iterations
+        assert r.objective == revised.objective
+        assert r.timing.modeled_seconds > revised.timing.modeled_seconds
+
+    def test_hybrid_switches_the_row_choice(self):
+        """min 0 s.t. x1+x2 >= 3, x1+x3 >= 1, x2+x3 >= 2: every dual pivot
+        is degenerate in the objective, so a one-pivot stall window
+        switches to Bland, as it does for revised on the same LP."""
+        lp = LPProblem.minimize(
+            c=[0.0, 0.0, 0.0],
+            a_ub=[[-1.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]],
+            b_ub=[-3.0, -1.0, -2.0],
+        )
+        for method in ("revised", "dual"):
+            r = solve(lp, method=method, stall_window=1, trace=True)
+            assert r.is_optimal
+            assert r.iterations.bland_activations == 1, method
+        assert r.solver == "dual-cpu"
+        rules = {rec.pricing_rule for rec in r.trace}
+        assert "hybrid:bland" in rules
+        assert all(rule.startswith("hybrid:") for rule in rules)

@@ -396,8 +396,8 @@ def lp():
 class TestInstrumentation:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_solve_counted_exactly_once(self, lp, method):
-        # one solve -> one recorded solve, under the solver that actually
-        # ran (dual's primal fallback records as the delegate, revised-cpu)
+        # one solve -> one recorded solve, under the name the result
+        # reports (dual's primal fallback as dual-cpu(primal-fallback))
         with metrics.collecting() as reg:
             result = solve(lp, method=method)
             snap = reg.snapshot()

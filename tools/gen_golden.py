@@ -10,7 +10,10 @@ the comparison is bit-level, not approximate.
 Each method is pinned at its defaults (``problems``).  The options that
 only one method runs are pinned in ``variants``, one cell per (problem,
 variant): the tableau's other pricing rules and the Harris ratio test, and
-``gpu-tableau`` in fp32 and mixed precision.
+``gpu-tableau`` in fp32 and mixed precision.  The ``warm`` section pins the
+re-optimisation the ``dual`` method exists for: each problem is solved with
+``revised``, its b is shifted by fixed seeded factors, and ``dual`` is
+pinned started from that optimal basis (``WARM_METHODS``).
 
 ``tests/test_engine_golden.py`` replays the suite and asserts equality; the
 fixture therefore guards any refactor of the solver lifecycle (the
@@ -29,6 +32,7 @@ new (%), and whether the pivot sequence moved.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -100,6 +104,27 @@ VARIANTS = {
 }
 
 
+#: Methods pinned in the ``warm`` section, started from the base optimum.
+WARM_METHODS = ("dual",)
+
+
+def shifted(problem: LPProblem) -> LPProblem:
+    """``problem`` with b scaled row by row by fixed seeded factors in
+    [0.85, 1.15]: the previous optimal basis stays dual feasible."""
+    factors = np.random.default_rng(2009).uniform(0.85, 1.15, problem.b.size)
+    return dataclasses.replace(problem, b=problem.b * factors)
+
+
+def warm_cells(problem: LPProblem) -> dict:
+    """The ``warm`` cells of one problem: each of ``WARM_METHODS`` on the
+    shifted b, started from ``revised``'s optimal basis of the original."""
+    basis = solve(problem, method="revised", dtype=np.float64).extra["basis"]
+    return {
+        method: run_one(shifted(problem), method, initial_basis=basis)
+        for method in WARM_METHODS
+    }
+
+
 def hexf(value: float) -> str:
     value = float(value)
     if math.isnan(value):
@@ -142,7 +167,7 @@ def fixture_diff(old: dict, new: dict) -> list[str]:
     differs from ``old``: the fields that moved, ``modeled_seconds`` old →
     new (%), and whether the pivot sequence moved."""
     lines = []
-    for section in ("problems", "variants"):
+    for section in ("problems", "variants", "warm"):
         lines += _section_diff(old.get(section, {}), new.get(section, {}))
     return lines
 
@@ -178,7 +203,7 @@ def main() -> None:
         help="print the cells that differ from the committed fixture; write nothing",
     )
     args = parser.parse_args()
-    fixture: dict = {"problems": {}, "variants": {}}
+    fixture: dict = {"problems": {}, "variants": {}, "warm": {}}
     for problem in suite():
         fixture["problems"][problem.name] = {
             method: run_one(problem, method) for method in available_methods()
@@ -187,6 +212,7 @@ def main() -> None:
             label: run_one(problem, method, **options)
             for label, (method, options) in VARIANTS.items()
         }
+        fixture["warm"][problem.name] = warm_cells(problem)
     if args.diff:
         with open(FIXTURE) as fh:
             lines = fixture_diff(json.load(fh), fixture)
@@ -196,7 +222,9 @@ def main() -> None:
     with open(FIXTURE, "w") as fh:
         json.dump(fixture, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    n = len(fixture["problems"]) * (len(available_methods()) + len(VARIANTS))
+    n = len(fixture["problems"]) * (
+        len(available_methods()) + len(VARIANTS) + len(WARM_METHODS)
+    )
     print(f"wrote {FIXTURE}: {n} (problem, method) cells")
 
 
