@@ -19,7 +19,8 @@
 # sparse one to gpu-pdlp.
 # `make obs-smoke` replays a trace with the repro.obs span recorder on,
 # validates span-tree containment, checks the attribution buckets sum to
-# each job's latency, and validates the exported Chrome span trace.
+# each job's latency, that the span JSON round-trips every trace, and
+# validates the exported Chrome span trace.
 # `make fuse-smoke` solves the same LP with launch-plan fusion off and on,
 # asserts the fp64 results are bit-identical while the fused run issues
 # strictly fewer kernel launches, that a fused ratio test over at most 512
@@ -34,7 +35,8 @@
 # with benchmarks/e2e/compare.py and the BENCHMARK.json bounds.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
-# metrics and spans only through the instrument façade); `make verify` is
+# metrics and spans only through repro.metrics.instrument, whose one
+# function per serve or batch event feeds both); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the trace,
 # sparse, serve, pdlp, obs, fuse and batch smokes + the metrics regression
 # gate.
@@ -132,9 +134,9 @@ obs-smoke:  ## end-to-end: spans on -> attribution exact -> Chrome validates
 	assert attr.jobs, 'no attributed jobs'; \
 	bad = [j for j in attr.jobs if abs(sum(j.buckets.values()) - j.latency_seconds) > 1e-9]; \
 	assert not bad, bad; \
-	assert from_json(to_json(recording)).kept_traces == recording.kept_traces; \
+	assert from_json(to_json(recording)).trace_ids() == recording.trace_ids(); \
 	validate_chrome_trace(serve_chrome_trace(recording)); \
-	print('obs-smoke ok:', recording.kept_traces, 'traces,', len(recording.spans), 'spans,', len(attr.jobs), 'jobs attributed')"
+	print('obs-smoke ok:', len(recording.trace_ids()), 'traces,', len(recording.spans), 'spans,', len(attr.jobs), 'jobs attributed')"
 	$(PYTHONPATH_SRC) python -m repro explain --jobs 6 --seed 3 \
 		--tree slowest --chrome-out /tmp/obs-smoke.chrome.json > /tmp/obs-smoke.txt
 	@grep -q "fleet-wide latency attribution" /tmp/obs-smoke.txt

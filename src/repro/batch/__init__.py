@@ -48,11 +48,7 @@ from repro.engine.registry import device_methods, warm_start_methods
 from repro.errors import SolverError
 from repro.gpu.device import Device
 from repro.lp.problem import LPProblem
-from repro.metrics.instrument import (
-    obs_batch_schedule,
-    record_batch,
-    record_chain_break,
-)
+from repro.metrics.instrument import record_batch, record_chain_break
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
 from repro.simplex.options import SolverOptions
@@ -215,7 +211,6 @@ def solve_batch(
     else:
         outcome = sched.plan(timelines, params=dev.params if on_gpu else None)
     record_batch(outcome.schedule, outcome, timelines)
-    obs_batch_schedule(outcome.schedule, outcome, timelines)
     if context_seconds is None:
         context_seconds = DEFAULT_CONTEXT_SETUP_SECONDS if on_gpu else 0.0
     return BatchResult(
@@ -307,7 +302,6 @@ def solve_batch_chain(
 
     outcome = SequentialSchedule().plan(timelines)
     record_batch("chain", outcome, timelines)
-    obs_batch_schedule("chain", outcome, timelines)
     if context_seconds is None:
         context_seconds = DEFAULT_CONTEXT_SETUP_SECONDS if on_gpu else 0.0
     return BatchResult(

@@ -162,6 +162,41 @@ class ScheduleOutcome:
             return 1.0
         return self.sequential_seconds / self.makespan_seconds
 
+    @property
+    def stream_utilization(self) -> float:
+        """The work's sequential time spread over ``n_streams`` lanes of the
+        makespan (1.0 = every lane busy end to end)."""
+        denom = self.makespan_seconds * max(1, self.n_streams)
+        return min(1.0, self.sequential_seconds / denom) if denom > 0.0 else 0.0
+
+
+def stream_lanes(
+    timelines: Sequence[LPTimeline],
+    n_streams: int,
+    makespan: float | None = None,
+) -> tuple[list[tuple[int, float, float]], float]:
+    """Round-robin stream lanes of a batch (Gurung & Ray's batched-LP
+    model, arXiv:1802.08557): LP ``index % n_streams`` runs on that stream,
+    right after the LPs before it there.
+
+    Returns per LP, in the order of ``timelines``, its ``(lane, start,
+    end)`` on the lane's dependency-ordered path, and the ``stretch``
+    ``makespan / longest lane`` that spreads every lane uniformly over a
+    makespan another resource binds (1.0 without a makespan or when every
+    lane is empty).
+    """
+    ends = [0.0] * n_streams
+    slots: list[tuple[int, float, float]] = []
+    for tl in timelines:
+        lane = tl.index % n_streams
+        start = ends[lane]
+        ends[lane] += tl.total_seconds
+        slots.append((lane, start, ends[lane]))
+    longest = max(ends)
+    if makespan is None or longest <= 0.0:
+        return slots, 1.0
+    return slots, makespan / longest
+
 
 class SequentialSchedule:
     """Back-to-back execution on one stream (the baseline schedule)."""
@@ -221,9 +256,7 @@ class ConcurrentSchedule:
         streams = self.n_streams or min(len(timelines), self.DEFAULT_STREAMS)
         streams = max(1, min(streams, len(timelines)))
 
-        stream_path = [0.0] * streams
-        for tl in timelines:  # round-robin assignment, launch order = index
-            stream_path[tl.index % streams] += tl.total_seconds
+        slots, _ = stream_lanes(timelines, streams)
 
         transfer = sum(tl.transfer_seconds for tl in timelines)
         sequential = sum(tl.total_seconds for tl in timelines)
@@ -235,7 +268,9 @@ class ConcurrentSchedule:
         bounds = {
             "copy-engine": transfer,
             "compute-capacity": busy,
-            "stream-critical-path": max(stream_path),
+            "stream-critical-path": max(
+                (end for _, _, end in slots), default=0.0
+            ),
             "launch-serialization": launches * launch_overhead,
         }
         makespan = max(bounds.values())

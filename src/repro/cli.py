@@ -550,7 +550,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 if t.startswith("job-")
             ]
             if not jobs:
-                print("no kept job traces to show")
+                print("no job traces to show")
                 return 0
             trace_id = max(jobs)[1]
         print()

@@ -83,7 +83,7 @@ class SolveHooks:
         obs = _obs_active()
         if obs is not None:
             self._obs = obs
-            self._obs_trace = obs.new_solve_trace(self.solver)
+            self._obs_trace = obs.new_trace("solve")
             attrs: dict[str, Any] = {"solver": self.solver, "clock": "solve"}
             request = obs.request_trace()
             if request is not None:

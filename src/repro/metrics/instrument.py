@@ -13,30 +13,38 @@ Three families, mirroring the layers named in the metric names:
 - ``repro_serve_*``  — written by the :mod:`repro.serve` event loop
   (submissions, admission rejections, dispatches, completions, warm-start
   cache traffic, modeled-latency quantile gauges).  Serve modules may
-  import metrics **only** through this module (the architecture lint
-  enforces it, mirroring the solver-backend rule).
+  import metrics and spans **only** through this module (the architecture
+  lint enforces it, mirroring the solver-backend rule).
 
-Every function is a no-op (one ``is None`` check) while no registry is
-installed, and none of them touches the modeled clock, the cost models or
-any solver state — they read values the existing bookkeeping computed, or
-recompute pure functions of them.  That is what makes collection provably
-non-perturbing.
+One call per event: each batch and serve event (a priced batch, a
+rejected, expired or completed job, a dispatch window) is one function
+here, called once where the event happens.  It updates the registry when
+metrics are on and builds the event's span tree when a ``repro.obs``
+recorder is installed.
+
+Every function is a no-op (one ``is None`` check per switch) while neither
+a registry nor a recorder is installed, and none of them touches the
+modeled clock, the cost models or any solver state — they read values the
+existing bookkeeping computed, or recompute pure functions of them.  That
+is what makes collection provably non-perturbing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.metrics.registry import active, bucket_quantile
 from repro.obs.context import active as _obs_active
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checkers only
     from repro.batch.scheduler import LPTimeline, ScheduleOutcome
+    from repro.gpu.device import TimelineEvent
     from repro.obs.attribution import AttributionReport
-    from repro.obs.span import ObsRecording
+    from repro.obs.span import ObsRecorder, ObsRecording
     from repro.perfmodel.gpu_model import GpuCostModel
     from repro.perfmodel.ops import OpCost
     from repro.result import SolveResult
+    from repro.serve.job import Job
 
 #: Buckets for per-solve iteration-count histograms.
 ITERATION_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
@@ -264,49 +272,67 @@ def record_batch(
     outcome: "ScheduleOutcome",
     timelines: Sequence["LPTimeline"],
 ) -> None:
-    """One priced batch: queue depth, stream utilization, per-LP wall share."""
+    """One priced batch: queue depth, stream utilization, per-LP wall share,
+    and the ``batch.schedule`` span with one ``batch.segment`` per LP on
+    its stream lane, stretched to the makespan."""
     reg = active()
-    if reg is None:
-        return
-    reg.counter(
-        "repro_batch_batches_total", "Priced batches by schedule.",
-        labels=("schedule",),
-    ).inc(schedule=schedule)
-    reg.counter(
-        "repro_batch_lps_total", "LPs solved through the batch layer.",
-        labels=("schedule",),
-    ).inc(len(timelines), schedule=schedule)
-    reg.gauge(
-        "repro_batch_queue_depth", "LPs in the most recently priced batch."
-    ).set(len(timelines))
-    reg.counter(
-        "repro_batch_makespan_seconds_total",
-        "Modeled batch makespan seconds by schedule.", labels=("schedule",),
-    ).inc(outcome.makespan_seconds, schedule=schedule)
-    bounds = reg.gauge(
-        "repro_batch_bound_seconds",
-        "Per-resource lower bounds of the last batch makespan.",
-        labels=("schedule", "resource"),
-    )
-    for resource, seconds in outcome.bounds.items():
-        bounds.set(seconds, schedule=schedule, resource=resource)
-    # Utilization of the stream set: the work's sequential time spread over
-    # n_streams lanes of the makespan (1.0 = every lane busy end to end).
-    denom = outcome.makespan_seconds * max(1, outcome.n_streams)
-    utilization = outcome.sequential_seconds / denom if denom > 0 else 0.0
-    reg.gauge(
-        "repro_batch_stream_utilization",
-        "Fraction of stream capacity the last batch kept busy.",
-        labels=("schedule",),
-    ).set(min(1.0, utilization), schedule=schedule)
-    total = sum(tl.total_seconds for tl in timelines)
-    if total > 0.0:
-        share = reg.histogram(
-            "repro_batch_lp_wall_share",
-            "Per-LP share of the batch's sequential machine time.",
+    if reg is not None:
+        reg.counter(
+            "repro_batch_batches_total", "Priced batches by schedule.",
+            labels=("schedule",),
+        ).inc(schedule=schedule)
+        reg.counter(
+            "repro_batch_lps_total", "LPs solved through the batch layer.",
+            labels=("schedule",),
+        ).inc(len(timelines), schedule=schedule)
+        reg.gauge(
+            "repro_batch_queue_depth", "LPs in the most recently priced batch."
+        ).set(len(timelines))
+        reg.counter(
+            "repro_batch_makespan_seconds_total",
+            "Modeled batch makespan seconds by schedule.", labels=("schedule",),
+        ).inc(outcome.makespan_seconds, schedule=schedule)
+        bounds = reg.gauge(
+            "repro_batch_bound_seconds",
+            "Per-resource lower bounds of the last batch makespan.",
+            labels=("schedule", "resource"),
         )
-        for tl in timelines:
-            share.observe(tl.total_seconds / total)
+        for resource, seconds in outcome.bounds.items():
+            bounds.set(seconds, schedule=schedule, resource=resource)
+        reg.gauge(
+            "repro_batch_stream_utilization",
+            "Fraction of stream capacity the last batch kept busy.",
+            labels=("schedule",),
+        ).set(outcome.stream_utilization, schedule=schedule)
+        total = sum(tl.total_seconds for tl in timelines)
+        if total > 0.0:
+            share = reg.histogram(
+                "repro_batch_lp_wall_share",
+                "Per-LP share of the batch's sequential machine time.",
+            )
+            for tl in timelines:
+                share.observe(tl.total_seconds / total)
+    rec = _obs_active()
+    if rec is None:
+        return
+    from repro.batch.scheduler import stream_lanes
+
+    trace_id = rec.new_trace("batch")
+    makespan = outcome.makespan_seconds
+    n_streams = max(1, outcome.n_streams)
+    root = rec.span(
+        trace_id, "batch.schedule", 0.0, makespan,
+        schedule=schedule, lps=len(timelines), streams=n_streams,
+        binding=outcome.binding_resource, clock="batch",
+    )
+    slots, stretch = stream_lanes(timelines, n_streams, makespan)
+    for tl, (lane, start, end) in zip(timelines, slots):
+        rec.span(
+            trace_id, "batch.segment", start * stretch, end * stretch,
+            parent=root, lane=lane, lp=tl.index,
+            kernels=tl.kernel_launches,
+        )
+    rec.finish_trace(trace_id, "batch", latency=makespan)
 
 
 def record_chain_break(method: str) -> None:
@@ -325,6 +351,34 @@ def record_chain_break(method: str) -> None:
 # ---------------------------------------------------------------------------
 # serving layer (repro.serve)
 # ---------------------------------------------------------------------------
+#
+# A job's span tree lives in trace ``job-<id>`` of the recorder's current
+# replay (:meth:`~repro.obs.span.ObsRecorder.job_trace`); the job's
+# terminal event (rejected / expired / completed) records the whole tree.
+
+
+def _begin_job_trace(
+    rec: "ObsRecorder",
+    job: "Job",
+    t_end: float,
+    queued_until: "float | None" = None,
+) -> tuple[str, int]:
+    """Begin a job's trace: the ``serve.job`` root up to ``t_end`` and the
+    ``serve.submit`` mark, plus ``serve.admit`` and a ``queue.wait`` up to
+    ``queued_until`` for a job that was admitted.  Returns the trace id
+    and the root's span id."""
+    trace_id = rec.job_trace(job.job_id)
+    submit = job.submit_time
+    root = rec.span(
+        trace_id, "serve.job", submit, t_end,
+        job_id=job.job_id, method=job.method, priority=job.priority,
+        clock="serve",
+    )
+    rec.span(trace_id, "serve.submit", submit, submit, parent=root)
+    if queued_until is not None:
+        rec.span(trace_id, "serve.admit", submit, submit, parent=root)
+        rec.span(trace_id, "queue.wait", submit, queued_until, parent=root)
+    return trace_id, root
 
 
 def record_job_submitted(priority: str) -> None:
@@ -338,26 +392,41 @@ def record_job_submitted(priority: str) -> None:
     ).inc(priority=priority)
 
 
-def record_job_rejected(reason: str) -> None:
+def record_job_rejected(job: "Job") -> None:
     """One admission rejection (queue-full / memory / deadline)."""
     reg = active()
-    if reg is None:
+    if reg is not None:
+        reg.counter(
+            "repro_serve_jobs_rejected_total",
+            "Admission-control rejections by reason.", labels=("reason",),
+        ).inc(reason=job.reject_reason)
+    rec = _obs_active()
+    if rec is None:
         return
-    reg.counter(
-        "repro_serve_jobs_rejected_total",
-        "Admission-control rejections by reason.", labels=("reason",),
-    ).inc(reason=reason)
+    t_end = job.finish_time
+    trace_id, root = _begin_job_trace(rec, job, t_end)
+    rec.span(
+        trace_id, "serve.reject", t_end, t_end, parent=root,
+        reason=job.reject_reason,
+    )
+    rec.finish_trace(trace_id, "rejected", latency=t_end - job.submit_time)
 
 
-def record_job_expired() -> None:
+def record_job_expired(job: "Job") -> None:
     """One queued job whose deadline passed before it could be dispatched."""
     reg = active()
-    if reg is None:
+    if reg is not None:
+        reg.counter(
+            "repro_serve_jobs_expired_total",
+            "Queued jobs dropped because their deadline passed.",
+        ).inc()
+    rec = _obs_active()
+    if rec is None:
         return
-    reg.counter(
-        "repro_serve_jobs_expired_total",
-        "Queued jobs dropped because their deadline passed.",
-    ).inc()
+    t_end = job.finish_time
+    trace_id, root = _begin_job_trace(rec, job, t_end, queued_until=t_end)
+    rec.span(trace_id, "serve.expire", t_end, t_end, parent=root)
+    rec.finish_trace(trace_id, "expired", latency=t_end - job.submit_time)
 
 
 def record_queue_depth(depth: int) -> None:
@@ -375,28 +444,44 @@ def record_queue_depth(depth: int) -> None:
 
 
 def record_serve_dispatch(
-    device: str, n_jobs: int, makespan_seconds: float, utilization: float
+    device: str, t_start: float, outcome: "ScheduleOutcome", n_jobs: int
 ) -> None:
-    """One dispatch group priced onto a device of the fleet."""
+    """One dispatch window priced onto a device of the fleet (its span is
+    a trace of its own, ``window-<k>``)."""
+    makespan = outcome.makespan_seconds
     reg = active()
-    if reg is None:
+    if reg is not None:
+        reg.counter(
+            "repro_serve_dispatches_total", "Dispatch groups by device.",
+            labels=("device",),
+        ).inc(device=device)
+        reg.counter(
+            "repro_serve_dispatched_jobs_total", "Jobs dispatched by device.",
+            labels=("device",),
+        ).inc(n_jobs, device=device)
+        reg.counter(
+            "repro_serve_device_busy_seconds_total",
+            "Modeled busy seconds by device.", labels=("device",),
+        ).inc(makespan, device=device)
+        reg.histogram(
+            "repro_serve_dispatch_utilization",
+            "Stream utilization of each dispatch group.",
+        ).observe(outcome.stream_utilization)
+    rec = _obs_active()
+    if rec is None:
         return
-    reg.counter(
-        "repro_serve_dispatches_total", "Dispatch groups by device.",
-        labels=("device",),
-    ).inc(device=device)
-    reg.counter(
-        "repro_serve_dispatched_jobs_total", "Jobs dispatched by device.",
-        labels=("device",),
-    ).inc(n_jobs, device=device)
-    reg.counter(
-        "repro_serve_device_busy_seconds_total",
-        "Modeled busy seconds by device.", labels=("device",),
-    ).inc(makespan_seconds, device=device)
-    reg.histogram(
-        "repro_serve_dispatch_utilization",
-        "Stream utilization of each dispatch group.",
-    ).observe(utilization)
+    trace_id = rec.new_trace("window")
+    root = rec.span(
+        trace_id, "dispatch.window", t_start, t_start + makespan,
+        device=device, jobs=n_jobs, clock="serve",
+        binding=outcome.binding_resource,
+    )
+    for resource, seconds in outcome.bounds.items():
+        rec.span(
+            trace_id, f"bound.{resource}", t_start, t_start + seconds,
+            parent=root,
+        )
+    rec.finish_trace(trace_id, "window", latency=makespan)
 
 
 def record_device_utilization(device: str, utilization: float) -> None:
@@ -412,23 +497,76 @@ def record_device_utilization(device: str, utilization: float) -> None:
 
 
 def record_job_completed(
-    status: str, latency_seconds: float, warm_started: bool
+    job: "Job",
+    solve_ids: Sequence[str],
+    events: Sequence["TimelineEvent"],
+    launch_overhead: float,
+    own_seconds: float,
+    stretch: float,
 ) -> None:
-    """One job that ran to completion (any solver status)."""
+    """One job that ran to completion (any solver status).
+
+    The span tree carries the execute-slice breakdown attribution reads
+    (transfer / launch / refactor seconds of ``events``, the job's device
+    timeline).  ``own_seconds`` is the job's standalone timeline total and
+    ``stretch`` the window's contention factor, so the execute slice opens
+    at ``finish - own_seconds * stretch``, the accounting that placed the
+    finish time, but never before ``dispatch_time``.
+    """
+    finish = job.finish_time
     reg = active()
-    if reg is None:
+    if reg is not None:
+        reg.counter(
+            "repro_serve_jobs_completed_total",
+            "Completed jobs by solver status and warm-start origin.",
+            labels=("status", "warm"),
+        ).inc(
+            status=job.result.status.value,
+            warm="yes" if job.warm_started else "no",
+        )
+        reg.histogram(
+            "repro_serve_latency_seconds",
+            "Modeled submit-to-finish latency of completed jobs.",
+            buckets=SERVE_LATENCY_BUCKETS,
+        ).observe(finish - job.submit_time)
+        update_serve_latency_quantiles()
+    rec = _obs_active()
+    if rec is None:
         return
-    reg.counter(
-        "repro_serve_jobs_completed_total",
-        "Completed jobs by solver status and warm-start origin.",
-        labels=("status", "warm"),
-    ).inc(status=status, warm="yes" if warm_started else "no")
-    reg.histogram(
-        "repro_serve_latency_seconds",
-        "Modeled submit-to-finish latency of completed jobs.",
-        buckets=SERVE_LATENCY_BUCKETS,
-    ).observe(latency_seconds)
-    update_serve_latency_quantiles()
+    from repro.obs.attribution import execute_breakdown
+
+    trace_id, root = _begin_job_trace(
+        rec, job, finish, queued_until=job.dispatch_time
+    )
+    # Rounding can put the slice start one ULP before dispatch; clamp so
+    # placement never goes negative.
+    exec_start = max(job.dispatch_time, finish - own_seconds * stretch)
+    rec.span(
+        trace_id, "placement", job.dispatch_time, exec_start, parent=root,
+        device=job.device,
+    )
+    refactor_intervals = [
+        (sp.t_start, sp.t_end)
+        for solve_id in solve_ids
+        for sp in rec.spans_of(solve_id)
+        if sp.name == "engine.refactor"
+    ]
+    breakdown = execute_breakdown(events, launch_overhead, refactor_intervals)
+    rec.span(
+        trace_id, "device.execute", exec_start, finish, parent=root,
+        device=job.device,
+        own_seconds=own_seconds,
+        stretch=stretch,
+        warm_started=job.warm_started,
+        solves=list(solve_ids),
+        **breakdown,
+    )
+    missed = job.deadline is not None and finish > job.deadline
+    rec.finish_trace(
+        trace_id,
+        "deadline-missed" if missed else "completed",
+        latency=finish - job.submit_time,
+    )
 
 
 def record_cache_lookup(hit: bool) -> None:
@@ -492,92 +630,29 @@ def update_serve_latency_quantiles() -> None:
 
 
 # ---------------------------------------------------------------------------
-# span recording (repro.obs) — the serve/batch emission façade
+# span recording (repro.obs): request context and the read side
 # ---------------------------------------------------------------------------
 #
-# Serve and batch code may not import ``repro.obs`` (the architecture lint
-# extends the metrics rule to it), so the span layer is reached through the
-# thin forwards below.  Each one is a single ``is None`` check while no
-# recorder is installed — the same zero-overhead contract as every metrics
-# hook in this module — and the span-shaped work lives in
-# :mod:`repro.obs.emit`, imported only once a recorder exists.
+# Serve code may not import ``repro.obs`` (the architecture lint extends
+# the metrics rule to it), so it reaches the recorder's request context and
+# its recording through these functions, each one ``is None`` check while
+# no recorder is installed.
 
 
-def obs_job_rejected(job: Any) -> None:
-    """Span tree of one admission rejection (terminal, emitted once)."""
+def obs_begin_replay() -> None:
+    """Open a serve replay: its job traces get ids unique within the
+    recorder, and :func:`obs_collect` returns only its traces."""
     rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    emit.emit_job_rejected(rec, job)
+    if rec is not None:
+        rec.begin_replay()
 
 
-def obs_job_expired(job: Any) -> None:
-    """Span tree of one queued job whose deadline lapsed (idempotent)."""
-    rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    emit.emit_job_expired(rec, job)
-
-
-def obs_job_executed(
-    job: Any,
-    solve_ids: Sequence[str],
-    events: Sequence[Any],
-    launch_overhead: float,
-    own_seconds: float,
-    stretch: float,
-) -> None:
-    """Span tree of one completed job, including the execute-slice
-    breakdown attribution reads (transfer / launch / refactor seconds)."""
-    rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    emit.emit_job_executed(
-        rec, job, solve_ids, events, launch_overhead, own_seconds, stretch
-    )
-
-
-def obs_dispatch_window(
-    device: str, t_start: float, outcome: "ScheduleOutcome", n_jobs: int
-) -> None:
-    """One dispatch window priced onto a fleet device."""
-    rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    emit.emit_dispatch_window(rec, device, t_start, outcome, n_jobs)
-
-
-def obs_batch_schedule(
-    schedule: str,
-    outcome: "ScheduleOutcome",
-    timelines: Sequence["LPTimeline"],
-) -> None:
-    """One priced batch: schedule root + per-lane LP segments."""
-    rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    emit.emit_batch_schedule(rec, schedule, outcome, timelines)
-
-
-def obs_push_request(job: Any) -> None:
+def obs_push_request(job: "Job") -> None:
     """Open a request context: engine solves begun before the matching
     :func:`obs_pop_request` are linked to this job's trace."""
     rec = _obs_active()
-    if rec is None:
-        return
-    from repro.obs import emit
-
-    rec.push_request(emit.job_trace_id(job.job_id))
+    if rec is not None:
+        rec.push_request(rec.job_trace(job.job_id))
 
 
 def obs_pop_request() -> list[str]:
@@ -589,12 +664,12 @@ def obs_pop_request() -> list[str]:
 
 
 def obs_collect() -> "ObsRecording | None":
-    """Sample and return the active recorder's finished traces (``None``
-    when recording is off)."""
+    """The finished traces of the replay :func:`obs_begin_replay` opened
+    last (``None`` when recording is off)."""
     rec = _obs_active()
     if rec is None:
         return None
-    return rec.collect()
+    return rec.collect_replay()
 
 
 def obs_attribution(recording: "ObsRecording") -> "AttributionReport":
@@ -603,33 +678,3 @@ def obs_attribution(recording: "ObsRecording") -> "AttributionReport":
     from repro.obs.attribution import attribute
 
     return attribute(recording)
-
-
-def record_obs_sampling(
-    *,
-    kept_traces: int,
-    dropped_traces: int,
-    kept_spans: int,
-    dropped_spans: int,
-) -> None:
-    """Sampling decisions of one collection pass.  Pinned by the metrics
-    regression gate so span-volume or sampling changes can't rot silently."""
-    reg = active()
-    if reg is None:
-        return
-    reg.counter(
-        "repro_obs_traces_kept_total",
-        "Request traces kept by the obs sampling policy.",
-    ).inc(kept_traces)
-    reg.counter(
-        "repro_obs_traces_dropped_total",
-        "Request traces dropped by the obs sampling policy.",
-    ).inc(dropped_traces)
-    reg.counter(
-        "repro_obs_spans_kept_total",
-        "Spans kept by the obs sampling policy.",
-    ).inc(kept_spans)
-    reg.counter(
-        "repro_obs_spans_dropped_total",
-        "Spans dropped by the obs sampling policy.",
-    ).inc(dropped_spans)

@@ -19,8 +19,10 @@ from typing import Any
 #: Name recorded in baselines produced from :func:`smoke_workload`.
 #: v2 added a fused solve that pins the kernel-fusion counters in the gate
 #: baseline; v3, with fused lowering the default, turned that solve into
-#: the op-by-op (``fusion=False``) one, so the gate pins both lowerings.
-SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v3"
+#: the op-by-op (``fusion=False``) one, so the gate pins both lowerings;
+#: v4 records its served trace without span sampling, which took the four
+#: ``repro_obs_*`` sampling counters out of the baseline.
+SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v4"
 
 
 def smoke_workload() -> None:
@@ -39,15 +41,14 @@ def smoke_workload() -> None:
       lowering every other GPU solve here skips (fused is the default);
     - one ``revised-bounded`` solve of a box-bounded LP — exercises the
       bounded solver family;
-    - a 6-job served trace with the ``repro.obs`` span recorder on at a
-      0.5 head-sampling rate — exercises the span sampling counters with
-      both kept *and* dropped traces, pinning them in the gate baseline.
+    - a 6-job served trace with the ``repro.obs`` span recorder on —
+      the serve counters of a replay whose events also build spans.
     """
     import numpy as np
 
     from repro.lp.generators import random_dense_lp
     from repro.lp.problem import Bounds, LPProblem
-    from repro.obs import SamplingPolicy, observing
+    from repro.obs import observing
     from repro.serve import ServeConfig, serve_trace, synthetic_trace
     from repro.solve import solve, solve_batch, solve_batch_chain
 
@@ -74,8 +75,7 @@ def smoke_workload() -> None:
     )
     solve(bounded, method="revised-bounded")
 
-    policy = SamplingPolicy(head_rate=0.5, tail_slowest_quantile=1.0)
-    with observing(policy=policy):
+    with observing():
         serve_trace(
             synthetic_trace(n_jobs=6, seed=3),
             ServeConfig(n_devices=1, n_streams=2),

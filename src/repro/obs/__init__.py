@@ -15,11 +15,13 @@ metrics layers pin: with no recorder installed every emission point is one
 ``make lint`` keeps backends and serve code from importing ``repro.obs``),
 and with one installed, solver and serving results are bit-identical.
 
-Head sampling plus always-keep tail exemplars (rejected / expired /
-deadline-missed jobs, errored solves, the p99-slowest tail) decide which
-traces survive :meth:`~repro.obs.span.ObsRecorder.collect`; the decision
-counts land in the metrics registry (``repro_obs_spans_kept_total`` /
-``..._dropped_total``) so the regression gate pins span volume.
+One call per event: each batch and serve event (a priced batch, a
+rejected, expired or completed job, a dispatch window) is one function of
+:mod:`repro.metrics.instrument` that updates the metrics registry and
+records the event's span tree, so the two views count the same events.
+:meth:`~repro.obs.span.ObsRecorder.collect` returns every finished trace;
+a replay's :attr:`~repro.serve.ServeReport.obs_recording` holds that
+replay's traces only.
 
 Quickstart::
 
@@ -49,7 +51,6 @@ from repro.obs.attribution import (
 )
 from repro.obs.context import active, disable, enable, enabled, observing
 from repro.obs.export import OBS_JSON_SCHEMA, from_json, render_tree, to_json
-from repro.obs.sampling import SamplingPolicy, head_keep
 from repro.obs.span import ObsRecorder, ObsRecording, Span, SpanNode
 from repro.trace.chrome import chrome_span_events, serve_chrome_trace
 
@@ -60,7 +61,6 @@ __all__ = [
     "OBS_JSON_SCHEMA",
     "ObsRecorder",
     "ObsRecording",
-    "SamplingPolicy",
     "Span",
     "SpanNode",
     "active",
@@ -71,7 +71,6 @@ __all__ = [
     "enabled",
     "execute_breakdown",
     "from_json",
-    "head_keep",
     "observing",
     "render_tree",
     "serve_chrome_trace",

@@ -19,23 +19,18 @@ import contextlib
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.sampling import SamplingPolicy
     from repro.obs.span import ObsRecorder
 
 _active: "ObsRecorder | None" = None
 
 
-def enable(
-    recorder: "ObsRecorder | None" = None,
-    *,
-    policy: "SamplingPolicy | None" = None,
-) -> "ObsRecorder":
+def enable(recorder: "ObsRecorder | None" = None) -> "ObsRecorder":
     """Install ``recorder`` (or a fresh one) as the active span recorder."""
     global _active
     if recorder is None:
         from repro.obs.span import ObsRecorder
 
-        recorder = ObsRecorder(policy=policy)
+        recorder = ObsRecorder()
     _active = recorder
     return recorder
 
@@ -56,11 +51,7 @@ def enabled() -> bool:
 
 
 @contextlib.contextmanager
-def observing(
-    recorder: "ObsRecorder | None" = None,
-    *,
-    policy: "SamplingPolicy | None" = None,
-) -> Iterator["ObsRecorder"]:
+def observing(recorder: "ObsRecorder | None" = None) -> Iterator["ObsRecorder"]:
     """Scoped recording: enable on entry, restore the previous recorder on
     exit.  Yields the recorder so the caller can ``collect()`` afterwards::
 
@@ -70,7 +61,7 @@ def observing(
     """
     global _active
     previous = _active
-    rec = enable(recorder, policy=policy)
+    rec = enable(recorder)
     try:
         yield rec
     finally:

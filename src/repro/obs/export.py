@@ -20,8 +20,8 @@ from typing import Any
 
 from repro.obs.span import ObsRecording, Span, SpanNode
 
-#: Schema tag of the JSON export.
-OBS_JSON_SCHEMA = "repro-obs/v1"
+#: Schema tag of the JSON export (v2 dropped the sampling ``decisions``).
+OBS_JSON_SCHEMA = "repro-obs/v2"
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def _render_node(node: SpanNode, prefix: str, last: bool, out: list[str]) -> Non
 def render_tree(
     recording: ObsRecording, trace_id: "str | None" = None
 ) -> str:
-    """Indented span tree of one trace (or all kept traces)."""
+    """Indented span tree of one trace (or of every recorded trace)."""
     trace_ids = [trace_id] if trace_id is not None else recording.trace_ids()
     out: list[str] = []
     for tid in trace_ids:
@@ -89,7 +89,6 @@ def to_json(recording: ObsRecording, target: "str | Path | None" = None) -> str:
             for sp in sorted(recording.spans, key=lambda s: s.span_id)
         ],
         "outcomes": recording.outcomes,
-        "decisions": recording.decisions,
         "links": recording.links,
         "latencies": recording.latencies,
     }
@@ -122,7 +121,6 @@ def from_json(data: "str | dict") -> ObsRecording:
     return ObsRecording(
         spans=spans,
         outcomes=dict(doc.get("outcomes", {})),
-        decisions=dict(doc.get("decisions", {})),
         links=dict(doc.get("links", {})),
         latencies=dict(doc.get("latencies", {})),
     )

@@ -13,20 +13,19 @@ with exactly one root.  Two clock domains appear:
   ``request`` attribute and the recorder's link table tie them back to the
   serve-side job that spawned them.
 
-The recorder buffers spans per trace; :meth:`ObsRecorder.collect` applies
-the :class:`~repro.obs.sampling.SamplingPolicy` to every *finished* trace
-exactly once, emits the kept/dropped counters through the metrics façade,
-and returns an immutable :class:`ObsRecording`.  Emission while no
-recorder is installed never reaches this module (the façade's ``active()``
+The recorder buffers spans per trace, and :meth:`ObsRecorder.collect`
+returns every *finished* trace as an :class:`ObsRecording`.  Spans are
+recorded with one call per event: the batch and serve event functions of
+:mod:`repro.metrics.instrument` and the engine observer
+(:mod:`repro.engine.hooks`) are the only writers.  Emission while no
+recorder is installed never reaches this module (their ``active()``
 check), which is what keeps the disabled path one pointer read.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping
-
-from repro.obs.sampling import DROPPED, SamplingPolicy
+from typing import Any, Iterable
 
 
 @dataclasses.dataclass
@@ -66,54 +65,53 @@ class SpanNode:
 
 
 class ObsRecorder:
-    """Buffers spans per trace and applies sampling at collection time."""
+    """Buffers spans per trace until :meth:`collect`."""
 
-    def __init__(self, policy: "SamplingPolicy | None" = None):
-        self.policy = policy or SamplingPolicy()
+    def __init__(self):
         self._spans: dict[str, list[Span]] = {}
         self._pending: dict[int, Span] = {}
         self._outcomes: dict[str, str] = {}
         self._latencies: dict[str, float] = {}
         self._links: dict[str, str] = {}
-        self._decided: dict[str, str] = {}
         self._next_span = 0
-        self._next_solve = 0
-        self._next_batch = 0
-        self._next_window = 0
+        self._next_trace: dict[str, int] = {}
         self._request: "tuple[str, list[str]] | None" = None
+        self._replays = 0
+        self._replay_start = 0
 
     # -- trace bookkeeping ----------------------------------------------
-
-    def has_trace(self, trace_id: str) -> bool:
-        return trace_id in self._spans
 
     def spans_of(self, trace_id: str) -> list[Span]:
         """The spans buffered so far for one trace (emission-order copy)."""
         return list(self._spans.get(trace_id, ()))
 
-    def new_solve_trace(self, solver: str) -> str:
-        """Allocate a trace id for one engine solve; when a request context
-        is open (a served job mid-dispatch) the solve is linked to it."""
-        trace_id = f"solve-{self._next_solve}"
-        self._next_solve += 1
-        self._spans.setdefault(trace_id, [])
+    def new_trace(self, family: str) -> str:
+        """Allocate the next ``<family>-<n>`` trace id (``solve``,
+        ``batch``, ``window``); a trace begun while a request context is
+        open (a served job mid-dispatch) is linked to that request."""
+        n = self._next_trace.get(family, 0)
+        self._next_trace[family] = n + 1
+        trace_id = f"{family}-{n}"
+        self._spans[trace_id] = []
         if self._request is not None:
             parent, children = self._request
             self._links[trace_id] = parent
             children.append(trace_id)
         return trace_id
 
-    def new_batch_trace(self) -> str:
-        trace_id = f"batch-{self._next_batch}"
-        self._next_batch += 1
-        self._spans.setdefault(trace_id, [])
-        return trace_id
+    def begin_replay(self) -> None:
+        """Open a serve replay: :meth:`job_trace` names its jobs apart from
+        earlier replays', and :meth:`collect_replay` returns its traces."""
+        self._replays += 1
+        self._replay_start = self._next_span
 
-    def new_window_trace(self) -> str:
-        trace_id = f"window-{self._next_window}"
-        self._next_window += 1
-        self._spans.setdefault(trace_id, [])
-        return trace_id
+    def job_trace(self, job_id: int) -> str:
+        """Trace id of a served job: ``job-<id>`` in the recorder's first
+        replay, ``job-<id>@<k>`` in the k-th after it (job ids restart at
+        0 for every server)."""
+        if self._replays <= 1:
+            return f"job-{job_id}"
+        return f"job-{job_id}@{self._replays - 1}"
 
     def push_request(self, trace_id: str) -> None:
         """Open a request context: solve traces begun before the matching
@@ -187,80 +185,42 @@ class ObsRecorder:
     # -- collection --------------------------------------------------------
 
     def collect(self) -> "ObsRecording":
-        """Apply the sampling policy to every finished, not-yet-decided
-        trace; emit the kept/dropped counters; return all kept spans."""
-        fresh = {
-            tid: outcome
-            for tid, outcome in self._outcomes.items()
-            if tid not in self._decided
-        }
-        if fresh:
-            decisions = self.policy.decide(fresh, self._latencies, self._links)
-            kept_spans = dropped_spans = 0
-            for tid, decision in decisions.items():
-                self._decided[tid] = decision
-                n = len(self._spans.get(tid, ()))
-                if decision == DROPPED:
-                    dropped_spans += n
-                    self._spans.pop(tid, None)
-                else:
-                    kept_spans += n
-            kept = sum(1 for d in decisions.values() if d != DROPPED)
-            from repro.metrics.instrument import record_obs_sampling
+        """Every finished trace, in the order the traces began."""
+        return self._recording(self._outcomes)
 
-            record_obs_sampling(
-                kept_traces=kept,
-                dropped_traces=len(decisions) - kept,
-                kept_spans=kept_spans,
-                dropped_spans=dropped_spans,
-            )
-        spans = [
-            sp
-            for tid, decision in self._decided.items()
-            if decision != DROPPED
-            for sp in self._spans.get(tid, ())
-        ]
+    def collect_replay(self) -> "ObsRecording":
+        """The finished traces begun since :meth:`begin_replay`."""
+        return self._recording(
+            tid
+            for tid in self._outcomes
+            if self._spans[tid][0].span_id >= self._replay_start
+        )
+
+    def _recording(self, trace_ids: Iterable[str]) -> "ObsRecording":
+        chosen = set(trace_ids)
+
+        def pick(table: dict) -> dict:
+            return {tid: v for tid, v in table.items() if tid in chosen}
+
         return ObsRecording(
-            spans=spans,
-            outcomes={
-                tid: self._outcomes[tid]
-                for tid in self._decided
-                if self._decided[tid] != DROPPED
-            },
-            decisions=dict(self._decided),
-            links={
-                tid: parent
-                for tid, parent in self._links.items()
-                if self._decided.get(tid, DROPPED) != DROPPED
-            },
-            latencies={
-                tid: self._latencies[tid]
-                for tid in self._decided
-                if self._decided[tid] != DROPPED and tid in self._latencies
-            },
+            spans=[sp for tid in pick(self._spans) for sp in self._spans[tid]],
+            outcomes=pick(self._outcomes),
+            links=pick(self._links),
+            latencies=pick(self._latencies),
         )
 
 
 @dataclasses.dataclass
 class ObsRecording:
-    """The sampled output of one recorder: kept spans plus the decisions."""
+    """The output of one recorder: finished traces' spans and outcomes."""
 
     spans: list[Span]
     outcomes: dict[str, str]
-    decisions: dict[str, str]
     links: dict[str, str]
     latencies: dict[str, float]
 
-    @property
-    def kept_traces(self) -> int:
-        return sum(1 for d in self.decisions.values() if d != DROPPED)
-
-    @property
-    def dropped_traces(self) -> int:
-        return sum(1 for d in self.decisions.values() if d == DROPPED)
-
     def trace_ids(self) -> list[str]:
-        """Kept trace ids, stable (first-span) order."""
+        """Recorded trace ids, stable (first-span) order."""
         seen: dict[str, None] = {}
         for sp in self.spans:
             seen.setdefault(sp.trace_id, None)
@@ -299,9 +259,10 @@ class ObsRecording:
         return roots[0]
 
     def validate(self) -> None:
-        """Well-formedness of every kept trace: exactly one root, resolvable
-        parents, and every child interval contained in its parent's (up to
-        a float tolerance).  Raises :class:`ValueError` on violation."""
+        """Well-formedness of every recorded trace: exactly one root,
+        resolvable parents, and every child interval contained in its
+        parent's (up to a float tolerance).  Raises :class:`ValueError` on
+        violation."""
         for trace_id in self.trace_ids():
             root = self.tree(trace_id)
             stack = [root]

@@ -67,7 +67,7 @@ class AdmissionQueue:
             job.finish_time = now
             self.expired += 1
             dropped += 1
-            record_job_expired()
+            record_job_expired(job)
         if dropped:
             record_queue_depth(len(self._heap))
         return dropped

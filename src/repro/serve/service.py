@@ -51,17 +51,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.scheduler import ConcurrentSchedule, LPTimeline
+from repro.batch.scheduler import ConcurrentSchedule, LPTimeline, stream_lanes
 from repro.engine.registry import device_methods, warm_start_methods
 from repro.errors import SolverError
 from repro.lp.problem import LPProblem
 from repro.metrics.instrument import (
     obs_attribution,
+    obs_begin_replay,
     obs_collect,
-    obs_dispatch_window,
-    obs_job_executed,
-    obs_job_expired,
-    obs_job_rejected,
     obs_pop_request,
     obs_push_request,
     record_chain_break,
@@ -111,8 +108,9 @@ class ServeReport:
     cache: WarmStartCache
     #: End-to-end modeled span: first arrival to last device going idle.
     span_seconds: float
-    #: Span recording of the replay (``repro.obs``), when a recorder was
-    #: installed around :meth:`LPServer.run`; ``None`` otherwise.
+    #: Span recording of this replay's traces only (``repro.obs``), when a
+    #: recorder was installed around :meth:`LPServer.run`; ``None``
+    #: otherwise.
     obs_recording: "object | None" = None
 
     @property
@@ -328,6 +326,7 @@ class LPServer:
 
     def run(self) -> ServeReport:
         """Drain all scheduled events and return the replay report."""
+        obs_begin_replay()
         while self._events:
             time, _, kind, payload = heapq.heappop(self._events)
             self.clock = max(self.clock, time)
@@ -341,9 +340,6 @@ class LPServer:
         )
         for dev in self.fleet:
             record_device_utilization(dev.name, dev.utilization(span))
-        for job in self.jobs:
-            if job.state is JobState.EXPIRED:
-                obs_job_expired(job)  # no-op when off / already emitted
         return ServeReport(
             config=self.config,
             jobs=list(self.jobs),
@@ -383,8 +379,7 @@ class LPServer:
         job.state = JobState.REJECTED
         job.reject_reason = reason
         job.finish_time = self.clock
-        record_job_rejected(reason)
-        obs_job_rejected(job)
+        record_job_rejected(job)
 
     # -- placement and execution -------------------------------------------
 
@@ -479,25 +474,12 @@ class LPServer:
         # a job finishes at its lane's cumulative time — stretched uniformly
         # when another resource (copy engine, compute capacity, launch
         # serialization) binds the group and slows every lane down.
-        lane_cum = [0.0] * streams
-        offsets: list[float] = []
-        for pos, tl in enumerate(timelines):
-            lane = pos % streams
-            lane_cum[lane] += tl.total_seconds
-            offsets.append(lane_cum[lane])
-        max_path = max(lane_cum)
-        stretch = makespan / max_path if max_path > 0.0 else 1.0
+        slots, stretch = stream_lanes(timelines, streams, makespan)
         launch_overhead = dev.params.launch_overhead if self.on_gpu else 0.0
-        for pos, (job, offset) in enumerate(zip(window, offsets)):
-            job.finish_time = now + offset * stretch
+        for pos, (job, (_, _, end)) in enumerate(zip(window, slots)):
+            job.finish_time = now + end * stretch
             job.state = JobState.COMPLETED
-            assert job.result is not None
             record_job_completed(
-                job.result.status.value,
-                job.latency_seconds or 0.0,
-                job.warm_started,
-            )
-            obs_job_executed(
                 job,
                 solve_links[pos],
                 raw_events[pos],
@@ -510,14 +492,7 @@ class LPServer:
         dev.busy_seconds += makespan
         dev.jobs_done += len(window)
         dev.dispatches += 1
-        denom = makespan * streams
-        utilization = (
-            outcome.sequential_seconds / denom if denom > 0.0 else 0.0
-        )
-        record_serve_dispatch(
-            dev.name, len(window), makespan, min(1.0, utilization)
-        )
-        obs_dispatch_window(dev.name, now, outcome, len(window))
+        record_serve_dispatch(dev.name, now, outcome, len(window))
         if makespan > 0.0:
             self._push_event(dev.busy_until, 1, dev)
 

@@ -108,7 +108,7 @@ def test_obs_is_forbidden_everywhere(tmp_path):
     assert lint._is_forbidden("repro.obs")
     assert lint._is_forbidden("repro.obs.span")
     assert lint._is_forbidden_for_serve("repro.obs")
-    assert lint._is_forbidden_for_serve("repro.obs.emit")
+    assert lint._is_forbidden_for_serve("repro.obs.span")
     bad = tmp_path / "bad_obs.py"
     bad.write_text("from repro.obs import observing\n")
     assert len(lint.check_file(bad)) == 1

@@ -8,9 +8,9 @@ The contract under test:
 2. **well-formed span trees** — every kept trace has exactly one root,
    resolvable parent links, and children contained in their parents'
    intervals (``ObsRecording.validate``);
-3. **deterministic sampling** — head sampling is a pure hash of the trace
-   id, tail exemplars (bad outcomes, the slowest quantile) always survive,
-   linked solve traces inherit their job's decision;
+3. **one call per event** — the metrics counters and the span traces of a
+   replay or a batch count the same events, and each replay's recording
+   holds its own jobs even when two replays share one recorder;
 4. **exporters** — the JSON schema round-trips, the ASCII tree renders,
    and the Chrome async/flow events pass ``validate_chrome_trace`` both
    standalone and merged into the four-track solver trace;
@@ -26,31 +26,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import metrics, obs
 from repro.lp.generators import random_dense_lp
 from repro.obs import (
     BUCKETS,
-    ObsRecorder,
-    SamplingPolicy,
-    attribute,
     chrome_span_events,
     execute_breakdown,
     from_json,
-    head_keep,
     observing,
     render_tree,
     serve_chrome_trace,
     to_json,
 )
-from repro.obs.sampling import (
-    DROPPED,
-    KEEP_LINKED,
-    KEEP_TAIL_OUTCOME,
-    KEEP_TAIL_SLOW,
-)
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.serve import ServeConfig, serve_trace, synthetic_trace
-from repro.solve import solve
+from repro.serve import LPServer, ServeConfig, serve_trace, synthetic_trace
+from repro.serve.job import PRIORITY_HIGH, PRIORITY_LOW
+from repro.solve import solve, solve_batch, solve_batch_chain
 from repro.trace.chrome import merged_chrome_trace, validate_chrome_trace
 
 ALL_METHODS = (
@@ -253,84 +244,125 @@ class TestSpanTrees:
 
 
 # ---------------------------------------------------------------------------
-# 3. sampling
+# 3. one call per event
 # ---------------------------------------------------------------------------
 
 
-class TestSampling:
-    def test_head_keep_is_deterministic(self):
-        flips = [head_keep(f"job-{i}", 0.5) for i in range(64)]
-        assert flips == [head_keep(f"job-{i}", 0.5) for i in range(64)]
-        assert any(flips) and not all(flips)
-        assert all(head_keep(f"job-{i}", 1.0) for i in range(64))
-        assert not any(head_keep(f"job-{i}", 0.0) for i in range(64))
+def _counter(snap, name, label=None):
+    """A counter's value by label value (or its total without a label)."""
+    series = snap["metrics"].get(name, {"series": []})["series"]
+    if label is None:
+        return sum(e["value"] for e in series)
+    out: dict[str, float] = {}
+    for e in series:
+        key = e["labels"][label]
+        out[key] = out.get(key, 0.0) + e["value"]
+    return out
 
-    def test_tail_outcomes_survive_zero_head_rate(self):
-        policy = SamplingPolicy(head_rate=0.0)
-        decisions = policy.decide(
-            outcomes={"job-0": "completed", "job-1": "rejected"},
-            latencies={"job-0": 1.0},
-            links={},
-        )
-        assert decisions["job-1"] == KEEP_TAIL_OUTCOME
-        # job-0 is also the slowest completed job -> tail-slow, not dropped
-        assert decisions["job-0"] == KEEP_TAIL_SLOW
 
-    def test_slowest_quantile_kept(self):
-        policy = SamplingPolicy(head_rate=0.0, tail_slowest_quantile=0.99)
-        outcomes = {f"job-{i}": "completed" for i in range(10)}
-        latencies = {f"job-{i}": float(i) for i in range(10)}
-        decisions = policy.decide(outcomes, latencies, {})
-        assert decisions["job-9"] == KEEP_TAIL_SLOW
-        assert (
-            sum(1 for d in decisions.values() if d == DROPPED) >= 8
-        )
+def _tally(values):
+    out: dict[str, float] = {}
+    for value in values:
+        out[value] = out.get(value, 0.0) + 1.0
+    return out
 
-    def test_linked_traces_inherit_parent_decision(self):
-        policy = SamplingPolicy(head_rate=0.0)
-        decisions = policy.decide(
-            outcomes={
-                "job-0": "rejected",
-                "solve-0": "optimal",
-                "job-1": "completed",
-                "job-2": "completed",
-                "solve-1": "optimal",
-            },
-            latencies={"job-1": 1.0, "job-2": 2.0},
-            links={"solve-0": "job-0", "solve-1": "job-1"},
-        )
-        assert decisions["solve-0"] == KEEP_LINKED
-        assert decisions["job-1"] == DROPPED  # job-2 is the slow exemplar
-        assert decisions["solve-1"] == DROPPED
 
-    def test_dropped_traces_lose_their_spans(self):
-        policy = SamplingPolicy(head_rate=0.0, tail_slowest_quantile=1.0)
-        with observing(policy=policy):
-            report = serve_trace(
-                synthetic_trace(n_jobs=6, seed=3),
-                ServeConfig(n_devices=1, n_streams=2),
+class TestOneCallPerEvent:
+    def test_serve_counters_match_span_traces(self):
+        # queue depth 2 rejects two of the HIGH arrivals; the LOW job is
+        # admitted at t=0 but starved past its short timeout: it expires
+        with metrics.collecting() as reg, observing():
+            server = LPServer(
+                ServeConfig(n_devices=1, n_streams=1, max_queue_depth=2)
             )
+            server.submit(random_dense_lp(24, 36, seed=70), at=0.0)
+            server.submit(
+                random_dense_lp(6, 9, seed=80), at=0.0,
+                priority=PRIORITY_LOW, timeout=6e-4,
+            )
+            for i in range(3):
+                server.submit(
+                    random_dense_lp(24, 36, seed=71 + i), at=1e-4,
+                    priority=PRIORITY_HIGH,
+                )
+            report = server.run()
+            snap = reg.snapshot()
         recording = report.obs_recording
-        assert recording.dropped_traces > 0
-        assert recording.kept_traces >= 1  # the slowest exemplar survives
-        kept = {sp.trace_id for sp in recording.spans}
-        for trace_id, decision in recording.decisions.items():
-            if decision == DROPPED:
-                assert trace_id not in kept
-        recording.validate()
+        assert report.rejected and report.expired and report.completed
 
-    def test_sampling_decisions_are_replayable(self):
-        policy = SamplingPolicy(head_rate=0.5)
+        def roots(prefix, outcomes):
+            return [
+                root
+                for tid, root in recording.roots().items()
+                if tid.startswith(prefix)
+                and recording.outcomes[tid] in outcomes
+            ]
+
+        rejects = [
+            node.span.attrs["reason"]
+            for root in roots("job-", {"rejected"})
+            for node in recording.tree(root.trace_id).children
+            if node.span.name == "serve.reject"
+        ]
+        assert _counter(
+            snap, "repro_serve_jobs_rejected_total", "reason"
+        ) == _tally(rejects) == {"queue-full": 2.0}
+        assert _counter(snap, "repro_serve_jobs_expired_total") == len(
+            roots("job-", {"expired"})
+        ) == len(report.expired)
+        assert _counter(snap, "repro_serve_jobs_completed_total") == len(
+            roots("job-", {"completed", "deadline-missed"})
+        ) == len(report.completed)
+        windows = roots("window-", {"window"})
+        assert _counter(
+            snap, "repro_serve_dispatches_total", "device"
+        ) == _tally(root.attrs["device"] for root in windows)
+
+    def test_batch_counters_match_span_traces(self):
+        lps = [random_dense_lp(10, 14, seed=s) for s in range(3)]
+        with metrics.collecting() as reg, observing() as rec:
+            solve_batch(lps, method="gpu-revised", schedule="concurrent")
+            solve_batch_chain(lps, method="revised")
+            snap = reg.snapshot()
+        recording = rec.collect()
+        schedules = [
+            root.attrs["schedule"]
+            for tid, root in recording.roots().items()
+            if tid.startswith("batch-")
+        ]
+        assert _counter(
+            snap, "repro_batch_batches_total", "schedule"
+        ) == _tally(schedules) == {"concurrent": 1.0, "chain": 1.0}
+
+    def test_two_replays_under_one_recorder_attribute_their_own_jobs(self):
+        config = ServeConfig(n_devices=1)
+        with observing() as rec:
+            first = serve_trace(synthetic_trace(n_jobs=4, seed=1), config)
+            second = serve_trace(synthetic_trace(n_jobs=4, seed=2), config)
+        assert first.latencies() != second.latencies()
+        for report, suffix in ((first, ""), (second, "@1")):
+            attr = report.attribution()
+            assert sorted(j.latency_seconds for j in attr.jobs) == sorted(
+                report.latencies()
+            )
+            assert sorted(j.trace_id for j in attr.jobs) == sorted(
+                f"job-{job.job_id}{suffix}" for job in report.completed
+            )
+            report.obs_recording.validate()
+        everything = rec.collect()
+        jobs = [t for t in everything.trace_ids() if t.startswith("job-")]
+        assert len(jobs) == len(first.jobs) + len(second.jobs)
+
+    def test_replays_record_identical_spans(self):
         runs = []
         for _ in range(2):
-            with observing(policy=SamplingPolicy(head_rate=0.5)):
+            with observing():
                 report = serve_trace(
                     synthetic_trace(n_jobs=6, seed=3),
                     ServeConfig(n_devices=1, n_streams=2),
                 )
-            runs.append(report.obs_recording.decisions)
+            runs.append(to_json(report.obs_recording))
         assert runs[0] == runs[1]
-        assert policy == SamplingPolicy(head_rate=0.5)  # frozen/valued
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +376,7 @@ class TestExport:
         back = from_json(to_json(recording))
         assert to_json(back) == to_json(recording)
         assert back.outcomes == recording.outcomes
-        assert back.decisions == recording.decisions
+        assert back.links == recording.links
         back.validate()
 
     def test_from_json_rejects_unknown_schema(self):
@@ -543,7 +575,6 @@ class TestAllRejected:
         for trace_id, outcome in recording.outcomes.items():
             if trace_id.startswith("job-"):
                 assert outcome == "rejected"
-                assert recording.decisions[trace_id] == KEEP_TAIL_OUTCOME
                 root = recording.tree(trace_id)
                 names = {n.span.name for n in root.children}
                 assert "serve.reject" in names

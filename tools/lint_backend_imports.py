@@ -26,14 +26,15 @@ the moment it exists; only the shared kernel modules listed in
 ``SHARED_KERNEL_MODULES`` (the kernels the plan layer wraps) are exempt.
 
 **Serve rule.**  Serving modules (``src/repro/serve/*.py``) may not import
-``repro.trace`` or ``repro.obs``, and may touch the metrics (and span)
-layer only through the instrumentation façade ``repro.metrics.instrument``
-— never the registry internals or the span recorder directly.  The façade's hooks are no-ops when collection is off, which is
-what keeps the serving loop zero-cost by default; importing
-``repro.metrics`` itself (or the registry/exporters) from serve code would
-couple the service to registry internals and dodge that gate.  Note that
-``from repro.metrics import instrument`` also trips the rule: the module
-imported there is ``repro.metrics``.  Use
+``repro.trace`` or ``repro.obs``, and may touch the metrics and span
+layers only through the one event module ``repro.metrics.instrument`` —
+never the registry internals or the span recorder directly.  Each serve
+event is one function there that feeds both layers and is a no-op while
+both are off, which is what keeps the serving loop zero-cost by default;
+importing ``repro.metrics`` itself (or the registry/exporters) from serve
+code would couple the service to registry internals and dodge that gate.
+Note that ``from repro.metrics import instrument`` also trips the rule:
+the module imported there is ``repro.metrics``.  Use
 ``from repro.metrics.instrument import <hook>``.
 
 Both ``import X`` and ``from X import ...`` forms are rejected, at any
@@ -64,7 +65,7 @@ SERVE_DIRS = ("src/repro/serve",)
 #: Device.launch directly (every other module emits through the plan layer).
 SHARED_KERNEL_MODULES = ("src/repro/core/gpu_kernels.py",)
 
-#: The one metrics module serve code may import from.
+#: The one event module serve code may import metrics and spans from.
 SERVE_ALLOWED = "repro.metrics.instrument"
 
 
@@ -75,8 +76,8 @@ def _is_forbidden(module: str) -> bool:
 
 
 def _is_forbidden_for_serve(module: str) -> bool:
-    """Serve modules: repro.trace is out entirely; repro.metrics only via
-    the repro.metrics.instrument façade."""
+    """Serve modules: repro.trace and repro.obs are out entirely;
+    repro.metrics only via the repro.metrics.instrument event module."""
     if module == SERVE_ALLOWED or module.startswith(SERVE_ALLOWED + "."):
         return False
     return _is_forbidden(module)
