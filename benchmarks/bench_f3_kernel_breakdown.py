@@ -12,11 +12,9 @@ def test_f3_kernel_breakdown(benchmark, breakdown_size):
     phases = report.tables[0]
     fracs = dict(zip(phases.column("phase"), phases.column("% of total")))
     # pricing (d = c − Aᵀπ over the column-major A, and π = B⁻ᵀc_B when
-    # stale) is the largest of the sections that walk a matrix, as in the
-    # paper's revised simplex profile; it leads the iteration at 512
-    # (27.1%), while at 256 the ratio test, one launch plus the iteration's
-    # readback, leads (25.5% against pricing's 22.4%)
-    assert fracs["pricing"] == max(fracs[k] for k in ("pricing", "ftran", "update"))
-    top = max(fracs, key=fracs.get)
-    assert top == ("pricing" if breakdown_size >= 512 else "ratio")
+    # stale) is the largest phase, as in the paper's revised simplex
+    # profile: 34.9% at 512, and 26.0% at 256, where the ratio test led
+    # while it carried every iteration's readback (it reads back once per
+    # batch of iterations now, timed as a transfer)
+    assert max(fracs, key=fracs.get) == "pricing"
     assert abs(sum(fracs.values()) - 100.0) < 20.0  # phases cover the solve

@@ -343,7 +343,7 @@ def f5_transfer_overhead(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 42) -
     report = Report("F5", "GPU solve: transfer overhead vs size")
     t = report.add_table(
         Table(["size", "total ms", "transfer ms", "transfer %", "htod MiB",
-               "dtoh MiB", "htod copies", "dtoh copies"])
+               "dtoh MiB", "htod copies", "dtoh copies", "iters / dtoh"])
     )
     for size in sizes:
         lp = random_dense_lp(size, size, seed=seed)
@@ -367,9 +367,11 @@ def f5_transfer_overhead(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 42) -
             dev.stats.dtoh_bytes / 1024**2,
             kinds.count("htod"),
             kinds.count("dtoh"),
+            result.iterations.total_iterations / kinds.count("dtoh"),
         )
     report.add_note(
-        "DtoH stays small and latency-bound (one readback per iteration); "
+        "DtoH stays small and latency-bound: one readback per batch of "
+        "iterations (1, 2, 4, then up to 8 per phase), plus the solution's; "
         "HtoD is one upload at begin (A, b, β, B⁻¹, mask, basis keys) plus "
         "one per phase cost load and per rebuild."
     )

@@ -4,8 +4,12 @@ Everything here is a thin kernel over :class:`~repro.gpu.device.Device` with
 an explicit cost, mirroring the custom (non-cuBLAS) kernels a CUDA port
 writes around the BLAS calls: the ratio-test map, eta-column construction,
 the β update, masked pricing preparation and entering selection, and
-matrix row/column extraction, plus the basis-swap bookkeeping those
-launches carry as scalar stores.
+matrix row/column extraction.  The launches that act on a pivot read the
+iteration's decision on the device, from the slot of the decision ring
+its ratio test stored (:class:`~repro.gpu.reduce.Slot`): the host issues
+them without knowing p, q or θ, and each does nothing when its slot holds
+no pivot (a verdict, or a bound flip).  The basis swap's stores are
+formed there too (:class:`BasisHeader`).
 
 Layout: each dense matrix carries its layout from where it is placed
 (:attr:`~repro.gpu.memory.DeviceArray.layout`), and every kernel here that
@@ -28,6 +32,7 @@ columns and pay a segment per element.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +41,10 @@ from repro.gpu import blas
 from repro.gpu import transactions as tx
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
+from repro.gpu.reduce import (
+    BLOCKED, D_Q, FLIPPED, PIVOT, PIVOTED, Q, ROW, SIGMA, SLOT_FIELDS, STATUS,
+    THETA, TO_UPPER, UNBOUNDED, Slot,
+)
 from repro.gpu.sparse_kernels import INDEX_BYTES, DeviceCscMatrix
 from repro.perfmodel.ops import OpCost
 from repro.simplex.ratio import bounded_ratios
@@ -55,57 +64,61 @@ def tie_cut(theta: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScalarStores:
-    """Single-element stores a kernel performs after its main body.
+class BasisHeader:
+    """The device side of the basis header: the pricing ``mask`` over the
+    first ``n_mask`` columns, c_B, each row's basic-variable key, and the
+    costs c_B's entries come from.
 
-    A GPU simplex changes a handful of device-resident scalars per pivot:
-    the entering and leaving mask bits, the new c_B entry, the basis key of
-    the pivot row.  Issued from the host, each one is a latency-bound HtoD
-    transfer.  Instead the host passes the ``(buffer, index, value)``
-    triples as parameters of a launch that already runs; its cost carries
-    the extra bytes and its ``writes`` name the buffers.
-    """
+    A pivot swaps row p's basic variable for q with :meth:`swap`, inside
+    the update launch that reads p and q from the decision slot, so none
+    of it crosses PCIe."""
 
-    items: tuple[tuple[DeviceArray, int, float], ...] = ()
+    mask: DeviceArray
+    c_b: DeviceArray
+    keys: DeviceArray
+    costs: DeviceArray
+    n_mask: int
 
-    def __add__(self, other: "ScalarStores") -> "ScalarStores":
-        return ScalarStores(self.items + other.items)
+    def swap(self, p: int, q: int) -> int:
+        """q's mask bit cleared and the leaving variable's set (for
+        columns below ``n_mask`` only), ``c_b[p] := c[q]`` and
+        ``keys[p] := q``; returns the leaving variable (``keys[p]``
+        before).  Kernel bodies only."""
+        leaving = int(self.keys.data[p])
+        if q < self.n_mask:
+            self.mask.data[q] = 0.0
+        if leaving < self.n_mask:
+            self.mask.data[leaving] = 1.0
+        self.c_b.data[p] = self.costs.data[q]
+        self.keys.data[p] = q
+        return leaving
 
-    def apply(self) -> None:
-        """Perform the stores (called from inside a kernel body)."""
-        for buf, index, value in self.items:
-            buf.data[index] = value
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.itemsize for buf, _, _ in self.items)
-
-    @property
-    def buffers(self) -> tuple[DeviceArray, ...]:
-        return tuple(buf for buf, _, _ in self.items)
+    def cost(self) -> tuple[int, int]:
+        """(bytes read, bytes written) of :meth:`swap`: the key and the
+        cost read one segment each, four words stored."""
+        w = self.keys.itemsize
+        return 2 * self.keys.device.params.transaction_bytes, 4 * w
 
 
-def basis_swap(st, p: int, q: int, c_q: float, n_mask: int) -> ScalarStores:
-    """Exchange row ``p``'s basic variable for ``q``.
+def _row_of(i: "int | Slot") -> int:
+    return int(i[ROW]) if isinstance(i, Slot) else i
 
-    ``st`` is a backend state holding the host bookkeeping (``basis``,
-    ``in_basis``) and the device buffers ``mask``, ``c_b`` and
-    ``basis_keys``.  The host arrays change in place; the device side comes
-    back as stores for the next update launch: q's mask bit cleared and the
-    leaving variable's set (for columns below ``n_mask`` only),
-    ``c_b[p] := c_q`` and ``basis_keys[p] := q``.
-    """
-    leaving = int(st.basis[p])
-    st.in_basis[leaving] = False
-    st.in_basis[q] = True
-    st.basis[p] = q
-    items = []
-    if q < n_mask:
-        items.append((st.mask, q, 0.0))
-    if leaving < n_mask:
-        items.append((st.mask, leaving, 1.0))
-    items += [(st.c_b, p, c_q), (st.basis_keys, p, float(q))]
-    return ScalarStores(tuple(items))
+
+def _reading(slot: "Slot | None", cost: OpCost, *reads: DeviceArray,
+             read_bytes: "dict | None" = None) -> dict:
+    """The ``cost``, ``reads`` and ``read_bytes`` launch arguments of a
+    kernel that reads the operands ``reads`` (charged ``read_bytes`` where
+    that is not their size) and ``slot``: the slot's bytes are added to
+    ``cost``, and its ring is declared a read operand, so a fused launch
+    reads it once."""
+    read_bytes = dict(read_bytes or {})
+    if slot is not None:
+        cost = dataclasses.replace(
+            cost, bytes_read=cost.bytes_read + slot.read_bytes
+        )
+        reads += (slot.ring,)
+        read_bytes[slot.ring] = slot.read_bytes
+    return {"cost": cost, "reads": reads, "read_bytes": read_bytes}
 
 
 def _copy_cost(matrix_bytes: int, vector: DeviceArray, *,
@@ -143,26 +156,35 @@ def extract_column(dev: Device, a: DeviceArray, j: int, out: DeviceArray) -> Non
     )
 
 
-def extract_row(dev: Device, a: DeviceArray, i: int, out: DeviceArray) -> None:
+def extract_row(dev: Device, a: DeviceArray, i: "int | Slot",
+                out: DeviceArray) -> None:
     """out := A[i, :] for a dense device matrix: a contiguous read when A
     is row-major (B⁻¹), a segment per element when it is column-major
-    (the tableau)."""
+    (the tableau).  With a :class:`Slot` for ``i`` the row is the slot's
+    leaving row, read on the device; the launch does nothing unless the
+    slot holds a pivot, and is charged for the costliest row."""
     m, n = a.shape
-    if not 0 <= i < m:
+    if not isinstance(i, Slot) and not 0 <= i < m:
         raise DeviceArrayError(f"row {i} out of range for {a.shape}")
     if out.shape != (n,):
         raise DeviceArrayError("output vector has wrong length")
-    def body() -> None:
-        out.data[:] = a.data[i, :]
+    slot = i if isinstance(i, Slot) else None
 
+    def body() -> None:
+        if slot is None or slot.pivots:
+            out.data[:] = a.data[_row_of(i), :]
+
+    cost = _copy_cost(
+        tx.row_bytes(a, i) if slot is None else tx.widest_row_bytes(a), out
+    )
     dev.launch(
         "kernel.extract_row",
         body,
-        _copy_cost(tx.row_bytes(a, i), out),
         dtype=a.dtype,
         fusable=True,
         # partial read of the matrix (one row): not a resident operand
         writes=(out,),
+        **_reading(slot, cost),
     )
 
 
@@ -351,43 +373,39 @@ def tie_break_key_kernel(
 def eta_kernel(
     dev: Device,
     alpha: DeviceArray,
-    p: int,
-    pivot: float,
+    slot: Slot,
     out: DeviceArray,
-    stores: ScalarStores = ScalarStores(),
 ) -> None:
-    """out := η − e_p, the rank-1 factor of the basis-inverse update.
+    """out := η − e_p, the rank-1 factor of the basis-inverse update, for
+    the pivot ``slot`` holds (p and α_p read from it; nothing otherwise).
 
     η_i = −α_i/α_p (i ≠ p), η_p = 1/α_p; subtracting e_p folds the
     "replace row p" correction into a single GER:
-    ``B⁻¹ += (η − e_p) ⊗ (B⁻¹)_{p,·}``.  ``stores`` run after it.
+    ``B⁻¹ += (η − e_p) ⊗ (B⁻¹)_{p,·}``.
     """
     m = alpha.size
     if out.size != m:
         raise DeviceArrayError("eta kernel operand size mismatch")
-    if pivot == 0.0:
-        raise DeviceArrayError("eta kernel called with zero pivot")
     w = alpha.itemsize
-    inv_piv = alpha.dtype.type(1.0 / pivot)
 
     def body() -> None:
+        if not slot.pivots:
+            return
+        p = int(slot[ROW])
+        inv_piv = alpha.dtype.type(1.0 / slot[PIVOT])
         out.data[:] = -alpha.data * inv_piv
         out.data[p] = inv_piv - out.dtype.type(1.0)
-        stores.apply()
 
     dev.launch(
         "kernel.eta",
         body,
-        OpCost(
-            flops=2 * m,
-            bytes_read=m * w,
-            bytes_written=m * w + stores.nbytes,
-            threads=max(1, m),
-        ),
         dtype=alpha.dtype,
         fusable=True,
-        reads=(alpha,),
-        writes=(out, *stores.buffers),
+        writes=(out,),
+        **_reading(slot, OpCost(
+            flops=2 * m, bytes_read=m * w, bytes_written=m * w,
+            threads=max(1, m),
+        ), alpha),
     )
 
 
@@ -395,40 +413,47 @@ def update_beta_kernel(
     dev: Device,
     beta: DeviceArray,
     alpha: DeviceArray,
-    theta: float,
-    p: int,
-    stores: ScalarStores = ScalarStores(),
+    slot: Slot,
+    header: BasisHeader,
+    reduced: "DeviceArray | None" = None,
 ) -> None:
-    """β := max(β − θα, 0) elementwise, then β_p := θ (one fused kernel).
-
-    ``stores`` carry the pivot's basis-swap bookkeeping (see
-    :func:`basis_swap`); they run after the β update."""
+    """For the pivot ``slot`` holds (nothing otherwise): β := max(β − θα,
+    0) elementwise, then β_p := θ, and row p's basis header swaps to q
+    (:meth:`BasisHeader.swap`) — one fused kernel.  ``reduced`` (the
+    tableau's d) also gets d_q := 0."""
     m = beta.size
     if alpha.size != m:
         raise DeviceArrayError("beta update operand size mismatch")
     w = beta.itemsize
-    theta_t = beta.dtype.type(theta)
+    swap_read, swap_written = header.cost()
 
     def body() -> None:
+        if not slot.pivots:
+            return
+        p, q = int(slot[ROW]), int(slot[Q])
+        theta_t = beta.dtype.type(slot[THETA])
         b = beta.data
         b -= theta_t * alpha.data
         np.clip(b, 0, None, out=b)
         b[p] = theta_t
-        stores.apply()
+        header.swap(p, q)
+        if reduced is not None:
+            reduced.data[q] = 0.0
 
+    stored = swap_written + (w if reduced is not None else 0)
     dev.launch(
         "kernel.update_beta",
         body,
-        OpCost(
-            flops=3 * m,
-            bytes_read=2 * m * w,
-            bytes_written=m * w + stores.nbytes,
-            threads=max(1, m),
-        ),
         dtype=beta.dtype,
         fusable=True,
-        reads=(beta, alpha),
-        writes=(beta, *stores.buffers),
+        writes=(beta, header.mask, header.c_b, header.keys,
+                *(() if reduced is None else (reduced,))),
+        **_reading(slot, OpCost(
+            flops=3 * m,
+            bytes_read=2 * m * w + swap_read,
+            bytes_written=m * w + stored,
+            threads=max(1, m),
+        ), beta, alpha),
     )
 
 
@@ -607,107 +632,157 @@ def bounded_update_beta_kernel(
     dev: Device,
     beta: DeviceArray,
     alpha: DeviceArray,
-    step: float,
-    p: int,
-    p_value: float,
-    stores: ScalarStores = ScalarStores(),
+    slot: Slot,
+    header: BasisHeader,
+    sigma: DeviceArray,
+    upper: DeviceArray,
+    u_basis: DeviceArray,
 ) -> None:
-    """β := clip(β + step·α, 0, ·), then β_p := p_value.
+    """The boxed update of the decision ``slot`` holds, with the choice
+    between a bound flip and a pivot made here, on the device.
 
-    The bounded update: ``step = −σθ`` folds the direction in, and the
-    pivot row receives the entering variable's new value (θ from lower,
-    u_q − θ from upper).  ``p < 0`` skips the pivot write (bound flips).
-    ``stores`` (the basis swap, or a flip's σ sign) run last."""
+    A ratio test's decision (BLOCKED or UNBOUNDED) flips q, whose sign σ_q
+    is ``sigma[q]``, when its own bound ``upper[q]`` is finite and within
+    the step: u_q ≤ θ·(1 + 1e-12), or no row blocks; with no row blocking
+    and no bound, the verdict stands and halts the batch.  The slot then
+    records FLIPPED or PIVOTED, σ_q and the un-signed d_q = σ_q·(σd)_q.
+    Then β := clip(β − σ_qθα, 0, ·), with θ = u_q for a flip; a flip
+    changes σ_q's sign, and a pivot stores the entering variable's new
+    value in β_p (θ from lower, u_q − θ from upper), swaps row p's basis
+    header (:meth:`BasisHeader.swap`), stores the σ signs of the entering
+    and leaving variables (−1 when the leaving one exits at its finite
+    upper bound) and u_B[p] := u_q.  A verdict does nothing."""
     m = beta.size
     if alpha.size != m:
         raise DeviceArrayError("bounded beta update operand size mismatch")
     w = beta.itemsize
-    s = beta.dtype.type(step)
+    seg = dev.params.transaction_bytes
+    swap_read, swap_written = header.cost()
 
     def body() -> None:
+        status = slot[STATUS]
+        if status not in (BLOCKED, PIVOTED, UNBOUNDED):
+            return
+        q = int(slot[Q])
+        u_q = float(upper.data[q])
+        theta = slot[THETA]
+        s = float(sigma.data[q])
+        if status != PIVOTED:
+            if np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12):
+                status, theta = FLIPPED, u_q
+            elif status == UNBOUNDED:
+                slot.stop()
+                return
+            else:
+                status = PIVOTED
+            slot[STATUS], slot[SIGMA], slot[D_Q] = status, s, s * slot[D_Q]
         b = beta.data
-        b += s * alpha.data
+        b += beta.dtype.type(-s * theta) * alpha.data
         np.clip(b, 0, None, out=b)
-        if p >= 0:
-            b[p] = beta.dtype.type(p_value)
-        stores.apply()
+        if status == FLIPPED:
+            sigma.data[q] = -s
+            return
+        p = int(slot[ROW])
+        b[p] = beta.dtype.type(u_q - theta if s < 0 else theta)
+        leaving = header.swap(p, q)
+        sigma.data[q] = 1.0
+        if leaving < header.n_mask:
+            goes_up = slot[TO_UPPER] != 0.0 and np.isfinite(upper.data[leaving])
+            sigma.data[leaving] = -1.0 if goes_up else 1.0
+        u_basis.data[p] = u_q
 
     dev.launch(
         "kernel.bounded_update_beta",
         body,
-        OpCost(
-            flops=3 * m,
-            bytes_read=2 * m * w,
-            bytes_written=m * w + stores.nbytes,
-            threads=max(1, m),
-        ),
         dtype=beta.dtype,
         fusable=True,
-        reads=(beta, alpha),
-        writes=(beta, *stores.buffers),
+        # σ and u are read and written one element each: not resident
+        writes=(beta, header.mask, header.c_b, header.keys, u_basis, slot.ring),
+        **_reading(slot, OpCost(
+            flops=3 * m,
+            # the pivot's σ and u reads, a segment each
+            bytes_read=2 * m * w + swap_read + 3 * seg,
+            # the swap, σ_q, σ_leaving, u_B[p] and three slot fields
+            bytes_written=m * w + swap_written + 6 * w,
+            threads=max(1, m),
+            divergent_fraction=0.05,
+        ), beta, alpha),
     )
 
 
 def scale_row_kernel(
-    dev: Device, src_row: DeviceArray, inv_pivot: float, out: DeviceArray
+    dev: Device, src_row: DeviceArray, slot: Slot, out: DeviceArray
 ) -> None:
-    """out := src_row · (1/pivot) — the pivot-row normalisation of the
-    tableau method (kept separate from BLAS scal: different buffers)."""
+    """out := src_row · (1/α_p) with α_p the pivot ``slot`` holds (nothing
+    otherwise) — the pivot-row normalisation of the tableau method (kept
+    separate from BLAS scal: different buffers)."""
     n = src_row.size
     if out.size != n:
         raise DeviceArrayError("row scale operand size mismatch")
     w = src_row.itemsize
-    s = src_row.dtype.type(inv_pivot)
 
     def body() -> None:
-        out.data[:] = src_row.data * s
+        if slot.pivots:
+            out.data[:] = src_row.data * src_row.dtype.type(1.0 / slot[PIVOT])
 
     dev.launch(
         "kernel.scale_row",
         body,
-        OpCost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
         dtype=src_row.dtype,
         fusable=True,
-        reads=(src_row,),
         writes=(out,),
+        **_reading(slot, OpCost(
+            flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)
+        ), src_row),
     )
 
 
-def write_row_kernel(dev: Device, mat: DeviceArray, i: int, row: DeviceArray) -> None:
+def write_row_kernel(dev: Device, mat: DeviceArray, i: "int | Slot",
+                     row: DeviceArray) -> None:
     """mat[i, :] := row: a coalesced write when ``mat`` is row-major, a
     segment per element when it is column-major (the tableau's pivot
-    row)."""
+    row).  With a :class:`Slot` for ``i``, as :func:`extract_row`."""
     m, n = mat.shape
-    if not 0 <= i < m or row.size != n:
+    if row.size != n or not (isinstance(i, Slot) or 0 <= i < m):
         raise DeviceArrayError("row write operand mismatch")
-    def body() -> None:
-        mat.data[i, :] = row.data
+    slot = i if isinstance(i, Slot) else None
 
-    cost = _copy_cost(tx.row_bytes(mat, i), row, into_matrix=True)
+    def body() -> None:
+        if slot is None or slot.pivots:
+            mat.data[_row_of(i), :] = row.data
+
+    cost = _copy_cost(
+        tx.row_bytes(mat, i) if slot is None else tx.widest_row_bytes(mat),
+        row, into_matrix=True,
+    )
     dev.launch(
         "kernel.write_row",
         body,
-        cost,
         dtype=mat.dtype,
         fusable=True,
-        reads=(row,),
         writes=(mat,),
-        read_bytes={row: cost.bytes_read},
+        **_reading(slot, cost, row, read_bytes={row: cost.bytes_read}),
     )
 
 
-def ger_column_major(
+def pivot_ger(
     dev: Device,
     x: DeviceArray,
     y: DeviceArray,
     a: DeviceArray,
     alpha: float = 1.0,
+    slot: "Slot | None" = None,
+    *,
+    name: str = "kernel.ger",
+    then: "Callable[[], None] | None" = None,
 ) -> None:
-    """A := A + alpha·x yᵀ for the column-major tableau.
+    """A := A + alpha·x yᵀ, a pivot's rank-1 update: of B⁻¹ (``kernel.ger``)
+    or of the column-major tableau (``kernel.tableau_ger``).
 
-    Computes and costs what :func:`repro.gpu.blas.ger` does; kept separate
-    so the tableau update is attributed its own kernel name in
-    breakdowns and fuses with the elementwise kernels around it.
+    Computes and costs what :func:`repro.gpu.blas.ger` does, but fuses
+    with the elementwise kernels around it, and with a ``slot`` does
+    nothing unless the slot holds a pivot.  ``then`` is an uncharged
+    diagnostic the body runs last (the B⁻¹ fill samples of F8).
     """
     m, n = a.shape
     if x.size != m or y.size != n:
@@ -715,16 +790,88 @@ def ger_column_major(
     alpha_t = a.dtype.type(alpha)
 
     def body() -> None:
-        a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
+        if slot is None or slot.pivots:
+            a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
+        if then is not None:
+            then()
 
     cost, read_bytes = blas.ger_cost(x, y, a)
     dev.launch(
-        "kernel.tableau_ger",
+        name,
         body,
-        cost,
         dtype=a.dtype,
         fusable=True,
-        reads=(x, y, a),
         writes=(a,),
-        read_bytes=read_bytes,
+        **_reading(slot, cost, x, y, a, read_bytes=read_bytes),
+    )
+
+
+def pivot_axpy(
+    dev: Device,
+    slot: Slot,
+    x: DeviceArray,
+    y: DeviceArray,
+    scale: Callable[[float, float], float],
+) -> None:
+    """y := y + s·x with s = ``scale(d_q, α_p)`` of the pivot ``slot``
+    holds (nothing otherwise): π += (d_q/α_p)·ρ_p for an explicit B⁻¹,
+    d −= d_q·(normalised pivot row) for the tableau."""
+    n = x.size
+    if y.size != n:
+        raise DeviceArrayError("pivot axpy operand size mismatch")
+    w = x.itemsize
+
+    def body() -> None:
+        if slot.pivots:
+            s = y.dtype.type(scale(slot[D_Q], slot[PIVOT]))
+            y.data[:] = y.data + s * x.data
+
+    dev.launch(
+        "kernel.pivot_axpy",
+        body,
+        dtype=y.dtype,
+        fusable=True,
+        writes=(y,),
+        **_reading(slot, OpCost(
+            flops=2 * n, bytes_read=2 * n * w, bytes_written=n * w, threads=n
+        ), x, y),
+    )
+
+
+def drive_decision(
+    dev: Device,
+    slot: Slot,
+    p: int,
+    j: int,
+    alpha: DeviceArray,
+    beta: "DeviceArray | None" = None,
+    reduced: "DeviceArray | None" = None,
+) -> None:
+    """Store a drive-out pivot in ``slot``: column j enters at row p with
+    α_p from ``alpha``, θ = β_p/α_p when ``beta`` is given (else 0: a
+    degenerate swap), and d_j from ``reduced`` (the tableau's d; else 0).
+    The update launches then read it as they read a ratio test's
+    decision; one thread."""
+    w = slot.ring.itemsize
+    seg = dev.params.transaction_bytes
+    words = 1 + (beta is not None) + (reduced is not None)
+
+    def body() -> None:
+        a_p = float(alpha.data[p])
+        theta = 0.0 if beta is None else float(beta.data[p]) / a_p
+        d_j = 0.0 if reduced is None else float(reduced.data[j])
+        fields = np.zeros(SLOT_FIELDS)
+        fields[[Q, D_Q, ROW, THETA, PIVOT, SIGMA, STATUS]] = (
+            j, d_j, p, theta, a_p, 1.0, PIVOTED,
+        )
+        slot.ring.data[slot.index] = fields
+
+    dev.launch(
+        "kernel.drive_decision",
+        body,
+        OpCost(flops=1, bytes_read=words * seg,
+               bytes_written=SLOT_FIELDS * w, threads=1),
+        dtype=slot.ring.dtype,
+        fusable=True,
+        writes=(slot.ring,),
     )

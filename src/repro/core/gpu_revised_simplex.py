@@ -18,12 +18,15 @@ runs 16-column tiles across B⁻¹'s rows (:mod:`repro.gpu.blas`).
 device region, after the begin settled the starting basis (crash or warm)
 on the host; each phase's cost load and each rebuild is one more copy,
 and work buffers are never zero-filled, since each is written before it
-is read.  Per iteration the host reads one struct back and writes
-nothing: pricing leaves its choice on the device (``NO_INDEX`` when no
-column prices in), the column load, FTRAN and the ratio test run without
-waiting for the host, and the swap's device bookkeeping travels as kernel
-parameters of the β update.  Each phase's last iteration therefore also
-pays for its column load, FTRAN and ratio test.
+is read.  In the pivot loop the host writes nothing and reads back once
+per batch of iterations: pricing leaves its choice on the device
+(``NO_INDEX`` when no column prices in), the column load, FTRAN and the
+ratio test run without waiting for the host, the ratio test leaves the
+iteration's decision in a slot of a device-resident ring, and the update
+launches read it there and form the basis swap's stores themselves
+(:meth:`DevicePlacement.iterate`).  A verdict halts the rest of its
+batch, whose launches are charged as empty ones; each phase's last
+iteration also pays for its column load, FTRAN and ratio test.
 
 B⁻¹ is the one basis representation on the device, sparse input too (F8
 measures how fast it fills in under the rank-1 updates).  It is rebuilt on
@@ -31,8 +34,8 @@ the host and uploaded with a PCIe-charged copy, as 2009-era codes did.  A
 bounds strategy fixed by the method's class shapes the rest:
 :class:`StandardBounds` (x ≥ 0; ``gpu-revised``) or :class:`BoxedBounds`
 (finite upper bounds on the device, a signed pricing map, the three-way
-bounded ratio map, and a bound flip that costs a single β kernel — no
-basis update, no change to π; ``gpu-revised-bounded``).
+bounded ratio map, and a bound flip chosen on the device that moves only
+β and σ — no basis update, no change to π; ``gpu-revised-bounded``).
 
 Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
@@ -41,6 +44,8 @@ freed on every exit path).
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 from repro.core import gpu_kernels as K
@@ -48,7 +53,10 @@ from repro.engine import DeviceBackend, attach_standard_solution
 from repro.gpu import blas
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray, DeviceRegion
-from repro.gpu.reduce import NO_INDEX
+from repro.gpu.reduce import (
+    D_Q, FLIPPED, OPTIMAL, PIVOT, Q, ROW, SIGMA, SLOT_FIELDS, STATUS, THETA,
+    TIES, TO_UPPER, UNBOUNDED, Slot,
+)
 from repro.gpu.sparse_kernels import DeviceCscMatrix, spmv_csc_t
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
@@ -57,7 +65,9 @@ from repro.simplex.basis import ExplicitInverseBasis, Multipliers
 from repro.simplex.common import PreparedLP
 from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
-from repro.simplex.revised import BoxedRules, RevisedBackend, Step
+from repro.simplex.revised import (
+    MAX_BATCH, BoxedRules, RevisedBackend, Step, swap_basis,
+)
 
 
 class StandardBounds:
@@ -68,6 +78,8 @@ class StandardBounds:
     """
 
     range_bounds_as_rows = True
+    #: A ratio test that finds no blocking row ends the phase.
+    unbounded_halts = True
 
     def alloc(self, st: "DevicePlacement") -> None:
         pass
@@ -88,24 +100,21 @@ class StandardBounds:
         K.ratio_kernel(st.dev, st.beta, st.alpha, st.ratios, st.tol_piv)
 
     def gathered(self, st: "DevicePlacement") -> tuple[DeviceArray, ...]:
-        """Buffers whose row-p entry rides on the ratio readback."""
+        """Buffers whose row-p entry the ratio test stores in its slot."""
         return (st.alpha,)
 
-    def step(self, st: "DevicePlacement", q: int, d_q: float, theta: float):
-        """(d_q, σ, θ, flip): the signed step the ratio test found."""
-        return d_q, 1.0, theta, False
+    def move(self, st: "DevicePlacement", slot: Slot) -> None:
+        """β and the basis swap of the pivot ``slot`` holds."""
+        K.update_beta_kernel(st.dev, st.beta, st.alpha, slot, st.header)
 
-    def pivot(self, st, p, q, c_q, theta, sigma, to_upper) -> None:
-        swap = K.basis_swap(st, p, q, c_q, st.prep.n_total)
-        K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
+    def drive_beta(self, st: "DevicePlacement") -> DeviceArray:
+        """A drive-out pivot moves β by θ = β_p/α_p."""
+        return st.beta
 
-    def drive_swap(self, st, p: int, j: int, pivot: float) -> K.ScalarStores:
-        """Swap artificial row p for column j and move β; returns stores
-        left for the basis update's first launch."""
-        theta = st.beta.scalar_to_host(p) / pivot
-        swap = K.basis_swap(st, p, j, 0.0, st.prep.n_total)
-        K.update_beta_kernel(st.dev, st.beta, st.alpha, theta, p, swap)
-        return K.ScalarStores()
+    @staticmethod
+    def swap(st, leaving: int, q: int, to_upper: bool) -> bool:
+        """No resting bound to track: every nonbasic rests at 0."""
+        return False
 
     def rhs(self, st: "DevicePlacement") -> DeviceArray:
         return st.b
@@ -121,22 +130,29 @@ class StandardBounds:
 class BoxedBounds(BoxedRules):
     """Bounds strategy: finite upper bounds handled natively.
 
-    The device holds σ (−1 for a nonbasic at its upper bound), u_B and the
-    ratio map's ``to_upper``.  The ratio readback also brings to_upper[p],
-    and the basis swap adds the σ signs and the u_B entry to the stores of
-    the update launch.  The flip-or-pivot choice needs θ on the host, so a
-    bound flip runs the whole ratio test.
+    The device holds σ (−1 for a nonbasic at its upper bound), u_B, the
+    ratio map's ``to_upper`` and the upper bounds u of the real columns
+    (in fp64, as the host holds them).  The ratio test gathers
+    to_upper[p] into the decision slot, and the update launch chooses
+    between a bound flip and a pivot on the device
+    (:func:`~repro.core.gpu_kernels.bounded_update_beta_kernel`), so a flip
+    issues the same launches as a pivot and the ones after the β update
+    do nothing.
     """
+
+    #: With no blocking row q may still flip: the update launch decides.
+    unbounded_halts = False
 
     def alloc(self, st: "DevicePlacement") -> None:
         self.begin(st)
         st.to_upper = st.dev.alloc(st.prep.m, st.dtype)
 
     def hosts(self, st: "DevicePlacement") -> dict[str, np.ndarray]:
-        """σ (every column starts at 0) and u_B of the starting basis."""
+        """σ (every column starts at 0), u_B of the starting basis and u."""
         return {
             "sigma": np.ones(st.prep.n_total, dtype=st.dtype),
             "u_basis": st.u[st.basis].astype(st.dtype),
+            "upper": st.u[: st.prep.n_total],
         }
 
     def rebuild_layout(self, st: "DevicePlacement") -> dict:
@@ -160,51 +176,17 @@ class BoxedBounds(BoxedRules):
     def gathered(self, st: "DevicePlacement") -> tuple[DeviceArray, ...]:
         return (st.alpha, st.to_upper)
 
-    def step(self, st: "DevicePlacement", q: int, signed_dq: float, theta: float):
-        """Un-sign d_q, and turn the step into a bound flip when q reaches
-        its own upper bound first."""
-        sigma = self.sigma(st, q)
-        u_q = float(st.u[q])
-        flip = bool(np.isfinite(u_q) and u_q <= theta * (1.0 + 1e-12))
-        return sigma * signed_dq, sigma, u_q if flip else theta, flip
-
-    def flip(self, st: "DevicePlacement", q: int, sigma: float, theta: float) -> None:
-        """Bound flip of nonbasic q: β moves, σ_q's sign is a store."""
-        self.toggle(st, q)
-        sign = K.ScalarStores(((st.sigma, q, self.sigma(st, q)),))
+    def move(self, st: "DevicePlacement", slot: Slot) -> None:
+        """The flip or pivot ``slot`` holds: β, σ, u_B and the swap."""
         K.bounded_update_beta_kernel(
-            st.dev, st.beta, st.alpha, -sigma * theta, -1, 0.0, sign
+            st.dev, st.beta, st.alpha, slot, st.header,
+            st.sigma, st.upper, st.u_basis,
         )
 
-    def pivot(self, st, p, q, c_q, theta, sigma, to_upper) -> None:
-        x_q_new = float(st.u[q]) - theta if sigma < 0 else theta
-        swap = self._swap(st, p, q, c_q, leaves_at_upper=to_upper)
-        K.bounded_update_beta_kernel(
-            st.dev, st.beta, st.alpha, -sigma * theta, p, x_q_new, swap
-        )
-
-    def drive_swap(self, st, p: int, j: int, pivot: float) -> K.ScalarStores:
-        # degenerate swap: no value moves; the new basic takes its current
-        # resting value, stored with the swap by the basis update's launch
-        value = float(st.u[j]) if st.at_upper[j] else 0.0
-        swap = self._swap(st, p, j, 0.0, leaves_at_upper=False)
-        return swap + K.ScalarStores(((st.beta, p, value),))
-
-    def _swap(self, st, p: int, q: int, c_q: float,
-              leaves_at_upper: bool) -> K.ScalarStores:
-        """Basis exchange (see :func:`~repro.core.gpu_kernels.basis_swap`)
-        plus the bounded extras: σ signs of the entering and leaving
-        variables and the u_B entry of row p."""
-        n = st.prep.n_total
-        leaving = int(st.basis[p])
-        stores = K.basis_swap(st, p, q, c_q, n)
-        goes_up = self.swap(st, leaving, q, leaves_at_upper)
-        extra = [(st.sigma, q, 1.0)]
-        if leaving < n:
-            extra.append((st.sigma, leaving, -1.0 if goes_up else 1.0))
-        # +inf is fine in fp32
-        extra.append((st.u_basis, p, float(st.u[q])))
-        return stores + K.ScalarStores(tuple(extra))
+    def drive_beta(self, st: "DevicePlacement") -> None:
+        """A drive-out swap is degenerate: θ = 0, and the entering
+        variable keeps its resting value."""
+        return None
 
     def rhs(self, st: "DevicePlacement") -> DeviceArray:
         return st.b_eff
@@ -230,6 +212,9 @@ class DevicePlacement:
     already allocated before re-raising.
     """
 
+    #: Iterations issued per readback at most.
+    max_batch = MAX_BATCH
+
     def __init__(self, backend: "GpuRevisedSimplex", prep: PreparedLP,
                  dtype: np.dtype):
         self.prep = prep
@@ -243,6 +228,8 @@ class DevicePlacement:
         self.tracing = backend.hooks.enabled
         self.fill_every = backend._fill_every
         self.fill_curve: list[tuple[int, float]] = []
+        #: B⁻¹'s fill after each update of the batch (``fill_every`` only)
+        self.fills: "collections.deque[float]" = collections.deque()
         self.steps = 0
         m, n = prep.m, prep.n_total
 
@@ -269,6 +256,8 @@ class DevicePlacement:
             raise
         self.multipliers = Multipliers(self.pi, follows_pivots=True)
         self.updates = 0
+        self.batches = 0
+        self.marks: list[tuple[float, dict]] = []
 
     # -- data access --------------------------------------------------------
 
@@ -293,15 +282,15 @@ class DevicePlacement:
 
     def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
         """Place the solve's data with one HtoD copy: A (dense or CSC), b,
-        β, the mask and basis keys, the bounds' σ and u_B, and last B⁻¹ —
-        the crash basis' identity, or a warm start's ``rep`` with its
-        ``beta``.
+        β, the mask and basis keys, the bounds' σ, u_B and u, the batch
+        status word (cleared), and last B⁻¹ — the crash basis' identity, or
+        a warm start's ``rep`` with its ``beta``.
 
         Every buffer the region holds becomes an attribute of the
         placement.  It also reserves, uninitialised, a leading run for each
-        phase's costs (c over the real columns, then c_B; :meth:`load_costs`)
-        and a trailing run for what the bounds upload with a rebuild, so
-        each of those later uploads is one copy too.
+        phase's costs (c over the real columns, then c_B; :meth:`load_costs`),
+        a run for what the bounds upload with a rebuild, so each of those
+        later uploads is one copy too, and last the decision ring.
         """
         prep, dtype = self.prep, self.dtype
         m, n = prep.m, prep.n_total
@@ -317,10 +306,13 @@ class DevicePlacement:
         hosts["mask"] = np.where(self.in_basis[:n], 0.0, 1.0).astype(dtype)
         hosts["basis_keys"] = self.basis.astype(dtype)
         hosts.update(self.bounds.hosts(self))
+        hosts["halt"] = np.zeros(1, dtype)
         hosts["binv"] = (np.eye(m) if rep is None else rep.binv).astype(dtype)
         layout = {"c_real": ((n,), dtype), "c_b": ((m,), dtype)}
         layout.update({k: (h.shape, h.dtype) for k, h in hosts.items()})
         layout.update(self.bounds.rebuild_layout(self))
+        # the decision ring: slot i holds iteration i of a batch
+        layout["ring"] = ((MAX_BATCH, SLOT_FIELDS), dtype)
         self.region = region = self.dev.region(
             layout, column_major=() if prep.is_sparse else ("a_dense",),
             aligned=True,
@@ -332,6 +324,8 @@ class DevicePlacement:
                 setattr(self, name, region[name])
         if prep.is_sparse:
             self.a_sparse = DeviceCscMatrix(prep.a, region)
+        self.header = K.BasisHeader(self.mask, self.c_b, self.basis_keys,
+                                    self.c_real, n)
 
     def new_basis(self) -> ExplicitInverseBasis:
         """Host factors are uncharged: the upload is what the model prices."""
@@ -383,12 +377,12 @@ class DevicePlacement:
                 )
                 blas.gemv(self.binv, self.a_q, self.alpha)
 
-    def ratio(self) -> Step:
+    def ratio(self, slot: Slot) -> None:
         """Bland-compatible ratio test: ties break to the lowest
         basic-variable index via a second keyed reduction.  The map's
-        arg-min stays on the device, the tie pass reads θ from it, and one
-        readback returns (q, d_q, p, θ, α_p, …); for m ≤ 2·DEFAULT_BLOCK all
-        of it is one launch."""
+        arg-min stays on the device, the tie pass reads θ from it, and the
+        last pass stores the decision (q, d_q, p, θ, α_p, …) in ``slot``;
+        for m ≤ 2·DEFAULT_BLOCK all of it is one launch."""
         dev = self.dev
         with dev.timed_section("ratio"), self.plan.section("ratio") as sec:
             self.bounds.ratio_map(self)
@@ -396,48 +390,89 @@ class DevicePlacement:
             K.tie_break_key_kernel(
                 dev, self.ratios, self.ratio_min, self.basis_keys, self.tmp_m
             )
-            q, d_q, p, theta, gathered = sec.ratio_readback(
-                self.choice, self.tmp_m, self.ratio_min, self.bounds.gathered(self)
+            sec.ratio_decision(
+                self.choice, self.tmp_m, self.ratio_min,
+                self.bounds.gathered(self), slot, self.bounds.unbounded_halts,
             )
-        if q == NO_INDEX:
+
+    def apply(self, slot: Slot) -> None:
+        """The update launches of ``slot``'s decision: β and the basis
+        swap (the bound flip, when boxed), then B⁻¹ ← E·B⁻¹ by an η
+        kernel, the pre-GER row p and a GER, with π += (d_q/α_p)·ρ_p
+        from that row.  Each reads the slot, and after anything but a
+        pivot the launches past the β update do nothing."""
+        dev = self.dev
+        with dev.timed_section("update"), self.plan.section("update"):
+            self.bounds.move(self, slot)
+            K.eta_kernel(dev, self.alpha, slot, self.eta)
+            K.extract_row(dev, self.binv, slot, self.row_p)
+            K.pivot_axpy(dev, slot, self.row_p, self.pi,
+                         lambda d_q, pivot: d_q / pivot)
+            K.pivot_ger(dev, self.eta, self.row_p, self.binv, slot=slot,
+                        then=self._peek_fill if self.fill_every else None)
+
+    def iterate(self, rule: StallSwitch, k: int) -> list[Step]:
+        """Issue ``k`` iterations back to back — pricing, FTRAN, the ratio
+        test leaving its decision in slot i of the ring, and the update
+        launches reading it — then read the k slots back with one DtoH.
+        A verdict halts the batch: the launches after it do nothing."""
+        dev, self.marks = self.dev, []
+        self.fills = collections.deque()
+        self.batches += 1
+        with dev.halting(self.halt, self.batches):
+            for i in range(k):
+                slot = Slot(self.ring, i, self.halt, self.batches)
+                self.price(rule)
+                self.ftran()
+                self.ratio(slot)
+                self.apply(slot)
+                if self.tracing:  # where each traced iteration ended
+                    self.marks.append((dev.clock, dict(dev.stats.sections)))
+        with dev.timed_section("transfer"):
+            slots = self.ring.head_to_host(k)
+        steps = []
+        for f in slots:  # up to the verdict: the slots after it are stale
+            steps.append(self._decode(f))
+            if f[STATUS] in (OPTIMAL, UNBOUNDED):
+                break
+        return steps
+
+    def _decode(self, f: np.ndarray) -> Step:
+        """The :class:`Step` a read-back slot holds."""
+        status = f[STATUS]
+        if status == OPTIMAL:
             return Step(-1)
-        d_q, sigma, theta, flip = self.bounds.step(self, q, d_q, theta)
-        ties = 0
-        if self.tracing and not flip:
-            # uncharged diagnostic peek at the functional backing store
-            ties = int(np.count_nonzero(self.ratios.data <= K.tie_cut(theta)))
+        q, d_q, sigma = int(f[Q]), float(f[D_Q]), float(f[SIGMA])
+        if status == FLIPPED:
+            return Step(q, d_q, sigma, -1, float(self.u[q]))
         return Step(
-            int(q), d_q, sigma, -1 if flip else int(p), theta, gathered[0],
-            ties, len(gathered) > 1 and gathered[1] != 0.0,
+            q, d_q, sigma, int(f[ROW]), float(f[THETA]), float(f[PIVOT]),
+            int(f[TIES]), bool(f[TO_UPPER]),
         )
 
-    def update(self, r: Step, c_q: float) -> None:
-        """β, B⁻¹, π; the basis swap's device stores ride on the β-update
-        launch."""
-        with self.dev.timed_section("update"), self.plan.section("update"):
-            if r.flip:
-                self.bounds.flip(self, r.q, r.sigma, r.theta)
-            else:
-                self.bounds.pivot(
-                    self, r.row, r.q, c_q, r.theta, r.sigma, r.to_upper
-                )
-                self._update_inverse(r.row, r.pivot, d_q=r.d_q)
-        self.steps += 1
-        if self.fill_every and self.steps % self.fill_every == 0:
-            # diagnostic peek at the functional backing store (uncharged)
-            frac = float(np.mean(np.abs(self.binv.data) > 1e-7))
-            self.fill_curve.append((self.steps, frac))
-
-    def _update_inverse(self, p: int, pivot: float,
-                        stores: K.ScalarStores = K.ScalarStores(),
-                        d_q: "float | None" = None) -> None:
-        """B⁻¹ ← E·B⁻¹; with ``d_q``, π follows from the pre-GER row p."""
-        K.eta_kernel(self.dev, self.alpha, p, pivot, self.eta, stores)
-        K.extract_row(self.dev, self.binv, p, self.row_p)
-        if d_q is not None:
-            blas.axpy(d_q / pivot, self.row_p, self.pi)
+    def update(self, r: Step) -> None:
+        """The host's side of an iteration the device ran: the basis
+        header, the bound state and the counters."""
+        if r.flip:
+            self.bounds.toggle(self, r.q)
+        else:
+            self._pivoted(r.row, r.q, r.to_upper)
             self.multipliers.update()
-        blas.ger(self.eta, self.row_p, self.binv)
+        self.steps += 1
+        if self.fill_every:
+            frac = self.fills.popleft()
+            if self.steps % self.fill_every == 0:
+                self.fill_curve.append((self.steps, frac))
+
+    def _peek_fill(self) -> None:
+        """B⁻¹'s fill after an iteration's update, taken in the GER's body:
+        a diagnostic peek at the functional backing store (uncharged), read
+        by :meth:`update` when the host replays that iteration."""
+        self.fills.append(float(np.mean(np.abs(self.binv.data) > 1e-7)))
+
+    def _pivoted(self, p: int, q: int, to_upper: bool) -> None:
+        leaving = swap_basis(self, p, q)
+        self.bounds.swap(self, leaving, q, to_upper)
         self.updates += 1
 
     def needs_rebuild(self) -> bool:
@@ -470,8 +505,13 @@ class DevicePlacement:
         return self.alpha.scalar_to_host(p)
 
     def swap_in(self, p: int, j: int, pivot: float) -> None:
-        stores = self.bounds.drive_swap(self, p, j, pivot)
-        self._update_inverse(p, pivot, stores)
+        """Column j enters at row p: the pivot is stored in the ring's
+        first slot on the device, and the update launches read it."""
+        slot = Slot(self.ring, 0)
+        K.drive_decision(self.dev, slot, p, j, self.alpha,
+                         beta=self.bounds.drive_beta(self))
+        self.apply(slot)
+        self._pivoted(p, j, False)
 
     # -- finish ------------------------------------------------------------
 

@@ -11,14 +11,17 @@ columns, k warps per column), so the pivot row's read and write stride across
 columns and pay a 64-byte segment per element — the classic layout trade
 the paper's discussion of coalescing covers.
 
-Per iteration the host reads one struct back — (q, d_q, p, θ, α_p), after
-the pricing reduction, the column extract and the ratio test all ran on
-the device — and writes nothing: the basis swap and the zeroed reduced
-cost of the entering column are stores of the β-update launch.
+The loop runs in batches, as the revised device placement's does: the
+pricing reduction, the column extract and the ratio test run on the
+device, the ratio test leaves (q, d_q, p, θ, α_p) in a slot of the
+decision ring, and the pivot's launches read it there; the host reads a
+batch of slots back at once and writes nothing.  The basis swap and the
+zeroed reduced cost of the entering column are stores of the β-update
+launch.
 
 It is the :class:`DeviceTableau` placement of the one simplex loop of
-:mod:`repro.simplex.revised`; its ratio test and extraction are the
-revised device placement's.
+:mod:`repro.simplex.revised`; its ratio test, batching and extraction
+are the revised device placement's.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from repro.core.gpu_revised_simplex import (
 )
 from repro.engine import DeviceBackend
 from repro.gpu import blas
+from repro.gpu.reduce import SLOT_FIELDS, Slot
 from repro.result import SolveResult
 from repro.simplex.common import PreparedLP
 from repro.simplex.pricing import StallSwitch
-from repro.simplex.revised import RevisedBackend, Step
+from repro.simplex.revised import MAX_BATCH, RevisedBackend, Step, swap_basis
 from repro.simplex.tableau import TableauPlacement, initial_tableau
 
 
@@ -52,6 +56,7 @@ class DeviceTableau(TableauPlacement):
     def __init__(self, backend: "GpuTableauSimplex", prep: PreparedLP,
                  dtype: np.dtype):
         super().__init__(backend, prep)
+        self.batches, self.marks = 0, []
         self.dev = backend.dev
         self.plan = backend.plan
         self.dtype = dtype
@@ -82,10 +87,11 @@ class DeviceTableau(TableauPlacement):
         self.row_norm = dev.alloc(n_cols, dtype)
         hosts = {
             "tableau": t_host, "beta": prep.b, "mask": mask_host,
-            "basis_keys": self.basis,
+            "basis_keys": self.basis, "halt": np.zeros(1),
         }
         layout = {"c": ((n_cols,), dtype), "c_b": ((m,), dtype)}
         layout.update({k: (np.shape(h), dtype) for k, h in hosts.items()})
+        layout["ring"] = ((MAX_BATCH, SLOT_FIELDS), dtype)
         self.region = region = dev.region(
             layout, column_major=("tableau",), aligned=True
         )
@@ -93,6 +99,8 @@ class DeviceTableau(TableauPlacement):
             region.fill(hosts)
         for name in layout:
             setattr(self, name, region[name])
+        self.header = K.BasisHeader(self.mask, self.c_b, self.basis_keys,
+                                    self.c, prep.n_total)
 
     # -- the loop's steps ------------------------------------------------
 
@@ -125,29 +133,35 @@ class DeviceTableau(TableauPlacement):
             )
 
     ratio = DevicePlacement.ratio
+    iterate = DevicePlacement.iterate
+    _decode = DevicePlacement._decode
 
-    def update(self, r: Step, c_q: float) -> None:
-        self._pivot(r.row, r.q, r.pivot, r.theta, r.d_q, c_q)
+    max_batch = MAX_BATCH
 
-    def _pivot(self, p: int, q: int, pivot: float, theta: float,
-               d_q: float, c_q: float) -> None:
-        """Gauss–Jordan elimination around (p, q), all on-device.
+    def apply(self, slot: Slot) -> None:
+        """Gauss–Jordan elimination around the (p, q) ``slot`` holds, all
+        on-device, every launch reading the slot (and doing nothing unless
+        it holds a pivot).
 
         The β update runs last: besides the basis swap it stores
         d_q := 0 exactly, after the reduced-cost AXPY."""
         dev = self.dev
-        swap = K.basis_swap(self, p, q, c_q, self.prep.n_total)
-        swap += K.ScalarStores(((self.d, q, 0.0),))
         with dev.timed_section("pivot"), self.plan.section("pivot"):
             # normalised pivot row
-            K.extract_row(dev, self.tableau, p, self.row_buf)
-            K.scale_row_kernel(dev, self.row_buf, 1.0 / pivot, self.row_norm)
+            K.extract_row(dev, self.tableau, slot, self.row_buf)
+            K.scale_row_kernel(dev, self.row_buf, slot, self.row_norm)
             # tableau rank-1 elimination, then rewrite row p
-            K.ger_column_major(dev, self.alpha, self.row_norm, self.tableau, alpha=-1.0)
-            K.write_row_kernel(dev, self.tableau, p, self.row_norm)
+            K.pivot_ger(dev, self.alpha, self.row_norm, self.tableau,
+                        alpha=-1.0, slot=slot, name="kernel.tableau_ger")
+            K.write_row_kernel(dev, self.tableau, slot, self.row_norm)
             # reduced costs and rhs
-            blas.axpy(-d_q, self.row_norm, self.d)
-            K.update_beta_kernel(dev, self.beta, self.alpha, theta, p, swap)
+            K.pivot_axpy(dev, slot, self.row_norm, self.d,
+                         lambda d_q, pivot: -d_q)
+            K.update_beta_kernel(dev, self.beta, self.alpha, slot,
+                                 self.header, reduced=self.d)
+
+    def update(self, r: Step) -> None:
+        swap_basis(self, r.row, r.q)
 
     phase1_objective = DevicePlacement.phase1_objective
 
@@ -163,9 +177,13 @@ class DeviceTableau(TableauPlacement):
         return self.alpha.scalar_to_host(p)
 
     def swap_in(self, p: int, j: int, pivot: float) -> None:
-        theta = self.beta.scalar_to_host(p) / pivot
-        d_j = self.d.scalar_to_host(j)
-        self._pivot(p, j, pivot, theta, d_j, 0.0)
+        """Column j enters at row p, with θ = β_p/α_p and d_j read on the
+        device into the ring's first slot."""
+        slot = Slot(self.ring, 0)
+        K.drive_decision(self.dev, slot, p, j, self.alpha, beta=self.beta,
+                         reduced=self.d)
+        self.apply(slot)
+        swap_basis(self, p, j)
 
     # -- finish ------------------------------------------------------------
 

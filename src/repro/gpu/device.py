@@ -30,6 +30,10 @@ from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
 
 
+def _halted() -> None:
+    """The body of a launch its batch's verdict halted."""
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class TimelineEvent:
     """One entry of the optional device timeline (see
@@ -204,6 +208,8 @@ class Device:
         #: set, :meth:`launch` records instead of executing; see
         #: :mod:`repro.gpu.plan`.
         self._capture: list[CapturedLaunch] | None = None
+        #: The status word and batch number of :meth:`halting`, if active.
+        self._halt: "tuple[DeviceArray, float] | None" = None
 
     def record_timeline(self, enable: bool = True) -> None:
         """Start (or stop) recording every kernel launch and transfer as a
@@ -343,12 +349,37 @@ class Device:
                 )
             )
             return
+        if self._halt is not None:
+            body, cost = self._guarded(body, cost)
         body()
         dtype = np.dtype(dtype)
         seconds = event_seconds(
             self.model, "kernel", name, cost=cost, dtype=dtype, block=cfg.block
         )
         self._account_kernel(name, seconds, cost, dtype, cfg.block)
+
+    @contextlib.contextmanager
+    def halting(self, word: DeviceArray, batch: float) -> Iterator[None]:
+        """Run the launches issued inside as one batch whose verdict halts
+        it: every launch first reads ``word`` (one segment through the
+        read-only cache, charged), and once a kernel has stored ``batch``
+        there it does nothing and is charged as an empty launch — the
+        launch overhead and that read over its grid."""
+        if self._halt is not None:
+            raise InvalidLaunchError("nested halting batch")
+        self._halt = (word, batch)
+        try:
+            yield
+        finally:
+            self._halt = None
+
+    def _guarded(self, body: Callable[[], None],
+                 cost: OpCost) -> tuple[Callable[[], None], OpCost]:
+        word, batch = self._halt
+        read = self.params.transaction_bytes
+        if word.data[0] == batch:
+            return _halted, OpCost(bytes_read=read, threads=cost.threads)
+        return body, dataclasses.replace(cost, bytes_read=cost.bytes_read + read)
 
     def _account_kernel(self, name: str, seconds: float, cost: OpCost,
                         dtype: np.dtype, block: int) -> None:

@@ -164,12 +164,20 @@ class DeviceArray:
         self.device._record_transfer("dtoh", self.nbytes)
         return result
 
+    def head_to_host(self, count: int) -> np.ndarray:
+        """DtoH ``cudaMemcpy`` of the first ``count`` entries along the
+        leading axis (the first rows of a matrix); returns a host copy."""
+        self._check_live()
+        head = self._data[:count].copy()
+        self.device._record_transfer("dtoh", head.nbytes)
+        return head
+
     def set_scalar(self, index: int | tuple[int, ...], value: float) -> None:
         """Write one element from the host (latency-dominated 4/8-byte HtoD).
 
-        The GPU simplex backends avoid it in their pivot loops: their
-        per-pivot metadata stores travel as kernel parameters instead
-        (:class:`repro.core.gpu_kernels.ScalarStores`).
+        The GPU simplex backends avoid it in their pivot loops: the update
+        launch forms each pivot's stores on the device, from the decision
+        the ratio test left there (:class:`repro.gpu.reduce.Slot`).
         """
         self._check_live()
         self._data[index] = value

@@ -32,7 +32,7 @@ Two structural rules make fusion *safe* rather than merely plausible:
    by construction.
 2. A terminal reduction (:meth:`_PlanSection.argmin_to_device`,
    :meth:`_PlanSection.first_below_to_device` or
-   :meth:`_PlanSection.ratio_readback`) records its first tree pass as a
+   :meth:`_PlanSection.ratio_decision`) records its first tree pass as a
    fusable op whose body is the reduction's store (the classic map+reduce
    fusion), and ends a launch only when it needs a grid-wide barrier.
    When the reduced vector has at most 2·``DEFAULT_BLOCK`` elements and
@@ -42,24 +42,24 @@ Two structural rules make fusion *safe* rather than merely plausible:
    stays open, and the fused launch is charged as that one block.
    Otherwise the section lowers the capture, charges the remaining tree
    passes and reopens the capture.  Ops after a block-resident reduction
-   that do not fit one block start a launch of their own.  The ratio
-   readback always lowers, because the host reads its result.  With
-   fusion off the same passes launch one by one and the stores run right
-   after them, so the terminal reductions have one implementation
+   that do not fit one block start a launch of their own.  With
+   fusion off the same passes launch one by one and the store is the body
+   of the last, so the terminal reductions have one implementation
    (:class:`_PlanSection`) for both.
 
 Host transfers raise inside a capture (the bodies have not executed yet),
-so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections
-(the ratio readback's DtoH runs between its lowering and the reopened
-capture).  A simplex iteration of the GPU backends spans several
-sections — pricing, the column load and FTRAN, and the ratio test — but
-no host round trip sits between them: pricing leaves (q, d_q) in a small
-device buffer that the column-load kernel reads.  Those splits are
-grid-wide barriers — every block of the next kernel needs the global
-result — which one launch cannot span.  The ratio test's map arg-min
-leaves (row, θ) in another buffer that its tie-break kernel reads; for
-m ≤ 2·``DEFAULT_BLOCK`` that is a block barrier, and the whole ``ratio``
-section, ending in the iteration's single readback, is one launch.
+so ``scalar_to_host``/``copy_from_host`` calls belong *outside* sections.
+A simplex iteration of the GPU backends spans several sections —
+pricing, the column load and FTRAN, the ratio test and the update — but
+no host round trip sits between them, nor between the iterations of a
+batch: pricing leaves (q, d_q) in a small device buffer that the
+column-load kernel reads, and the ratio test leaves its decision in a
+slot of a device-resident ring that the update launch reads.  Those
+splits are grid-wide barriers — every block of the next kernel needs the
+global result — which one launch cannot span.  The ratio test's map
+arg-min leaves (row, θ) in another buffer that its tie-break kernel
+reads; for m ≤ 2·``DEFAULT_BLOCK`` that is a block barrier, and the whole
+``ratio`` section, ending in the decision's store, is one launch.
 
 :func:`emit` is the blessed pass-through for backend-owned custom kernels
 (sparse LU solves, PDHG updates): backends never call ``Device.launch``
@@ -398,38 +398,35 @@ class _PlanSection:
         pair: bool,
         out: "DeviceArray | None" = None,
         tail_read: int = 0,
-        readback: int = 0,
+        tail_write: int = 0,
     ) -> None:
         """Charge a tree reduction over ``x`` whose final pass runs
-        ``store`` (which writes ``out``); ``readback`` bytes of its result
-        then go to the host.  With fusion on, record the first pass; keep
-        the capture open when one block finishes the section so far,
-        otherwise lower it, charge the follow-up passes and reopen it."""
+        ``store`` (which writes ``out``).  With fusion on, record the first
+        pass; keep the capture open when one block finishes the section so
+        far, otherwise lower it, charge the follow-up passes and reopen
+        it."""
         dev, dtype, w = gpured._prep(x)
         fused = self.plan.fusion
         if fused:
             dev.launch(
                 name,
                 store,
-                gpured.first_pass_cost(x.size, w, pair=pair, tail_read=tail_read),
+                gpured.first_pass_cost(x.size, w, pair=pair, tail_read=tail_read,
+                                       tail_write=tail_write),
                 dtype=dtype,
                 fusable=True,
                 reads=(x,),
                 writes=() if out is None else (out,),
             )
-            if (not readback and x.size <= _ONE_BLOCK
-                    and _block_resident(dev._capture)):
+            if x.size <= _ONE_BLOCK and _block_resident(dev._capture):
                 self._resident = len(dev._capture)
                 return
             self._lower()
         gpured._charge_tree(
             dev, name, x.size, w, dtype, pair=pair, skip_first=fused,
-            tail_read=tail_read,
+            tail_read=tail_read, tail_write=tail_write,
+            store=None if fused else store,
         )
-        if not fused:
-            store()
-        if readback:
-            dev._record_transfer("dtoh", readback)
         if fused:
             dev._begin_capture()
 
@@ -461,27 +458,33 @@ class _PlanSection:
             pair=False, out=out, tail_read=x.dtype.itemsize,
         )
 
-    def ratio_readback(
+    def ratio_decision(
         self,
         choice: DeviceArray,
         keys: DeviceArray,
         best: DeviceArray,
-        gather: tuple[DeviceArray, ...] = (),
-    ) -> tuple[int, float, int, float, tuple[float, ...]]:
-        """A simplex iteration's single readback: ``(q, d_q, row, θ, gathered)``.
+        gather: tuple[DeviceArray, ...],
+        slot: gpured.Slot,
+        unbounded_halts: bool = True,
+    ) -> None:
+        """A simplex iteration's decision, left in ``slot`` on the device.
 
         An arg-min over the ratio test's tie-break ``keys`` whose final pass
         resolves the leaving row (the lowest key, or ``best``'s index when
         no key is finite), reads the pricing choice ``(q, d_q)`` from
         ``choice[:2]``, θ from ``best[1]`` and each ``gather`` vector's
-        entry at that row, and ships all of it to the host as one struct.
-        The host tests ``q == NO_INDEX`` (optimal) before ``θ = inf``
-        (unbounded).  It always ends the launch, because the host reads
-        the result.
+        entry at that row, and stores all of it, with the rows tied at θ
+        and the status, in ``slot`` (:func:`~repro.gpu.reduce.store_decision`;
+        a verdict halts the batch, UNBOUNDED only if ``unbounded_halts``).
+        Nothing crosses PCIe: the update launch reads the slot, and the
+        host reads a batch of slots back at once.
         """
-        tail = (4 + len(gather)) * keys.dtype.itemsize
+        w = keys.dtype.itemsize
         self._reduce(
-            keys, "reduce.argmin", lambda: None,
-            pair=True, tail_read=tail, readback=tail,
+            keys, "reduce.argmin",
+            lambda: gpured.store_decision(
+                choice, keys, best, gather, slot, unbounded_halts
+            ),
+            pair=True, out=slot.ring, tail_read=(4 + len(gather)) * w,
+            tail_write=gpured.SLOT_FIELDS * w,
         )
-        return gpured.ratio_result(choice, keys, best, gather)

@@ -147,6 +147,18 @@ def widest_column_bytes(a: DeviceArray) -> int:
     )
 
 
+def widest_row_bytes(a: DeviceArray) -> int:
+    """The most :func:`row_bytes` any row of ``a`` costs: what a kernel
+    that learns its row on the device is charged."""
+    p = a.device.params
+    tx = p.transaction_bytes
+    down, along = a.steps
+    return _widest_bytes(
+        a.shape[1], a.shape[0], along, down, a.offset % tx,
+        p.warp_size // 2, tx,
+    )
+
+
 @functools.lru_cache(maxsize=256)
 def _widest_bytes(m: int, n: int, down: int, along: int, first: int,
                   lanes: int, transaction: int) -> int:

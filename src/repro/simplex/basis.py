@@ -125,6 +125,12 @@ class BasisRepresentation(abc.ABC):
     def refactorize(self, basis_columns: np.ndarray) -> None:
         """Rebuild exactly from the m×m matrix of current basis columns."""
 
+    def row(self, p: int) -> np.ndarray:
+        """ρ_p = e_pᵀB⁻¹, row p of the inverse: one BTRAN."""
+        e_p = np.zeros(self.m)
+        e_p[p] = 1.0
+        return self.btran(e_p)
+
     def needs_refresh(self) -> bool:
         """Whether the representation asks for a rebuild before the next
         ``refactor_period`` is due (fill-in, for the sparse LU)."""
@@ -156,6 +162,12 @@ class ExplicitInverseBasis(BasisRepresentation):
     def btran(self, row: np.ndarray) -> np.ndarray:
         self._charge_solve("btran")
         return row @ self.binv
+
+    def row(self, p: int) -> np.ndarray:
+        """Row p of the held inverse, read: m words."""
+        m, w = self.m, self._w
+        self._charge("btran", OpCost(bytes_read=m * w, bytes_written=m * w))
+        return self.binv[p].copy()
 
     def update(self, alpha: np.ndarray, p: int, tol_pivot: float) -> None:
         eta = eta_from_alpha(alpha, p, tol_pivot)

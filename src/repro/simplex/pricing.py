@@ -28,6 +28,7 @@ it holds.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -129,6 +130,16 @@ class StallSwitch:
     def active(self) -> PricingRule:
         """The rule that selects now: Dantzig, or Bland while switched."""
         return _BLAND if self.using_bland else _DANTZIG
+
+    def horizon(self) -> float:
+        """The fewest pivots after which the rule in effect may change:
+        the non-improving ones left before Dantzig stalls, or the improving
+        ones left before Bland recovers (infinite unless hybrid)."""
+        if self.mode != "hybrid":
+            return math.inf
+        if self.using_bland:
+            return self.recovery - self._improved_streak
+        return self.stall_window - self._stalled
 
     def notify(self, improved: bool) -> None:
         """Account one pivot: whether it strictly improved the objective."""

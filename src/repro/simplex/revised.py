@@ -11,9 +11,9 @@ does (:mod:`repro.firstorder.pdlp`):
   to the modeled sequential CPU (``revised``, ``revised-bounded``,
   ``revised-sparse``, ``dual``; the paper's comparator);
 - :class:`~repro.core.gpu_revised_simplex.DevicePlacement` — buffers
-  resident on the simulated device, moved by kernels, with one readback
-  per iteration (``gpu-revised``, ``gpu-revised-bounded``; the paper's
-  solver);
+  resident on the simulated device, moved by kernels, in batches of
+  iterations with one readback per batch (``gpu-revised``,
+  ``gpu-revised-bounded``; the paper's solver);
 - :class:`~repro.simplex.tableau.HostTableau` and
   :class:`~repro.core.gpu_tableau_simplex.DeviceTableau` — the full
   tableau T = B⁻¹A on either machine (``tableau``, ``gpu-tableau``; the A3
@@ -76,19 +76,27 @@ ratio     host      one-way minimum ratio, standard or Harris (host
                     rises to its bound, or q reaches its own bound — a
                     bound flip (``ratio``)
           device    ratio map (bounded when boxed), arg-min, tie-break
-                    map and one readback of (q, d_q, p, θ, α_p[, to_upper])
+                    map whose last pass stores (q, d_q, p, θ, α_p[,
+                    to_upper], ties, status) in the iteration's slot of
+                    the decision ring; a verdict halts the batch
 update    all       a flip moves β only; a pivot moves β and updates the
                     basis representation; an explicit B⁻¹ then updates
                     π += (d_q/α_p)·ρ_p with ρ_p its pre-pivot row p
           host      ``update.eta``, ``update.beta`` (boxed: β first, so a
                     flip stops there), then ``update.pi``
-          device    β update carrying the swap's stores; η kernel, row
-                    extract, AXPY, GER
+          device    every launch reads the slot: the β update (boxed: it
+                    decides flip or pivot, u_q ≤ θ) forming the swap's
+                    stores; η kernel, row extract, AXPY, GER, which do
+                    nothing unless the slot holds a pivot
           tableau   Gauss–Jordan around (p, q): T, β and d from the pivot
                     row (``pivot.eliminate``; device ``pivot``: row
                     extract, scale, GER, row write, AXPY on d, β update
-                    carrying the swap and d_q := 0); Devex re-weighs from
-                    the pre-pivot row
+                    carrying the swap and d_q := 0, each reading the
+                    slot); Devex re-weighs from the pre-pivot row
+readback  device    after K iterations, one DtoH of their K slots
+                    (``transfer``); the host replays them: basis header,
+                    z, counts, stall switch, trace, rebuild trigger,
+                    fresh-π redo
 rebuild   all       after ``refactor_period`` basis updates since the last
                     rebuild, or when the representation asks (sparse LU
                     fill-in): refactor, β = B⁻¹b_eff with b_eff = b minus
@@ -110,6 +118,14 @@ ftran     dual      α_q; |α_pq| ≤ ``tol_pivot`` is numerical
 update    dual      as above with θ_P = β_p/α_pq, and β never clipped at
                     zero (a dual iterate is primal infeasible by design)
 ========= ========= ====================================================
+
+The host placements run one iteration at a time.  A device placement runs
+K iterations per readback: K doubles from 1 at every phase start (and
+after a redo) up to :data:`MAX_BATCH`, and ends where the host must act
+before the next pricing — at the basis update that reaches
+``refactor_period`` and at the stall switch's earliest possible change
+(:meth:`~repro.simplex.pricing.StallSwitch.horizon`) — so each iteration
+prices and pivots as it would one at a time.
 
 A terminal verdict (optimal, unbounded) is accepted only from a π solved
 fresh: an explicit inverse whose π was updated since its last multiply
@@ -156,6 +172,19 @@ from repro.simplex.common import (
 )
 from repro.simplex.ratio import dual_ratio_test
 from repro.status import SolveStatus
+
+#: The most iterations a device placement runs between two readbacks.
+MAX_BATCH = 8
+
+
+def swap_basis(st, p: int, q: int) -> int:
+    """Row p's basic variable leaves for q in the host's basis header
+    (``basis``, ``in_basis``); returns the leaving variable."""
+    leaving = int(st.basis[p])
+    st.in_basis[leaving] = False
+    st.in_basis[q] = True
+    st.basis[p] = q
+    return leaving
 
 
 class Step(NamedTuple):
@@ -337,10 +366,9 @@ class RevisedBackend(SolverBackend):
         if not self._dual:  # c_B reloaded; the dual's start priced these
             st.multipliers.invalidate()
         # the primal lowers the objective, the dual raises it
-        choose, improving = (
-            (self._dual_step, 1.0) if self._dual else (self._primal_step, -1.0)
-        )
+        improving = 1.0 if self._dual else -1.0
         iters = 0
+        batch = 1  # iterations per readback: doubles from 1 every phase
         tr = self.hooks if self.hooks.enabled else None
 
         def record(event: str, **fields) -> None:
@@ -352,64 +380,92 @@ class RevisedBackend(SolverBackend):
 
         try:
             while iters < cap:
-                iters += 1
-                r = choose(rule)
-                if r is None:
-                    iters -= 1  # verify with a fresh π; the redo is not counted
-                    continue
-                if isinstance(r, Verdict):
-                    if tr is not None:
-                        record(r.status.value, **r.fields)
-                    return r.status, iters
-                degenerate = r.theta <= opts.tol_zero
-                if degenerate:
-                    stats.degenerate_steps += 1
-                peek = {} if r.flip else dict(
-                    leaving_row=r.row, leaving_var=int(st.basis[r.row]),
-                    pivot=float(r.pivot), ratio_ties=int(r.ties),
-                )
-
-                try:
-                    st.update(r, float(c_full[r.q]))
-                except SingularBasisError:
-                    recovered = self._rebuild()
-                    if tr is not None:
-                        record(
-                            "recovery" if recovered else "numerical",
-                            entering=r.q, leaving_row=r.row,
-                        )
-                    if not recovered:
-                        return SolveStatus.NUMERICAL, iters
-                    z = st.resync(z)
-                    continue
-                dz = r.d_q * r.sigma * r.theta
-                z += dz
-                if tr is not None:
-                    record(
-                        "flip" if r.flip else "pivot", entering=r.q,
-                        theta=float(r.theta), degenerate=degenerate, **peek,
+                k = self._batch_size(batch, rule, cap - iters)
+                batch = min(2 * batch, MAX_BATCH)
+                for i, r in enumerate(self._steps(rule, k)):
+                    iters += 1
+                    if r is None:
+                        iters -= 1  # verify with a fresh π; the redo is not counted
+                        batch = 1
+                        break
+                    if isinstance(r, Verdict):
+                        if tr is not None:
+                            record(r.status.value, **r.fields)
+                        return r.status, iters
+                    degenerate = r.theta <= opts.tol_zero
+                    if degenerate:
+                        stats.degenerate_steps += 1
+                    peek = {} if r.flip else dict(
+                        leaving_row=r.row, leaving_var=int(st.basis[r.row]),
+                        pivot=float(r.pivot), ratio_ties=int(r.ties),
                     )
-                rule.notify(improving * dz > 1e-12 * (1.0 + abs(z)))
 
-                if (period and st.updates >= period) or st.needs_rebuild():
-                    if not self._rebuild():
-                        return SolveStatus.NUMERICAL, iters
-                    z = st.resync(z)
+                    try:
+                        st.update(r)
+                    except SingularBasisError:
+                        recovered = self._rebuild()
+                        if tr is not None:
+                            record(
+                                "recovery" if recovered else "numerical",
+                                entering=r.q, leaving_row=r.row,
+                            )
+                        if not recovered:
+                            return SolveStatus.NUMERICAL, iters
+                        z = st.resync(z)
+                        continue
+                    dz = r.d_q * r.sigma * r.theta
+                    z += dz
+                    if tr is not None:
+                        # a batch's last record runs to its readback
+                        at = st.marks[i] if i + 1 < len(st.marks) else None
+                        record(
+                            "flip" if r.flip else "pivot", entering=r.q,
+                            theta=float(r.theta), degenerate=degenerate,
+                            at=at, **peek,
+                        )
+                    rule.notify(improving * dz > 1e-12 * (1.0 + abs(z)))
+
+                    if (period and st.updates >= period) or st.needs_rebuild():
+                        if not self._rebuild():
+                            return SolveStatus.NUMERICAL, iters
+                        z = st.resync(z)
             return SolveStatus.ITERATION_LIMIT, iters
         finally:
             # the per-phase Dantzig→Bland switch count, on every exit path
             stats.bland_activations += rule.activations
             self._z = z
 
-    def _primal_step(self, rule) -> "Step | Verdict | None":
-        """Price, FTRAN and the ratio test: the entering column and the row
-        it leaves by, or the verdict; None to redo with a fresh π."""
-        st = self._st
-        st.price(rule)
-        st.ftran()
-        r = st.ratio()
+    def _batch_size(self, batch: int, rule, left: int) -> int:
+        """How many iterations to issue before the next readback: ``batch``
+        (doubling from 1 every phase and after a redo), capped by the
+        placement, by the ``left`` iterations of the cap, and by the
+        earliest iteration whose outcome the host must act on before the
+        next pricing — the stall switch's earliest possible change and
+        the basis update that reaches ``refactor_period`` — so every
+        iteration prices and pivots as it would one at a time."""
+        st, period = self._st, self.options.refactor_period
+        k = min(batch, st.max_batch, left)
+        if k > 1:
+            k = min(k, rule.horizon())
+            if period:
+                k = min(k, period - st.updates)
+        return max(k, 1)
+
+    def _steps(self, rule, k: int):
+        """The next ``k`` iterations' outcomes, in order: a :class:`Step`,
+        a :class:`Verdict`, or None to redo with a fresh π.  The placement
+        runs them (the device all k before its readback); each primal
+        verdict is judged only when the loop reaches it, after the steps
+        before it were taken."""
+        if self._dual:
+            return [self._dual_step(rule)]
+        return (self._judge(r) for r in self._st.iterate(rule, k))
+
+    def _judge(self, r: Step) -> "Step | Verdict | None":
+        """The entering column and the row it leaves by, or the verdict;
+        None to redo with a fresh π."""
         terminal = r.q < 0 or not np.isfinite(r.theta)
-        if terminal and not st.multipliers.confirms():
+        if terminal and not self._st.multipliers.confirms():
             return None
         if r.q < 0:
             return Verdict(SolveStatus.OPTIMAL, {})

@@ -41,7 +41,7 @@ from repro.simplex.common import PHASE1_TOL, PreparedLP
 from repro.simplex.options import RATIO_TESTS, SolverOptions
 from repro.simplex.pricing import StallSwitch
 from repro.simplex.ratio import bounded_ratios, run_ratio_test
-from repro.simplex.revised import BoxedRules, RevisedBackend, Step
+from repro.simplex.revised import BoxedRules, RevisedBackend, Step, swap_basis
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.simplex.sparse_pricing import SparsePartialPricing
 
@@ -246,6 +246,10 @@ class HostPlacement:
     #: Running the dual direction: β may be primal infeasible, so it is
     #: not clipped at zero (the extracted x is).
     dual = False
+    #: One iteration at a time: the host updates before it prices.
+    max_batch = 1
+    #: Where each iteration of a batch ended: one iteration, none.
+    marks = ()
 
     def __init__(self, backend: "RevisedSimplexSolver", prep: PreparedLP,
                  dtype: np.dtype):
@@ -327,7 +331,13 @@ class HostPlacement:
             return Step(-1)
         return self.bounds.ratio(self, *self.choice)
 
-    def update(self, r: Step, c_q: float) -> None:
+    def iterate(self, rule, k: int = 1) -> list[Step]:
+        """Price, FTRAN and the ratio test of one iteration (k is 1)."""
+        self.price(rule)
+        self.ftran()
+        return [self.ratio()]
+
+    def update(self, r: Step) -> None:
         follows = self.multipliers.follows_pivots and not r.flip
         row_p = self.rep.binv[r.row].copy() if follows else None
         self.bounds.move(self, r)
@@ -343,10 +353,7 @@ class HostPlacement:
             self.multipliers.update()
         self._swap(r.row, r.q)
 
-    def _swap(self, p: int, q: int) -> None:
-        self.in_basis[self.basis[p]] = False
-        self.in_basis[q] = True
-        self.basis[p] = q
+    _swap = swap_basis
 
     def needs_rebuild(self) -> bool:
         return self.rep.needs_refresh()
@@ -409,9 +416,9 @@ class HostPlacement:
     # -- drive-out and the dual's row --------------------------------------
 
     def transformed_row(self, p: int, section: str = "driveout") -> np.ndarray:
-        e_p = np.zeros(self.prep.m)
-        e_p[p] = 1.0
-        row = self.prep.price_all(self.rep.btran(e_p))
+        """e_pᵀB⁻¹A over the real columns: ρ_p (read from an explicit
+        inverse, a BTRAN otherwise), then one pass over A."""
+        row = self.prep.price_all(self.rep.row(p))
         self.recorder.charge(section, self.pricing_cost)
         return row
 

@@ -50,6 +50,8 @@ class TableauPlacement:
     extraction are the standard-bounds ones of the machine."""
 
     updates = 0
+    max_batch = 1
+    marks = ()
 
     def __init__(self, backend, prep: PreparedLP):
         self.prep = prep
@@ -137,8 +139,9 @@ class HostTableau(TableauPlacement):
             self.alpha = self.tableau[:, self.choice[0]]
 
     ratio = HostPlacement.ratio
+    iterate = HostPlacement.iterate
 
-    def update(self, r: Step, c_q: float) -> None:
+    def update(self, r: Step) -> None:
         """Gauss–Jordan elimination of T and β around (p, q), and d from the
         pivot row; Devex weighs the pre-pivot row."""
         if isinstance(self.rule, DevexRule):

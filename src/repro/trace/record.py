@@ -173,14 +173,19 @@ class TraceCollector:
             dict(sections()) if sections is not None else {}
         )
 
-    def record(self, **fields: Any) -> TraceRecord:
+    def record(
+        self, at: "tuple[float, dict[str, float]] | None" = None,
+        **fields: Any,
+    ) -> TraceRecord:
         """Append one record; ``fields`` are :class:`TraceRecord` fields
         minus the timing ones, which the collector fills in from the clock
-        and section deltas since the previous record."""
-        now = float(self._clock())
+        and section deltas since the previous record.  ``at`` gives the
+        (clock, sections) the iteration ended at when that was before now:
+        a device batch records its iterations after its readback."""
+        now = float(self._clock()) if at is None else at[0]
         sections_delta: dict[str, float] = {}
         if self._sections is not None:
-            current = dict(self._sections())
+            current = dict(self._sections()) if at is None else at[1]
             for name, total in current.items():
                 delta = total - self._sections_prev.get(name, 0.0)
                 if delta > 0.0:

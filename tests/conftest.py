@@ -103,27 +103,36 @@ def assert_matches_oracle(lp: LPProblem, result, tol: float = 1e-5) -> None:
 def multiplier_drift(solver, lp: LPProblem, monkeypatch):
     """Solve ``lp`` with ``solver`` (``gpu-revised`` or
     ``gpu-revised-bounded``, built with ``trace=True``) and measure, after
-    every pivot and bound flip, the device π against B⁻ᵀc_B solved exactly
-    on the host.  Returns the result and the relative max-norm distances.
-    The device buffer is read from its backing store (uncharged)."""
+    every batch of pivots and bound flips, the device π against B⁻ᵀc_B
+    solved exactly on the host.  The records of a batch are written after
+    its readback, all at the same device clock, and only at the batch's
+    last one has the host's basis caught up with the device.  Returns the
+    result and the relative max-norm distances.  The device buffer is read
+    from its backing store (uncharged)."""
     from repro.engine.hooks import SolveHooks
     from repro.simplex.common import phase1_costs, phase2_costs
 
-    drift: list[float] = []
+    batch_ends: dict[float, tuple] = {}
     record = SolveHooks.record
 
     def check(hooks, **fields):
         if fields["event"] in ("pivot", "flip"):
             st = solver._st
-            costs = phase1_costs if fields["phase"] == 1 else phase2_costs
-            basis_t = st.prep.basis_matrix(st.basis).T
-            want = np.linalg.solve(basis_t, costs(st.prep)[st.basis])
-            scale = max(1.0, float(np.max(np.abs(want))))
-            drift.append(float(np.max(np.abs(st.pi.data - want))) / scale)
+            batch_ends[st.dev.clock] = (
+                fields["phase"], st.basis.copy(), st.pi.data.copy()
+            )
         record(hooks, **fields)
 
     monkeypatch.setattr(SolveHooks, "record", check)
-    return solver.solve(lp), drift
+    result = solver.solve(lp)
+    prep = solver.prep
+    drift: list[float] = []
+    for phase, basis, pi in batch_ends.values():
+        costs = phase1_costs if phase == 1 else phase2_costs
+        want = np.linalg.solve(prep.basis_matrix(basis).T, costs(prep)[basis])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        drift.append(float(np.max(np.abs(pi - want))) / scale)
+    return result, drift
 
 
 def optimal_multipliers(prep, basis: np.ndarray) -> np.ndarray:

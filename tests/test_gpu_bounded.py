@@ -90,19 +90,32 @@ class TestBoxedCorrectness:
         r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
         assert r.extra["bound_flips"] >= 1
 
-    def test_flip_kernels_cheaper_than_pivots(self):
-        """A bound flip must not launch the GER basis-update kernel."""
+    def test_flip_leaves_binv_alone(self, monkeypatch):
+        """A bound flip must not update B⁻¹: the flip is decided on the
+        device, so the GER launch it issues does nothing."""
+        from repro.core import gpu_kernels as K
+
+        pivot_ger, updates = K.pivot_ger, []
+
+        def spy(dev, x, y, a, *args, **kw):
+            before = a.data.copy()
+            pivot_ger(dev, x, y, a, *args, **kw)
+            updates.append(not np.array_equal(before, a.data))
+
+        monkeypatch.setattr(K, "pivot_ger", spy)
         lp = boxed_random(24, 36, seed=2)
         solver = GpuBoundedRevisedSimplex(
             SolverOptions(dtype=np.float64, fusion=False)
         )
         r = solver.solve(lp)
-        ger_launches = solver.device.stats.by_kernel["blas.ger"].launches
+        assert r.extra["bound_flips"] >= 1
         pivots = (r.iterations.total_iterations
                   - r.extra["bound_flips"]
                   - 2)  # each phase's last iteration doesn't pivot
-        # GER fires once per true pivot (plus drive-out pivots), never for flips
-        assert ger_launches <= pivots + 4
+        # GER moves B⁻¹ once per true pivot (plus drive-out pivots), never
+        # for a flip or a halted iteration
+        assert len(updates) > sum(updates)
+        assert sum(updates) <= pivots + 4
 
 
 class TestAgreementWithCpuBounded:
@@ -157,7 +170,8 @@ class TestMultiplierUpdate:
         r, drift = multiplier_drift(solver, lp, monkeypatch)
         assert r.status is SolveStatus.OPTIMAL
         assert r.extra["bound_flips"] >= 1
-        assert len(drift) == r.iterations.total_iterations - 1
+        # measured once per batch of 1, 2, 4, then 8 iterations
+        assert len(drift) >= 4
         assert max(drift) <= 1e-9
 
     def test_corrupted_update_is_re_multiplied(self, monkeypatch):
@@ -182,9 +196,10 @@ class TestMultiplierUpdate:
         )
         assert r.iterations.phase1_iterations == 0
         assert r.extra["bound_flips"] >= 1
+        # π = B⁻ᵀc_B joins the first pass and the terminal verification;
+        # every other pass, the ones a verdict halted too, is one launch
         assert per_pass[0] == 2
-        assert per_pass[1:-1] == [1] * (len(per_pass) - 2)
-        assert len(per_pass) == r.iterations.total_iterations + (per_pass[-1] - 1)
+        assert set(per_pass[1:]) <= {1, 2} and per_pass[1:].count(2) <= 1
 
 
 def test_rebuilds_like_the_host():

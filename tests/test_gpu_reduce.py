@@ -1,11 +1,11 @@
 """Tests for the terminal tree reductions of a plan section.
 
 A plan section's ``argmin_to_device``, ``first_below_to_device`` and
-``ratio_readback`` are the only entry points to a reduction.  Every test
+``ratio_decision`` are the only entry points to a reduction.  Every test
 runs them with fusion off (op by op) and on (the first tree pass folds
 into the section's fused launch) and expects the same stores and the same
-follow-up passes.  The ratio readback tests run the map's arg-min and the
-readback in one ``ratio`` section, as the simplex backends do.
+follow-up passes.  The ratio decision tests run the map's arg-min and the
+decision's store in one ``ratio`` section, as the simplex backends do.
 """
 
 import numpy as np
@@ -151,7 +151,7 @@ class TestArgReductions:
             assert dev.stats.dtoh_bytes == 0
             assert dev.stats.by_kernel["reduce.first_below"].launches == 2
 
-    def test_ratio_readback_gathers_in_one_transfer(self):
+    def test_ratio_decision_gathers_into_its_slot(self):
         for fusion in FUSION:
             dev, plan = fresh(fusion)
             ratios = dvec(dev, [4.0, 2.0, 2.0, 9.0])
@@ -160,29 +160,40 @@ class TestArgReductions:
             # rows 1 and 2 tie at θ = 2; the keys pick row 2 (lower variable)
             keys = dvec(dev, [np.inf, 7.0, 3.0, np.inf])
             alpha = dvec(dev, [0.1, 0.2, 0.3, 0.4])
-            before = dev.stats.dtoh_bytes
+            slot = R.Slot(dev.alloc((2, R.SLOT_FIELDS), np.float64), 1)
             dev.record_timeline()
             with plan.section("ratio") as sec:
                 sec.argmin_to_device(ratios, best)
-                got = sec.ratio_readback(choice, keys, best, (alpha,))
-            assert got == (5, -0.25, 2, 2.0, (0.3,))
+                sec.ratio_decision(choice, keys, best, (alpha,), slot)
+            got = slot.ring.data[1]
+            assert got[[R.Q, R.D_Q, R.ROW, R.THETA, R.PIVOT]].tolist() == [
+                5, -0.25, 2, 2.0, 0.3,
+            ]
+            assert got[R.TIES] == 2 and got[R.STATUS] == R.BLOCKED
             kinds = [e.kind for e in dev.timeline]
-            # both reductions fit one block: one launch when fused
-            assert kinds == ["kernel"] * (1 if fusion else 2) + ["dtoh"]
-            # (q, d_q, p, θ, α_p) in one struct
-            assert dev.stats.dtoh_bytes - before == 5 * 8
+            # both reductions fit one block: one launch when fused, and
+            # nothing crosses PCIe
+            assert kinds == ["kernel"] * (1 if fusion else 2)
 
-    def test_ratio_readback_falls_back_to_best_row(self):
+    def test_ratio_decision_falls_back_to_best_row(self):
         for fusion in FUSION:
             dev, plan = fresh(fusion)
             ratios = dvec(dev, [4.0, 2.0])
             best = dev.alloc(2, np.float64)
             keys = dvec(dev, [np.inf, np.inf])
             choice = dvec(dev, [R.NO_INDEX, 0.0])
+            halt = dvec(dev, [0.0])
+            slot = R.Slot(dev.alloc((1, R.SLOT_FIELDS), np.float64), 0,
+                          halt, 7)
             with plan.section("ratio") as sec:
                 sec.argmin_to_device(ratios, best)
-                got = sec.ratio_readback(choice, keys, best)
-            assert got == (R.NO_INDEX, 0.0, 1, 2.0, ())
+                sec.ratio_decision(choice, keys, best, (), slot)
+            got = slot.ring.data[0]
+            assert got[[R.Q, R.ROW, R.THETA, R.STATUS]].tolist() == [
+                R.NO_INDEX, 1, 2.0, R.OPTIMAL,
+            ]
+            # the verdict halts the rest of its batch
+            assert halt.data[0] == 7
 
 
 @settings(max_examples=30, deadline=None)

@@ -218,7 +218,8 @@ class TestMultiplierUpdate:
         solver = GpuRevisedSimplex(SolverOptions(dtype=np.float64, trace=True))
         r, drift = multiplier_drift(solver, lp, monkeypatch)
         assert r.status is SolveStatus.OPTIMAL
-        assert len(drift) == r.iterations.total_iterations - 1
+        # measured once per batch of 1, 2, 4, then 8 iterations
+        assert len(drift) >= 4
         assert max(drift) <= 1e-9
 
     def test_updated_pi_matches_through_phase1(self, monkeypatch):
@@ -227,7 +228,7 @@ class TestMultiplierUpdate:
         r, drift = multiplier_drift(solver, lp, monkeypatch)
         assert r.iterations.phase1_iterations > 0
         assert_matches_oracle(lp, r)
-        assert len(drift) >= 10
+        assert len(drift) >= 6
         assert max(drift) <= 1e-9
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -248,7 +249,11 @@ class TestMultiplierUpdate:
         assert r.objective == pytest.approx(scipy_oracle(lp), rel=1e-9)
         # the phase start, then one re-multiply after every pivot
         assert sum(multiplied) == r.iterations.total_iterations >= 5
-        assert len(multiplied) == 2 * r.iterations.total_iterations - 1
+        # one pricing per issued iteration: after the first pivot each
+        # batch of 2 prices with the corrupted π, finds a false verdict at
+        # once and halts its second iteration, and the redo batch of 1
+        # prices with a fresh π and pivots
+        assert len(multiplied) == 3 * r.iterations.total_iterations - 2
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_pricing_issues_one_gemv_per_iteration(self, sparse, monkeypatch):
@@ -259,11 +264,10 @@ class TestMultiplierUpdate:
         )
         assert r.iterations.phase1_iterations == 0
         assert len(per_pass) >= r.iterations.total_iterations >= 10
-        # π = B⁻ᵀc_B joins the first pass and the terminal verification
+        # π = B⁻ᵀc_B joins the first pass and the terminal verification;
+        # every other pass, the ones a verdict halted too, is one launch
         assert per_pass[0] == 2
-        assert per_pass[1:-1] == [1] * (len(per_pass) - 2)
-        assert per_pass[-1] in (1, 2)
-        assert len(per_pass) == r.iterations.total_iterations + (per_pass[-1] - 1)
+        assert set(per_pass[1:]) <= {1, 2} and per_pass[1:].count(2) <= 1
 
     def test_refactor_marks_pi_stale(self, monkeypatch):
         lp = random_dense_lp(24, 32, seed=4)

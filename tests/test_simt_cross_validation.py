@@ -160,7 +160,10 @@ class TestBlockArgmin:
 class TestEtaUpdate:
     def test_matches_solver_kernel(self, engine, device, rng):
         """Thread-per-element eta GER == the device kernels' composition."""
-        from repro.core.gpu_kernels import eta_kernel, extract_row
+        from repro.core.gpu_kernels import (
+            drive_decision, eta_kernel, extract_row, pivot_ger,
+        )
+        from repro.gpu.reduce import SLOT_FIELDS, Slot
         from repro.simplex.basis import eta_from_alpha
 
         m = 9
@@ -169,14 +172,17 @@ class TestEtaUpdate:
         p = 4
         alpha_h[p] = 2.0  # safe pivot
 
-        # --- block-level path (device kernels + BLAS GER)
+        # --- block-level path: the solver's update kernels, reading the
+        # pivot (p, α_p) from a decision slot on the device
         binv_d = device.to_device(binv_h)
         alpha_d = device.to_device(alpha_h)
         eta_d = device.zeros(m, np.float64)
         row_d = device.zeros(m, np.float64)
-        eta_kernel(device, alpha_d, p, float(alpha_h[p]), eta_d)
-        extract_row(device, binv_d, p, row_d)
-        blas.ger(eta_d, row_d, binv_d)
+        slot = Slot(device.zeros((1, SLOT_FIELDS), np.float64), 0)
+        drive_decision(device, slot, p, 0, alpha_d)
+        eta_kernel(device, alpha_d, slot, eta_d)
+        extract_row(device, binv_d, slot, row_d)
+        pivot_ger(device, eta_d, row_d, binv_d, slot=slot)
 
         # --- thread-level path
         binv_simt = binv_h.copy()

@@ -220,7 +220,8 @@ def test_ger(device, engine, rng, shape, dtype, layout, lead, kernel):
     if kernel == "blas.ger":
         cost = _charged(device, lambda: blas.ger(x, y, a, alpha=-1.0))
     else:
-        cost = _charged(device, lambda: K.ger_column_major(device, x, y, a, -1.0))
+        cost = _charged(device, lambda: K.pivot_ger(
+            device, x, y, a, -1.0, name="kernel.tableau_ger"))
     assert device.timeline[-1].name == kernel
     a_mem = _memory(ah, layout)
     stats = _run(engine, simt_ger, cost, _twin(engine, "A", a_mem, a),

@@ -1,14 +1,17 @@
 """PCIe transfer budget of the GPU simplex pivot loop.
 
 The three GPU simplex backends keep their pivot bookkeeping on the device:
-the basis swap's stores ride on the update launch, pricing leaves (q, d_q)
-in a device buffer that the column load reads, the ratio map's arg-min
-stays in another, and everything the host needs of an iteration comes back
-as one struct.  So every pivot (and every bound flip) issues no
-host→device transfer and exactly one device→host one.  This suite checks
-that budget iteration by iteration over the golden problems, pins the
-solves' kernel-launch counts, and holds the results bit-identical to the
-golden fixture, with fusion off and on, in fp64 and fp32.
+pricing leaves (q, d_q) in a device buffer that the column load reads,
+the ratio map's arg-min stays in another, the ratio test leaves the
+iteration's decision in a slot of a device-resident ring, and the update
+launches read it there and form the basis swap's stores themselves.  So
+the host issues a batch of iterations without waiting, and reads the
+batch's slots back with one transfer: every batch of pivots (and bound
+flips) issues no host→device transfer and exactly one device→host one.
+This suite checks that budget batch by batch over the golden problems,
+pins the solves' kernel-launch counts, and holds the results
+bit-identical to the golden fixture, with fusion off and on, in fp64 and
+fp32.
 """
 
 from __future__ import annotations
@@ -26,80 +29,49 @@ from repro.solve import solve
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
 from fuse_smoke import SIMPLEX_METHODS as METHODS  # noqa: E402
-from fuse_smoke import begin_htod, pivot_windows, traced_solve  # noqa: E402
+from fuse_smoke import begin_htod, pivot_batches, traced_solve  # noqa: E402
 from gen_golden import FIXTURE, suite  # noqa: E402
 
 DTYPES = ("float64", "float32")
 
 #: Kernel launches over the whole golden suite (41 iterations, 7 of them
 #: ending a phase optimal), per (method, fusion), the same in fp64 and
-#: fp32, not counting the bounded backend's tie-break pass per bound flip
-#: (its kernel and one tree pass op by op; fused, it joins the ratio test's
-#: launch).  Against the
-#: two-readback loop (the host read the pricing result before launching
-#: FTRAN) they move because:
+#: fp32.  Against the loop that read every iteration back they move
+#: because the host now issues iterations in batches (1, 2, 4, then 8 per
+#: readback in each phase) and learns of a verdict only at the batch's
+#: readback:
 #:
-#: - the last iteration of each phase now runs its column load, FTRAN and
-#:   ratio test before the host learns q is NO_INDEX: +6 launches per phase
-#:   end op-by-op (+5 on the tableau, which has no FTRAN GEMV), +3 fused;
-#: - d = c − Aᵀπ on sparse A is a copy and one SpMVᵀ(β=1): the axpy is
-#:   gone (−1 per pricing op-by-op), and the copy fuses into the SpMV
-#:   (−1 per pricing fused) — golden-sparse on the dense backends, every
-#:   problem on gpu-revised-sparse;
-#: - a CSC column load is one kernel instead of a fill and a scatter
-#:   (−1 per pivot op-by-op; fused they already were one launch).
+#: - the launches that do work are the same launches as before, one for
+#:   one: 200 fused and 672 op by op on gpu-revised, 172 and 513 on
+#:   gpu-tableau, 200 and 660 (654 plus the tie-break pass of each of the
+#:   3 bound flips) on gpu-revised-bounded;
+#: - a verdict halts its batch, and every launch after it is still issued
+#:   and charged as an empty launch: the verdict's own update launch (1
+#:   fused; 5 op by op, 6 on the tableau) and each iteration the batch
+#:   issued after it (4 fused; 13 op by op, 12 on the tableau).  Over the
+#:   suite the 29 batches issue 68 iterations on the revised backends and
+#:   the 22 batches 61 on the tableau, against 48 iterations run (41 plus
+#:   7 redone with a fresh π): +94 fused and +370 op by op on the revised
+#:   backends, +87 and +302 on the tableau;
+#: - a bound flip is decided on the device, so it issues a pivot's
+#:   launches, and those past the β update (η, pivot row, π AXPY and GER)
+#:   do nothing: the 3 flips of gpu-revised-bounded add 12 op-by-op
+#:   launches (fused, the update was one launch either way).
 #:
-#: So gpu-revised 630 → 655 and 295 → 307, gpu-revised-sparse 620 → 587
-#: and 327 → 307, gpu-tableau 526 → 561 and 240 → 261, gpu-revised-bounded
-#: 621 → 646 and 298 → 310.
-#:
-#: The explicit-inverse backends then stopped multiplying π = B⁻ᵀc_B every
-#: iteration and update it from the pivot row instead:
-#:
-#: - each of the 34 pricing passes that follow a pivot or bound flip drops
-#:   the standalone π GEMVᵀ (−1), and each of the 31 (gpu-revised-bounded)
-#:   or 34 (gpu-revised) pivots gains the π AXPY (+1 op-by-op; fused it
-#:   joins the update launch);
-#: - each of the 7 phase ends is verified with a fresh π, one redone
-#:   iteration: +11 launches op-by-op, +5 fused.
-#:
-#: So gpu-revised 655 → 732 and 307 → 308, gpu-revised-bounded 646 → 720
-#: and 310 → 311.
-#:
-#: Fused, a ratio test over m ≤ 2·DEFAULT_BLOCK rows is then one launch
-#: instead of two: the map's arg-min fits one thread block, so the
-#: tie-break kernel and its arg-min follow it behind a block barrier.
-#: That is one launch fewer per ratio test: 41, plus the 7 redone
-#: iterations on the explicit-inverse backends.  A bound flip's tie-break
-#: pass is part of its ratio test's one launch, so it no longer adds a
-#: fused launch.  So gpu-revised 308 → 260, gpu-revised-sparse 307 → 266,
-#: gpu-tableau 261 → 220 and gpu-revised-bounded 311 + 3 flips → 266.
-#: Op-by-op counts do not change.
-#:
-#: The start-up then stopped zero-filling buffers that are written before
-#: they are read.  Each zero-fill was a memset, which the device charges
-#: and counts as a kernel launch, so every solve drops 10 launches on
-#: gpu-revised (π, d, the two scratch vectors, the basis keys, a_q, α, the
-#: ratios, η and the pivot-row buffer), 11 on gpu-revised-bounded (also
-#: to_upper), and 8 on gpu-revised-sparse (no η or row buffer) and on
-#: gpu-tableau (d, the work vector, α, the ratios, the tie and basis keys
-#: and the two row buffers).  Over the 6 golden solves that is −60, −66,
-#: −48 and −48, fused or not.  So gpu-revised 732 → 672 and 260 → 200,
-#: gpu-revised-sparse 587 → 539 and 266 → 218, gpu-tableau 561 → 513 and
-#: 220 → 172, gpu-revised-bounded 720 → 654 and 266 → 200.  The drive-out
-#: of gpu-revised-sparse now writes e_p with a unit_vector launch instead
-#: of uploading it, but no golden solve leaves a basic artificial for the
-#: drive-out to remove, so that adds nothing here.
+#: So gpu-revised 672 → 1042 and 200 → 294, gpu-tableau 513 → 815 and
+#: 172 → 259, gpu-revised-bounded 660 → 1042 and 200 → 294.  The
+#: bound-flip allowance of the old pin (2 op-by-op launches per flip) is
+#: gone: a flip issues what a pivot issues.
 #:
 #: ``gpu-revised-sparse`` is a second name for ``gpu-revised``, so it
 #: launches what ``gpu-revised`` launches: ``RUNS_AS`` maps it there.
 LAUNCHES = {
-    ("gpu-revised", False): 672,
-    ("gpu-revised", True): 200,
-    ("gpu-tableau", False): 513,
-    ("gpu-tableau", True): 172,
-    ("gpu-revised-bounded", False): 654,
-    ("gpu-revised-bounded", True): 200,
+    ("gpu-revised", False): 1042,
+    ("gpu-revised", True): 294,
+    ("gpu-tableau", False): 815,
+    ("gpu-tableau", True): 259,
+    ("gpu-revised-bounded", False): 1042,
+    ("gpu-revised-bounded", True): 294,
 }
 RUNS_AS = {"gpu-revised-sparse": "gpu-revised"}
 
@@ -125,13 +97,15 @@ def _all(method, fusion, dtype):
 @pytest.mark.parametrize("method", METHODS)
 def test_pivot_issues_no_htod_and_two_dtoh(method, fusion, dtype):
     """Named for the two-readback budget it first pinned; the budget it
-    checks is now one DtoH per pivot and no HtoD."""
-    windows = [
-        w
+    checks is now no HtoD and one DtoH per batch of pivots."""
+    batches = [
+        batch
         for _, _, dev, marks in _all(method, fusion, dtype)
-        for w in pivot_windows(dev, marks)
+        for batch in pivot_batches(dev, marks)
     ]
-    assert len(windows) >= 10
+    assert sum(len(records) for _, records in batches) >= 10
+    windows = [[ev.kind for ev in events if ev.kind != "kernel"]
+               for events, _ in batches]
     assert all(w == ["dtoh"] for w in windows), windows
 
 
@@ -148,10 +122,7 @@ def test_begin_issues_one_htod(method, fusion):
 def test_launches_pinned(method, fusion, dtype):
     runs = _all(method, fusion, dtype)
     launches = sum(dev.stats.kernel_launches for _, _, dev, _ in runs)
-    flips = sum(r.extra.get("bound_flips", 0) for _, r, _, _ in runs)
-    tie_pass = 0 if fusion else 2
-    pinned = LAUNCHES[RUNS_AS.get(method, method), fusion]
-    assert launches == pinned + flips * tie_pass
+    assert launches == LAUNCHES[RUNS_AS.get(method, method), fusion]
 
 
 @pytest.mark.parametrize("fusion", [False, True])

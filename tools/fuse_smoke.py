@@ -11,10 +11,9 @@ contracts the plan layer promises:
 - **fewer launches**: lowering actually fused something — the fused run's
   kernel-launch count is strictly below the unfused run's;
 - **transfer budget**: every GPU backend places its data with exactly one
-  host→device transfer at begin, and every pivot (or bound flip) of the
-  GPU simplex methods issues no host→device transfer and exactly one
-  device→host one (the iteration's pricing choice and ratio-test result as
-  one struct), fused or not;
+  host→device transfer at begin, and every batch of pivots (or bound
+  flips) of the GPU simplex methods issues no host→device transfer and
+  exactly one device→host one (the batch's decision slots), fused or not;
 - **one launch per ratio test**: fused, every ratio test of the GPU
   simplex methods at m ≤ 2·DEFAULT_BLOCK = 512 rows is a single kernel
   launch (its reductions fit one thread block), checked on the cases below
@@ -91,21 +90,37 @@ def begin_htod(dev, marks) -> int:
     return sum(1 for ev in dev.timeline[:end] if ev.kind == "htod")
 
 
-def pivot_windows(dev, marks) -> list[list[str]]:
-    """Transfer directions of each iteration that runs from one pivot (or
-    bound flip) record to the next within a phase; a basis refactorization
-    mark between two records leaves their iteration out."""
+def pivot_batches(dev, marks) -> list[tuple[list, list[dict]]]:
+    """The batches of pivots (or bound flips) of a traced solve: for each
+    device→host sync whose read-back iterations are all pivots or flips of
+    the phase the previous sync's were in, the timeline events from the
+    previous sync to it (the sync included) and its trace records.  A
+    batch after a rebuild, a phase start or a verdict is left out."""
+    events = dev.timeline
+    syncs = [i + 1 for i, ev in enumerate(events) if ev.kind == "dtoh"]
+    records: dict[int, list[dict]] = {}
+    for fields, n in marks:
+        records.setdefault(n, []).append(fields)
     steps = ("pivot", "flip")
-    windows = []
-    for (prev, start), (cur, end) in zip(marks, marks[1:]):
-        if prev["event"] not in steps or cur["event"] not in steps:
+    batches = []
+    for start, end in zip(syncs, syncs[1:]):
+        prev, cur = records.get(start), records.get(end)
+        if not prev or not cur:
             continue
-        if prev["phase"] != cur["phase"]:
+        if any(r["event"] not in steps for r in prev + cur):
             continue
-        windows.append(
-            [ev.kind for ev in dev.timeline[start:end] if ev.kind != "kernel"]
-        )
-    return windows
+        if len({r["phase"] for r in prev + cur}) > 1:
+            continue
+        batches.append((events[start:end], cur))
+    return batches
+
+
+def pivot_windows(dev, marks) -> list[list[str]]:
+    """Transfer directions of each batch of :func:`pivot_batches`."""
+    return [
+        [ev.kind for ev in events if ev.kind != "kernel"]
+        for events, _ in pivot_batches(dev, marks)
+    ]
 
 
 def ratio_test_launches(lp, method, **kw) -> list[int]:
@@ -201,7 +216,7 @@ def main() -> int:
     assert err < 1e-8, err
 
     print("fuse-smoke ok:", ", ".join(deltas), "| mixed relerr %.2e" % err,
-          "| 1 HtoD at begin | 0 HtoD + 1 DtoH per pivot | 1 launch per ratio test at m <=",
+          "| 1 HtoD at begin | 0 HtoD + 1 DtoH per batch | 1 launch per ratio test at m <=",
           one_block, "| 4 warps per line at m = 128")
     return 0
 
