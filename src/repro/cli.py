@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default on; --no-fusion is the op-by-op "
                               "baseline)")
     p_solve.add_argument("--precision", default=None,
-                         choices=["fp32", "fp64", "mixed"],
+                         choices=["mixed"],
                          help="device precision policy (mixed = fp32 compute "
                               "+ fp64 iterative refinement)")
     p_solve.add_argument("--presolve", action="store_true",

@@ -58,8 +58,9 @@ RATIO_INF = np.inf
 
 
 def tie_cut(theta: float) -> float:
-    """The Harris-style cut of the Bland-compatible ratio test: rows whose
-    ratio is within this bound of the minimum θ count as tied."""
+    """The tie bound of the Bland-compatible ratio test: rows whose ratio
+    is at most θ·(1 + 1e-6) + 1e-30 count as tied at the minimum θ, and
+    the lowest basic-variable index among them leaves."""
     return theta * (1.0 + 1e-6) + 1e-30
 
 
@@ -779,9 +780,9 @@ def pivot_ger(
     """A := A + alpha·x yᵀ, a pivot's rank-1 update: of B⁻¹ (``kernel.ger``)
     or of the column-major tableau (``kernel.tableau_ger``).
 
-    Computes and costs what :func:`repro.gpu.blas.ger` does, but fuses
-    with the elementwise kernels around it, and with a ``slot`` does
-    nothing unless the slot holds a pivot.  ``then`` is an uncharged
+    Costed by :func:`repro.gpu.blas.ger_cost` (``cublasSger``'s mapping);
+    it fuses with the elementwise kernels around it, and with a ``slot``
+    does nothing unless the slot holds a pivot.  ``then`` is an uncharged
     diagnostic the body runs last (the B⁻¹ fill samples of F8).
     """
     m, n = a.shape

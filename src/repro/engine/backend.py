@@ -72,12 +72,6 @@ class SolverBackend:
     #: which only the CPU ``tableau`` method carries.
     pricing_rules: "tuple[str, ...] | None" = ("dantzig", "bland", "hybrid")
 
-    #: The ``SolverOptions.ratio_test`` values the method accepts; ``None``
-    #: for methods without a ratio test.  The Harris two-pass test runs in
-    #: the one-way ratio tests of the CPU ``tableau``, ``revised`` and
-    #: ``revised-sparse`` methods only.
-    ratio_tests: "tuple[str, ...] | None" = ("standard",)
-
     #: Whether ``solve(..., initial_basis_hint=...)`` is honored.  The
     #: engine rejects a hint passed to a backend that does not opt in, so a
     #: direct caller cannot have one silently ignored.
@@ -141,8 +135,7 @@ def _checked_options(
     backend: SolverBackend, options: "SolverOptions | None"
 ) -> "SolverOptions":
     """The options a backend runs with (defaults when ``None``), with its
-    pricing rule and ratio test checked against
-    :attr:`SolverBackend.pricing_rules` and :attr:`SolverBackend.ratio_tests`."""
+    pricing rule checked against :attr:`SolverBackend.pricing_rules`."""
     from repro.simplex.options import SolverOptions
 
     options = options or SolverOptions()
@@ -152,13 +145,6 @@ def _checked_options(
             f"{backend.name} does not accept pricing {options.pricing!r}: "
             "devex and steepest-edge need tableau columns, and only the "
             "'tableau' method accepts them"
-        )
-    tests = backend.ratio_tests
-    if tests is not None and options.ratio_test not in tests:
-        raise SolverError(
-            f"{backend.name} does not accept ratio_test {options.ratio_test!r}: "
-            "only the 'tableau', 'revised' and 'revised-sparse' methods "
-            "run the Harris ratio test"
         )
     return options
 

@@ -60,7 +60,6 @@ class PdlpBackend(SolverBackend):
 
     accepts_warm_start = False
     pricing_rules = None
-    ratio_tests = None
 
     def _place(self, rescaled: RescaledLP, dtype: np.dtype):
         raise NotImplementedError

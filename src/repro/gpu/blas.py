@@ -22,7 +22,10 @@ column-major):
   half-warp, so a 16-word run is as whole as a 32-word one and the grid
   has twice the blocks), the 16 half-warps take every 16th line, and the
   slices reduce in shared memory.  No grid barrier, so it is one launch.
-- GER maps one thread per matrix element in memory order.
+- GER maps one thread per matrix element in memory order.  The solver's
+  rank-1 updates run as :func:`repro.core.gpu_kernels.pivot_ger`, which
+  fuses with the kernels around it and takes its charge from
+  :func:`ger_cost`.
 
 Their main-memory traffic is charged as the 64-byte segments their
 half-warp instructions touch where the operands sit
@@ -364,31 +367,6 @@ def _gemv_shape_cost(shape, w, layout, trans, accumulate, p, a_at, x_at, y_at):
         threads=threads,
     )
     return cost, a_read, x_read, y_read
-
-
-def ger(
-    x: DeviceArray,
-    y: DeviceArray,
-    a: DeviceArray,
-    alpha: float = 1.0,
-) -> None:
-    """A := A + alpha · x yᵀ (``cublasSger``), one thread per element in
-    A's memory order."""
-    dev, dtype, w = _prep(x, y, a)
-    require_matrix("A", a)
-    m, n = a.shape
-    require_vector("x", x, m)
-    require_vector("y", y, n)
-    alpha_t = dtype.type(alpha)
-
-    def body() -> None:
-        a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
-
-    cost, read_bytes = ger_cost(x, y, a)
-    dev.launch(
-        "blas.ger", body, cost, dtype=dtype, reads=(x, y, a), writes=(a,),
-        read_bytes=read_bytes,
-    )
 
 
 def ger_cost(x: DeviceArray, y: DeviceArray, a: DeviceArray) -> tuple[OpCost, dict]:

@@ -75,7 +75,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.errors import SolverError
 from repro.gpu import reduce as gpured
 from repro.gpu.device import CapturedLaunch, Device
 from repro.gpu.kernel import DEFAULT_BLOCK
@@ -105,16 +104,9 @@ class PrecisionPolicy:
     @classmethod
     def from_options(cls, options) -> "PrecisionPolicy":
         """Resolve ``options.precision`` / ``options.dtype`` into a policy."""
-        precision = getattr(options, "precision", None)
-        if precision is None:
-            return cls(np.dtype(options.dtype), refine=False)
-        if precision == "fp32":
-            return cls(np.dtype(np.float32), refine=False)
-        if precision == "fp64":
-            return cls(np.dtype(np.float64), refine=False)
-        if precision == "mixed":
+        if options.precision == "mixed":
             return cls(np.dtype(np.float32), refine=True)
-        raise SolverError(f"unknown precision policy {precision!r}")
+        return cls(np.dtype(options.dtype), refine=False)
 
 
 # ---------------------------------------------------------------------------

@@ -512,7 +512,7 @@ def simt_load_column(t: ThreadCtx, choice, a, out):
 
 def simt_ger(t: ThreadCtx, a, x, y, alpha: float = 1.0):
     """A := A + alpha · x yᵀ, one thread per element in A's memory order
-    (consecutive threads take consecutive addresses) — ``blas.ger``, and
+    (consecutive threads take consecutive addresses) — ``pivot_ger``, and
     with x = η − e_p and y = row p of B⁻¹ the exact per-thread body of the
     solver's basis-inverse update."""
     m, n = a.shape

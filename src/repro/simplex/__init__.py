@@ -3,8 +3,8 @@
 - :mod:`~repro.simplex.options`     — :class:`SolverOptions` for every solver.
 - :mod:`~repro.simplex.pricing`     — entering-variable rules (Dantzig,
   Bland, hybrid stall-escape, Devex, exact steepest edge).
-- :mod:`~repro.simplex.ratio`       — leaving-variable ratio tests
-  (standard lowest-index, Harris two-pass).
+- :mod:`~repro.simplex.ratio`       — the leaving-variable ratio test
+  (minimum ratio, lowest-index ties), its bounded and dual forms.
 - :mod:`~repro.simplex.basis`       — basis-inverse representations
   (explicit B⁻¹ with eta updates, product-form-of-inverse eta file).
 - :mod:`~repro.simplex.revised`     — the two-phase primal simplex,

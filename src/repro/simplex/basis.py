@@ -19,9 +19,10 @@ Two representations are provided, matching the A2 ablation:
 
 Both support :meth:`refactorize` (rebuild from the current basis columns),
 which bounds error accumulation; the solvers call it periodically and after
-numerical trouble.  :class:`LUBasis` is the product form over LU factors.
-Charges use the recorder's word size.  :class:`Multipliers` holds the π
-rule that goes with a representation, on either machine.
+numerical trouble.  The sparse LU of the ``revised-sparse`` methods is
+:class:`~repro.simplex.sparse_basis.SparseLUBasis`.  Charges use the
+recorder's word size.  :class:`Multipliers` holds the π rule that goes
+with a representation, on either machine.
 """
 
 from __future__ import annotations
@@ -93,14 +94,14 @@ class BasisRepresentation(abc.ABC):
             ),
         )
 
-    def _charge_refactor(self, solves: float, reads: int) -> None:
-        """An LU of B plus ``solves``·m³ flops, reading ``reads``·m² words."""
+    def _charge_refactor(self) -> None:
+        """Inverting B: an LU plus m solves (2m³ flops), reading 2m² words."""
         m, w = self.m, self._w
         self._charge(
             "refactor",
             OpCost(
-                flops=(2.0 / 3.0) * m**3 + solves * m**3,
-                bytes_read=reads * m * m * w,
+                flops=(2.0 / 3.0) * m**3 + 2.0 * m**3,
+                bytes_read=2 * m * m * w,
                 bytes_written=m * m * w,
             ),
         )
@@ -190,16 +191,12 @@ class ExplicitInverseBasis(BasisRepresentation):
     def refactorize(self, basis_columns: np.ndarray) -> None:
         self.binv = _inverse(basis_columns)
         self.updates_since_refactor = 0
-        self._charge_refactor(2.0, 2)  # LU + m solves
+        self._charge_refactor()
 
 
 class ProductFormBasis(BasisRepresentation):
     """Product form of the inverse: a dense base inverse refreshed at
     refactorisation plus an eta file."""
-
-    #: Refactorisation work beyond the LU (× m³ flops) and its reads (× m²
-    #: words): the base inverse takes m more solves.
-    _refactor_work = (2.0, 2)
 
     def __init__(self, m: int, recorder: CpuCostRecorder | None = None):
         super().__init__(m, recorder)
@@ -211,21 +208,12 @@ class ProductFormBasis(BasisRepresentation):
         return len(self.etas)
 
     def reset_identity(self) -> None:
-        self._factor(np.eye(self.m))
+        self.base_inv = np.eye(self.m)
         self.etas.clear()
         self.updates_since_refactor = 0
 
-    def _factor(self, basis_columns: np.ndarray) -> None:
-        self.base_inv = _inverse(basis_columns)
-
-    def _solve(self, col: np.ndarray) -> np.ndarray:
-        return self.base_inv @ col
-
-    def _solve_t(self, row: np.ndarray) -> np.ndarray:
-        return row @ self.base_inv
-
     def ftran(self, col: np.ndarray) -> np.ndarray:
-        y = self._solve(col)
+        y = self.base_inv @ col
         for p, eta in self.etas:
             apply_eta(y, eta, p)
         self._charge_solve("ftran", len(self.etas))
@@ -235,7 +223,7 @@ class ProductFormBasis(BasisRepresentation):
         r = np.array(row, dtype=np.float64, copy=True)
         for p, eta in reversed(self.etas):
             apply_eta_transposed(r, eta, p)
-        result = self._solve_t(r)
+        result = r @ self.base_inv
         self._charge_solve("btran", len(self.etas))
         return result
 
@@ -250,50 +238,10 @@ class ProductFormBasis(BasisRepresentation):
         )
 
     def refactorize(self, basis_columns: np.ndarray) -> None:
-        self._factor(basis_columns)
+        self.base_inv = _inverse(basis_columns)
         self.etas.clear()
         self.updates_since_refactor = 0
-        self._charge_refactor(*self._refactor_work)
-
-
-class LUBasis(ProductFormBasis):
-    """LU factorisation of B (scipy) with an eta file on top.
-
-    The modern CPU scheme: refactorisation computes P·L·U = B once
-    (O(m³/3), half the explicit-inverse cost and numerically backward
-    stable); FTRAN/BTRAN are triangular solves; pivots append to an eta
-    file exactly as in the product form.
-    """
-
-    _refactor_work = (0.0, 1)
-
-    def _factor(self, basis_columns: np.ndarray) -> None:
-        import warnings
-
-        import scipy.linalg as sla
-
-        try:
-            with warnings.catch_warnings():
-                # scipy emits LinAlgWarning on exact singularity; we turn it
-                # into the library's SingularBasisError via the diag check
-                warnings.simplefilter("ignore")
-                lu = sla.lu_factor(basis_columns)
-        except (np.linalg.LinAlgError, ValueError):
-            raise SingularBasisError("basis matrix is singular at refactorisation") from None
-        # lu_factor does not raise on exact singularity; check the diagonal
-        if np.any(np.abs(np.diag(lu[0])) < 1e-300):
-            raise SingularBasisError("basis matrix is singular at refactorisation")
-        self._lu = lu
-
-    def _solve(self, col: np.ndarray) -> np.ndarray:
-        import scipy.linalg as sla
-
-        return sla.lu_solve(self._lu, col)
-
-    def _solve_t(self, row: np.ndarray) -> np.ndarray:
-        import scipy.linalg as sla
-
-        return sla.lu_solve(self._lu, row, trans=1)
+        self._charge_refactor()
 
 
 class Multipliers:
@@ -356,10 +304,4 @@ def make_basis(
         return ExplicitInverseBasis(m, recorder)
     if kind == "pfi":
         return ProductFormBasis(m, recorder)
-    if kind == "lu":
-        return LUBasis(m, recorder)
-    if kind == "sparse-lu":
-        from repro.simplex.sparse_basis import SparseLUBasis
-
-        return SparseLUBasis(m, recorder)
     raise ValueError(f"unknown basis update {kind!r}")

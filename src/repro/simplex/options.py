@@ -11,14 +11,11 @@ from repro.errors import SolverError
 #: Pricing rules accepted by ``SolverOptions.pricing``.
 PRICING_RULES = ("dantzig", "bland", "hybrid", "devex", "steepest-edge")
 
-#: Ratio tests accepted by ``SolverOptions.ratio_test``.
-RATIO_TESTS = ("standard", "harris")
-
 #: Basis-update strategies of the revised solvers.
-BASIS_UPDATES = ("explicit", "pfi", "lu", "sparse-lu")
+BASIS_UPDATES = ("explicit", "pfi")
 
 #: Precision policies accepted by ``SolverOptions.precision``.
-PRECISION_MODES = ("fp32", "fp64", "mixed")
+PRECISION_MODES = ("mixed",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,22 +33,17 @@ class SolverOptions:
         index, anti-cycling), ``devex`` and ``steepest-edge`` (the CPU
         ``tableau`` method only — they need the updated column norms the
         tableau carries).
-    ratio_test:
-        ``standard`` (min ratio, lowest-index tie-break) or ``harris``
-        (two-pass with feasibility tolerance; picks the largest pivot among
-        near-minimal ratios for stability).
     basis_update:
         Revised solvers only: ``explicit`` keeps B⁻¹ explicitly and applies
         rank-1 eta updates (the paper's scheme); ``pfi`` keeps a product-form
-        eta file over a refactorised base; ``lu`` refactorises into dense LU
-        triangular factors; ``sparse-lu`` factorises the basis sparsely from
-        its CSC columns with sparse eta updates (the default of the
-        ``revised-sparse`` methods, which additionally refactorise early
-        when fill-in grows).  The simplex multipliers π follow the
-        representation: an explicit B⁻¹ updates π from its pre-pivot row
-        and multiplies it fresh at a phase start, after a rebuild and
-        before accepting a terminal verdict; the factored representations
-        solve π at every pricing.
+        eta file over a refactorised base.  The ``revised-sparse`` methods
+        ignore it: they always factorise the basis sparsely from its CSC
+        columns with sparse eta updates, refactorising early when fill-in
+        grows.  The simplex multipliers π follow the representation: an
+        explicit B⁻¹ updates π from its pre-pivot row and multiplies it
+        fresh at a phase start, after a rebuild and before accepting a
+        terminal verdict; the factored representations solve π at every
+        pricing.
     max_iterations:
         Per-phase iteration cap; 0 means the dimension-derived default
         ``50 * (m + n)``.
@@ -89,15 +81,13 @@ class SolverOptions:
         order.  Host methods ignore it, just as simplex methods ignore
         ``tol_kkt``.
     precision:
-        GPU precision policy overriding ``dtype``: ``"fp32"``/``"fp64"``
-        force the device dtype, ``"mixed"`` runs the device compute in fp32
+        GPU precision policy: ``"mixed"`` runs the device compute in fp32
         and recovers fp64-grade solutions with iterative-refinement residual
         correction at extraction (supported by the dense GPU revised and
-        tableau methods).  ``None`` (default) keeps ``dtype`` as-is.
+        tableau methods).  ``None`` (default) computes in ``dtype``.
     """
 
     pricing: str = "hybrid"
-    ratio_test: str = "standard"
     basis_update: str = "explicit"
     max_iterations: int = 0
     tol_reduced_cost: float = 1e-9
@@ -122,10 +112,6 @@ class SolverOptions:
         if self.pricing not in PRICING_RULES:
             raise SolverError(
                 f"unknown pricing rule {self.pricing!r}; choose from {PRICING_RULES}"
-            )
-        if self.ratio_test not in RATIO_TESTS:
-            raise SolverError(
-                f"unknown ratio test {self.ratio_test!r}; choose from {RATIO_TESTS}"
             )
         if self.basis_update not in BASIS_UPDATES:
             raise SolverError(

@@ -2,18 +2,11 @@
 
 Given the current basic solution β and the updated entering column α, the
 ratio test finds the blocking row: the basic variable that first hits zero
-as the entering variable increases.
-
-- **standard**: ``p = argmin { β_i / α_i : α_i > tol }``, ties broken to the
-  lowest *basic-variable index* (the Bland-compatible tie-break that makes
-  the whole method anti-cycling when paired with Bland pricing).
-- **harris** (two-pass): pass 1 computes the loosest step ``θ_max`` allowed
-  when every basic variable may go slightly infeasible (by ``feas_tol``);
-  pass 2 picks, among rows whose ratio is within θ_max, the one with the
-  largest |pivot| — trading a bounded infeasibility for numerical stability.
-
-Both return :class:`RatioResult`; ``row < 0`` signals an unbounded
-direction.  :func:`bounded_ratios` is the per-row map of the three-way
+as the entering variable increases.  :func:`standard_ratio_test` takes
+``p = argmin { β_i / α_i : α_i > tol }``, ties broken to the lowest
+*basic-variable index* (the Bland-compatible tie-break that makes the whole
+method anti-cycling when paired with Bland pricing), and returns a
+:class:`RatioResult`; ``row < 0`` signals an unbounded direction.  :func:`bounded_ratios` is the per-row map of the three-way
 bounded-variable test, shared by the host method and the device kernel.
 :func:`dual_ratio_test` is the dual simplex's: it picks the entering
 column from the leaving row.
@@ -66,48 +59,6 @@ def standard_ratio_test(
     # Bland-compatible tie-break: lowest basic-variable index among the tied.
     p = int(tied[np.argmin(basis[tied])])
     return RatioResult(row=p, theta=theta, pivot=float(alpha[p]), ties=int(tied.size))
-
-
-def harris_ratio_test(
-    beta: np.ndarray,
-    alpha: np.ndarray,
-    basis: np.ndarray,
-    tol_pivot: float,
-    feas_tol: float = 1e-7,
-) -> RatioResult:
-    """Harris two-pass ratio test.
-
-    Pass 1: θ_max = min (β_i + feas_tol) / α_i over admissible rows.
-    Pass 2: among rows with β_i / α_i <= θ_max choose the largest |α_i|.
-    The step is then re-tightened to that row's true ratio (never negative).
-    """
-    positive = alpha > tol_pivot
-    if not positive.any():
-        return UNBOUNDED
-    idx = np.nonzero(positive)[0]
-    relaxed = (beta[idx] + feas_tol) / alpha[idx]
-    theta_max = float(relaxed.min())
-    true_ratio = np.maximum(beta[idx] / alpha[idx], 0.0)
-    within = idx[true_ratio <= theta_max]
-    if within.size == 0:  # numerical corner: fall back to the strict test
-        return standard_ratio_test(beta, alpha, basis, tol_pivot)
-    p = int(within[np.argmax(np.abs(alpha[within]))])
-    theta = float(max(beta[p] / alpha[p], 0.0))
-    ties = int(np.count_nonzero(true_ratio <= theta * (1.0 + 1e-12) + 1e-300))
-    return RatioResult(row=p, theta=theta, pivot=float(alpha[p]), ties=ties)
-
-
-def run_ratio_test(
-    kind: str,
-    beta: np.ndarray,
-    alpha: np.ndarray,
-    basis: np.ndarray,
-    tol_pivot: float,
-) -> RatioResult:
-    """Dispatch by option name ('standard' | 'harris')."""
-    if kind == "harris":
-        return harris_ratio_test(beta, alpha, basis, tol_pivot)
-    return standard_ratio_test(beta, alpha, basis, tol_pivot)
 
 
 def bounded_ratios(

@@ -23,9 +23,9 @@ does (:mod:`repro.firstorder.pdlp`):
 Each revised placement has its **bounds**, a strategy fixed by the class
 and never exposed as an option (standard x ≥ 0, or boxed: finite upper
 bounds handled natively, with bound flips).  The host also varies its
-**basis representation** (``explicit`` / ``pfi`` / ``lu`` from
-``basis_update``, or ``sparse-lu``); the device keeps the paper's dense
-B⁻¹, sparse input too.  The tableau pair runs standard bounds.
+**basis representation** (``explicit`` / ``pfi`` from ``basis_update``,
+or the sparse LU of ``revised-sparse``); the device keeps the paper's
+dense B⁻¹, sparse input too.  The tableau pair runs standard bounds.
 
 The **direction** is fixed by the class too (``dual``).  The dual simplex
 starts from a dual feasible basis (d_N ≥ −1e-7; a warm hint need not be
@@ -71,9 +71,9 @@ ftran     all       α = B⁻¹a_q; the host skips it when nothing priced in,
                     the device reads q on the device (``ftran`` / GEMV)
           tableau   α read from T: column q in place, or one device
                     column load (``column``)
-ratio     host      one-way minimum ratio, standard or Harris (host
-                    only), or three-way when boxed: a basic falls to 0,
-                    rises to its bound, or q reaches its own bound — a
+ratio     host      one-way minimum ratio with the lowest-index
+                    tie-break, or three-way when boxed: a basic falls to
+                    0, rises to its bound, or q reaches its own bound — a
                     bound flip (``ratio``)
           device    ratio map (bounded when boxed), arg-min, tie-break
                     map whose last pass stores (q, d_q, p, θ, α_p[,
@@ -144,9 +144,9 @@ pinned at zero because the ratio test never sees a nonzero α in its row.
 The tableau reads the row from T.
 
 Kept per machine: sparse pricing (partial on the host, one full SpMVᵀ on
-the device), Devex, steepest edge and the Harris ratio test (host only),
-mixed-precision refinement and ``fill_stats_every`` (device only), and
-the dual direction (host only).  The engine (:mod:`repro.engine`) drives
+the device), Devex and steepest edge (host only), mixed-precision
+refinement and ``fill_stats_every`` (device only), and the dual direction
+(host only).  The engine (:mod:`repro.engine`) drives
 the phases, statuses and result assembly.
 """
 
@@ -350,9 +350,7 @@ class RevisedBackend(SolverBackend):
             stats.refactorizations += 1
         self._dual = self.dual and self.fallback is None
 
-        meta = {"ratio_test": opts.ratio_test} if len(self.ratio_tests) > 1 else {}
-        if self.sparse_data:
-            meta["nnz"] = prep.nnz
+        meta = {"nnz": prep.nnz} if self.sparse_data else {}
         self._arm(m=prep.m, n=prep.n_total, pricing=opts.pricing, **meta)
         self.needs_phase1 = not self._dual and bool(np.any(basis >= prep.n_total))
 

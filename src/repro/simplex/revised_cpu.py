@@ -22,8 +22,8 @@ shape it:
   against bounds-as-rows).
 
 With the ``explicit`` representation π follows the basis through
-:class:`~repro.simplex.basis.Multipliers`; ``pfi``, ``lu`` and
-``sparse-lu`` solve it at every pricing.  Only this placement runs the dual
+:class:`~repro.simplex.basis.Multipliers`; ``pfi`` and the sparse LU solve
+it at every pricing.  Only this placement runs the dual
 direction (``dual``): the start check, the leaving-row scan and the
 reduced costs, with β left unclipped.
 """
@@ -38,9 +38,9 @@ from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
 from repro.result import SolveResult
 from repro.simplex.basis import ExplicitInverseBasis, Multipliers, make_basis
 from repro.simplex.common import PHASE1_TOL, PreparedLP
-from repro.simplex.options import RATIO_TESTS, SolverOptions
+from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
-from repro.simplex.ratio import bounded_ratios, run_ratio_test
+from repro.simplex.ratio import bounded_ratios, standard_ratio_test
 from repro.simplex.revised import BoxedRules, RevisedBackend, Step, swap_basis
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.simplex.sparse_pricing import SparsePartialPricing
@@ -132,11 +132,9 @@ class StandardBounds:
         return d
 
     def ratio(self, s: "HostPlacement", q: int, d_q: float) -> Step:
-        """One-way minimum ratio, standard or Harris."""
+        """One-way minimum ratio."""
         m, w = s.prep.m, s.w
-        rr = run_ratio_test(
-            s.options.ratio_test, s.beta, s.alpha, s.basis, s.tol_piv
-        )
+        rr = standard_ratio_test(s.beta, s.alpha, s.basis, s.tol_piv)
         s.recorder.charge(
             "ratio", OpCost(flops=m, bytes_read=2 * m * w, bytes_written=m * w)
         )
@@ -451,7 +449,6 @@ class RevisedSimplexSolver(RevisedBackend, HostBackend):
     """
 
     name = "revised-cpu"
-    ratio_tests = RATIO_TESTS
     phase1_feas_tol = PHASE1_TOL
     data = DenseData()
     bounds = StandardBounds()
@@ -470,7 +467,6 @@ class BoundedRevisedSimplexSolver(RevisedSimplexSolver):
 
     name = "revised-bounded"
     accepts_warm_start = False
-    ratio_tests = ("standard",)
     bounds = BoxedBounds()
 
     def __init__(
@@ -494,7 +490,6 @@ class DualSimplexSolver(RevisedSimplexSolver):
     """
 
     name = "dual-cpu"
-    ratio_tests = ("standard",)
     dual = True
 
     begin = RevisedBackend.begin

@@ -22,7 +22,7 @@ from repro.engine import HostBackend
 from repro.perfmodel.ops import OpCost
 from repro.simplex.basis import Multipliers
 from repro.simplex.common import PHASE1_TOL, PreparedLP
-from repro.simplex.options import PRICING_RULES, RATIO_TESTS
+from repro.simplex.options import PRICING_RULES
 from repro.simplex.pricing import DevexRule, StallSwitch, SteepestEdgeRule
 from repro.simplex.revised import RevisedBackend, Step
 from repro.simplex.revised_cpu import HostPlacement, StandardBounds
@@ -196,7 +196,6 @@ class TableauSimplexSolver(RevisedBackend, HostBackend):
     name = "tableau-cpu"
     accepts_warm_start = False
     pricing_rules = PRICING_RULES
-    ratio_tests = RATIO_TESTS
     phase1_feas_tol = PHASE1_TOL
     bounds = StandardBounds()
 

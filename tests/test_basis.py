@@ -81,7 +81,7 @@ def random_pivot_sequence(rep, m, steps, seed):
     return b_matrix
 
 
-@pytest.mark.parametrize("kind", ["explicit", "pfi", "lu"])
+@pytest.mark.parametrize("kind", ["explicit", "pfi"])
 class TestRepresentations:
     def test_identity_start(self, kind):
         rep = make_basis(kind, 4)

@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import scipy_oracle
 from repro import solve
-from repro.lp.generators import random_dense_lp, random_sparse_lp
+from repro.lp.generators import (
+    degenerate_lp,
+    random_dense_lp,
+    random_sparse_lp,
+    transportation_lp,
+)
 from repro.lp.problem import Bounds, LPProblem
+from repro.solve import available_methods
 
 METHODS = (
     "tableau", "revised", "gpu-revised", "gpu-tableau", "gpu-revised-bounded",
@@ -54,6 +60,45 @@ def test_sparse_family_agrees(seed):
     for method in ("revised", "gpu-revised", "gpu-revised-bounded"):
         r = solve(lp, method=method, dtype=np.float64)
         assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref)), method
+
+
+#: Every simplex method (the first-order pair is left out: on badly scaled
+#: LPs it stops at an honest iteration limit).
+SIMPLEX_METHODS = tuple(m for m in available_methods() if not m.endswith("pdlp"))
+
+BADLY_SCALED_FAMILIES = {
+    "dense": lambda s: random_dense_lp(30, 40, seed=s),
+    "degenerate": lambda s: degenerate_lp(20, 30, seed=s),
+    "transportation": lambda s: transportation_lp(5, 7, seed=s),
+}
+
+
+def badly_scaled(lp, seed):
+    """``lp`` with rows and columns scaled by factors spread over six
+    decades: A' = diag(r)·A·diag(k), b' = r∘b, c' = c∘k."""
+    rng = np.random.default_rng(seed)
+    m, n = lp.a.shape
+    r = 10 ** rng.uniform(-3, 3, m)
+    k = 10 ** rng.uniform(-3, 3, n)
+    return dataclasses.replace(
+        lp, a=r[:, None] * lp.a * k[None, :], b=r * lp.b, c=lp.c * k
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", sorted(BADLY_SCALED_FAMILIES))
+def test_badly_scaled_family_all_simplex_methods_agree(family, seed):
+    """Hostile scaling: every simplex method, at its defaults, reaches the
+    oracle's optimum at a feasible point."""
+    lp = badly_scaled(BADLY_SCALED_FAMILIES[family](seed), seed)
+    ref = scipy_oracle(lp)
+    assert ref is not None
+    b_norm = max(1.0, float(np.max(np.abs(lp.b))))
+    for method in SIMPLEX_METHODS:
+        r = solve(lp, method=method)
+        assert r.status.value == "optimal", (method, r.status)
+        assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref)), method
+        assert lp.constraint_violation(r.x) / b_norm <= 1e-6, method
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import gpu_kernels as K
 from repro.errors import DeviceArrayError
 from repro.gpu import blas
 from repro.gpu.device import Device
@@ -85,7 +86,7 @@ class TestLevel2:
         xh = rng.normal(size=6)
         yh = rng.normal(size=3)
         a, x, y = device.to_device(ah), dvec(device, xh), dvec(device, yh)
-        blas.ger(x, y, a, alpha=1.5)
+        K.pivot_ger(device, x, y, a, alpha=1.5)
         np.testing.assert_allclose(a.data, ah + 1.5 * np.outer(xh, yh), rtol=1e-12)
 
     def test_mixed_dtype_rejected(self, device):

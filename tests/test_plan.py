@@ -695,12 +695,9 @@ class TestPrecision:
         # precision=None defers to options.dtype (fp64 by default)
         default = P.from_options(SolverOptions())
         assert default.compute_dtype == np.float64 and not default.refine
-        assert P.from_options(
-            SolverOptions(dtype=np.float32)
-        ).compute_dtype == np.float32
-        p32 = P.from_options(SolverOptions(precision="fp32"))
+        p32 = P.from_options(SolverOptions(dtype=np.float32))
         assert p32.compute_dtype == np.float32 and not p32.refine
-        p64 = P.from_options(SolverOptions(precision="fp64"))
+        p64 = P.from_options(SolverOptions(dtype=np.float64))
         assert p64.compute_dtype == np.float64 and not p64.refine
         pmx = P.from_options(SolverOptions(precision="mixed"))
         assert pmx.compute_dtype == np.float32 and pmx.refine
@@ -730,7 +727,7 @@ class TestPrecision:
     def test_fp64_precision_equals_dtype_fp64(self):
         lp = random_dense_lp(16, 24, seed=4)
         a = solve(lp, method="gpu-revised", dtype=np.float64)
-        b = solve(lp, method="gpu-revised", precision="fp64")
+        b = solve(lp, method="gpu-revised", precision=None)
         assert a.objective == b.objective
 
     @pytest.mark.parametrize(
@@ -792,13 +789,16 @@ class TestCapabilityFlags:
     def test_precision_on_host_method_raises(self):
         lp = random_dense_lp(8, 12, seed=0)
         with pytest.raises(SolverError, match="host"):
-            solve(lp, method="revised", precision="fp32")
+            solve(lp, method="revised", precision="mixed")
 
     def test_unknown_precision_rejected(self):
         from repro.simplex.options import SolverOptions
 
         with pytest.raises(SolverError):
             SolverOptions(precision="fp16")
+        # the dtype aliases are gone: dtype sets the arithmetic
+        with pytest.raises(SolverError):
+            SolverOptions(precision="fp32")
 
 
 # ---------------------------------------------------------------------------

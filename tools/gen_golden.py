@@ -9,8 +9,8 @@ the comparison is bit-level, not approximate.
 
 Each method is pinned at its defaults (``problems``).  The options that
 only one method runs are pinned in ``variants``, one cell per (problem,
-variant): the tableau's other pricing rules and the Harris ratio test, and
-``gpu-tableau`` in fp32 and mixed precision.  The ``warm`` section pins the
+variant): the tableau's other pricing rules, and ``gpu-tableau`` in fp32
+and mixed precision.  The ``warm`` section pins the
 re-optimisation the ``dual`` method exists for: each problem is solved with
 ``revised``, its b is shifted by fixed seeded factors, and ``dual`` is
 pinned started from that optimal basis (``WARM_METHODS``).
@@ -25,8 +25,9 @@ Run from the repo root::
 
 and commit the diff only when a behaviour change is intended.  With
 ``--diff`` it writes nothing and prints each cell that differs from the
-committed fixture instead: the fields that moved, ``modeled_seconds`` old →
-new (%), and whether the pivot sequence moved.
+committed fixture instead: a cell added or removed, or the fields that
+moved, ``modeled_seconds`` old → new (%), and whether the pivot sequence
+moved.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ VARIANTS = {
     "tableau:bland": ("tableau", {"pricing": "bland"}),
     "tableau:devex": ("tableau", {"pricing": "devex"}),
     "tableau:steepest-edge": ("tableau", {"pricing": "steepest-edge"}),
-    "tableau:harris": ("tableau", {"ratio_test": "harris"}),
     "gpu-tableau:fp32": ("gpu-tableau", {"dtype": np.float32}),
     "gpu-tableau:mixed": ("gpu-tableau", {"precision": "mixed"}),
 }
@@ -163,9 +163,10 @@ def run_one(problem: LPProblem, method: str, **options) -> dict:
 
 
 def fixture_diff(old: dict, new: dict) -> list[str]:
-    """One line per (problem, method or variant) cell of ``new`` that
-    differs from ``old``: the fields that moved, ``modeled_seconds`` old →
-    new (%), and whether the pivot sequence moved."""
+    """One line per (problem, method or variant) cell that differs between
+    ``old`` and ``new``: a cell only one of them holds, or the fields that
+    moved, ``modeled_seconds`` old → new (%), and whether the pivot
+    sequence moved."""
     lines = []
     for section in ("problems", "variants", "warm"):
         lines += _section_diff(old.get(section, {}), new.get(section, {}))
@@ -174,11 +175,14 @@ def fixture_diff(old: dict, new: dict) -> list[str]:
 
 def _section_diff(old_problems: dict, new_problems: dict) -> list[str]:
     lines = []
-    for problem, cells in sorted(new_problems.items()):
-        for method, cell in sorted(cells.items()):
-            before = old_problems.get(problem, {}).get(method)
-            if before is None:
-                lines.append(f"{problem} {method}: new cell")
+    for problem in sorted(set(old_problems) | set(new_problems)):
+        cells = new_problems.get(problem, {})
+        old_cells = old_problems.get(problem, {})
+        for method in sorted(set(old_cells) | set(cells)):
+            before, cell = old_cells.get(method), cells.get(method)
+            if before is None or cell is None:
+                lines.append(f"{problem} {method}: "
+                             f"{'new' if before is None else 'removed'} cell")
                 continue
             fields = sorted(k for k in set(cell) | set(before)
                             if cell.get(k) != before.get(k))
