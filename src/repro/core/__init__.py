@@ -7,8 +7,8 @@
   one primal simplex loop (:mod:`repro.simplex.revised`): device-resident
   B⁻¹, BLAS-2 iteration (pricing as GEMVᵀ or SpMVᵀ, FTRAN as GEMV,
   rank-1 GER basis update), dense or CSC constraint matrix, fp32/fp64,
-  standard or boxed bounds — **GpuRevisedSimplex** (the paper's solver)
-  and **GpuBoundedRevisedSimplex**.
+  standard or boxed bounds as the data asks — **GpuRevisedSimplex** (the
+  paper's solver).
 - :mod:`~repro.core.gpu_tableau_simplex` — **GpuTableauSimplex**, the
   full-tableau placement of the same loop (O(mn) GER per iteration,
   maximal parallelism) used by the A3 ablation.

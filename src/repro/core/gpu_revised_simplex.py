@@ -31,11 +31,11 @@ iteration also pays for its column load, FTRAN and ratio test.
 B⁻¹ is the one basis representation on the device, sparse input too (F8
 measures how fast it fills in under the rank-1 updates).  It is rebuilt on
 the host and uploaded with a PCIe-charged copy, as 2009-era codes did.  A
-bounds strategy fixed by the method's class shapes the rest:
-:class:`StandardBounds` (x ≥ 0; ``gpu-revised``) or :class:`BoxedBounds`
-(finite upper bounds on the device, a signed pricing map, the three-way
-bounded ratio map, and a bound flip chosen on the device that moves only
-β and σ — no basis update, no change to π; ``gpu-revised-bounded``).
+bounds strategy picked from the data shapes the rest:
+:class:`StandardBounds` (x ≥ 0) or, when the LP has a finite upper
+bound, :class:`BoxedBounds` (the bounds on the device, a signed pricing
+map, the three-way bounded ratio map, and a bound flip chosen on the
+device that moves only β and σ — no basis update, no change to π).
 
 Runs as a :class:`~repro.engine.backend.DeviceBackend` on the shared
 :mod:`repro.engine` lifecycle (which also guarantees the device state is
@@ -66,18 +66,17 @@ from repro.simplex.common import PreparedLP
 from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
 from repro.simplex.revised import (
-    MAX_BATCH, BoxedRules, RevisedBackend, Step, swap_basis,
+    MAX_BATCH, BoxedRules, RevisedBackend, StandardRules, Step, swap_basis,
 )
 
 
-class StandardBounds:
+class StandardBounds(StandardRules):
     """Bounds strategy: every column rests at its lower bound 0.
 
     Pricing masks basic columns out, the ratio test is the one-sided map,
     and a pivot's β update carries the basis swap.
     """
 
-    range_bounds_as_rows = True
     #: A ratio test that finds no blocking row ends the phase.
     unbounded_halts = True
 
@@ -111,20 +110,8 @@ class StandardBounds:
         """A drive-out pivot moves β by θ = β_p/α_p."""
         return st.beta
 
-    @staticmethod
-    def swap(st, leaving: int, q: int, to_upper: bool) -> bool:
-        """No resting bound to track: every nonbasic rests at 0."""
-        return False
-
     def rhs(self, st: "DevicePlacement") -> DeviceArray:
         return st.b
-
-    def extract(self, st: "DevicePlacement", result: SolveResult) -> None:
-        if st.refine:
-            beta_host = st.refined_beta(result)
-        else:
-            beta_host = st.beta.copy_to_host().astype(np.float64)
-        attach_standard_solution(result, st.prep, st.basis, beta_host)
 
 
 class BoxedBounds(BoxedRules):
@@ -191,9 +178,6 @@ class BoxedBounds(BoxedRules):
     def rhs(self, st: "DevicePlacement") -> DeviceArray:
         return st.b_eff
 
-    def extract(self, st: "DevicePlacement", result: SolveResult) -> None:
-        self.attach(st, result, st.beta.copy_to_host().astype(np.float64))
-
 
 class DevicePlacement:
     """Device-resident solver state plus the host-side basis bookkeeping.
@@ -214,6 +198,8 @@ class DevicePlacement:
 
     #: Iterations issued per readback at most.
     max_batch = MAX_BATCH
+    #: The nonbasics resting at their upper bound (boxed bounds only).
+    at_upper = None
 
     def __init__(self, backend: "GpuRevisedSimplex", prep: PreparedLP,
                  dtype: np.dtype):
@@ -520,15 +506,20 @@ class DevicePlacement:
             result.extra["binv_fill"] = list(self.fill_curve)
 
     def extract(self, result: SolveResult) -> None:
-        self.bounds.extract(self, result)
+        attach_standard_solution(
+            result, self.prep, self.basis, self.solution(result), self.at_upper
+        )
 
-    def refined_beta(self, result: SolveResult) -> np.ndarray:
-        """Mixed-precision extraction (:func:`refine_basic_solution`): the
-        fp32 correction solves run on the device (dx = B⁻¹r via the resident
-        inverse).  Every round trip is transfer-costed and the fp32↔fp64
-        conversions run as :func:`repro.gpu.blas.cast` kernels."""
-        dev, m = self.dev, self.prep.m
+    def solution(self, result: SolveResult) -> np.ndarray:
+        """x_B downloaded in fp64; with mixed precision refined
+        (:func:`refine_basic_solution`) against the rhs the basics see: the
+        fp32 correction solves run on the device (dx = B⁻¹r via the
+        resident inverse).  Every round trip is transfer-costed and the
+        fp32↔fp64 conversions run as :func:`repro.gpu.blas.cast` kernels."""
         x64 = self.beta.copy_to_host().astype(np.float64)
+        if not self.refine:
+            return x64
+        dev, m = self.dev, self.prep.m
         r64 = dev.alloc(m, np.float64)
         r32 = dev.alloc(m, np.float32)
         dx32 = dev.alloc(m, np.float32)
@@ -542,7 +533,10 @@ class DevicePlacement:
             return dx32.copy_to_host().astype(np.float64)
 
         try:
-            return refine_basic_solution(result, self.prep, self.basis, x64, correction)
+            return refine_basic_solution(
+                result, self.prep, self.basis, x64, correction,
+                self.bounds.effective_b(self),
+            )
         finally:
             for buf in (r64, r32, dx32):
                 buf.free()
@@ -557,15 +551,16 @@ class DevicePlacement:
 
 def refine_basic_solution(result: SolveResult, prep: PreparedLP,
                           basis: np.ndarray, x64: np.ndarray,
-                          correction) -> np.ndarray:
+                          correction, b: np.ndarray) -> np.ndarray:
     """fp64 iterative refinement of an fp32 basic solution, the classic
     mixed-precision scheme: fp64 residuals r = b − Bx on the host, up to
     three corrections x += ``correction(B, r)`` ≈ B⁻¹r accumulated in fp64,
-    until ‖r‖∞ ≤ 1e-12·(1 + ‖b‖∞).  Records the step count and the final
-    residual in ``result.extra``."""
+    until ‖r‖∞ ≤ 1e-12·(1 + ‖b‖∞).  ``b`` is the rhs the basics see: with
+    boxed bounds b_eff = b − Σ_{at upper} a_j·u_j.  Records the step count
+    and the final residual in ``result.extra``."""
     m = prep.m
     basis_matrix = np.asarray(prep.basis_matrix(basis), dtype=np.float64)
-    b64 = np.asarray(prep.b, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
     scale = 1.0 + float(np.max(np.abs(b64))) if m else 1.0
     steps = 0
     residual = float(np.max(np.abs(b64 - basis_matrix @ x64))) if m else 0.0
@@ -588,7 +583,8 @@ class GpuRevisedSimplex(RevisedBackend, DeviceBackend):
     """
 
     name = "gpu-revised"
-    bounds = StandardBounds()
+    standard = StandardBounds()
+    boxed = BoxedBounds()
 
     # Defined on the class itself, as profilers that wrap a backend class's
     # own methods expect.
@@ -612,22 +608,3 @@ class GpuRevisedSimplex(RevisedBackend, DeviceBackend):
 
     def _place(self, prep: PreparedLP, dtype: np.dtype) -> DevicePlacement:
         return DevicePlacement(self, prep, dtype)
-
-
-class GpuBoundedRevisedSimplex(GpuRevisedSimplex):
-    """Two-phase bounded-variable revised simplex on the simulated device;
-    compared to ``gpu-revised`` on a fully boxed problem it keeps the basis
-    at m instead of m + #bounds (the A5 ablation)."""
-
-    name = "gpu-revised-bounded"
-    accepts_warm_start = False
-    bounds = BoxedBounds()
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        device: Device | None = None,
-        gpu_params: GpuModelParams = GTX280_PARAMS,
-    ):
-        super().__init__(options, device, gpu_params)
-        self.bounds.check(self.options)

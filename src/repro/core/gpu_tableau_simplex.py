@@ -20,8 +20,8 @@ zeroed reduced cost of the entering column are stores of the β-update
 launch.
 
 It is the :class:`DeviceTableau` placement of the one simplex loop of
-:mod:`repro.simplex.revised`; its ratio test, batching and extraction
-are the revised device placement's.
+:mod:`repro.simplex.revised`; its ratio test and batching are the
+revised device placement's.
 """
 
 from __future__ import annotations
@@ -187,15 +187,17 @@ class DeviceTableau(TableauPlacement):
 
     # -- finish ------------------------------------------------------------
 
-    def refined_beta(self, result: SolveResult) -> np.ndarray:
-        """Mixed-precision extraction (:func:`refine_basic_solution`).  The
-        tableau keeps no factorisation of B on the device, so the
-        correction solves run on the host against the fp64 basis matrix
-        (uncharged, as the revised method's refactorisations are); the fp32
-        solution download is the only device traffic."""
+    def solution(self, result: SolveResult) -> np.ndarray:
+        """x_B downloaded in fp64, refined with mixed precision
+        (:func:`refine_basic_solution`): with no factorisation of B on the
+        device, the correction solves run on the host against the fp64
+        basis matrix (uncharged, as the revised method's refactorisations
+        are), so the download is the only device traffic."""
         x64 = self.beta.copy_to_host().astype(np.float64)
+        if not self.refine:
+            return x64
         return refine_basic_solution(
-            result, self.prep, self.basis, x64, np.linalg.solve
+            result, self.prep, self.basis, x64, np.linalg.solve, self.prep.b
         )
 
     free = DevicePlacement.free
@@ -206,7 +208,7 @@ class GpuTableauSimplex(RevisedBackend, DeviceBackend):
 
     name = "gpu-tableau"
     accepts_warm_start = False
-    bounds = StandardBounds()
+    standard = StandardBounds()
 
     # Defined on the class itself, as profilers that wrap a backend class's
     # own methods expect.

@@ -288,18 +288,20 @@ class DeviceBackend(SolverBackend):
 
 
 def attach_standard_solution(
-    result: SolveResult, prep: "PreparedLP", basis: np.ndarray, beta: np.ndarray
+    result: SolveResult, prep: "PreparedLP", basis: np.ndarray,
+    beta: np.ndarray, at_upper: "np.ndarray | None" = None,
 ) -> None:
     """The shared OPTIMAL extraction: solution, residuals, basis handles
-    and the optimality certificate (used by every non-bounded backend)."""
+    and the certificate; ``at_upper`` marks nonbasics at their upper bound."""
+    from repro.lp.postsolve import attach_certificate
     from repro.simplex.common import extract_solution
 
-    x, objective, x_std = extract_solution(prep, basis, beta)
+    x, objective, x_std = extract_solution(prep, basis, beta, at_upper)
     result.x = x
     result.objective = objective
     result.residuals = SolveResult.compute_residuals(prep.std.a, prep.std.b, x_std)
     result.extra["basis"] = basis.copy()
     result.extra["x_std"] = x_std
-    from repro.lp.postsolve import attach_certificate
-
+    if at_upper is not None:
+        result.extra["at_upper"] = at_upper.copy()
     attach_certificate(result, prep)

@@ -54,12 +54,6 @@ def _revised(options: SolverOptions, device: Any):
     return RevisedSimplexSolver(options)
 
 
-def _revised_bounded(options: SolverOptions, device: Any):
-    from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
-
-    return BoundedRevisedSimplexSolver(options)
-
-
 def _dual(options: SolverOptions, device: Any):
     from repro.simplex.revised_cpu import DualSimplexSolver
 
@@ -76,12 +70,6 @@ def _gpu_revised(options: SolverOptions, device: Any):
     from repro.core.gpu_revised_simplex import GpuRevisedSimplex
 
     return GpuRevisedSimplex(options=options, device=device)
-
-
-def _gpu_revised_bounded(options: SolverOptions, device: Any):
-    from repro.core.gpu_revised_simplex import GpuBoundedRevisedSimplex
-
-    return GpuBoundedRevisedSimplex(options=options, device=device)
 
 
 def _gpu_revised_sparse(options: SolverOptions, device: Any):
@@ -110,12 +98,14 @@ def _gpu_pdlp(options: SolverOptions, device: Any):
     return GpuPdlpSolver(options=options, device=device)
 
 
+#: One row per method, none per bounds encoding: the data picks it.  The
+#: warm-start revised methods keep finite upper bounds out of the rows; the
+#: tableau pair and PDLP write them as rows.
 METHODS: "dict[str, MethodSpec]" = {
     spec.name: spec
     for spec in (
         MethodSpec("tableau", _tableau),
         MethodSpec("revised", _revised, supports_warm_start=True),
-        MethodSpec("revised-bounded", _revised_bounded),
         MethodSpec("revised-sparse", _revised_sparse, supports_warm_start=True),
         MethodSpec("dual", _dual, supports_warm_start=True),
         MethodSpec(
@@ -131,9 +121,6 @@ METHODS: "dict[str, MethodSpec]" = {
         MethodSpec(
             "gpu-revised-sparse", _gpu_revised_sparse,
             supports_warm_start=True, supports_device=True,
-        ),
-        MethodSpec(
-            "gpu-revised-bounded", _gpu_revised_bounded, supports_device=True,
         ),
         MethodSpec(
             "gpu-tableau", _gpu_tableau,

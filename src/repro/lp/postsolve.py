@@ -37,7 +37,7 @@ class Certificate:
     duality_gap: float
     #: max |x_j · d_j| over all columns (0 under complementary slackness).
     complementary_slackness: float
-    #: min_j d_j over nonbasic columns (>= -tol certifies optimality).
+    #: min_j σ_j·d_j over nonbasic columns (>= -tol certifies optimality).
     min_nonbasic_reduced_cost: float
 
     def is_optimal_certificate(self, tol: float = 1e-6) -> bool:
@@ -53,8 +53,12 @@ def certificate_from_basis(
     prep: PreparedLP,
     basis: np.ndarray,
     x_std: np.ndarray,
+    at_upper: "np.ndarray | None" = None,
 ) -> Certificate:
     """Compute the full certificate from the final basis and primal point.
+    ``at_upper`` marks the nonbasics resting at their upper bound uⱼ
+    (σⱼ = −1): optimality is tested on σⱼ·dⱼ, the gap subtracts
+    Σ_{at upper} uⱼ·dⱼ and their slackness is (uⱼ − xⱼ)·dⱼ.
 
     Works in the (possibly scaled) standard form the solver ran on; callers
     map back via :meth:`~repro.lp.standard_form.StandardFormLP.recover_duals`
@@ -77,10 +81,16 @@ def certificate_from_basis(
     z_primal = float(prep.c @ x_std)
     z_dual = float(prep.b @ y)
     gap = z_primal - z_dual
+    slack, signed = x_std, d
+    if at_upper is not None:
+        u = prep.std.upper_bounds()
+        gap -= float(u[at_upper] @ d[at_upper])
+        slack = np.where(at_upper, u - x_std, x_std)
+        signed = np.where(at_upper, -d, d)
 
-    cs = float(np.max(np.abs(x_std * d), initial=0.0))
+    cs = float(np.max(np.abs(slack * d), initial=0.0))
     nonbasic = ~in_basis
-    min_d = float(d[nonbasic].min()) if nonbasic.any() else 0.0
+    min_d = float(signed[nonbasic].min()) if nonbasic.any() else 0.0
 
     return Certificate(
         y=y,
@@ -110,13 +120,11 @@ def attach_certificate(result, prep: PreparedLP) -> None:
     # The certificate is computed against *unscaled* standard-form data so
     # that duals recover directly; build an unscaled view when needed.
     if prep.scaling is not None:
-        unscaled = PreparedLP(
+        prep = PreparedLP(
             std=prep.std, scaling=None, a=prep.std.a, b=prep.std.b,
             c=prep.std.c, m=prep.m, n_total=prep.n_total,
         )
-        cert = certificate_from_basis(unscaled, basis, x_std)
-    else:
-        cert = certificate_from_basis(prep, basis, x_std)
+    cert = certificate_from_basis(prep, basis, x_std, result.extra.get("at_upper"))
     result.extra["certificate"] = cert
     result.extra["reduced_costs_std"] = cert.reduced_costs
     result.extra["duals"] = prep.std.recover_duals(cert.y)

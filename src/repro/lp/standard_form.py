@@ -97,7 +97,7 @@ class StandardFormLP:
     #: conversion turned range bounds into rows (the classical form every
     #: solver accepts); finite entries appear only with
     #: ``to_standard_form(..., range_bounds_as_rows=False)``, which the
-    #: bounded-variable solver consumes.
+    #: revised methods use.
     upper: np.ndarray | None = None
     source_name: str = "lp"
 
@@ -195,9 +195,8 @@ def to_standard_form(
     ``range_bounds_as_rows`` chooses how finite upper bounds are encoded:
     ``True`` (default) adds a ``x' <= hi - lo`` constraint row per bounded
     variable — the classical form every solver accepts; ``False`` keeps them
-    as column upper bounds in :attr:`StandardFormLP.upper` for the
-    bounded-variable solver, which handles them inside the ratio test with
-    no extra rows.
+    as column upper bounds in :attr:`StandardFormLP.upper` for the revised
+    methods, which handle them inside the ratio test with no extra rows.
     """
     m, n = problem.a.shape
 

@@ -21,8 +21,10 @@ from typing import Any
 #: baseline; v3, with fused lowering the default, turned that solve into
 #: the op-by-op (``fusion=False``) one, so the gate pins both lowerings;
 #: v4 records its served trace without span sampling, which took the four
-#: ``repro_obs_*`` sampling counters out of the baseline.
-SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v4"
+#: ``repro_obs_*`` sampling counters out of the baseline; v5 solves its
+#: boxed LP with ``revised`` (the ``-bounded`` method names went), so the
+#: ``solver="revised-bounded"`` series fold into ``revised-cpu``.
+SMOKE_WORKLOAD = "repro.metrics.workloads.smoke_workload/v5"
 
 
 def smoke_workload() -> None:
@@ -39,8 +41,8 @@ def smoke_workload() -> None:
       counter and a second GPU solver;
     - one ``gpu-revised`` solve with ``fusion=False`` — pins the op-by-op
       lowering every other GPU solve here skips (fused is the default);
-    - one ``revised-bounded`` solve of a box-bounded LP — exercises the
-      bounded solver family;
+    - one ``revised`` solve of a box-bounded LP — exercises the boxed
+      bounds of the revised methods;
     - a 6-job served trace with the ``repro.obs`` span recorder on —
       the serve counters of a replay whose events also build spans.
     """
@@ -73,7 +75,7 @@ def smoke_workload() -> None:
             np.array([0.0, 0.0, 0.0]), np.array([3.0, 2.5, 4.0])
         ),
     )
-    solve(bounded, method="revised-bounded")
+    solve(bounded, method="revised")
 
     with observing():
         serve_trace(

@@ -11,7 +11,7 @@
   written once for a host or a device placement.
 - :mod:`~repro.simplex.tableau`     — its full-tableau host placement.
 - :mod:`~repro.simplex.revised_cpu` — its host placement: ``revised`` (the
-  paper's sequential comparator), ``revised-bounded``, ``revised-sparse``.
+  paper's sequential comparator), ``revised-sparse`` and ``dual``.
 """
 
 from repro.simplex.options import SolverOptions

@@ -63,6 +63,14 @@ class PreparedLP:
             return self.a.rmatvec(pi)
         return pi @ self.a
 
+    def upper_bounds(self) -> np.ndarray:
+        """Upper bounds of the real and artificial columns, divided by the
+        column scale; +inf where a column has none (every artificial)."""
+        upper = self.std.upper_bounds()
+        if self.scaling is not None:
+            upper = upper / self.scaling.col_scale
+        return np.concatenate([upper, np.full(self.m, np.inf)])
+
     def basis_matrix(self, basis: np.ndarray) -> np.ndarray:
         """The dense m×m matrix of the current basis columns."""
         cols = [self.column(int(j)) for j in basis]
@@ -148,15 +156,19 @@ def phase2_costs(prep: PreparedLP) -> np.ndarray:
 
 
 def extract_solution(
-    prep: PreparedLP, basis: np.ndarray, beta: np.ndarray
+    prep: PreparedLP, basis: np.ndarray, beta: np.ndarray,
+    at_upper: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """(x in original space, objective in original orientation, x_std).
+    """(x in original space, objective in original orientation, x_std);
+    nonbasics rest at 0, or at their upper bound where ``at_upper`` says.
 
     Handles unscaling: β lives in the scaled space when scaling is on; the
     standard-form point is unscaled before recovery and the objective is
     recomputed from unscaled data (exact, no dual bookkeeping needed).
     """
     x_std = np.zeros(prep.n_total)
+    if at_upper is not None:
+        x_std[at_upper] = prep.upper_bounds()[: prep.n_total][at_upper]
     real = basis < prep.n_total
     x_std[basis[real]] = beta[real]
     if prep.scaling is not None:

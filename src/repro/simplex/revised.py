@@ -8,29 +8,31 @@ step costs — which a subclass picks through ``_place``, as the PDLP pair
 does (:mod:`repro.firstorder.pdlp`):
 
 - :class:`~repro.simplex.revised_cpu.HostPlacement` — NumPy arrays charged
-  to the modeled sequential CPU (``revised``, ``revised-bounded``,
-  ``revised-sparse``, ``dual``; the paper's comparator);
+  to the modeled sequential CPU (``revised``, ``revised-sparse``,
+  ``dual``; the paper's comparator);
 - :class:`~repro.core.gpu_revised_simplex.DevicePlacement` — buffers
   resident on the simulated device, moved by kernels, in batches of
-  iterations with one readback per batch (``gpu-revised``,
-  ``gpu-revised-bounded``; the paper's solver);
+  iterations with one readback per batch (``gpu-revised``; the paper's
+  solver);
 - :class:`~repro.simplex.tableau.HostTableau` and
   :class:`~repro.core.gpu_tableau_simplex.DeviceTableau` — the full
   tableau T = B⁻¹A on either machine (``tableau``, ``gpu-tableau``; the A3
   ablation).  T is its own basis representation: there is no π, no basis
   update counts toward ``refactor_period`` and nothing is ever rebuilt.
 
-Each revised placement has its **bounds**, a strategy fixed by the class
-and never exposed as an option (standard x ≥ 0, or boxed: finite upper
-bounds handled natively, with bound flips).  The host also varies its
-**basis representation** (``explicit`` / ``pfi`` from ``basis_update``,
-or the sparse LU of ``revised-sparse``); the device keeps the paper's
-dense B⁻¹, sparse input too.  The tableau pair runs standard bounds.
+Each revised placement has its **bounds**, a strategy the data picks,
+never an option: boxed (finite upper bounds kept out of the rows, with
+bound flips) when the LP has one, else standard (x ≥ 0).  The host also
+varies its **basis representation** (``explicit`` / ``pfi`` from
+``basis_update``, or the sparse LU of ``revised-sparse``); the device
+keeps the paper's dense B⁻¹, sparse input too.  The tableau pair runs
+standard bounds.
 
-The **direction** is fixed by the class too (``dual``).  The dual simplex
-starts from a dual feasible basis (d_N ≥ −1e-7; a warm hint need not be
-primal feasible, a cold start tries the crash basis) and drives the
-primal infeasibilities of β out in one phase, as re-optimisation after a
+The **direction** is fixed by the class (``dual``).  The dual simplex
+starts from a dual feasible basis (σ_j·d_j ≥ −1e-7, boxed nonbasics
+with d_j < 0 resting at u_j; a warm hint need not be primal feasible, a
+cold start tries the crash basis) and drives the primal
+infeasibilities of β out in one phase, as re-optimisation after a
 change of b asks.  A start that is not dual feasible, or a singular hint,
 runs the primal phases from the crash basis on the same backend
 (``fallback``).
@@ -103,20 +105,21 @@ rebuild   all       after ``refactor_period`` basis updates since the last
                     the columns resting at their upper bounds, π stale
           device    B⁻¹, and b_eff when boxed, uploaded as one copy
           tableau   never
-leaving   dual      row p of the most violated β_p, basic artificials
-                    boxed at [0, 0], or under Bland the violated row of
-                    the lowest basic-variable index, as the stall switch
-                    says; none violated is optimal (``leaving``)
+leaving   dual      row p of the most violated β_p (below 0 or above u,
+                    artificials boxed at [0, 0]), or under Bland the
+                    violated row of the lowest basic-variable index, as
+                    the stall switch says; none is optimal (``leaving``)
 row       dual      α_r = e_pᵀB⁻¹A, the drive-out's transformed row
                     (``row_gen``)
 price     dual      d = c − Aᵀπ, π as above (``pricing``)
-ratio     dual      q = argmin max(d_j, 0)/|α_pj| over the nonbasic j whose
-                    α_pj moves β_p toward its bound, lowest j on ties
-                    (:func:`~repro.simplex.ratio.dual_ratio_test`); none is
-                    infeasible
+ratio     dual      q = argmin max(σ_j·d_j, 0)/|α_pj| over the nonbasic j
+                    whose σ_j·α_pj moves β_p toward its bound, lowest j on
+                    ties (:func:`~repro.simplex.ratio.dual_ratio_test`);
+                    none is infeasible
 ftran     dual      α_q; |α_pq| ≤ ``tol_pivot`` is numerical
-update    dual      as above with θ_P = β_p/α_pq, and β never clipped at
-                    zero (a dual iterate is primal infeasible by design)
+update    dual      as above with θ_P = (β_p − bound)/(σ_q·α_pq), β never
+                    clipped (a dual iterate is primal infeasible by
+                    design); the leaving variable rests at the bound hit
 ========= ========= ====================================================
 
 The host placements run one iteration at a time.  A device placement runs
@@ -157,7 +160,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.engine import SolverBackend
-from repro.errors import SingularBasisError, SolverError
+from repro.errors import SingularBasisError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.result import IterationStats, SolveResult
@@ -209,27 +212,47 @@ class Step(NamedTuple):
         return self.row < 0
 
 
-class BoxedRules:
+class StandardRules:
+    """The standard-bounds rules of both machines: every nonbasic rests at
+    0, and x ≥ 0 is the only bound."""
+
+    def begin(self, st) -> None:
+        """Nothing to track beyond the basis."""
+
+    @staticmethod
+    def effective_b(st) -> np.ndarray:
+        """The rhs the basic variables see: b itself."""
+        return st.prep.b
+
+    @staticmethod
+    def sigma(st, q: int) -> float:
+        """+1: every column rests at 0 and can only rise."""
+        return 1.0
+
+    @staticmethod
+    def signed(st, v: np.ndarray) -> np.ndarray:
+        """σ_j·v_j over the real columns: v itself."""
+        return v
+
+    @staticmethod
+    def swap(st, leaving: int, q: int, to_upper: bool) -> bool:
+        """No resting bound to track: every nonbasic rests at 0."""
+        return False
+
+    @staticmethod
+    def rest(st, d: np.ndarray) -> None:
+        """The dual's start: every nonbasic stays at 0."""
+
+
+class BoxedRules(StandardRules):
     """The boxed-bounds rules of both machines: finite upper bounds kept
     inside the method instead of converted to rows.  A nonbasic rests at 0
     or at its bound u and may *flip* between them — an O(m) iteration
     instead of an O(m²) pivot.  The placement gains ``u`` (over the real
-    and artificial columns), ``at_upper`` and a flip count."""
-
-    range_bounds_as_rows = False
-
-    @staticmethod
-    def check(options) -> None:
-        """Bounds live in the unscaled columns: no scaling."""
-        if options.scale:
-            raise SolverError(
-                "the bounded solver does not combine with scaling yet; "
-                "scale the data before building the problem"
-            )
+    and artificial columns, scaled), ``at_upper`` and a flip count."""
 
     def begin(self, st) -> None:
-        m = st.prep.m
-        st.u = np.concatenate([st.prep.std.upper_bounds(), np.full(m, np.inf)])
+        st.u = st.prep.upper_bounds()
         st.at_upper = np.zeros(st.prep.n_total, dtype=bool)  # all start at 0
         st.flips = 0
 
@@ -237,6 +260,11 @@ class BoxedRules:
     def sigma(st, q: int) -> float:
         """−1 when q rests at its upper bound (it can only fall), else +1."""
         return -1.0 if st.at_upper[q] else 1.0
+
+    @staticmethod
+    def signed(st, v: np.ndarray) -> np.ndarray:
+        """σ_j·v_j over the real columns: negated at the upper bound."""
+        return np.where(st.at_upper, -v, v)
 
     @staticmethod
     def toggle(st, q: int) -> None:
@@ -255,6 +283,15 @@ class BoxedRules:
         return goes_up
 
     @staticmethod
+    def rest(st, d: np.ndarray) -> None:
+        """The dual's start: each nonbasic with d_j < 0 and a finite u_j
+        rests at u_j, and β follows."""
+        n = st.prep.n_total
+        st.at_upper = ~st.in_basis[:n] & (d < 0.0) & np.isfinite(st.u[:n])
+        if st.at_upper.any():
+            st.refresh_beta()
+
+    @staticmethod
     def effective_b(st) -> np.ndarray:
         """b − Σ_{j at upper} a_j u_j: the rhs the basic variables see (a
         rebuild's β = B⁻¹·this)."""
@@ -262,23 +299,6 @@ class BoxedRules:
         for j in np.nonzero(st.at_upper)[0]:
             b -= st.prep.column(int(j)) * st.u[j]
         return b
-
-    @staticmethod
-    def attach(st, result: SolveResult, x_b: np.ndarray) -> None:
-        """x, objective, residuals and basis: basics at x_B, nonbasics at
-        their resting bound."""
-        prep, basis, at_upper = st.prep, st.basis, st.at_upper
-        n = prep.n_total
-        x_std = np.zeros(n)
-        x_std[at_upper] = st.u[:n][at_upper]
-        real = basis < n
-        x_std[basis[real]] = x_b[real]
-        result.objective = prep.std.original_objective(float(prep.std.c @ x_std))
-        result.x = prep.std.recover_x(x_std)
-        result.residuals = SolveResult.compute_residuals(prep.std.a, prep.std.b, x_std)
-        result.extra["basis"] = basis.copy()
-        result.extra["x_std"] = x_std
-        result.extra["at_upper"] = at_upper.copy()
 
 
 class Verdict(NamedTuple):
@@ -292,14 +312,17 @@ class Verdict(NamedTuple):
 class RevisedBackend(SolverBackend):
     """The revised simplex method.  A subclass names its machine by its
     lifecycle base (:class:`~repro.engine.backend.HostBackend` or
-    :class:`~repro.engine.backend.DeviceBackend`), its bounds strategy by
-    ``bounds``, its direction by ``dual`` and its placement by
-    :meth:`_place`."""
+    :class:`~repro.engine.backend.DeviceBackend`), its bounds strategies by
+    ``standard`` and ``boxed``, its direction by ``dual`` and its placement
+    by :meth:`_place`."""
 
     accepts_warm_start = True
     #: CSC data on entry (``revised-sparse`` converts dense inputs).
     sparse_data = False
-    bounds = None
+    #: ``begin`` picks ``bounds`` from the data: ``boxed`` when the LP has a
+    #: finite upper bound (None: the method writes them as rows).
+    standard = None
+    boxed = None
     #: Run the dual direction when the start is dual feasible (host only).
     dual = False
 
@@ -310,17 +333,18 @@ class RevisedBackend(SolverBackend):
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
-        prep = prepare(
-            problem, opts, range_bounds_as_rows=self.bounds.range_bounds_as_rows
-        )
+        prep = prepare(problem, opts, range_bounds_as_rows=self.boxed is None)
         self.prep = prep = as_sparse_prep(prep) if self.sparse_data else prep
+        upper = prep.upper_bounds()
+        boxed = self.boxed is not None and bool(np.isfinite(upper).any())
+        self.bounds = self.boxed if boxed else self.standard
         dtype = self._start_machine()
         self._st = st = self._place(prep, dtype)
         self.stats = stats = IterationStats()
 
         # settle the starting basis on the host, then place it: a warm hint
-        # when it factors and, for the primal, its β is feasible; else the
-        # cold crash basis
+        # when it factors and, for the primal, its β is feasible (0 ≤ β ≤
+        # u_B, nonbasics at 0); else the cold crash basis
         crash, _ = initial_basis(prep)
         basis, rep, beta = crash, None, None
         if warm_hint is not None:
@@ -331,7 +355,10 @@ class RevisedBackend(SolverBackend):
                 trial_beta = trial.ftran(prep.b)
             except SingularBasisError:
                 trial_beta = None
-            if trial_beta is not None and (self.dual or trial_beta.min() >= -1e-7):
+            if trial_beta is not None and (self.dual or (
+                trial_beta.min() >= -1e-7
+                and np.all(trial_beta <= upper[warm] + 1e-7)
+            )):
                 basis, rep = warm, trial
                 beta = trial_beta if self.dual else np.clip(trial_beta, 0.0, None)
         st.start(basis, rep, beta)
@@ -474,24 +501,28 @@ class RevisedBackend(SolverBackend):
     def _dual_step(self, rule) -> "Step | Verdict":
         """The leaving row from β, its transformed row, d, the dual ratio
         test and α_q: the pivot, or the verdict.  θ is the primal step
-        θ_P = β_p/α_pq, so the shared update moves β and π as a primal
-        pivot does."""
+        θ_P = (β_p − bound)/(σ_q·α_pq), so the shared update moves β and π
+        as a primal pivot does."""
         st = self._st
         leaving = st.leaving_row(rule.using_bland)
         if leaving is None:
             return Verdict(SolveStatus.OPTIMAL, {})
-        p, sign = leaving
+        p, sign, bound = leaving
         row = st.transformed_row(p, "row_gen")
         d = st.reduced_costs()
         nonbasic = ~st.in_basis[: self.prep.n_total]
-        q, ties = dual_ratio_test(d, row, nonbasic, st.tol_piv, sign)
+        signed = self.bounds.signed  # a column at its upper bound can only fall
+        q, ties = dual_ratio_test(signed(st, d), signed(st, row), nonbasic,
+                                  st.tol_piv, sign)
         if q < 0:
             return Verdict(SolveStatus.INFEASIBLE, {"leaving_row": p})
         pivot = st.column_pivot(q, p)
         if abs(pivot) <= st.tol_piv:
             return Verdict(SolveStatus.NUMERICAL,
                            {"entering": q, "leaving_row": p, "pivot": pivot})
-        return Step(q, float(d[q]), 1.0, p, float(st.beta[p] / pivot), pivot, ties)
+        s_q = self.bounds.sigma(st, q)
+        theta = float((st.beta[p] - bound) / (s_q * pivot))
+        return Step(q, float(d[q]), s_q, p, theta, pivot, ties, to_upper=sign > 0)
 
     def phase1_objective(self) -> float:
         return self._st.phase1_objective(self._z)
@@ -549,7 +580,7 @@ class RevisedBackend(SolverBackend):
             result.extra["lu_nnz"] = st.rep.lu_nnz
             result.extra["eta_nnz"] = st.rep.eta_nnz
             result.extra["fill_ratio"] = st.rep.fill_ratio
-        if not self.bounds.range_bounds_as_rows:
+        if self.bounds is self.boxed:
             result.extra["bound_flips"] = st.flips
 
     def extract(self, result: SolveResult) -> None:

@@ -3,23 +3,22 @@
 :class:`HostPlacement` runs each step of the one loop in
 :mod:`repro.simplex.revised` against NumPy (standing in for an optimized
 CPU BLAS) and charges it to the modeled 2009-era CPU, in the order the
-schedule table there lists.  Two strategies fixed by the method's class
-shape it:
+schedule table there lists.  Two strategies shape it, the first fixed
+by the method's class, the second picked from the data:
 
 - **data, basis and pricing** — :class:`DenseData` (the standard-form data
   as given, the ``basis_update`` representation rebuilt from the dense
-  basis matrix, full pricing; ``revised`` and ``revised-bounded``) or
+  basis matrix, full pricing; ``revised`` and ``dual``) or
   :class:`SparseData` (after Gahrouei & Ghatee, arXiv:1803.04378: CSC
   data, :class:`~repro.simplex.sparse_basis.SparseLUBasis` rebuilt from
   the basis' CSC columns and also when its eta file outgrows the fresh
   factors, and sectioned partial pricing whose costs scale with nonzeros;
   ``revised-sparse``);
-- **bounds** — :class:`StandardBounds` (x ≥ 0; ``revised`` and
-  ``revised-sparse``) or :class:`BoxedBounds` (finite upper bounds kept
-  inside the method rather than converted to rows: a nonbasic rests at 0
-  or at its bound u, and may *flip* bounds — an O(m) iteration instead of
-  an O(m²) pivot; ``revised-bounded``, which the A5 ablation measures
-  against bounds-as-rows).
+- **bounds** — :class:`StandardBounds` (x ≥ 0) or, when the LP has a
+  finite upper bound, :class:`BoxedBounds` (the bound kept inside the
+  method rather than converted to a row: a nonbasic rests at 0 or at its
+  bound u, and may *flip* bounds — an O(m) iteration instead of an O(m²)
+  pivot; the A5 ablation measures it against bounds-as-rows).
 
 With the ``explicit`` representation π follows the basis through
 :class:`~repro.simplex.basis.Multipliers`; ``pfi`` and the sparse LU solve
@@ -34,14 +33,14 @@ import numpy as np
 
 from repro.engine import HostBackend, attach_standard_solution
 from repro.perfmodel.ops import OpCost
-from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
 from repro.result import SolveResult
 from repro.simplex.basis import ExplicitInverseBasis, Multipliers, make_basis
 from repro.simplex.common import PHASE1_TOL, PreparedLP
-from repro.simplex.options import SolverOptions
 from repro.simplex.pricing import StallSwitch
 from repro.simplex.ratio import bounded_ratios, standard_ratio_test
-from repro.simplex.revised import BoxedRules, RevisedBackend, Step, swap_basis
+from repro.simplex.revised import (
+    BoxedRules, RevisedBackend, StandardRules, Step, swap_basis,
+)
 from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.simplex.sparse_pricing import SparsePartialPricing
 
@@ -109,27 +108,17 @@ class SparseData:
         )
 
     def price(self, s: "HostPlacement", rule: SparsePartialPricing, pi):
-        """(q, d_q) from the section scan, which charges itself; the scan
-        masks basic columns itself, so it serves standard bounds only."""
-        return rule.select(pi, s.c_full, s.in_basis, s.options.tol_reduced_cost)
+        """(q, d_q) from the section scan, which charges itself and scores
+        σ_j·d_j as full pricing does."""
+        return rule.select(pi, s.c_full, s.in_basis, s.options.tol_reduced_cost,
+                           s.at_upper)
 
 
-class StandardBounds:
+class StandardBounds(StandardRules):
     """Bounds strategy: every nonbasic column rests at 0; β = x_B."""
-
-    range_bounds_as_rows = True
-
-    def begin(self, s: "HostPlacement") -> None:
-        pass
 
     def objective(self, s: "HostPlacement") -> float:
         return float(s.c_full[s.basis] @ s.beta)
-
-    def effective_b(self, s: "HostPlacement") -> np.ndarray:
-        return s.prep.b
-
-    def signed(self, s: "HostPlacement", d: np.ndarray) -> np.ndarray:
-        return d
 
     def ratio(self, s: "HostPlacement", q: int, d_q: float) -> Step:
         """One-way minimum ratio."""
@@ -159,9 +148,6 @@ class StandardBounds:
         beta[p] = theta
         np.clip(beta, 0.0, None, out=beta)
 
-    def extract(self, s: "HostPlacement", result: SolveResult) -> None:
-        attach_standard_solution(result, s.prep, s.basis, s.beta)
-
 
 class BoxedBounds(BoxedRules):
     """Bounds strategy: finite upper bounds handled natively; β holds x_B.
@@ -174,10 +160,6 @@ class BoxedBounds(BoxedRules):
         return float(s.c_full[s.basis] @ s.beta) + float(
             s.c_full[:n][s.at_upper] @ s.u[:n][s.at_upper]
         )
-
-    def signed(self, s: "HostPlacement", d: np.ndarray) -> np.ndarray:
-        """σ_j·d_j: a column at its upper bound improves when d_j > 0."""
-        return np.where(s.at_upper, -1.0, 1.0) * d
 
     def ratio(self, s: "HostPlacement", q: int, d_q: float) -> Step:
         """A basic falls to 0, a basic rises to its bound, or q reaches its
@@ -211,7 +193,8 @@ class BoxedBounds(BoxedRules):
         """x_B first; then the flip, or the basis update.  When the update
         fails, the recovery rebuilds x_B for the unchanged basis."""
         s.beta += r.theta * (-r.sigma * s.alpha)
-        np.clip(s.beta, 0.0, None, out=s.beta)
+        if not s.dual:
+            np.clip(s.beta, 0.0, None, out=s.beta)
         s.charge_beta()
         if r.flip:
             self.toggle(s, r.q)
@@ -225,17 +208,6 @@ class BoxedBounds(BoxedRules):
         s.beta[p] = s.u[j] if s.at_upper[j] else 0.0
         self.swap(s, int(s.basis[p]), j, False)
 
-    def extract(self, s: "HostPlacement", result: SolveResult) -> None:
-        prep = s.prep
-        self.attach(s, result, s.beta)
-        # duals directly from the final basis
-        c_full = np.concatenate([prep.c, np.zeros(prep.m)])
-        try:
-            y = np.linalg.solve(prep.basis_matrix(s.basis).T, c_full[s.basis])
-            result.extra["duals"] = prep.std.recover_duals(y)
-        except np.linalg.LinAlgError:
-            pass
-
 
 class HostPlacement:
     """The revised-simplex state as NumPy arrays, every step charged to the
@@ -248,6 +220,8 @@ class HostPlacement:
     max_batch = 1
     #: Where each iteration of a batch ended: one iteration, none.
     marks = ()
+    #: The nonbasics resting at their upper bound (boxed bounds only).
+    at_upper = None
 
     def __init__(self, backend: "RevisedSimplexSolver", prep: PreparedLP,
                  dtype: np.dtype):
@@ -262,7 +236,6 @@ class HostPlacement:
         self.multipliers = Multipliers(
             None, isinstance(self.rep, ExplicitInverseBasis)
         )
-        self.bounds.begin(self)
 
     def charge_beta(self) -> None:
         m, w = self.prep.m, self.w
@@ -275,8 +248,9 @@ class HostPlacement:
 
     def start(self, basis: np.ndarray, rep=None, beta=None) -> None:
         """Start from ``basis``: the crash basis with β = b, or a warm
-        start's factors ``rep`` with its ``beta``."""
+        start's factors ``rep`` with its ``beta``; every nonbasic at 0."""
         prep = self.prep
+        self.bounds.begin(self)
         self.basis = basis
         self.in_basis = np.zeros(prep.n_total + prep.m, dtype=bool)
         self.in_basis[basis] = True
@@ -371,25 +345,32 @@ class HostPlacement:
 
     def start_dual(self, c_full: np.ndarray) -> bool:
         """Whether the placed basis is dual feasible for ``c_full``
-        (d_N ≥ −1e-7, one pricing); when it is, the placement runs the dual
-        direction from here on."""
+        (σ·d_N ≥ −1e-7 once the boxed nonbasics with d_j < 0 rest at u_j;
+        one pricing); when it is, the placement runs the dual direction
+        from here on."""
         self.load_costs(c_full)
         d = self.reduced_costs()
-        self.dual = not np.any(d[~self.in_basis[: self.prep.n_total]] < -1e-7)
+        self.dual = True  # β is no longer clipped at zero
+        self.bounds.rest(self, d)
+        signed = self.bounds.signed(self, d)
+        self.dual = not np.any(signed[~self.in_basis[: self.prep.n_total]] < -1e-7)
         self.feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(self.prep.b), initial=0.0)))
         return self.dual
 
-    def leaving_row(self, bland: bool) -> "tuple[int, float] | None":
-        """The dual's leaving row and the sign its transformed row needs
-        (−1 below 0, +1 above the bound), or None when β is feasible.
+    def leaving_row(self, bland: bool) -> "tuple[int, float, float] | None":
+        """The dual's leaving row, the sign its transformed row needs (−1
+        below 0, +1 above the upper bound) and the bound it leaves at, or
+        None when β is feasible.
 
         Basic artificials are boxed at [0, 0]: one above zero is as
-        infeasible as a negative structural.  Dantzig takes the largest
+        infeasible as a structural above its bound.  Dantzig takes the largest
         violation, Bland the lowest basic-variable index among the violated.
         """
-        beta, tol = self.beta, self.feas_tol
-        over = (self.basis >= self.prep.n_total) & (beta > tol)
-        violation = np.where(over, beta, np.where(beta < -tol, -beta, 0.0))
+        beta, tol, basis = self.beta, self.feas_tol, self.basis
+        u = np.inf if self.at_upper is None else self.u[basis]
+        u_b = np.where(basis >= self.prep.n_total, 0.0, u)
+        over = beta > u_b + tol
+        violation = np.where(over, beta - u_b, np.where(beta < -tol, -beta, 0.0))
         if bland:
             bad = np.nonzero(violation > 0)[0]
             if bad.size == 0:
@@ -403,7 +384,7 @@ class HostPlacement:
         self.recorder.charge(
             "leaving", OpCost(flops=2 * m, bytes_read=m * w, bytes_written=w)
         )
-        return p, (1.0 if over[p] else -1.0)
+        return (p, 1.0, float(u_b[p])) if over[p] else (p, -1.0, 0.0)
 
     def reduced_costs(self) -> np.ndarray:
         """d = c − Aᵀπ over the real columns (``pricing``)."""
@@ -437,7 +418,7 @@ class HostPlacement:
     def extract(self, result: SolveResult) -> None:
         if self.dual:
             np.clip(self.beta, 0.0, None, out=self.beta)
-        self.bounds.extract(self, result)
+        attach_standard_solution(result, self.prep, self.basis, self.beta, self.at_upper)
 
 
 class RevisedSimplexSolver(RevisedBackend, HostBackend):
@@ -451,7 +432,8 @@ class RevisedSimplexSolver(RevisedBackend, HostBackend):
     name = "revised-cpu"
     phase1_feas_tol = PHASE1_TOL
     data = DenseData()
-    bounds = StandardBounds()
+    standard = StandardBounds()
+    boxed = BoxedBounds()
 
     # Defined on the class itself, as profilers that wrap a backend class's
     # own methods expect.
@@ -460,22 +442,6 @@ class RevisedSimplexSolver(RevisedBackend, HostBackend):
 
     def _place(self, prep: PreparedLP, dtype: np.dtype) -> HostPlacement:
         return HostPlacement(self, prep, dtype)
-
-
-class BoundedRevisedSimplexSolver(RevisedSimplexSolver):
-    """CPU revised simplex with native upper-bound handling."""
-
-    name = "revised-bounded"
-    accepts_warm_start = False
-    bounds = BoxedBounds()
-
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        cpu_params: CpuModelParams = CORE2_CPU_PARAMS,
-    ):
-        super().__init__(options, cpu_params)
-        self.bounds.check(self.options)
 
 
 class DualSimplexSolver(RevisedSimplexSolver):

@@ -71,9 +71,10 @@ class SparsePartialPricing(StallSwitch):
     # -- section scan ------------------------------------------------------
 
     def _section_reduced_costs(
-        self, s: int, pi: np.ndarray, c: np.ndarray
-    ) -> tuple[int, np.ndarray]:
-        """(section start, reduced costs of the section's columns)."""
+        self, s: int, pi: np.ndarray, c: np.ndarray, at_upper: "np.ndarray | None"
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """(section start, reduced costs d of the section's columns, and
+        their scores σ_j·d_j: d negated where ``at_upper`` holds)."""
         s0, s1 = int(self._bounds[s]), int(self._bounds[s + 1])
         lo, hi = int(self.a.indptr[s0]), int(self.a.indptr[s1])
         prods = self.a.data[lo:hi] * pi[self.a.indices[lo:hi]]
@@ -89,7 +90,8 @@ class SparsePartialPricing(StallSwitch):
                     bytes_written=(s1 - s0) * w,
                 ),
             )
-        return s0, d
+        score = d if at_upper is None else np.where(at_upper[s0:s1], -d, d)
+        return s0, d, score
 
     def select(
         self,
@@ -97,29 +99,30 @@ class SparsePartialPricing(StallSwitch):
         c: np.ndarray,
         in_basis: np.ndarray,
         tol: float,
+        at_upper: "np.ndarray | None" = None,
     ) -> tuple[int, float] | None:
         """Entering column and its reduced cost, or None at optimality.
 
         ``c`` and ``in_basis`` are indexed over the real columns (length
-        >= n); ``pi`` are the simplex multipliers from BTRAN.
+        >= n); ``pi`` are the simplex multipliers from BTRAN.  With boxed
+        bounds ``at_upper`` marks the columns resting at their upper bound
+        and the scan scores σ_j·d_j; the reduced cost returned is d_q.
         """
         if self.using_bland:
             # global Bland: lowest eligible index, so always scan from 0
             for s in range(self.n_sections):
-                s0, d = self._section_reduced_costs(s, pi, c)
-                elig = np.nonzero(
-                    (d < -tol) & ~in_basis[s0 : s0 + d.size]
-                )[0]
+                s0, d, score = self._section_reduced_costs(s, pi, c, at_upper)
+                elig = np.nonzero((score < -tol) & ~in_basis[s0 : s0 + d.size])[0]
                 if elig.size:
                     q = s0 + int(elig[0])
                     return q, float(d[elig[0]])
             return None
         for offset in range(self.n_sections):
             s = (self._cursor + offset) % self.n_sections
-            s0, d = self._section_reduced_costs(s, pi, c)
-            masked = np.where(in_basis[s0 : s0 + d.size], 0.0, d)
+            s0, d, score = self._section_reduced_costs(s, pi, c, at_upper)
+            masked = np.where(in_basis[s0 : s0 + d.size], 0.0, score)
             j = int(np.argmin(masked)) if masked.size else 0
             if masked.size and masked[j] < -tol:
                 self._cursor = s  # stay on a productive section
-                return s0 + j, float(masked[j])
+                return s0 + j, float(d[j])
         return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import HostBackend
+from repro.engine import HostBackend, attach_standard_solution
 from repro.perfmodel.ops import OpCost
 from repro.simplex.basis import Multipliers
 from repro.simplex.common import PHASE1_TOL, PreparedLP
@@ -46,8 +46,8 @@ def initial_tableau(prep: PreparedLP, basis: np.ndarray) -> np.ndarray:
 class TableauPlacement:
     """What both tableau placements share.  T is the basis representation,
     so there is no π to keep (every verdict stands), no basis update counts
-    toward a rebuild, and nothing is ever rebuilt; the ratio test and the
-    extraction are the standard-bounds ones of the machine."""
+    toward a rebuild, and nothing is ever rebuilt; the ratio test is the
+    standard-bounds one of the machine."""
 
     updates = 0
     max_batch = 1
@@ -56,7 +56,7 @@ class TableauPlacement:
     def __init__(self, backend, prep: PreparedLP):
         self.prep = prep
         self.options = backend.options
-        self.bounds = backend.bounds
+        self.bounds = backend.standard
         self.multipliers = Multipliers(None, follows_pivots=False)
 
     def needs_rebuild(self) -> bool:
@@ -65,10 +65,13 @@ class TableauPlacement:
     def extras(self, result) -> None:
         pass
 
+    def solution(self, result) -> np.ndarray:
+        return self.beta
+
     def extract(self, result) -> None:
         # Artificial basics (redundant rows) sit at zero; they are
         # filtered by extract_solution's `basis < n_total` mask.
-        self.bounds.extract(self, result)
+        attach_standard_solution(result, self.prep, self.basis, self.solution(result))
 
 
 class HostTableau(TableauPlacement):
@@ -197,7 +200,7 @@ class TableauSimplexSolver(RevisedBackend, HostBackend):
     accepts_warm_start = False
     pricing_rules = PRICING_RULES
     phase1_feas_tol = PHASE1_TOL
-    bounds = StandardBounds()
+    standard = StandardBounds()
 
     # Defined on the class itself, as profilers that wrap a backend class's
     # own methods expect.

@@ -4,8 +4,6 @@
 
 - ``"tableau"``      — CPU dense tableau simplex (baseline).
 - ``"revised"``      — CPU dense revised simplex (the paper's comparator).
-- ``"revised-bounded"`` — CPU revised simplex with native upper-bound
-  handling (bound flips instead of extra rows).
 - ``"revised-sparse"`` — CPU sparse revised simplex: CSC data, sparse LU
   basis factors with a sparse eta file, sectioned partial pricing.
 - ``"dual"``         — CPU dual simplex, the revised loop's dual direction
@@ -16,8 +14,6 @@
   sparse input stays CSC on the device and is priced by SpMVᵀ.
 - ``"gpu-revised-sparse"`` — a second name for ``gpu-revised`` (without
   mixed precision), kept for callers that still use it.
-- ``"gpu-revised-bounded"`` — the GPU revised simplex with native
-  upper-bound handling (bound flips on the device).
 - ``"gpu-tableau"``  — full-tableau simplex on the simulated GPU (the A3
   ablation design point).
 - ``"pdlp"``         — CPU first-order solver: restarted, preconditioned
@@ -27,6 +23,10 @@
   four kernel launches per iteration (SpMV/SpMVᵀ + fused updates), the
   regime where first-order methods overtake simplex on large sparse LPs
   (experiment F10 measures the crossover).
+
+The revised methods keep an LP's finite upper bounds out of the rows (a
+nonbasic rests at 0 or at its bound and may flip); the tableau and
+first-order pairs write each as a row.  No option chooses; the data does.
 
 ``method="auto"`` is not a table row but a dispatcher: it inspects the
 problem (size, density, warm-start request) and picks one of the concrete

@@ -37,7 +37,7 @@ class TraceRecord:
     """One traced simplex iteration.
 
     ``event`` is ``"pivot"`` for a normal basis change, ``"flip"`` for a
-    bound flip (bounded solvers), ``"recovery"`` when the iteration spent
+    bound flip (boxed bounds), ``"recovery"`` when the iteration spent
     its work refactorising after a singular update, and one of
     ``"optimal"`` / ``"unbounded"`` / ``"infeasible"`` / ``"numerical"``
     for the terminal iteration that detected that outcome.  Index fields

@@ -101,8 +101,8 @@ def assert_matches_oracle(lp: LPProblem, result, tol: float = 1e-5) -> None:
 
 
 def multiplier_drift(solver, lp: LPProblem, monkeypatch):
-    """Solve ``lp`` with ``solver`` (``gpu-revised`` or
-    ``gpu-revised-bounded``, built with ``trace=True``) and measure, after
+    """Solve ``lp`` with ``solver`` (``gpu-revised``, built with
+    ``trace=True``, on a boxed LP or not) and measure, after
     every batch of pivots and bound flips, the device π against B⁻ᵀc_B
     solved exactly on the host.  The records of a batch are written after
     its readback, all at the same device clock, and only at the batch's

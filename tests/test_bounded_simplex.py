@@ -1,4 +1,7 @@
-"""Tests for the bounded-variable revised simplex."""
+"""Tests for boxed bounds on the host revised methods: finite upper bounds
+kept out of the rows, with bound flips."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import BOUNDED_VARS_OPTIMUM, TEXTBOOK_OPTIMUM, assert_matches_oracle, scipy_oracle
 from repro import solve
+from repro.bench.experiments import bounds_as_rows
 from repro.errors import SolverError
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import Bounds, LPProblem
-from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
+from repro.simplex.revised_cpu import RevisedSimplexSolver
 from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
@@ -28,26 +32,26 @@ def boxed_random(m, n, seed, span=(0.5, 3.0)):
 
 class TestBasicOutcomes:
     def test_textbook(self, textbook_lp):
-        r = solve(textbook_lp, method="revised-bounded")
+        r = solve(textbook_lp, method="revised")
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(TEXTBOOK_OPTIMUM)
 
     def test_general_bounds(self, bounded_vars_lp):
-        r = solve(bounded_vars_lp, method="revised-bounded")
+        r = solve(bounded_vars_lp, method="revised")
         assert r.objective == pytest.approx(BOUNDED_VARS_OPTIMUM)
 
     def test_infeasible(self, infeasible_lp):
-        assert solve(infeasible_lp, method="revised-bounded").status is SolveStatus.INFEASIBLE
+        assert solve(infeasible_lp, method="revised").status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self, unbounded_lp):
-        assert solve(unbounded_lp, method="revised-bounded").status is SolveStatus.UNBOUNDED
+        assert solve(unbounded_lp, method="revised").status is SolveStatus.UNBOUNDED
 
     def test_equality_phase1(self, equality_lp):
-        r = solve(equality_lp, method="revised-bounded")
+        r = solve(equality_lp, method="revised")
         assert_matches_oracle(equality_lp, r)
 
     def test_iteration_limit(self, textbook_lp):
-        r = solve(textbook_lp, method="revised-bounded", max_iterations=1)
+        r = solve(textbook_lp, method="revised", max_iterations=1)
         assert r.status is SolveStatus.ITERATION_LIMIT
 
 
@@ -55,33 +59,33 @@ class TestBoundsHandling:
     @pytest.mark.parametrize("seed", range(5))
     def test_boxed_instances_match_oracle(self, seed):
         lp = boxed_random(15, 25, seed)
-        assert_matches_oracle(lp, solve(lp, method="revised-bounded"))
+        assert_matches_oracle(lp, solve(lp, method="revised"))
 
     def test_no_extra_rows_for_bounds(self):
         """The headline structural win: m stays at the constraint count."""
         lp = boxed_random(10, 40, seed=3)
-        r_bounded = solve(lp, method="revised-bounded")
-        r_rows = solve(lp, method="revised")
+        r_bounded = solve(lp, method="revised")
+        r_rows = solve(bounds_as_rows(lp), method="revised")
         assert r_bounded.objective == pytest.approx(r_rows.objective, rel=1e-8)
-        # bounds-as-rows solver works a 50-row basis; bounded keeps 10
+        # the bounds-as-rows encoding works a 50-row basis; native bounds 10
         assert r_bounded.extra["basis"].size == 10
         assert r_rows.extra["basis"].size == 50
 
     def test_bound_flips_happen(self):
         lp = boxed_random(20, 30, seed=1)
-        r = solve(lp, method="revised-bounded")
+        r = solve(lp, method="revised")
         assert r.extra["bound_flips"] >= 1
 
     def test_solution_respects_bounds(self):
         lp = boxed_random(15, 20, seed=7)
-        r = solve(lp, method="revised-bounded")
+        r = solve(lp, method="revised")
         assert np.all(r.x >= -1e-9)
         assert np.all(r.x <= lp.bounds.upper + 1e-9)
 
     def test_at_upper_reported(self):
         # tight box forces some variables to their upper bounds at optimum
         lp = boxed_random(8, 12, seed=9, span=(0.1, 0.5))
-        r = solve(lp, method="revised-bounded")
+        r = solve(lp, method="revised")
         assert r.extra["at_upper"].dtype == bool
 
     def test_tiny_boxes_all_upper(self):
@@ -93,7 +97,7 @@ class TestBoundsHandling:
             c=np.ones(n), a=a, senses=["<="], b=np.array([100.0]),
             bounds=Bounds(np.zeros(n), np.full(n, 2.0)), maximize=True,
         )
-        r = solve(lp, method="revised-bounded")
+        r = solve(lp, method="revised")
         assert r.objective == pytest.approx(12.0)
         np.testing.assert_allclose(r.x, 2.0)
 
@@ -103,45 +107,119 @@ class TestBoundsHandling:
         lp = LPProblem(c=base.c, a=base.a, senses=base.senses, b=base.b,
                        bounds=Bounds(np.zeros(30), rng.uniform(0.5, 2.0, 30)),
                        maximize=True)
-        assert_matches_oracle(lp, solve(lp, method="revised-bounded"))
+        assert_matches_oracle(lp, solve(lp, method="revised"))
 
 
 class TestAgreementAndDiagnostics:
     @pytest.mark.parametrize("pricing", ["dantzig", "bland", "hybrid"])
     def test_pricing_rules(self, pricing):
         lp = boxed_random(10, 15, seed=4)
-        assert_matches_oracle(lp, solve(lp, method="revised-bounded", pricing=pricing))
+        assert_matches_oracle(lp, solve(lp, method="revised", pricing=pricing))
 
     @pytest.mark.parametrize("update", ["explicit", "pfi"])
     def test_basis_updates(self, update):
         lp = boxed_random(12, 18, seed=5)
-        assert_matches_oracle(lp, solve(lp, method="revised-bounded",
+        assert_matches_oracle(lp, solve(lp, method="revised",
                                         basis_update=update))
 
     def test_refactor_period(self):
         lp = boxed_random(20, 25, seed=6)
-        r = solve(lp, method="revised-bounded", refactor_period=5)
+        r = solve(lp, method="revised", refactor_period=5)
         assert r.status is SolveStatus.OPTIMAL
         assert r.iterations.refactorizations >= 1
 
     def test_duals_available(self):
         lp = boxed_random(10, 14, seed=8)
-        r = solve(lp, method="revised-bounded")
+        r = solve(lp, method="revised")
         assert "duals" in r.extra
         assert r.extra["duals"].shape == (10,)
 
     def test_devex_rejected(self):
         with pytest.raises(SolverError):
-            BoundedRevisedSimplexSolver(SolverOptions(pricing="devex"))
+            RevisedSimplexSolver(SolverOptions(pricing="devex"))
 
-    def test_scale_rejected(self):
-        with pytest.raises(SolverError):
-            BoundedRevisedSimplexSolver(SolverOptions(scale=True))
 
-    def test_warm_start_rejected(self, textbook_lp):
-        with pytest.raises(SolverError):
-            solve(textbook_lp, method="revised-bounded",
-                  initial_basis=np.arange(3))
+#: The warm-start revised methods, which keep finite upper bounds out of the
+#: rows.
+BOXED_METHODS = ("revised", "revised-sparse", "dual", "gpu-revised")
+
+
+def solve64(lp, method, **kw):
+    return solve(lp, method=method, dtype=np.float64, **kw)
+
+
+def assert_boxed(lp, r):
+    """Optimal, with the bounds kept out of the rows: the basis has one
+    entry per constraint."""
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.extra["basis"].size == lp.num_constraints
+    assert "bound_flips" in r.extra
+
+
+class TestWhatTheBoundedMethodsRefused:
+    """Warm starts, scaling, mixed precision and the optimality certificate
+    on boxed LPs, which the separate bounded methods refused."""
+
+    @pytest.mark.parametrize("method", BOXED_METHODS)
+    def test_feasible_warm_hint_accepted(self, method):
+        # loose boxes: the optimal basis rests every nonbasic at 0
+        lp = boxed_random(12, 18, seed=11, span=(50.0, 100.0))
+        basis = solve64(lp, "revised").extra["basis"]
+        r = solve64(lp, method, initial_basis=basis)
+        assert_boxed(lp, r)
+        assert r.iterations.total_iterations <= 1  # the optimality check
+        np.testing.assert_array_equal(r.extra["basis"], basis)
+
+    @pytest.mark.parametrize("method", BOXED_METHODS)
+    def test_hint_above_its_bounds(self, method):
+        """A hint whose β exceeds u_B: the primal methods start cold, the
+        dual runs from it (a dual start need not be primal feasible)."""
+        loose = boxed_random(12, 18, seed=11, span=(50.0, 100.0))
+        first = solve64(loose, "revised")
+        basis, x_std = first.extra["basis"], first.extra["x_std"]
+        upper = loose.bounds.upper.copy()
+        basic = basis[basis < upper.size]
+        upper[basic] = np.where(x_std[basic] > 0, 0.5 * x_std[basic], upper[basic])
+        lp = dataclasses.replace(
+            loose, bounds=Bounds(np.zeros(upper.size), upper), name="tight"
+        )
+        cold = solve64(lp, method)
+        r = solve64(lp, method, initial_basis=basis)
+        assert_boxed(lp, r)
+        assert_matches_oracle(lp, r)
+        if method == "dual":
+            assert r.solver == "dual-cpu"
+            return
+        assert r.objective == cold.objective
+        assert r.iterations.total_iterations == cold.iterations.total_iterations
+        assert r.iterations.refactorizations == cold.iterations.refactorizations
+
+    @pytest.mark.parametrize("method", BOXED_METHODS)
+    def test_scaling_matches_unscaled(self, method):
+        lp = boxed_random(15, 20, seed=7)
+        plain, scaled = solve64(lp, method), solve64(lp, method, scale=True)
+        assert_boxed(lp, scaled)
+        assert scaled.extra["at_upper"].any()
+        assert scaled.objective == pytest.approx(plain.objective, rel=1e-9)
+        assert np.all(scaled.x <= lp.bounds.upper + 1e-9)
+
+    def test_mixed_precision_recovers_fp64(self):
+        lp = boxed_random(15, 20, seed=7)
+        r64 = solve64(lp, "gpu-revised")
+        mixed = solve(lp, method="gpu-revised", precision="mixed")
+        assert_boxed(lp, mixed)
+        assert mixed.extra["refinement_steps"] >= 1
+        assert mixed.objective == pytest.approx(r64.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("method", BOXED_METHODS)
+    def test_certificate(self, method):
+        lp = boxed_random(8, 12, seed=9, span=(0.1, 0.5))
+        r = solve64(lp, method)
+        assert_boxed(lp, r)
+        assert r.extra["at_upper"].any()
+        cert = r.extra["certificate"]
+        assert cert.is_optimal_certificate()
+        assert abs(cert.duality_gap) <= 1e-9 * (1 + abs(r.objective))
 
 
 @settings(max_examples=15, deadline=None,
@@ -151,7 +229,7 @@ def test_bounded_matches_oracle_property(m, n, seed):
     lp = boxed_random(m, n, seed)
     ref = scipy_oracle(lp)
     assert ref is not None
-    r = solve(lp, method="revised-bounded")
+    r = solve(lp, method="revised")
     assert r.status is SolveStatus.OPTIMAL
     assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref))
     assert lp.constraint_violation(r.x) <= 1e-6

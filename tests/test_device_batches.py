@@ -11,6 +11,7 @@ and trace records, and a verdict that halts the rest of its batch.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -21,6 +22,7 @@ from repro.core.gpu_revised_simplex import DevicePlacement
 from repro.core.gpu_tableau_simplex import DeviceTableau
 from repro.gpu.device import Device
 from repro.lp.generators import beale_cycling_lp, degenerate_lp, random_dense_lp
+from repro.lp.problem import Bounds
 from repro.simplex.revised import MAX_BATCH
 from repro.solve import solve
 from repro.status import SolveStatus
@@ -128,13 +130,19 @@ def test_stall_switch_changes_where_the_loop_one_at_a_time_does(
     assert batched.iterations.bland_activations >= 1
 
 
-@pytest.mark.parametrize("method", ["gpu-revised", "gpu-revised-bounded"])
-def test_rebuilds_where_the_loop_one_at_a_time_does(method, monkeypatch):
+@pytest.mark.parametrize("upper", [
+    pytest.param(None, id="gpu-revised"),
+    # boxed: rebuilds upload b_eff, and flips count no basis update
+    pytest.param(3.0, id="gpu-revised-boxed"),
+])
+def test_rebuilds_where_the_loop_one_at_a_time_does(upper, monkeypatch):
     """A batch ends at the basis update that reaches ``refactor_period``."""
     lp = random_dense_lp(20, 30, seed=5)
-    batched = solve(lp, method=method, refactor_period=3, trace=True)
+    if upper is not None:
+        lp = dataclasses.replace(lp, bounds=Bounds(np.zeros(30), np.full(30, upper)))
+    batched = solve(lp, method="gpu-revised", refactor_period=3, trace=True)
     one_at_a_time(monkeypatch)
-    single = solve(lp, method=method, refactor_period=3, trace=True)
+    single = solve(lp, method="gpu-revised", refactor_period=3, trace=True)
     assert batched.iterations.refactorizations >= 3
     assert batched.iterations == single.iterations
     assert _fields(batched) == _fields(single)

@@ -12,6 +12,7 @@ on zero-filled memory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -91,7 +92,8 @@ def test_fp32_poisoned_solves_match_zeroed(monkeypatch, method, fusion):
 
 @pytest.mark.parametrize("method,kw", [
     ("gpu-revised", {}),
-    ("gpu-revised-bounded", {}),
+    # boxed: the boxed drive-out, and the refinement against b_eff
+    ("gpu-revised", {"boxed": True, "precision": "mixed"}),
     ("gpu-revised-sparse", {}),
     ("gpu-tableau", {}),
     ("gpu-revised", {"precision": "mixed"}),
@@ -99,11 +101,19 @@ def test_fp32_poisoned_solves_match_zeroed(monkeypatch, method, fusion):
 def test_drive_out_and_refinement_read_no_poison(monkeypatch, method, kw):
     """The artificial drive-out and mixed-precision refinement, which the
     golden suite does not reach, read only what they wrote."""
+    from repro.lp.problem import Bounds
     from test_drive_out import redundant_row_lp, zero_artificial_lp
+
+    kw = dict(kw)
+    lps = [redundant_row_lp(), zero_artificial_lp()]
+    if kw.pop("boxed", False):
+        lps = [dataclasses.replace(lp, bounds=Bounds(np.zeros(lp.num_vars),
+                                                     np.full(lp.num_vars, 0.9)))
+               for lp in lps]
 
     def outcomes():
         runs = []
-        for lp in (redundant_row_lp(), zero_artificial_lp()):
+        for lp in lps:
             result = solve(lp, method=method, **kw)
             runs.append((result.status, float(result.objective).hex(),
                          result.x.tolist()))

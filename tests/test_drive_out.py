@@ -26,8 +26,8 @@ from repro.status import SolveStatus
 
 SIMPLEX = [m for m in available_methods() if not m.endswith("pdlp")]
 PRIMAL = [m for m in SIMPLEX if m != "dual"]
-HOST = ["revised", "revised-bounded", "revised-sparse", "tableau"]
-DEVICE = ["gpu-revised", "gpu-revised-bounded", "gpu-revised-sparse", "gpu-tableau"]
+HOST = ["revised", "revised-sparse", "tableau"]
+DEVICE = ["gpu-revised", "gpu-revised-sparse", "gpu-tableau"]
 
 
 def redundant_row_lp() -> LPProblem:
@@ -60,8 +60,8 @@ def zero_artificial_lp() -> LPProblem:
 
 @pytest.fixture
 def drive_outs(monkeypatch):
-    """Basis before and after each host or device drive-out (the bounded
-    and sparse host methods inherit the revised one)."""
+    """Basis before and after each host or device drive-out (the sparse
+    and dual host methods inherit the revised one)."""
     seen: list[tuple[np.ndarray, np.ndarray, int]] = []
     for cls, basis_of in (
         (RevisedSimplexSolver, lambda backend: backend._st.basis),

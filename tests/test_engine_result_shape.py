@@ -120,7 +120,7 @@ def test_device_methods_report_the_same_device_extras(fusion):
         & (DEVICE_EXTRAS | FUSED_EXTRAS)
         for method in sorted(device_methods())
     }
-    assert len(got) == 5
+    assert len(got) == 4
     assert all(keys == want for keys in got.values()), got
 
 

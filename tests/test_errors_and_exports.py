@@ -103,9 +103,8 @@ class TestTableauPricingRejection:
     simplex method but ``tableau`` rejects them with one message."""
 
     METHODS = [
-        "revised", "revised-bounded", "revised-sparse", "dual",
-        "gpu-revised", "gpu-revised-bounded", "gpu-revised-sparse",
-        "gpu-tableau",
+        "revised", "revised-sparse", "dual",
+        "gpu-revised", "gpu-revised-sparse", "gpu-tableau",
     ]
     MESSAGE = "only the 'tableau' method accepts them"
 

@@ -49,7 +49,6 @@ class TestDeviceOom:
     #: for a 180x180 fp64 LP but not all of it.
     OOM_CARD_KIB = {
         "gpu-revised": 600,
-        "gpu-revised-bounded": 600,
         "gpu-revised-sparse": 400,
         # fails on the region holding the tableau, after the work buffers
         "gpu-tableau": 528,
@@ -107,7 +106,7 @@ class TestSingularBases:
 
         from repro.lp.generators import transportation_lp
         from repro.simplex.basis import ExplicitInverseBasis
-        from repro.simplex.revised_cpu import BoundedRevisedSimplexSolver
+        from repro.simplex.revised_cpu import RevisedSimplexSolver
 
         lp = transportation_lp(4, 5, seed=1)
         n = lp.num_vars
@@ -124,7 +123,7 @@ class TestSingularBases:
             return update(self, *args, **kwargs)
 
         phase1 = []
-        objective = BoundedRevisedSimplexSolver.phase1_objective
+        objective = RevisedSimplexSolver.phase1_objective
 
         def record_phase1(self):
             phase1.append(objective(self))
@@ -132,9 +131,10 @@ class TestSingularBases:
 
         monkeypatch.setattr(ExplicitInverseBasis, "update", failing_second_update)
         monkeypatch.setattr(
-            BoundedRevisedSimplexSolver, "phase1_objective", record_phase1
+            RevisedSimplexSolver, "phase1_objective", record_phase1
         )
-        r = solve(boxed, method="revised-bounded")
+        r = solve(boxed, method="revised")
+        assert r.extra["basis"].size == boxed.num_constraints  # bounds kept out of the rows
         assert len(calls) > 2
         # a sum of artificials: never negative, zero for a feasible LP
         assert phase1 == [pytest.approx(0.0, abs=1e-9)]
@@ -184,7 +184,7 @@ class TestMalformedInput:
 
 class TestIterationExhaustion:
     @pytest.mark.parametrize(
-        "method", ["tableau", "revised", "revised-bounded", "gpu-revised", "gpu-tableau"]
+        "method", ["tableau", "revised", "gpu-revised", "gpu-tableau"]
     )
     def test_every_solver_reports_limit(self, method):
         lp = random_dense_lp(20, 30, seed=5)

@@ -158,7 +158,7 @@ class TestBeale:
             for method in available_methods()
             if not method.endswith("pdlp")
         }
-        assert len(counts) == 9
+        assert len(counts) == 7
         assert len(set(counts.values())) == 1, counts
         assert counts["revised"] > 0
 

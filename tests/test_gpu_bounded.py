@@ -1,4 +1,5 @@
-"""Tests for the GPU bounded-variable revised simplex."""
+"""Tests for boxed bounds on the GPU revised simplex: finite upper bounds
+kept out of the rows, with bound flips decided on the device."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     scipy_oracle,
 )
 from repro import solve
-from repro.core.gpu_revised_simplex import GpuBoundedRevisedSimplex
+from repro.core.gpu_revised_simplex import GpuRevisedSimplex
 from repro.errors import SolverError
 from repro.lp.generators import random_dense_lp, random_sparse_lp
 from repro.lp.problem import Bounds, LPProblem
@@ -34,27 +35,27 @@ def boxed_random(m, n, seed, span=(0.5, 3.0)):
 
 class TestBasicOutcomes:
     def test_textbook(self, textbook_lp):
-        r = solve(textbook_lp, method="gpu-revised-bounded")
+        r = solve(textbook_lp, method="gpu-revised")
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(TEXTBOOK_OPTIMUM)
-        assert r.solver == "gpu-revised-bounded"
+        assert r.solver == "gpu-revised"
 
     def test_general_bounds(self, bounded_vars_lp):
-        r = solve(bounded_vars_lp, method="gpu-revised-bounded", dtype=np.float64)
+        r = solve(bounded_vars_lp, method="gpu-revised", dtype=np.float64)
         assert r.objective == pytest.approx(BOUNDED_VARS_OPTIMUM, rel=1e-6)
 
     def test_infeasible(self, infeasible_lp):
-        assert solve(infeasible_lp, method="gpu-revised-bounded").status is SolveStatus.INFEASIBLE
+        assert solve(infeasible_lp, method="gpu-revised").status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self, unbounded_lp):
-        assert solve(unbounded_lp, method="gpu-revised-bounded").status is SolveStatus.UNBOUNDED
+        assert solve(unbounded_lp, method="gpu-revised").status is SolveStatus.UNBOUNDED
 
     def test_equality_phase1(self, equality_lp):
-        r = solve(equality_lp, method="gpu-revised-bounded", dtype=np.float64)
+        r = solve(equality_lp, method="gpu-revised", dtype=np.float64)
         assert_matches_oracle(equality_lp, r)
 
     def test_iteration_limit(self, textbook_lp):
-        r = solve(textbook_lp, method="gpu-revised-bounded", max_iterations=1)
+        r = solve(textbook_lp, method="gpu-revised", max_iterations=1)
         assert r.status is SolveStatus.ITERATION_LIMIT
 
 
@@ -62,7 +63,7 @@ class TestBoxedCorrectness:
     @pytest.mark.parametrize("seed", range(4))
     def test_boxed_fp64(self, seed):
         lp = boxed_random(15, 25, seed)
-        assert_matches_oracle(lp, solve(lp, method="gpu-revised-bounded",
+        assert_matches_oracle(lp, solve(lp, method="gpu-revised",
                                         dtype=np.float64))
 
     @pytest.mark.parametrize("seed", range(2))
@@ -70,7 +71,7 @@ class TestBoxedCorrectness:
         from conftest import scipy_oracle
 
         lp = boxed_random(15, 25, seed + 20)
-        r = solve(lp, method="gpu-revised-bounded", dtype=np.float32)
+        r = solve(lp, method="gpu-revised", dtype=np.float32)
         ref = scipy_oracle(lp)
         assert r.status is SolveStatus.OPTIMAL
         assert abs(r.objective - ref) <= 1e-3 * (1 + abs(ref))
@@ -81,13 +82,13 @@ class TestBoxedCorrectness:
         lp = LPProblem(c=base.c, a=base.a, senses=base.senses, b=base.b,
                        bounds=Bounds(np.zeros(30), rng.uniform(0.5, 2.0, 30)),
                        maximize=True)
-        r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
+        r = solve(lp, method="gpu-revised", dtype=np.float64)
         assert_matches_oracle(lp, r)
         assert any("spmv_csc_t" in k for k in r.extra["by_kernel"])
 
     def test_bound_flips_counted(self):
         lp = boxed_random(20, 30, seed=1)
-        r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
+        r = solve(lp, method="gpu-revised", dtype=np.float64)
         assert r.extra["bound_flips"] >= 1
 
     def test_flip_leaves_binv_alone(self, monkeypatch):
@@ -104,7 +105,7 @@ class TestBoxedCorrectness:
 
         monkeypatch.setattr(K, "pivot_ger", spy)
         lp = boxed_random(24, 36, seed=2)
-        solver = GpuBoundedRevisedSimplex(
+        solver = GpuRevisedSimplex(
             SolverOptions(dtype=np.float64, fusion=False)
         )
         r = solver.solve(lp)
@@ -122,8 +123,9 @@ class TestAgreementWithCpuBounded:
     @pytest.mark.parametrize("seed", range(3))
     def test_identical_pivot_paths_fp64(self, seed):
         lp = boxed_random(18, 24, seed + 40)
-        rg = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
-        rc = solve(lp, method="revised-bounded", dtype=np.float64)
+        rg = solve(lp, method="gpu-revised", dtype=np.float64)
+        rc = solve(lp, method="revised", dtype=np.float64)
+        assert rg.extra["basis"].size == lp.num_constraints
         assert rg.objective == pytest.approx(rc.objective, rel=1e-9)
         assert rg.iterations.total_iterations == rc.iterations.total_iterations
         assert rg.extra["bound_flips"] == rc.extra["bound_flips"]
@@ -134,25 +136,21 @@ class TestAgreementWithCpuBounded:
 class TestOptionsAndCleanup:
     def test_devex_rejected(self):
         with pytest.raises(SolverError):
-            GpuBoundedRevisedSimplex(SolverOptions(pricing="devex"))
-
-    def test_scale_rejected(self):
-        with pytest.raises(SolverError):
-            GpuBoundedRevisedSimplex(SolverOptions(scale=True))
+            GpuRevisedSimplex(SolverOptions(pricing="devex"))
 
     @pytest.mark.parametrize("pricing", ["dantzig", "bland", "hybrid"])
     def test_pricing(self, pricing, textbook_lp):
-        r = solve(textbook_lp, method="gpu-revised-bounded", pricing=pricing)
+        r = solve(textbook_lp, method="gpu-revised", pricing=pricing)
         assert r.objective == pytest.approx(TEXTBOOK_OPTIMUM)
 
     def test_memory_released(self, textbook_lp):
-        solver = GpuBoundedRevisedSimplex()
+        solver = GpuRevisedSimplex()
         solver.solve(textbook_lp)
         assert solver.device.stats.bytes_in_use == 0
 
     def test_sections_present(self):
         lp = boxed_random(12, 16, seed=6)
-        r = solve(lp, method="gpu-revised-bounded", dtype=np.float64)
+        r = solve(lp, method="gpu-revised", dtype=np.float64)
         for section in ("pricing", "ftran", "ratio", "update", "transfer"):
             assert section in r.timing.kernel_breakdown
 
@@ -164,7 +162,7 @@ class TestMultiplierUpdate:
     @pytest.mark.parametrize("seed", range(3))
     def test_updated_pi_matches_exact_multipliers(self, seed, monkeypatch):
         lp = boxed_random(20, 30, seed=seed)
-        solver = GpuBoundedRevisedSimplex(
+        solver = GpuRevisedSimplex(
             SolverOptions(dtype=np.float64, trace=True)
         )
         r, drift = multiplier_drift(solver, lp, monkeypatch)
@@ -176,13 +174,13 @@ class TestMultiplierUpdate:
 
     def test_corrupted_update_is_re_multiplied(self, monkeypatch):
         lp = random_dense_lp(16, 24, seed=5)
-        clean = GpuBoundedRevisedSimplex(SolverOptions(dtype=np.float64))
+        clean = GpuRevisedSimplex(SolverOptions(dtype=np.float64))
         ref = clean.solve(lp)
         assert ref.iterations.phase1_iterations == 0
         multiplied = corrupt_multiplier_updates(
             monkeypatch, optimal_multipliers(clean.prep, ref.extra["basis"])
         )
-        r = solve(lp, method="gpu-revised-bounded", dtype=np.float64,
+        r = solve(lp, method="gpu-revised", dtype=np.float64,
                   fusion=False)
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(scipy_oracle(lp), rel=1e-9)
@@ -192,7 +190,7 @@ class TestMultiplierUpdate:
         lp = boxed_random(24, 36, seed=2)
         r, per_pass = pricing_gemv_launches(
             monkeypatch,
-            lambda: solve(lp, method="gpu-revised-bounded", dtype=np.float64),
+            lambda: solve(lp, method="gpu-revised", dtype=np.float64),
         )
         assert r.iterations.phase1_iterations == 0
         assert r.extra["bound_flips"] >= 1
@@ -212,7 +210,7 @@ def test_rebuilds_like_the_host():
     boxed = dataclasses.replace(lp, bounds=Bounds(np.zeros(60), np.full(60, 3.0)))
     host, dev = (
         solve(boxed, method=m, dtype=np.float64, refactor_period=7)
-        for m in ("revised-bounded", "gpu-revised-bounded")
+        for m in ("revised", "gpu-revised")
     )
     assert host.status is dev.status is SolveStatus.OPTIMAL
     assert dev.extra["bound_flips"] == host.extra["bound_flips"] > 0

@@ -37,10 +37,8 @@ from repro.solve import solve
 ALL_METHODS = (
     "tableau",
     "revised",
-    "revised-bounded",
     "dual",
     "gpu-revised",
-    "gpu-revised-bounded",
     "gpu-tableau",
 )
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import solve
+from repro.bench.experiments import bounds_as_rows
 from repro.bench.harness import dense_sweep, find_crossover, speedup_series
 from repro.lp.generators import random_dense_lp
 
@@ -87,8 +88,8 @@ class TestExtensionClaims:
         lp = LPProblem(c=base.c, a=base.a_dense(), senses=base.senses,
                        b=base.b, bounds=Bounds(np.zeros(48), rng.uniform(0.3, 2.0, 48)),
                        maximize=True)
-        rows = solve(lp, method="revised")
-        bnd = solve(lp, method="revised-bounded")
+        rows = solve(bounds_as_rows(lp), method="revised")
+        bnd = solve(lp, method="revised")
         assert bnd.objective == pytest.approx(rows.objective, rel=1e-8)
         assert bnd.timing.modeled_seconds < rows.timing.modeled_seconds
 

@@ -47,10 +47,8 @@ from repro.trace.chrome import merged_chrome_trace, validate_chrome_trace
 ALL_METHODS = (
     "tableau",
     "revised",
-    "revised-bounded",
     "dual",
     "gpu-revised",
-    "gpu-revised-bounded",
     "gpu-tableau",
     "pdlp",
 )

@@ -646,7 +646,8 @@ FUSION_CASES = [
     ("gpu-revised", lambda s: random_dense_lp(24, 24, seed=s)),
     ("gpu-revised", lambda s: random_sparse_lp(24, 32, density=0.2, seed=s)),
     ("gpu-tableau", lambda s: random_dense_lp(12, 18, seed=s)),
-    ("gpu-revised-bounded", lambda s: _bounded_lp(8, seed=s)),
+    # boxed: gpu-revised keeps the bounds out of the rows (bound flips)
+    ("gpu-revised", lambda s: _bounded_lp(8, seed=s)),
     ("gpu-revised-sparse",
      lambda s: random_sparse_lp(32, 48, density=0.12, seed=s)),
     ("gpu-pdlp", lambda s: random_sparse_lp(24, 36, density=0.15, seed=s)),
@@ -730,27 +731,19 @@ class TestPrecision:
         b = solve(lp, method="gpu-revised", precision=None)
         assert a.objective == b.objective
 
-    @pytest.mark.parametrize(
-        "method", ["gpu-revised-sparse", "gpu-revised-bounded", "gpu-pdlp"]
-    )
+    @pytest.mark.parametrize("method", ["gpu-revised-sparse", "gpu-pdlp"])
     def test_unsupported_mixed_raises(self, method):
         lp = random_sparse_lp(16, 24, density=0.2, seed=0)
-        if method == "gpu-revised-bounded":
-            lp = _bounded_lp(6, seed=0)
         with pytest.raises(SolverError):
             solve(lp, method=method, precision="mixed")
 
-    @pytest.mark.parametrize(
-        "method", ["gpu-revised-sparse", "gpu-revised-bounded", "gpu-pdlp"]
-    )
+    @pytest.mark.parametrize("method", ["gpu-revised-sparse", "gpu-pdlp"])
     def test_unsupported_mixed_raises_on_direct_construction(self, method):
         # the device preamble rejects it without going through the façade
         from repro.engine.registry import METHODS
         from repro.simplex.options import SolverOptions
 
         lp = random_sparse_lp(16, 24, density=0.2, seed=0)
-        if method == "gpu-revised-bounded":
-            lp = _bounded_lp(6, seed=0)
         solver = METHODS[method].factory(SolverOptions(precision="mixed"), None)
         with pytest.raises(SolverError, match="does not support mixed precision"):
             solver.solve(lp)
@@ -770,8 +763,7 @@ class TestCapabilityFlags:
         )
 
         assert device_methods() == {
-            "gpu-revised", "gpu-revised-sparse", "gpu-revised-bounded",
-            "gpu-tableau", "gpu-pdlp",
+            "gpu-revised", "gpu-revised-sparse", "gpu-tableau", "gpu-pdlp",
         }
         assert mixed_precision_methods() == {"gpu-revised", "gpu-tableau"}
         # mixed precision is a device-method capability

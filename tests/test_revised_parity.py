@@ -41,7 +41,6 @@ PROBLEMS = {
 
 PAIRS = [
     ("revised", "gpu-revised"),
-    ("revised-bounded", "gpu-revised-bounded"),
     ("tableau", "gpu-tableau"),
 ]
 

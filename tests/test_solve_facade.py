@@ -23,10 +23,16 @@ class TestDispatch:
 
     def test_available_methods(self):
         assert set(available_methods()) == {
-            "tableau", "revised", "revised-bounded", "revised-sparse", "dual",
-            "gpu-revised", "gpu-revised-sparse", "gpu-revised-bounded",
+            "tableau", "revised", "revised-sparse", "dual",
+            "gpu-revised", "gpu-revised-sparse",
             "gpu-tableau", "pdlp", "gpu-pdlp",
         }
+
+    @pytest.mark.parametrize("method", ["revised-bounded", "gpu-revised-bounded"])
+    def test_bounded_method_names_are_gone(self, method, textbook_lp):
+        # the bounds follow the data: no method name chooses them
+        with pytest.raises(UnknownMethodError):
+            solve(textbook_lp, method=method)
 
     def test_docstring_lists_every_method(self):
         # Regression: the module docstring advertised 5 of the 7 registered
@@ -94,8 +100,7 @@ class TestMethodRegistry:
         from repro.engine.registry import device_methods, warm_start_methods
 
         assert device_methods() == {
-            "gpu-revised", "gpu-revised-sparse", "gpu-revised-bounded",
-            "gpu-tableau", "gpu-pdlp",
+            "gpu-revised", "gpu-revised-sparse", "gpu-tableau", "gpu-pdlp",
         }
         assert warm_start_methods() == {
             "revised", "revised-sparse", "dual",
@@ -109,16 +114,16 @@ class TestMethodRegistry:
         assert GPU_METHODS == device_methods()
         assert WARM_START_METHODS == warm_start_methods()
 
-    @pytest.mark.parametrize(
-        "method", ["tableau", "revised-bounded", "gpu-revised-bounded", "gpu-tableau"]
-    )
+    @pytest.mark.parametrize("method", ["tableau", "gpu-tableau", "pdlp", "gpu-pdlp"])
     def test_uniform_warm_start_rejection(self, method, textbook_lp):
         from repro.errors import SolverError
 
         with pytest.raises(SolverError, match="does not support warm start"):
             solve(textbook_lp, method=method, initial_basis=np.arange(3))
 
-    @pytest.mark.parametrize("method", ["tableau", "revised", "revised-bounded", "dual"])
+    @pytest.mark.parametrize(
+        "method", ["tableau", "revised", "revised-sparse", "dual", "pdlp"]
+    )
     def test_uniform_device_rejection(self, method, textbook_lp):
         from repro.errors import SolverError
         from repro.gpu.device import Device

@@ -39,10 +39,8 @@ from repro.trace import (
 ALL_METHODS = (
     "tableau",
     "revised",
-    "revised-bounded",
     "dual",
     "gpu-revised",
-    "gpu-revised-bounded",
     "gpu-tableau",
 )
 
@@ -95,15 +93,15 @@ class TestIterationInvariant:
         assert "trace" not in result.extra
 
     def test_bound_flips_traced_as_flip_events(self):
-        # maximize x with 0 <= x <= 1: the bounded solvers flip x to its
-        # upper bound without a basis change
+        # maximize x with 0 <= x <= 1: the revised methods, which keep the
+        # bound out of the rows, flip x to it without a basis change
         lp = LPProblem.minimize(
             c=[-1.0, 0.0],
             a_ub=[[1.0, 1.0]],
             b_ub=[5.0],
             bounds=Bounds(np.array([0.0, 0.0]), np.array([1.0, 5.0])),
         )
-        for method in ("revised-bounded", "gpu-revised-bounded"):
+        for method in ("revised", "gpu-revised"):
             result = solve(lp, method=method, trace=True)
             assert result.is_optimal
             events = {r.event for r in result.trace}

@@ -42,26 +42,26 @@ DTYPES = ("float64", "float32")
 #: readback:
 #:
 #: - the launches that do work are the same launches as before, one for
-#:   one: 200 fused and 672 op by op on gpu-revised, 172 and 513 on
-#:   gpu-tableau, 200 and 660 (654 plus the tie-break pass of each of the
-#:   3 bound flips) on gpu-revised-bounded;
+#:   one: 200 fused and 660 op by op on gpu-revised (654 plus the
+#:   tie-break pass of each of golden-boxed's 3 bound flips; 672 when
+#:   golden-boxed's bounds were written as rows), 172 and 513 on
+#:   gpu-tableau;
 #: - a verdict halts its batch, and every launch after it is still issued
 #:   and charged as an empty launch: the verdict's own update launch (1
 #:   fused; 5 op by op, 6 on the tableau) and each iteration the batch
 #:   issued after it (4 fused; 13 op by op, 12 on the tableau).  Over the
-#:   suite the 29 batches issue 68 iterations on the revised backends and
-#:   the 22 batches 61 on the tableau, against 48 iterations run (41 plus
-#:   7 redone with a fresh π): +94 fused and +370 op by op on the revised
-#:   backends, +87 and +302 on the tableau;
+#:   suite the 29 batches issue 68 iterations on gpu-revised and the 22
+#:   batches 61 on the tableau, against 48 iterations run (41 plus 7
+#:   redone with a fresh π): +94 fused and +370 op by op on gpu-revised,
+#:   +87 and +302 on the tableau;
 #: - a bound flip is decided on the device, so it issues a pivot's
 #:   launches, and those past the β update (η, pivot row, π AXPY and GER)
-#:   do nothing: the 3 flips of gpu-revised-bounded add 12 op-by-op
-#:   launches (fused, the update was one launch either way).
+#:   do nothing: golden-boxed's 3 flips add 12 op-by-op launches (fused,
+#:   the update was one launch either way).
 #:
-#: So gpu-revised 672 → 1042 and 200 → 294, gpu-tableau 513 → 815 and
-#: 172 → 259, gpu-revised-bounded 660 → 1042 and 200 → 294.  The
-#: bound-flip allowance of the old pin (2 op-by-op launches per flip) is
-#: gone: a flip issues what a pivot issues.
+#: So gpu-revised 660 → 1042 and 200 → 294, gpu-tableau 513 → 815 and
+#: 172 → 259.  With golden-boxed's bounds as rows gpu-revised issued 672
+#: working launches and no flips, the same 1042 in all.
 #:
 #: ``gpu-revised-sparse`` is a second name for ``gpu-revised``, so it
 #: launches what ``gpu-revised`` launches: ``RUNS_AS`` maps it there.
@@ -70,8 +70,6 @@ LAUNCHES = {
     ("gpu-revised", True): 294,
     ("gpu-tableau", False): 815,
     ("gpu-tableau", True): 259,
-    ("gpu-revised-bounded", False): 1042,
-    ("gpu-revised-bounded", True): 294,
 }
 RUNS_AS = {"gpu-revised-sparse": "gpu-revised"}
 
@@ -235,8 +233,7 @@ def test_one_htod_at_begin_warm(upload_calls, method):
         _check(result, *budget)
 
 
-@pytest.mark.parametrize("method", ["gpu-revised", "gpu-revised-bounded",
-                                    "gpu-revised-sparse"])
+@pytest.mark.parametrize("method", ["gpu-revised", "gpu-revised-sparse"])
 def test_one_htod_per_rebuild(upload_calls, method):
     """Each rebuild uploads B⁻¹, plus b_eff when boxed, as one copy, with
     A dense or CSC."""
