@@ -33,13 +33,16 @@
 # end-to-end benchmark trajectory (benchmarks/trajectory/BENCH_<n>.json,
 # each written by `python3 benchmarks/e2e/run.py --repeat 3 --out FILE`)
 # with benchmarks/e2e/compare.py and the BENCHMARK.json bounds.
+# `make bench-test` runs the end-to-end benchmark's own tests
+# (benchmarks/e2e): its tracer patches library methods by name, so a
+# rename or deletion that breaks one of those patches fails here.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through repro.metrics.instrument, whose one
 # function per serve or batch event feeds both); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the trace,
 # sparse, serve, pdlp, obs, fuse and batch smokes + the metrics regression
-# gate.
+# gate + the e2e benchmark's tests.
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
@@ -49,7 +52,7 @@ TRAJECTORY := benchmarks/trajectory
 
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
 	obs-smoke fuse-smoke batch-smoke metrics-smoke gate gate-baseline bench \
-	bench-batch bench-gate lint verify
+	bench-batch bench-gate bench-test lint verify
 
 test:  ## tier-1: the full test suite
 	$(PYTHONPATH_SRC) python -m pytest -x -q
@@ -58,7 +61,7 @@ lint:  ## architecture lint: backend/serve import layering rules
 	python tools/lint_backend_imports.py
 
 verify: test lint trace-smoke sparse-smoke serve-smoke pdlp-smoke obs-smoke \
-	fuse-smoke batch-smoke gate  ## pre-commit: tests + lint + smokes + gate
+	fuse-smoke batch-smoke gate bench-test  ## pre-commit: tests + lint + smokes + gate + e2e tests
 
 test-batch:  ## fast smoke: batch subsystem tests only
 	$(PYTHONPATH_SRC) python -m pytest -x -q -k "batch"
@@ -170,6 +173,9 @@ bench:  ## regenerate every evaluation experiment's tables
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q
+
+bench-test:  ## the e2e benchmark's tests: its method patches still resolve
+	$(PYTHONPATH_SRC) python -m pytest -q benchmarks/e2e
 
 bench-gate:  ## e2e benchmark: newest trajectory point vs the one before
 	python3 benchmarks/e2e/compare.py \

@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["mixed"],
                          help="device precision policy (mixed = fp32 compute "
                               "+ fp64 iterative refinement)")
-    p_solve.add_argument("--presolve", action="store_true",
-                         help="run presolve reductions first")
     p_solve.add_argument("--max-iterations", type=int, default=0)
     p_solve.add_argument("--print-solution", action="store_true",
                          help="print every nonzero variable")
@@ -228,11 +226,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.lp.mps import read_mps
-    from repro.lp.presolve import solve_with_presolve
     from repro.solve import solve
 
     lp = read_mps(args.path)
-    kwargs = dict(
+    result = solve(
+        lp,
         method=args.method,
         pricing=args.pricing,
         dtype=np.float32 if args.dtype == "float32" else np.float64,
@@ -241,10 +239,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         precision=args.precision,
         max_iterations=args.max_iterations,
     )
-    if args.presolve:
-        result = solve_with_presolve(lp, **kwargs)
-    else:
-        result = solve(lp, **kwargs)
 
     print(result.summary())
     if result.is_optimal:

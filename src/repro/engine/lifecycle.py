@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.engine.backend import SolverBackend
 from repro.engine.hooks import SolveHooks
-from repro.errors import SolverError
+from repro.errors import SingularBasisError, SolverError
 from repro.metrics.instrument import record_solve
 from repro.result import SolveResult
 from repro.status import SolveStatus
@@ -98,7 +98,15 @@ def _finish(
         result.trace = trace
     backend.standard_extras(result)
     if status is SolveStatus.OPTIMAL:
-        backend.extract(result)
+        kept = dict(result.extra)
+        try:
+            backend.extract(result)
+        except (SingularBasisError, np.linalg.LinAlgError) as exc:
+            # a final basis fp64 cannot factorise certifies no point: the
+            # pivots ended on a numerically singular B, not at an optimum
+            status = result.status = SolveStatus.NUMERICAL
+            result.x, result.objective, result.residuals = None, float("nan"), {}
+            result.extra = {**kept, "numerical_reason": f"singular final basis: {exc}"}
     backend.finalize_timing(result)
     backend.hooks.finish_obs(status.value)
     record_solve(result)

@@ -31,8 +31,14 @@ class TestSolve:
     def test_solve_fp32(self, mps_file, capsys):
         assert main(["solve", mps_file, "--dtype", "float32"]) == 0
 
-    def test_solve_with_scale_and_presolve(self, mps_file, capsys):
-        assert main(["solve", mps_file, "--scale", "--presolve"]) == 0
+    def test_solve_with_scale(self, mps_file, capsys):
+        assert main(["solve", mps_file, "--scale"]) == 0
+
+    def test_removed_flag_rejected(self, mps_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", mps_file, "--presolve"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fusion_flag(self, mps_file, capsys):
         # fused lowering is the default; --no-fusion is the op-by-op baseline

@@ -100,6 +100,37 @@ def test_badly_scaled_family_all_simplex_methods_agree(family, seed):
         assert lp.constraint_violation(r.x) / b_norm <= 1e-6, method
 
 
+#: Reduced-precision cells whose final basis fp64 cannot factorise.
+SINGULAR_FINAL_BASIS = {
+    ("transportation", 3, "gpu-tableau", "mixed"),
+    ("transportation", 3, "gpu-tableau", "fp32"),
+    ("transportation", 4, "gpu-revised", "mixed"),
+    ("transportation", 4, "gpu-revised", "fp32"),
+}
+
+REDUCED_PRECISION = {
+    "mixed": {"precision": "mixed"},
+    "fp32": {"dtype": np.float32},
+}
+
+
+@pytest.mark.parametrize("precision", sorted(REDUCED_PRECISION))
+@pytest.mark.parametrize("method", ("gpu-revised", "gpu-tableau"))
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", sorted(BADLY_SCALED_FAMILIES))
+def test_badly_scaled_reduced_precision_returns_a_status(
+    family, seed, method, precision
+):
+    """Hostile scaling in fp32 or mixed precision: the solve returns a
+    status instead of raising, and a singular final basis reads NUMERICAL
+    rather than OPTIMAL."""
+    lp = badly_scaled(BADLY_SCALED_FAMILIES[family](seed), seed)
+    r = solve(lp, method=method, **REDUCED_PRECISION[precision])
+    if (family, seed, method, precision) in SINGULAR_FINAL_BASIS:
+        assert r.status.value == "numerical", r.status
+        assert "singular" in r.extra["numerical_reason"]
+
+
 @st.composite
 def arbitrary_lps(draw):
     """LPs with mixed senses/bounds: any of the three outcomes possible."""
@@ -165,6 +196,82 @@ def assert_status_matches(lp, ref, r, method):
         if r.status.value == "optimal":
             # must then be genuinely feasible
             assert lp.constraint_violation(r.x) <= 1e-6, method
+
+
+#: Small LPs of the shapes row and column reductions target: fixed
+#: variables (alone and cascading), empty rows and columns, singleton rows
+#: and duplicate rows, each feasible, infeasible or unbounded.  Every
+#: method solves them as given.
+REDUCIBLE_LPS = {
+    "fixed-variable": LPProblem.minimize(
+        c=[1.0, 2.0, 3.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[10.0],
+        bounds=[(0, None), (0, None), (3.0, 3.0)],
+    ),
+    "fix-cascade": LPProblem.minimize(
+        c=[1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[10.0],
+        bounds=[(0, None), (3.0, 3.0)],
+    ),
+    "all-fixed": LPProblem.minimize(
+        c=[2.0], a_ub=[[1.0]], b_ub=[10.0], bounds=[(3.0, 3.0)],
+    ),
+    "empty-row": LPProblem.minimize(
+        c=[1.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[5.0, 2.0],
+    ),
+    "empty-le-row-infeasible": LPProblem.minimize(
+        c=[1.0], a_ub=[[0.0]], b_ub=[-5.0],
+    ),
+    "empty-eq-row-infeasible": LPProblem.minimize(
+        c=[1.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[0.0]], b_eq=[2.0],
+    ),
+    "singleton-row": LPProblem.minimize(
+        c=[1.0, 1.0], a_ub=[[2.0, 0.0], [1.0, 1.0]], b_ub=[6.0, 10.0],
+    ),
+    "singleton-row-negative": LPProblem.minimize(
+        c=[1.0, 1.0], a_ub=[[-1.0, 0.0], [1.0, 1.0]], b_ub=[-2.0, 10.0],
+    ),
+    "singleton-rows-contradict": LPProblem.minimize(
+        c=[1.0, 1.0],
+        a_ub=[[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]],
+        b_ub=[1.0, -3.0, 10.0],
+    ),
+    "empty-column": LPProblem.minimize(
+        c=[1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[4.0],
+    ),
+    "empty-column-unbounded": LPProblem.maximize_problem(
+        c=[1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[4.0],
+    ),
+    "duplicate-rows": LPProblem.minimize(
+        c=[1.0, 1.0], a_ub=[[1.0, 1.0], [1.0, 1.0]], b_ub=[5.0, 3.0],
+    ),
+    "duplicate-eq-rows-conflict": LPProblem.minimize(
+        c=[1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[4.0, 5.0],
+    ),
+    "mixed": LPProblem.minimize(
+        c=[1.0, 2.0, 0.5],
+        a_ub=[[1.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        b_ub=[10.0, 8.0, 1.0],
+        a_eq=[[0.0, 1.0, 1.0]], b_eq=[4.0],
+        bounds=[(0, None), (0, None), (1.0, 1.0)],
+    ),
+    "fixed-column-maximize": LPProblem.maximize_problem(
+        c=[3.0, 5.0, 1.0],
+        a_ub=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 2.0, 0.0]],
+        b_ub=[4.0, 12.0, 18.0],
+        bounds=[(0, None), (0, None), (2.0, 2.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", available_methods())
+@pytest.mark.parametrize("shape", sorted(REDUCIBLE_LPS))
+def test_reducible_shapes_match_oracle(shape, method):
+    """Every method, at its defaults, agrees with HiGHS on each shape and
+    returns a feasible point at an optimum."""
+    lp = REDUCIBLE_LPS[shape]
+    r = solve(lp, method=method)
+    assert_status_matches(lp, highs(lp), r, method)
+    if r.is_optimal:
+        assert lp.constraint_violation(r.x) <= 1e-6, method
 
 
 @SLOW
