@@ -36,13 +36,19 @@
 # `make bench-test` runs the end-to-end benchmark's own tests
 # (benchmarks/e2e): its tracer patches library methods by name, so a
 # rename or deletion that breaks one of those patches fails here.
+# `make experiments-check` re-runs every evaluation experiment (about 2
+# minutes) and diffs the tables against the committed experiments_full.txt:
+# a change that moves a modeled number shows in that diff.  It pins
+# OpenBLAS to one thread: with more, the last bits of fp64 sums move, and
+# T2's and F4's 1e-15-level error columns with them.  Regenerate the file
+# with the same command, redirected to experiments_full.txt.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through repro.metrics.instrument, whose one
 # function per serve or batch event feeds both); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the trace,
 # sparse, serve, pdlp, obs, fuse and batch smokes + the metrics regression
-# gate + the e2e benchmark's tests.
+# gate + the e2e benchmark's tests + the experiments check.
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
@@ -52,7 +58,7 @@ TRAJECTORY := benchmarks/trajectory
 
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
 	obs-smoke fuse-smoke batch-smoke metrics-smoke gate gate-baseline bench \
-	bench-batch bench-gate bench-test lint verify
+	bench-batch bench-gate bench-test experiments-check lint verify
 
 test:  ## tier-1: the full test suite
 	$(PYTHONPATH_SRC) python -m pytest -x -q
@@ -61,7 +67,7 @@ lint:  ## architecture lint: backend/serve import layering rules
 	python tools/lint_backend_imports.py
 
 verify: test lint trace-smoke sparse-smoke serve-smoke pdlp-smoke obs-smoke \
-	fuse-smoke batch-smoke gate bench-test  ## pre-commit: tests + lint + smokes + gate + e2e tests
+	fuse-smoke batch-smoke gate bench-test experiments-check  ## pre-commit: tests + lint + smokes + gate + e2e tests + experiments
 
 test-batch:  ## fast smoke: batch subsystem tests only
 	$(PYTHONPATH_SRC) python -m pytest -x -q -k "batch"
@@ -173,6 +179,11 @@ bench:  ## regenerate every evaluation experiment's tables
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q
+
+experiments-check:  ## the recorded experiment tables match a fresh run
+	OPENBLAS_NUM_THREADS=1 $(PYTHONPATH_SRC) python -m repro.bench.experiments all \
+		> /tmp/experiments_full.txt
+	diff -u experiments_full.txt /tmp/experiments_full.txt
 
 bench-test:  ## the e2e benchmark's tests: its method patches still resolve
 	$(PYTHONPATH_SRC) python -m pytest -q benchmarks/e2e

@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="dantzig | bland | hybrid | devex | steepest-edge")
     p_solve.add_argument("--dtype", default="float64",
                          choices=["float32", "float64"])
-    p_solve.add_argument("--scale", action="store_true",
-                         help="apply geometric-mean scaling")
     p_solve.add_argument("--fusion", action=argparse.BooleanOptionalAction,
                          default=True,
                          help="lower gpu-* launch plans with kernel fusion "
@@ -234,7 +232,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         method=args.method,
         pricing=args.pricing,
         dtype=np.float32 if args.dtype == "float32" else np.float64,
-        scale=args.scale,
         fusion=args.fusion,
         precision=args.precision,
         max_iterations=args.max_iterations,

@@ -97,6 +97,7 @@ def _finish(
     if trace is not None:
         result.trace = trace
     backend.standard_extras(result)
+    result.extra["scaled"] = backend.prep.scaling is not None
     if status is SolveStatus.OPTIMAL:
         kept = dict(result.extra)
         try:

@@ -68,7 +68,7 @@ class PdlpBackend(SolverBackend):
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
-        self.prep = prep = as_sparse_prep(prepare(problem, opts))
+        self.prep = prep = as_sparse_prep(prepare(problem))
         dtype = self._start_machine()
         m, n = prep.m, prep.n_total
         self._controls = PdhgControls.from_options(opts, m, n)

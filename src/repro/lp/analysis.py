@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from repro.lp.problem import ConstraintSense, LPProblem
-from repro.lp.scaling import scaling_spread
+from repro.lp.scaling import needs_scaling, scaling_spread
 
 
 @dataclasses.dataclass
@@ -27,6 +27,9 @@ class ProblemStats:
     density: float
     #: max|a| / min|a| over nonzeros (numerical-difficulty indicator).
     coefficient_spread: float
+    #: True when the spread is past the limit at which every solver
+    #: equilibrates the problem (:func:`~repro.lp.scaling.needs_scaling`).
+    scaled: bool
     senses: dict[str, int]
     #: Bound classes: nonneg / free / boxed / upper-only / lower-shifted / fixed.
     bound_classes: dict[str, int]
@@ -44,7 +47,7 @@ class ProblemStats:
             f"{self.nnz} nnz ({100 * self.density:.2f}%), "
             f"{'sparse' if self.is_sparse else 'dense'} storage",
             f"  coefficient spread: {self.coefficient_spread:.3g}"
-            + ("  (consider scale=True)" if self.coefficient_spread > 1e6 else ""),
+            + ("  (scaled automatically)" if self.scaled else ""),
             "  senses: " + ", ".join(f"{k}: {v}" for k, v in self.senses.items() if v),
             "  bounds: " + ", ".join(f"{k}: {v}" for k, v in self.bound_classes.items() if v),
         ]
@@ -98,7 +101,8 @@ def analyze(problem: LPProblem) -> ProblemStats:
         cols=n,
         nnz=nnz,
         density=density,
-        coefficient_spread=scaling_spread(dense0),
+        coefficient_spread=scaling_spread(a),
+        scaled=needs_scaling(a),
         senses=senses,
         bound_classes=classes,
         maximize=problem.maximize,

@@ -8,7 +8,8 @@ it:
 - **reduced costs**  d = c − Aᵀy  (non-negative over nonbasic columns at an
   optimum of a minimisation),
 - **duality gap**  cᵀx − bᵀy  (zero at an exact optimum — strong duality),
-- **complementary slackness** violation (max |xⱼ·dⱼ|).
+- **complementary slackness** violation (max |xⱼ·dⱼ|),
+- **primal residual**  how far x is from feasible: rows and bounds.
 
 Because the computation starts from the basis *columns* (not from any
 solver-internal inverse), it doubles as an independent check of the solver's
@@ -39,13 +40,19 @@ class Certificate:
     complementary_slackness: float
     #: min_j σ_j·d_j over nonbasic columns (>= -tol certifies optimality).
     min_nonbasic_reduced_cost: float
+    #: The larger of ‖A·x − b‖∞ / max(1, ‖b‖∞) and the bound violation
+    #: max_j max(−xⱼ, xⱼ − uⱼ) / max(1, the largest finite |u|): 0 when x
+    #: is feasible.
+    primal_residual: float = 0.0
 
     def is_optimal_certificate(self, tol: float = 1e-6) -> bool:
-        """True when the certificate proves (approximate) optimality."""
+        """True when the certificate proves (approximate) optimality: x is
+        feasible and dual feasible, with no gap and no slackness left."""
         return (
             self.min_nonbasic_reduced_cost >= -tol
             and abs(self.duality_gap) <= tol * (1.0 + abs(self.duality_gap))
             and self.complementary_slackness <= tol
+            and self.primal_residual <= tol
         )
 
 
@@ -81,9 +88,9 @@ def certificate_from_basis(
     z_primal = float(prep.c @ x_std)
     z_dual = float(prep.b @ y)
     gap = z_primal - z_dual
+    u = prep.upper_bounds()[:n]
     slack, signed = x_std, d
     if at_upper is not None:
-        u = prep.std.upper_bounds()
         gap -= float(u[at_upper] @ d[at_upper])
         slack = np.where(at_upper, u - x_std, x_std)
         signed = np.where(at_upper, -d, d)
@@ -92,12 +99,21 @@ def certificate_from_basis(
     nonbasic = ~in_basis
     min_d = float(signed[nonbasic].min()) if nonbasic.any() else 0.0
 
+    ax = prep.a.matvec(x_std) if prep.is_sparse else prep.a @ x_std
+    b_norm = max(1.0, float(np.max(np.abs(prep.b), initial=0.0)))
+    rows = float(np.max(np.abs(ax - prep.b), initial=0.0)) / b_norm
+    finite = np.isfinite(u)
+    over = np.maximum(-x_std, np.where(finite, x_std - u, 0.0))
+    u_norm = max(1.0, float(np.max(np.abs(u[finite]), initial=0.0)))
+    bounds = float(np.max(over, initial=0.0)) / u_norm
+
     return Certificate(
         y=y,
         reduced_costs=d,
         duality_gap=gap,
         complementary_slackness=cs,
         min_nonbasic_reduced_cost=min_d,
+        primal_residual=max(rows, bounds),
     )
 
 

@@ -1,7 +1,9 @@
 """Shared solver plumbing: standardisation, scaling, column access, recovery.
 
 Every solver (CPU and GPU) consumes the same :class:`PreparedLP`: the
-standard-form data, optionally scaled, with uniform access to columns —
+standard-form data, equilibrated when the LP's own coefficients spread past
+:func:`~repro.lp.scaling.needs_scaling`'s limit (so every method makes the
+same choice for one LP), with uniform access to columns —
 including the *implicit artificial columns* ``e_i`` indexed as
 ``n_total + i``, which are never materialised (they are identity columns,
 and materialising them wastes exactly the memory a GPU can least afford).
@@ -14,9 +16,8 @@ import dataclasses
 import numpy as np
 
 from repro.lp.problem import LPProblem
-from repro.lp.scaling import ScalingResult, geometric_mean_scaling
+from repro.lp.scaling import ScalingResult, geometric_mean_scaling, needs_scaling
 from repro.lp.standard_form import StandardFormLP, to_standard_form
-from repro.simplex.options import SolverOptions
 from repro.sparse.base import SparseMatrix
 from repro.sparse.csc import CscMatrix
 
@@ -90,11 +91,12 @@ def as_sparse_prep(prep: PreparedLP) -> PreparedLP:
 
 def prepare(
     problem: "LPProblem | StandardFormLP",
-    options: SolverOptions,
     *,
     range_bounds_as_rows: bool = True,
 ) -> PreparedLP:
-    """Standardise (and optionally scale) a problem for any solver."""
+    """Standardise a problem for any solver, and scale it when the matrix it
+    was given needs it (the bound rows and slack columns that
+    standardisation adds do not count)."""
     std = (
         problem
         if isinstance(problem, StandardFormLP)
@@ -102,7 +104,7 @@ def prepare(
     )
     scaling: ScalingResult | None = None
     a, b, c = std.a, std.b, std.c
-    if options.scale:
+    if needs_scaling(problem.a):
         scaling = geometric_mean_scaling(a, b, c)
         a, b, c = scaling.a, scaling.b, scaling.c
     m, n_total = std.num_rows, std.num_cols

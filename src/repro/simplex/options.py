@@ -66,8 +66,6 @@ class SolverOptions:
         last rebuild (bound flips do not count; the count carries across
         the phase boundary); 0 disables.  Every revised method, boxed ones
         included, recomputes β from the rebuilt representation.
-    scale:
-        Apply geometric-mean scaling to the standard-form data.
     dtype:
         Arithmetic precision: float64 (CPU default) or float32 (the GPU's
         fast path; the F4 experiment flips this).
@@ -96,7 +94,6 @@ class SolverOptions:
     tol_kkt: float = 1e-9
     stall_window: int = 40
     refactor_period: int = 100
-    scale: bool = False
     dtype: type = np.float64
     fusion: bool = True
     precision: "str | None" = None

@@ -333,7 +333,7 @@ class RevisedBackend(SolverBackend):
 
     def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
         opts = self.options
-        prep = prepare(problem, opts, range_bounds_as_rows=self.boxed is None)
+        prep = prepare(problem, range_bounds_as_rows=self.boxed is None)
         self.prep = prep = as_sparse_prep(prep) if self.sparse_data else prep
         upper = prep.upper_bounds()
         boxed = self.boxed is not None and bool(np.isfinite(upper).any())

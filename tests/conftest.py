@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def bounded_vars_lp() -> LPProblem:
 
 
 BOUNDED_VARS_OPTIMUM = -24.0
+
+
+def badly_scaled(lp: LPProblem, seed: int) -> LPProblem:
+    """``lp`` with rows and columns scaled by factors spread over six
+    decades: A' = diag(r)·A·diag(k), b' = r∘b, c' = c∘k and bounds ÷ k, so
+    x' = x ÷ k solves it with the same objective."""
+    rng = np.random.default_rng(seed)
+    m, n = lp.a.shape
+    r = 10 ** rng.uniform(-3, 3, m)
+    k = 10 ** rng.uniform(-3, 3, n)
+    return dataclasses.replace(
+        lp, a=r[:, None] * lp.a * k[None, :], b=r * lp.b, c=lp.c * k,
+        bounds=Bounds(lp.bounds.lower / k, lp.bounds.upper / k),
+    )
 
 
 def scipy_oracle(lp: LPProblem) -> float | None:

@@ -82,7 +82,10 @@ class TestAnalyze:
             c=[1.0], a=[[1e-6], [1e6]], senses=["<=", "<="], b=[1.0, 1.0],
             bounds=Bounds.nonnegative(1),
         )
-        assert "scale=True" in analyze(lp).render()
+        stats = analyze(lp)
+        assert stats.scaled
+        assert "scaled automatically" in stats.render()
+        assert "scaled automatically" not in analyze(random_dense_lp(5, 6, seed=2)).render()
 
     def test_stats_is_dataclass(self):
         stats = analyze(random_dense_lp(3, 3, seed=1))

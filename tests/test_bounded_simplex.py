@@ -8,7 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOUNDED_VARS_OPTIMUM, TEXTBOOK_OPTIMUM, assert_matches_oracle, scipy_oracle
+from conftest import (
+    BOUNDED_VARS_OPTIMUM,
+    TEXTBOOK_OPTIMUM,
+    assert_matches_oracle,
+    badly_scaled,
+    scipy_oracle,
+)
 from repro import solve
 from repro.bench.experiments import bounds_as_rows
 from repro.errors import SolverError
@@ -197,11 +203,14 @@ class TestWhatTheBoundedMethodsRefused:
     @pytest.mark.parametrize("method", BOXED_METHODS)
     def test_scaling_matches_unscaled(self, method):
         lp = boxed_random(15, 20, seed=7)
-        plain, scaled = solve64(lp, method), solve64(lp, method, scale=True)
-        assert_boxed(lp, scaled)
+        hostile = badly_scaled(lp, seed=7)
+        plain, scaled = solve64(lp, method), solve64(hostile, method)
+        assert not plain.extra["scaled"] and scaled.extra["scaled"]
+        assert_boxed(hostile, scaled)
         assert scaled.extra["at_upper"].any()
         assert scaled.objective == pytest.approx(plain.objective, rel=1e-9)
-        assert np.all(scaled.x <= lp.bounds.upper + 1e-9)
+        upper = hostile.bounds.upper
+        assert np.all(scaled.x <= upper + 1e-9 * np.maximum(1.0, upper))
 
     def test_mixed_precision_recovers_fp64(self):
         lp = boxed_random(15, 20, seed=7)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import badly_scaled
 from repro.cli import main
 from repro.lp.generators import random_dense_lp
 from repro.lp.mps import write_mps
@@ -31,14 +32,20 @@ class TestSolve:
     def test_solve_fp32(self, mps_file, capsys):
         assert main(["solve", mps_file, "--dtype", "float32"]) == 0
 
-    def test_solve_with_scale(self, mps_file, capsys):
-        assert main(["solve", mps_file, "--scale"]) == 0
+    def test_solve_badly_scaled(self, tmp_path, capsys):
+        path = str(tmp_path / "hostile.mps")
+        write_mps(badly_scaled(random_dense_lp(12, 16, seed=1), seed=1), path)
+        assert main(["info", path]) == 0
+        assert "scaled automatically" in capsys.readouterr().out
+        assert main(["solve", path, "--dtype", "float32"]) == 0
+        assert "status=optimal" in capsys.readouterr().out
 
     def test_removed_flag_rejected(self, mps_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", mps_file, "--presolve"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        for option in ("presolve", "scale"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", mps_file, f"--{option}"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fusion_flag(self, mps_file, capsys):
         # fused lowering is the default; --no-fusion is the op-by-op baseline

@@ -6,14 +6,16 @@ exists — across randomly generated general-form LPs.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import scipy_oracle
+from conftest import badly_scaled, scipy_oracle
 from repro import solve
+from repro.lp import scaling
 from repro.lp.generators import (
     degenerate_lp,
     random_dense_lp,
@@ -72,18 +74,6 @@ BADLY_SCALED_FAMILIES = {
 }
 
 
-def badly_scaled(lp, seed):
-    """``lp`` with rows and columns scaled by factors spread over six
-    decades: A' = diag(r)·A·diag(k), b' = r∘b, c' = c∘k."""
-    rng = np.random.default_rng(seed)
-    m, n = lp.a.shape
-    r = 10 ** rng.uniform(-3, 3, m)
-    k = 10 ** rng.uniform(-3, 3, n)
-    return dataclasses.replace(
-        lp, a=r[:, None] * lp.a * k[None, :], b=r * lp.b, c=lp.c * k
-    )
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("family", sorted(BADLY_SCALED_FAMILIES))
 def test_badly_scaled_family_all_simplex_methods_agree(family, seed):
@@ -100,7 +90,8 @@ def test_badly_scaled_family_all_simplex_methods_agree(family, seed):
         assert lp.constraint_violation(r.x) / b_norm <= 1e-6, method
 
 
-#: Reduced-precision cells whose final basis fp64 cannot factorise.
+#: Reduced-precision cells whose final basis fp64 cannot factorise when
+#: the LP is left unscaled.
 SINGULAR_FINAL_BASIS = {
     ("transportation", 3, "gpu-tableau", "mixed"),
     ("transportation", 3, "gpu-tableau", "fp32"),
@@ -121,14 +112,31 @@ REDUCED_PRECISION = {
 def test_badly_scaled_reduced_precision_returns_a_status(
     family, seed, method, precision
 ):
-    """Hostile scaling in fp32 or mixed precision: the solve returns a
-    status instead of raising, and a singular final basis reads NUMERICAL
-    rather than OPTIMAL."""
+    """Hostile scaling in fp32 or mixed precision: ``solve()`` equilibrates
+    the LP, so the reduced-precision run reaches the oracle's optimum at a
+    feasible point."""
+    lp = badly_scaled(BADLY_SCALED_FAMILIES[family](seed), seed)
+    ref = scipy_oracle(lp)
+    b_norm = max(1.0, float(np.max(np.abs(lp.b))))
+    r = solve(lp, method=method, **REDUCED_PRECISION[precision])
+    assert r.extra["scaled"]
+    assert r.status.value == "optimal", r.status
+    assert abs(r.objective - ref) <= 1e-6 * (1 + abs(ref)), (r.objective, ref)
+    assert lp.constraint_violation(r.x) / b_norm <= 1e-6
+
+
+@pytest.mark.parametrize("family, seed, method, precision", sorted(SINGULAR_FINAL_BASIS))
+def test_singular_final_basis_reads_numerical(
+    family, seed, method, precision, monkeypatch
+):
+    """With scaling kept off, these reduced-precision runs end on a basis
+    fp64 cannot factorise: the solve reads NUMERICAL instead of raising."""
+    monkeypatch.setattr(scaling, "_SPREAD_LIMIT", math.inf)
     lp = badly_scaled(BADLY_SCALED_FAMILIES[family](seed), seed)
     r = solve(lp, method=method, **REDUCED_PRECISION[precision])
-    if (family, seed, method, precision) in SINGULAR_FINAL_BASIS:
-        assert r.status.value == "numerical", r.status
-        assert "singular" in r.extra["numerical_reason"]
+    assert not r.extra["scaled"]
+    assert r.status.value == "numerical", r.status
+    assert "singular" in r.extra["numerical_reason"]
 
 
 @st.composite

@@ -144,12 +144,11 @@ class TestSingularBases:
     def test_certificate_raises_on_singular_basis(self):
         from repro.lp.postsolve import certificate_from_basis
         from repro.simplex.common import prepare
-        from repro.simplex.options import SolverOptions
 
         lp = LPProblem.minimize(
             c=[1.0, 1.0], a_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[2.0, 4.0]
         )
-        prep = prepare(lp, SolverOptions())
+        prep = prepare(lp)
         with pytest.raises(SingularBasisError):
             # both rows are multiples: structural columns 0,1 of row-duplicated
             # A cannot form a basis... build an explicitly singular one

@@ -8,6 +8,7 @@ from conftest import (
     TEXTBOOK_OPTIMUM,
     TEXTBOOK_X,
     assert_matches_oracle,
+    badly_scaled,
     corrupt_multiplier_updates,
     multiplier_drift,
     optimal_multipliers,
@@ -130,8 +131,10 @@ class TestOptions:
         assert r.status is SolveStatus.OPTIMAL
 
     def test_scaling(self):
-        lp = random_dense_lp(20, 25, seed=7)
-        assert_matches_oracle(lp, solve_gpu(lp, scale=True, dtype=np.float64))
+        lp = badly_scaled(random_dense_lp(20, 25, seed=7), seed=7)
+        r = solve_gpu(lp, dtype=np.float64)
+        assert r.extra["scaled"]
+        assert_matches_oracle(lp, r)
 
     def test_alternate_device_model(self, textbook_lp):
         solver = GpuRevisedSimplex(gpu_params=GTX8800_PARAMS)

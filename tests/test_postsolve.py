@@ -5,11 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import badly_scaled
 from repro import solve
 from repro.lp.generators import random_dense_lp, random_sparse_lp, transportation_lp
 from repro.lp.postsolve import Certificate, certificate_from_basis
 from repro.simplex.common import prepare
-from repro.simplex.options import SolverOptions
 
 METHODS = ("tableau", "revised", "gpu-revised", "gpu-tableau")
 
@@ -35,6 +35,23 @@ class TestCertificateObject:
             complementary_slackness=0.0, min_nonbasic_reduced_cost=0.0,
         )
         assert not cert.is_optimal_certificate()
+
+    def test_primal_residual_fails_certificate(self, textbook_lp):
+        """A basic slack raised by 1e-3 has a zero cost and a zero reduced
+        cost, so gap and slackness stay put: only the row residual sees
+        that x left its rows."""
+        r = solve(textbook_lp, method="revised")
+        prep = prepare(textbook_lp)
+        basis, x_std = r.extra["basis"], r.extra["x_std"].copy()
+        slack = int(prep.std.slack_of_row[0])
+        assert slack in basis
+        x_std[slack] += 1e-3
+        cert = certificate_from_basis(prep, basis, x_std)
+        assert not cert.is_optimal_certificate()
+        before = r.extra["certificate"]
+        assert cert.duality_gap == before.duality_gap
+        assert cert.complementary_slackness == before.complementary_slackness
+        assert cert.primal_residual == pytest.approx(1e-3 / 18.0)
 
 
 class TestSolverCertificates:
@@ -62,8 +79,9 @@ class TestSolverCertificates:
         assert r.extra["certificate"].is_optimal_certificate(1e-6)
 
     def test_certificate_with_scaling(self):
-        lp = random_dense_lp(15, 20, seed=3)
-        r = solve(lp, method="revised", scale=True)
+        lp = badly_scaled(random_dense_lp(15, 20, seed=3), seed=3)
+        r = solve(lp, method="revised")
+        assert r.extra["scaled"]
         assert r.extra["certificate"].is_optimal_certificate(1e-6)
 
     def test_no_certificate_on_infeasible(self, infeasible_lp):
@@ -123,6 +141,6 @@ def test_certificate_property(m, n, seed):
     cert = r.extra["certificate"]
     assert cert.is_optimal_certificate(1e-6)
     # recompute independently from the basis
-    prep = prepare(lp, SolverOptions())
+    prep = prepare(lp)
     cert2 = certificate_from_basis(prep, r.extra["basis"], r.extra["x_std"])
     np.testing.assert_allclose(cert.y, cert2.y, atol=1e-9)

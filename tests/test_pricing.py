@@ -249,7 +249,7 @@ class TestFactory:
         from repro.simplex.tableau import TableauSimplexSolver
 
         solver = TableauSimplexSolver(SolverOptions(pricing=name))
-        prep = prepare(random_dense_lp(3, 4, seed=0), solver.options)
+        prep = prepare(random_dense_lp(3, 4, seed=0))
         st = solver._place(prep, np.dtype(np.float64))
         st.start(initial_basis(prep)[0])
         return st.pricing_rule()

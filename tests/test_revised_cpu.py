@@ -8,6 +8,7 @@ from conftest import (
     TEXTBOOK_OPTIMUM,
     TEXTBOOK_X,
     assert_matches_oracle,
+    badly_scaled,
 )
 from repro.errors import SolverError
 from repro.lp.generators import (
@@ -118,9 +119,11 @@ class TestOptions:
         assert r.iterations.refactorizations >= 1
         assert_matches_oracle(lp, r)
 
-    def test_scaling_option(self):
-        lp = random_dense_lp(20, 20, seed=5)
-        assert_matches_oracle(lp, solve_with(lp, scale=True))
+    def test_badly_scaled_lp_is_scaled(self):
+        lp = badly_scaled(random_dense_lp(20, 20, seed=5), seed=5)
+        r = solve_with(lp)
+        assert r.extra["scaled"]
+        assert_matches_oracle(lp, r)
 
     def test_bland_terminates_on_degenerate(self):
         from repro.lp.generators import beale_cycling_lp

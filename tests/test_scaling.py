@@ -1,10 +1,14 @@
 """Tests for geometric-mean problem scaling."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.lp.scaling import geometric_mean_scaling, scaling_spread
-from repro.sparse import CscMatrix
+from repro.lp import scaling
+from repro.lp.scaling import geometric_mean_scaling, needs_scaling, scaling_spread
+from repro.solve import available_methods
+from repro.sparse import CooMatrix, CscMatrix
 
 
 def badly_scaled_matrix():
@@ -116,16 +120,47 @@ class TestScaling:
             np.testing.assert_array_equal(scaled == 0.0, a == 0.0)
 
 
-def test_scaling_improves_solver_accuracy():
-    """A badly scaled LP solves to the same optimum with scale=True."""
+def test_scaling_improves_solver_accuracy(monkeypatch):
+    """A badly scaled LP is scaled at the defaults and solves to the same
+    optimum as the unscaled run."""
     from repro import LPProblem, solve
 
     a = np.array([[1e5, 2e-3], [3.0, 4e4]])
     b = np.array([1e5, 8e4])
     c = np.array([1.0, 1.0])
     lp = LPProblem.maximize_problem(c=c, a_ub=a, b_ub=b)
-    plain = solve(lp, method="revised", scale=False)
-    scaled = solve(lp, method="revised", scale=True)
+    scaled = solve(lp, method="revised")
+    monkeypatch.setattr(scaling, "_SPREAD_LIMIT", math.inf)
+    plain = solve(lp, method="revised")
+    assert scaled.extra["scaled"] and not plain.extra["scaled"]
     assert plain.status.value == "optimal"
     assert scaled.status.value == "optimal"
     assert scaled.objective == pytest.approx(plain.objective, rel=1e-6)
+
+
+class TestNeedsScaling:
+    def test_limit(self):
+        assert not needs_scaling(np.array([[1.0, 1e4]]))
+        assert needs_scaling(np.array([[1.0, 1.01e4]]))
+
+    def test_sparse_read_without_densifying(self, monkeypatch):
+        a = badly_scaled_matrix()
+        for sparse in (CscMatrix.from_dense(a), CooMatrix.from_dense(a)):
+            monkeypatch.setattr(type(sparse), "to_dense", None)
+            assert scaling_spread(sparse) == scaling_spread(a)
+            assert needs_scaling(sparse)
+
+    @pytest.mark.parametrize("method", available_methods())
+    def test_bound_rows_do_not_count(self, method):
+        """Coefficients within [1e2, 1e5] spread 1e3; the rows of 1s that
+        some methods write for upper bounds would spread them 1e5."""
+        from repro import LPProblem, solve
+
+        rng = np.random.default_rng(3)
+        a = 10 ** rng.uniform(2, 5, size=(4, 5))
+        lp = LPProblem.maximize_problem(
+            c=np.ones(5), a_ub=a, b_ub=np.full(4, 1e5),
+            bounds=[(0.0, 50.0)] * 5,
+        )
+        assert not needs_scaling(lp.a)
+        assert not solve(lp, method=method).extra["scaled"]

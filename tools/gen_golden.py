@@ -43,7 +43,12 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.lp.generators import degenerate_lp, random_dense_lp, random_sparse_lp
+from repro.lp.generators import (
+    degenerate_lp,
+    random_dense_lp,
+    random_sparse_lp,
+    transportation_lp,
+)
 from repro.lp.problem import Bounds, LPProblem
 from repro.solve import available_methods, solve
 
@@ -82,6 +87,21 @@ def equality_lp() -> LPProblem:
     )
 
 
+def hostile_lp() -> LPProblem:
+    """``transportation_lp(5, 7, seed=4)`` with rows and columns scaled by
+    seeded factors over six decades (A' = diag(r)·A·diag(k), b' = r∘b,
+    c' = c∘k): its spread pins the path on which ``solve()`` equilibrates."""
+    base = transportation_lp(5, 7, seed=4)
+    rng = np.random.default_rng(4)
+    m, n = base.a.shape
+    r = 10 ** rng.uniform(-3, 3, m)
+    k = 10 ** rng.uniform(-3, 3, n)
+    return dataclasses.replace(
+        base, a=r[:, None] * base.a * k[None, :], b=r * base.b, c=base.c * k,
+        name="golden-hostile",
+    )
+
+
 def suite() -> list[LPProblem]:
     return [
         random_dense_lp(8, 12, seed=3, name="golden-dense-8x12"),
@@ -90,6 +110,7 @@ def suite() -> list[LPProblem]:
         degenerate_lp(7, 9, seed=5),
         boxed_lp(),
         equality_lp(),
+        hostile_lp(),
     ]
 
 
